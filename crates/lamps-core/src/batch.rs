@@ -25,7 +25,7 @@
 
 use crate::cache::{CacheBuffers, ScheduleCache};
 use crate::config::SchedulerConfig;
-use crate::solve::solve_with_cache_and_sweep;
+use crate::solve::solve_impl;
 use crate::types::{Solution, SolveError, Strategy};
 use lamps_energy::{EnergyBreakdown, LevelSweep};
 use lamps_parallel::{Pool, PoolMetrics};
@@ -131,8 +131,16 @@ fn run_batch<R: Send>(
         for &deadline_s in job.deadlines_s {
             for &strategy in strategies {
                 out.push(
-                    solve_with_cache_and_sweep(strategy, deadline_s, cfg, &mut cache, &sweep)
-                        .map(&project),
+                    solve_impl(
+                        strategy,
+                        deadline_s,
+                        cfg,
+                        &mut cache,
+                        None,
+                        Some(&sweep),
+                        None,
+                    )
+                    .map(|b| project(b.solution)),
                 );
             }
         }

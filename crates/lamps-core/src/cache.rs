@@ -203,9 +203,18 @@ impl<'g> ScheduleCache<'g> {
     /// list-scheduling run and every scan runs to its plain
     /// strict-decrease termination. The differential suite uses this to
     /// build the unpruned reference path; solutions must be bitwise
-    /// identical either way.
+    /// identical either way. The solver reads the same flag: with it
+    /// off, the search also skips no level sweep, ends no scan early and
+    /// never takes the parallel arm — the reference engine of
+    /// [`crate::solve_with_cache_unpruned`].
     pub fn set_shortcuts_enabled(&mut self, enabled: bool) {
         self.shortcuts_enabled = enabled;
+    }
+
+    /// Whether the shortcuts, and with them the solver's pruning, are on
+    /// (see [`Self::set_shortcuts_enabled`]).
+    pub fn shortcuts_enabled(&self) -> bool {
+        self.shortcuts_enabled
     }
 
     /// Test-only mutation hook: compute `LB(m)` as if for `m − 1`

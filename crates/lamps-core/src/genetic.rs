@@ -13,7 +13,7 @@
 
 use crate::cache::ScheduleCache;
 use crate::config::SchedulerConfig;
-use crate::solve::{best_level_for, solve};
+use crate::solve::{best_level, solve};
 use crate::types::{SolveError, Strategy};
 use lamps_power::OperatingPoint;
 use lamps_sched::list::list_schedule;
@@ -116,7 +116,18 @@ pub fn genetic_solve(
     let fitness = |ind: &Individual| -> Option<(f64, usize, OperatingPoint)> {
         let schedule = list_schedule(graph, ind.n_procs, &ind.keys);
         let summary = lamps_sched::IdleSummary::new(&schedule);
-        let cand = best_level_for(&summary, ind.n_procs, deadline_s, cfg, true, None)?;
+        let required_freq = summary.makespan_cycles() as f64 / deadline_s;
+        let cand = best_level(
+            &summary,
+            ind.n_procs,
+            required_freq,
+            deadline_s,
+            cfg,
+            true,
+            None,
+            usize::MAX,
+            None,
+        )?;
         Some((cand.energy.total(), cand.n_procs, cand.level))
     };
 

@@ -19,7 +19,7 @@
 
 use crate::cache::ScheduleCache;
 use crate::config::SchedulerConfig;
-use crate::solve::{best_level_constrained, Candidate};
+use crate::solve::{best_level, Candidate};
 use crate::types::{Solution, SolveError, Strategy};
 use lamps_sched::deadlines::latest_finish_times_with;
 use lamps_sched::Schedule;
@@ -156,7 +156,7 @@ pub fn solve_with_deadlines(
     let evaluate_n = |cache: &mut ScheduleCache<'_>, n: usize| -> Option<Candidate> {
         let (schedule, summary) = cache.schedule_and_summary(n);
         let req = required_frequency(schedule, &lf, f_max);
-        best_level_constrained(summary, n, req, horizon_s, cfg, ps)
+        best_level(summary, n, req, horizon_s, cfg, ps, None, usize::MAX, None)
     };
 
     let best = if strategy.searches_proc_count() {

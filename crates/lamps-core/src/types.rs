@@ -101,7 +101,7 @@ pub enum SolveError {
     /// The platform model rejected a computation.
     Power(PowerError),
     /// A budgeted solve ran out of steps (or was cancelled) before any
-    /// feasible candidate was evaluated (see [`crate::solve_with_budget`]).
+    /// feasible candidate was evaluated (see [`crate::solve_with_budget_cache`]).
     BudgetExhausted {
         /// Candidate evaluations performed before the budget expired.
         explored: u64,
