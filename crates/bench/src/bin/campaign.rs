@@ -219,7 +219,6 @@ fn unpruned_row_matches(
     row: &CellRow,
 ) -> bool {
     let mut cache = ScheduleCache::for_graph(job.graph);
-    cache.set_shortcuts_enabled(false);
     let mut k = 0;
     for &d in job.deadlines_s {
         for &s in strategies.iter() {

@@ -120,17 +120,10 @@ fn run_warm(
     })
 }
 
-/// The shortcut-free reference: fresh caches with the plateau and
-/// lower-bound skips disabled, driven through the unpruned solver.
+/// The shortcut-free reference: fresh caches driven through the
+/// unpruned solver, which turns their shortcuts off.
 fn run_unpruned(graphs: &[TaskGraph], cfg: &SchedulerConfig) -> Totals {
-    let mut caches: Vec<ScheduleCache<'_>> = graphs
-        .iter()
-        .map(|g| {
-            let mut c = ScheduleCache::for_graph(g);
-            c.set_shortcuts_enabled(false);
-            c
-        })
-        .collect();
+    let mut caches: Vec<ScheduleCache<'_>> = graphs.iter().map(ScheduleCache::for_graph).collect();
     run_cells(graphs, &mut caches, cfg, |strategy, d, cfg, cache| {
         solve_with_cache_unpruned(strategy, d, cfg, cache)
             .ok()
@@ -471,7 +464,9 @@ fn main() {
     if !explain_out.is_empty() {
         let graph = &graphs[0];
         let deadline_s = 2.0 * graph.critical_path_cycles() as f64 / cfg.max_frequency();
-        let (_, ex) = lamps_core::solve_explained(Strategy::LampsPs, graph, deadline_s, &cfg);
+        let mut cache = ScheduleCache::for_graph(graph);
+        let (_, ex) =
+            lamps_core::solve_with_cache_explained(Strategy::LampsPs, deadline_s, &cfg, &mut cache);
         std::fs::write(&explain_out, ex.to_json()).expect("write decision log");
         eprintln!("wrote {explain_out}");
     }

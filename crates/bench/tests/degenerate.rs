@@ -7,7 +7,10 @@
 //! of these rows can ever panic.
 
 use lamps_core::limits::{limit_mf, limit_sf};
-use lamps_core::{solve, solve_with_budget, SchedulerConfig, SolveBudget, SolveError, Strategy};
+use lamps_core::{
+    solve, solve_with_budget_cache, ScheduleCache, SchedulerConfig, SolveBudget, SolveError,
+    Strategy,
+};
 use lamps_kpn::{unroll, KpnError, Network, UnrollConfig};
 use lamps_sim::{run_with_faults, DvsSwitchCost, FaultPlan, RecoveryPolicy, SimError};
 use lamps_taskgraph::{GraphBuilder, GraphError, TaskGraph};
@@ -45,10 +48,16 @@ fn solver_entry_points_reject_bad_deadlines() {
         }
         assert!(
             matches!(
-                solve_with_budget(Strategy::LampsPs, &g, d, &cfg, &SolveBudget::unlimited()),
+                solve_with_budget_cache(
+                    Strategy::LampsPs,
+                    d,
+                    &cfg,
+                    &mut ScheduleCache::for_graph(&g),
+                    &SolveBudget::unlimited()
+                ),
                 Err(SolveError::BadDeadline(_))
             ),
-            "solve_with_budget accepted {name}"
+            "solve_with_budget_cache accepted {name}"
         );
         assert!(
             matches!(limit_sf(&g, d, &cfg), Err(SolveError::BadDeadline(_))),

@@ -925,7 +925,7 @@ pub fn encode_solve_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamps_core::{solve_with_budget, SchedulerConfig, SolveBudget};
+    use lamps_core::{solve_with_budget_cache, ScheduleCache, SchedulerConfig, SolveBudget};
 
     fn diamond() -> TaskGraph {
         let mut b = GraphBuilder::new();
@@ -1166,11 +1166,11 @@ mod tests {
         let g = diamond();
         let cfg = SchedulerConfig::paper();
         let deadline_s = 3.0 * g.critical_path_cycles() as f64 / cfg.max_frequency();
-        let b = solve_with_budget(
+        let b = solve_with_budget_cache(
             Strategy::LampsPs,
-            &g,
             deadline_s,
             &cfg,
+            &mut ScheduleCache::for_graph(&g),
             &SolveBudget::unlimited(),
         )
         .unwrap();

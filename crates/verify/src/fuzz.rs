@@ -41,8 +41,8 @@ use crate::validator::{check_solution, rebill};
 use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
 use lamps_core::suffix::{resolve_suffix_fresh, SuffixContext, SuffixSolver};
 use lamps_core::{
-    solve, solve_batch, solve_with_cache_unpruned, BatchJob, ScheduleCache, SchedulerConfig,
-    Solution, SolveBudget, SolveError, Strategy,
+    solve, solve_batch, solve_with_budget_cache, solve_with_cache_unpruned, BatchJob,
+    BudgetedSolution, ScheduleCache, SchedulerConfig, Solution, SolveBudget, SolveError, Strategy,
 };
 use lamps_energy::{evaluate, evaluate_summary};
 use lamps_kpn::{unroll, Network, UnrollConfig};
@@ -171,7 +171,15 @@ pub fn check_case(
                     violations.push(format!("{strategy}: {v}"));
                 }
                 differential_check(&sol.schedule, deadline_s, scfg, &mut violations, &strategy);
-                pruning_differential(&graph, &sol, deadline_s, scfg, &mut violations, &strategy);
+                pruning_differential(
+                    &graph,
+                    &sol,
+                    deadline_s,
+                    scfg,
+                    &mut violations,
+                    &strategy,
+                    case.seed,
+                );
                 energies[si] = Some(sol.energy.total());
                 stats.solutions += 1;
             }
@@ -542,9 +550,12 @@ fn suffix_differential(
 /// Pruning dimension: re-solve with every solver shortcut disabled —
 /// no width plateau, no lower-bound probe skip, no energy-floor sweep
 /// skips, no early scan termination — and demand the bitwise-identical
-/// solution. This is the differential that keeps the pruned hot path
-/// honest; the gauntlet's mutation checks prove it actually fires on
-/// an unsound bound.
+/// solution. A budget leg repeats the comparison under a step cap drawn
+/// from `seed`: at any cap both engines must pick the same solution, and
+/// a degraded pruned answer must report exactly the reference's steps.
+/// This is the differential that keeps the pruned hot path honest; the
+/// gauntlet's mutation checks prove it actually fires on an unsound
+/// bound.
 pub fn pruning_differential(
     graph: &TaskGraph,
     sol: &Solution,
@@ -552,9 +563,9 @@ pub fn pruning_differential(
     scfg: &SchedulerConfig,
     violations: &mut Vec<String>,
     strategy: &Strategy,
+    seed: u64,
 ) {
     let mut reference = ScheduleCache::for_graph(graph);
-    reference.set_shortcuts_enabled(false);
     match solve_with_cache_unpruned(*strategy, deadline_s, scfg, &mut reference) {
         Ok(r) => {
             if r.n_procs != sol.n_procs
@@ -576,6 +587,45 @@ pub fn pruning_differential(
         Err(e) => violations.push(format!(
             "{strategy}: unpruned reference errored ({e}) though the pruned solve succeeded"
         )),
+    }
+    let cap = seed % 64;
+    let budget = SolveBudget::steps(cap);
+    let mut pruned = ScheduleCache::for_graph(graph);
+    let got = solve_with_budget_cache(*strategy, deadline_s, scfg, &mut pruned, &budget);
+    let oracle = solve_with_budget_cache(*strategy, deadline_s, scfg, &mut reference, &budget);
+    let agree = match (&got, &oracle) {
+        (Ok(a), Ok(b)) => {
+            let (x, y) = (&a.solution, &b.solution);
+            let steps_agree = if a.completeness.is_complete() {
+                a.steps <= b.steps
+            } else {
+                a.completeness == b.completeness && a.steps == b.steps
+            };
+            steps_agree
+                && x.n_procs == y.n_procs
+                && x.makespan_cycles == y.makespan_cycles
+                && x.level.freq.to_bits() == y.level.freq.to_bits()
+                && x.energy.total().to_bits() == y.energy.total().to_bits()
+        }
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    };
+    if !agree {
+        let show = |r: &Result<BudgetedSolution, SolveError>| match r {
+            Ok(b) => format!(
+                "n {}, {} J, {} steps, {:?}",
+                b.solution.n_procs,
+                b.solution.energy.total(),
+                b.steps,
+                b.completeness
+            ),
+            Err(e) => format!("error {e}"),
+        };
+        violations.push(format!(
+            "{strategy}: pruned solve under a {cap}-step budget diverged from the reference: {} vs {}",
+            show(&got),
+            show(&oracle)
+        ));
     }
 }
 

@@ -289,7 +289,7 @@ fn check_level(i: usize, j: usize, l: &Value, out: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamps_core::{solve_explained, SchedulerConfig, Strategy};
+    use lamps_core::{solve_with_cache_explained, ScheduleCache, SchedulerConfig, Strategy};
     use lamps_taskgraph::GraphBuilder;
 
     fn graph() -> lamps_taskgraph::TaskGraph {
@@ -336,12 +336,18 @@ mod tests {
         let cfg = SchedulerConfig::paper();
         let d = 4.0 * g.critical_path_cycles() as f64 / cfg.max_frequency();
         for s in Strategy::all() {
-            let (res, ex) = solve_explained(s, &g, d, &cfg);
+            let (res, ex) =
+                solve_with_cache_explained(s, d, &cfg, &mut ScheduleCache::for_graph(&g));
             res.unwrap();
             assert_eq!(check_explain(&ex.to_json()), Vec::<String>::new(), "{s}");
         }
         // A failed solve still conforms.
-        let (_, ex) = solve_explained(Strategy::Lamps, &g, d / 100.0, &cfg);
+        let (_, ex) = solve_with_cache_explained(
+            Strategy::Lamps,
+            d / 100.0,
+            &cfg,
+            &mut ScheduleCache::for_graph(&g),
+        );
         assert_eq!(check_explain(&ex.to_json()), Vec::<String>::new());
     }
 
@@ -372,7 +378,12 @@ mod tests {
         let g = graph();
         let cfg = SchedulerConfig::paper();
         let d = 8.0 * g.critical_path_cycles() as f64 / cfg.max_frequency();
-        let (res, ex) = solve_explained(Strategy::LampsPs, &g, d, &cfg);
+        let (res, ex) = solve_with_cache_explained(
+            Strategy::LampsPs,
+            d,
+            &cfg,
+            &mut ScheduleCache::for_graph(&g),
+        );
         res.unwrap();
         let good = ex.to_json();
         assert!(check_explain(&good).is_empty());

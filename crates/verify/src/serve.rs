@@ -10,7 +10,9 @@
 //! demands bitwise agreement — the library form of the load generator's
 //! differential mode, usable from tests on single exchanges.
 
-use lamps_core::{solve_with_budget, Completeness, SchedulerConfig, SolveBudget, SolveError};
+use lamps_core::{
+    solve_with_budget_cache, Completeness, ScheduleCache, SchedulerConfig, SolveBudget, SolveError,
+};
 use lamps_serve::protocol::{
     parse_request, parse_response, strategy_wire_name, DeadlineSpec, Limits, Request, Response,
     TelemetryBody,
@@ -191,7 +193,8 @@ pub fn check_response_line(line: &str) -> Vec<ServeViolation> {
 }
 
 /// Replay a request/response exchange: re-solve the request locally
-/// (through [`solve_with_budget`], the entry point the server uses) and
+/// (through [`solve_with_budget_cache`] on a fresh cache, the entry
+/// point the server uses) and
 /// demand the served answer matches **bit for bit** — same energy and
 /// frequency bit patterns, processor count, makespan, step count, and
 /// completeness; or, for error responses, the same error category.
@@ -252,7 +255,8 @@ pub fn check_exchange(
         Some(n) => SolveBudget::steps(n),
         None => SolveBudget::unlimited(),
     };
-    let local = solve_with_budget(solve.strategy, &solve.graph, deadline_s, cfg, &budget);
+    let mut cache = ScheduleCache::for_graph(&solve.graph);
+    let local = solve_with_budget_cache(solve.strategy, deadline_s, cfg, &mut cache, &budget);
     match (&resp, &local) {
         (Response::Solved(s), Ok(b)) => {
             if s.id != solve.id {
@@ -345,11 +349,11 @@ mod tests {
         let g = chain();
         let req = encode_solve_request(5, Strategy::Lamps, DeadlineSpec::Factor(2.0), &g, None);
         let deadline_s = 2.0 * g.critical_path_cycles() as f64 / cfg.max_frequency();
-        let b = solve_with_budget(
+        let b = solve_with_budget_cache(
             Strategy::Lamps,
-            &g,
             deadline_s,
             &cfg,
+            &mut ScheduleCache::for_graph(&g),
             &SolveBudget::unlimited(),
         )
         .unwrap();
@@ -367,11 +371,11 @@ mod tests {
         let g = chain();
         let req = encode_solve_request(5, Strategy::Lamps, DeadlineSpec::Factor(2.0), &g, None);
         let deadline_s = 2.0 * g.critical_path_cycles() as f64 / cfg.max_frequency();
-        let b = solve_with_budget(
+        let b = solve_with_budget_cache(
             Strategy::Lamps,
-            &g,
             deadline_s,
             &cfg,
+            &mut ScheduleCache::for_graph(&g),
             &SolveBudget::unlimited(),
         )
         .unwrap();
@@ -381,11 +385,11 @@ mod tests {
             .iter()
             .any(|v| matches!(v, ServeViolation::WrongAnswer(_))));
         // Wrong strategy answered (different schedule → different bits).
-        let b2 = solve_with_budget(
+        let b2 = solve_with_budget_cache(
             Strategy::ScheduleStretch,
-            &g,
             deadline_s,
             &cfg,
+            &mut ScheduleCache::for_graph(&g),
             &SolveBudget::unlimited(),
         )
         .unwrap();

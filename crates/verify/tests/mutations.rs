@@ -229,7 +229,7 @@ fn mutation_off_by_one_lower_bound_is_caught() {
     );
 
     let mut violations = Vec::new();
-    pruning_differential(&g, &sol, d, &cfg, &mut violations, &Strategy::Lamps);
+    pruning_differential(&g, &sol, d, &cfg, &mut violations, &Strategy::Lamps, 7);
     assert!(
         violations.iter().any(|v| v.contains("diverged")),
         "off-by-one lower bound validated cleanly: {violations:?}"
@@ -239,7 +239,7 @@ fn mutation_off_by_one_lower_bound_is_caught() {
     let honest = solve(Strategy::Lamps, &g, d, &cfg).unwrap();
     assert_eq!(honest.n_procs, 2, "the sound bound keeps the true minimum");
     let mut clean = Vec::new();
-    pruning_differential(&g, &honest, d, &cfg, &mut clean, &Strategy::Lamps);
+    pruning_differential(&g, &honest, d, &cfg, &mut clean, &Strategy::Lamps, 7);
     assert!(clean.is_empty(), "control case was flagged: {clean:?}");
 }
 
