@@ -74,7 +74,8 @@ impl EnergyBreakdown {
         self.active_j + self.idle_j + self.sleep_j + self.transition_j
     }
 
-    fn add(&mut self, other: &EnergyBreakdown) {
+    /// Add `other` component by component.
+    pub fn add(&mut self, other: &EnergyBreakdown) {
         self.active_j += other.active_j;
         self.idle_j += other.idle_j;
         self.sleep_j += other.sleep_j;

@@ -39,34 +39,6 @@ pub fn actual_cycles(
         .collect()
 }
 
-/// Failure injection: like [`actual_cycles`], but each task additionally
-/// overruns its WCET by `overrun_factor` with probability `overrun_prob`
-/// (a mis-characterized WCET). Returned values may exceed the weights —
-/// feed them to `simulate_with_overruns`.
-pub fn actual_cycles_with_overruns(
-    graph: &TaskGraph,
-    min_fraction: f64,
-    max_fraction: f64,
-    overrun_prob: f64,
-    overrun_factor: f64,
-    seed: u64,
-) -> Vec<u64> {
-    assert!((0.0..=1.0).contains(&overrun_prob), "probability in [0,1]");
-    assert!(overrun_factor >= 1.0, "an overrun cannot shrink the task");
-    let base = actual_cycles(graph, min_fraction, max_fraction, seed);
-    let mut rng = Rng::seed_from_u64(seed ^ 0x0F_F1_CE);
-    base.iter()
-        .zip(graph.weights())
-        .map(|(&a, &w)| {
-            if w > 0 && rng.gen_bool(overrun_prob) {
-                (w as f64 * overrun_factor).round() as u64
-            } else {
-                a
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,34 +88,5 @@ mod tests {
     #[should_panic(expected = "fractions")]
     fn bad_fractions_rejected() {
         actual_cycles(&graph(), 0.9, 0.5, 1);
-    }
-
-    #[test]
-    fn overruns_inject_violations() {
-        let g = graph();
-        let a = actual_cycles_with_overruns(&g, 0.5, 0.8, 0.3, 1.5, 7);
-        let over = a.iter().zip(g.weights()).filter(|&(&a, &w)| a > w).count();
-        assert!(over > 0, "some tasks must overrun");
-        assert!(over < g.len(), "not all tasks overrun at p = 0.3");
-        // Each overrun is exactly 1.5x the WCET.
-        for (&a, &w) in a.iter().zip(g.weights()) {
-            if a > w {
-                assert_eq!(a, (w as f64 * 1.5).round() as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn zero_overrun_probability_is_identity() {
-        let g = graph();
-        let base = actual_cycles(&g, 0.5, 0.8, 3);
-        let same = actual_cycles_with_overruns(&g, 0.5, 0.8, 0.0, 2.0, 3);
-        assert_eq!(base, same);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot shrink")]
-    fn shrinking_overruns_rejected() {
-        actual_cycles_with_overruns(&graph(), 0.5, 0.8, 0.5, 0.5, 1);
     }
 }
