@@ -3,8 +3,7 @@
 //! When a task retires early (or a processor fail-stops) mid-run, the
 //! finished prefix of the schedule is a fact; only the pending *suffix*
 //! is worth re-solving. [`SuffixSolver::resolve`] re-list-schedules that
-//! suffix over a sweep of candidate operating levels — the same
-//! per-level loop the PR 3 fault ladder uses — but *incrementally*:
+//! suffix over a sweep of candidate operating levels *incrementally*:
 //! scratch arenas (done flags, completed-finish times, processor
 //! availability, scaled per-task deadlines) are recycled across calls,
 //! and the EDF priority keys for each `(level, horizon, own-deadline)`

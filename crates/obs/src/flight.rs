@@ -84,21 +84,31 @@ pub const SERVE_REPLY: &str = "serve.reply";
 pub const SERVE_QUEUE_DEPTH: &str = "serve.queue.depth";
 /// A worker panicked while solving; `key` = request id.
 pub const SERVE_PANIC: &str = "serve.panic";
-/// Online frame admitted; `key` = frame index, `a` = backlog.
+// The `online.*` kinds are journaled by `lamps-sim`'s frame executor,
+// with one payload set for both runtimes: an online frame's `key` is its
+// index in the stream, a fault run is frame 0.
+
+/// Online frame admitted; `key` = frame index, `a` = backlog (0).
 pub const ONLINE_ADMIT: &str = "online.admit";
-/// Online frame deferred; `key` = frame index, `a` = delay in µs.
+/// Online frame deferred; `key` = frame index, `a` = backlog,
+/// `b` = delay in µs.
 pub const ONLINE_DEFER: &str = "online.defer";
 /// Online frame shed; `key` = frame index, `a` = backlog.
 pub const ONLINE_SHED: &str = "online.shed";
-/// Slack reclamation lowered a frame's level; `key` = frame index,
-/// `a` = chosen level.
+/// Slack-reclamation suffix re-solve after an early completion;
+/// `key` = frame index, `a` = candidate levels evaluated, `b` = 1 if the
+/// re-plan was feasible (and adopted).
 pub const ONLINE_RECLAIM: &str = "online.reclaim";
-/// Incremental suffix re-solve ran for a frame; `key` = frame index.
+/// Fail-stop suffix re-plan; `key` = frame index, `a` = candidate levels
+/// evaluated, `b` = 1 if the re-plan meets the frame's deadlines.
 pub const ONLINE_RESOLVE: &str = "online.resolve";
-/// Fault-ladder transition; `key` = frame index, `a` = rung
-/// (0 absorbed / 1 boosted / 2 replanned), `b` = faults injected.
+/// Fault-ladder rung taken; `key` = frame index, `a` = rung
+/// (0 rescheduled after a fail-stop / 1 base level raised / 2 task
+/// boosted), `b` = tasks migrated (rung 0), the failed processor
+/// (rung 1), or the boosted task (rung 2).
 pub const ONLINE_FAULT: &str = "online.fault";
-/// A frame missed its deadline; `key` = frame index, `a` = lateness µs.
+/// A frame missed a deadline; `key` = frame index, `a` = late (or
+/// never-finished) jobs.
 pub const ONLINE_MISS: &str = "online.miss";
 /// A solve budget expired; `a` = explored, `b` = total candidates.
 pub const CORE_BUDGET_EXPIRED: &str = "core.budget.expired";

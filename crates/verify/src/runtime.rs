@@ -10,15 +10,23 @@
 //! (executed cycles at the level they ran at, gaps at the *plan* level
 //! with the float break-even predicate, a dead processor billed only to
 //! its fail time, survivors to `max(deadline, makespan)`).
+//!
+//! [`check_online`] does the same for [`lamps_sim::OnlineReport`] and
+//! adds the cross-frame invariants (admission, window chaining, shed
+//! frames, counters). Both runtimes execute frames on one executor, so
+//! both checkers share one structural frame check and one window
+//! re-biller: a fault run is a single frame starting at 0 whose tasks
+//! are all due at the deadline.
 
-use crate::validator::{DEADLINE_REL_EPS, ENERGY_REL_TOL};
+use crate::validator::{RebilledEnergy, DEADLINE_REL_EPS, ENERGY_REL_TOL};
 use lamps_core::{SchedulerConfig, Solution};
+use lamps_energy::EnergyBreakdown;
 use lamps_kpn::PeriodicDag;
 use lamps_power::OperatingPoint;
 use lamps_sched::ProcId;
 use lamps_sim::{
-    AdmissionVerdict, DvsSwitchCost, ExecRecord, FaultPlan, FaultyRunReport, FrameInput,
-    FrameRecord, OnlineConfig, OnlineReport, OnlineStream, RunOutcome,
+    AdmissionVerdict, DvsSwitchCost, ExecRecord, FaultPlan, FaultyRunReport, OnlineConfig,
+    OnlineReport, OnlineStream, RunOutcome,
 };
 use lamps_taskgraph::{TaskGraph, TaskId};
 use std::collections::VecDeque;
@@ -136,8 +144,10 @@ pub enum RunViolation {
         /// Its value.
         value: f64,
     },
-    /// An online-trace invariant failed: admission ordering, window
-    /// chaining, shed-frame emptiness, counter consistency…
+    /// A frame or online-trace invariant failed: a record on an
+    /// unemployed processor, an aborted record without a fail-stop,
+    /// admission ordering, window chaining, shed-frame emptiness,
+    /// counter consistency… (a fault run is frame 0).
     Online {
         /// The offending frame (or the first involved one).
         frame: usize,
@@ -242,61 +252,58 @@ fn energy_per_cycle(cfg: &SchedulerConfig, vdd: f64) -> Option<f64> {
         .map(|p| p.energy_per_cycle)
 }
 
-/// Independently validate a fault-tolerant run's trace and re-bill its
-/// energy. Returns every violation found (empty = the trace is sound).
-#[allow(clippy::too_many_arguments)]
-pub fn check_run(
+/// One executed frame: its trace (record times relative to the frame
+/// start) and the inputs the trace must conform to.
+struct FrameCheck<'a> {
+    /// Frame index, for violation messages (0 for a fault run).
+    frame: usize,
+    tasks: &'a [Option<ExecRecord>],
+    aborted: &'a [ExecRecord],
+    makespan_s: f64,
+    outcome: Option<&'a RunOutcome>,
+    dvs_switches: usize,
+    actual: &'a [u64],
+    faults: &'a FaultPlan,
+    /// Due time per task, frame-relative \[s\].
+    due_s: Vec<f64>,
+    n_procs: usize,
+    /// Every regulator starts the frame at this voltage \[V\].
+    plan_vdd: f64,
+}
+
+/// Structural checks of one executed frame: record sanity, fault-mandated
+/// cycle counts, level legality, employed processors, precedence,
+/// per-processor exclusivity, dead-processor silence, the voltage walk,
+/// the makespan, and the deadline verdict.
+fn check_trace(
     graph: &TaskGraph,
-    solution: &Solution,
-    actual: &[u64],
-    faults: &FaultPlan,
-    report: &FaultyRunReport,
-    deadline_s: f64,
+    tr: &FrameCheck<'_>,
     cfg: &SchedulerConfig,
-    switch: &DvsSwitchCost,
-) -> Vec<RunViolation> {
-    let mut v = Vec::new();
+    v: &mut Vec<RunViolation>,
+) {
     let n = graph.len();
-    if report.tasks.len() != n {
+    let frame = tr.frame;
+    if tr.tasks.len() != n {
         v.push(RunViolation::WrongTaskCount {
-            reported: report.tasks.len(),
+            reported: tr.tasks.len(),
             graph: n,
         });
-        return v;
+        return;
     }
-    let eff = faults.effective_cycles(graph, actual);
+    let eff = tr.faults.effective_cycles(graph, tr.actual);
+    let fail_stop = tr.faults.fail_stop;
 
-    // Per-record sanity: interval shape, cycle counts, level legality.
-    for t in graph.tasks() {
-        if let Some(r) = &report.tasks[t.index()] {
-            if !r.start_s.is_finite() || !r.finish_s.is_finite() || r.finish_s < r.start_s {
-                v.push(RunViolation::BadInterval {
-                    task: t,
-                    start_s: r.start_s,
-                    finish_s: r.finish_s,
-                });
-            }
-            if r.cycles != eff[t.index()] {
-                v.push(RunViolation::WrongCycles {
-                    task: t,
-                    recorded: r.cycles,
-                    expected: eff[t.index()],
-                });
-            }
-            if r.cycles > 0 && energy_per_cycle(cfg, r.vdd).is_none() {
-                v.push(RunViolation::IllegalLevel {
-                    task: t,
-                    vdd: r.vdd,
-                });
-            }
-        }
-    }
-    for r in &report.aborted {
-        if r.cycles > eff[r.task.index()] {
+    // Per-record sanity. A completed record executed exactly the
+    // fault-mandated cycles, an aborted one at most that many, and only
+    // on the processor that fail-stopped.
+    let completed = tr.tasks.iter().flatten().map(|r| (r, true));
+    for (r, done) in completed.chain(tr.aborted.iter().map(|r| (r, false))) {
+        let expected = eff[r.task.index()];
+        if (done && r.cycles != expected) || r.cycles > expected {
             v.push(RunViolation::WrongCycles {
                 task: r.task,
                 recorded: r.cycles,
-                expected: eff[r.task.index()],
+                expected,
             });
         }
         if r.cycles > 0 && energy_per_cycle(cfg, r.vdd).is_none() {
@@ -305,30 +312,53 @@ pub fn check_run(
                 vdd: r.vdd,
             });
         }
+        if !done && fail_stop.is_none_or(|fs| fs.proc != r.proc) {
+            v.push(RunViolation::Online {
+                frame,
+                detail: format!(
+                    "aborted record for {} on {} without a fail-stop there",
+                    r.task, r.proc
+                ),
+            });
+        }
     }
-
-    // Precedence over completed records.
     for t in graph.tasks() {
-        let Some(r) = &report.tasks[t.index()] else {
+        let Some(r) = &tr.tasks[t.index()] else {
             continue;
         };
+        if !r.start_s.is_finite()
+            || !r.finish_s.is_finite()
+            || r.finish_s < r.start_s
+            || r.start_s < -TIME_ABS_TOL
+        {
+            v.push(RunViolation::BadInterval {
+                task: t,
+                start_s: r.start_s,
+                finish_s: r.finish_s,
+            });
+        }
+        if r.proc.index() >= tr.n_procs {
+            v.push(RunViolation::Online {
+                frame,
+                detail: format!("{} ran on unemployed {}", r.task, r.proc),
+            });
+        }
         for &p in graph.predecessors(t) {
-            match &report.tasks[p.index()] {
+            match &tr.tasks[p.index()] {
                 Some(pr) if r.start_s >= pr.finish_s - TIME_ABS_TOL => {}
                 _ => v.push(RunViolation::Precedence { task: t, pred: p }),
             }
         }
     }
 
-    // Per-processor exclusivity over completed + aborted executions.
-    let n_procs = solution.schedule.n_procs();
-    for pi in 0..n_procs {
+    let mut switches = 0usize;
+    for pi in 0..tr.n_procs {
         let pid = ProcId(pi as u32);
-        let mut on_proc: Vec<&ExecRecord> = report
+        let mut on_proc: Vec<&ExecRecord> = tr
             .tasks
             .iter()
             .flatten()
-            .chain(report.aborted.iter())
+            .chain(tr.aborted)
             .filter(|r| r.proc == pid)
             .collect();
         // Zero-width records (instant zero-weight tasks) sort before the
@@ -350,68 +380,94 @@ pub fn check_run(
         }
         // Fail-stop containment: nothing executes on a dead processor
         // past its fail time.
-        if let Some(fs) = faults.fail_stop {
-            if fs.proc == pid {
-                for r in &on_proc {
-                    if r.finish_s > fs.at_s + TIME_ABS_TOL {
-                        v.push(RunViolation::DeadProcExecution {
-                            proc: pid,
-                            task: r.task,
-                            finish_s: r.finish_s,
-                            fail_at_s: fs.at_s,
-                        });
-                    }
+        if let Some(fs) = fail_stop.filter(|fs| fs.proc == pid) {
+            for r in &on_proc {
+                if r.finish_s > fs.at_s + TIME_ABS_TOL {
+                    v.push(RunViolation::DeadProcExecution {
+                        proc: pid,
+                        task: r.task,
+                        finish_s: r.finish_s,
+                        fail_at_s: fs.at_s,
+                    });
                 }
             }
         }
+        // Replay the regulator from the plan level through every
+        // execution in start order. Zero-cycle records matter here: an
+        // execution aborted inside the settle window still switched.
+        let mut current = tr.plan_vdd;
+        for r in &on_proc {
+            if (r.vdd - current).abs() > 1e-12 {
+                switches += 1;
+                current = r.vdd;
+            }
+        }
+    }
+    if switches != tr.dvs_switches {
+        v.push(RunViolation::SwitchCountMismatch {
+            reported: tr.dvs_switches,
+            recomputed: switches,
+        });
     }
 
-    // Makespan and outcome, recomputed from the records alone.
-    let makespan = report
+    let makespan = tr
         .tasks
         .iter()
         .flatten()
         .map(|r| r.finish_s)
         .fold(0.0f64, f64::max);
-    if (makespan - report.makespan_s).abs() > TIME_ABS_TOL {
+    if (makespan - tr.makespan_s).abs() > TIME_ABS_TOL {
         v.push(RunViolation::MakespanMismatch {
-            reported: report.makespan_s,
+            reported: tr.makespan_s,
             recomputed: makespan,
         });
     }
-    let tol = deadline_s * (1.0 + DEADLINE_REL_EPS);
-    let mut late: Vec<TaskId> = Vec::new();
-    for t in graph.tasks() {
-        match &report.tasks[t.index()] {
-            Some(r) if r.finish_s > tol => late.push(t),
-            None => late.push(t),
-            _ => {}
-        }
-    }
-    match &report.outcome {
+
+    let Some(outcome) = tr.outcome else {
+        v.push(RunViolation::Online {
+            frame,
+            detail: "an executed frame must carry an outcome".into(),
+        });
+        return;
+    };
+    let lateness_of = |t: TaskId| match &tr.tasks[t.index()] {
+        Some(r) => r.finish_s - tr.due_s[t.index()],
+        None => f64::INFINITY,
+    };
+    let late: Vec<TaskId> = graph
+        .tasks()
+        .filter(|&t| match &tr.tasks[t.index()] {
+            Some(r) => {
+                let due = tr.due_s[t.index()];
+                r.finish_s > due + due.abs() * DEADLINE_REL_EPS
+            }
+            None => true,
+        })
+        .collect();
+    match outcome {
         RunOutcome::MetDeadline if !late.is_empty() => {
             v.push(RunViolation::OutcomeMismatch {
-                detail: format!("claims MetDeadline but {} tasks are late", late.len()),
+                detail: format!(
+                    "frame {frame} claims MetDeadline but {} tasks are late",
+                    late.len()
+                ),
             });
         }
         RunOutcome::DeadlineMiss { lateness } => {
             let reported: Vec<TaskId> = lateness.iter().map(|l| l.task).collect();
             if reported != late {
                 v.push(RunViolation::OutcomeMismatch {
-                    detail: format!("late set {reported:?} vs recomputed {late:?}"),
+                    detail: format!("frame {frame}: late set {reported:?} vs recomputed {late:?}"),
                 });
             }
             for l in lateness {
-                let want = match &report.tasks[l.task.index()] {
-                    Some(r) => r.finish_s - deadline_s,
-                    None => f64::INFINITY,
-                };
+                let want = lateness_of(l.task);
                 let agree = (l.lateness_s.is_infinite() && want.is_infinite())
                     || (l.lateness_s - want).abs() <= TIME_ABS_TOL;
                 if !agree {
                     v.push(RunViolation::OutcomeMismatch {
                         detail: format!(
-                            "{}: lateness {} s vs recomputed {} s",
+                            "frame {frame}, {}: lateness {} s vs recomputed {} s",
                             l.task, l.lateness_s, want
                         ),
                     });
@@ -420,145 +476,143 @@ pub fn check_run(
         }
         _ => {}
     }
-
-    // Switch count: replay each processor's voltage from the plan level
-    // through its non-trivial executions in start order.
-    let mut switches = 0usize;
-    for pi in 0..n_procs {
-        let pid = ProcId(pi as u32);
-        // Zero-cycle records matter here: an execution aborted inside
-        // the voltage-settle window still switched the regulator.
-        let mut on_proc: Vec<&ExecRecord> = report
-            .tasks
-            .iter()
-            .flatten()
-            .chain(report.aborted.iter())
-            .filter(|r| r.proc == pid)
-            .collect();
-        on_proc.sort_by(|a, b| {
-            a.start_s
-                .total_cmp(&b.start_s)
-                .then(a.finish_s.total_cmp(&b.finish_s))
-        });
-        let mut current = solution.level.vdd;
-        for r in on_proc {
-            if (r.vdd - current).abs() > 1e-12 {
-                switches += 1;
-                current = r.vdd;
-            }
-        }
-    }
-    if switches != report.dvs_switches {
-        v.push(RunViolation::SwitchCountMismatch {
-            reported: report.dvs_switches,
-            recomputed: switches,
-        });
-    }
-
-    for (field, value) in [
-        ("active_j", report.energy.active_j),
-        ("idle_j", report.energy.idle_j),
-        ("sleep_j", report.energy.sleep_j),
-        ("transition_j", report.energy.transition_j),
-    ] {
-        if !value.is_finite() {
-            v.push(RunViolation::NonFiniteEnergy { field, value });
-        }
-    }
-
-    // Only re-bill structurally sound traces; a broken structure already
-    // fails and its billing is meaningless.
-    if v.is_empty() {
-        let re = rebill_run(report, solution, faults, deadline_s, cfg, switch);
-        for (field, reported, recomputed) in [
-            ("active_j", report.energy.active_j, re.0.active_j),
-            ("idle_j", report.energy.idle_j, re.0.idle_j),
-            ("sleep_j", report.energy.sleep_j, re.0.sleep_j),
-            (
-                "transition_j",
-                report.energy.transition_j,
-                re.0.transition_j,
-            ),
-            ("total_j", report.energy.total(), re.0.total()),
-        ] {
-            if !rel_close(reported, recomputed, ENERGY_REL_TOL) {
-                v.push(RunViolation::EnergyMismatch {
-                    field,
-                    reported,
-                    recomputed,
-                });
-            }
-        }
-        if report.energy.sleep_episodes != re.1 {
-            v.push(RunViolation::SleepEpisodeMismatch {
-                reported: report.energy.sleep_episodes,
-                recomputed: re.1,
-            });
-        }
-    }
-    v
 }
 
-/// From-scratch energy re-bill of a faulty run, mirroring the runner's
-/// documented conventions independently of its code.
-fn rebill_run(
-    report: &FaultyRunReport,
-    solution: &Solution,
-    faults: &FaultPlan,
-    deadline_s: f64,
+/// From-scratch re-bill of one frame's window `[start_s, end_s)` into
+/// `out`, under the documented conventions and independent of the
+/// runtime's code: executed cycles at their recorded levels, gaps per
+/// employed processor at the plan level with the float break-even
+/// predicate, a processor dead from a fail-stop billed to its fail time.
+/// Switch energy is the caller's.
+fn rebill_window(
+    tr: &FrameCheck<'_>,
+    start_s: f64,
+    end_s: f64,
+    plan: OperatingPoint,
     cfg: &SchedulerConfig,
-    switch: &DvsSwitchCost,
-) -> (crate::validator::RebilledEnergy, usize) {
-    let mut out = crate::validator::RebilledEnergy::default();
-    let mut episodes = 0usize;
-    let plan = solution.level;
-
-    for r in report.tasks.iter().flatten().chain(report.aborted.iter()) {
+    out: &mut RebilledEnergy,
+) {
+    for r in tr.tasks.iter().flatten().chain(tr.aborted) {
         if r.cycles > 0 {
             let epc = energy_per_cycle(cfg, r.vdd).unwrap_or(plan.energy_per_cycle);
             out.active_j += r.cycles as f64 * epc;
         }
     }
-    out.transition_j += report.dvs_switches as f64 * switch.energy_j;
-
-    let horizon = deadline_s.max(report.makespan_s);
-    let n_procs = solution.schedule.n_procs();
-    for pi in 0..n_procs {
+    for pi in 0..tr.n_procs {
         let pid = ProcId(pi as u32);
-        let mut intervals: Vec<(f64, f64)> = report
+        let mut intervals: Vec<(f64, f64)> = tr
             .tasks
             .iter()
             .flatten()
-            .chain(report.aborted.iter())
+            .chain(tr.aborted)
             .filter(|r| r.proc == pid)
-            .map(|r| (r.start_s, r.finish_s))
+            .map(|r| (start_s + r.start_s, start_s + r.finish_s))
             .collect();
         intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let end = match faults.fail_stop {
-            Some(fs) if fs.proc == pid => fs.at_s.min(horizon),
-            _ => horizon,
+        let p_end = match tr.faults.fail_stop {
+            Some(fs) if fs.proc == pid => (start_s + fs.at_s).min(end_s),
+            _ => end_s,
         };
-        let mut cursor = 0.0f64;
+        let mut cursor = start_s;
         let mut gaps: Vec<f64> = Vec::new();
         for (s, f) in intervals {
             gaps.push(s - cursor);
             cursor = cursor.max(f);
         }
-        gaps.push(end - cursor);
-        for gap in gaps {
-            if gap <= 0.0 {
-                continue;
-            }
+        gaps.push(p_end - cursor);
+        for gap in gaps.into_iter().filter(|&g| g > 0.0) {
             if cfg.sleep.worth_sleeping(plan.idle_power, gap) {
                 out.sleep_j += cfg.sleep.sleep_power * gap;
                 out.transition_j += cfg.sleep.transition_energy;
-                episodes += 1;
+                out.sleep_episodes += 1;
             } else {
                 out.idle_j += plan.idle_power * gap;
             }
         }
     }
-    (out, episodes)
+}
+
+/// Flag non-finite components of a reported bill.
+fn check_finite(energy: &EnergyBreakdown, v: &mut Vec<RunViolation>) {
+    for (field, value) in [
+        ("active_j", energy.active_j),
+        ("idle_j", energy.idle_j),
+        ("sleep_j", energy.sleep_j),
+        ("transition_j", energy.transition_j),
+    ] {
+        if !value.is_finite() {
+            v.push(RunViolation::NonFiniteEnergy { field, value });
+        }
+    }
+}
+
+/// Compare a reported bill against the independent re-bill.
+fn check_bill(reported: &EnergyBreakdown, re: &RebilledEnergy, v: &mut Vec<RunViolation>) {
+    for (field, reported, recomputed) in [
+        ("active_j", reported.active_j, re.active_j),
+        ("idle_j", reported.idle_j, re.idle_j),
+        ("sleep_j", reported.sleep_j, re.sleep_j),
+        ("transition_j", reported.transition_j, re.transition_j),
+        ("total_j", reported.total(), re.total()),
+    ] {
+        if !rel_close(reported, recomputed, ENERGY_REL_TOL) {
+            v.push(RunViolation::EnergyMismatch {
+                field,
+                reported,
+                recomputed,
+            });
+        }
+    }
+    if reported.sleep_episodes != re.sleep_episodes {
+        v.push(RunViolation::SleepEpisodeMismatch {
+            reported: reported.sleep_episodes,
+            recomputed: re.sleep_episodes,
+        });
+    }
+}
+
+/// Independently validate a fault-tolerant run's trace and re-bill its
+/// energy. The run is one frame starting at 0 whose every task is due
+/// at `deadline_s` and whose bill runs to `max(deadline, makespan)`.
+/// Returns every violation found (empty = the trace is sound).
+#[allow(clippy::too_many_arguments)]
+pub fn check_run(
+    graph: &TaskGraph,
+    solution: &Solution,
+    actual: &[u64],
+    faults: &FaultPlan,
+    report: &FaultyRunReport,
+    deadline_s: f64,
+    cfg: &SchedulerConfig,
+    switch: &DvsSwitchCost,
+) -> Vec<RunViolation> {
+    let mut v = Vec::new();
+    let frame = FrameCheck {
+        frame: 0,
+        tasks: &report.tasks,
+        aborted: &report.aborted,
+        makespan_s: report.makespan_s,
+        outcome: Some(&report.outcome),
+        dvs_switches: report.dvs_switches,
+        actual,
+        faults,
+        due_s: vec![deadline_s; graph.len()],
+        n_procs: solution.schedule.n_procs(),
+        plan_vdd: solution.level.vdd,
+    };
+    check_trace(graph, &frame, cfg, &mut v);
+    check_finite(&report.energy, &mut v);
+
+    // Only re-bill structurally sound traces; a broken structure already
+    // fails and its billing is meaningless.
+    if v.is_empty() {
+        let mut re = RebilledEnergy::default();
+        let end = deadline_s.max(report.makespan_s);
+        rebill_window(&frame, 0.0, end, solution.level, cfg, &mut re);
+        re.transition_j += report.dvs_switches as f64 * switch.energy_j;
+        check_bill(&report.energy, &re, &mut v);
+    }
+    v
 }
 
 /// Independently validate a full online trace against the inputs that
@@ -754,6 +808,7 @@ pub fn check_online(
         .filter(|(_, f)| f.verdict.start_s().is_some())
         .map(|(i, _)| i)
         .collect();
+    let mut windows = Vec::with_capacity(executed.len());
     for (k, &fi) in executed.iter().enumerate() {
         let fr = &report.frames[fi];
         let start = fr.verdict.start_s().expect("executed");
@@ -780,16 +835,32 @@ pub fn check_online(
                 ),
             });
         }
-        check_online_frame(
-            graph,
-            &stream.frames[fi],
-            fr,
-            start,
-            &due_rel,
-            report,
-            cfg,
-            &mut v,
-        );
+        if !fr.energy_j.is_finite() || fr.energy_j < 0.0 {
+            v.push(RunViolation::Online {
+                frame: fi,
+                detail: format!(
+                    "frame energy {} J must be finite and non-negative",
+                    fr.energy_j
+                ),
+            });
+        }
+        let input = &stream.frames[fi];
+        let offset = input.arrival_s - start;
+        let frame = FrameCheck {
+            frame: fi,
+            tasks: &fr.tasks,
+            aborted: &fr.aborted,
+            makespan_s: fr.makespan_s,
+            outcome: fr.outcome.as_ref(),
+            dvs_switches: fr.dvs_switches,
+            actual: &input.actual,
+            faults: &input.faults,
+            due_s: due_rel.iter().map(|d| offset + d).collect(),
+            n_procs: report.n_procs,
+            plan_vdd: report.plan_vdd,
+        };
+        check_trace(graph, &frame, cfg, &mut v);
+        windows.push((frame, start, fr.window_end_s));
     }
 
     // Shed frames execute nothing and consume nothing.
@@ -876,41 +947,16 @@ pub fn check_online(
         });
     }
 
-    for (field, value) in [
-        ("active_j", report.energy.active_j),
-        ("idle_j", report.energy.idle_j),
-        ("sleep_j", report.energy.sleep_j),
-        ("transition_j", report.energy.transition_j),
-    ] {
-        if !value.is_finite() {
-            v.push(RunViolation::NonFiniteEnergy { field, value });
-        }
-    }
+    check_finite(&report.energy, &mut v);
 
     // Only re-bill structurally sound traces.
     if v.is_empty() {
-        let (re, episodes) = rebill_online(stream, report, plan, ocfg, cfg);
-        for (field, reported, recomputed) in [
-            ("active_j", report.energy.active_j, re.active_j),
-            ("idle_j", report.energy.idle_j, re.idle_j),
-            ("sleep_j", report.energy.sleep_j, re.sleep_j),
-            ("transition_j", report.energy.transition_j, re.transition_j),
-            ("total_j", report.energy.total(), re.total()),
-        ] {
-            if !rel_close(reported, recomputed, ENERGY_REL_TOL) {
-                v.push(RunViolation::EnergyMismatch {
-                    field,
-                    reported,
-                    recomputed,
-                });
-            }
+        let mut re = RebilledEnergy::default();
+        for (frame, start, end) in &windows {
+            rebill_window(frame, *start, *end, plan, cfg, &mut re);
         }
-        if report.energy.sleep_episodes != episodes {
-            v.push(RunViolation::SleepEpisodeMismatch {
-                reported: report.energy.sleep_episodes,
-                recomputed: episodes,
-            });
-        }
+        re.transition_j += report.dvs_switches as f64 * ocfg.switch.energy_j;
+        check_bill(&report.energy, &re, &mut v);
         let frame_sum: f64 = report.frames.iter().map(|f| f.energy_j).sum();
         if !rel_close(frame_sum, report.energy.total(), ENERGY_REL_TOL) {
             v.push(RunViolation::Online {
@@ -923,301 +969,6 @@ pub fn check_online(
         }
     }
     v
-}
-
-/// Structural checks of one executed frame: record sanity, precedence,
-/// exclusivity, dead-processor silence, the per-frame voltage walk, and
-/// the arrival-anchored outcome. All record times are frame-relative.
-#[allow(clippy::too_many_arguments)]
-fn check_online_frame(
-    graph: &TaskGraph,
-    input: &FrameInput,
-    fr: &FrameRecord,
-    start: f64,
-    due_rel: &[f64],
-    report: &OnlineReport,
-    cfg: &SchedulerConfig,
-    v: &mut Vec<RunViolation>,
-) {
-    let n = graph.len();
-    let frame = fr.frame;
-    if fr.tasks.len() != n {
-        v.push(RunViolation::WrongTaskCount {
-            reported: fr.tasks.len(),
-            graph: n,
-        });
-        return;
-    }
-    if !fr.energy_j.is_finite() || fr.energy_j < 0.0 {
-        v.push(RunViolation::Online {
-            frame,
-            detail: format!(
-                "frame energy {} J must be finite and non-negative",
-                fr.energy_j
-            ),
-        });
-    }
-    let eff = input.faults.effective_cycles(graph, &input.actual);
-
-    for t in graph.tasks() {
-        if let Some(r) = &fr.tasks[t.index()] {
-            if !r.start_s.is_finite()
-                || !r.finish_s.is_finite()
-                || r.finish_s < r.start_s
-                || r.start_s < -TIME_ABS_TOL
-            {
-                v.push(RunViolation::BadInterval {
-                    task: t,
-                    start_s: r.start_s,
-                    finish_s: r.finish_s,
-                });
-            }
-            if r.cycles != eff[t.index()] {
-                v.push(RunViolation::WrongCycles {
-                    task: t,
-                    recorded: r.cycles,
-                    expected: eff[t.index()],
-                });
-            }
-            if r.cycles > 0 && energy_per_cycle(cfg, r.vdd).is_none() {
-                v.push(RunViolation::IllegalLevel {
-                    task: t,
-                    vdd: r.vdd,
-                });
-            }
-            if r.proc.index() >= report.n_procs {
-                v.push(RunViolation::Online {
-                    frame,
-                    detail: format!("{} ran on unemployed {}", r.task, r.proc),
-                });
-            }
-        }
-    }
-    for r in &fr.aborted {
-        if r.cycles > eff[r.task.index()] {
-            v.push(RunViolation::WrongCycles {
-                task: r.task,
-                recorded: r.cycles,
-                expected: eff[r.task.index()],
-            });
-        }
-        if r.cycles > 0 && energy_per_cycle(cfg, r.vdd).is_none() {
-            v.push(RunViolation::IllegalLevel {
-                task: r.task,
-                vdd: r.vdd,
-            });
-        }
-        match input.faults.fail_stop {
-            Some(fs) if fs.proc == r.proc => {}
-            _ => v.push(RunViolation::Online {
-                frame,
-                detail: format!(
-                    "aborted record for {} on {} without a fail-stop there",
-                    r.task, r.proc
-                ),
-            }),
-        }
-    }
-
-    for t in graph.tasks() {
-        let Some(r) = &fr.tasks[t.index()] else {
-            continue;
-        };
-        for &p in graph.predecessors(t) {
-            match &fr.tasks[p.index()] {
-                Some(pr) if r.start_s >= pr.finish_s - TIME_ABS_TOL => {}
-                _ => v.push(RunViolation::Precedence { task: t, pred: p }),
-            }
-        }
-    }
-
-    let mut switches = 0usize;
-    for pi in 0..report.n_procs {
-        let pid = ProcId(pi as u32);
-        let mut on_proc: Vec<&ExecRecord> = fr
-            .tasks
-            .iter()
-            .flatten()
-            .chain(fr.aborted.iter())
-            .filter(|r| r.proc == pid)
-            .collect();
-        on_proc.sort_by(|a, b| {
-            a.start_s
-                .total_cmp(&b.start_s)
-                .then(a.finish_s.total_cmp(&b.finish_s))
-                .then(a.task.0.cmp(&b.task.0))
-        });
-        for w in on_proc.windows(2) {
-            if w[0].finish_s > w[1].start_s + TIME_ABS_TOL {
-                v.push(RunViolation::Overlap {
-                    proc: pid,
-                    first: w[0].task,
-                    second: w[1].task,
-                });
-            }
-        }
-        if let Some(fs) = input.faults.fail_stop {
-            if fs.proc == pid {
-                for r in &on_proc {
-                    if r.finish_s > fs.at_s + TIME_ABS_TOL {
-                        v.push(RunViolation::DeadProcExecution {
-                            proc: pid,
-                            task: r.task,
-                            finish_s: r.finish_s,
-                            fail_at_s: fs.at_s,
-                        });
-                    }
-                }
-            }
-        }
-        // Each frame's regulators start at the plan level.
-        let mut current = report.plan_vdd;
-        for r in &on_proc {
-            if (r.vdd - current).abs() > 1e-12 {
-                switches += 1;
-                current = r.vdd;
-            }
-        }
-    }
-    if switches != fr.dvs_switches {
-        v.push(RunViolation::SwitchCountMismatch {
-            reported: fr.dvs_switches,
-            recomputed: switches,
-        });
-    }
-
-    let makespan = fr
-        .tasks
-        .iter()
-        .flatten()
-        .map(|r| r.finish_s)
-        .fold(0.0f64, f64::max);
-    if (makespan - fr.makespan_s).abs() > TIME_ABS_TOL {
-        v.push(RunViolation::MakespanMismatch {
-            reported: fr.makespan_s,
-            recomputed: makespan,
-        });
-    }
-
-    // Arrival-anchored outcome: job j is due at arrival + d_j / f_max
-    // regardless of when the frame started (offset ≤ 0 for a deferred
-    // frame).
-    let offset = input.arrival_s - start;
-    let Some(outcome) = &fr.outcome else {
-        v.push(RunViolation::Online {
-            frame,
-            detail: "an executed frame must carry an outcome".into(),
-        });
-        return;
-    };
-    let mut late: Vec<TaskId> = Vec::new();
-    for t in graph.tasks() {
-        let due = offset + due_rel[t.index()];
-        let tol = due + due.abs() * DEADLINE_REL_EPS;
-        match &fr.tasks[t.index()] {
-            Some(r) if r.finish_s > tol => late.push(t),
-            None => late.push(t),
-            _ => {}
-        }
-    }
-    match outcome {
-        RunOutcome::MetDeadline if !late.is_empty() => {
-            v.push(RunViolation::OutcomeMismatch {
-                detail: format!(
-                    "frame {frame} claims MetDeadline but {} jobs are late",
-                    late.len()
-                ),
-            });
-        }
-        RunOutcome::DeadlineMiss { lateness } => {
-            let reported: Vec<TaskId> = lateness.iter().map(|l| l.task).collect();
-            if reported != late {
-                v.push(RunViolation::OutcomeMismatch {
-                    detail: format!("frame {frame}: late set {reported:?} vs recomputed {late:?}"),
-                });
-            }
-            for l in lateness {
-                let due = offset + due_rel[l.task.index()];
-                let want = match &fr.tasks[l.task.index()] {
-                    Some(r) => r.finish_s - due,
-                    None => f64::INFINITY,
-                };
-                let agree = (l.lateness_s.is_infinite() && want.is_infinite())
-                    || (l.lateness_s - want).abs() <= TIME_ABS_TOL;
-                if !agree {
-                    v.push(RunViolation::OutcomeMismatch {
-                        detail: format!(
-                            "frame {frame}, {}: lateness {} s vs recomputed {} s",
-                            l.task, l.lateness_s, want
-                        ),
-                    });
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-/// From-scratch energy re-bill of an online run under the documented
-/// window conventions, independent of the runtime's code.
-fn rebill_online(
-    stream: &OnlineStream,
-    report: &OnlineReport,
-    plan: OperatingPoint,
-    ocfg: &OnlineConfig,
-    cfg: &SchedulerConfig,
-) -> (crate::validator::RebilledEnergy, usize) {
-    let mut out = crate::validator::RebilledEnergy::default();
-    let mut episodes = 0usize;
-    for fr in &report.frames {
-        let Some(start) = fr.verdict.start_s() else {
-            continue;
-        };
-        for r in fr.tasks.iter().flatten().chain(fr.aborted.iter()) {
-            if r.cycles > 0 {
-                let epc = energy_per_cycle(cfg, r.vdd).unwrap_or(plan.energy_per_cycle);
-                out.active_j += r.cycles as f64 * epc;
-            }
-        }
-        let end = fr.window_end_s;
-        for pi in 0..report.n_procs {
-            let pid = ProcId(pi as u32);
-            let mut intervals: Vec<(f64, f64)> = fr
-                .tasks
-                .iter()
-                .flatten()
-                .chain(fr.aborted.iter())
-                .filter(|r| r.proc == pid)
-                .map(|r| (start + r.start_s, start + r.finish_s))
-                .collect();
-            intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let p_end = match stream.frames[fr.frame].faults.fail_stop {
-                Some(fs) if fs.proc == pid => (start + fs.at_s).min(end),
-                _ => end,
-            };
-            let mut cursor = start;
-            let mut gaps: Vec<f64> = Vec::new();
-            for (s, f) in intervals {
-                gaps.push(s - cursor);
-                cursor = cursor.max(f);
-            }
-            gaps.push(p_end - cursor);
-            for gap in gaps {
-                if gap <= 0.0 {
-                    continue;
-                }
-                if cfg.sleep.worth_sleeping(plan.idle_power, gap) {
-                    out.sleep_j += cfg.sleep.sleep_power * gap;
-                    out.transition_j += cfg.sleep.transition_energy;
-                    episodes += 1;
-                } else {
-                    out.idle_j += plan.idle_power * gap;
-                }
-            }
-        }
-    }
-    out.transition_j += report.dvs_switches as f64 * ocfg.switch.energy_j;
-    (out, episodes)
 }
 
 #[cfg(test)]
@@ -1468,6 +1219,234 @@ mod tests {
                 .any(|x| matches!(x, RunViolation::OutcomeMismatch { .. })),
             "{v:?}"
         );
+    }
+
+    /// The parts of one executed frame a tamper may touch.
+    struct Parts<'a> {
+        tasks: &'a mut Vec<Option<ExecRecord>>,
+        aborted: &'a mut Vec<ExecRecord>,
+        outcome: &'a mut RunOutcome,
+        dvs_switches: &'a mut usize,
+        energy: &'a mut lamps_energy::EnergyBreakdown,
+        fail: FailStop,
+        n_procs: usize,
+    }
+
+    type Tamper = fn(&TaskGraph, Parts<'_>);
+    type Expect = fn(&RunViolation) -> bool;
+
+    fn first_busy(tasks: &mut [Option<ExecRecord>]) -> &mut ExecRecord {
+        tasks
+            .iter_mut()
+            .flatten()
+            .find(|r| r.cycles > 0)
+            .expect("a record that executed")
+    }
+
+    /// Every per-trace tamper with the violation it must raise.
+    fn tampers() -> Vec<(&'static str, Tamper, Expect)> {
+        vec![
+            (
+                "precedence",
+                |g, p| {
+                    let (t, pred) = g
+                        .tasks()
+                        .find_map(|t| g.predecessors(t).first().map(|&q| (t, q)))
+                        .expect("an edge");
+                    let pf = p.tasks[pred.index()].unwrap().finish_s;
+                    p.tasks[t.index()].as_mut().unwrap().start_s = pf - 1e-6;
+                },
+                |v| matches!(v, RunViolation::Precedence { .. }),
+            ),
+            (
+                "overlap",
+                |_, p| {
+                    // Two executions on one processor, in start order.
+                    let mut busy: Vec<ExecRecord> = p
+                        .tasks
+                        .iter()
+                        .flatten()
+                        .filter(|r| r.cycles > 0)
+                        .copied()
+                        .collect();
+                    busy.sort_by(|a, b| a.proc.cmp(&b.proc).then(a.start_s.total_cmp(&b.start_s)));
+                    let w = busy
+                        .windows(2)
+                        .find(|w| w[0].proc == w[1].proc)
+                        .expect("a processor running two tasks");
+                    p.tasks[w[1].task.index()].as_mut().unwrap().start_s = w[0].finish_s - 1e-6;
+                },
+                |v| matches!(v, RunViolation::Overlap { .. }),
+            ),
+            (
+                "dead-proc execution",
+                |_, p| {
+                    let r = p
+                        .tasks
+                        .iter_mut()
+                        .flatten()
+                        .find(|r| r.finish_s > p.fail.at_s && r.proc != p.fail.proc)
+                        .expect("a task finishing after the failure");
+                    r.proc = p.fail.proc;
+                },
+                |v| matches!(v, RunViolation::DeadProcExecution { .. }),
+            ),
+            (
+                "switch count",
+                |_, p| *p.dvs_switches += 1,
+                |v| matches!(v, RunViolation::SwitchCountMismatch { .. }),
+            ),
+            (
+                "wrong cycles",
+                |_, p| first_busy(p.tasks).cycles += 1,
+                |v| matches!(v, RunViolation::WrongCycles { .. }),
+            ),
+            (
+                "off-grid level",
+                |_, p| first_busy(p.tasks).vdd = 0.123_456,
+                |v| matches!(v, RunViolation::IllegalLevel { .. }),
+            ),
+            (
+                "outcome",
+                |_, p| {
+                    *p.outcome = RunOutcome::DeadlineMiss {
+                        lateness: vec![lamps_sim::TaskLateness {
+                            task: TaskId(0),
+                            lateness_s: 1.0,
+                        }],
+                    }
+                },
+                |v| matches!(v, RunViolation::OutcomeMismatch { .. }),
+            ),
+            (
+                "energy",
+                |_, p| p.energy.active_j *= 1.001,
+                |v| matches!(v, RunViolation::EnergyMismatch { .. }),
+            ),
+            (
+                "sleep episodes",
+                |_, p| p.energy.sleep_episodes += 1,
+                |v| matches!(v, RunViolation::SleepEpisodeMismatch { .. }),
+            ),
+            (
+                "negative start",
+                |_, p| first_busy(p.tasks).start_s = -1.0,
+                |v| matches!(v, RunViolation::BadInterval { .. }),
+            ),
+            (
+                "proc out of range",
+                |_, p| first_busy(p.tasks).proc = ProcId(p.n_procs as u32 + 3),
+                |v| matches!(v, RunViolation::Online { .. }),
+            ),
+            (
+                "aborted record without a fail-stop",
+                |_, p| {
+                    let mut r = *first_busy(p.tasks);
+                    r.proc = ProcId((p.fail.proc.0 + 1) % p.n_procs as u32);
+                    r.cycles = 0;
+                    p.aborted.push(r);
+                },
+                |v| matches!(v, RunViolation::Online { .. }),
+            ),
+        ]
+    }
+
+    /// Each per-trace tamper, applied to a fault run and to one executed
+    /// frame of an online run, raises its violation from both checkers.
+    #[test]
+    fn tamper_matrix_through_both_checkers() {
+        use lamps_sim::{run_online, OnlineStream};
+        let cfg = cfg();
+
+        let (g, sol, d) = setup(4, 2.5);
+        assert!(sol.n_procs >= 2);
+        let fail = FailStop {
+            proc: ProcId(0),
+            at_s: sol.makespan_s * 0.4,
+        };
+        let plan = lamps_sim::FaultPlan {
+            fail_stop: Some(fail),
+            ..lamps_sim::FaultPlan::none()
+        };
+        let actual = actual_cycles(&g, 0.5, 0.9, 4);
+        let sw = DvsSwitchCost::typical();
+        let run = run_with_faults(
+            &g,
+            &sol,
+            &actual,
+            &plan,
+            d,
+            RecoveryPolicy::Boost,
+            &cfg,
+            &sw,
+        )
+        .unwrap();
+        assert!(check_run(&g, &sol, &actual, &plan, &run, d, &cfg, &sw).is_empty());
+
+        let mut s = lamps_kpn::PeriodicSet::new();
+        let src = s.add("src", 8_000_000, 31_000_000);
+        for i in 0..4 {
+            let w = s.add(format!("w{i}"), 11_000_000, 62_000_000);
+            s.depends(src, w).unwrap();
+        }
+        let dag = s.to_frame_dag();
+        let ocfg = OnlineConfig {
+            switch: DvsSwitchCost::typical(),
+            ..OnlineConfig::reclaiming()
+        };
+        let f_max = cfg.max_frequency();
+        let n_procs = run_online(
+            &dag,
+            &OnlineStream::periodic(&dag, 1, 1.0, f_max),
+            &ocfg,
+            &cfg,
+        )
+        .unwrap()
+        .n_procs;
+        assert!(n_procs >= 2);
+        let mut stream = OnlineStream::synthesize(&dag, n_procs, 3, 1.0, 0.5, 0.9, None, f_max, 9);
+        let frame_fail = FailStop {
+            proc: ProcId(0),
+            at_s: 0.2 * dag.hyperperiod_cycles as f64 / f_max,
+        };
+        stream.frames[1].faults.fail_stop = Some(frame_fail);
+        let online = run_online(&dag, &stream, &ocfg, &cfg).unwrap();
+        assert!(check_online(&dag, &stream, &ocfg, &cfg, &online).is_empty());
+
+        for (name, tamper, expect) in tampers() {
+            let mut r = run.clone();
+            tamper(
+                &g,
+                Parts {
+                    tasks: &mut r.tasks,
+                    aborted: &mut r.aborted,
+                    outcome: &mut r.outcome,
+                    dvs_switches: &mut r.dvs_switches,
+                    energy: &mut r.energy,
+                    fail,
+                    n_procs: sol.n_procs,
+                },
+            );
+            let v = check_run(&g, &sol, &actual, &plan, &r, d, &cfg, &sw);
+            assert!(v.iter().any(expect), "check_run missed {name}: {v:?}");
+
+            let mut o = online.clone();
+            let fr = &mut o.frames[1];
+            tamper(
+                &dag.graph,
+                Parts {
+                    tasks: &mut fr.tasks,
+                    aborted: &mut fr.aborted,
+                    outcome: fr.outcome.as_mut().unwrap(),
+                    dvs_switches: &mut fr.dvs_switches,
+                    energy: &mut o.energy,
+                    fail: frame_fail,
+                    n_procs,
+                },
+            );
+            let v = check_online(&dag, &stream, &ocfg, &cfg, &o);
+            assert!(v.iter().any(expect), "check_online missed {name}: {v:?}");
+        }
     }
 
     #[test]
