@@ -140,15 +140,15 @@ pub mod layered {
             // Orphan-free: connect any still-sourceless/sinkless interior
             // tasks to the dummies so the graph has a unique entry/exit,
             // as STG files do.
-            let snapshot = b.clone().build().expect("layered graphs are DAGs");
-            for t in snapshot.tasks() {
+            let (has_pred, has_succ) = b.endpoint_flags();
+            for t in (0..b.len() as u32).map(TaskId) {
                 if t == entry || t == exit {
                     continue;
                 }
-                if snapshot.in_degree(t) == 0 {
+                if !has_pred[t.index()] {
                     b.add_edge(entry, t).expect("valid");
                 }
-                if snapshot.out_degree(t) == 0 {
+                if !has_succ[t.index()] {
                     b.add_edge(t, exit).expect("valid");
                 }
             }
@@ -539,6 +539,79 @@ mod tests {
         assert_eq!(a, b);
         let c = layered_gen(&cfg, 10);
         assert_ne!(a, c);
+    }
+
+    /// FNV-1a over the task count, every weight, the edge count and
+    /// every edge in CSR order: equal hashes mean equal graphs for any
+    /// purpose the solver cares about.
+    fn graph_hash(g: &TaskGraph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for byte in x.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(g.len() as u64);
+        for &w in g.weights() {
+            eat(w);
+        }
+        eat(g.edge_count() as u64);
+        for (from, to) in g.edges() {
+            eat(u64::from(from.0));
+            eat(u64::from(to.0));
+        }
+        h
+    }
+
+    /// Pins the exact graphs the generators emit (hashes recorded
+    /// before the single-build generator and the O(V+E) `build`), so a
+    /// change to either that moves one weight or edge fails here.
+    #[test]
+    fn golden_generated_graphs() {
+        let group = |n: usize, count: usize, seed: u64| {
+            stg_group(n, count, seed)
+                .iter()
+                .fold(0u64, |acc, g| acc.rotate_left(7) ^ graph_hash(g))
+        };
+        let got_groups = [
+            group(10, 40, 2006),
+            group(40, 20, 7),
+            group(200, 6, 2006),
+            group(1000, 2, 41),
+        ];
+        let layered = |n_tasks: usize, n_layers: usize, seed: u64| {
+            let cfg = LayeredConfig {
+                n_tasks,
+                n_layers,
+                dummies: true,
+                ..LayeredConfig::default()
+            };
+            graph_hash(&layered_gen(&cfg, seed))
+        };
+        let got_layered = [
+            layered(1, 1, 3),
+            layered(50, 5, 11),
+            layered(120, 12, 42),
+            layered(500, 3, 2006),
+        ];
+        assert_eq!(
+            got_groups,
+            [
+                0xf27e_188c_bf3a_899b,
+                0xd4fa_c196_7e5f_296e,
+                0x963b_882b_9fa4_7eb8,
+                0x1b12_5942_157e_668b,
+            ]
+        );
+        assert_eq!(
+            got_layered,
+            [
+                0xeab8_3519_be11_b1b7,
+                0x53db_9cc2_c630_c80e,
+                0x6d2c_a9f2_7dd4_0f78,
+                0x8cb6_3347_8453_582f,
+            ]
+        );
     }
 
     #[test]

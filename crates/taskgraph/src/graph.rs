@@ -5,6 +5,10 @@
 //! that all endpoints exist. Adjacency is stored in compressed sparse row
 //! form in both directions so that schedulers can walk successors and
 //! predecessors without allocation.
+//!
+//! Every array is an exact-length boxed slice, and the per-task name
+//! table stays empty unless some task is named, so an unnamed graph of
+//! `N` tasks and `E` edges owns exactly `8·N + 8·(N+1) + 8·E` heap bytes.
 
 /// Identifier of a task: a dense index into the graph's node arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,6 +84,7 @@ impl std::error::Error for GraphError {}
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     weights: Vec<u64>,
+    /// Empty until the first named task; from then on one slot per task.
     names: Vec<Option<String>>,
     edges: Vec<(TaskId, TaskId)>,
 }
@@ -94,7 +99,7 @@ impl GraphBuilder {
     pub fn with_capacity(tasks: usize, edges: usize) -> Self {
         GraphBuilder {
             weights: Vec::with_capacity(tasks),
-            names: Vec::with_capacity(tasks),
+            names: Vec::new(),
             edges: Vec::with_capacity(edges),
         }
     }
@@ -113,8 +118,12 @@ impl GraphBuilder {
 
     fn push_task(&mut self, weight: u64, name: Option<String>) -> TaskId {
         let id = TaskId(u32::try_from(self.weights.len()).expect("too many tasks"));
+        if name.is_some() || !self.names.is_empty() {
+            // Pad the earlier, unnamed tasks on the first name.
+            self.names.resize(self.weights.len(), None);
+            self.names.push(name);
+        }
         self.weights.push(weight);
-        self.names.push(name);
         id
     }
 
@@ -146,17 +155,32 @@ impl GraphBuilder {
         Ok(())
     }
 
+    /// Which tasks have at least one incoming and at least one outgoing
+    /// edge so far, as `(has_pred, has_succ)` indexed by task id.
+    pub(crate) fn endpoint_flags(&self) -> (Vec<bool>, Vec<bool>) {
+        let n = self.weights.len();
+        let (mut has_pred, mut has_succ) = (vec![false; n], vec![false; n]);
+        for &(from, to) in &self.edges {
+            has_succ[from.index()] = true;
+            has_pred[to.index()] = true;
+        }
+        (has_pred, has_succ)
+    }
+
     /// Finalize: deduplicate edges, build CSR adjacency, verify acyclicity.
-    pub fn build(mut self) -> Result<TaskGraph, GraphError> {
+    ///
+    /// O(V+E) apart from sorting each task's own successor list: edges
+    /// are bucketed by source, each bucket is sorted and deduplicated in
+    /// place, and predecessors are filled by walking sources in
+    /// ascending order, so both adjacency lists come out ascending.
+    pub fn build(self) -> Result<TaskGraph, GraphError> {
         let n = self.weights.len();
         if n == 0 {
             return Err(GraphError::Empty);
         }
 
-        self.edges.sort_unstable();
-        self.edges.dedup();
-
-        // CSR for successors.
+        // Successors: bucket by source (counting sort), then sort and
+        // deduplicate each bucket while compacting the array in place.
         let mut succ_off = vec![0u32; n + 1];
         for &(from, _) in &self.edges {
             succ_off[from.index() + 1] += 1;
@@ -166,37 +190,57 @@ impl GraphBuilder {
         }
         let mut succ = vec![TaskId(0); self.edges.len()];
         {
-            let mut cursor = succ_off.clone();
+            let mut cursor = succ_off[..n].to_vec();
             for &(from, to) in &self.edges {
                 succ[cursor[from.index()] as usize] = to;
                 cursor[from.index()] += 1;
             }
         }
+        drop(self.edges);
+        let mut write = 0usize;
+        for i in 0..n {
+            let (lo, hi) = (succ_off[i] as usize, succ_off[i + 1] as usize);
+            succ[lo..hi].sort_unstable();
+            let start = write;
+            succ_off[i] = start as u32;
+            for r in lo..hi {
+                let to = succ[r];
+                if write == start || succ[write - 1] != to {
+                    succ[write] = to;
+                    write += 1;
+                }
+            }
+        }
+        succ_off[n] = write as u32;
+        succ.truncate(write);
 
-        // CSR for predecessors.
+        // Predecessors: walking sources in ascending order fills every
+        // bucket in ascending order.
         let mut pred_off = vec![0u32; n + 1];
-        for &(_, to) in &self.edges {
+        for &to in &succ {
             pred_off[to.index() + 1] += 1;
         }
         for i in 0..n {
             pred_off[i + 1] += pred_off[i];
         }
-        let mut pred = vec![TaskId(0); self.edges.len()];
+        let mut pred = vec![TaskId(0); succ.len()];
         {
-            let mut cursor = pred_off.clone();
-            for &(from, to) in &self.edges {
-                pred[cursor[to.index()] as usize] = from;
-                cursor[to.index()] += 1;
+            let mut cursor = pred_off[..n].to_vec();
+            for from in 0..n {
+                for &to in &succ[succ_off[from] as usize..succ_off[from + 1] as usize] {
+                    pred[cursor[to.index()] as usize] = TaskId(from as u32);
+                    cursor[to.index()] += 1;
+                }
             }
         }
 
         let graph = TaskGraph {
-            weights: self.weights,
-            names: self.names,
-            succ_off,
-            succ,
-            pred_off,
-            pred,
+            weights: self.weights.into_boxed_slice(),
+            names: self.names.into_boxed_slice(),
+            succ_off: succ_off.into_boxed_slice(),
+            succ: succ.into_boxed_slice(),
+            pred_off: pred_off.into_boxed_slice(),
+            pred: pred.into_boxed_slice(),
         };
 
         // Kahn's algorithm verifies acyclicity.
@@ -208,15 +252,18 @@ impl GraphBuilder {
 /// An immutable weighted task DAG.
 ///
 /// Node weights are execution times in cycles. Both forward and backward
-/// adjacency are stored; a topological order is computed at build time.
+/// adjacency are stored, each list in ascending id order. Acyclicity is
+/// verified at build time; no order is stored, and [`Self::topo_order`]
+/// recomputes one on each call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskGraph {
-    weights: Vec<u64>,
-    names: Vec<Option<String>>,
-    succ_off: Vec<u32>,
-    succ: Vec<TaskId>,
-    pred_off: Vec<u32>,
-    pred: Vec<TaskId>,
+    weights: Box<[u64]>,
+    /// Empty when no task is named, else one slot per task.
+    names: Box<[Option<String>]>,
+    succ_off: Box<[u32]>,
+    succ: Box<[TaskId]>,
+    pred_off: Box<[u32]>,
+    pred: Box<[TaskId]>,
 }
 
 impl TaskGraph {
@@ -249,9 +296,16 @@ impl TaskGraph {
         &self.weights
     }
 
-    /// Optional human-readable name of `t`.
+    /// Optional human-readable name of `t`. Panics if `t` is not a task
+    /// of this graph.
     pub fn name(&self, t: TaskId) -> Option<&str> {
-        self.names[t.index()].as_deref()
+        let i = t.index();
+        assert!(
+            i < self.len(),
+            "task {t} is not in a graph of {} tasks",
+            self.len()
+        );
+        self.names.get(i).and_then(Option::as_deref)
     }
 
     /// Display label: the name if set, else `T<id>`.
@@ -355,11 +409,11 @@ impl TaskGraph {
     }
 
     /// Scale every weight by an integer factor (e.g. STG weight units →
-    /// cycles at a chosen granularity). Panics on overflow in debug
-    /// builds; saturates in release via checked multiplication.
+    /// cycles at a chosen granularity). Panics if a scaled weight
+    /// overflows `u64`, in every build profile.
     pub fn scale_weights(&self, cycles_per_unit: u64) -> TaskGraph {
         let mut g = self.clone();
-        for w in &mut g.weights {
+        for w in g.weights.iter_mut() {
             *w = w
                 .checked_mul(cycles_per_unit)
                 .expect("weight scaling overflowed u64");
@@ -371,6 +425,119 @@ impl TaskGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
+
+    /// The original construction, kept as the oracle for `build`: one
+    /// global sort and dedup of the edge list, then both CSR halves are
+    /// filled from the sorted list.
+    fn reference_build(mut b: GraphBuilder) -> Result<TaskGraph, GraphError> {
+        let n = b.weights.len();
+        if n == 0 {
+            return Err(GraphError::Empty);
+        }
+        b.edges.sort_unstable();
+        b.edges.dedup();
+        let csr = |key: fn(&(TaskId, TaskId)) -> (TaskId, TaskId)| {
+            let mut off = vec![0u32; n + 1];
+            for e in &b.edges {
+                off[key(e).0.index() + 1] += 1;
+            }
+            for i in 0..n {
+                off[i + 1] += off[i];
+            }
+            let mut adj = vec![TaskId(0); b.edges.len()];
+            let mut cursor = off.clone();
+            for e in &b.edges {
+                let (at, other) = key(e);
+                adj[cursor[at.index()] as usize] = other;
+                cursor[at.index()] += 1;
+            }
+            (off.into_boxed_slice(), adj.into_boxed_slice())
+        };
+        let (succ_off, succ) = csr(|&(from, to)| (from, to));
+        let (pred_off, pred) = csr(|&(from, to)| (to, from));
+        let graph = TaskGraph {
+            weights: b.weights.into_boxed_slice(),
+            names: b.names.into_boxed_slice(),
+            succ_off,
+            succ,
+            pred_off,
+            pred,
+        };
+        graph.compute_topo_order()?;
+        Ok(graph)
+    }
+
+    /// A random builder of up to 24 tasks (sometimes none, sometimes some
+    /// named) fed a random edge list that mixes forward edges, repeats of
+    /// earlier edges, backward edges (cycles), self-loops and ids past
+    /// the last task. Returns the first `add_edge` error, if any.
+    fn random_builder(rng: &mut Rng) -> Result<GraphBuilder, GraphError> {
+        let n = rng.gen_range(0..25u32);
+        let mut b = GraphBuilder::new();
+        for i in 0..n {
+            let w = rng.gen_range(0..400u64);
+            if rng.gen_bool(0.05) {
+                b.add_named_task(format!("n{i}"), w);
+            } else {
+                b.add_task(w);
+            }
+        }
+        let back_edges = rng.gen_bool(0.3);
+        let bad_ids = rng.gen_bool(0.1);
+        let mut added: Vec<(TaskId, TaskId)> = Vec::new();
+        for _ in 0..rng.gen_range(0..=3 * n as usize) {
+            let edge = if !added.is_empty() && rng.gen_bool(0.2) {
+                added[rng.gen_range(0..added.len())]
+            } else if bad_ids && rng.gen_bool(0.1) {
+                (
+                    TaskId(rng.gen_range(0..n + 3)),
+                    TaskId(n + rng.gen_range(0..3u32)),
+                )
+            } else {
+                let (a, c) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a == c && !rng.gen_bool(0.01) {
+                    continue;
+                }
+                if back_edges && rng.gen_bool(0.1) {
+                    (TaskId(a.max(c)), TaskId(a.min(c)))
+                } else {
+                    (TaskId(a.min(c)), TaskId(a.max(c)))
+                }
+            };
+            b.add_edge(edge.0, edge.1)?;
+            added.push(edge);
+        }
+        Ok(b)
+    }
+
+    #[test]
+    fn build_matches_sorting_reference() {
+        let (mut built, mut cyclic, mut rejected) = (0, 0, 0);
+        for seed in 0..3000 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let b = match random_builder(&mut rng) {
+                Ok(b) => b,
+                Err(_) => {
+                    rejected += 1;
+                    continue;
+                }
+            };
+            let want = reference_build(b.clone());
+            let got = b.build();
+            assert_eq!(got, want, "seed {seed}");
+            match got {
+                Ok(_) => built += 1,
+                Err(GraphError::Cycle(_)) => cyclic += 1,
+                Err(_) => {}
+            }
+        }
+        // Every outcome the oracle can give was exercised.
+        assert!(
+            built > 1000 && cyclic > 100 && rejected > 50,
+            "{built} {cyclic} {rejected}"
+        );
+    }
 
     fn diamond() -> TaskGraph {
         let mut b = GraphBuilder::new();
