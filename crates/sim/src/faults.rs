@@ -172,6 +172,9 @@ impl FaultPlan {
                 });
             }
         }
+        // A stream keeps one plan per frame: drop the growth slack.
+        overruns.shrink_to_fit();
+        dvs.shrink_to_fit();
         FaultPlan {
             overruns,
             fail_stop,

@@ -36,7 +36,8 @@ pub use faults::{
     DvsFault, DvsFaultKind, FailStop, FaultIntensity, FaultPlan, InjectedEvent, Overrun,
 };
 pub use online::{
-    run_online, AdmissionVerdict, FrameInput, FrameRecord, OnlineConfig, OnlineReport, OnlineStream,
+    run_online, AdmissionVerdict, FrameInput, FrameRecord, FrameTable, OnlineConfig, OnlineReport,
+    OnlineStream,
 };
 pub use recovery::{
     run_with_faults, sort_lateness, ExecRecord, FaultyRunReport, RecoveryAction, RecoveryPolicy,

@@ -55,7 +55,7 @@ use crate::exec::{bill_idle, run_frame, Frame};
 use crate::faults::{FaultIntensity, FaultPlan, InjectedEvent};
 use crate::recovery::{ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome};
 use crate::runner::DvsSwitchCost;
-use crate::workload::actual_cycles;
+use crate::workload::extend_actual_cycles;
 use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
 use lamps_core::suffix::SuffixSolver;
 use lamps_core::{SchedulerConfig, SolveBudget, Strategy};
@@ -112,23 +112,153 @@ impl OnlineConfig {
     }
 }
 
-/// One arriving frame: a full instantiation of the hyperperiod DAG.
-#[derive(Debug, Clone)]
-pub struct FrameInput {
+/// One arriving frame, borrowed from its [`FrameTable`]: a full
+/// instantiation of the hyperperiod DAG.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameInput<'a> {
     /// Absolute arrival time \[s\]. Arrivals must be non-decreasing.
     pub arrival_s: f64,
     /// Actual cycles per job (≤ WCET; overruns go in `faults`).
-    pub actual: Vec<u64>,
+    pub actual: &'a [u64],
     /// Faults scoped to this frame; times are relative to the frame's
     /// *start* (a dead processor recovers at the next frame).
-    pub faults: FaultPlan,
+    pub faults: &'a FaultPlan,
 }
 
-/// A stream of frames for [`run_online`].
-#[derive(Debug, Clone, Default)]
+/// The plan every frame of a fault-free stream borrows.
+static NO_FAULTS: FaultPlan = FaultPlan {
+    overruns: Vec::new(),
+    fail_stop: None,
+    dvs: Vec::new(),
+};
+
+/// The frames of an [`OnlineStream`], stored as stream-level arrays
+/// rather than one heap object per frame:
+///
+/// * `arrival_s` — one arrival per frame;
+/// * `actual` — every frame's actual cycles back to back, frame-major,
+///   at a stride of [`FrameTable::jobs`] entries per frame;
+/// * `faults` — empty for a fault-free stream (every frame then
+///   borrows one static empty plan), otherwise one plan per frame.
+///
+/// The constructors keep the three arrays the same length in frames, so
+/// a frame's actuals always span exactly one stride; whether that stride
+/// matches the graph is checked once per stream by [`run_online`]. A
+/// fault-free stream of `F` frames of `N` jobs owns exactly
+/// `8·F + 8·F·N` heap bytes in two allocations.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FrameTable {
+    arrival_s: Vec<f64>,
+    actual: Vec<u64>,
+    jobs: usize,
+    faults: Vec<FaultPlan>,
+}
+
+impl FrameTable {
+    /// Assemble a table from its arrays: `actual` must hold `jobs`
+    /// entries per arrival, `faults` none or one plan per arrival.
+    pub fn from_parts(
+        arrival_s: Vec<f64>,
+        jobs: usize,
+        actual: Vec<u64>,
+        faults: Vec<FaultPlan>,
+    ) -> Result<Self, SimError> {
+        let n_frames = arrival_s.len();
+        if Some(actual.len()) != n_frames.checked_mul(jobs) {
+            return Err(SimError::BadStream(format!(
+                "{} actual cycle counts are not {n_frames} frames of {jobs} jobs",
+                actual.len()
+            )));
+        }
+        if !faults.is_empty() && faults.len() != n_frames {
+            return Err(SimError::BadStream(format!(
+                "{} fault plans for {n_frames} frames",
+                faults.len()
+            )));
+        }
+        Ok(FrameTable {
+            arrival_s,
+            actual,
+            jobs,
+            faults,
+        })
+    }
+
+    /// Number of frames.
+    pub fn len(&self) -> usize {
+        self.arrival_s.len()
+    }
+
+    /// Whether the stream has no frames.
+    pub fn is_empty(&self) -> bool {
+        self.arrival_s.is_empty()
+    }
+
+    /// Actual cycle counts per frame: the stride of [`FrameTable::actual`].
+    pub fn jobs(&self) -> usize {
+        self.jobs
+    }
+
+    /// Frame `i`, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<FrameInput<'_>> {
+        let arrival_s = *self.arrival_s.get(i)?;
+        Some(FrameInput {
+            arrival_s,
+            actual: &self.actual[i * self.jobs..(i + 1) * self.jobs],
+            faults: self.faults.get(i).unwrap_or(&NO_FAULTS),
+        })
+    }
+
+    /// The frames, in arrival order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = FrameInput<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i).expect("index below len"))
+    }
+
+    /// Every frame's arrival \[s\].
+    pub fn arrival_s(&self) -> &[f64] {
+        &self.arrival_s
+    }
+
+    /// Every frame's actual cycles, frame-major at stride
+    /// [`FrameTable::jobs`].
+    pub fn actual(&self) -> &[u64] {
+        &self.actual
+    }
+
+    /// The per-frame fault plans: empty for a fault-free stream.
+    pub fn faults(&self) -> &[FaultPlan] {
+        &self.faults
+    }
+
+    /// Mutable arrivals, one per frame.
+    pub fn arrival_s_mut(&mut self) -> &mut [f64] {
+        &mut self.arrival_s
+    }
+
+    /// Mutable actuals, frame-major at stride [`FrameTable::jobs`].
+    pub fn actual_mut(&mut self) -> &mut [u64] {
+        &mut self.actual
+    }
+
+    /// Mutable fault plans, one per frame: a fault-free stream first
+    /// gets an empty plan per frame.
+    pub fn faults_mut(&mut self) -> &mut [FaultPlan] {
+        if self.faults.is_empty() {
+            self.faults = vec![FaultPlan::none(); self.len()];
+        }
+        &mut self.faults
+    }
+}
+
+/// A stream of frames for [`run_online`]: arrivals, actual cycles and
+/// fault plans held as the stream-level arrays of a [`FrameTable`]
+/// (one arrival per frame, one flat stride-`jobs` actuals buffer, and
+/// no plans at all for a fault-free stream), read frame by frame
+/// through borrowed [`FrameInput`] views.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStream {
     /// The frames, in arrival order.
-    pub frames: Vec<FrameInput>,
+    pub frames: FrameTable,
 }
 
 impl OnlineStream {
@@ -138,14 +268,18 @@ impl OnlineStream {
     /// the hyperperiod).
     pub fn periodic(dag: &PeriodicDag, n_frames: usize, arrival_factor: f64, f_max: f64) -> Self {
         let span = dag.hyperperiod_cycles as f64 / f_max;
+        let weights = dag.graph.weights();
+        let mut actual = Vec::with_capacity(n_frames * weights.len());
+        for _ in 0..n_frames {
+            actual.extend_from_slice(weights);
+        }
         OnlineStream {
-            frames: (0..n_frames)
-                .map(|i| FrameInput {
-                    arrival_s: i as f64 * arrival_factor * span,
-                    actual: dag.graph.weights().to_vec(),
-                    faults: FaultPlan::none(),
-                })
-                .collect(),
+            frames: FrameTable {
+                arrival_s: arrivals(n_frames, arrival_factor, span),
+                actual,
+                jobs: weights.len(),
+                faults: Vec::new(),
+            },
         }
     }
 
@@ -166,24 +300,36 @@ impl OnlineStream {
         seed: u64,
     ) -> Self {
         let span = dag.hyperperiod_cycles as f64 / f_max;
+        let jobs = dag.graph.len();
+        let mut actual = Vec::with_capacity(n_frames * jobs);
+        let mut faults = Vec::with_capacity(if intensity.is_some() { n_frames } else { 0 });
+        for i in 0..n_frames {
+            let fseed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            extend_actual_cycles(&dag.graph, lo, hi, fseed, &mut actual);
+            if let Some(fi) = intensity {
+                faults.push(FaultPlan::random(
+                    &dag.graph,
+                    n_procs,
+                    span,
+                    fi,
+                    fseed ^ 0x5EED,
+                ));
+            }
+        }
         OnlineStream {
-            frames: (0..n_frames)
-                .map(|i| {
-                    let fseed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                    FrameInput {
-                        arrival_s: i as f64 * arrival_factor * span,
-                        actual: actual_cycles(&dag.graph, lo, hi, fseed),
-                        faults: match intensity {
-                            Some(fi) => {
-                                FaultPlan::random(&dag.graph, n_procs, span, fi, fseed ^ 0x5EED)
-                            }
-                            None => FaultPlan::none(),
-                        },
-                    }
-                })
-                .collect(),
+            frames: FrameTable {
+                arrival_s: arrivals(n_frames, arrival_factor, span),
+                actual,
+                jobs,
+                faults,
+            },
         }
     }
+}
+
+/// Frame `i` of `n` arrives at `i · arrival_factor · span`.
+fn arrivals(n: usize, arrival_factor: f64, span: f64) -> Vec<f64> {
+    (0..n).map(|i| i as f64 * arrival_factor * span).collect()
 }
 
 /// What admission control decided for one frame.
@@ -348,9 +494,17 @@ pub fn run_online(
     let f_max = cfg.max_frequency();
     let span_s = dag.hyperperiod_cycles as f64 / f_max;
 
-    // Stream validation: arrival order, vector shapes, WCET ceiling.
+    // Stream validation: the actuals' stride, arrival order, WCET
+    // ceiling.
+    let table = &stream.frames;
+    if !table.is_empty() && table.jobs() != n {
+        return Err(SimError::WrongActualLength {
+            expected: n,
+            got: table.jobs(),
+        });
+    }
     let mut prev_arrival = 0.0f64;
-    for (i, fr) in stream.frames.iter().enumerate() {
+    for (i, fr) in table.iter().enumerate() {
         if !fr.arrival_s.is_finite() || fr.arrival_s < 0.0 {
             return Err(SimError::BadStream(format!(
                 "frame {i}: arrival {} must be finite and non-negative",
@@ -366,17 +520,11 @@ pub fn run_online(
             )));
         }
         prev_arrival = fr.arrival_s;
-        if fr.actual.len() != n {
-            return Err(SimError::WrongActualLength {
-                expected: n,
-                got: fr.actual.len(),
-            });
-        }
-        for t in graph.tasks() {
-            if fr.actual[t.index()] > graph.weight(t) {
+        for (t, &actual) in graph.tasks().zip(fr.actual) {
+            if actual > graph.weight(t) {
                 return Err(SimError::ActualExceedsWcet {
                     task: t,
-                    actual: fr.actual[t.index()],
+                    actual,
                     wcet: graph.weight(t),
                 });
             }
@@ -388,8 +536,8 @@ pub fn run_online(
     let sol = solve_with_deadlines(ocfg.strategy, graph, &dv, cfg)
         .map_err(|e| SimError::PlanFailed(e.to_string()))?;
     let n_procs = sol.n_procs;
-    for fr in &stream.frames {
-        fr.faults.validate(graph, n_procs)?;
+    for plan in table.faults() {
+        plan.validate(graph, n_procs)?;
     }
 
     // Arrival-relative due time per job [s].
@@ -397,14 +545,18 @@ pub fn run_online(
         .map(|j| dag.deadlines[j].unwrap_or(dag.hyperperiod_cycles) as f64 / f_max)
         .collect();
 
+    // Start-relative due time per job [s], refilled for every executed
+    // frame.
+    let mut due_s = vec![0.0f64; n];
+
     let mut solver = SuffixSolver::new();
-    let mut frames: Vec<FrameRecord> = Vec::with_capacity(stream.frames.len());
+    let mut frames: Vec<FrameRecord> = Vec::with_capacity(table.len());
     let mut energy = EnergyBreakdown::default();
     // Completion times of in-flight/waiting frames, for the backlog.
     let mut pending_ends: VecDeque<f64> = VecDeque::new();
     let mut busy_until = 0.0f64;
 
-    for (i, fr) in stream.frames.iter().enumerate() {
+    for (i, fr) in table.iter().enumerate() {
         while pending_ends.front().is_some_and(|&e| e <= fr.arrival_s) {
             pending_ends.pop_front();
         }
@@ -439,15 +591,17 @@ pub fn run_online(
         };
 
         let arrival_offset_s = fr.arrival_s - start_s;
-        let due_s: Vec<f64> = due_rel.iter().map(|d| arrival_offset_s + d).collect();
+        for (due, d) in due_s.iter_mut().zip(&due_rel) {
+            *due = arrival_offset_s + d;
+        }
         let run = run_frame(
             &Frame {
                 graph,
                 schedule: &sol.schedule,
                 plan_level: sol.level,
                 n_procs,
-                actual: &fr.actual,
-                faults: &fr.faults,
+                actual: fr.actual,
+                faults: fr.faults,
                 due_s: &due_s,
                 own_due: true,
                 horizon_s: arrival_offset_s + span_s,
@@ -492,17 +646,18 @@ pub fn run_online(
         .map(|f| f.frame)
         .collect();
     for (k, &fi) in executed.iter().enumerate() {
+        let input = table.get(fi).expect("executed frames are in the stream");
         let start = frames[fi].verdict.start_s().expect("executed");
         let end = match executed.get(k + 1) {
             Some(&next) => frames[next].verdict.start_s().expect("executed"),
-            None => (start + frames[fi].makespan_s).max(stream.frames[fi].arrival_s + span_s),
+            None => (start + frames[fi].makespan_s).max(input.arrival_s + span_s),
         };
         frames[fi].window_end_s = end;
         let mut idle = EnergyBreakdown::default();
         bill_idle(
             &frames[fi].tasks,
             &frames[fi].aborted,
-            stream.frames[fi].faults.fail_stop,
+            input.faults.fail_stop,
             start,
             end,
             n_procs,
@@ -840,32 +995,44 @@ mod tests {
         let good = OnlineStream::periodic(&dag, 2, 1.0, cfg.max_frequency());
 
         let mut unsorted = good.clone();
-        unsorted.frames[1].arrival_s = -1.0;
+        unsorted.frames.arrival_s_mut()[1] = -1.0;
         assert!(matches!(
             run_online(&dag, &unsorted, &ocfg, &cfg),
             Err(SimError::BadStream(_))
         ));
         let mut backwards = good.clone();
-        backwards.frames[0].arrival_s = 1.0;
-        backwards.frames[1].arrival_s = 0.5;
+        backwards
+            .frames
+            .arrival_s_mut()
+            .copy_from_slice(&[1.0, 0.5]);
         assert!(matches!(
             run_online(&dag, &backwards, &ocfg, &cfg),
             Err(SimError::BadStream(_))
         ));
-        let mut short = good.clone();
-        short.frames[0].actual.pop();
-        assert!(matches!(
-            run_online(&dag, &short, &ocfg, &cfg),
-            Err(SimError::WrongActualLength { .. })
-        ));
+        // A frame's actuals cannot be shortened in place: a short frame
+        // is a stream built at the wrong stride.
+        let n = dag.graph.len();
+        let mut actual = good.frames.actual().to_vec();
+        actual.truncate(2 * (n - 1));
+        let short = OnlineStream {
+            frames: FrameTable::from_parts(good.frames.arrival_s().to_vec(), n - 1, actual, vec![])
+                .unwrap(),
+        };
+        assert_eq!(
+            run_online(&dag, &short, &ocfg, &cfg).unwrap_err(),
+            SimError::WrongActualLength {
+                expected: n,
+                got: n - 1
+            }
+        );
         let mut over = good.clone();
-        over.frames[0].actual[0] += 1;
+        over.frames.actual_mut()[0] += 1;
         assert!(matches!(
             run_online(&dag, &over, &ocfg, &cfg),
             Err(SimError::ActualExceedsWcet { .. })
         ));
         let mut bad_fault = good.clone();
-        bad_fault.frames[0].faults.fail_stop = Some(crate::faults::FailStop {
+        bad_fault.frames.faults_mut()[0].fail_stop = Some(crate::faults::FailStop {
             proc: lamps_sched::ProcId(99),
             at_s: 0.001,
         });
@@ -873,6 +1040,67 @@ mod tests {
             run_online(&dag, &bad_fault, &ocfg, &cfg),
             Err(SimError::BadFaultPlan(_))
         ));
+    }
+
+    #[test]
+    fn frame_tables_hold_one_stride_per_frame() {
+        let dag = wide_dag();
+        let f_max = cfg().max_frequency();
+        let n = dag.graph.len();
+        let clean = OnlineStream::synthesize(&dag, 2, 5, 0.8, 0.5, 0.9, None, f_max, 4);
+        let faulty = OnlineStream::synthesize(
+            &dag,
+            2,
+            5,
+            0.8,
+            0.5,
+            0.9,
+            Some(&FaultIntensity::severe()),
+            f_max,
+            4,
+        );
+        assert_eq!((clean.frames.len(), clean.frames.jobs()), (5, n));
+        assert!(clean.frames.faults().is_empty());
+        assert_eq!(faulty.frames.faults().len(), 5);
+        // Fault plans draw from their own seeds: the actuals match.
+        assert_eq!(clean.frames.actual(), faulty.frames.actual());
+        for (i, fr) in clean.frames.iter().enumerate() {
+            assert_eq!(fr.actual, &clean.frames.actual()[i * n..(i + 1) * n]);
+            assert_eq!(fr.arrival_s, clean.frames.arrival_s()[i]);
+            assert!(fr.faults.is_empty());
+            assert_eq!(
+                faulty.frames.get(i).unwrap().faults,
+                &faulty.frames.faults()[i]
+            );
+        }
+        assert!(clean.frames.get(5).is_none());
+
+        // Materializing the fault plans of a fault-free stream changes
+        // no frame's view of it.
+        let mut planned = clean.clone();
+        assert!(planned.frames.faults_mut().iter().all(FaultPlan::is_empty));
+        assert_eq!(planned.frames.faults().len(), 5);
+        let cfg = cfg();
+        let a = run_online(&dag, &clean, &OnlineConfig::reclaiming(), &cfg).unwrap();
+        let b = run_online(&dag, &planned, &OnlineConfig::reclaiming(), &cfg).unwrap();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+
+        // Shape errors are caught when the table is assembled.
+        let arrivals = clean.frames.arrival_s().to_vec();
+        let actual = clean.frames.actual().to_vec();
+        for (jobs, faults) in [(n + 1, vec![]), (n, vec![FaultPlan::none(); 2])] {
+            assert!(matches!(
+                FrameTable::from_parts(arrivals.clone(), jobs, actual.clone(), faults),
+                Err(SimError::BadStream(_))
+            ));
+        }
+        let rebuilt = FrameTable::from_parts(arrivals, n, actual, vec![]).unwrap();
+        assert_eq!(rebuilt, clean.frames);
+
+        // An empty stream runs whatever its stride.
+        let empty = OnlineStream::default();
+        let r = run_online(&dag, &empty, &OnlineConfig::reclaiming(), &cfg).unwrap();
+        assert!(r.frames.is_empty());
     }
 
     /// Serializes the tests that toggle the process-wide flight recorder.
@@ -990,7 +1218,7 @@ mod tests {
         let f_max = cfg.max_frequency();
         let span = dag.hyperperiod_cycles as f64 / f_max;
         let mut stream = OnlineStream::synthesize(&dag, 2, 3, 1.0, 0.8, 1.0, None, f_max, 3);
-        let faults = &mut stream.frames[1].faults;
+        let faults = &mut stream.frames.faults_mut()[1];
         faults.fail_stop = Some(crate::faults::FailStop {
             proc: lamps_sched::ProcId(0),
             at_s: 0.25 * span,
@@ -1045,7 +1273,9 @@ mod tests {
             .frames
             .iter()
             .flat_map(|f| {
-                let failed = stream.frames[f.frame].faults.fail_stop.map(|fs| fs.proc.0);
+                let failed = stream.frames.faults()[f.frame]
+                    .fail_stop
+                    .map(|fs| fs.proc.0);
                 f.recoveries.iter().map(move |a| match a {
                     RecoveryAction::Rescheduled { migrated, .. } => {
                         (f.frame as u64, 0, *migrated as u64)

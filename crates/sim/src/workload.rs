@@ -20,23 +20,33 @@ pub fn actual_cycles(
     max_fraction: f64,
     seed: u64,
 ) -> Vec<u64> {
+    let mut out = Vec::with_capacity(graph.len());
+    extend_actual_cycles(graph, min_fraction, max_fraction, seed, &mut out);
+    out
+}
+
+/// [`actual_cycles`], appended to `out`: a stream draws every frame's
+/// actuals into one flat buffer.
+pub(crate) fn extend_actual_cycles(
+    graph: &TaskGraph,
+    min_fraction: f64,
+    max_fraction: f64,
+    seed: u64,
+    out: &mut Vec<u64>,
+) {
     assert!(
         min_fraction > 0.0 && min_fraction <= max_fraction && max_fraction <= 1.0,
         "fractions must satisfy 0 < min <= max <= 1"
     );
     let mut rng = Rng::seed_from_u64(seed);
-    graph
-        .weights()
-        .iter()
-        .map(|&w| {
-            if w == 0 {
-                0
-            } else {
-                let f = rng.gen_range(min_fraction..=max_fraction);
-                ((w as f64 * f).round() as u64).clamp(1, w)
-            }
-        })
-        .collect()
+    out.extend(graph.weights().iter().map(|&w| {
+        if w == 0 {
+            0
+        } else {
+            let f = rng.gen_range(min_fraction..=max_fraction);
+            ((w as f64 * f).round() as u64).clamp(1, w)
+        }
+    }));
 }
 
 #[cfg(test)]

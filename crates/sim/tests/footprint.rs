@@ -1,0 +1,134 @@
+//! Proof that an online stream owns its stream-level arrays and nothing
+//! else.
+//!
+//! A fault-free stream of `F` frames of `N` jobs must hold `8·F` bytes
+//! of arrivals and `8·F·N` bytes of actuals on the heap, built in a
+//! constant number of allocations whatever `F` is: no per-frame vectors,
+//! no fault plans, no capacity slack. A stream with faults adds one
+//! plan per frame, each holding exactly its overruns and DVS faults. A
+//! byte-counting global allocator measures the live heap around each
+//! build.
+//!
+//! This file deliberately contains a single `#[test]`: the counters are
+//! process-global, and a sibling test allocating on another thread
+//! would skew them. The library crate forbids `unsafe`; the
+//! `GlobalAlloc` impl below lives in this integration test only.
+
+use lamps_kpn::{PeriodicDag, PeriodicSet};
+use lamps_sim::{DvsFault, FaultIntensity, FaultPlan, OnlineStream, Overrun};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
+use std::sync::atomic::{AtomicI64, Ordering};
+
+/// System allocator that keeps a running total of live heap bytes and
+/// of allocation calls.
+struct CountingAlloc;
+
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static ALLOCS: AtomicI64 = AtomicI64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// The stream `make` returns, the heap bytes still live after it
+/// returns, and the allocation calls it made.
+fn retained(make: impl FnOnce() -> OnlineStream) -> (OnlineStream, i64, i64) {
+    let (bytes, allocs) = (
+        LIVE_BYTES.load(Ordering::Relaxed),
+        ALLOCS.load(Ordering::Relaxed),
+    );
+    let s = make();
+    (
+        s,
+        LIVE_BYTES.load(Ordering::Relaxed) - bytes,
+        ALLOCS.load(Ordering::Relaxed) - allocs,
+    )
+}
+
+/// `8·F + 8·F·N`: the arrivals and the flat actuals.
+fn fault_free_bytes(frames: usize, jobs: usize) -> i64 {
+    (8 * frames + 8 * frames * jobs) as i64
+}
+
+fn dag() -> PeriodicDag {
+    let mut s = PeriodicSet::new();
+    let src = s.add("src", 8_000_000, 31_000_000);
+    for i in 0..4 {
+        let w = s.add(format!("w{i}"), 11_000_000, 62_000_000);
+        s.depends(src, w).unwrap();
+    }
+    s.to_frame_dag()
+}
+
+#[test]
+fn streams_hold_only_their_arrays() {
+    let dag = dag();
+    let n = dag.graph.len();
+    let f_max = lamps_core::SchedulerConfig::paper().max_frequency();
+
+    for frames in [1, 10, 250] {
+        let (s, bytes, allocs) = retained(|| {
+            OnlineStream::synthesize(&dag, 2, frames, 1.0, 0.55, 0.75, None, f_max, 2006)
+        });
+        assert_eq!((s.frames.len(), s.frames.jobs()), (frames, n));
+        assert_eq!(
+            bytes,
+            fault_free_bytes(frames, n),
+            "synthesize, {frames} frames"
+        );
+        assert_eq!(allocs, 2, "synthesize, {frames} frames");
+
+        let (s, bytes, allocs) = retained(|| OnlineStream::periodic(&dag, frames, 1.0, f_max));
+        assert_eq!(s.frames.len(), frames);
+        assert_eq!(
+            bytes,
+            fault_free_bytes(frames, n),
+            "periodic, {frames} frames"
+        );
+        assert_eq!(allocs, 2, "periodic, {frames} frames");
+    }
+
+    // With faults: one exact-capacity plan per frame on top.
+    let moderate = FaultIntensity::moderate();
+    let frames = 125;
+    let (s, bytes, _) = retained(|| {
+        OnlineStream::synthesize(&dag, 2, frames, 1.0, 0.6, 1.0, Some(&moderate), f_max, 2006)
+    });
+    let plans = s.frames.faults();
+    assert_eq!(plans.len(), frames);
+    assert!(plans.iter().any(|p| !p.overruns.is_empty()));
+    let plan_bytes: usize = plans
+        .iter()
+        .map(|p| {
+            size_of::<FaultPlan>()
+                + p.overruns.len() * size_of::<Overrun>()
+                + p.dvs.len() * size_of::<DvsFault>()
+        })
+        .sum();
+    assert_eq!(bytes, fault_free_bytes(frames, n) + plan_bytes as i64);
+}

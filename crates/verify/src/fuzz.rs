@@ -338,7 +338,7 @@ fn online_battery(
     scfg: &SchedulerConfig,
     violations: &mut Vec<String>,
 ) {
-    use lamps_sim::{run_online, FaultIntensity, OnlineConfig, OnlineStream, SimError};
+    use lamps_sim::{run_online, FaultIntensity, FrameTable, OnlineConfig, OnlineStream, SimError};
 
     let f_max = scfg.max_frequency();
     let dv = DeadlineVector::from_kpn(dag.deadlines.clone(), dag.hyperperiod_cycles);
@@ -384,6 +384,22 @@ fn online_battery(
         f_max,
         case.seed,
     );
+    // The same frames with each one's last job dropped.
+    let frames = &stream.frames;
+    let jobs = frames.jobs() - 1;
+    let short = frames
+        .iter()
+        .flat_map(|fr| fr.actual[..jobs].iter().copied())
+        .collect();
+    let skewed = OnlineStream {
+        frames: FrameTable::from_parts(
+            frames.arrival_s().to_vec(),
+            jobs,
+            short,
+            frames.faults().to_vec(),
+        )
+        .expect("one shorter stride per frame"),
+    };
     let configs = [
         OnlineConfig {
             frame_budget: budget.clone(),
@@ -409,7 +425,23 @@ fn online_battery(
                 for rv in crate::runtime::check_online(dag, &stream, ocfg, scfg, &report) {
                     violations.push(format!("online trace ({label}): {rv}"));
                 }
+                // The runtime must reject the short stride (below) and
+                // the checker must flag it.
+                if crate::runtime::check_online(dag, &skewed, ocfg, scfg, &report).is_empty() {
+                    violations.push(format!(
+                        "check_online accepted a stream at the wrong stride ({label})"
+                    ));
+                }
             }
+        }
+        let n = dag.graph.len();
+        match run_online(dag, &skewed, ocfg, scfg) {
+            Err(SimError::WrongActualLength { expected, got }) if (expected, got) == (n, n - 1) => {
+            }
+            r => violations.push(format!(
+                "online runtime did not reject a stream at the wrong stride ({label}): {:?}",
+                r.map(|_| ())
+            )),
         }
     }
 

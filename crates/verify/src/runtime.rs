@@ -668,6 +668,16 @@ pub fn check_online(
         });
         return v;
     }
+    if !stream.frames.is_empty() && stream.frames.jobs() != n {
+        v.push(RunViolation::Online {
+            frame: 0,
+            detail: format!(
+                "stream carries {} actuals per frame, the frame DAG has {n} jobs",
+                stream.frames.jobs()
+            ),
+        });
+        return v;
+    }
     let Some(plan) = cfg
         .levels
         .points()
@@ -709,8 +719,7 @@ pub fn check_online(
     let mut pending: VecDeque<f64> = VecDeque::new();
     let mut busy_until = 0.0f64;
     let (mut admitted, mut deferred, mut shed) = (0usize, 0usize, 0usize);
-    for (i, fr) in report.frames.iter().enumerate() {
-        let input = &stream.frames[i];
+    for (i, (fr, input)) in report.frames.iter().zip(stream.frames.iter()).enumerate() {
         if fr.frame != i {
             v.push(RunViolation::Online {
                 frame: i,
@@ -811,10 +820,11 @@ pub fn check_online(
     let mut windows = Vec::with_capacity(executed.len());
     for (k, &fi) in executed.iter().enumerate() {
         let fr = &report.frames[fi];
+        let input = stream.frames.get(fi).expect("lengths checked above");
         let start = fr.verdict.start_s().expect("executed");
         let expected_end = match executed.get(k + 1) {
             Some(&nx) => report.frames[nx].verdict.start_s().expect("executed"),
-            None => (start + fr.makespan_s).max(stream.frames[fi].arrival_s + span),
+            None => (start + fr.makespan_s).max(input.arrival_s + span),
         };
         if (fr.window_end_s - expected_end).abs() > TIME_ABS_TOL {
             v.push(RunViolation::Online {
@@ -844,7 +854,6 @@ pub fn check_online(
                 ),
             });
         }
-        let input = &stream.frames[fi];
         let offset = input.arrival_s - start;
         let frame = FrameCheck {
             frame: fi,
@@ -853,8 +862,8 @@ pub fn check_online(
             makespan_s: fr.makespan_s,
             outcome: fr.outcome.as_ref(),
             dvs_switches: fr.dvs_switches,
-            actual: &input.actual,
-            faults: &input.faults,
+            actual: input.actual,
+            faults: input.faults,
             due_s: due_rel.iter().map(|d| offset + d).collect(),
             n_procs: report.n_procs,
             plan_vdd: report.plan_vdd,
@@ -1409,7 +1418,7 @@ mod tests {
             proc: ProcId(0),
             at_s: 0.2 * dag.hyperperiod_cycles as f64 / f_max,
         };
-        stream.frames[1].faults.fail_stop = Some(frame_fail);
+        stream.frames.faults_mut()[1].fail_stop = Some(frame_fail);
         let online = run_online(&dag, &stream, &ocfg, &cfg).unwrap();
         assert!(check_online(&dag, &stream, &ocfg, &cfg, &online).is_empty());
 
