@@ -24,7 +24,7 @@
 //! but never re-solves). Idle gaps are billed afterwards by
 //! [`bill_idle`], once the caller knows where the frame's window ends.
 
-use crate::faults::{DvsFaultKind, FailStop, FaultPlan, InjectedEvent};
+use crate::faults::{DvsFaultKind, FailStop, FaultView, InjectedEvent};
 use crate::recovery::{
     sort_lateness, ExecRecord, FaultyRunReport, RecoveryAction, RecoveryPolicy, RunOutcome,
     TaskLateness,
@@ -55,7 +55,7 @@ pub(crate) struct Frame<'a> {
     /// Fault-free cycle counts per task (≤ WCET).
     pub actual: &'a [u64],
     /// Faults, times relative to the frame start.
-    pub faults: &'a FaultPlan,
+    pub faults: FaultView<'a>,
     /// Due time per task, frame-relative \[s\].
     pub due_s: &'a [f64],
     /// Whether suffix re-solves must meet every task's own due time, or

@@ -18,6 +18,7 @@ use crate::error::{bad_plan, check_proc, SimError};
 use lamps_sched::ProcId;
 use lamps_taskgraph::rng::Rng;
 use lamps_taskgraph::{TaskGraph, TaskId};
+use std::borrow::Cow;
 
 /// A processor fail-stop: at `at_s` the processor halts permanently,
 /// losing whatever it was executing.
@@ -61,7 +62,8 @@ pub struct Overrun {
     pub factor: f64,
 }
 
-/// Everything that will go wrong during one run.
+/// Everything that will go wrong during one run, owned; code reads it
+/// through [`FaultPlan::view`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Per-task WCET overruns (at most one entry per task).
@@ -127,7 +129,16 @@ impl FaultPlan {
 
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.overruns.is_empty() && self.fail_stop.is_none() && self.dvs.is_empty()
+        self.view().is_empty()
+    }
+
+    /// The plan as the borrowed view every reader takes.
+    pub fn view(&self) -> FaultView<'_> {
+        FaultView {
+            overruns: &self.overruns,
+            fail_stop: self.fail_stop,
+            dvs: &self.dvs,
+        }
     }
 
     /// Draw a plan from a seed. Deterministic: the same
@@ -140,55 +151,158 @@ impl FaultPlan {
         intensity: &FaultIntensity,
         seed: u64,
     ) -> Self {
-        let mut rng = Rng::seed_from_u64(seed ^ 0xFA_07_5E_ED);
-        let mut overruns = Vec::new();
-        for t in graph.tasks() {
-            if graph.weight(t) > 0 && rng.gen_bool(intensity.overrun_prob) {
-                let factor = rng.gen_range(1.0..=intensity.max_overrun_factor.max(1.0));
-                overruns.push(Overrun { task: t, factor });
-            }
+        let mut plan = FaultPlan::none();
+        plan.fail_stop = draw_faults(
+            graph,
+            n_procs,
+            deadline_s,
+            intensity,
+            seed,
+            &mut plan.overruns,
+            &mut plan.dvs,
+        );
+        plan
+    }
+}
+
+/// The one fault draw behind [`FaultPlan::random`] and the fault
+/// streams of [`crate::OnlineStream::synthesize`]: appends the drawn
+/// overruns and DVS faults to `overruns` and `dvs` and returns the
+/// fail-stop, so both callers consume the same RNG sequence.
+pub(crate) fn draw_faults(
+    graph: &TaskGraph,
+    n_procs: usize,
+    deadline_s: f64,
+    intensity: &FaultIntensity,
+    seed: u64,
+    overruns: &mut Vec<Overrun>,
+    dvs: &mut Vec<DvsFault>,
+) -> Option<FailStop> {
+    let mut rng = Rng::seed_from_u64(seed ^ 0xFA_07_5E_ED);
+    for t in graph.tasks() {
+        if graph.weight(t) > 0 && rng.gen_bool(intensity.overrun_prob) {
+            let factor = rng.gen_range(1.0..=intensity.max_overrun_factor.max(1.0));
+            overruns.push(Overrun { task: t, factor });
         }
-        let fail_stop = if intensity.fail_stop && n_procs > 0 {
-            Some(FailStop {
-                proc: ProcId(rng.gen_range(0u32..n_procs as u32)),
-                at_s: rng.gen_range(0.0..=deadline_s.max(0.0)),
-            })
-        } else {
-            None
-        };
-        let mut dvs = Vec::new();
-        for p in 0..n_procs as u32 {
-            if rng.gen_bool(intensity.dvs_fault_prob) {
-                let kind = if rng.gen_bool(0.5) {
-                    DvsFaultKind::StuckAtLevel
-                } else {
-                    DvsFaultKind::ExtraLatency {
-                        extra_s: rng.gen_range(1.0e-5..=1.0e-3),
-                    }
-                };
-                dvs.push(DvsFault {
-                    proc: ProcId(p),
-                    kind,
-                });
-            }
+    }
+    let fail_stop = if intensity.fail_stop && n_procs > 0 {
+        Some(FailStop {
+            proc: ProcId(rng.gen_range(0u32..n_procs as u32)),
+            at_s: rng.gen_range(0.0..=deadline_s.max(0.0)),
+        })
+    } else {
+        None
+    };
+    for p in 0..n_procs as u32 {
+        if rng.gen_bool(intensity.dvs_fault_prob) {
+            let kind = if rng.gen_bool(0.5) {
+                DvsFaultKind::StuckAtLevel
+            } else {
+                DvsFaultKind::ExtraLatency {
+                    extra_s: rng.gen_range(1.0e-5..=1.0e-3),
+                }
+            };
+            dvs.push(DvsFault {
+                proc: ProcId(p),
+                kind,
+            });
         }
-        // A stream keeps one plan per frame: drop the growth slack.
-        overruns.shrink_to_fit();
-        dvs.shrink_to_fit();
+    }
+    fail_stop
+}
+
+/// A borrowed, `Copy` view of one run's faults — the only way the
+/// runners and checkers read them. It owns no heap memory: two borrowed
+/// slices and a copied fail-stop.
+///
+/// A [`FaultPlan`] lends one through [`FaultPlan::view`]. Frame `i` of
+/// an online stream lends one into the stream's flat fault arrays (see
+/// [`crate::FrameTable`]): `overruns` and `dvs` are frame `i`'s slices
+/// of the stream-wide overrun and DVS arrays, between the previous
+/// frame's end offsets and its own, and `fail_stop` is its slot. Those
+/// arrays cost a stream of `F` frames with `O` overruns and `D` DVS
+/// faults exactly `40·F + 16·O + 24·D` heap bytes, and nothing when no
+/// frame has a fault.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct FaultView<'a> {
+    /// Per-task WCET overruns (at most one entry per task).
+    pub overruns: &'a [Overrun],
+    /// At most one processor fail-stop.
+    pub fail_stop: Option<FailStop>,
+    /// DVS regulator faults (at most one entry per processor).
+    pub dvs: &'a [DvsFault],
+}
+
+impl FaultView<'_> {
+    /// Whether the view injects nothing.
+    pub fn is_empty(&self) -> bool {
+        self.overruns.is_empty() && self.fail_stop.is_none() && self.dvs.is_empty()
+    }
+
+    /// An owned copy of the faults.
+    pub fn to_plan(&self) -> FaultPlan {
         FaultPlan {
-            overruns,
-            fail_stop,
-            dvs,
+            overruns: self.overruns.to_vec(),
+            fail_stop: self.fail_stop,
+            dvs: self.dvs.to_vec(),
         }
     }
 
-    /// Check the plan against a graph and machine size: overrun factors
-    /// finite and ≥ 1 on known non-zero-weight tasks (one entry per
+    /// Check the faults against a graph and machine size: overrun
+    /// factors finite and ≥ 1 on tasks of the graph (one entry per
     /// task), fault times finite and ≥ 0, processors in range (one DVS
     /// entry per processor), extra latencies finite and ≥ 0.
     pub fn validate(&self, graph: &TaskGraph, n_procs: usize) -> Result<(), SimError> {
-        let mut seen_task = vec![false; graph.len()];
-        for o in &self.overruns {
+        FaultChecker::new(graph, n_procs).check(self)
+    }
+
+    /// The cycle counts tasks will *actually* execute: `actual`
+    /// everywhere, except overrunning tasks run `round(wcet × factor)`
+    /// (at least 1) regardless of their drawn actuals — a
+    /// mis-characterized WCET dwarfs normal variation. Borrows `actual`
+    /// when nothing overruns.
+    pub fn effective_cycles<'b>(&self, graph: &TaskGraph, actual: &'b [u64]) -> Cow<'b, [u64]> {
+        if self.overruns.is_empty() {
+            return Cow::Borrowed(actual);
+        }
+        let mut eff = actual.to_vec();
+        for o in self.overruns {
+            let w = graph.weight(o.task);
+            if w > 0 {
+                eff[o.task.index()] = ((w as f64 * o.factor).round() as u64).max(1);
+            }
+        }
+        Cow::Owned(eff)
+    }
+}
+
+/// Validates any number of [`FaultView`]s against one graph and machine
+/// with a single pair of duplicate markers: a marker holds the stamp of
+/// the last check that set it, so no check clears or reallocates them.
+pub(crate) struct FaultChecker<'g> {
+    graph: &'g TaskGraph,
+    n_procs: usize,
+    seen_task: Vec<u64>,
+    seen_proc: Vec<u64>,
+    stamp: u64,
+}
+
+impl<'g> FaultChecker<'g> {
+    pub(crate) fn new(graph: &'g TaskGraph, n_procs: usize) -> Self {
+        FaultChecker {
+            graph,
+            n_procs,
+            seen_task: vec![0; graph.len()],
+            seen_proc: vec![0; n_procs],
+            stamp: 0,
+        }
+    }
+
+    /// Validate one view; see [`FaultView::validate`].
+    pub(crate) fn check(&mut self, faults: &FaultView<'_>) -> Result<(), SimError> {
+        self.stamp += 1;
+        let (graph, n_procs, stamp) = (self.graph, self.n_procs, self.stamp);
+        for o in faults.overruns {
             if o.task.index() >= graph.len() {
                 return Err(bad_plan(format!("{} not in the graph", o.task)));
             }
@@ -198,12 +312,13 @@ impl FaultPlan {
                     o.task, o.factor
                 )));
             }
-            if seen_task[o.task.index()] {
+            let seen = &mut self.seen_task[o.task.index()];
+            if *seen == stamp {
                 return Err(bad_plan(format!("{} overruns twice", o.task)));
             }
-            seen_task[o.task.index()] = true;
+            *seen = stamp;
         }
-        if let Some(fs) = self.fail_stop {
+        if let Some(fs) = faults.fail_stop {
             check_proc(fs.proc, n_procs)?;
             if !fs.at_s.is_finite() || fs.at_s < 0.0 {
                 return Err(bad_plan(format!(
@@ -212,8 +327,7 @@ impl FaultPlan {
                 )));
             }
         }
-        let mut seen_proc = vec![false; n_procs];
-        for d in &self.dvs {
+        for d in faults.dvs {
             check_proc(d.proc, n_procs)?;
             if let DvsFaultKind::ExtraLatency { extra_s } = d.kind {
                 if !extra_s.is_finite() || extra_s < 0.0 {
@@ -223,27 +337,13 @@ impl FaultPlan {
                     )));
                 }
             }
-            if seen_proc[d.proc.index()] {
+            let seen = &mut self.seen_proc[d.proc.index()];
+            if *seen == stamp {
                 return Err(bad_plan(format!("{} has two DVS faults", d.proc)));
             }
-            seen_proc[d.proc.index()] = true;
+            *seen = stamp;
         }
         Ok(())
-    }
-
-    /// The cycle counts tasks will *actually* execute: `actual`
-    /// everywhere, except overrunning tasks run `round(wcet × factor)`
-    /// (at least 1) regardless of their drawn actuals — a
-    /// mis-characterized WCET dwarfs normal variation.
-    pub fn effective_cycles(&self, graph: &TaskGraph, actual: &[u64]) -> Vec<u64> {
-        let mut eff = actual.to_vec();
-        for o in &self.overruns {
-            let w = graph.weight(o.task);
-            if w > 0 {
-                eff[o.task.index()] = ((w as f64 * o.factor).round() as u64).max(1);
-            }
-        }
-        eff
     }
 }
 
@@ -317,7 +417,7 @@ mod tests {
         ] {
             for seed in 0..50 {
                 let p = FaultPlan::random(&g, 3, 0.02, &intensity, seed);
-                p.validate(&g, 3).unwrap();
+                p.view().validate(&g, 3).unwrap();
             }
         }
     }
@@ -342,7 +442,7 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let eff = plan.effective_cycles(&g, &actual);
+        let eff = plan.view().effective_cycles(&g, &actual);
         assert_eq!(eff[3], 1_500_000);
         assert_eq!(eff[1], 500_000);
     }
@@ -352,7 +452,10 @@ mod tests {
         let g = graph();
         let actual: Vec<u64> = g.weights().to_vec();
         assert!(FaultPlan::none().is_empty());
-        assert_eq!(FaultPlan::none().effective_cycles(&g, &actual), actual);
+        assert_eq!(
+            FaultPlan::none().view().effective_cycles(&g, &actual),
+            actual
+        );
     }
 
     #[test]
@@ -412,10 +515,10 @@ mod tests {
         ];
         for plan in bad {
             assert!(
-                matches!(plan.validate(&g, 2), Err(SimError::BadFaultPlan(_))),
+                matches!(plan.view().validate(&g, 2), Err(SimError::BadFaultPlan(_))),
                 "{plan:?} must be rejected"
             );
         }
-        FaultPlan::none().validate(&g, 2).unwrap();
+        FaultPlan::none().view().validate(&g, 2).unwrap();
     }
 }

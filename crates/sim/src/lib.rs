@@ -33,7 +33,7 @@ pub mod workload;
 
 pub use error::SimError;
 pub use faults::{
-    DvsFault, DvsFaultKind, FailStop, FaultIntensity, FaultPlan, InjectedEvent, Overrun,
+    DvsFault, DvsFaultKind, FailStop, FaultIntensity, FaultPlan, FaultView, InjectedEvent, Overrun,
 };
 pub use online::{
     run_online, AdmissionVerdict, FrameInput, FrameRecord, FrameTable, OnlineConfig, OnlineReport,

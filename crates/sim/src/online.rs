@@ -24,8 +24,8 @@
 //!   and is flagged `degraded`. Fail-stop re-plans bypass the budget
 //!   (migrating off a dead processor is correctness, not optimization)
 //!   but count toward the step metrics. Each frame carries its own
-//!   [`FaultPlan`] (times relative to the frame start); a dead processor
-//!   recovers at the next frame boundary.
+//!   faults (a [`FaultView`], times relative to the frame start); a
+//!   dead processor recovers at the next frame boundary.
 //!
 //! Deadlines are anchored at **arrival**: job `j` of a frame arriving at
 //! `a` is due at `a + d_j / f_max` regardless of when the frame actually
@@ -52,7 +52,10 @@
 
 use crate::error::SimError;
 use crate::exec::{bill_idle, run_frame, Frame};
-use crate::faults::{FaultIntensity, FaultPlan, InjectedEvent};
+use crate::faults::{
+    draw_faults, DvsFault, FailStop, FaultChecker, FaultIntensity, FaultPlan, FaultView,
+    InjectedEvent, Overrun,
+};
 use crate::recovery::{ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome};
 use crate::runner::DvsSwitchCost;
 use crate::workload::extend_actual_cycles;
@@ -122,15 +125,8 @@ pub struct FrameInput<'a> {
     pub actual: &'a [u64],
     /// Faults scoped to this frame; times are relative to the frame's
     /// *start* (a dead processor recovers at the next frame).
-    pub faults: &'a FaultPlan,
+    pub faults: FaultView<'a>,
 }
-
-/// The plan every frame of a fault-free stream borrows.
-static NO_FAULTS: FaultPlan = FaultPlan {
-    overruns: Vec::new(),
-    fail_stop: None,
-    dvs: Vec::new(),
-};
 
 /// The frames of an [`OnlineStream`], stored as stream-level arrays
 /// rather than one heap object per frame:
@@ -138,25 +134,111 @@ static NO_FAULTS: FaultPlan = FaultPlan {
 /// * `arrival_s` — one arrival per frame;
 /// * `actual` — every frame's actual cycles back to back, frame-major,
 ///   at a stride of [`FrameTable::jobs`] entries per frame;
-/// * `faults` — empty for a fault-free stream (every frame then
-///   borrows one static empty plan), otherwise one plan per frame.
+/// * five fault arrays, all empty when no frame has a fault: every
+///   frame's overruns back to back, every frame's DVS faults back to
+///   back, one `Option<FailStop>` per frame, and per frame the end
+///   offset of its overruns and of its DVS faults (a frame's slice
+///   starts at the previous frame's end).
 ///
-/// The constructors keep the three arrays the same length in frames, so
-/// a frame's actuals always span exactly one stride; whether that stride
-/// matches the graph is checked once per stream by [`run_online`]. A
-/// fault-free stream of `F` frames of `N` jobs owns exactly
-/// `8·F + 8·F·N` heap bytes in two allocations.
+/// The constructors keep every per-frame array the same length in
+/// frames, so a frame's actuals always span exactly one stride; whether
+/// that stride matches the graph is checked once per stream by
+/// [`run_online`]. A stream of `F` frames of `N` jobs owns exactly
+/// `8·F + 8·F·N` heap bytes when fault-free; with faults it adds
+/// `40·F + 16·O + 24·D` bytes for its `O` overruns and `D` DVS faults
+/// (24 B per fail-stop slot, 8 B per end offset on 64-bit targets).
+///
+/// The layout is canonical: a table whose frames carry no fault holds
+/// no fault arrays however it was built, so two tables compare equal
+/// exactly when every frame reads the same.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrameTable {
     arrival_s: Vec<f64>,
     actual: Vec<u64>,
     jobs: usize,
-    faults: Vec<FaultPlan>,
+    faults: FaultArrays,
+}
+
+/// The fault half of a [`FrameTable`]: empty, or one fail-stop slot and
+/// two end offsets per frame.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct FaultArrays {
+    overruns: Vec<Overrun>,
+    overrun_end: Vec<usize>,
+    fail_stop: Vec<Option<FailStop>>,
+    dvs: Vec<DvsFault>,
+    dvs_end: Vec<usize>,
+}
+
+impl FaultArrays {
+    /// Room for `frames` frames holding up to `overruns` overruns and
+    /// `dvs` DVS faults in all.
+    fn with_capacity(frames: usize, overruns: usize, dvs: usize) -> Self {
+        FaultArrays {
+            overruns: Vec::with_capacity(overruns),
+            overrun_end: Vec::with_capacity(frames),
+            fail_stop: Vec::with_capacity(frames),
+            dvs: Vec::with_capacity(dvs),
+            dvs_end: Vec::with_capacity(frames),
+        }
+    }
+
+    /// Close the next frame: it owns the overruns and DVS faults
+    /// appended since the previous frame closed.
+    fn end_frame(&mut self, fail_stop: Option<FailStop>) {
+        self.overrun_end.push(self.overruns.len());
+        self.dvs_end.push(self.dvs.len());
+        self.fail_stop.push(fail_stop);
+    }
+
+    /// Drop every array when no frame has a fault, else the growth
+    /// slack of the flat arrays.
+    fn canonicalize(&mut self) {
+        if self.overruns.is_empty()
+            && self.dvs.is_empty()
+            && self.fail_stop.iter().all(Option::is_none)
+        {
+            *self = FaultArrays::default();
+        } else {
+            self.overruns.shrink_to_fit();
+            self.dvs.shrink_to_fit();
+        }
+    }
+
+    /// Frame `i`'s faults (`i` below the frame count).
+    fn view(&self, i: usize) -> FaultView<'_> {
+        if self.fail_stop.is_empty() {
+            return FaultView::default();
+        }
+        FaultView {
+            overruns: &self.overruns[frame_range(&self.overrun_end, i)],
+            fail_stop: self.fail_stop[i],
+            dvs: &self.dvs[frame_range(&self.dvs_end, i)],
+        }
+    }
+}
+
+/// The range of frame `i`'s entries in a flat array with per-frame end
+/// offsets `ends`.
+fn frame_range(ends: &[usize], i: usize) -> std::ops::Range<usize> {
+    i.checked_sub(1).map_or(0, |p| ends[p])..ends[i]
+}
+
+/// Replace frame `i`'s entries of a flat array with `new`, shifting the
+/// end offsets of frame `i` onwards.
+fn splice_frame<T: Copy>(flat: &mut Vec<T>, ends: &mut [usize], i: usize, new: &[T]) {
+    let old = frame_range(ends, i);
+    let removed = old.len();
+    flat.splice(old, new.iter().copied());
+    for end in &mut ends[i..] {
+        *end = *end - removed + new.len();
+    }
 }
 
 impl FrameTable {
     /// Assemble a table from its arrays: `actual` must hold `jobs`
-    /// entries per arrival, `faults` none or one plan per arrival.
+    /// entries per arrival, `faults` none or one plan per arrival. The
+    /// plans are flattened into the table's fault arrays.
     pub fn from_parts(
         arrival_s: Vec<f64>,
         jobs: usize,
@@ -176,11 +258,22 @@ impl FrameTable {
                 faults.len()
             )));
         }
+        let mut flat = FaultArrays::with_capacity(
+            faults.len(),
+            faults.iter().map(|p| p.overruns.len()).sum(),
+            faults.iter().map(|p| p.dvs.len()).sum(),
+        );
+        for plan in &faults {
+            flat.overruns.extend_from_slice(&plan.overruns);
+            flat.dvs.extend_from_slice(&plan.dvs);
+            flat.end_frame(plan.fail_stop);
+        }
+        flat.canonicalize();
         Ok(FrameTable {
             arrival_s,
             actual,
             jobs,
-            faults,
+            faults: flat,
         })
     }
 
@@ -205,7 +298,7 @@ impl FrameTable {
         Some(FrameInput {
             arrival_s,
             actual: &self.actual[i * self.jobs..(i + 1) * self.jobs],
-            faults: self.faults.get(i).unwrap_or(&NO_FAULTS),
+            faults: self.faults.view(i),
         })
     }
 
@@ -225,11 +318,6 @@ impl FrameTable {
         &self.actual
     }
 
-    /// The per-frame fault plans: empty for a fault-free stream.
-    pub fn faults(&self) -> &[FaultPlan] {
-        &self.faults
-    }
-
     /// Mutable arrivals, one per frame.
     pub fn arrival_s_mut(&mut self) -> &mut [f64] {
         &mut self.arrival_s
@@ -240,21 +328,37 @@ impl FrameTable {
         &mut self.actual
     }
 
-    /// Mutable fault plans, one per frame: a fault-free stream first
-    /// gets an empty plan per frame.
-    pub fn faults_mut(&mut self) -> &mut [FaultPlan] {
-        if self.faults.is_empty() {
-            self.faults = vec![FaultPlan::none(); self.len()];
+    /// Replace frame `i`'s faults with `plan`'s, leaving every other
+    /// frame's as it was. The table stays canonical: setting the last
+    /// faulty frame's plan to an empty one drops the fault arrays.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not below [`FrameTable::len`].
+    pub fn set_faults(&mut self, i: usize, plan: &FaultPlan) {
+        let n_frames = self.len();
+        assert!(i < n_frames, "frame {i} out of range for {n_frames} frames");
+        let f = &mut self.faults;
+        if f.fail_stop.is_empty() {
+            if plan.is_empty() {
+                return;
+            }
+            f.overrun_end = vec![0; n_frames];
+            f.dvs_end = vec![0; n_frames];
+            f.fail_stop = vec![None; n_frames];
         }
-        &mut self.faults
+        splice_frame(&mut f.overruns, &mut f.overrun_end, i, &plan.overruns);
+        splice_frame(&mut f.dvs, &mut f.dvs_end, i, &plan.dvs);
+        f.fail_stop[i] = plan.fail_stop;
+        f.canonicalize();
     }
 }
 
 /// A stream of frames for [`run_online`]: arrivals, actual cycles and
-/// fault plans held as the stream-level arrays of a [`FrameTable`]
-/// (one arrival per frame, one flat stride-`jobs` actuals buffer, and
-/// no plans at all for a fault-free stream), read frame by frame
-/// through borrowed [`FrameInput`] views.
+/// faults held as the stream-level arrays of a [`FrameTable`] (one
+/// arrival per frame, one flat stride-`jobs` actuals buffer, and flat
+/// fault arrays that are empty for a fault-free stream), read frame by
+/// frame through borrowed [`FrameInput`] views.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStream {
     /// The frames, in arrival order.
@@ -278,14 +382,15 @@ impl OnlineStream {
                 arrival_s: arrivals(n_frames, arrival_factor, span),
                 actual,
                 jobs: weights.len(),
-                faults: Vec::new(),
+                faults: FaultArrays::default(),
             },
         }
     }
 
     /// A randomized stream: per-frame actual cycles drawn uniformly in
-    /// `[lo, hi] × WCET` and, when `intensity` is given, an independent
-    /// random [`FaultPlan`] per frame (times within the frame span).
+    /// `[lo, hi] × WCET` and, when `intensity` is given, independent
+    /// random faults per frame — the plan [`FaultPlan::random`] draws
+    /// from the frame's seed (times within the frame span).
     /// `n_procs` must match the plan the stream will run against.
     #[allow(clippy::too_many_arguments)]
     pub fn synthesize(
@@ -302,20 +407,29 @@ impl OnlineStream {
         let span = dag.hyperperiod_cycles as f64 / f_max;
         let jobs = dag.graph.len();
         let mut actual = Vec::with_capacity(n_frames * jobs);
-        let mut faults = Vec::with_capacity(if intensity.is_some() { n_frames } else { 0 });
+        // Room for the most a frame can draw, so the arrays never grow;
+        // `canonicalize` returns the slack.
+        let mut faults = match intensity {
+            Some(_) => FaultArrays::with_capacity(n_frames, n_frames * jobs, n_frames * n_procs),
+            None => FaultArrays::default(),
+        };
         for i in 0..n_frames {
             let fseed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             extend_actual_cycles(&dag.graph, lo, hi, fseed, &mut actual);
             if let Some(fi) = intensity {
-                faults.push(FaultPlan::random(
+                let fail_stop = draw_faults(
                     &dag.graph,
                     n_procs,
                     span,
                     fi,
                     fseed ^ 0x5EED,
-                ));
+                    &mut faults.overruns,
+                    &mut faults.dvs,
+                );
+                faults.end_frame(fail_stop);
             }
         }
+        faults.canonicalize();
         OnlineStream {
             frames: FrameTable {
                 arrival_s: arrivals(n_frames, arrival_factor, span),
@@ -536,8 +650,9 @@ pub fn run_online(
     let sol = solve_with_deadlines(ocfg.strategy, graph, &dv, cfg)
         .map_err(|e| SimError::PlanFailed(e.to_string()))?;
     let n_procs = sol.n_procs;
-    for plan in table.faults() {
-        plan.validate(graph, n_procs)?;
+    let mut checker = FaultChecker::new(graph, n_procs);
+    for fr in table.iter() {
+        checker.check(&fr.faults)?;
     }
 
     // Arrival-relative due time per job [s].
@@ -1032,10 +1147,16 @@ mod tests {
             Err(SimError::ActualExceedsWcet { .. })
         ));
         let mut bad_fault = good.clone();
-        bad_fault.frames.faults_mut()[0].fail_stop = Some(crate::faults::FailStop {
-            proc: lamps_sched::ProcId(99),
-            at_s: 0.001,
-        });
+        bad_fault.frames.set_faults(
+            0,
+            &FaultPlan {
+                fail_stop: Some(FailStop {
+                    proc: lamps_sched::ProcId(99),
+                    at_s: 0.001,
+                }),
+                ..FaultPlan::none()
+            },
+        );
         assert!(matches!(
             run_online(&dag, &bad_fault, &ocfg, &cfg),
             Err(SimError::BadFaultPlan(_))
@@ -1060,30 +1181,27 @@ mod tests {
             4,
         );
         assert_eq!((clean.frames.len(), clean.frames.jobs()), (5, n));
-        assert!(clean.frames.faults().is_empty());
-        assert_eq!(faulty.frames.faults().len(), 5);
         // Fault plans draw from their own seeds: the actuals match.
         assert_eq!(clean.frames.actual(), faulty.frames.actual());
+        let span = dag.hyperperiod_cycles as f64 / f_max;
         for (i, fr) in clean.frames.iter().enumerate() {
             assert_eq!(fr.actual, &clean.frames.actual()[i * n..(i + 1) * n]);
             assert_eq!(fr.arrival_s, clean.frames.arrival_s()[i]);
             assert!(fr.faults.is_empty());
-            assert_eq!(
-                faulty.frames.get(i).unwrap().faults,
-                &faulty.frames.faults()[i]
+            // Each frame holds exactly the plan `FaultPlan::random` draws
+            // from the frame's seed.
+            let fseed = 4u64.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let plan = FaultPlan::random(
+                &dag.graph,
+                2,
+                span,
+                &FaultIntensity::severe(),
+                fseed ^ 0x5EED,
             );
+            assert_eq!(faulty.frames.get(i).unwrap().faults, plan.view());
         }
+        assert!(faulty.frames.iter().any(|fr| !fr.faults.is_empty()));
         assert!(clean.frames.get(5).is_none());
-
-        // Materializing the fault plans of a fault-free stream changes
-        // no frame's view of it.
-        let mut planned = clean.clone();
-        assert!(planned.frames.faults_mut().iter().all(FaultPlan::is_empty));
-        assert_eq!(planned.frames.faults().len(), 5);
-        let cfg = cfg();
-        let a = run_online(&dag, &clean, &OnlineConfig::reclaiming(), &cfg).unwrap();
-        let b = run_online(&dag, &planned, &OnlineConfig::reclaiming(), &cfg).unwrap();
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
 
         // Shape errors are caught when the table is assembled.
         let arrivals = clean.frames.arrival_s().to_vec();
@@ -1098,9 +1216,135 @@ mod tests {
         assert_eq!(rebuilt, clean.frames);
 
         // An empty stream runs whatever its stride.
+        let cfg = cfg();
         let empty = OnlineStream::default();
         let r = run_online(&dag, &empty, &OnlineConfig::reclaiming(), &cfg).unwrap();
         assert!(r.frames.is_empty());
+    }
+
+    /// A varied plan per frame: empty plans between non-empty ones, a
+    /// frame whose only fault is a fail-stop, and a frame with every
+    /// kind of fault.
+    fn mixed_plans() -> Vec<FaultPlan> {
+        use crate::faults::DvsFaultKind;
+        use lamps_sched::ProcId;
+        use lamps_taskgraph::TaskId;
+        let overrun = |t: u32, factor: f64| Overrun {
+            task: TaskId(t),
+            factor,
+        };
+        vec![
+            FaultPlan::none(),
+            FaultPlan {
+                overruns: vec![overrun(1, 1.25), overrun(4, 1.5)],
+                ..FaultPlan::none()
+            },
+            FaultPlan::none(),
+            FaultPlan {
+                fail_stop: Some(FailStop {
+                    proc: ProcId(1),
+                    at_s: 0.01,
+                }),
+                ..FaultPlan::none()
+            },
+            FaultPlan {
+                overruns: vec![overrun(2, 1.1)],
+                fail_stop: Some(FailStop {
+                    proc: ProcId(0),
+                    at_s: 0.02,
+                }),
+                dvs: vec![
+                    DvsFault {
+                        proc: ProcId(0),
+                        kind: DvsFaultKind::StuckAtLevel,
+                    },
+                    DvsFault {
+                        proc: ProcId(1),
+                        kind: DvsFaultKind::ExtraLatency { extra_s: 2.0e-4 },
+                    },
+                ],
+            },
+            FaultPlan::none(),
+        ]
+    }
+
+    fn assert_frames_read(table: &FrameTable, plans: &[FaultPlan]) {
+        assert_eq!(table.len(), plans.len());
+        for (i, plan) in plans.iter().enumerate() {
+            assert_eq!(table.get(i).unwrap().faults, plan.view(), "frame {i}");
+        }
+    }
+
+    #[test]
+    fn fault_tables_round_trip_through_from_parts() {
+        let dag = wide_dag();
+        let n = dag.graph.len();
+        let mut plans = mixed_plans();
+        let f = plans.len();
+        let arrivals: Vec<f64> = (0..f).map(|i| i as f64).collect();
+        let actual = vec![1u64; f * n];
+        let build = |plans: Vec<FaultPlan>| {
+            FrameTable::from_parts(arrivals.clone(), n, actual.clone(), plans)
+        };
+        let mut table = build(plans.clone()).unwrap();
+        assert_frames_read(&table, &plans);
+
+        // Growing, shrinking and emptying a middle frame leaves its
+        // neighbours alone and matches a table built from scratch.
+        let edits = [
+            (2, plans[4].clone()),
+            (1, FaultPlan::none()),
+            (4, plans[3].clone()),
+            (3, plans[4].clone()),
+        ];
+        for (i, plan) in edits {
+            table.set_faults(i, &plan);
+            plans[i] = plan;
+            assert_frames_read(&table, &plans);
+            assert_eq!(table, build(plans.clone()).unwrap());
+        }
+
+        // A wrong plan count is a shape error.
+        for count in [1, f - 1, f + 1] {
+            let plans = plans.iter().cycle().take(count).cloned().collect();
+            assert!(matches!(build(plans), Err(SimError::BadStream(_))));
+        }
+    }
+
+    /// A table whose frames carry no fault stores no fault arrays,
+    /// whichever way it was built, so it equals the fault-free table.
+    #[test]
+    fn fault_free_tables_are_canonical() {
+        let dag = wide_dag();
+        let f_max = cfg().max_frequency();
+        let clean = OnlineStream::synthesize(&dag, 2, 5, 0.8, 0.5, 0.9, None, f_max, 4).frames;
+        let arrivals = clean.arrival_s().to_vec();
+        let actual = clean.actual().to_vec();
+        let parts = |faults| {
+            FrameTable::from_parts(arrivals.clone(), clean.jobs(), actual.clone(), faults).unwrap()
+        };
+        assert_eq!(parts(vec![FaultPlan::none(); 5]), clean);
+
+        let mut set = clean.clone();
+        set.set_faults(2, &FaultPlan::none());
+        assert_eq!(set, clean);
+        let plans = mixed_plans();
+        set.set_faults(2, &plans[4]);
+        set.set_faults(3, &plans[3]);
+        assert_ne!(set, clean);
+        set.set_faults(2, &FaultPlan::none());
+        set.set_faults(3, &FaultPlan::none());
+        assert_eq!(set, clean);
+        assert_eq!(set, parts(vec![FaultPlan::none(); 5]));
+
+        // No intensity draws nothing: a stream whose plans are all empty
+        // also holds no fault arrays.
+        let mild = FaultIntensity {
+            overrun_prob: 0.0,
+            ..FaultIntensity::mild()
+        };
+        let drawn = OnlineStream::synthesize(&dag, 2, 5, 0.8, 0.5, 0.9, Some(&mild), f_max, 4);
+        assert_eq!(drawn.frames, clean);
     }
 
     /// Serializes the tests that toggle the process-wide flight recorder.
@@ -1218,17 +1462,20 @@ mod tests {
         let f_max = cfg.max_frequency();
         let span = dag.hyperperiod_cycles as f64 / f_max;
         let mut stream = OnlineStream::synthesize(&dag, 2, 3, 1.0, 0.8, 1.0, None, f_max, 3);
-        let faults = &mut stream.frames.faults_mut()[1];
-        faults.fail_stop = Some(crate::faults::FailStop {
-            proc: lamps_sched::ProcId(0),
-            at_s: 0.25 * span,
-        });
-        faults.overruns = dag
-            .graph
-            .tasks()
-            .filter(|t| t.index() % 3 == 0)
-            .map(|task| crate::faults::Overrun { task, factor: 1.2 })
-            .collect();
+        let faults = FaultPlan {
+            fail_stop: Some(FailStop {
+                proc: lamps_sched::ProcId(0),
+                at_s: 0.25 * span,
+            }),
+            overruns: dag
+                .graph
+                .tasks()
+                .filter(|t| t.index() % 3 == 0)
+                .map(|task| Overrun { task, factor: 1.2 })
+                .collect(),
+            ..FaultPlan::none()
+        };
+        stream.frames.set_faults(1, &faults);
         let ocfg = OnlineConfig {
             reclaim: false,
             ..OnlineConfig::reclaiming()
@@ -1273,9 +1520,8 @@ mod tests {
             .frames
             .iter()
             .flat_map(|f| {
-                let failed = stream.frames.faults()[f.frame]
-                    .fail_stop
-                    .map(|fs| fs.proc.0);
+                let failed = stream.frames.get(f.frame).unwrap().faults.fail_stop;
+                let failed = failed.map(|fs| fs.proc.0);
                 f.recoveries.iter().map(move |a| match a {
                     RecoveryAction::Rescheduled { migrated, .. } => {
                         (f.frame as u64, 0, *migrated as u64)

@@ -40,7 +40,7 @@
 
 use crate::error::SimError;
 use crate::exec::{bill_idle, run_frame, Frame};
-use crate::faults::{FaultPlan, InjectedEvent};
+use crate::faults::{FaultPlan, FaultView, InjectedEvent};
 use crate::runner::DvsSwitchCost;
 use lamps_core::suffix::SuffixSolver;
 use lamps_core::{SchedulerConfig, Solution, SolveBudget};
@@ -221,6 +221,7 @@ pub fn run_with_faults(
             });
         }
     }
+    let faults = faults.view();
     faults.validate(graph, solution.schedule.n_procs())?;
 
     let report = run_plan(
@@ -262,7 +263,7 @@ pub(crate) fn run_plan(
     graph: &TaskGraph,
     solution: &Solution,
     actual: &[u64],
-    faults: &FaultPlan,
+    faults: FaultView<'_>,
     deadline_s: f64,
     policy: RecoveryPolicy,
     reclaim: bool,

@@ -1,6 +1,6 @@
 //! The plain execution simulator: a static plan against sub-WCET actuals.
 
-use crate::faults::FaultPlan;
+use crate::faults::FaultView;
 use crate::recovery::{run_plan, RecoveryPolicy};
 use lamps_core::{SchedulerConfig, Solution, SolveBudget};
 use lamps_energy::EnergyBreakdown;
@@ -156,7 +156,7 @@ pub fn simulate(
         graph,
         solution,
         actual,
-        &FaultPlan::none(),
+        FaultView::default(),
         deadline_s,
         recovery,
         reclaim,
@@ -189,7 +189,7 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::Overrun;
+    use crate::faults::{FaultPlan, Overrun};
     use crate::recovery::{run_with_faults, FaultyRunReport};
     use crate::runner::DvsSwitchCost;
     use crate::workload::actual_cycles;

@@ -4,10 +4,16 @@
 //! A fault-free stream of `F` frames of `N` jobs must hold `8·F` bytes
 //! of arrivals and `8·F·N` bytes of actuals on the heap, built in a
 //! constant number of allocations whatever `F` is: no per-frame vectors,
-//! no fault plans, no capacity slack. A stream with faults adds one
-//! plan per frame, each holding exactly its overruns and DVS faults. A
-//! byte-counting global allocator measures the live heap around each
-//! build.
+//! no fault arrays, no capacity slack. A stream with faults adds its
+//! five flat fault arrays and nothing else: with `O` overruns and `D`
+//! DVS faults over all its frames it owns exactly
+//!
+//! `8·F + 8·F·N + 40·F + 16·O + 24·D` bytes
+//!
+//! (per frame a 24-byte `Option<FailStop>` and two 8-byte end offsets;
+//! 16 bytes per `Overrun`, 24 per `DvsFault`), again in a constant
+//! number of allocations whatever `F` is. A byte-counting global
+//! allocator measures the live heap around each build.
 //!
 //! This file deliberately contains a single `#[test]`: the counters are
 //! process-global, and a sibling test allocating on another thread
@@ -15,7 +21,7 @@
 //! `GlobalAlloc` impl below lives in this integration test only.
 
 use lamps_kpn::{PeriodicDag, PeriodicSet};
-use lamps_sim::{DvsFault, FaultIntensity, FaultPlan, OnlineStream, Overrun};
+use lamps_sim::{DvsFault, FailStop, FaultIntensity, OnlineStream, Overrun};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -113,22 +119,33 @@ fn streams_hold_only_their_arrays() {
         assert_eq!(allocs, 2, "periodic, {frames} frames");
     }
 
-    // With faults: one exact-capacity plan per frame on top.
+    // With faults: the five flat fault arrays on top, at exact size.
+    assert_eq!(
+        (
+            size_of::<Option<FailStop>>() + 2 * size_of::<usize>(),
+            size_of::<Overrun>(),
+            size_of::<DvsFault>()
+        ),
+        (40, 16, 24)
+    );
     let moderate = FaultIntensity::moderate();
-    let frames = 125;
-    let (s, bytes, _) = retained(|| {
-        OnlineStream::synthesize(&dag, 2, frames, 1.0, 0.6, 1.0, Some(&moderate), f_max, 2006)
-    });
-    let plans = s.frames.faults();
-    assert_eq!(plans.len(), frames);
-    assert!(plans.iter().any(|p| !p.overruns.is_empty()));
-    let plan_bytes: usize = plans
-        .iter()
-        .map(|p| {
-            size_of::<FaultPlan>()
-                + p.overruns.len() * size_of::<Overrun>()
-                + p.dvs.len() * size_of::<DvsFault>()
-        })
-        .sum();
-    assert_eq!(bytes, fault_free_bytes(frames, n) + plan_bytes as i64);
+    for frames in [1, 10, 125] {
+        let (s, bytes, allocs) = retained(|| {
+            OnlineStream::synthesize(&dag, 2, frames, 1.0, 0.6, 1.0, Some(&moderate), f_max, 2006)
+        });
+        assert_eq!(s.frames.len(), frames);
+        let overruns: usize = s.frames.iter().map(|fr| fr.faults.overruns.len()).sum();
+        let dvs: usize = s.frames.iter().map(|fr| fr.faults.dvs.len()).sum();
+        assert!(s.frames.iter().all(|fr| fr.faults.fail_stop.is_some()));
+        let fault_bytes = 40 * frames + 16 * overruns + 24 * dvs;
+        assert_eq!(
+            bytes,
+            fault_free_bytes(frames, n) + fault_bytes as i64,
+            "moderate faults, {frames} frames"
+        );
+        // Two for the fault-free arrays, one per fault array, and the
+        // shrink of each flat array from its worst-case reservation.
+        assert!(overruns > 0 && dvs > 0, "{frames} frames draw both kinds");
+        assert_eq!(allocs, 9, "moderate faults, {frames} frames");
+    }
 }

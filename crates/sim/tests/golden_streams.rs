@@ -41,7 +41,7 @@ fn stream_hash(stream: &OnlineStream) -> u64 {
         }
         let plan = &fr.faults;
         h.word(plan.overruns.len() as u64);
-        for o in &plan.overruns {
+        for o in plan.overruns {
             h.word(u64::from(o.task.0));
             h.word(o.factor.to_bits());
         }
@@ -54,7 +54,7 @@ fn stream_hash(stream: &OnlineStream) -> u64 {
             None => h.word(0),
         }
         h.word(plan.dvs.len() as u64);
-        for d in &plan.dvs {
+        for d in plan.dvs {
             h.word(u64::from(d.proc.0));
             match d.kind {
                 DvsFaultKind::StuckAtLevel => h.word(0),

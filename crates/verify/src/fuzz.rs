@@ -396,7 +396,7 @@ fn online_battery(
             frames.arrival_s().to_vec(),
             jobs,
             short,
-            frames.faults().to_vec(),
+            frames.iter().map(|fr| fr.faults.to_plan()).collect(),
         )
         .expect("one shorter stride per frame"),
     };

@@ -25,8 +25,8 @@ use lamps_kpn::PeriodicDag;
 use lamps_power::OperatingPoint;
 use lamps_sched::ProcId;
 use lamps_sim::{
-    AdmissionVerdict, DvsSwitchCost, ExecRecord, FaultPlan, FaultyRunReport, OnlineConfig,
-    OnlineReport, OnlineStream, RunOutcome,
+    AdmissionVerdict, DvsSwitchCost, ExecRecord, FaultPlan, FaultView, FaultyRunReport,
+    OnlineConfig, OnlineReport, OnlineStream, RunOutcome,
 };
 use lamps_taskgraph::{TaskGraph, TaskId};
 use std::collections::VecDeque;
@@ -263,7 +263,7 @@ struct FrameCheck<'a> {
     outcome: Option<&'a RunOutcome>,
     dvs_switches: usize,
     actual: &'a [u64],
-    faults: &'a FaultPlan,
+    faults: FaultView<'a>,
     /// Due time per task, frame-relative \[s\].
     due_s: Vec<f64>,
     n_procs: usize,
@@ -595,7 +595,7 @@ pub fn check_run(
         outcome: Some(&report.outcome),
         dvs_switches: report.dvs_switches,
         actual,
-        faults,
+        faults: faults.view(),
         due_s: vec![deadline_s; graph.len()],
         n_procs: solution.schedule.n_procs(),
         plan_vdd: solution.level.vdd,
@@ -1418,7 +1418,13 @@ mod tests {
             proc: ProcId(0),
             at_s: 0.2 * dag.hyperperiod_cycles as f64 / f_max,
         };
-        stream.frames.faults_mut()[1].fail_stop = Some(frame_fail);
+        stream.frames.set_faults(
+            1,
+            &lamps_sim::FaultPlan {
+                fail_stop: Some(frame_fail),
+                ..lamps_sim::FaultPlan::none()
+            },
+        );
         let online = run_online(&dag, &stream, &ocfg, &cfg).unwrap();
         assert!(check_online(&dag, &stream, &ocfg, &cfg, &online).is_empty());
 
