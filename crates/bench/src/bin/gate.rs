@@ -139,11 +139,10 @@ const STAGE_KEYS: [&str; 3] = [
 ];
 
 /// Prune/cache counters every fresh `throughput` run must report.
-const COUNTER_KEYS: [&str; 7] = [
+const COUNTER_KEYS: [&str; 6] = [
     "plateau_hits",
     "probes_pruned",
     "candidates",
-    "sweeps_skipped",
     "scan_breaks",
     "list_schedule_runs",
     "list_schedule_tasks",
@@ -794,7 +793,7 @@ mod tests {
   "after": {
     "solves_per_sec": 4400.0,
     "stages": {"schedule_seconds": 0.09, "sweep_seconds": 0.04, "unpruned_reference_seconds": 0.6},
-    "counters": {"plateau_hits": 1710, "probes_pruned": 0, "candidates": 2786, "sweeps_skipped": 0, "scan_breaks": 216, "list_schedule_runs": 506, "list_schedule_tasks": 650000}
+    "counters": {"plateau_hits": 1710, "probes_pruned": 0, "candidates": 2786, "scan_breaks": 216, "list_schedule_runs": 506, "list_schedule_tasks": 650000}
   },
   "all_bitwise_equal": true
 }"#;

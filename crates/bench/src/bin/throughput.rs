@@ -25,13 +25,13 @@
 //! minus warm pass), `sweep_seconds` (a warm pass over pre-built
 //! caches: feasibility search + level sweeps only), and the untimed-
 //! path `unpruned_reference_seconds`, plus one workload's worth of
-//! cache/prune counters (plateau hits, probes pruned, sweeps skipped,
-//! scan breaks, candidates).
+//! cache/prune counters (plateau hits, probes pruned, scan breaks,
+//! candidates).
 //!
 //! Observability: `--trace <json>` writes a Chrome trace, `--metrics-out
 //! <json>` dumps the metrics registry (including a
 //! `bench.throughput.solves_per_sec` gauge), and `--explain <json>`
-//! writes one sample `lamps-explain-v1` decision log for CI validation.
+//! writes one sample `lamps-explain-v2` decision log for CI validation.
 //! Enabling tracing from the start perturbs the timed passes; the
 //! recorded figures are only meaningful without `--trace`.
 
@@ -189,7 +189,7 @@ struct Counters {
     values: [u64; COUNTER_NAMES.len()],
 }
 
-const COUNTER_NAMES: [(&str, &str); 12] = [
+const COUNTER_NAMES: [(&str, &str); 11] = [
     ("schedule_hits", "core.cache.schedule_hits"),
     ("schedule_misses", "core.cache.schedule_misses"),
     ("summary_hits", "core.cache.summary_hits"),
@@ -198,7 +198,6 @@ const COUNTER_NAMES: [(&str, &str); 12] = [
     ("probes_pruned", "core.cache.probes_pruned"),
     ("candidates", "core.scan.candidates"),
     ("parallel_candidates", "core.scan.parallel_candidates"),
-    ("sweeps_skipped", "core.prune.sweeps_skipped"),
     ("scan_breaks", "core.prune.scan_breaks"),
     ("list_schedule_runs", "sched.list_schedule.runs"),
     ("list_schedule_tasks", "sched.list_schedule.tasks"),

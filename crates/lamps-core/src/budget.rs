@@ -10,9 +10,9 @@
 //! space it covered. A search that runs to its natural end — or that the
 //! energy floor proves finished early — is tagged
 //! [`Completeness::Complete`] and returns bit-identical results to
-//! [`crate::solve`]. A candidate whose level sweep the floor skips is
-//! charged the steps the sweep would have cost, so at every step cap the
-//! answer is the one the exhaustive reference engine gives.
+//! [`crate::solve`]. The pruned scan only ends earlier than the
+//! exhaustive one, never skips a candidate inside it, so at every step
+//! cap the answer is the one the exhaustive reference engine gives.
 //!
 //! The anytime property: candidates are enumerated in a fixed,
 //! budget-independent order (processor counts ascending from the
@@ -290,10 +290,10 @@ mod tests {
     fn budget_differential_at_every_step_cap() {
         // The pruned kernel against the reference engine (the same kernel
         // on a shortcuts-off cache) at every step cap from 0 to one past
-        // the full search, plus unlimited: the energy floor may skip
-        // sweeps and end the scan early, but a skipped candidate is
-        // charged what its sweep would have cost, so the answer at every
-        // cap is the reference's, bit for bit.
+        // the full search, plus unlimited: the energy floor may end the
+        // scan early, but every candidate before the break is charged
+        // and swept as in the reference, so the answer at every cap is
+        // the reference's, bit for bit.
         let graphs: Vec<TaskGraph> = stg_group(40, 3, 53)
             .into_iter()
             .chain(stg_group(600, 1, 41))
@@ -406,10 +406,7 @@ mod tests {
         // flush: on a graph where the pruning fires, a metered solve
         // moves the `core.prune.*`, `core.solve.*` and `core.budget.*`
         // counters alike. The pruning that fires is the scan-wide floor
-        // break: a per-candidate sweep skip needs the incumbent to cost
-        // less than the candidate's floor, but the incumbent ran at a
-        // level the candidate may also use, so it already pays at least
-        // that floor.
+        // break.
         let graphs: Vec<TaskGraph> = stg_group(60, 4, 7)
             .into_iter()
             .map(|g| g.scale_weights(310_000))

@@ -111,8 +111,6 @@ pub struct ScheduleCache<'g> {
     ws: ListScheduleWorkspace,
     runs: usize,
     stats: CacheStats,
-    work_cycles: u64,
-    cpl_cycles: u64,
     /// `(width, makespan)` of an unblocked run: every processor count at
     /// or above `width` provably has this makespan (see
     /// [`ScheduleCache::makespan`]).
@@ -156,8 +154,6 @@ impl<'g> ScheduleCache<'g> {
             ws: bufs.ws,
             runs: 0,
             stats: CacheStats::default(),
-            work_cycles: graph.total_work_cycles(),
-            cpl_cycles: graph.critical_path_cycles(),
             plateau: None,
             shortcuts_enabled: true,
             lb_off_by_one: false,
@@ -186,8 +182,6 @@ impl<'g> ScheduleCache<'g> {
             ws: ListScheduleWorkspace::new(),
             runs: 0,
             stats: CacheStats::default(),
-            work_cycles: graph.total_work_cycles(),
-            cpl_cycles: graph.critical_path_cycles(),
             plateau: None,
             shortcuts_enabled: true,
             lb_off_by_one: false,
@@ -204,8 +198,8 @@ impl<'g> ScheduleCache<'g> {
     /// strict-decrease termination. The differential suite uses this to
     /// build the unpruned reference path; solutions must be bitwise
     /// identical either way. The solver reads the same flag: with it
-    /// off, the search also skips no level sweep, ends no scan early and
-    /// never takes the parallel arm — the reference engine of
+    /// off, the search also ends no scan early and never takes the
+    /// parallel arm — the reference engine of
     /// [`crate::solve_with_cache_unpruned`].
     pub fn set_shortcuts_enabled(&mut self, enabled: bool) {
         self.shortcuts_enabled = enabled;
@@ -226,19 +220,9 @@ impl<'g> ScheduleCache<'g> {
         self.lb_off_by_one = true;
     }
 
-    /// Total work of the graph in cycles (cached).
-    pub fn total_work_cycles(&self) -> u64 {
-        self.work_cycles
-    }
-
-    /// Critical path of the graph in cycles (cached).
-    pub fn critical_path_cycles(&self) -> u64 {
-        self.cpl_cycles
-    }
-
     /// `LB(n) = max(critical_path, ⌈total_work / n⌉)`: no schedule on
     /// `n` processors can finish sooner (the standard makespan lower
-    /// bound). Computed from cached totals — no scheduling.
+    /// bound). Computed from the graph's stored totals — no scheduling.
     pub fn lower_bound_cycles(&self, n: usize) -> u64 {
         assert!(n >= 1, "need at least one processor");
         let n = if self.lb_off_by_one {
@@ -248,7 +232,9 @@ impl<'g> ScheduleCache<'g> {
         } else {
             n
         };
-        self.cpl_cycles.max(self.work_cycles.div_ceil(n as u64))
+        let g = self.graph;
+        g.critical_path_cycles()
+            .max(g.total_work_cycles().div_ceil(n as u64))
     }
 
     /// The underlying graph.
@@ -409,7 +395,9 @@ impl<'g> ScheduleCache<'g> {
         // stop here and skip scheduling it. The exhaustive reference
         // (shortcuts disabled) keeps probing and terminates on the plain
         // strict-decrease rule instead.
-        while best < cap && (best_makespan > self.cpl_cycles || !self.shortcuts_enabled) {
+        while best < cap
+            && (best_makespan > self.graph.critical_path_cycles() || !self.shortcuts_enabled)
+        {
             let n = best + 1;
             let cached = self.is_cached(n);
             let m = self.makespan(n);

@@ -10,7 +10,7 @@
 //! solve.
 //!
 //! The log renders two ways: [`SolveExplain::to_json`] emits a stable
-//! schema (`"lamps-explain-v1"`, validated by `lamps-verify`), and
+//! schema (`"lamps-explain-v2"`, validated by `lamps-verify`), and
 //! [`SolveExplain::render_text`] an aligned human-readable account.
 //! Collecting the log costs extra work (per-gap verdicts, level-sweep
 //! bookkeeping), so it only happens on the `*_explained` entry points —
@@ -24,7 +24,7 @@ use lamps_obs::json;
 use std::fmt::Write as _;
 
 /// Schema identifier embedded in the JSON rendering.
-pub const EXPLAIN_SCHEMA: &str = "lamps-explain-v1";
+pub const EXPLAIN_SCHEMA: &str = "lamps-explain-v2";
 
 /// Per-gap verdict lists are capped at this many entries (the aggregate
 /// counts always cover every gap).
@@ -141,10 +141,6 @@ pub struct CandidateExplain {
     /// Index into `levels` of the level the candidate keeps (least
     /// energy); `None` if no level was feasible.
     pub best_level: Option<usize>,
-    /// True when the level sweep was skipped because the energy floor
-    /// (total work billed at the cheapest feasible level) already proved
-    /// the candidate cannot beat the incumbent; `levels` is then empty.
-    pub pruned: bool,
 }
 
 /// The full decision log of one solve.
@@ -162,8 +158,6 @@ pub struct SolveExplain {
     pub candidates: Vec<CandidateExplain>,
     /// Index into `candidates` of the winner; `None` on failure.
     pub chosen: Option<usize>,
-    /// Level sweeps skipped by the energy-floor bound.
-    pub sweeps_skipped: u64,
     /// Linear scans cut short because the critical-path energy floor
     /// proved no later candidate could beat the incumbent (0 or 1 per
     /// solve).
@@ -184,14 +178,13 @@ impl SolveExplain {
             search: Vec::new(),
             candidates: Vec::new(),
             chosen: None,
-            sweeps_skipped: 0,
             scan_breaks: 0,
             cache: CacheStats::default(),
             error: None,
         }
     }
 
-    /// Serialize as `lamps-explain-v1` JSON.
+    /// Serialize as `lamps-explain-v2` JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n  \"schema\": ");
@@ -223,11 +216,7 @@ impl SolveExplain {
                 c.n_procs, c.makespan_cycles
             );
             json::write_f64(&mut out, c.required_freq_hz);
-            let _ = write!(
-                out,
-                ", \"cache_hit\": {}, \"pruned\": {}, \"best_level\": ",
-                c.cache_hit, c.pruned
-            );
+            let _ = write!(out, ", \"cache_hit\": {}, \"best_level\": ", c.cache_hit);
             match c.best_level {
                 Some(b) => {
                     let _ = write!(out, "{b}");
@@ -286,8 +275,8 @@ impl SolveExplain {
         }
         let _ = write!(
             out,
-            ",\n  \"prune\": {{\"sweeps_skipped\": {}, \"scan_breaks\": {}}}",
-            self.sweeps_skipped, self.scan_breaks
+            ",\n  \"prune\": {{\"scan_breaks\": {}}}",
+            self.scan_breaks
         );
         let _ = write!(
             out,
@@ -329,11 +318,7 @@ impl SolveExplain {
             self.cache.plateau_hits,
             self.cache.probes_pruned
         );
-        let _ = writeln!(
-            out,
-            "  pruning: {} sweep(s) skipped, {} scan break(s)",
-            self.sweeps_skipped, self.scan_breaks
-        );
+        let _ = writeln!(out, "  pruning: {} scan break(s)", self.scan_breaks);
         let _ = writeln!(out, "  search path ({} steps):", self.search.len());
         for s in &self.search {
             let _ = writeln!(
@@ -355,7 +340,7 @@ impl SolveExplain {
             let marker = if self.chosen == Some(i) { "*" } else { " " };
             let _ = writeln!(
                 out,
-                "  {marker} n={:<3} makespan={:>12} required {:>7.1} MHz {}{}",
+                "  {marker} n={:<3} makespan={:>12} required {:>7.1} MHz {}",
                 c.n_procs,
                 c.makespan_cycles,
                 c.required_freq_hz / 1e6,
@@ -363,8 +348,7 @@ impl SolveExplain {
                     "(cached)"
                 } else {
                     "(scheduled)"
-                },
-                if c.pruned { " (pruned)" } else { "" }
+                }
             );
             for (j, l) in c.levels.iter().enumerate() {
                 let best = if c.best_level == Some(j) {

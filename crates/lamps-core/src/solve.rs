@@ -23,17 +23,17 @@ pub(crate) struct Candidate {
     pub(crate) makespan_cycles: u64,
 }
 
-/// Safety margin for the energy-floor comparisons: a candidate is pruned
-/// only when its floor, *discounted* by one part in 10⁹, still reaches
+/// Safety margin for the energy-floor scan break: the scan ends early
+/// only when the floor, *discounted* by one part in 10⁹, still reaches
 /// the incumbent energy — `floor * PRUNE_MARGIN >= incumbent`, i.e. the
 /// floor exceeds the incumbent by more than the discount. The floor is
 /// exact up to a handful of float roundings (relative error ≲ 10⁻¹²),
-/// far inside the margin, so a pruned candidate's true energy is
-/// provably ≥ the incumbent and the strict-`<` winner rule would reject
-/// it anyway: the margin strictly under-prunes, and pruned solves are
+/// far inside the margin, so every candidate past the break provably
+/// costs ≥ the incumbent and the strict-`<` winner rule would reject it
+/// anyway: the margin strictly under-prunes, and pruned solves are
 /// bitwise identical to unpruned ones. (A candidate whose true energy
-/// *equals* its floor — zero idle at the cheapest feasible level — is
-/// never pruned against an incumbent it could tie or beat.)
+/// *equals* the floor — zero idle at the cheapest feasible level — is
+/// never cut off by an incumbent it could tie or beat.)
 const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 
 /// Minimum graph size before the LAMPS linear scan evaluates its
@@ -85,9 +85,7 @@ fn energy_floor(
 
 /// Steps a candidate's full level sweep costs at `makespan_cycles`: one
 /// per level fast enough to fit it into the deadline with PS, only the
-/// slowest such level without PS, none when no level fits. A candidate
-/// whose sweep the energy floor skips is charged the same, so a step cap
-/// stops the pruned scan exactly where it stops the exhaustive one.
+/// slowest such level without PS, none when no level fits.
 fn sweep_steps(cfg: &SchedulerConfig, makespan_cycles: u64, deadline_s: f64, ps: bool) -> u64 {
     let fits = cfg
         .levels
@@ -106,7 +104,6 @@ fn sweep_steps(cfg: &SchedulerConfig, makespan_cycles: u64, deadline_s: f64, ps:
 struct SolveCounters {
     candidates: u64,
     parallel_candidates: u64,
-    sweeps_skipped: u64,
     scan_breaks: u64,
 }
 
@@ -174,9 +171,8 @@ pub fn solve_with_cache(
 /// The reference engine: [`solve_with_cache`] with the cache's shortcuts
 /// — and with them every solver-side pruning rule — turned off, where
 /// they stay after the call. No plateau answers, no lower-bound probe
-/// skips, no energy-floor sweep skips, no early scan termination, no
-/// parallel arm: the search walks exactly the candidate set of the
-/// original exhaustive formulation. The differential suite runs this as
+/// skips, no early scan termination, no parallel arm: the search walks
+/// exactly the candidate set of the original exhaustive formulation. The differential suite runs this as
 /// the oracle the pruned path must match bitwise; it is not meant for
 /// production use.
 pub fn solve_with_cache_unpruned(
@@ -223,7 +219,6 @@ pub(crate) fn solve_impl(
     let delta = cache.stats().since(&stats_before);
     if let Some(ex) = explain {
         ex.cache = delta;
-        ex.sweeps_skipped = counters.sweeps_skipped;
         ex.scan_breaks = counters.scan_breaks;
         if let Err(e) = &result {
             ex.error = Some(e.to_string());
@@ -257,7 +252,6 @@ pub(crate) fn solve_impl(
         lamps_obs::counter("core.cache.probes_pruned").add(delta.probes_pruned);
         lamps_obs::counter("core.scan.candidates").add(counters.candidates);
         lamps_obs::counter("core.scan.parallel_candidates").add(counters.parallel_candidates);
-        lamps_obs::counter("core.prune.sweeps_skipped").add(counters.sweeps_skipped);
         lamps_obs::counter("core.prune.scan_breaks").add(counters.scan_breaks);
     }
     result
@@ -265,13 +259,12 @@ pub(crate) fn solve_impl(
 
 /// The one LAMPS / S&S search (§4.1–§4.3) behind every entry point.
 ///
-/// Pruning follows the cache: with its shortcuts on, the energy-floor
-/// rules skip sweeps and end the scan early, and large graphs may
+/// Pruning follows the cache: with its shortcuts on, the energy floor
+/// and the critical path end the scan early, and large graphs may
 /// evaluate their sweeps on the worker pool; with them off this is the
 /// exhaustive reference engine. `meter` charges one step per level a
-/// candidate's sweep covers — a skipped sweep is charged what it would
-/// have cost (see [`sweep_steps`]) — and stops the scan when its budget
-/// trips.
+/// candidate's sweep covers (see [`sweep_steps`]) and stops the scan
+/// when its budget trips.
 #[allow(clippy::too_many_arguments)]
 fn solve_search(
     strategy: Strategy,
@@ -310,15 +303,13 @@ fn solve_search(
         None
     };
     let deadline_cycles = cfg.deadline_cycles(deadline_s);
-    let infeasible = |mut best_possible_cycles: u64| {
-        best_possible_cycles = best_possible_cycles.max(graph.critical_path_cycles());
-        SolveError::Infeasible {
-            deadline_s,
-            best_possible_s: best_possible_cycles as f64 / cfg.max_frequency(),
-        }
+    let cpl_cycles = graph.critical_path_cycles();
+    let infeasible = |best_possible_cycles: u64| SolveError::Infeasible {
+        deadline_s,
+        best_possible_s: best_possible_cycles.max(cpl_cycles) as f64 / cfg.max_frequency(),
     };
-    if graph.critical_path_cycles() > deadline_cycles {
-        return Err(infeasible(graph.critical_path_cycles()));
+    if cpl_cycles > deadline_cycles {
+        return Err(infeasible(cpl_cycles));
     }
     if let Some(e) = ex.as_deref_mut() {
         e.deadline_cycles = deadline_cycles;
@@ -356,15 +347,13 @@ fn solve_search(
         }
         let n_min = n_min_found.ok_or_else(|| infeasible(cache.makespan(graph.len().max(1))))?;
         let n_hi = graph.len().max(1);
-        let work_cycles = cache.total_work_cycles();
-        let cpl_cycles = cache.critical_path_cycles();
         // Constant floor over the whole scan: every makespan is ≥ CPL,
         // so no candidate — present or future — can cost less than the
         // total work billed at the cheapest level that fits the CPL.
         // Once the incumbent drops to this floor the scan can stop
         // without scheduling further counts.
         let scan_floor = prune
-            .then(|| energy_floor(cfg, work_cycles, cpl_cycles, deadline_s))
+            .then(|| energy_floor(cfg, graph.total_work_cycles(), cpl_cycles, deadline_s))
             .flatten();
         // Intra-solve parallelism: on a multi-core host and a large
         // graph, discover the scan cells up front (makespans only — the
@@ -450,56 +439,33 @@ fn solve_search(
             let Some(granted) = meter.admit(sweep_steps(cfg, makespan, deadline_s, ps)) else {
                 break;
             };
-            // Energy floor at this candidate's own makespan: when even
-            // the cheapest conceivably-feasible level cannot beat the
-            // incumbent (or no level fits at all), the sweep is skipped.
-            // Never prunes while there is no incumbent, so error paths
-            // and first-candidate behavior are untouched.
-            let skip_sweep = prune
-                && best.as_ref().is_some_and(|b| {
-                    energy_floor(cfg, work_cycles, makespan, deadline_s)
-                        .is_none_or(|floor| floor * PRUNE_MARGIN >= b.energy.total())
-                });
+            let mut detail = want_explain.then(|| candidate_detail(n, makespan, was_cached));
             // A prefetched sweep already ran, and was counted, on the pool.
-            let prefetch = prefetched.get(n - n_min).copied();
-            if skip_sweep {
-                if prefetch.is_none() {
-                    counters.sweeps_skipped += 1;
-                }
-                if let Some(e) = ex.as_deref_mut() {
-                    let mut d = candidate_detail(n, makespan, was_cached);
-                    d.required_freq_hz = makespan as f64 / deadline_s;
-                    d.pruned = true;
-                    e.candidates.push(d);
-                }
-            } else {
-                let mut detail = want_explain.then(|| candidate_detail(n, makespan, was_cached));
-                let cand = prefetch.unwrap_or_else(|| {
-                    counters.candidates += 1;
-                    let summary = cache.summary(n);
-                    best_level(
-                        summary,
-                        n,
-                        summary.makespan_cycles() as f64 / deadline_s,
-                        deadline_s,
-                        cfg,
-                        ps,
-                        sweep,
-                        granted as usize,
-                        detail.as_mut(),
-                    )
-                });
-                if let (Some(e), Some(d)) = (ex.as_deref_mut(), detail) {
-                    e.candidates.push(d);
-                }
-                if let Some(c) = cand {
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| c.energy.total() < b.energy.total())
-                    {
-                        best = Some(c);
-                        best_index = ex.as_deref().map(|e| e.candidates.len() - 1);
-                    }
+            let cand = prefetched.get(n - n_min).copied().unwrap_or_else(|| {
+                counters.candidates += 1;
+                let summary = cache.summary(n);
+                best_level(
+                    summary,
+                    n,
+                    summary.makespan_cycles() as f64 / deadline_s,
+                    deadline_s,
+                    cfg,
+                    ps,
+                    sweep,
+                    granted as usize,
+                    detail.as_mut(),
+                )
+            });
+            if let (Some(e), Some(d)) = (ex.as_deref_mut(), detail) {
+                e.candidates.push(d);
+            }
+            if let Some(c) = cand {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| c.energy.total() < b.energy.total())
+                {
+                    best = Some(c);
+                    best_index = ex.as_deref().map(|e| e.candidates.len() - 1);
                 }
             }
             if meter.interrupted() {
@@ -704,7 +670,6 @@ fn candidate_detail(n_procs: usize, makespan_cycles: u64, cache_hit: bool) -> Ca
         cache_hit,
         levels: Vec::new(),
         best_level: None,
-        pruned: false,
     }
 }
 
@@ -1037,38 +1002,29 @@ mod tests {
     #[test]
     fn pruning_counters_surface_in_explain() {
         // On a wide graph with a loose deadline the scan visits several
-        // counts; the floor pruning must fire somewhere across the
-        // sweep and be visible in the decision log.
+        // counts; the scan break must fire somewhere across the sweep
+        // and be visible in the decision log.
         let graphs = lamps_taskgraph::gen::layered::stg_group(60, 2, 7)
             .into_iter()
             .map(|g| g.scale_weights(310_000))
             .collect::<Vec<_>>();
-        let mut any_skip = 0u64;
         let mut any_break = 0u64;
         for g in &graphs {
             for factor in [1.5, 4.0] {
                 let (res, ex) = explained(Strategy::LampsPs, g, deadline_x(g, factor));
                 res.unwrap();
-                any_skip += ex.sweeps_skipped;
                 any_break += ex.scan_breaks;
-                // Pruned candidates are recorded with the flag and an
-                // empty sweep.
+                // Every logged candidate ran its sweep: a feasible one
+                // records its levels and keeps one of them.
                 for c in &ex.candidates {
-                    if c.pruned {
-                        assert!(c.levels.is_empty());
-                        assert_eq!(c.best_level, None);
+                    if c.makespan_cycles <= ex.deadline_cycles {
+                        assert!(!c.levels.is_empty());
+                        assert!(c.best_level.is_some());
                     }
                 }
-                assert_eq!(
-                    ex.sweeps_skipped,
-                    ex.candidates.iter().filter(|c| c.pruned).count() as u64
-                );
             }
         }
-        assert!(
-            any_skip + any_break > 0,
-            "pruning never fired across the suite"
-        );
+        assert!(any_break > 0, "pruning never fired across the suite");
     }
 
     #[test]
@@ -1098,7 +1054,7 @@ mod tests {
             assert_eq!(ex.deadline_cycles, cfg().deadline_cycles(d));
             // JSON round-trips through the shared parser.
             let v = lamps_obs::json::parse(&ex.to_json()).expect("valid JSON");
-            assert_eq!(v.get("schema").unwrap().as_str(), Some("lamps-explain-v1"));
+            assert_eq!(v.get("schema").unwrap().as_str(), Some("lamps-explain-v2"));
             assert_eq!(v.get("strategy").unwrap().as_str(), Some(s.name()));
             let cands = v.get("candidates").unwrap().as_array().unwrap();
             assert_eq!(cands.len(), ex.candidates.len());

@@ -926,6 +926,7 @@ pub fn encode_solve_request(
 mod tests {
     use super::*;
     use lamps_core::{solve_with_budget_cache, ScheduleCache, SchedulerConfig, SolveBudget};
+    use lamps_taskgraph::GraphError;
 
     fn diamond() -> TaskGraph {
         let mut b = GraphBuilder::new();
@@ -1132,6 +1133,35 @@ mod tests {
             assert_eq!(err.kind, kind, "{line}");
             assert_eq!(err.id, id, "{line}");
         }
+    }
+
+    #[test]
+    fn work_that_overflows_u64_is_a_bad_graph() {
+        // A chain of `n` 2^53-cycle tasks: every weight is a legal wire
+        // integer and the graph is far under `max_tasks`, but from 2048
+        // tasks on the total work (n · 2^53) no longer fits in a u64.
+        let chain = |n: usize| {
+            let weights = vec!["9007199254740992"; n].join(",");
+            let edges = (0..n - 1)
+                .map(|i| format!("[{i},{}]", i + 1))
+                .collect::<Vec<_>>()
+                .join(",");
+            format!(
+                "{{\"id\":9,\"strategy\":\"lamps\",\"deadline_factor\":2,\
+                 \"graph\":{{\"weights\":[{weights}],\"edges\":[{edges}]}}}}"
+            )
+        };
+        for n in [2049, 2048] {
+            let err = parse_request(&chain(n), &Limits::default()).unwrap_err();
+            assert_eq!(err.kind, "bad_graph", "{n} tasks");
+            assert_eq!(err.id, Some(9));
+            assert_eq!(err.message, GraphError::WorkOverflow.to_string());
+        }
+        let Request::Solve(req) = parse_request(&chain(2047), &Limits::default()).unwrap() else {
+            panic!("expected a solve request");
+        };
+        assert_eq!(req.graph.total_work_cycles(), 2047 << 53);
+        assert_eq!(req.graph.critical_path_cycles(), 2047 << 53);
     }
 
     #[test]

@@ -123,6 +123,36 @@ fn error_responses_echo_the_request_id_whenever_extractable() {
 }
 
 #[test]
+fn work_overflow_earns_a_bad_graph_error_not_a_wrapped_deadline() {
+    // 2049 tasks of 2^53 cycles in a chain: each weight is legal on the
+    // wire, the total work is not a u64. The daemon must refuse the
+    // graph rather than derive a deadline from a wrapped critical path.
+    let server = test_server(|_| {});
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let n = 2049;
+        let weights = vec!["9007199254740992"; n].join(",");
+        let edges = (0..n - 1)
+            .map(|i| format!("[{i},{}]", i + 1))
+            .collect::<Vec<_>>()
+            .join(",");
+        let line = format!(
+            "{{\"id\":12,\"strategy\":\"lamps\",\"deadline_factor\":2,\
+             \"graph\":{{\"weights\":[{weights}],\"edges\":[{edges}]}}}}"
+        );
+        let mut s = connect(&server);
+        match s.roundtrip(&line) {
+            Response::Error { id, kind, .. } => {
+                assert_eq!((id, kind.as_str()), (Some(12), "bad_graph"));
+            }
+            other => panic!("expected a bad_graph error, got {other:?}"),
+        }
+    }));
+    assert!(outcome.is_ok(), "protocol handling panicked");
+    assert_still_serving(&server);
+    assert_eq!(server.stats().panics, 0);
+}
+
+#[test]
 fn oversized_line_is_rejected_and_connection_closed() {
     let server = test_server(|c| c.limits.max_line_bytes = 256);
     let outcome = catch_unwind(AssertUnwindSafe(|| {

@@ -1,30 +1,18 @@
-//! Structural analysis of task graphs: longest paths, total work, and the
-//! average-parallelism metric of §5.2.
+//! Structural analysis of task graphs: per-task longest paths, one
+//! critical path, and the average-parallelism metric of §5.2. The
+//! critical path length and total work themselves are computed once at
+//! build time ([`TaskGraph::critical_path_cycles`],
+//! [`TaskGraph::total_work_cycles`]).
 
 use crate::graph::{TaskGraph, TaskId};
 
 impl TaskGraph {
-    /// Sum of all task weights in cycles — the paper's *total work*
-    /// (Table 2).
-    pub fn total_work_cycles(&self) -> u64 {
-        self.weights().iter().sum()
-    }
-
     /// *Top levels*: for each task, the length in cycles of the longest
     /// path from any source up to and **including** the task. A task can
     /// finish no earlier than its top level on an unbounded machine.
+    /// Their maximum is [`Self::critical_path_cycles`].
     pub fn top_levels(&self) -> Vec<u64> {
-        let mut tl = vec![0u64; self.len()];
-        for t in self.topo_order() {
-            let ready = self
-                .predecessors(t)
-                .iter()
-                .map(|&p| tl[p.index()])
-                .max()
-                .unwrap_or(0);
-            tl[t.index()] = ready + self.weight(t);
-        }
-        tl
+        self.compute_top_levels().expect("built graphs are acyclic")
     }
 
     /// *Bottom levels*: for each task, the length in cycles of the
@@ -42,13 +30,6 @@ impl TaskGraph {
             bl[t.index()] = tail + self.weight(t);
         }
         bl
-    }
-
-    /// Critical path length in cycles (Table 2's *critical path*): the
-    /// longest weighted path through the DAG, i.e. the minimum possible
-    /// makespan on unboundedly many processors.
-    pub fn critical_path_cycles(&self) -> u64 {
-        self.top_levels().into_iter().max().unwrap_or(0)
     }
 
     /// One critical path, as a sequence of task ids from a source to a

@@ -1,14 +1,18 @@
 //! Core weighted-DAG representation.
 //!
 //! A [`TaskGraph`] is immutable once built; construction goes through
-//! [`GraphBuilder`], which validates that the edge relation is acyclic and
-//! that all endpoints exist. Adjacency is stored in compressed sparse row
-//! form in both directions so that schedulers can walk successors and
-//! predecessors without allocation.
+//! [`GraphBuilder`], which validates that the edge relation is acyclic,
+//! that all endpoints exist and that the total work fits in a `u64`.
+//! Adjacency is stored in compressed sparse row form in both directions
+//! so that schedulers can walk successors and predecessors without
+//! allocation.
 //!
 //! Every array is an exact-length boxed slice, and the per-task name
 //! table stays empty unless some task is named, so an unnamed graph of
 //! `N` tasks and `E` edges owns exactly `8·N + 8·(N+1) + 8·E` heap bytes.
+//! The total work (a checked sum) and the critical path (from the Kahn
+//! pass that proves acyclicity) are computed once, at build time, and
+//! kept as two inline `u64`s.
 
 /// Identifier of a task: a dense index into the graph's node arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -41,6 +45,9 @@ pub enum GraphError {
     Empty,
     /// More than `u32::MAX` tasks were added.
     TooManyTasks,
+    /// The weights sum to more than `u64::MAX` cycles. Checked before
+    /// acyclicity, so it wins over [`GraphError::Cycle`].
+    WorkOverflow,
 }
 
 impl std::fmt::Display for GraphError {
@@ -51,6 +58,7 @@ impl std::fmt::Display for GraphError {
             GraphError::Cycle(t) => write!(f, "dependence cycle through task {t}"),
             GraphError::Empty => write!(f, "task graph has no tasks"),
             GraphError::TooManyTasks => write!(f, "more than u32::MAX tasks"),
+            GraphError::WorkOverflow => write!(f, "total work overflows u64 cycles"),
         }
     }
 }
@@ -167,21 +175,37 @@ impl GraphBuilder {
         (has_pred, has_succ)
     }
 
-    /// Finalize: deduplicate edges, build CSR adjacency, verify acyclicity.
+    /// Finalize: deduplicate edges, build CSR adjacency, verify acyclicity
+    /// and compute the critical path and total work.
     ///
     /// O(V+E) apart from sorting each task's own successor list: edges
     /// are bucketed by source, each bucket is sorted and deduplicated in
     /// place, and predecessors are filled by walking sources in
-    /// ascending order, so both adjacency lists come out ascending.
+    /// ascending order, so both adjacency lists come out ascending. One
+    /// Kahn pass then proves the graph acyclic and yields every top
+    /// level, whose maximum is the critical path.
+    ///
+    /// Errors with [`GraphError::WorkOverflow`] when the weights sum past
+    /// `u64::MAX`; since every path is a subset of the tasks, every path
+    /// sum of a built graph then fits too.
     pub fn build(self) -> Result<TaskGraph, GraphError> {
         let n = self.weights.len();
         if n == 0 {
             return Err(GraphError::Empty);
         }
+        let total_work_cycles = self
+            .weights
+            .iter()
+            .try_fold(0u64, |sum, &w| sum.checked_add(w))
+            .ok_or(GraphError::WorkOverflow)?;
+
+        // Both offset arrays share one allocation: successor offsets,
+        // then predecessor offsets.
+        let mut offsets = vec![0u32; 2 * (n + 1)];
+        let (succ_off, pred_off) = offsets.split_at_mut(n + 1);
 
         // Successors: bucket by source (counting sort), then sort and
         // deduplicate each bucket while compacting the array in place.
-        let mut succ_off = vec![0u32; n + 1];
         for &(from, _) in &self.edges {
             succ_off[from.index() + 1] += 1;
         }
@@ -216,7 +240,6 @@ impl GraphBuilder {
 
         // Predecessors: walking sources in ascending order fills every
         // bucket in ascending order.
-        let mut pred_off = vec![0u32; n + 1];
         for &to in &succ {
             pred_off[to.index() + 1] += 1;
         }
@@ -234,17 +257,17 @@ impl GraphBuilder {
             }
         }
 
-        let graph = TaskGraph {
+        let mut graph = TaskGraph {
             weights: self.weights.into_boxed_slice(),
             names: self.names.into_boxed_slice(),
-            succ_off: succ_off.into_boxed_slice(),
+            offsets: offsets.into_boxed_slice(),
             succ: succ.into_boxed_slice(),
-            pred_off: pred_off.into_boxed_slice(),
             pred: pred.into_boxed_slice(),
+            critical_path_cycles: 0,
+            total_work_cycles,
         };
-
-        // Kahn's algorithm verifies acyclicity.
-        graph.compute_topo_order()?;
+        let top_levels = graph.compute_top_levels()?;
+        graph.critical_path_cycles = top_levels.into_iter().max().unwrap_or(0);
         Ok(graph)
     }
 }
@@ -254,16 +277,24 @@ impl GraphBuilder {
 /// Node weights are execution times in cycles. Both forward and backward
 /// adjacency are stored, each list in ascending id order. Acyclicity is
 /// verified at build time; no order is stored, and [`Self::topo_order`]
-/// recomputes one on each call.
+/// recomputes one on each call. The critical path and total work are
+/// computed at build time and stored, so their accessors are O(1); the
+/// graph is immutable, so they cannot go stale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskGraph {
     weights: Box<[u64]>,
     /// Empty when no task is named, else one slot per task.
     names: Box<[Option<String>]>,
-    succ_off: Box<[u32]>,
+    /// Successor offsets (`N + 1`) then predecessor offsets (`N + 1`).
+    /// One allocation, not two, keeps the struct at 96 bytes with the
+    /// two totals below.
+    offsets: Box<[u32]>,
     succ: Box<[TaskId]>,
-    pred_off: Box<[u32]>,
     pred: Box<[TaskId]>,
+    /// Longest weighted path, from the Kahn pass in `build`.
+    critical_path_cycles: u64,
+    /// Sum of `weights`, checked in `build`.
+    total_work_cycles: u64,
 }
 
 impl TaskGraph {
@@ -319,16 +350,17 @@ impl TaskGraph {
     /// Direct successors of `t`.
     #[inline]
     pub fn successors(&self, t: TaskId) -> &[TaskId] {
-        let lo = self.succ_off[t.index()] as usize;
-        let hi = self.succ_off[t.index() + 1] as usize;
+        let lo = self.offsets[t.index()] as usize;
+        let hi = self.offsets[t.index() + 1] as usize;
         &self.succ[lo..hi]
     }
 
     /// Direct predecessors of `t`.
     #[inline]
     pub fn predecessors(&self, t: TaskId) -> &[TaskId] {
-        let lo = self.pred_off[t.index()] as usize;
-        let hi = self.pred_off[t.index() + 1] as usize;
+        let pred_off = &self.offsets[self.len() + 1..];
+        let lo = pred_off[t.index()] as usize;
+        let hi = pred_off[t.index() + 1] as usize;
         &self.pred[lo..hi]
     }
 
@@ -365,19 +397,64 @@ impl TaskGraph {
             .flat_map(move |t| self.successors(t).iter().map(move |&s| (t, s)))
     }
 
-    /// Compute a topological order with Kahn's algorithm; errors with
-    /// [`GraphError::Cycle`] if the edge relation is cyclic.
-    ///
-    /// Among simultaneously-ready tasks, lower ids come first, so the
-    /// order is deterministic.
-    pub(crate) fn compute_topo_order(&self) -> Result<Vec<TaskId>, GraphError> {
+    /// Kahn's algorithm, using the output `Vec` as its own FIFO queue
+    /// and taking in-degrees from the predecessor offsets; it yields the
+    /// order documented on [`Self::topo_order`]. `visit(t)` runs as `t`
+    /// is taken from the queue, after every predecessor of `t` was
+    /// visited. Errors with [`GraphError::Cycle`] naming the lowest-id
+    /// task left unordered if the edge relation is cyclic.
+    fn kahn(&self, mut visit: impl FnMut(TaskId)) -> Result<Vec<TaskId>, GraphError> {
+        let n = self.len();
+        let pred_off = &self.offsets[n + 1..];
+        let mut indeg: Vec<u32> = pred_off.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut order: Vec<TaskId> = Vec::with_capacity(n);
+        order.extend((0..n as u32).map(TaskId).filter(|t| indeg[t.index()] == 0));
+        let mut head = 0;
+        while let Some(&t) = order.get(head) {
+            head += 1;
+            visit(t);
+            for &s in self.successors(t) {
+                indeg[s.index()] -= 1;
+                if indeg[s.index()] == 0 {
+                    order.push(s);
+                }
+            }
+        }
+        if order.len() != n {
+            let on_cycle = (0..n as u32)
+                .map(TaskId)
+                .find(|&t| indeg[t.index()] > 0)
+                .expect("some task must remain");
+            return Err(GraphError::Cycle(on_cycle));
+        }
+        Ok(order)
+    }
+
+    /// Every task's top level (see [`Self::top_levels`]), filled in
+    /// during one [`Self::kahn`] pass.
+    pub(crate) fn compute_top_levels(&self) -> Result<Vec<u64>, GraphError> {
+        let mut tl = vec![0u64; self.len()];
+        self.kahn(|t| {
+            let ready = self
+                .predecessors(t)
+                .iter()
+                .map(|&p| tl[p.index()])
+                .max()
+                .unwrap_or(0);
+            tl[t.index()] = ready + self.weight(t);
+        })?;
+        Ok(tl)
+    }
+
+    /// The original Kahn pass (a `VecDeque` queue plus a separate output
+    /// `Vec`), kept only as the oracle that [`Self::topo_order`] and the
+    /// `Cycle` payload of [`GraphBuilder::build`] are tested against.
+    #[doc(hidden)]
+    pub fn topo_order_reference(&self) -> Result<Vec<TaskId>, GraphError> {
         let n = self.len();
         let mut indeg: Vec<u32> = (0..n)
             .map(|i| self.in_degree(TaskId(i as u32)) as u32)
             .collect();
-        // A binary heap would give sorted-by-id pops; a simple FIFO over
-        // ascending initial ids is deterministic too and O(V+E). We use a
-        // monotone queue seeded in id order.
         let mut queue: std::collections::VecDeque<TaskId> = (0..n as u32)
             .map(TaskId)
             .filter(|&t| indeg[t.index()] == 0)
@@ -402,15 +479,36 @@ impl TaskGraph {
         Ok(order)
     }
 
-    /// A deterministic topological order (recomputed; the graph is
-    /// guaranteed acyclic after `build`).
+    /// A deterministic topological order, recomputed on each call. It is
+    /// Kahn's discovery order: every source in ascending id order, then,
+    /// walking that list front to back, each task's successors in
+    /// ascending id order as their last predecessor is taken. Among
+    /// tasks ready at the same time, lower ids need not come first:
+    /// sources 0 and 1 with edges `0 → 5` and `1 → 3` give `0, 1, 5, 3`.
     pub fn topo_order(&self) -> Vec<TaskId> {
-        self.compute_topo_order().expect("built graphs are acyclic")
+        self.kahn(|_| {}).expect("built graphs are acyclic")
+    }
+
+    /// Critical path length in cycles (Table 2's *critical path*): the
+    /// longest weighted path through the DAG, i.e. the minimum possible
+    /// makespan on unboundedly many processors. Computed at build time.
+    #[inline]
+    pub fn critical_path_cycles(&self) -> u64 {
+        self.critical_path_cycles
+    }
+
+    /// Sum of all task weights in cycles — the paper's *total work*
+    /// (Table 2). Computed at build time.
+    #[inline]
+    pub fn total_work_cycles(&self) -> u64 {
+        self.total_work_cycles
     }
 
     /// Scale every weight by an integer factor (e.g. STG weight units →
-    /// cycles at a chosen granularity). Panics if a scaled weight
-    /// overflows `u64`, in every build profile.
+    /// cycles at a chosen granularity). Every path scales by the same
+    /// factor, so the critical path and total work are scaled exactly
+    /// rather than recomputed. Panics if a scaled weight or the scaled
+    /// total work overflows `u64`, in every build profile.
     pub fn scale_weights(&self, cycles_per_unit: u64) -> TaskGraph {
         let mut g = self.clone();
         for w in g.weights.iter_mut() {
@@ -418,6 +516,14 @@ impl TaskGraph {
                 .checked_mul(cycles_per_unit)
                 .expect("weight scaling overflowed u64");
         }
+        g.total_work_cycles = g
+            .total_work_cycles
+            .checked_mul(cycles_per_unit)
+            .expect("scaled total work overflowed u64");
+        g.critical_path_cycles = g
+            .critical_path_cycles
+            .checked_mul(cycles_per_unit)
+            .expect("the critical path is at most the total work");
         g
     }
 }
@@ -429,7 +535,9 @@ mod tests {
 
     /// The original construction, kept as the oracle for `build`: one
     /// global sort and dedup of the edge list, then both CSR halves are
-    /// filled from the sorted list.
+    /// filled from the sorted list; the original Kahn pass checks
+    /// acyclicity, and the cached critical path and total work are
+    /// recomputed from its order and a plain sum.
     fn reference_build(mut b: GraphBuilder) -> Result<TaskGraph, GraphError> {
         let n = b.weights.len();
         if n == 0 {
@@ -452,19 +560,32 @@ mod tests {
                 adj[cursor[at.index()] as usize] = other;
                 cursor[at.index()] += 1;
             }
-            (off.into_boxed_slice(), adj.into_boxed_slice())
+            (off, adj.into_boxed_slice())
         };
         let (succ_off, succ) = csr(|&(from, to)| (from, to));
         let (pred_off, pred) = csr(|&(from, to)| (to, from));
-        let graph = TaskGraph {
+        let offsets = [succ_off, pred_off].concat().into_boxed_slice();
+        let mut graph = TaskGraph {
             weights: b.weights.into_boxed_slice(),
             names: b.names.into_boxed_slice(),
-            succ_off,
+            offsets,
             succ,
-            pred_off,
             pred,
+            critical_path_cycles: 0,
+            total_work_cycles: 0,
         };
-        graph.compute_topo_order()?;
+        let mut tl = vec![0u64; n];
+        for t in graph.topo_order_reference()? {
+            let ready = graph
+                .predecessors(t)
+                .iter()
+                .map(|&p| tl[p.index()])
+                .max()
+                .unwrap_or(0);
+            tl[t.index()] = ready + graph.weight(t);
+        }
+        graph.critical_path_cycles = tl.into_iter().max().unwrap_or(0);
+        graph.total_work_cycles = graph.weights.iter().sum();
         Ok(graph)
     }
 
@@ -637,6 +758,16 @@ mod tests {
         assert_eq!(g.weight(TaskId(0)), 10);
         assert_eq!(g.weight(TaskId(3)), 40);
         assert_eq!(g.total_work_cycles(), 100);
+        // The stored totals scale exactly: they equal a recomputation.
+        for f in [0, 1, 7, 3_100_000] {
+            let s = diamond().scale_weights(f);
+            assert_eq!(s.critical_path_cycles(), 8 * f);
+            assert_eq!(
+                s.critical_path_cycles(),
+                s.top_levels().into_iter().max().unwrap()
+            );
+            assert_eq!(s.total_work_cycles(), s.weights().iter().sum::<u64>());
+        }
     }
 
     #[test]
@@ -657,5 +788,70 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(g.weight(a), 0);
         assert_eq!(g.critical_path_cycles(), 5);
+    }
+
+    #[test]
+    fn topo_order_is_discovery_order_not_lowest_id_first() {
+        // Sources 0 and 1 are taken first; 5 is discovered (from 0)
+        // before 3 (from 1), so it comes first despite its higher id.
+        let mut b = GraphBuilder::new();
+        let t: Vec<TaskId> = (0..6).map(|_| b.add_task(1)).collect();
+        b.add_edge(t[0], t[5]).unwrap();
+        b.add_edge(t[1], t[3]).unwrap();
+        b.add_edge(t[2], t[4]).unwrap();
+        b.add_edge(t[3], t[2]).unwrap();
+        let g = b.build().unwrap();
+        let ids: Vec<u32> = g.topo_order().iter().map(|t| t.0).collect();
+        assert_eq!(ids, [0, 1, 5, 3, 2, 4]);
+        assert_eq!(g.topo_order(), g.topo_order_reference().unwrap());
+    }
+
+    #[test]
+    fn work_overflow_is_a_build_error() {
+        // Every weight fits, but the sum does not.
+        let mut b = GraphBuilder::new();
+        let a = b.add_task(u64::MAX / 2 + 1);
+        let c = b.add_task(u64::MAX / 2 + 1);
+        b.add_edge(a, c).unwrap();
+        assert_eq!(b.build(), Err(GraphError::WorkOverflow));
+        // The overflow check runs before the cycle check.
+        let mut b = GraphBuilder::new();
+        let a = b.add_task(u64::MAX);
+        let c = b.add_task(1);
+        b.add_edge(a, c).unwrap();
+        b.add_edge(c, a).unwrap();
+        assert_eq!(b.build(), Err(GraphError::WorkOverflow));
+        // Exactly u64::MAX of work still builds, and its critical path
+        // (the whole chain) is exact.
+        let mut b = GraphBuilder::new();
+        let a = b.add_task(u64::MAX - 1);
+        let c = b.add_task(1);
+        b.add_edge(a, c).unwrap();
+        let g = b.build().unwrap();
+        assert_eq!(g.total_work_cycles(), u64::MAX);
+        assert_eq!(g.critical_path_cycles(), u64::MAX);
+        assert_eq!(
+            GraphError::WorkOverflow.to_string(),
+            "total work overflows u64 cycles"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "scaled total work overflowed u64")]
+    fn scale_weights_panics_when_the_scaled_work_overflows() {
+        // Each scaled weight fits in u64; their sum does not.
+        let mut b = GraphBuilder::new();
+        b.add_task(1 << 62);
+        b.add_task(1 << 62);
+        b.build().unwrap().scale_weights(2);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_graph_struct_stays_twelve_words() {
+        // Five boxed slices and the two cached totals. A corpus of many
+        // small graphs pays this per graph, so growing it shows up in
+        // peak memory even though no heap bytes change.
+        assert_eq!(std::mem::size_of::<TaskGraph>(), 96);
     }
 }

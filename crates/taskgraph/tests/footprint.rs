@@ -5,12 +5,15 @@
 //! `2 · 4·E` bytes of adjacency on the heap: no per-task name slots, no
 //! capacity slack left by duplicate edges, no builder leftovers. A
 //! byte-counting global allocator measures the live heap around each
-//! build. Named graphs must still carry every name.
+//! build. Named graphs must still carry every name. (The cached
+//! critical path and total work are inline fields: no heap bytes.)
 //!
-//! This file deliberately contains a single `#[test]`: the counter is
-//! process-global, and a sibling test allocating on another thread
-//! would skew it. The library crate forbids `unsafe`; the `GlobalAlloc`
-//! impl below lives in this integration test only.
+//! Only the test's own thread is counted: the test harness's main
+//! thread allocates now and then while a test runs, and counting it
+//! made the byte totals flaky. The file still contains a single
+//! `#[test]`, so the counter has one owner. The library crate forbids
+//! `unsafe`; the `GlobalAlloc` impl below lives in this integration
+//! test only.
 
 use lamps_kpn::{unroll, Network, UnrollConfig};
 use lamps_taskgraph::gen::layered::stg_group;
@@ -23,24 +26,35 @@ struct ByteCountingAlloc;
 
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
+thread_local! {
+    /// Set on the test's thread; allocations elsewhere are not counted.
+    static TRACKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+fn add(delta: i64) {
+    if TRACKED.with(|t| t.get()) {
+        LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for ByteCountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        add(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        add(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        add(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        add(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -62,6 +76,7 @@ fn lean_bytes(g: &TaskGraph) -> i64 {
 
 #[test]
 fn unnamed_graphs_hold_only_their_csr_and_named_graphs_keep_names() {
+    TRACKED.with(|t| t.set(true));
     // Hand-built, with duplicate edges and an isolated task.
     let (g, bytes) = retained(|| {
         let mut b = GraphBuilder::with_capacity(64, 256);

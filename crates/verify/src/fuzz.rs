@@ -580,8 +580,8 @@ fn suffix_differential(
 }
 
 /// Pruning dimension: re-solve with every solver shortcut disabled —
-/// no width plateau, no lower-bound probe skip, no energy-floor sweep
-/// skips, no early scan termination — and demand the bitwise-identical
+/// no width plateau, no lower-bound probe skip, no early scan
+/// termination — and demand the bitwise-identical
 /// solution. A budget leg repeats the comparison under a step cap drawn
 /// from `seed`: at any cap both engines must pick the same solution, and
 /// a degraded pruned answer must report exactly the reference's steps.
