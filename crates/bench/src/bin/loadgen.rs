@@ -46,8 +46,8 @@ use lamps_core::{
     solve_with_budget_cache, solve_with_cache, SchedulerConfig, SolveBudget, SolveError, Strategy,
 };
 use lamps_serve::protocol::{
-    encode_solve_request, parse_response, strategy_wire_name, DeadlineSpec, Response,
-    SolvedResponse,
+    encode_request, encode_solve_request, parse_response, strategy_wire_name, DeadlineSpec,
+    Request, Response, SolvedResponse,
 };
 use lamps_serve::{ServeConfig, Server};
 use lamps_taskgraph::gen::layered::stg_group;
@@ -480,9 +480,7 @@ fn main() {
         ]
     } else {
         let stats_id = (requests + burst) as u64;
-        or_die(
-            streams[0].write_all(format!("{{\"id\":{stats_id},\"op\":\"stats\"}}\n").as_bytes()),
-        );
+        or_die(streams[0].write_all(encode_request(&Request::Stats { id: stats_id }).as_bytes()));
         if !wait_for(Duration::from_secs(10), || {
             shared.stats.lock().expect("stats").is_some()
         }) {
@@ -495,8 +493,7 @@ fn main() {
     if do_shutdown {
         let shutdown_id = (requests + burst) as u64 + 1;
         or_die(
-            streams[0]
-                .write_all(format!("{{\"id\":{shutdown_id},\"op\":\"shutdown\"}}\n").as_bytes()),
+            streams[0].write_all(encode_request(&Request::Shutdown { id: shutdown_id }).as_bytes()),
         );
         if !wait_for(Duration::from_secs(10), || {
             shared.shutdown_acked.load(Ordering::SeqCst)

@@ -30,7 +30,8 @@
 //! a protocol error and also exits nonzero.
 
 use lamps_bench::cli::{or_die, Options};
-use lamps_serve::{parse_response, Response, TelemetryBody};
+use lamps_serve::protocol::Request;
+use lamps_serve::{encode_request, parse_response, Response, TelemetryBody};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -50,9 +51,8 @@ impl Client {
     }
 
     /// One request line out, one raw response line back.
-    fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+    fn roundtrip(&mut self, req: &Request) -> std::io::Result<String> {
+        self.stream.write_all(encode_request(req).as_bytes())?;
         let mut buf = String::new();
         if self.reader.read_line(&mut buf)? == 0 {
             return Err(std::io::Error::new(
@@ -165,8 +165,7 @@ fn main() {
     let mut polls = 0u64;
     let mut last_raw;
     loop {
-        let raw =
-            or_die(client.roundtrip(&format!("{{\"id\":{},\"op\":\"telemetry\"}}", polls + 1)));
+        let raw = or_die(client.roundtrip(&Request::Telemetry { id: polls + 1 }));
         let at = Instant::now();
         let body = match or_die(parse_response(&raw)) {
             Response::Telemetry { body, .. } => body,
@@ -194,10 +193,10 @@ fn main() {
         ));
     }
     if !flight_out.is_empty() {
-        let raw = or_die(client.roundtrip(&format!(
-            "{{\"id\":{},\"op\":\"flight\",\"last\":{last}}}",
-            polls + 1
-        )));
+        let raw = or_die(client.roundtrip(&Request::Flight {
+            id: polls + 1,
+            last: last as usize,
+        }));
         match or_die(parse_response(&raw)) {
             Response::Flight { .. } => {}
             other => {
@@ -211,8 +210,7 @@ fn main() {
         ));
     }
     if opts.flag("shutdown") {
-        let raw =
-            or_die(client.roundtrip(&format!("{{\"id\":{},\"op\":\"shutdown\"}}", polls + 2)));
+        let raw = or_die(client.roundtrip(&Request::Shutdown { id: polls + 2 }));
         println!("shutdown acknowledged: {raw}");
     }
 }

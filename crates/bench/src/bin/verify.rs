@@ -7,11 +7,16 @@
 //! verify [--iterations N] [--seed S] [--max-tasks N]
 //!        [--oracle-max-tasks N] [--oracle-budget N]
 //!        [--corpus DIR] [--skip-corpus] [--failure-out DIR]
+//!        [--wire-iterations N]
 //! ```
+//!
+//! After the solver fuzzer, the wire fuzzer ([`lamps_verify::run_wire`])
+//! checks `--wire-iterations` request lines (default 2000) from the same
+//! seed against the `lamps-serve` decoder.
 
 use lamps_bench::cli::Options;
 use lamps_core::SchedulerConfig;
-use lamps_verify::{corpus_file_name, run, run_corpus, FuzzConfig};
+use lamps_verify::{corpus_file_name, run, run_corpus, run_wire, FuzzConfig, WireFuzzConfig};
 use std::path::Path;
 
 fn main() {
@@ -24,6 +29,7 @@ fn main() {
         "corpus",
         "skip-corpus",
         "failure-out",
+        "wire-iterations",
     ]);
     let fz = FuzzConfig {
         iterations: opts.u64("iterations", 200),
@@ -98,6 +104,28 @@ fn main() {
                 Err(e) => eprintln!("error: cannot write {}: {e}", path.display()),
             }
         }
+    }
+
+    let wire = WireFuzzConfig {
+        iterations: opts.u64("wire-iterations", 2000),
+        seed: fz.seed,
+    };
+    let outcome = run_wire(&wire);
+    eprintln!(
+        "wire fuzz: {} lines, seed {}: {} decoded and round-tripped, {} malformed_json, {} bad_request, {} bad_graph",
+        outcome.iterations_run,
+        wire.seed,
+        outcome.decoded,
+        outcome.malformed,
+        outcome.bad_request,
+        outcome.bad_graph
+    );
+    if let Some(f) = &outcome.failure {
+        failed = true;
+        eprintln!(
+            "wire fuzz FAILURE at iteration seed {}: {}\n  line: {:?}\n  limits: {:?}",
+            f.seed, f.violation, f.line, f.limits
+        );
     }
 
     if failed {

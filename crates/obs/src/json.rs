@@ -1,19 +1,38 @@
-//! Minimal JSON support: escape-correct writing and a small recursive
-//! parser.
+//! JSON support: escape-correct writing, a pull tokenizer, and a value
+//! tree built on that tokenizer.
 //!
 //! The workspace is dependency-free by policy, so the observability
 //! exports (metrics snapshots, Chrome traces, solver decision logs) are
-//! written with the helpers here, and the `lamps-verify` schema checks
-//! read them back with [`parse`]. The parser accepts exactly the JSON we
-//! emit plus ordinary interchange JSON (RFC 8259 minus `\u` surrogate
-//! pairs outside the BMP being validated pairwise); it is for validating
-//! our own artifacts, not for hostile input — depth is capped to keep
-//! recursion bounded.
+//! written with the helpers here, the `lamps-verify` schema checks read
+//! them back with [`parse`], and the `lamps-serve` wire decoder drives
+//! the [`Tokenizer`] directly.
+//!
+//! # Guarantee
+//!
+//! The [`Tokenizer`] accepts exactly the JSON texts of RFC 8259 whose
+//! nesting is at most 64 levels deep, and rejects everything else with a
+//! [`ParseError`] carrying the byte offset. In particular:
+//!
+//! * numbers follow the strict grammar `-?(0|[1-9][0-9]*)(.[0-9]+)?
+//!   ([eE][+-]?[0-9]+)?`, so `05`, `2.`, `-.0`, `1.e0`, `+1`, `NaN` and
+//!   `Infinity` are errors;
+//! * strings are valid UTF-8 (the input is a `&str`), hold no raw control
+//!   characters, and their `\u` escapes decode to Unicode scalar values:
+//!   a surrogate pair combines into one astral character, and a lone
+//!   surrogate is an error;
+//! * a value at depth 65 or deeper is an error (the root is depth 0).
+//!
+//! It never panics and never recurses, whatever the input, and it
+//! allocates nothing: every [`Event`] borrows from the input, and string
+//! escapes are only decoded when the caller asks ([`Str::decode`]).
+//! [`parse`] builds its [`Value`] tree from the same events, so the tree
+//! and the streaming consumers accept one language.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Maximum nesting depth [`parse`] accepts.
+/// Maximum nesting depth of a value (the root value is depth 0).
 const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
@@ -30,7 +49,7 @@ pub enum Value {
     /// An array.
     Array(Vec<Value>),
     /// An object. Key order is not preserved (sorted map) — none of our
-    /// schemas are order-sensitive.
+    /// schemas are order-sensitive. Of two equal keys the later wins.
     Object(BTreeMap<String, Value>),
 }
 
@@ -105,27 +124,280 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse `text` as a single JSON document (trailing whitespace allowed).
+/// Parse `text` as a single JSON document (surrounding whitespace
+/// allowed) into a [`Value`] tree.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after the document"));
-    }
+    let mut t = Tokenizer::new(text);
+    let first = t.expect_event()?;
+    let v = build(&mut t, first)?;
+    t.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The tree below the value whose first event is `ev`. Recursion is
+/// bounded by the tokenizer's depth cap.
+fn build(t: &mut Tokenizer<'_>, ev: Event<'_>) -> Result<Value, ParseError> {
+    Ok(match ev {
+        Event::BeginObject => {
+            let mut map = BTreeMap::new();
+            while let Event::Key(k) = t.expect_event()? {
+                let first = t.expect_event()?;
+                map.insert(k.decode().into_owned(), build(t, first)?);
+            }
+            Value::Object(map)
+        }
+        Event::BeginArray => {
+            let mut items = Vec::new();
+            loop {
+                match t.expect_event()? {
+                    Event::EndArray => break,
+                    first => items.push(build(t, first)?),
+                }
+            }
+            Value::Array(items)
+        }
+        Event::String(s) => Value::String(s.decode().into_owned()),
+        Event::Number(n) => Value::Number(n.to_f64()),
+        Event::Bool(b) => Value::Bool(b),
+        Event::Null => Value::Null,
+        // The tokenizer never opens a value with a key or a closer.
+        Event::Key(_) | Event::EndObject | Event::EndArray => {
+            return Err(t.err("unexpected token"));
+        }
+    })
 }
 
-impl<'a> Parser<'a> {
+/// One token of a JSON document, borrowed from the input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Event<'a> {
+    /// `{`.
+    BeginObject,
+    /// `}`.
+    EndObject,
+    /// `[`.
+    BeginArray,
+    /// `]`.
+    EndArray,
+    /// An object member's key (the `:` after it is consumed too).
+    Key(Str<'a>),
+    /// A string value.
+    String(Str<'a>),
+    /// A number value.
+    Number(Num<'a>),
+    /// `true` / `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+/// A string token: the text between the quotes, escapes still encoded.
+/// The tokenizer has validated every escape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Str<'a> {
+    raw: &'a str,
+    escaped: bool,
+}
+
+impl<'a> Str<'a> {
+    /// The decoded string; borrows from the input unless the token holds
+    /// an escape.
+    pub fn decode(&self) -> Cow<'a, str> {
+        if !self.escaped {
+            return Cow::Borrowed(self.raw);
+        }
+        let mut out = String::with_capacity(self.raw.len());
+        let mut chars = self.raw.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            let decoded = match chars.next() {
+                Some('b') => '\u{8}',
+                Some('f') => '\u{c}',
+                Some('n') => '\n',
+                Some('r') => '\r',
+                Some('t') => '\t',
+                Some('u') => {
+                    let hi = hex4_chars(&mut chars);
+                    let cp = if (0xD800..0xDC00).contains(&hi) {
+                        // Validated: a `\u` low surrogate follows.
+                        chars.nth(1);
+                        let lo = hex4_chars(&mut chars);
+                        0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF)
+                    } else {
+                        hi
+                    };
+                    char::from_u32(cp).unwrap_or(char::REPLACEMENT_CHARACTER)
+                }
+                // `"`, `\` and `/` stand for themselves.
+                Some(other) => other,
+                None => break,
+            };
+            out.push(decoded);
+        }
+        Cow::Owned(out)
+    }
+}
+
+fn hex4_chars(chars: &mut std::str::Chars<'_>) -> u32 {
+    (0..4).fold(0, |v, _| {
+        v * 16 + chars.next().and_then(|c| c.to_digit(16)).unwrap_or(0)
+    })
+}
+
+/// A number token, already checked against the strict RFC 8259 grammar.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Num<'a>(&'a str);
+
+impl<'a> Num<'a> {
+    /// The correctly rounded `f64` value (`±inf` when out of range),
+    /// bit for bit what `str::parse::<f64>` gives.
+    #[inline]
+    pub fn to_f64(self) -> f64 {
+        let digits = self.0.as_bytes();
+        if digits.len() <= 15 && digits.iter().all(u8::is_ascii_digit) {
+            // Below 10^15 < 2^53 every integer is exact in an f64, so
+            // the integer is the correctly rounded value.
+            return digits
+                .iter()
+                .fold(0u64, |v, &d| v * 10 + u64::from(d - b'0')) as f64;
+        }
+        // The grammar is a subset of what `f64::from_str` accepts.
+        self.0.parse().unwrap_or(f64::NAN)
+    }
+}
+
+/// What the tokenizer expects next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// A value: at the start, after `:`, or after `,` in an array.
+    Value,
+    /// Just after `[`: a value or `]`.
+    ArrayStart,
+    /// Just after `{`: a key or `}`.
+    ObjectStart,
+    /// After a whole value: `,`, the closer, or (at depth 0) the end.
+    AfterValue,
+    /// The document is complete.
+    Done,
+}
+
+/// A pull tokenizer over one JSON document: call
+/// [`Tokenizer::next_event`] until it returns `Ok(None)`.
+///
+/// After an error the tokenizer must not be used further; it still never
+/// panics if it is.
+pub struct Tokenizer<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Open containers; at most `MAX_DEPTH + 1`.
+    depth: usize,
+    /// Bit `d` is set when the container at nesting level `d` is an
+    /// object. 128 bits cover every level the depth cap allows.
+    objects: u128,
+    state: State,
+}
+
+impl<'a> Tokenizer<'a> {
+    /// A tokenizer at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Tokenizer {
+            text,
+            pos: 0,
+            depth: 0,
+            objects: 0,
+            state: State::Value,
+        }
+    }
+
+    /// The next event, or `None` once the document and any trailing
+    /// whitespace have been consumed.
+    #[inline]
+    pub fn next_event(&mut self) -> Result<Option<Event<'a>>, ParseError> {
+        self.skip_ws();
+        match self.state {
+            State::Value => self.value(),
+            State::ArrayStart if self.peek() == Some(b']') => Ok(Some(self.close())),
+            State::ArrayStart => self.value(),
+            State::ObjectStart if self.peek() == Some(b'}') => Ok(Some(self.close())),
+            State::ObjectStart => self.key(),
+            State::AfterValue if self.depth == 0 => {
+                if self.pos == self.text.len() {
+                    self.state = State::Done;
+                    Ok(None)
+                } else {
+                    Err(self.err("trailing characters after the document"))
+                }
+            }
+            State::AfterValue => {
+                let in_object = self.objects >> (self.depth - 1) & 1 == 1;
+                match (self.peek(), in_object) {
+                    (Some(b','), true) => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        self.key()
+                    }
+                    (Some(b','), false) => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        self.value()
+                    }
+                    (Some(b'}'), true) | (Some(b']'), false) => Ok(Some(self.close())),
+                    (_, true) => Err(self.err("expected ',' or '}' in object")),
+                    (_, false) => Err(self.err("expected ',' or ']' in array")),
+                }
+            }
+            State::Done => Ok(None),
+        }
+    }
+
+    /// The next event; the end of the document is an error here.
+    #[inline]
+    pub fn expect_event(&mut self) -> Result<Event<'a>, ParseError> {
+        match self.next_event() {
+            Ok(Some(ev)) => Ok(ev),
+            Ok(None) => Err(self.err("expected a value, found the end of the document")),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Consume the rest of a value whose first event was `first`: nothing
+    /// more for a scalar, everything up to the matching closer for
+    /// `BeginObject`/`BeginArray`. Passing `BeginArray` (or
+    /// `BeginObject`) while inside an array (object) skips to the end of
+    /// that container.
+    pub fn skip_from(&mut self, first: Event<'a>) -> Result<(), ParseError> {
+        let mut open = match first {
+            Event::BeginObject | Event::BeginArray => 1usize,
+            _ => return Ok(()),
+        };
+        while open > 0 {
+            match self.expect_event()? {
+                Event::BeginObject | Event::BeginArray => open += 1,
+                Event::EndObject | Event::EndArray => open -= 1,
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Consume the next value whole, checking its syntax but keeping
+    /// nothing.
+    pub fn skip_value(&mut self) -> Result<(), ParseError> {
+        let first = self.expect_event()?;
+        self.skip_from(first)
+    }
+
+    /// Require that the document is complete: only whitespace remains.
+    pub fn finish(&mut self) -> Result<(), ParseError> {
+        match self.next_event()? {
+            None => Ok(()),
+            Some(_) => Err(self.err("trailing characters after the document")),
+        }
+    }
+
+    #[cold]
     fn err(&self, msg: &str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -133,199 +405,211 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    #[cold]
+    fn err_at(&self, offset: usize, msg: &str) -> ParseError {
+        ParseError {
+            offset,
+            message: msg.to_string(),
+        }
     }
 
+    #[inline]
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
+    #[inline]
+    fn open(&mut self, object: bool) -> Event<'a> {
+        self.pos += 1;
+        if object {
+            self.objects |= 1 << self.depth;
+            self.state = State::ObjectStart;
         } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
+            self.objects &= !(1 << self.depth);
+            self.state = State::ArrayStart;
+        }
+        self.depth += 1;
+        if object {
+            Event::BeginObject
+        } else {
+            Event::BeginArray
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    /// Consume the closer at `pos` and pop its container.
+    #[inline]
+    fn close(&mut self) -> Event<'a> {
+        self.pos += 1;
+        self.depth -= 1;
+        self.state = State::AfterValue;
+        if self.objects >> self.depth & 1 == 1 {
+            Event::EndObject
+        } else {
+            Event::EndArray
+        }
+    }
+
+    #[inline]
+    fn value(&mut self) -> Result<Option<Event<'a>>, ParseError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        let ev = match self.peek() {
+            Some(b'{') => return Ok(Some(self.open(true))),
+            Some(b'[') => return Ok(Some(self.open(false))),
+            Some(b'"') => Event::String(self.string()?),
+            Some(b't') => self.literal("true", Event::Bool(true))?,
+            Some(b'f') => self.literal("false", Event::Bool(false))?,
+            Some(b'n') => self.literal("null", Event::Null)?,
+            Some(b'-' | b'0'..=b'9') => Event::Number(self.number()?),
+            _ => return Err(self.err("expected a value")),
+        };
+        self.state = State::AfterValue;
+        Ok(Some(ev))
+    }
+
+    fn key(&mut self) -> Result<Option<Event<'a>>, ParseError> {
+        if self.peek() != Some(b'"') {
+            return Err(self.err("expected a string key"));
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(self.err("expected ':' after an object key"));
+        }
+        self.pos += 1;
+        self.state = State::Value;
+        Ok(Some(Event::Key(key)))
+    }
+
+    fn literal(&mut self, lit: &str, ev: Event<'a>) -> Result<Event<'a>, ParseError> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(ev)
         } else {
             Err(self.err(&format!("expected {lit}")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => self.string().map(Value::String),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
+    /// The string starting at the `"` under `pos`.
+    fn string(&mut self) -> Result<Str<'a>, ParseError> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos + 1;
+        let mut i = start;
+        let mut escaped = false;
         loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value(depth + 1)?;
-            map.insert(key, v);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
+            match bytes.get(i) {
+                None => return Err(self.err_at(i, "unterminated string")),
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    escaped = true;
+                    i = self.escape(i + 1)?;
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
+                Some(0..=0x1f) => return Err(self.err_at(i, "raw control character in string")),
+                // Non-ASCII bytes belong to UTF-8 sequences that `&str`
+                // already guarantees are valid.
+                Some(_) => i += 1,
             }
         }
+        self.pos = i + 1;
+        // Both ends are ASCII quotes, so both are char boundaries.
+        Ok(Str {
+            raw: &self.text[start..i],
+            escaped,
+        })
     }
 
-    fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(c) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(e) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
+    /// Validate the escape whose letter is at `i`; returns the offset
+    /// just past it.
+    fn escape(&self, i: usize) -> Result<usize, ParseError> {
+        let bytes = self.text.as_bytes();
+        match bytes.get(i) {
+            Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => Ok(i + 1),
+            Some(b'u') => match self.hex4(i + 1)? {
+                0xD800..=0xDBFF => {
+                    let low = if bytes.get(i + 5..i + 7) == Some(&b"\\u"[..]) {
+                        self.hex4(i + 7)?
+                    } else {
+                        0
                     };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Accept BMP code points; reject lone
-                            // surrogates (we never emit them).
-                            match char::from_u32(cp) {
-                                Some(ch) => out.push(ch),
-                                None => return Err(self.err("invalid \\u escape")),
-                            }
-                        }
-                        _ => return Err(self.err("unknown escape")),
+                    if (0xDC00..=0xDFFF).contains(&low) {
+                        Ok(i + 11)
+                    } else {
+                        Err(self.err_at(i, "lone surrogate in \\u escape"))
                     }
                 }
-                _ if c < 0x20 => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Re-walk the UTF-8 sequence starting at c.
-                    let start = self.pos - 1;
-                    let len = utf8_len(c);
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err(self.err("truncated UTF-8 sequence"));
-                    }
-                    match std::str::from_utf8(&self.bytes[start..end]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return Err(self.err("invalid UTF-8 in string")),
-                    }
-                    self.pos = end;
-                }
-            }
+                0xDC00..=0xDFFF => Err(self.err_at(i, "lone surrogate in \\u escape")),
+                _ => Ok(i + 5),
+            },
+            None => Err(self.err_at(i, "unterminated escape")),
+            Some(_) => Err(self.err_at(i, "unknown escape")),
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, ParseError> {
+    fn hex4(&self, i: usize) -> Result<u32, ParseError> {
         let mut v = 0u32;
-        for _ in 0..4 {
-            let Some(c) = self.peek() else {
-                return Err(self.err("truncated \\u escape"));
+        for k in i..i + 4 {
+            let d = match self.text.as_bytes().get(k) {
+                Some(&c) => (c as char).to_digit(16),
+                None => return Err(self.err_at(k, "truncated \\u escape")),
             };
-            let d = match c {
-                b'0'..=b'9' => (c - b'0') as u32,
-                b'a'..=b'f' => (c - b'a') as u32 + 10,
-                b'A'..=b'F' => (c - b'A') as u32 + 10,
-                _ => return Err(self.err("non-hex digit in \\u escape")),
-            };
-            v = v * 16 + d;
-            self.pos += 1;
+            match d {
+                Some(d) => v = v * 16 + d,
+                None => return Err(self.err_at(k, "non-hex digit in \\u escape")),
+            }
         }
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    /// The number starting at `pos`, by the strict RFC 8259 grammar.
+    #[inline]
+    fn number(&mut self) -> Result<Num<'a>, ParseError> {
+        let bytes = self.text.as_bytes();
+        let digit = |i: usize| bytes.get(i).is_some_and(u8::is_ascii_digit);
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let mut i = start;
+        if bytes.get(i) == Some(&b'-') {
+            i += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
+        match bytes.get(i) {
+            Some(b'0') => i += 1,
+            Some(b'1'..=b'9') => {
+                while digit(i) {
+                    i += 1;
+                }
+            }
+            _ => return Err(self.err_at(i, "expected a digit in number")),
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII slice");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| ParseError {
-                offset: start,
-                message: format!("invalid number {text:?}"),
-            })
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+        if bytes.get(i) == Some(&b'.') {
+            i += 1;
+            if !digit(i) {
+                return Err(self.err_at(i, "expected a digit after the decimal point"));
+            }
+            while digit(i) {
+                i += 1;
+            }
+        }
+        if matches!(bytes.get(i), Some(b'e' | b'E')) {
+            i += 1;
+            if matches!(bytes.get(i), Some(b'+' | b'-')) {
+                i += 1;
+            }
+            if !digit(i) {
+                return Err(self.err_at(i, "expected a digit in the exponent"));
+            }
+            while digit(i) {
+                i += 1;
+            }
+        }
+        self.pos = i;
+        Ok(Num(&self.text[start..i]))
     }
 }
 
@@ -469,5 +753,182 @@ mod tests {
     fn unicode_escapes_parse() {
         assert_eq!(parse(r#""Aé""#).unwrap().as_str(), Some("Aé"));
         assert!(parse(r#""\ud800""#).is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn strict_number_grammar() {
+        for bad in [
+            "05",
+            "2.",
+            "-.0",
+            "1.e0",
+            "+1",
+            "-",
+            "1e",
+            "1e+",
+            ".5",
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "0x1",
+            "01.5",
+            "[05]",
+            "{\"a\":2.}",
+            "1.5.2",
+            "--1",
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+        for good in [
+            "0",
+            "-0",
+            "0.5",
+            "1e5",
+            "1E+5",
+            "2e-3",
+            "-1.25e-3",
+            "10",
+            "1e400",
+            "-1e400",
+            "123456789012345678901234567890",
+        ] {
+            let v = parse(good).unwrap().as_number().unwrap();
+            assert_eq!(
+                v.to_bits(),
+                good.parse::<f64>().unwrap().to_bits(),
+                "{good}"
+            );
+        }
+    }
+
+    #[test]
+    fn number_fast_path_matches_str_parse_bitwise() {
+        let mut tokens: Vec<String> = [
+            "0",
+            "-0",
+            "7",
+            "999999999999999",
+            "1000000000000000",
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+            "0.1",
+            "3100000",
+            "-3100000",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            tokens.push((x >> (x % 64)).to_string());
+        }
+        for tok in &tokens {
+            let mut t = Tokenizer::new(tok);
+            let Some(Event::Number(n)) = t.next_event().unwrap() else {
+                panic!("{tok} is not a number token");
+            };
+            assert_eq!(n.0, tok);
+            assert_eq!(
+                n.to_f64().to_bits(),
+                tok.parse::<f64>().unwrap().to_bits(),
+                "{tok}"
+            );
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_fail() {
+        assert_eq!(parse(r#""𝄞""#).unwrap().as_str(), Some("𝄞"));
+        assert_eq!(parse(r#""a😀b""#).unwrap().as_str(), Some("a😀b"));
+        for bad in [
+            r#""\ud800""#,
+            r#""\udc00""#,
+            r#""\ud800A""#,
+            r#""\ud800x""#,
+            r#""\udbff\ud800""#,
+            r#""\ud800\u""#,
+            r#""\u12""#,
+            r#""\x""#,
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn depth_cap_counts_every_value() {
+        let nested = |levels: usize, inner: &str| "[".repeat(levels) + inner + &"]".repeat(levels);
+        // The root is depth 0, so 64 arrays put the scalar at depth 64.
+        assert!(parse(&nested(64, "1")).is_ok());
+        assert!(parse(&nested(65, "1")).is_err());
+        assert!(parse(&nested(65, "")).is_ok());
+        assert!(parse(&nested(66, "")).is_err());
+        let objects = "{\"a\":".repeat(65) + "1" + &"}".repeat(65);
+        assert!(parse(&objects).is_err());
+    }
+
+    #[test]
+    fn events_borrow_from_the_input() {
+        let text = r#" {"k": [1, "s\n", true, null, {}], "e": "x\u0041"} "#;
+        let mut t = Tokenizer::new(text);
+        let mut events = Vec::new();
+        while let Some(ev) = t.next_event().unwrap() {
+            events.push(ev);
+        }
+        assert_eq!(t.next_event(), Ok(None), "the end is sticky");
+        let keys: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Key(k) => Some(k.raw),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(keys, ["k", "e"]);
+        assert_eq!(events.len(), 13);
+        assert!(matches!(events[4], Event::String(s) if s.decode() == "s\n"));
+        assert!(matches!(events[11], Event::String(s) if s.decode() == "xA"));
+        assert!(matches!(events[12], Event::EndObject));
+        assert!(matches!(
+            Str {
+                raw: "plain",
+                escaped: false
+            }
+            .decode(),
+            Cow::Borrowed("plain")
+        ));
+    }
+
+    #[test]
+    fn skip_value_consumes_whole_containers() {
+        let mut t = Tokenizer::new(r#"{"skip": {"a": [1, {"b": []}]}, "keep": 5}"#);
+        assert_eq!(t.expect_event().unwrap(), Event::BeginObject);
+        assert!(matches!(t.expect_event().unwrap(), Event::Key(k) if k.raw == "skip"));
+        t.skip_value().unwrap();
+        assert!(matches!(t.expect_event().unwrap(), Event::Key(k) if k.raw == "keep"));
+        // Skip from inside an open container to its closer.
+        let mut t = Tokenizer::new("[[1, [2], 3], 4]");
+        assert_eq!(t.expect_event().unwrap(), Event::BeginArray);
+        assert_eq!(t.expect_event().unwrap(), Event::BeginArray);
+        assert!(matches!(t.expect_event().unwrap(), Event::Number(_)));
+        t.skip_from(Event::BeginArray).unwrap();
+        assert!(matches!(t.expect_event().unwrap(), Event::Number(n) if n.0 == "4"));
+        assert_eq!(t.expect_event().unwrap(), Event::EndArray);
+        t.finish().unwrap();
+    }
+
+    #[test]
+    fn every_prefix_of_a_document_is_handled() {
+        let doc = r#"{"a": [1, -2.5e3, "xé𝄞", {"b": null}], "c": true, "d": "Ω"}"#;
+        for end in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+            assert!(
+                parse(&doc[..end]).is_err(),
+                "prefix {:?} accepted",
+                &doc[..end]
+            );
+        }
+        assert!(parse(doc).is_ok());
     }
 }

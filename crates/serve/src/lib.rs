@@ -49,7 +49,7 @@ pub mod queue;
 pub mod server;
 
 pub use protocol::{
-    encode_solve_request, parse_response, DeadlineSpec, HistogramSummary, Limits, Response,
-    SolvedResponse, TelemetryBody, WireFlightEvent,
+    encode_request, encode_solve_request, parse_response, DeadlineSpec, HistogramSummary, Limits,
+    Response, SolvedResponse, TelemetryBody, WireFlightEvent,
 };
 pub use server::{ServeConfig, Server, StatsSnapshot};

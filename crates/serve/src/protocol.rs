@@ -50,11 +50,18 @@
 //!
 //! The parser accepts exactly this schema; anything else comes back as a
 //! structured [`ProtoError`] naming what was wrong, with the request id
-//! echoed whenever it could still be extracted.
+//! echoed whenever it could still be extracted. Lines must be RFC 8259
+//! JSON: a non-RFC number (`05`, `2.`, `-.0`, `1.e0`) or a lone `\u`
+//! surrogate is `malformed_json`, and so is a line that is not UTF-8
+//! (the server checks that before parsing). A key repeated in the
+//! request object or in its `graph` object is a `bad_request` naming the
+//! key, with no id echoed when the repeated key is `id`. Members the
+//! schema does not name are ignored.
 
 use lamps_core::{BudgetedSolution, Completeness, Strategy};
-use lamps_obs::json::{parse, write_string, Value};
+use lamps_obs::json::{parse, write_string, Event, ParseError, Str, Tokenizer, Value};
 use lamps_taskgraph::{GraphBuilder, TaskGraph, TaskId};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Per-request resource ceilings enforced before any solving happens.
@@ -191,131 +198,379 @@ pub fn strategy_wire_name(s: Strategy) -> &'static str {
 /// survive the JSON number round trip.
 const MAX_ID: f64 = 9_007_199_254_740_992.0; // 2^53
 
-fn extract_id(root: &Value) -> Result<u64, ProtoError> {
-    match root.get("id") {
-        Some(Value::Number(n)) if *n >= 0.0 && *n <= MAX_ID && n.fract() == 0.0 => Ok(*n as u64),
-        Some(_) => Err(ProtoError::bad(
-            None,
-            "id must be a non-negative integer ≤ 2^53",
-        )),
-        None => Err(ProtoError::bad(None, "missing required field id")),
-    }
+/// A wire number that is an integer in `0..=MAX_ID`, as a `u64`.
+fn wire_u64(x: f64) -> Option<u64> {
+    // The cast saturates, so `x` round-trips exactly when it is an
+    // integer in `0..2^64` (`-0.0` included).
+    let i = x as u64;
+    (i as f64 == x && i <= MAX_ID as u64).then_some(i)
 }
 
-fn finite_positive(v: &Value, what: &str, id: u64) -> Result<f64, ProtoError> {
-    match v.as_number() {
-        Some(x) if x.is_finite() && x > 0.0 => Ok(x),
-        _ => Err(ProtoError::bad(
-            Some(id),
-            format!("{what} must be a positive finite number"),
-        )),
-    }
+/// A top-level member as the decoder keeps it: enough to apply the
+/// member's rules once the whole line has been read.
+#[derive(Clone, Copy)]
+enum Scalar<'a> {
+    Number(f64),
+    Str(Str<'a>),
+    /// A bool, null, array or object: wrong for every scalar member.
+    Other,
 }
 
-fn parse_graph(v: &Value, id: u64, limits: &Limits) -> Result<TaskGraph, ProtoError> {
-    let bad_graph = |message: String| ProtoError {
-        id: Some(id),
-        kind: "bad_graph",
-        message,
-    };
-    let weights = v
-        .get("weights")
-        .and_then(Value::as_array)
-        .ok_or_else(|| bad_graph("graph.weights must be an array of cycle counts".into()))?;
-    if weights.is_empty() {
-        return Err(bad_graph("graph.weights must not be empty".into()));
-    }
-    if weights.len() > limits.max_tasks {
-        return Err(bad_graph(format!(
-            "graph has {} tasks, limit is {}",
-            weights.len(),
-            limits.max_tasks
-        )));
-    }
-    let edges = match v.get("edges") {
-        None => &[][..],
-        Some(e) => e
-            .as_array()
-            .ok_or_else(|| bad_graph("graph.edges must be an array of [from, to] pairs".into()))?,
-    };
-    if edges.len() > limits.max_edges {
-        return Err(bad_graph(format!(
-            "graph has {} edges, limit is {}",
-            edges.len(),
-            limits.max_edges
-        )));
-    }
-    let mut b = GraphBuilder::with_capacity(weights.len(), edges.len());
-    for w in weights {
-        match w.as_number() {
-            // Weights are cycle counts; 2^53 cycles is ~29 days at 3.1 GHz.
-            Some(x) if (0.0..=MAX_ID).contains(&x) && x.fract() == 0.0 => {
-                b.add_task(x as u64);
+impl<'a> Scalar<'a> {
+    /// Read the next value as a scalar, skipping a container whole.
+    fn read(t: &mut Tokenizer<'a>) -> Result<Self, ParseError> {
+        Ok(match t.expect_event()? {
+            Event::Number(n) => Scalar::Number(n.to_f64()),
+            Event::String(s) => Scalar::Str(s),
+            other => {
+                t.skip_from(other)?;
+                Scalar::Other
             }
-            _ => {
-                return Err(bad_graph(
-                    "graph.weights entries must be non-negative integers".into(),
-                ))
-            }
+        })
+    }
+
+    fn number(self) -> Option<f64> {
+        match self {
+            Scalar::Number(x) => Some(x),
+            _ => None,
         }
     }
-    let n = weights.len();
-    for e in edges {
-        let pair = e.as_array().unwrap_or(&[]);
-        let (Some(from), Some(to)) = (
-            pair.first().and_then(Value::as_number),
-            pair.get(1).and_then(Value::as_number),
-        ) else {
-            return Err(bad_graph(
-                "graph.edges entries must be [from, to] index pairs".into(),
-            ));
+}
+
+/// The members of a request object, collected in one pass.
+#[derive(Default)]
+struct Members<'a> {
+    id: Option<Scalar<'a>>,
+    op: Option<Scalar<'a>>,
+    strategy: Option<Scalar<'a>>,
+    deadline_s: Option<Scalar<'a>>,
+    deadline_factor: Option<Scalar<'a>>,
+    budget_steps: Option<Scalar<'a>>,
+    last: Option<Scalar<'a>>,
+    graph: Option<GraphDecoder>,
+    /// The first key seen twice, at the top level or inside `graph`.
+    duplicate: Option<&'static str>,
+}
+
+/// How a `weights` or `edges` member looked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum List {
+    Absent,
+    NotArray,
+    /// An array of this many elements (counted past the limit, stored
+    /// only up to it).
+    Array(usize),
+}
+
+const WEIGHT_ENTRY: &str = "graph.weights entries must be non-negative integers";
+const EDGE_ENTRY: &str = "graph.edges entries must be [from, to] index pairs";
+
+/// Streams a `graph` object into a [`GraphBuilder`]. Errors are kept,
+/// not returned, so the rest of the line is still checked for syntax
+/// and control ops can ignore the graph; once the graph is known to be
+/// rejected nothing more is stored, so memory stays within the limits.
+struct GraphDecoder {
+    builder: GraphBuilder,
+    /// Stays `Absent` when `graph` is not an object.
+    weights: List,
+    edges: List,
+    /// Edges that arrived before `weights`, checked once the task count
+    /// is known.
+    pending: Vec<(f64, f64)>,
+    /// The first bad entry, in line order.
+    entry_error: Option<String>,
+    /// Whether some recorded problem already rejects the graph.
+    failed: bool,
+}
+
+impl GraphDecoder {
+    fn read(
+        t: &mut Tokenizer<'_>,
+        limits: &Limits,
+        dup: &mut Option<&'static str>,
+    ) -> Result<Self, ParseError> {
+        let mut g = GraphDecoder {
+            builder: GraphBuilder::new(),
+            weights: List::Absent,
+            edges: List::Absent,
+            pending: Vec::new(),
+            entry_error: None,
+            failed: false,
         };
-        if pair.len() != 2
-            || from.fract() != 0.0
-            || to.fract() != 0.0
-            || !(0.0..n as f64).contains(&from)
-            || !(0.0..n as f64).contains(&to)
-        {
-            return Err(bad_graph(format!(
-                "edge [{from}, {to}] is out of range for {n} tasks"
-            )));
+        let first = t.expect_event()?;
+        if !matches!(first, Event::BeginObject) {
+            t.skip_from(first)?;
+            return Ok(g);
         }
-        b.add_edge(TaskId(from as u32), TaskId(to as u32))
-            .map_err(|e| bad_graph(e.to_string()))?;
+        while let Event::Key(key) = t.expect_event()? {
+            match &*key.decode() {
+                "weights" if g.weights != List::Absent => {
+                    dup.get_or_insert("graph.weights");
+                    t.skip_value()?;
+                }
+                "weights" => g.read_weights(t, limits)?,
+                "edges" if g.edges != List::Absent => {
+                    dup.get_or_insert("graph.edges");
+                    t.skip_value()?;
+                }
+                "edges" => g.read_edges(t, limits)?,
+                _ => t.skip_value()?,
+            }
+        }
+        Ok(g)
     }
-    b.build().map_err(|e| bad_graph(e.to_string()))
+
+    fn entry_error(&mut self, message: impl Into<String>) {
+        self.failed = true;
+        self.entry_error.get_or_insert_with(|| message.into());
+    }
+
+    fn read_weights(&mut self, t: &mut Tokenizer<'_>, limits: &Limits) -> Result<(), ParseError> {
+        let first = t.expect_event()?;
+        if !matches!(first, Event::BeginArray) {
+            self.weights = List::NotArray;
+            self.failed = true;
+            return t.skip_from(first);
+        }
+        let mut count = 0;
+        loop {
+            // Weights are cycle counts; 2^53 cycles is ~29 days at 3.1 GHz.
+            let weight = match t.expect_event()? {
+                Event::EndArray => break,
+                Event::Number(x) => wire_u64(x.to_f64()),
+                other => {
+                    t.skip_from(other)?;
+                    None
+                }
+            };
+            count += 1;
+            if count > limits.max_tasks {
+                self.failed = true;
+            }
+            match weight {
+                _ if self.failed => {}
+                Some(w) => {
+                    self.builder.add_task(w);
+                }
+                None => self.entry_error(WEIGHT_ENTRY),
+            }
+        }
+        self.weights = List::Array(count);
+        Ok(())
+    }
+
+    fn read_edges(&mut self, t: &mut Tokenizer<'_>, limits: &Limits) -> Result<(), ParseError> {
+        let first = t.expect_event()?;
+        if !matches!(first, Event::BeginArray) {
+            self.edges = List::NotArray;
+            self.failed = true;
+            return t.skip_from(first);
+        }
+        let mut count = 0;
+        loop {
+            let pair = match t.expect_event()? {
+                Event::EndArray => break,
+                Event::BeginArray => read_pair(t)?,
+                other => {
+                    t.skip_from(other)?;
+                    Err(EDGE_ENTRY)
+                }
+            };
+            count += 1;
+            if count > limits.max_edges {
+                self.failed = true;
+            }
+            if self.failed {
+                continue;
+            }
+            match (pair, self.weights) {
+                (Err(message), _) => self.entry_error(message),
+                (Ok(pair), List::Array(n)) => self.add_edge(pair, n),
+                (Ok(pair), _) => self.pending.push(pair),
+            }
+        }
+        self.edges = List::Array(count);
+        Ok(())
+    }
+
+    fn add_edge(&mut self, (from, to): (f64, f64), n: usize) {
+        // The casts saturate, so an end round-trips exactly when it is an
+        // integer in `0..2^32`.
+        let (f, t) = (from as u32, to as u32);
+        if f64::from(f) != from || f64::from(t) != to || f as usize >= n || t as usize >= n {
+            return self.entry_error(format!("edge [{from}, {to}] is out of range for {n} tasks"));
+        }
+        if let Err(e) = self.builder.add_edge(TaskId(f), TaskId(t)) {
+            self.entry_error(e.to_string());
+        }
+    }
+
+    /// The graph, or why it is rejected. Structural problems are named
+    /// before bad entries, as the checks read them.
+    fn finish(mut self, limits: &Limits) -> Result<TaskGraph, String> {
+        let n = match self.weights {
+            List::Array(n) => n,
+            _ => return Err("graph.weights must be an array of cycle counts".into()),
+        };
+        if n == 0 {
+            return Err("graph.weights must not be empty".into());
+        }
+        if n > limits.max_tasks {
+            return Err(format!(
+                "graph has {n} tasks, limit is {}",
+                limits.max_tasks
+            ));
+        }
+        match self.edges {
+            List::NotArray => {
+                return Err("graph.edges must be an array of [from, to] pairs".into());
+            }
+            List::Array(e) if e > limits.max_edges => {
+                return Err(format!(
+                    "graph has {e} edges, limit is {}",
+                    limits.max_edges
+                ));
+            }
+            _ => {}
+        }
+        for pair in std::mem::take(&mut self.pending) {
+            self.add_edge(pair, n);
+        }
+        if let Some(message) = self.entry_error {
+            return Err(message);
+        }
+        self.builder.build().map_err(|e| e.to_string())
+    }
+}
+
+/// Read the rest of an `edges` element whose `[` was just consumed: two
+/// numbers and `]`, or the entry error it earns (the element is consumed
+/// either way).
+fn read_pair(t: &mut Tokenizer<'_>) -> Result<Result<(f64, f64), &'static str>, ParseError> {
+    let mut ends = [0.0; 2];
+    for end in &mut ends {
+        match t.expect_event()? {
+            Event::Number(x) => *end = x.to_f64(),
+            Event::EndArray => return Ok(Err(EDGE_ENTRY)),
+            other => {
+                t.skip_from(other)?;
+                t.skip_from(Event::BeginArray)?;
+                return Ok(Err(EDGE_ENTRY));
+            }
+        }
+    }
+    match t.expect_event()? {
+        Event::EndArray => Ok(Ok((ends[0], ends[1]))),
+        other => {
+            t.skip_from(other)?;
+            t.skip_from(Event::BeginArray)?;
+            Ok(Err(EDGE_ENTRY))
+        }
+    }
+}
+
+/// Read the whole line: its members, or `None` when the document is
+/// not an object. Any syntax error anywhere wins over every other
+/// problem.
+fn read_members<'a>(
+    t: &mut Tokenizer<'a>,
+    limits: &Limits,
+) -> Result<Option<Members<'a>>, ParseError> {
+    let first = t.expect_event()?;
+    if !matches!(first, Event::BeginObject) {
+        t.skip_from(first)?;
+        t.finish()?;
+        return Ok(None);
+    }
+    let mut m = Members::default();
+    while let Event::Key(key) = t.expect_event()? {
+        let key = key.decode();
+        let (name, slot) = match &*key {
+            "id" => ("id", &mut m.id),
+            "op" => ("op", &mut m.op),
+            "strategy" => ("strategy", &mut m.strategy),
+            "deadline_s" => ("deadline_s", &mut m.deadline_s),
+            "deadline_factor" => ("deadline_factor", &mut m.deadline_factor),
+            "budget_steps" => ("budget_steps", &mut m.budget_steps),
+            "last" => ("last", &mut m.last),
+            "graph" if m.graph.is_some() => {
+                m.duplicate.get_or_insert("graph");
+                t.skip_value()?;
+                continue;
+            }
+            "graph" => {
+                m.graph = Some(GraphDecoder::read(t, limits, &mut m.duplicate)?);
+                continue;
+            }
+            // Unknown members are ignored: checked for syntax, not kept.
+            _ => {
+                t.skip_value()?;
+                continue;
+            }
+        };
+        if slot.is_some() {
+            m.duplicate.get_or_insert(name);
+            t.skip_value()?;
+        } else {
+            *slot = Some(Scalar::read(t)?);
+        }
+    }
+    t.finish()?;
+    Ok(Some(m))
 }
 
 /// Parse and validate one request line. The `oversized` kind is produced
 /// by the server's reader (it never materializes the line); this parser
 /// handles everything that fits in memory.
+///
+/// The line is decoded in one streaming pass with no JSON value tree:
+/// weights and edges go straight into a [`GraphBuilder`], at most
+/// [`Limits::max_tasks`] and [`Limits::max_edges`] of them are stored,
+/// and unknown members are skipped without being kept. The whole line
+/// is read before any rule is applied, so a syntax error anywhere is
+/// `malformed_json`, whatever else is wrong.
+///
+/// A key that appears twice in the request object or in its `graph`
+/// object is a `bad_request` naming the key; it echoes the id unless the
+/// duplicated key is `id` itself. Objects under unknown keys are not
+/// checked for duplicates.
 pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, ProtoError> {
-    let root = parse(line).map_err(|e| ProtoError {
+    let mut t = Tokenizer::new(line);
+    let members = read_members(&mut t, limits).map_err(|e| ProtoError {
         id: None,
         kind: "malformed_json",
         message: e.to_string(),
     })?;
-    if root.as_object().is_none() {
+    let Some(m) = members else {
         return Err(ProtoError::bad(None, "request must be a JSON object"));
-    }
-    let id = extract_id(&root)?;
-    let op = match root.get("op") {
-        None => "solve",
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| ProtoError::bad(Some(id), "op must be a string"))?,
     };
-    match op {
+    if m.duplicate == Some("id") {
+        return Err(ProtoError::bad(None, "duplicate key \"id\""));
+    }
+    let id = match m.id {
+        Some(v) => v
+            .number()
+            .and_then(wire_u64)
+            .ok_or_else(|| ProtoError::bad(None, "id must be a non-negative integer ≤ 2^53"))?,
+        None => return Err(ProtoError::bad(None, "missing required field id")),
+    };
+    if let Some(key) = m.duplicate {
+        return Err(ProtoError::bad(Some(id), format!("duplicate key {key:?}")));
+    }
+    let op = match m.op {
+        None => Cow::Borrowed("solve"),
+        Some(Scalar::Str(s)) => s.decode(),
+        Some(_) => return Err(ProtoError::bad(Some(id), "op must be a string")),
+    };
+    match &*op {
         "ping" => return Ok(Request::Ping { id }),
         "stats" => return Ok(Request::Stats { id }),
         "telemetry" => return Ok(Request::Telemetry { id }),
         "flight" => {
-            let last = match root.get("last") {
+            let last = match m.last {
                 None => FLIGHT_DEFAULT_LAST,
-                Some(v) => match v.as_number() {
-                    Some(x) if (1.0..=FLIGHT_MAX_LAST as f64).contains(&x) && x.fract() == 0.0 => {
-                        x as usize
-                    }
+                Some(v) => match v.number().and_then(wire_u64) {
+                    Some(x) if (1..=FLIGHT_MAX_LAST as u64).contains(&x) => x as usize,
                     _ => {
                         return Err(ProtoError::bad(
                             Some(id),
@@ -338,25 +593,35 @@ pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, ProtoError>
         }
     }
 
-    let strategy = match root.get("strategy") {
-        Some(Value::String(s)) => parse_strategy(s).ok_or_else(|| {
-            ProtoError::bad(
-                Some(id),
-                format!("unknown strategy {s:?} (expected ss, lamps, ss_ps, or lamps_ps)"),
-            )
-        })?,
+    let strategy = match m.strategy {
+        Some(Scalar::Str(s)) => {
+            let s = s.decode();
+            parse_strategy(&s).ok_or_else(|| {
+                ProtoError::bad(
+                    Some(id),
+                    format!("unknown strategy {s:?} (expected ss, lamps, ss_ps, or lamps_ps)"),
+                )
+            })?
+        }
         Some(_) => return Err(ProtoError::bad(Some(id), "strategy must be a string")),
         None => return Err(ProtoError::bad(Some(id), "missing required field strategy")),
     };
-    let deadline = match (root.get("deadline_s"), root.get("deadline_factor")) {
+    let finite_positive = |v: Scalar<'_>, what: &str| match v.number() {
+        Some(x) if x.is_finite() && x > 0.0 => Ok(x),
+        _ => Err(ProtoError::bad(
+            Some(id),
+            format!("{what} must be a positive finite number"),
+        )),
+    };
+    let deadline = match (m.deadline_s, m.deadline_factor) {
         (Some(_), Some(_)) => {
             return Err(ProtoError::bad(
                 Some(id),
                 "give deadline_s or deadline_factor, not both",
             ))
         }
-        (Some(v), None) => DeadlineSpec::Seconds(finite_positive(v, "deadline_s", id)?),
-        (None, Some(v)) => DeadlineSpec::Factor(finite_positive(v, "deadline_factor", id)?),
+        (Some(v), None) => DeadlineSpec::Seconds(finite_positive(v, "deadline_s")?),
+        (None, Some(v)) => DeadlineSpec::Factor(finite_positive(v, "deadline_factor")?),
         (None, None) => {
             return Err(ProtoError::bad(
                 Some(id),
@@ -364,22 +629,21 @@ pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, ProtoError>
             ))
         }
     };
-    let budget_steps = match root.get("budget_steps") {
+    let budget_steps = match m.budget_steps {
         None => None,
-        Some(v) => match v.as_number() {
-            Some(x) if (0.0..=MAX_ID).contains(&x) && x.fract() == 0.0 => Some(x as u64),
-            _ => {
-                return Err(ProtoError::bad(
-                    Some(id),
-                    "budget_steps must be a non-negative integer",
-                ))
-            }
-        },
+        Some(v) => Some(v.number().and_then(wire_u64).ok_or_else(|| {
+            ProtoError::bad(Some(id), "budget_steps must be a non-negative integer")
+        })?),
     };
-    let graph_value = root
-        .get("graph")
-        .ok_or_else(|| ProtoError::bad(Some(id), "missing required field graph"))?;
-    let graph = parse_graph(graph_value, id, limits)?;
+    let graph = m
+        .graph
+        .ok_or_else(|| ProtoError::bad(Some(id), "missing required field graph"))?
+        .finish(limits)
+        .map_err(|message| ProtoError {
+            id: Some(id),
+            kind: "bad_graph",
+            message,
+        })?;
     Ok(Request::Solve(Box::new(SolveRequest {
         id,
         strategy,
@@ -922,6 +1186,23 @@ pub fn encode_solve_request(
     out
 }
 
+/// Render any request as one line (with its newline) — the client-side
+/// inverse of [`parse_request`] for every op.
+pub fn encode_request(req: &Request) -> String {
+    match req {
+        Request::Solve(s) => {
+            encode_solve_request(s.id, s.strategy, s.deadline, &s.graph, s.budget_steps)
+        }
+        Request::Ping { id } => format!("{{\"id\":{id},\"op\":\"ping\"}}\n"),
+        Request::Stats { id } => format!("{{\"id\":{id},\"op\":\"stats\"}}\n"),
+        Request::Telemetry { id } => format!("{{\"id\":{id},\"op\":\"telemetry\"}}\n"),
+        Request::Flight { id, last } => {
+            format!("{{\"id\":{id},\"op\":\"flight\",\"last\":{last}}}\n")
+        }
+        Request::Shutdown { id } => format!("{{\"id\":{id},\"op\":\"shutdown\"}}\n"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1189,6 +1470,147 @@ mod tests {
                 .kind,
             "bad_graph"
         );
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_at_both_levels() {
+        let limits = Limits::default();
+        let base = "\"strategy\":\"lamps\",\"deadline_factor\":2,\"graph\":{\"weights\":[1,2],\"edges\":[[0,1]]}";
+        for (extra, key) in [
+            ("\"strategy\":\"ss\"", "strategy"),
+            ("\"deadline_factor\":3", "deadline_factor"),
+            ("\"op\":\"solve\",\"op\":\"ping\"", "op"),
+            ("\"budget_steps\":1,\"budget_steps\":2", "budget_steps"),
+            ("\"graph\":{\"weights\":[1]}", "graph"),
+        ] {
+            let line = format!("{{\"id\":3,{base},{extra}}}");
+            let err = parse_request(&line, &limits).unwrap_err();
+            assert_eq!((err.kind, err.id), ("bad_request", Some(3)), "{line}");
+            assert_eq!(err.message, format!("duplicate key {key:?}"), "{line}");
+        }
+        for (graph, key) in [
+            ("{\"weights\":[1],\"weights\":[1]}", "graph.weights"),
+            (
+                "{\"weights\":[1,2],\"edges\":[],\"edges\":[]}",
+                "graph.edges",
+            ),
+        ] {
+            let line = format!(
+                "{{\"id\":4,\"strategy\":\"lamps\",\"deadline_factor\":2,\"graph\":{graph}}}"
+            );
+            let err = parse_request(&line, &limits).unwrap_err();
+            assert_eq!((err.kind, err.id), ("bad_request", Some(4)));
+            assert_eq!(err.message, format!("duplicate key {key:?}"));
+        }
+        // A duplicated id echoes no id, whichever copy is valid.
+        for line in [
+            "{\"id\":1,\"id\":2,\"op\":\"ping\"}",
+            "{\"id\":\"x\",\"op\":\"ping\",\"id\":2}",
+        ] {
+            let err = parse_request(line, &limits).unwrap_err();
+            assert_eq!((err.kind, err.id), ("bad_request", None), "{line}");
+            assert_eq!(err.message, "duplicate key \"id\"");
+        }
+        // Control ops are checked too, and unknown keys stay ignored.
+        let err = parse_request("{\"id\":5,\"op\":\"ping\",\"op\":\"ping\"}", &limits).unwrap_err();
+        assert_eq!((err.kind, err.id), ("bad_request", Some(5)));
+        assert!(parse_request(
+            "{\"id\":6,\"op\":\"ping\",\"x\":1,\"x\":{\"y\":1,\"y\":2}}",
+            &limits
+        )
+        .is_ok());
+    }
+
+    #[test]
+    fn non_rfc_numbers_are_malformed_json() {
+        let limits = Limits::default();
+        for num in [
+            "05", "2.", "-.0", "1.e0", "+1", ".5", "00", "NaN", "Infinity",
+        ] {
+            for line in [
+                format!("{{\"id\":{num},\"op\":\"ping\"}}"),
+                format!("{{\"id\":1,\"strategy\":\"lamps\",\"deadline_factor\":{num},\"graph\":{{\"weights\":[1]}}}}"),
+                format!("{{\"id\":1,\"strategy\":\"lamps\",\"deadline_factor\":2,\"graph\":{{\"weights\":[{num}]}}}}"),
+                format!("{{\"id\":1,\"op\":\"ping\",\"ignored\":[{num}]}}"),
+            ] {
+                let err = parse_request(&line, &limits).unwrap_err();
+                assert_eq!((err.kind, err.id), ("malformed_json", None), "{line}");
+            }
+        }
+        // Exponents and fractions that name integers are still integers.
+        let req = parse_request(
+            "{\"id\":1e1,\"strategy\":\"lamps\",\"deadline_factor\":2,\"graph\":{\"weights\":[3.0,2E1]}}",
+            &limits,
+        )
+        .unwrap();
+        let Request::Solve(req) = req else {
+            panic!("{req:?}")
+        };
+        assert_eq!((req.id, req.graph.weights()), (10, &[3, 20][..]));
+    }
+
+    #[test]
+    fn syntax_errors_win_over_every_other_problem() {
+        // The whole line is read before any rule is applied.
+        let limits = Limits {
+            max_tasks: 1,
+            ..Limits::default()
+        };
+        for line in [
+            "{\"id\":1,\"strategy\":\"warp\",\"graph\":{\"weights\":[1,2,3]},",
+            "{\"id\":1,\"id\":2,\"op\":\"ping\"",
+            "{\"id\":1,\"op\":\"ping\",\"graph\":{\"weights\":[1,2]}} x",
+        ] {
+            assert_eq!(
+                parse_request(line, &limits).unwrap_err().kind,
+                "malformed_json",
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn edges_may_precede_weights() {
+        let limits = Limits::default();
+        let line = "{\"graph\":{\"edges\":[[0,2],[1,2]],\"weights\":[4,5,6]},\"deadline_s\":1,\"strategy\":\"ss\",\"id\":9}";
+        let Request::Solve(req) = parse_request(line, &limits).unwrap() else {
+            panic!("expected a solve");
+        };
+        assert_eq!(req.graph.edge_count(), 2);
+        assert_eq!(req.graph.critical_path_cycles(), 11);
+        for graph in [
+            "{\"edges\":[[0,3]],\"weights\":[4,5,6]}",
+            "{\"edges\":[[1,1]],\"weights\":[4,5,6]}",
+            "{\"edges\":[[0,1]]}",
+        ] {
+            let line =
+                format!("{{\"id\":2,\"strategy\":\"ss\",\"deadline_s\":1,\"graph\":{graph}}}");
+            let err = parse_request(&line, &limits).unwrap_err();
+            assert_eq!((err.kind, err.id), ("bad_graph", Some(2)), "{graph}");
+        }
+    }
+
+    #[test]
+    fn limits_count_every_element_but_store_none_past_them() {
+        let limits = Limits {
+            max_line_bytes: 1 << 20,
+            max_tasks: 3,
+            max_edges: 2,
+        };
+        let weights = vec!["1"; 5000].join(",");
+        let line = format!("{{\"id\":1,\"strategy\":\"ss\",\"deadline_s\":1,\"graph\":{{\"weights\":[{weights}]}}}}");
+        let err = parse_request(&line, &limits).unwrap_err();
+        assert_eq!(err.message, "graph has 5000 tasks, limit is 3");
+        let edges = ["[0,1]"; 7].join(",");
+        let line = format!("{{\"id\":1,\"strategy\":\"ss\",\"deadline_s\":1,\"graph\":{{\"weights\":[1,1],\"edges\":[{edges}]}}}}");
+        let err = parse_request(&line, &limits).unwrap_err();
+        assert_eq!(err.message, "graph has 7 edges, limit is 2");
+        // A control op does not care about the graph's size.
+        let line = format!("{{\"id\":2,\"op\":\"ping\",\"graph\":{{\"weights\":[{weights}]}}}}");
+        assert!(matches!(
+            parse_request(&line, &limits),
+            Ok(Request::Ping { id: 2 })
+        ));
     }
 
     #[test]

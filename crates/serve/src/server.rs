@@ -375,38 +375,53 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = writer.join();
 }
 
+/// Smallest free space a `read` is offered; the read buffer grows when
+/// less is left.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Consume request lines until the client disconnects, stalls, or
 /// overruns the line limit. A panic anywhere in request handling is
 /// caught per line so one poisoned request cannot take the connection
 /// thread down with it.
+///
+/// Lines are decoded in place: `read` fills the buffer directly, each
+/// complete line is handed to the decoder as a slice of it, the newline
+/// scan resumes where the previous one stopped, and the unfinished tail
+/// is moved to the front once per `read`.
 fn read_lines(shared: &Arc<Shared>, mut stream: TcpStream, tx: &mpsc::Sender<String>) -> ReadEnd {
     let max_line = shared.config.limits.max_line_bytes;
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 64 * 1024];
+    // `buf[..end]` holds bytes not yet answered; `buf[end..]` is free
+    // space for the next read (zeroed once, when the buffer grows).
+    let mut buf = vec![0u8; READ_CHUNK];
+    let mut end = 0;
+    // Bytes of `buf[..end]` already known to hold no newline.
+    let mut scanned = 0;
     loop {
-        // Drain every complete line currently buffered.
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=nl).collect();
-            if line.len() > max_line {
+        // Answer every complete line currently buffered.
+        let mut start = 0;
+        while let Some(off) = buf[scanned..end].iter().position(|&b| b == b'\n') {
+            let nl = scanned + off;
+            if nl + 1 - start > max_line {
                 return ReadEnd::Oversized;
             }
-            let text = String::from_utf8_lossy(&line[..line.len() - 1]);
-            let text = text.trim_end_matches('\r').trim();
-            if text.is_empty() {
-                continue;
-            }
-            let handled = catch_unwind(AssertUnwindSafe(|| handle_line(shared, text, tx)));
-            if handled.is_err() {
-                shared.stats.panics.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(encode_error(None, "internal", "request handling panicked"));
-            }
+            handle_bytes(shared, &buf[start..nl], tx);
+            start = nl + 1;
+            scanned = start;
         }
-        if buf.len() > max_line {
+        if start > 0 {
+            buf.copy_within(start..end, 0);
+            end -= start;
+        }
+        scanned = end;
+        if end > max_line {
             return ReadEnd::Oversized;
         }
-        match stream.read(&mut chunk) {
+        if buf.len() - end < READ_CHUNK {
+            buf.resize(2 * buf.len(), 0);
+        }
+        match stream.read(&mut buf[end..]) {
             Ok(0) => return ReadEnd::Eof,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => end += n,
             Err(e) => match e.kind() {
                 std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
                     return ReadEnd::IdleTimeout
@@ -415,6 +430,34 @@ fn read_lines(shared: &Arc<Shared>, mut stream: TcpStream, tx: &mpsc::Sender<Str
                 _ => return ReadEnd::IoError,
             },
         }
+    }
+}
+
+/// Answer one raw line (without its newline). A line that is not UTF-8
+/// is `malformed_json` with no id; blank lines are ignored.
+fn handle_bytes(shared: &Arc<Shared>, line: &[u8], tx: &mpsc::Sender<String>) {
+    let text = match std::str::from_utf8(line) {
+        Ok(text) => text.trim_end_matches('\r').trim(),
+        Err(e) => {
+            bump(&shared.stats.protocol_errors, "serve.protocol_errors");
+            let _ = tx.send(encode_error(
+                None,
+                "malformed_json",
+                &format!(
+                    "request line is not valid UTF-8 at byte {}",
+                    e.valid_up_to()
+                ),
+            ));
+            return;
+        }
+    };
+    if text.is_empty() {
+        return;
+    }
+    let handled = catch_unwind(AssertUnwindSafe(|| handle_line(shared, text, tx)));
+    if handled.is_err() {
+        shared.stats.panics.fetch_add(1, Ordering::Relaxed);
+        let _ = tx.send(encode_error(None, "internal", "request handling panicked"));
     }
 }
 

@@ -390,3 +390,133 @@ fn budget_steps_degrade_instead_of_failing() {
     }
     assert_eq!(server.stats().panics, 0);
 }
+
+#[test]
+fn duplicate_keys_are_named_and_the_connection_keeps_serving() {
+    let server = test_server(|_| {});
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut s = connect(&server);
+        for (line, want_id, key) in [
+            (
+                "{\"id\":20,\"op\":\"ping\",\"op\":\"stats\"}",
+                Some(20),
+                "op",
+            ),
+            ("{\"id\":21,\"id\":22,\"op\":\"ping\"}", None, "id"),
+            (
+                "{\"id\":23,\"strategy\":\"lamps\",\"strategy\":\"ss\",\"deadline_factor\":2,\
+                 \"graph\":{\"weights\":[1]}}",
+                Some(23),
+                "strategy",
+            ),
+            (
+                "{\"id\":24,\"strategy\":\"lamps\",\"deadline_factor\":2,\
+                 \"graph\":{\"weights\":[1],\"weights\":[2]}}",
+                Some(24),
+                "graph.weights",
+            ),
+        ] {
+            match s.roundtrip(line) {
+                Response::Error { id, kind, message } => {
+                    assert_eq!((id, kind.as_str()), (want_id, "bad_request"), "{line}");
+                    assert_eq!(message, format!("duplicate key {key:?}"));
+                }
+                other => panic!("{line} should earn an error, got {other:?}"),
+            }
+        }
+        match s.roundtrip(GOOD_SOLVE) {
+            Response::Solved(r) => assert_eq!(r.id, 77),
+            other => panic!("expected solved, got {other:?}"),
+        }
+    }));
+    assert!(outcome.is_ok(), "protocol handling panicked");
+    assert_eq!(server.stats().panics, 0);
+}
+
+#[test]
+fn non_rfc_numbers_and_invalid_utf8_are_malformed_json_without_an_id() {
+    let server = test_server(|_| {});
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut s = connect(&server);
+        let mut lines: Vec<Vec<u8>> = ["05", "2.", "-.0", "1.e0", "+1"]
+            .iter()
+            .map(|num| format!("{{\"id\":{num},\"op\":\"ping\"}}").into_bytes())
+            .collect();
+        // A 0xFF byte inside the strategy name, and a truncated sequence.
+        lines.push(
+            b"{\"id\":30,\"strategy\":\"l\xffmps\",\"deadline_factor\":2,\"graph\":{\"weights\":[1]}}"
+                .to_vec(),
+        );
+        lines.push(b"{\"id\":31,\"op\":\"ping\",\"x\":\"\xe2\x82\"}".to_vec());
+        for line in &lines {
+            s.write(line);
+            s.write(b"\n");
+            match s.read_response() {
+                Response::Error { id, kind, .. } => {
+                    assert_eq!((id, kind.as_str()), (None, "malformed_json"), "{line:?}");
+                }
+                other => panic!("{line:?} should earn an error, got {other:?}"),
+            }
+        }
+        match s.roundtrip(GOOD_SOLVE) {
+            Response::Solved(r) => assert_eq!(r.id, 77),
+            other => panic!("expected solved, got {other:?}"),
+        }
+    }));
+    assert!(outcome.is_ok(), "protocol handling panicked");
+    assert_eq!(server.stats().panics, 0);
+    assert_eq!(server.stats().protocol_errors, 7);
+}
+
+#[test]
+fn a_line_split_across_many_writes_is_answered_once() {
+    let server = test_server(|_| {});
+    let mut s = connect(&server);
+    let line = format!("{GOOD_SOLVE}\n");
+    for piece in line.as_bytes().chunks(5) {
+        s.write(piece);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    match s.read_response() {
+        Response::Solved(r) => assert_eq!(r.id, 77),
+        other => panic!("expected solved, got {other:?}"),
+    }
+    // A second line whose newline arrives alone, after a CR.
+    s.write(b"{\"id\":3,\"op\":\"ping\"}\r");
+    std::thread::sleep(Duration::from_millis(5));
+    s.write(b"\n");
+    assert!(matches!(s.read_response(), Response::Pong { id: 3 }));
+    assert_eq!(server.stats().panics, 0);
+}
+
+#[test]
+fn many_lines_in_one_write_each_answer_with_their_own_id() {
+    let server = test_server(|_| {});
+    let mut s = connect(&server);
+    let mut batch = String::new();
+    let mut want = Vec::new();
+    for id in 100u64..160 {
+        if id % 3 == 0 {
+            batch.push_str(&format!("{{\"id\":{id},\"op\":\"ping\"}}\n"));
+        } else {
+            batch.push_str(&format!(
+                "{{\"id\":{id},\"strategy\":\"lamps\",\"deadline_factor\":2.0,\
+                 \"graph\":{{\"weights\":[3100000,{}],\"edges\":[[0,1]]}}}}\n",
+                id * 1000
+            ));
+        }
+        // Blank lines in between are skipped, not answered.
+        if id % 7 == 0 {
+            batch.push_str(" \r\n\n");
+        }
+        want.push(id);
+    }
+    s.write(batch.as_bytes());
+    let mut seen: Vec<u64> = want
+        .iter()
+        .map(|_| s.read_response().id().expect("id"))
+        .collect();
+    seen.sort_unstable();
+    assert_eq!(seen, want);
+    assert_eq!(server.stats().panics, 0);
+}

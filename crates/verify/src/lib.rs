@@ -21,6 +21,9 @@
 //! * [`serve`] — wire-protocol checks for `lamps-serve`: internal
 //!   consistency of response lines and bitwise replay of
 //!   request/response exchanges against a local solve.
+//! * [`wire`] — a fuzzer for the `lamps-serve` request decoder
+//!   (grammar-generated requests plus byte mutations of a golden corpus)
+//!   and the corpus itself.
 //! * [`flight`] — structural checks for `lamps-flight-v1` flight-recorder
 //!   dumps: per-thread timestamp monotonicity, serve request lifecycle
 //!   ordering, and event-count consistency against registry counters.
@@ -37,6 +40,7 @@ pub mod oracle;
 pub mod runtime;
 pub mod serve;
 pub mod validator;
+pub mod wire;
 
 pub use case::Case;
 pub use corpus::{corpus_file_name, run_corpus, CorpusResult};
@@ -51,3 +55,4 @@ pub use oracle::{exhaustive_optimum, OracleConfig, OracleError, OracleResult};
 pub use runtime::{check_online, check_run, RunViolation};
 pub use serve::{check_exchange, check_response_line, ServeViolation};
 pub use validator::{check_schedule, check_solution, rebill, RebilledEnergy, Violation};
+pub use wire::{check_line, run_wire, WireFailure, WireFuzzConfig, WireFuzzOutcome};
