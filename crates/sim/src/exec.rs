@@ -52,8 +52,9 @@ pub(crate) struct Frame<'a> {
     pub schedule: &'a Schedule,
     pub plan_level: OperatingPoint,
     pub n_procs: usize,
-    /// Fault-free cycle counts per task (≤ WCET).
-    pub actual: &'a [u64],
+    /// Cycles each task executes: its actual (≤ WCET), or its overrun
+    /// (see [`FaultView::effective_cycles`]).
+    pub cycles: &'a [u64],
     /// Faults, times relative to the frame start.
     pub faults: FaultView<'a>,
     /// Due time per task, frame-relative \[s\].
@@ -122,7 +123,6 @@ pub(crate) fn run_frame(
     let graph = fr.graph;
     let n = graph.len();
     let plan_level = fr.plan_level;
-    let eff = fr.faults.effective_cycles(graph, fr.actual);
 
     let mut procs: Vec<ProcState> = (0..fr.n_procs)
         .map(|p| {
@@ -437,7 +437,7 @@ pub(crate) fn run_frame(
                     exec_start += lat;
                     ps.current = level;
                 }
-                let cycles = eff[t.index()];
+                let cycles = fr.cycles[t.index()];
                 if cycles > w {
                     injected.push(InjectedEvent::Overrun {
                         task: t,

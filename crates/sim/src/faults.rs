@@ -14,11 +14,11 @@
 //! the run already completed, a stuck regulator on a processor that
 //! never tried to switch) leaves no event.
 
+use crate::actuals::Actuals;
 use crate::error::{bad_plan, check_proc, SimError};
 use lamps_sched::ProcId;
 use lamps_taskgraph::rng::Rng;
 use lamps_taskgraph::{TaskGraph, TaskId};
-use std::borrow::Cow;
 
 /// A processor fail-stop: at `at_s` the processor halts permanently,
 /// losing whatever it was executing.
@@ -221,7 +221,7 @@ pub(crate) fn draw_faults(
 /// of the stream-wide overrun and DVS arrays, between the previous
 /// frame's end offsets and its own, and `fail_stop` is its slot. Those
 /// arrays cost a stream of `F` frames with `O` overruns and `D` DVS
-/// faults exactly `40·F + 16·O + 24·D` heap bytes, and nothing when no
+/// faults exactly `32·F + 16·O + 24·D` heap bytes, and nothing when no
 /// frame has a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultView<'a> {
@@ -256,23 +256,20 @@ impl FaultView<'_> {
         FaultChecker::new(graph, n_procs).check(self)
     }
 
-    /// The cycle counts tasks will *actually* execute: `actual`
-    /// everywhere, except overrunning tasks run `round(wcet × factor)`
-    /// (at least 1) regardless of their drawn actuals — a
-    /// mis-characterized WCET dwarfs normal variation. Borrows `actual`
-    /// when nothing overruns.
-    pub fn effective_cycles<'b>(&self, graph: &TaskGraph, actual: &'b [u64]) -> Cow<'b, [u64]> {
-        if self.overruns.is_empty() {
-            return Cow::Borrowed(actual);
-        }
-        let mut eff = actual.to_vec();
+    /// Fill `out` with the cycle counts tasks will *actually* execute:
+    /// `actual` everywhere, except overrunning tasks run
+    /// `round(wcet × factor)` (at least 1) regardless of their drawn
+    /// actuals — a mis-characterized WCET dwarfs normal variation. The
+    /// caller owns `out`, so one buffer serves every frame of a stream.
+    pub fn effective_cycles(&self, graph: &TaskGraph, actual: Actuals<'_>, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(actual.iter());
         for o in self.overruns {
             let w = graph.weight(o.task);
             if w > 0 {
-                eff[o.task.index()] = ((w as f64 * o.factor).round() as u64).max(1);
+                out[o.task.index()] = ((w as f64 * o.factor).round() as u64).max(1);
             }
         }
-        Cow::Owned(eff)
     }
 }
 
@@ -442,7 +439,9 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let eff = plan.view().effective_cycles(&g, &actual);
+        let mut eff = Vec::new();
+        plan.view()
+            .effective_cycles(&g, actual.as_slice().into(), &mut eff);
         assert_eq!(eff[3], 1_500_000);
         assert_eq!(eff[1], 500_000);
     }
@@ -452,10 +451,11 @@ mod tests {
         let g = graph();
         let actual: Vec<u64> = g.weights().to_vec();
         assert!(FaultPlan::none().is_empty());
-        assert_eq!(
-            FaultPlan::none().view().effective_cycles(&g, &actual),
-            actual
-        );
+        let mut eff = vec![7; 3];
+        FaultPlan::none()
+            .view()
+            .effective_cycles(&g, actual.as_slice().into(), &mut eff);
+        assert_eq!(eff, actual);
     }
 
     #[test]

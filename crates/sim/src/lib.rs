@@ -23,6 +23,7 @@
 //! per-task level, idle gaps at idle power or asleep when the interval
 //! beats the §3.4 break-even, up to the deadline horizon.
 
+pub mod actuals;
 pub mod error;
 mod exec;
 pub mod faults;
@@ -31,6 +32,7 @@ pub mod recovery;
 pub mod runner;
 pub mod workload;
 
+pub use actuals::Actuals;
 pub use error::SimError;
 pub use faults::{
     DvsFault, DvsFaultKind, FailStop, FaultIntensity, FaultPlan, FaultView, InjectedEvent, Overrun,

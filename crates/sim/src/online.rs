@@ -50,6 +50,7 @@
 //! ordering, window disjointness, precedence, processor exclusivity,
 //! dead-processor silence, arrival-anchored verdicts, energy re-bill).
 
+use crate::actuals::{Actuals, Column};
 use crate::error::SimError;
 use crate::exec::{bill_idle, run_frame, Frame};
 use crate::faults::{
@@ -58,7 +59,7 @@ use crate::faults::{
 };
 use crate::recovery::{ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome};
 use crate::runner::DvsSwitchCost;
-use crate::workload::extend_actual_cycles;
+use crate::workload::draw_actual_cycles;
 use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
 use lamps_core::suffix::SuffixSolver;
 use lamps_core::{SchedulerConfig, SolveBudget, Strategy};
@@ -122,7 +123,7 @@ pub struct FrameInput<'a> {
     /// Absolute arrival time \[s\]. Arrivals must be non-decreasing.
     pub arrival_s: f64,
     /// Actual cycles per job (≤ WCET; overruns go in `faults`).
-    pub actual: &'a [u64],
+    pub actual: Actuals<'a>,
     /// Faults scoped to this frame; times are relative to the frame's
     /// *start* (a dead processor recovers at the next frame).
     pub faults: FaultView<'a>,
@@ -133,41 +134,46 @@ pub struct FrameInput<'a> {
 ///
 /// * `arrival_s` — one arrival per frame;
 /// * `actual` — every frame's actual cycles back to back, frame-major,
-///   at a stride of [`FrameTable::jobs`] entries per frame;
+///   at a stride of [`FrameTable::jobs`] entries per frame, in one
+///   column of `u32` when every value fits and of `u64` otherwise
+///   (read through [`Actuals`] views);
 /// * five fault arrays, all empty when no frame has a fault: every
 ///   frame's overruns back to back, every frame's DVS faults back to
-///   back, one `Option<FailStop>` per frame, and per frame the end
-///   offset of its overruns and of its DVS faults (a frame's slice
+///   back, one `Option<FailStop>` per frame, and per frame the `u32`
+///   end offset of its overruns and of its DVS faults (a frame's slice
 ///   starts at the previous frame's end).
 ///
 /// The constructors keep every per-frame array the same length in
 /// frames, so a frame's actuals always span exactly one stride; whether
 /// that stride matches the graph is checked once per stream by
-/// [`run_online`]. A stream of `F` frames of `N` jobs owns exactly
-/// `8·F + 8·F·N` heap bytes when fault-free; with faults it adds
-/// `40·F + 16·O + 24·D` bytes for its `O` overruns and `D` DVS faults
-/// (24 B per fail-stop slot, 8 B per end offset on 64-bit targets).
+/// [`run_online`]. A fault-free stream of `F` frames of `N` jobs owns
+/// exactly `8·F + 4·F·N` heap bytes with a narrow column and
+/// `8·F + 8·F·N` with a wide one; with faults it adds
+/// `32·F + 16·O + 24·D` bytes for its `O` overruns and `D` DVS faults
+/// (24 B per fail-stop slot, 4 B per end offset).
 ///
-/// The layout is canonical: a table whose frames carry no fault holds
-/// no fault arrays however it was built, so two tables compare equal
+/// The layout is canonical: the column is narrow exactly when every
+/// actual fits in `u32`, and a table whose frames carry no fault holds
+/// no fault arrays, however it was built. So two tables compare equal
 /// exactly when every frame reads the same.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrameTable {
     arrival_s: Vec<f64>,
-    actual: Vec<u64>,
+    actual: Column,
     jobs: usize,
     faults: FaultArrays,
 }
 
 /// The fault half of a [`FrameTable`]: empty, or one fail-stop slot and
-/// two end offsets per frame.
+/// two end offsets per frame. The offsets are `u32`, so a table holds
+/// at most `u32::MAX` overruns and as many DVS faults.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct FaultArrays {
     overruns: Vec<Overrun>,
-    overrun_end: Vec<usize>,
+    overrun_end: Vec<u32>,
     fail_stop: Vec<Option<FailStop>>,
     dvs: Vec<DvsFault>,
-    dvs_end: Vec<usize>,
+    dvs_end: Vec<u32>,
 }
 
 impl FaultArrays {
@@ -184,11 +190,13 @@ impl FaultArrays {
     }
 
     /// Close the next frame: it owns the overruns and DVS faults
-    /// appended since the previous frame closed.
-    fn end_frame(&mut self, fail_stop: Option<FailStop>) {
-        self.overrun_end.push(self.overruns.len());
-        self.dvs_end.push(self.dvs.len());
+    /// appended since the previous frame closed. Fails when either
+    /// array has outgrown its `u32` offsets.
+    fn end_frame(&mut self, fail_stop: Option<FailStop>) -> Result<(), SimError> {
+        self.overrun_end.push(offset(self.overruns.len())?);
+        self.dvs_end.push(offset(self.dvs.len())?);
         self.fail_stop.push(fail_stop);
+        Ok(())
     }
 
     /// Drop every array when no frame has a fault, else the growth
@@ -218,27 +226,41 @@ impl FaultArrays {
     }
 }
 
+/// A flat fault array's length as a `u32` end offset.
+fn offset(len: usize) -> Result<u32, SimError> {
+    u32::try_from(len).map_err(|_| {
+        SimError::BadStream(format!("{len} faults of one kind overflow the u32 offsets"))
+    })
+}
+
 /// The range of frame `i`'s entries in a flat array with per-frame end
 /// offsets `ends`.
-fn frame_range(ends: &[usize], i: usize) -> std::ops::Range<usize> {
-    i.checked_sub(1).map_or(0, |p| ends[p])..ends[i]
+fn frame_range(ends: &[u32], i: usize) -> std::ops::Range<usize> {
+    i.checked_sub(1).map_or(0, |p| ends[p] as usize)..ends[i] as usize
 }
 
 /// Replace frame `i`'s entries of a flat array with `new`, shifting the
 /// end offsets of frame `i` onwards.
-fn splice_frame<T: Copy>(flat: &mut Vec<T>, ends: &mut [usize], i: usize, new: &[T]) {
+///
+/// # Panics
+///
+/// If the array would outgrow its `u32` offsets.
+fn splice_frame<T: Copy>(flat: &mut Vec<T>, ends: &mut [u32], i: usize, new: &[T]) {
     let old = frame_range(ends, i);
     let removed = old.len();
+    offset(flat.len() - removed + new.len()).expect("a table holds at most u32::MAX faults");
     flat.splice(old, new.iter().copied());
     for end in &mut ends[i..] {
-        *end = *end - removed + new.len();
+        // Every end is at most the new length, which fits.
+        *end = (*end as usize - removed + new.len()) as u32;
     }
 }
 
 impl FrameTable {
     /// Assemble a table from its arrays: `actual` must hold `jobs`
     /// entries per arrival, `faults` none or one plan per arrival. The
-    /// plans are flattened into the table's fault arrays.
+    /// actuals go into a `u32` column when every value fits; the plans
+    /// are flattened into the table's fault arrays.
     pub fn from_parts(
         arrival_s: Vec<f64>,
         jobs: usize,
@@ -266,12 +288,12 @@ impl FrameTable {
         for plan in &faults {
             flat.overruns.extend_from_slice(&plan.overruns);
             flat.dvs.extend_from_slice(&plan.dvs);
-            flat.end_frame(plan.fail_stop);
+            flat.end_frame(plan.fail_stop)?;
         }
         flat.canonicalize();
         Ok(FrameTable {
             arrival_s,
-            actual,
+            actual: Column::from_values(actual),
             jobs,
             faults: flat,
         })
@@ -297,7 +319,7 @@ impl FrameTable {
         let arrival_s = *self.arrival_s.get(i)?;
         Some(FrameInput {
             arrival_s,
-            actual: &self.actual[i * self.jobs..(i + 1) * self.jobs],
+            actual: self.actual.view(i * self.jobs..(i + 1) * self.jobs),
             faults: self.faults.view(i),
         })
     }
@@ -314,8 +336,8 @@ impl FrameTable {
 
     /// Every frame's actual cycles, frame-major at stride
     /// [`FrameTable::jobs`].
-    pub fn actual(&self) -> &[u64] {
-        &self.actual
+    pub fn actual(&self) -> Actuals<'_> {
+        self.actual.all()
     }
 
     /// Mutable arrivals, one per frame.
@@ -323,9 +345,21 @@ impl FrameTable {
         &mut self.arrival_s
     }
 
-    /// Mutable actuals, frame-major at stride [`FrameTable::jobs`].
-    pub fn actual_mut(&mut self) -> &mut [u64] {
-        &mut self.actual
+    /// Set job `job` of frame `frame` to run `cycles` actual cycles. The
+    /// table stays canonical: the column widens to `u64` when `cycles`
+    /// does not fit in `u32`, and narrows back once every value does.
+    ///
+    /// # Panics
+    ///
+    /// If `frame` is not below [`FrameTable::len`] or `job` not below
+    /// [`FrameTable::jobs`].
+    pub fn set_actual(&mut self, frame: usize, job: usize, cycles: u64) {
+        let (n_frames, jobs) = (self.len(), self.jobs);
+        assert!(
+            frame < n_frames && job < jobs,
+            "job {job} of frame {frame} out of range for {n_frames} frames of {jobs} jobs"
+        );
+        self.actual.set(frame * jobs + job, cycles);
     }
 
     /// Replace frame `i`'s faults with `plan`'s, leaving every other
@@ -334,7 +368,8 @@ impl FrameTable {
     ///
     /// # Panics
     ///
-    /// If `i` is not below [`FrameTable::len`].
+    /// If `i` is not below [`FrameTable::len`], or if the table would
+    /// hold more than `u32::MAX` overruns or DVS faults.
     pub fn set_faults(&mut self, i: usize, plan: &FaultPlan) {
         let n_frames = self.len();
         assert!(i < n_frames, "frame {i} out of range for {n_frames} frames");
@@ -356,7 +391,7 @@ impl FrameTable {
 
 /// A stream of frames for [`run_online`]: arrivals, actual cycles and
 /// faults held as the stream-level arrays of a [`FrameTable`] (one
-/// arrival per frame, one flat stride-`jobs` actuals buffer, and flat
+/// arrival per frame, one flat stride-`jobs` actuals column, and flat
 /// fault arrays that are empty for a fault-free stream), read frame by
 /// frame through borrowed [`FrameInput`] views.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -373,10 +408,13 @@ impl OnlineStream {
     pub fn periodic(dag: &PeriodicDag, n_frames: usize, arrival_factor: f64, f_max: f64) -> Self {
         let span = dag.hyperperiod_cycles as f64 / f_max;
         let weights = dag.graph.weights();
-        let mut actual = Vec::with_capacity(n_frames * weights.len());
+        let max = weights.iter().copied().max().unwrap_or(0);
+        let mut actual = Column::with_capacity(n_frames * weights.len(), max);
         for _ in 0..n_frames {
-            actual.extend_from_slice(weights);
+            actual.extend(weights.iter().copied());
         }
+        // Only an empty stream can hold no value of a wide WCET.
+        actual.canonicalize();
         OnlineStream {
             frames: FrameTable {
                 arrival_s: arrivals(n_frames, arrival_factor, span),
@@ -392,6 +430,14 @@ impl OnlineStream {
     /// random faults per frame — the plan [`FaultPlan::random`] draws
     /// from the frame's seed (times within the frame span).
     /// `n_procs` must match the plan the stream will run against.
+    ///
+    /// The actuals are drawn straight into a `u32` column when the
+    /// graph's largest WCET fits in `u32`, since no actual exceeds its
+    /// WCET.
+    ///
+    /// # Panics
+    ///
+    /// If the stream draws more than `u32::MAX` overruns or DVS faults.
     #[allow(clippy::too_many_arguments)]
     pub fn synthesize(
         dag: &PeriodicDag,
@@ -406,7 +452,8 @@ impl OnlineStream {
     ) -> Self {
         let span = dag.hyperperiod_cycles as f64 / f_max;
         let jobs = dag.graph.len();
-        let mut actual = Vec::with_capacity(n_frames * jobs);
+        let max_wcet = dag.graph.weights().iter().copied().max().unwrap_or(0);
+        let mut actual = Column::with_capacity(n_frames * jobs, max_wcet);
         // Room for the most a frame can draw, so the arrays never grow;
         // `canonicalize` returns the slack.
         let mut faults = match intensity {
@@ -415,7 +462,7 @@ impl OnlineStream {
         };
         for i in 0..n_frames {
             let fseed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            extend_actual_cycles(&dag.graph, lo, hi, fseed, &mut actual);
+            actual.extend(draw_actual_cycles(&dag.graph, lo, hi, fseed));
             if let Some(fi) = intensity {
                 let fail_stop = draw_faults(
                     &dag.graph,
@@ -426,9 +473,13 @@ impl OnlineStream {
                     &mut faults.overruns,
                     &mut faults.dvs,
                 );
-                faults.end_frame(fail_stop);
+                faults
+                    .end_frame(fail_stop)
+                    .expect("a stream draws at most u32::MAX faults of one kind");
             }
         }
+        // Draws below a WCET that needs `u64` may all fit in `u32`.
+        actual.canonicalize();
         faults.canonicalize();
         OnlineStream {
             frames: FrameTable {
@@ -634,7 +685,7 @@ pub fn run_online(
             )));
         }
         prev_arrival = fr.arrival_s;
-        for (t, &actual) in graph.tasks().zip(fr.actual) {
+        for (t, actual) in graph.tasks().zip(fr.actual) {
             if actual > graph.weight(t) {
                 return Err(SimError::ActualExceedsWcet {
                     task: t,
@@ -660,9 +711,11 @@ pub fn run_online(
         .map(|j| dag.deadlines[j].unwrap_or(dag.hyperperiod_cycles) as f64 / f_max)
         .collect();
 
-    // Start-relative due time per job [s], refilled for every executed
-    // frame.
+    // Start-relative due time per job [s] and the cycles each job
+    // executes (actuals widened, overruns applied), refilled for every
+    // executed frame.
     let mut due_s = vec![0.0f64; n];
+    let mut cycles = Vec::with_capacity(n);
 
     let mut solver = SuffixSolver::new();
     let mut frames: Vec<FrameRecord> = Vec::with_capacity(table.len());
@@ -709,13 +762,14 @@ pub fn run_online(
         for (due, d) in due_s.iter_mut().zip(&due_rel) {
             *due = arrival_offset_s + d;
         }
+        fr.faults.effective_cycles(graph, fr.actual, &mut cycles);
         let run = run_frame(
             &Frame {
                 graph,
                 schedule: &sol.schedule,
                 plan_level: sol.level,
                 n_procs,
-                actual: fr.actual,
+                cycles: &cycles,
                 faults: fr.faults,
                 due_s: &due_s,
                 own_due: true,
@@ -1141,7 +1195,8 @@ mod tests {
             }
         );
         let mut over = good.clone();
-        over.frames.actual_mut()[0] += 1;
+        over.frames
+            .set_actual(0, 0, good.frames.actual().get(0) + 1);
         assert!(matches!(
             run_online(&dag, &over, &ocfg, &cfg),
             Err(SimError::ActualExceedsWcet { .. })
@@ -1185,7 +1240,10 @@ mod tests {
         assert_eq!(clean.frames.actual(), faulty.frames.actual());
         let span = dag.hyperperiod_cycles as f64 / f_max;
         for (i, fr) in clean.frames.iter().enumerate() {
-            assert_eq!(fr.actual, &clean.frames.actual()[i * n..(i + 1) * n]);
+            assert_eq!(
+                fr.actual.to_vec(),
+                clean.frames.actual().to_vec()[i * n..(i + 1) * n]
+            );
             assert_eq!(fr.arrival_s, clean.frames.arrival_s()[i]);
             assert!(fr.faults.is_empty());
             // Each frame holds exactly the plan `FaultPlan::random` draws
@@ -1309,6 +1367,55 @@ mod tests {
             let plans = plans.iter().cycle().take(count).cloned().collect();
             assert!(matches!(build(plans), Err(SimError::BadStream(_))));
         }
+    }
+
+    /// One above `u32::MAX`: the smallest actual that needs the wide
+    /// column.
+    const BIG: u64 = u32::MAX as u64 + 1;
+
+    #[test]
+    fn wide_actuals_round_trip_through_from_parts() {
+        let dag = wide_dag();
+        let n = dag.graph.len();
+        let f_max = cfg().max_frequency();
+        let clean = OnlineStream::synthesize(&dag, 2, 4, 0.8, 0.5, 0.9, None, f_max, 4).frames;
+        assert!(matches!(clean.actual, Column::Narrow(_)));
+        let mut actual = clean.actual().to_vec();
+        actual[n + 2] = BIG + 12_345;
+        let wide =
+            FrameTable::from_parts(clean.arrival_s().to_vec(), n, actual.clone(), vec![]).unwrap();
+        assert!(matches!(wide.actual, Column::Wide(_)));
+        assert_eq!(wide.actual().to_vec(), actual);
+        for (i, fr) in wide.iter().enumerate() {
+            assert_eq!(fr.actual.len(), n);
+            for j in 0..n {
+                assert_eq!(fr.actual.get(j), actual[i * n + j], "frame {i} job {j}");
+            }
+        }
+        assert_ne!(wide, clean);
+    }
+
+    #[test]
+    fn set_actual_widens_then_narrows_back() {
+        let dag = wide_dag();
+        let f_max = cfg().max_frequency();
+        let clean = OnlineStream::synthesize(&dag, 2, 4, 0.8, 0.5, 0.9, None, f_max, 4).frames;
+        let old = clean.get(1).unwrap().actual.get(2);
+        let mut table = clean.clone();
+        table.set_actual(1, 2, BIG);
+        assert!(matches!(table.actual, Column::Wide(_)));
+        let mut want = clean.actual().to_vec();
+        want[clean.jobs() + 2] = BIG;
+        assert_eq!(table.actual().to_vec(), want);
+
+        // A second large value keeps the column wide while the first
+        // stays; overwriting both narrows it to the original table.
+        table.set_actual(3, 0, BIG * 2);
+        table.set_actual(1, 2, old);
+        assert!(matches!(table.actual, Column::Wide(_)));
+        table.set_actual(3, 0, clean.get(3).unwrap().actual.get(0));
+        assert!(matches!(table.actual, Column::Narrow(_)));
+        assert_eq!(table, clean);
     }
 
     /// A table whose frames carry no fault stores no fault arrays,

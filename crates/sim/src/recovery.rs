@@ -273,13 +273,15 @@ pub(crate) fn run_plan(
 ) -> FaultyRunReport {
     let n_procs = solution.schedule.n_procs();
     let due_s = vec![deadline_s; graph.len()];
+    let mut cycles = Vec::with_capacity(graph.len());
+    faults.effective_cycles(graph, actual.into(), &mut cycles);
     let mut run = run_frame(
         &Frame {
             graph,
             schedule: &solution.schedule,
             plan_level: solution.level,
             n_procs,
-            actual,
+            cycles: &cycles,
             faults,
             due_s: &due_s,
             own_due: false,

@@ -20,33 +20,30 @@ pub fn actual_cycles(
     max_fraction: f64,
     seed: u64,
 ) -> Vec<u64> {
-    let mut out = Vec::with_capacity(graph.len());
-    extend_actual_cycles(graph, min_fraction, max_fraction, seed, &mut out);
-    out
+    draw_actual_cycles(graph, min_fraction, max_fraction, seed).collect()
 }
 
-/// [`actual_cycles`], appended to `out`: a stream draws every frame's
-/// actuals into one flat buffer.
-pub(crate) fn extend_actual_cycles(
+/// [`actual_cycles`] as an iterator, one count per task in id order: a
+/// stream draws every frame's actuals straight into its column.
+pub(crate) fn draw_actual_cycles(
     graph: &TaskGraph,
     min_fraction: f64,
     max_fraction: f64,
     seed: u64,
-    out: &mut Vec<u64>,
-) {
+) -> impl Iterator<Item = u64> + '_ {
     assert!(
         min_fraction > 0.0 && min_fraction <= max_fraction && max_fraction <= 1.0,
         "fractions must satisfy 0 < min <= max <= 1"
     );
     let mut rng = Rng::seed_from_u64(seed);
-    out.extend(graph.weights().iter().map(|&w| {
+    graph.weights().iter().map(move |&w| {
         if w == 0 {
             0
         } else {
             let f = rng.gen_range(min_fraction..=max_fraction);
             ((w as f64 * f).round() as u64).clamp(1, w)
         }
-    }));
+    })
 }
 
 #[cfg(test)]

@@ -2,15 +2,17 @@
 //! else.
 //!
 //! A fault-free stream of `F` frames of `N` jobs must hold `8·F` bytes
-//! of arrivals and `8·F·N` bytes of actuals on the heap, built in a
-//! constant number of allocations whatever `F` is: no per-frame vectors,
-//! no fault arrays, no capacity slack. A stream with faults adds its
-//! five flat fault arrays and nothing else: with `O` overruns and `D`
-//! DVS faults over all its frames it owns exactly
+//! of arrivals and one column of actuals on the heap: `4·F·N` bytes when
+//! every actual fits in `u32` (every WCET does), `8·F·N` when one does
+//! not. It is built in a constant number of allocations whatever `F` is:
+//! no per-frame vectors, no fault arrays, no capacity slack, and no
+//! `u64` staging of a narrow column. A stream with faults adds its five
+//! flat fault arrays and nothing else: with `O` overruns and `D` DVS
+//! faults over all its frames it owns exactly
 //!
-//! `8·F + 8·F·N + 40·F + 16·O + 24·D` bytes
+//! `8·F + 4·F·N + 32·F + 16·O + 24·D` bytes
 //!
-//! (per frame a 24-byte `Option<FailStop>` and two 8-byte end offsets;
+//! (per frame a 24-byte `Option<FailStop>` and two 4-byte end offsets;
 //! 16 bytes per `Overrun`, 24 per `DvsFault`), again in a constant
 //! number of allocations whatever `F` is. A byte-counting global
 //! allocator measures the live heap around each build.
@@ -76,9 +78,9 @@ fn retained(make: impl FnOnce() -> OnlineStream) -> (OnlineStream, i64, i64) {
     )
 }
 
-/// `8·F + 8·F·N`: the arrivals and the flat actuals.
-fn fault_free_bytes(frames: usize, jobs: usize) -> i64 {
-    (8 * frames + 8 * frames * jobs) as i64
+/// `8·F + w·F·N`: the arrivals and the flat actuals at `w` bytes each.
+fn fault_free_bytes(frames: usize, jobs: usize, width: usize) -> i64 {
+    (8 * frames + width * frames * jobs) as i64
 }
 
 fn dag() -> PeriodicDag {
@@ -88,6 +90,15 @@ fn dag() -> PeriodicDag {
         let w = s.add(format!("w{i}"), 11_000_000, 62_000_000);
         s.depends(src, w).unwrap();
     }
+    s.to_frame_dag()
+}
+
+/// A frame whose `big` job's WCET, 5·10⁹ cycles, needs `u64`.
+fn big_wcet_dag() -> PeriodicDag {
+    let mut s = PeriodicSet::new();
+    let src = s.add("src", 1_000_000_000, 8_000_000_000);
+    let big = s.add("big", 5_000_000_000, 8_000_000_000);
+    s.depends(src, big).unwrap();
     s.to_frame_dag()
 }
 
@@ -104,7 +115,7 @@ fn streams_hold_only_their_arrays() {
         assert_eq!((s.frames.len(), s.frames.jobs()), (frames, n));
         assert_eq!(
             bytes,
-            fault_free_bytes(frames, n),
+            fault_free_bytes(frames, n, 4),
             "synthesize, {frames} frames"
         );
         assert_eq!(allocs, 2, "synthesize, {frames} frames");
@@ -113,20 +124,51 @@ fn streams_hold_only_their_arrays() {
         assert_eq!(s.frames.len(), frames);
         assert_eq!(
             bytes,
-            fault_free_bytes(frames, n),
+            fault_free_bytes(frames, n, 4),
             "periodic, {frames} frames"
         );
         assert_eq!(allocs, 2, "periodic, {frames} frames");
     }
 
+    // A WCET above `u32::MAX`: the actuals need the wide column, unless
+    // every draw fits after all.
+    let wide = big_wcet_dag();
+    let wn = wide.graph.len();
+    for frames in [1, 10, 250] {
+        let (s, bytes, allocs) = retained(|| OnlineStream::periodic(&wide, frames, 1.0, f_max));
+        assert_eq!(s.frames.len(), frames);
+        assert_eq!(bytes, fault_free_bytes(frames, wn, 8), "wide periodic");
+        assert_eq!(allocs, 2, "wide periodic, {frames} frames");
+
+        let (s, bytes, allocs) = retained(|| {
+            OnlineStream::synthesize(&wide, 1, frames, 1.0, 0.9, 1.0, None, f_max, 2006)
+        });
+        assert!(s.frames.actual().iter().any(|a| a > u64::from(u32::MAX)));
+        assert_eq!(bytes, fault_free_bytes(frames, wn, 8), "wide synthesize");
+        assert_eq!(allocs, 2, "wide synthesize, {frames} frames");
+
+        // Draws of at most 0.8 × 5·10⁹ fit: the column narrows, at the
+        // cost of the one wide buffer it was drawn into.
+        let (s, bytes, allocs) = retained(|| {
+            OnlineStream::synthesize(&wide, 1, frames, 1.0, 0.5, 0.8, None, f_max, 2006)
+        });
+        assert!(s.frames.actual().iter().all(|a| a <= u64::from(u32::MAX)));
+        assert_eq!(
+            bytes,
+            fault_free_bytes(frames, wn, 4),
+            "narrowed synthesize"
+        );
+        assert_eq!(allocs, 3, "narrowed synthesize, {frames} frames");
+    }
+
     // With faults: the five flat fault arrays on top, at exact size.
     assert_eq!(
         (
-            size_of::<Option<FailStop>>() + 2 * size_of::<usize>(),
+            size_of::<Option<FailStop>>() + 2 * size_of::<u32>(),
             size_of::<Overrun>(),
             size_of::<DvsFault>()
         ),
-        (40, 16, 24)
+        (32, 16, 24)
     );
     let moderate = FaultIntensity::moderate();
     for frames in [1, 10, 125] {
@@ -137,10 +179,10 @@ fn streams_hold_only_their_arrays() {
         let overruns: usize = s.frames.iter().map(|fr| fr.faults.overruns.len()).sum();
         let dvs: usize = s.frames.iter().map(|fr| fr.faults.dvs.len()).sum();
         assert!(s.frames.iter().all(|fr| fr.faults.fail_stop.is_some()));
-        let fault_bytes = 40 * frames + 16 * overruns + 24 * dvs;
+        let fault_bytes = 32 * frames + 16 * overruns + 24 * dvs;
         assert_eq!(
             bytes,
-            fault_free_bytes(frames, n) + fault_bytes as i64,
+            fault_free_bytes(frames, n, 4) + fault_bytes as i64,
             "moderate faults, {frames} frames"
         );
         // Two for the fault-free arrays, one per fault array, and the

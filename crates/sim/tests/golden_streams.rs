@@ -36,7 +36,7 @@ fn stream_hash(stream: &OnlineStream) -> u64 {
     for fr in stream.frames.iter() {
         h.word(fr.arrival_s.to_bits());
         h.word(fr.actual.len() as u64);
-        for &a in fr.actual.iter() {
+        for a in fr.actual.iter() {
             h.word(a);
         }
         let plan = &fr.faults;
@@ -133,6 +133,44 @@ const STREAMS: [u64; 16] = [
     0xe46c0d4404196e0d,
 ];
 
+/// A frame whose `big` job's WCET, 5·10⁹ cycles, is above `u32::MAX`.
+fn big_wcet_dag() -> PeriodicDag {
+    let mut s = PeriodicSet::new();
+    let src = s.add("src", 1_000_000_000, 8_000_000_000);
+    let big = s.add("big", 5_000_000_000, 8_000_000_000);
+    let log = s.add("log", 600_000_000, 4_000_000_000);
+    s.depends(src, big).unwrap();
+    s.depends(src, log).unwrap();
+    s.to_frame_dag()
+}
+
+/// A `moderate` synthesized stream over [`big_wcet_dag`] whose actuals need
+/// the wide column.
+fn wide_stream_hash() -> u64 {
+    let cfg = SchedulerConfig::paper();
+    let dag = big_wcet_dag();
+    let dv = DeadlineVector::from_kpn(dag.deadlines.clone(), dag.hyperperiod_cycles);
+    let n_procs = solve_with_deadlines(Strategy::LampsPs, &dag.graph, &dv, &cfg)
+        .unwrap()
+        .n_procs;
+    let moderate = FaultIntensity::moderate();
+    let s = OnlineStream::synthesize(
+        &dag,
+        n_procs,
+        40,
+        1.0,
+        0.55,
+        0.95,
+        Some(&moderate),
+        cfg.max_frequency(),
+        2006,
+    );
+    assert!(s.frames.actual().iter().any(|a| a > u64::from(u32::MAX)));
+    stream_hash(&s)
+}
+
+const WIDE_STREAM: u64 = 0x80ef5e53bfde66ad;
+
 #[test]
 fn generated_streams_keep_their_bits() {
     let got = stream_hashes();
@@ -140,4 +178,13 @@ fn generated_streams_keep_their_bits() {
     for (i, (g, w)) in got.iter().zip(&STREAMS).enumerate() {
         assert_eq!(g, w, "stream {i}: got {g:#018x}, golden {w:#018x}");
     }
+}
+
+#[test]
+fn wide_streams_keep_their_bits() {
+    let got = wide_stream_hash();
+    assert_eq!(
+        got, WIDE_STREAM,
+        "wide stream: got {got:#018x}, golden {WIDE_STREAM:#018x}"
+    );
 }

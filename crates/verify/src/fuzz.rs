@@ -389,7 +389,7 @@ fn online_battery(
     let jobs = frames.jobs() - 1;
     let short = frames
         .iter()
-        .flat_map(|fr| fr.actual[..jobs].iter().copied())
+        .flat_map(|fr| fr.actual.iter().take(jobs))
         .collect();
     let skewed = OnlineStream {
         frames: FrameTable::from_parts(

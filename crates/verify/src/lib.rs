@@ -55,4 +55,4 @@ pub use oracle::{exhaustive_optimum, OracleConfig, OracleError, OracleResult};
 pub use runtime::{check_online, check_run, RunViolation};
 pub use serve::{check_exchange, check_response_line, ServeViolation};
 pub use validator::{check_schedule, check_solution, rebill, RebilledEnergy, Violation};
-pub use wire::{check_line, run_wire, WireFailure, WireFuzzConfig, WireFuzzOutcome};
+pub use wire::{check_line, daemon_lines, run_wire, WireFailure, WireFuzzConfig, WireFuzzOutcome};

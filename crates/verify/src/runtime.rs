@@ -25,7 +25,7 @@ use lamps_kpn::PeriodicDag;
 use lamps_power::OperatingPoint;
 use lamps_sched::ProcId;
 use lamps_sim::{
-    AdmissionVerdict, DvsSwitchCost, ExecRecord, FaultPlan, FaultView, FaultyRunReport,
+    Actuals, AdmissionVerdict, DvsSwitchCost, ExecRecord, FaultPlan, FaultView, FaultyRunReport,
     OnlineConfig, OnlineReport, OnlineStream, RunOutcome,
 };
 use lamps_taskgraph::{TaskGraph, TaskId};
@@ -262,7 +262,7 @@ struct FrameCheck<'a> {
     makespan_s: f64,
     outcome: Option<&'a RunOutcome>,
     dvs_switches: usize,
-    actual: &'a [u64],
+    actual: Actuals<'a>,
     faults: FaultView<'a>,
     /// Due time per task, frame-relative \[s\].
     due_s: Vec<f64>,
@@ -274,10 +274,13 @@ struct FrameCheck<'a> {
 /// Structural checks of one executed frame: record sanity, fault-mandated
 /// cycle counts, level legality, employed processors, precedence,
 /// per-processor exclusivity, dead-processor silence, the voltage walk,
-/// the makespan, and the deadline verdict.
+/// the makespan, and the deadline verdict. `eff` is scratch space for
+/// the fault-mandated cycle counts, so a caller checking many frames
+/// reuses one buffer.
 fn check_trace(
     graph: &TaskGraph,
     tr: &FrameCheck<'_>,
+    eff: &mut Vec<u64>,
     cfg: &SchedulerConfig,
     v: &mut Vec<RunViolation>,
 ) {
@@ -290,7 +293,8 @@ fn check_trace(
         });
         return;
     }
-    let eff = tr.faults.effective_cycles(graph, tr.actual);
+    tr.faults.effective_cycles(graph, tr.actual, eff);
+    let eff = &*eff;
     let fail_stop = tr.faults.fail_stop;
 
     // Per-record sanity. A completed record executed exactly the
@@ -594,13 +598,13 @@ pub fn check_run(
         makespan_s: report.makespan_s,
         outcome: Some(&report.outcome),
         dvs_switches: report.dvs_switches,
-        actual,
+        actual: actual.into(),
         faults: faults.view(),
         due_s: vec![deadline_s; graph.len()],
         n_procs: solution.schedule.n_procs(),
         plan_vdd: solution.level.vdd,
     };
-    check_trace(graph, &frame, cfg, &mut v);
+    check_trace(graph, &frame, &mut Vec::new(), cfg, &mut v);
     check_finite(&report.energy, &mut v);
 
     // Only re-bill structurally sound traces; a broken structure already
@@ -818,6 +822,7 @@ pub fn check_online(
         .map(|(i, _)| i)
         .collect();
     let mut windows = Vec::with_capacity(executed.len());
+    let mut eff = Vec::with_capacity(n);
     for (k, &fi) in executed.iter().enumerate() {
         let fr = &report.frames[fi];
         let input = stream.frames.get(fi).expect("lengths checked above");
@@ -868,7 +873,7 @@ pub fn check_online(
             n_procs: report.n_procs,
             plan_vdd: report.plan_vdd,
         };
-        check_trace(graph, &frame, cfg, &mut v);
+        check_trace(graph, &frame, &mut eff, cfg, &mut v);
         windows.push((frame, start, fr.window_end_s));
     }
 
@@ -1145,6 +1150,63 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// A frame whose `big` job's WCET, 5·10⁹ cycles, is above
+    /// `u32::MAX`, so its streams hold their actuals at `u64`.
+    fn big_wcet_dag() -> lamps_kpn::PeriodicDag {
+        let mut s = lamps_kpn::PeriodicSet::new();
+        let src = s.add("src", 1_000_000_000, 8_000_000_000);
+        let big = s.add("big", 5_000_000_000, 8_000_000_000);
+        let log = s.add("log", 600_000_000, 4_000_000_000);
+        s.depends(src, big).unwrap();
+        s.depends(src, log).unwrap();
+        s.to_frame_dag()
+    }
+
+    #[test]
+    fn wide_wcet_online_traces_validate() {
+        use lamps_sim::{run_online, FaultIntensity};
+        let dag = big_wcet_dag();
+        let cfg = cfg();
+        let f_max = cfg.max_frequency();
+        let dv = lamps_core::multi::DeadlineVector::from_kpn(
+            dag.deadlines.clone(),
+            dag.hyperperiod_cycles,
+        );
+        let sol = lamps_core::multi::solve_with_deadlines(Strategy::LampsPs, &dag.graph, &dv, &cfg)
+            .unwrap();
+        for intensity in [None, Some(FaultIntensity::moderate())] {
+            let stream = OnlineStream::synthesize(
+                &dag,
+                sol.n_procs,
+                6,
+                1.0,
+                0.9,
+                1.0,
+                intensity.as_ref(),
+                f_max,
+                7,
+            );
+            assert!(
+                stream
+                    .frames
+                    .actual()
+                    .iter()
+                    .any(|a| a > u64::from(u32::MAX)),
+                "the stream must need the wide column"
+            );
+            for ocfg in [OnlineConfig::reclaiming(), OnlineConfig::static_plan()] {
+                let r = run_online(&dag, &stream, &ocfg, &cfg).unwrap();
+                assert_eq!(r.admitted + r.deferred + r.shed, 6);
+                let v = check_online(&dag, &stream, &ocfg, &cfg, &r);
+                assert!(
+                    v.is_empty(),
+                    "{intensity:?} reclaim={}: {v:?}",
+                    ocfg.reclaim
+                );
             }
         }
     }

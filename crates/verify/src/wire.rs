@@ -27,6 +27,9 @@
 //!   renders it, and decoding that line gives the same outcome
 //!   (for solves, the same id, strategy, deadline bits, budget and
 //!   graph).
+//!
+//! [`daemon_lines`] hands the same stream out as raw bytes for driving a
+//! live daemon, with invalid UTF-8 mixed into the byte mutations.
 
 pub mod corpus;
 
@@ -140,30 +143,61 @@ pub fn check_line(line: &str, limits: &Limits) -> Result<Option<&'static str>, S
     }
 }
 
-/// Run the wire fuzzer: `iterations` lines from `seed`, stopping at the
-/// first violation.
-pub fn run_wire(cfg: &WireFuzzConfig) -> WireFuzzOutcome {
-    let seeds: Vec<String> = corpus::corpus()
+/// The lines byte mutations start from: the corpus lines of at most
+/// 2 KiB.
+fn mutation_bases() -> Vec<String> {
+    corpus::corpus()
         .into_iter()
         .filter(|e| e.line.len() <= 2048)
         .map(|e| e.line)
-        .collect();
+        .collect()
+}
+
+/// One line of the fuzz stream.
+struct FuzzLine {
+    /// The iteration's own seed.
+    seed: u64,
+    /// The iteration's generator, past the draws that built the line.
+    rng: Rng,
+    line: String,
+    limits: Limits,
+    /// Whether the line is a byte mutation of a corpus line.
+    mutated: bool,
+}
+
+/// Line `it` of the fuzz stream from run seed `seed`.
+fn fuzz_line(seed: u64, it: u64, bases: &[String]) -> FuzzLine {
+    let mut sm = seed.wrapping_add(it.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let iter_seed = splitmix64(&mut sm);
+    let mut rng = Rng::seed_from_u64(iter_seed);
+    let mutated = !rng.gen_bool(0.5);
+    let (line, limits) = if mutated {
+        let mut line = bases[rng.gen_range(0..bases.len())].clone();
+        for _ in 0..rng.gen_range(1..4usize) {
+            line = corpus::mutate(&mut rng, &line);
+        }
+        (line, Limits::default())
+    } else {
+        gen_request(&mut rng)
+    };
+    FuzzLine {
+        seed: iter_seed,
+        rng,
+        line,
+        limits,
+        mutated,
+    }
+}
+
+/// Run the wire fuzzer: `iterations` lines from `seed`, stopping at the
+/// first violation.
+pub fn run_wire(cfg: &WireFuzzConfig) -> WireFuzzOutcome {
+    let bases = mutation_bases();
     let mut out = WireFuzzOutcome::default();
     for it in 0..cfg.iterations {
-        let mut sm = cfg
-            .seed
-            .wrapping_add(it.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let iter_seed = splitmix64(&mut sm);
-        let mut rng = Rng::seed_from_u64(iter_seed);
-        let (line, limits) = if rng.gen_bool(0.5) {
-            gen_request(&mut rng)
-        } else {
-            let mut line = seeds[rng.gen_range(0..seeds.len())].clone();
-            for _ in 0..rng.gen_range(1..4usize) {
-                line = corpus::mutate(&mut rng, &line);
-            }
-            (line, Limits::default())
-        };
+        let FuzzLine {
+            seed, line, limits, ..
+        } = fuzz_line(cfg.seed, it, &bases);
         out.iterations_run += 1;
         match check_line(&line, &limits) {
             Ok(None) => out.decoded += 1,
@@ -172,7 +206,7 @@ pub fn run_wire(cfg: &WireFuzzConfig) -> WireFuzzOutcome {
             Ok(Some(_)) => out.bad_graph += 1,
             Err(violation) => {
                 out.failure = Some(WireFailure {
-                    seed: iter_seed,
+                    seed,
                     line,
                     limits,
                     violation,
@@ -182,6 +216,45 @@ pub fn run_wire(cfg: &WireFuzzConfig) -> WireFuzzOutcome {
         }
     }
     out
+}
+
+/// Bytes that make a line invalid UTF-8 wherever they land (or almost:
+/// a continuation byte can complete a truncated character).
+const NOT_UTF8: &[u8] = &[0x80, 0xBF, 0xC0, 0xC3, 0xE2, 0xED, 0xF4, 0xF8, 0xFE, 0xFF];
+
+/// The first `count` lines of the fuzz stream from `seed`, as raw bytes
+/// for a live daemon's socket, one request per line: a byte-mutated
+/// line is cut at its first `\n`, and a grammar-generated one has each
+/// `\n` of its JSON whitespace turned into a space. Half of the
+/// byte-mutated lines also get one byte from outside UTF-8. Each line is
+/// meant to be decoded under the daemon's [`Limits`], not the ones the
+/// stream drew for it.
+pub fn daemon_lines(seed: u64, count: u64) -> Vec<Vec<u8>> {
+    let bases = mutation_bases();
+    (0..count)
+        .map(|it| {
+            let FuzzLine {
+                mut rng,
+                line,
+                mutated,
+                ..
+            } = fuzz_line(seed, it, &bases);
+            let mut bytes = line.into_bytes();
+            if mutated && rng.gen_bool(0.5) {
+                let at = rng.gen_range(0..bytes.len() + 1);
+                bytes.insert(at, NOT_UTF8[rng.gen_range(0..NOT_UTF8.len())]);
+            }
+            if !mutated {
+                bytes
+                    .iter_mut()
+                    .filter(|b| **b == b'\n')
+                    .for_each(|b| *b = b' ');
+            } else if let Some(nl) = bytes.iter().position(|&b| b == b'\n') {
+                bytes.truncate(nl);
+            }
+            bytes
+        })
+        .collect()
 }
 
 fn pick<'a>(rng: &mut Rng, options: &[&'a str]) -> &'a str {
