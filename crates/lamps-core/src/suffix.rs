@@ -5,18 +5,21 @@
 //! is worth re-solving. [`SuffixSolver::resolve`] re-list-schedules that
 //! suffix over a sweep of candidate operating levels *incrementally*:
 //! scratch arenas (done flags, completed-finish times, processor
-//! availability, scaled per-task deadlines) are recycled across calls,
-//! and the EDF priority keys for each `(level, horizon, own-deadline)`
-//! combination are memoized, so a periodic stream that re-solves the
-//! same frame shape every hyperperiod pays the `latest_finish_times`
-//! traversal once instead of per re-solve.
+//! availability, scaled per-task deadlines, the list scheduler's
+//! workspace and its output schedule) are recycled across candidates and
+//! calls, and the EDF priority keys for each `(level, horizon,
+//! own-deadline)` combination are memoized, so a periodic stream that
+//! re-solves the same frame shape every hyperperiod pays the
+//! `latest_finish_times` traversal once instead of per re-solve.
 //!
 //! Correctness contract: the memoized path is **bitwise identical** to
 //! [`resolve_suffix_fresh`], the from-scratch reference that recomputes
-//! everything per call — a cache entry is only reused when the level
-//! bits, horizon bits, and the full per-task deadline bit-pattern match
-//! exactly. The differential fuzzer in `lamps-verify` holds the two
-//! paths equal on every generated case.
+//! everything per call and schedules on the list scheduler's heap oracle
+//! — a cache entry is only reused when the level bits, horizon bits, and
+//! the full per-task deadline bit-pattern match exactly. The
+//! differential fuzzer in `lamps-verify` holds the two paths equal on
+//! every generated case, so it also holds the indexed list scheduler to
+//! the heap oracle on every mid-frame state it generates.
 //!
 //! Level-sweep semantics (shared with `lamps-sim`'s fail-stop replan):
 //! candidates are tried in the caller's order (ascending frequency by
@@ -28,7 +31,10 @@
 
 use lamps_power::OperatingPoint;
 use lamps_sched::deadlines::{latest_finish_times_into, latest_finish_times_with_into};
-use lamps_sched::partial::{reschedule_remaining, PartialSchedule, ProcAvailability};
+use lamps_sched::list::ListScheduleWorkspace;
+use lamps_sched::partial::{
+    reschedule_remaining, reschedule_remaining_heap_reference, PartialSchedule, ProcAvailability,
+};
 use lamps_taskgraph::{TaskGraph, TaskId};
 
 /// Relative tolerance on deadline comparisons, matching the solver's.
@@ -106,6 +112,10 @@ pub struct SuffixSolver {
     finish_done: Vec<u64>,
     avail: Vec<ProcAvailability>,
     own_scaled: Vec<Option<u64>>,
+    ws: ListScheduleWorkspace,
+    /// The latest candidate's schedule; only the last candidate a
+    /// resolve evaluates is returned, so one buffer serves them all.
+    plan: PartialSchedule,
     key_hits: u64,
     key_misses: u64,
     resolves: u64,
@@ -158,7 +168,7 @@ impl SuffixSolver {
         pending_work(graph, ctx)?;
 
         let cap = max_candidates.unwrap_or(u64::MAX);
-        let mut best: Option<(OperatingPoint, PartialSchedule, bool)> = None;
+        let mut best: Option<(OperatingPoint, bool)> = None;
         let mut steps = 0u64;
         let mut complete = true;
         for lvl in candidates {
@@ -177,15 +187,22 @@ impl SuffixSolver {
                 &mut self.avail,
             );
             let entry = self.keys_for(graph, ctx, f);
-            let keys: &[u64] = &self.entries[entry].keys;
-            let ps = reschedule_remaining(graph, &self.done, &self.finish_done, &self.avail, keys);
-            let feasible = plan_feasible(graph, ctx, &self.done, &ps, f);
-            best = Some((*lvl, ps, feasible));
+            reschedule_remaining(
+                &mut self.ws,
+                graph,
+                &self.done,
+                &self.finish_done,
+                &self.avail,
+                &self.entries[entry].keys,
+                &mut self.plan,
+            );
+            let feasible = plan_feasible(graph, ctx, &self.done, &self.plan, f);
+            best = Some((*lvl, feasible));
             if feasible {
                 break;
             }
         }
-        let (level, plan, feasible) = best?;
+        let (level, feasible) = best?;
         self.resolves += 1;
         lamps_obs::flight::record(
             lamps_obs::flight::CORE_SUFFIX_RESOLVE,
@@ -195,7 +212,7 @@ impl SuffixSolver {
         );
         Some(SuffixPlan {
             level,
-            plan,
+            plan: self.plan.clone(),
             feasible,
             steps,
             complete,
@@ -237,9 +254,11 @@ impl SuffixSolver {
 }
 
 /// From-scratch reference for [`SuffixSolver::resolve`]: identical
-/// semantics, no memo, fresh allocations per call. The differential
-/// fuzzer asserts the two are bitwise equal; production code should use
-/// the solver.
+/// semantics, no memo, fresh allocations per call, and every candidate
+/// scheduled by the heap oracle
+/// ([`reschedule_remaining_heap_reference`]) instead of the indexed list
+/// scheduler. The differential fuzzer asserts the two are bitwise equal;
+/// production code should use the solver.
 pub fn resolve_suffix_fresh(
     graph: &TaskGraph,
     ctx: &SuffixContext<'_>,
@@ -264,7 +283,7 @@ pub fn resolve_suffix_fresh(
         let mut own_scaled = Vec::new();
         let mut keys = Vec::new();
         compute_keys(graph, ctx, f, &mut own_scaled, &mut keys);
-        let ps = reschedule_remaining(graph, &done, &finish_done, &avail, &keys);
+        let ps = reschedule_remaining_heap_reference(graph, &done, &finish_done, &avail, &keys);
         let feasible = plan_feasible(graph, ctx, &done, &ps, f);
         best = Some((*lvl, ps, feasible));
         if feasible {

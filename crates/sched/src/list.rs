@@ -6,6 +6,15 @@
 //! starts immediately. With keys = latest finish times this is the
 //! paper's LS-EDF (§4).
 //!
+//! One event loop serves two entry points. [`list_schedule_into`]
+//! schedules a whole graph with every processor free at cycle 0.
+//! [`crate::partial::reschedule_remaining`] schedules the pending rest of
+//! a partly executed graph: its tasks also wait for a *release* cycle
+//! inherited from completed predecessors, and each processor becomes free
+//! at its own cycle or never. The whole-graph run is the partial one with
+//! nothing done and every processor free at 0; its setup queues no
+//! release or wake-up, so it pays nothing for the generality.
+//!
 //! Determinism: ties between ready tasks break on task id; among the
 //! processors idle at assignment time, the one that became idle most
 //! recently is chosen (ties on processor id). Choosing the
@@ -16,40 +25,44 @@
 //!
 //! # Event structures
 //!
-//! The scheduler used to run on three `BinaryHeap`s; at 100k-task graphs
-//! the ready heap's pointer-chasing sift dominated the run. The current
-//! implementation replaces them with indexed structures over flat
-//! arrays, chosen so the event order is *provably identical* to the
-//! heaps (see [`list_schedule_heap_reference`], which is kept as the
-//! executable specification and pinned by the `crates/sched` tests):
+//! Binary heaps are the plain way to write this loop, but at 100k-task
+//! graphs the ready heap's pointer-chasing sift dominates the run. The
+//! loop uses indexed structures over flat arrays instead, chosen so the
+//! event order is *provably identical* to the heaps'. The heap algorithm
+//! is kept once, as the executable specification
+//! ([`crate::partial::reschedule_remaining_heap_reference`]); the
+//! `crates/sched` tests pin both entry points to it event for event.
 //!
 //! * **Ready tasks** — the priority keys are rank-compressed once per
 //!   run (one `sort_unstable` of `(key, id)` pairs) and the ready set
 //!   becomes a two-level bitset over ranks; pop-min is a summary-word
 //!   scan plus two `trailing_zeros`. Identical order: rank order *is*
 //!   `(key, id)` order.
-//! * **Running tasks** — a monotone bucket queue ([`EventQueue`]):
-//!   finish times are pushed in nondecreasing `now` order and popped in
-//!   nondecreasing order, so a radix-style bucket structure (bucket =
+//! * **Events** — a monotone bucket queue ([`EventQueue`]). Every event
+//!   is queued at or after the current cycle — a finish at `now + w`, a
+//!   release or a wake-up at its own cycle, queued at setup — and popped
+//!   in nondecreasing order, so a radix-style bucket structure (bucket =
 //!   highest bit in which the key differs from the last popped minimum)
 //!   gives amortized O(64) pops with intrusive free-lists over a flat
-//!   slot arena. Ties between equal finish times pop in unspecified
-//!   order, which is semantically invisible: an entire finish-time batch
-//!   retires before anything else happens, and every per-retirement
-//!   effect (freeing a processor at `now`, decrementing successor
-//!   indegrees, inserting into the ready bitset) is order-independent
-//!   within the batch.
-//! * **Idle processors** — a timestamped stack: freed times only ever
-//!   increase, so "most recently freed first, lowest id on ties" is a
-//!   stack of per-instant segments, each segment sorted descending by
-//!   processor id before it is appended (pop from the end yields the
-//!   lowest id of the most recent instant).
+//!   slot arena. A release counts as one more missing predecessor of its
+//!   task, so it gates readiness exactly as a finishing predecessor does.
+//!   Ties between equal times pop in unspecified order, which is
+//!   semantically invisible: every event at one instant drains before
+//!   anything is assigned, and every per-event effect (freeing a
+//!   processor at `now`, decrementing a missing-predecessor count,
+//!   inserting into the ready bitset) is order-independent within the
+//!   batch.
+//! * **Idle processors** — a timestamped stack: processors are only ever
+//!   freed at the current cycle, which never decreases, so "most
+//!   recently freed first, lowest id on ties" is a stack of per-instant
+//!   segments, each segment sorted descending by processor id before it
+//!   is appended (pop from the end yields the lowest id of the most
+//!   recent instant).
 
 use crate::deadlines::latest_finish_times;
+use crate::partial::ProcAvailability;
 use crate::schedule::{csr_from_sorted, ProcId, Schedule};
 use lamps_taskgraph::{TaskGraph, TaskId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 const NIL: u32 = u32::MAX;
 
@@ -112,16 +125,29 @@ impl ReadySet {
     }
 }
 
-/// Monotone bucket (radix) queue for the running set: keys are pushed
-/// at or after the last popped minimum and popped in nondecreasing
-/// order. Bucket `b > 0` holds keys whose highest bit differing from
-/// the last minimum is `b - 1`; bucket 0 holds keys equal to it. Slots
-/// live in flat parallel arrays linked through `next` with a free list,
-/// so a warm queue never allocates regardless of the key distribution.
+/// What happens when an event's cycle arrives.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// The task finishes: its processor becomes idle and each successor
+    /// loses one missing predecessor.
+    Finish(u32),
+    /// The task's release cycle arrives: it loses the missing
+    /// predecessor that stood for its completed predecessors.
+    Release(u32),
+    /// The processor's in-flight work retires and it becomes idle.
+    Wake(u32),
+}
+
+/// Monotone bucket (radix) queue of events: keys are pushed at or after
+/// the last popped minimum and popped in nondecreasing order. Bucket
+/// `b > 0` holds keys whose highest bit differing from the last minimum
+/// is `b - 1`; bucket 0 holds keys equal to it. Slots live in flat
+/// parallel arrays linked through `next` with a free list, so a warm
+/// queue never allocates regardless of the key distribution.
 #[derive(Debug)]
 struct EventQueue {
-    finish: Vec<u64>,
-    task: Vec<u32>,
+    time: Vec<u64>,
+    event: Vec<Event>,
     next: Vec<u32>,
     free: u32,
     buckets: [u32; 65],
@@ -132,8 +158,8 @@ struct EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            finish: Vec::new(),
-            task: Vec::new(),
+            time: Vec::new(),
+            event: Vec::new(),
             next: Vec::new(),
             free: NIL,
             buckets: [NIL; 65],
@@ -145,14 +171,14 @@ impl Default for EventQueue {
 
 impl EventQueue {
     fn reserve(&mut self, cap: usize) {
-        self.finish.reserve(cap);
-        self.task.reserve(cap);
+        self.time.reserve(cap);
+        self.event.reserve(cap);
         self.next.reserve(cap);
     }
 
     fn reset(&mut self) {
-        self.finish.clear();
-        self.task.clear();
+        self.time.clear();
+        self.event.clear();
         self.next.clear();
         self.free = NIL;
         self.buckets = [NIL; 65];
@@ -171,33 +197,33 @@ impl EventQueue {
     }
 
     #[inline]
-    fn push(&mut self, finish: u64, task: u32) {
-        debug_assert!(finish >= self.last, "event queue keys are monotone");
+    fn push(&mut self, time: u64, event: Event) {
+        debug_assert!(time >= self.last, "event queue keys are monotone");
         let slot = if self.free != NIL {
             let s = self.free as usize;
             self.free = self.next[s];
-            self.finish[s] = finish;
-            self.task[s] = task;
+            self.time[s] = time;
+            self.event[s] = event;
             s as u32
         } else {
-            self.finish.push(finish);
-            self.task.push(task);
+            self.time.push(time);
+            self.event.push(event);
             self.next.push(NIL);
-            (self.finish.len() - 1) as u32
+            (self.time.len() - 1) as u32
         };
-        let b = Self::bucket_of(self.last, finish);
+        let b = Self::bucket_of(self.last, time);
         self.next[slot as usize] = self.buckets[b];
         self.buckets[b] = slot;
         self.len += 1;
     }
 
-    /// Smallest finish time currently queued, pulling its ties into
-    /// bucket 0 (the amortized radix-heap step: each slot's bucket
-    /// index only ever decreases between its push and its pop). Only
-    /// call this when advancing the clock to the returned time — it
-    /// raises the radix floor `last` to the minimum, after which pushes
-    /// below it would break the bucket invariant.
-    fn min_finish(&mut self) -> Option<u64> {
+    /// Smallest time currently queued, pulling its ties into bucket 0
+    /// (the amortized radix-heap step: each slot's bucket index only ever
+    /// decreases between its push and its pop). Only call this when
+    /// advancing the clock to the returned time — it raises the radix
+    /// floor `last` to the minimum, after which pushes below it would
+    /// break the bucket invariant.
+    fn min_time(&mut self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -208,7 +234,7 @@ impl EventQueue {
             let mut m = u64::MAX;
             let mut s = self.buckets[b];
             while s != NIL {
-                m = m.min(self.finish[s as usize]);
+                m = m.min(self.time[s as usize]);
                 s = self.next[s as usize];
             }
             self.last = m;
@@ -216,7 +242,7 @@ impl EventQueue {
             self.buckets[b] = NIL;
             while s != NIL {
                 let nx = self.next[s as usize];
-                let nb = Self::bucket_of(m, self.finish[s as usize]);
+                let nb = Self::bucket_of(m, self.time[s as usize]);
                 debug_assert!(nb < b);
                 self.next[s as usize] = self.buckets[nb];
                 self.buckets[nb] = s;
@@ -226,15 +252,14 @@ impl EventQueue {
         Some(self.last)
     }
 
-    /// Pop one task finishing exactly at `now`, or `None` when nothing
-    /// does. Requires the clock to have been advanced via
-    /// [`Self::min_finish`] (so `last == now` and bucket 0 holds the
-    /// whole finish-time batch); every queued key is `> now` once the
-    /// batch drains, so the floor stays put and later pushes at `now +
-    /// w` remain monotone. Ties between equal finish times pop in
-    /// unspecified order (see the module docs for why that is
-    /// invisible).
-    fn pop_at(&mut self, now: u64) -> Option<(u64, u32)> {
+    /// Pop one event due exactly at `now`, or `None` when nothing is.
+    /// Requires the clock to have been advanced via [`Self::min_time`]
+    /// (so `last == now` and bucket 0 holds the whole batch) or to still
+    /// be at 0; every queued key is `> now` once the batch drains, so the
+    /// floor stays put and later pushes at `now + w` remain monotone.
+    /// Ties between equal times pop in unspecified order (see the module
+    /// docs for why that is invisible).
+    fn pop_at(&mut self, now: u64) -> Option<Event> {
         debug_assert!(self.last <= now);
         if self.len == 0 || self.last != now || self.buckets[0] == NIL {
             return None;
@@ -244,21 +269,23 @@ impl EventQueue {
         self.next[s] = self.free;
         self.free = s as u32;
         self.len -= 1;
-        Some((self.finish[s], self.task[s]))
+        Some(self.event[s])
     }
 }
 
-/// Reusable scratch state for [`list_schedule_with`].
+/// Reusable scratch state for [`list_schedule_with`],
+/// [`list_schedule_into`] and [`crate::partial::reschedule_remaining`].
 ///
 /// A LAMPS-style search schedules the same graph dozens of times (one
-/// run per candidate processor count); keeping the event structures, the
+/// run per candidate processor count), and an online suffix re-solve
+/// once per candidate level; keeping the event structures, the
 /// in-degree counters, and the per-run result arrays alive across runs
 /// means a run through a warm workspace performs **zero heap
-/// allocations** ([`list_schedule_into`]); materializing an owned
-/// [`Schedule`] afterwards costs exactly the five exact-size arrays the
-/// schedule keeps. The workspace carries no semantic state between runs
-/// — every run clears and refills it — so reusing one workspace
-/// produces schedules identical to fresh [`list_schedule`] calls.
+/// allocations**; materializing an owned [`Schedule`] afterwards costs
+/// exactly the five exact-size arrays the schedule keeps. The workspace
+/// carries no semantic state between runs — every run clears and
+/// refills it — so reusing one workspace produces schedules identical to
+/// fresh [`list_schedule`] calls.
 #[derive(Debug, Default)]
 pub struct ListScheduleWorkspace {
     /// `(key, id)` pairs sorted ascending: rank `r`'s task is
@@ -267,7 +294,7 @@ pub struct ListScheduleWorkspace {
     /// Task index → its rank in `rank_pairs`.
     rank_of: Vec<u32>,
     ready: ReadySet,
-    running: EventQueue,
+    events: EventQueue,
     /// Idle processors, most recently freed last; each same-instant
     /// segment is sorted descending by id, so `pop` yields the
     /// most-recently-freed processor, lowest id on ties.
@@ -277,6 +304,8 @@ pub struct ListScheduleWorkspace {
     /// descending by id, appended) before any pop or any push at a
     /// later instant.
     idle_pending: Vec<u32>,
+    /// Per task: predecessors still to finish, plus one while a release
+    /// is queued.
     missing_preds: Vec<u32>,
     // Results of the most recent run, valid until the next one.
     start: Vec<u64>,
@@ -307,7 +336,7 @@ impl ListScheduleWorkspace {
         self.rank_of.reserve(n_tasks);
         self.ready.reserve(n_tasks);
         // At most one task runs per processor at any instant.
-        self.running.reserve(n_procs.min(n_tasks.max(1)));
+        self.events.reserve(n_procs.min(n_tasks.max(1)));
         self.idle_stack.reserve(n_procs);
         self.idle_pending.reserve(n_procs);
         self.missing_preds.reserve(n_tasks);
@@ -317,7 +346,7 @@ impl ListScheduleWorkspace {
         self.seq.reserve(n_tasks);
     }
 
-    /// Makespan of the most recent [`list_schedule_into`] run.
+    /// Makespan of the most recent run.
     pub fn makespan_cycles(&self) -> u64 {
         self.finish.iter().copied().max().unwrap_or(0)
     }
@@ -345,6 +374,172 @@ impl ListScheduleWorkspace {
     /// processor schedule: see [`Self::peak_procs_held`].
     pub fn was_blocked(&self) -> bool {
         self.blocked
+    }
+
+    /// The last run's start and finish cycles and processor per task,
+    /// and the placed tasks in assignment order.
+    pub(crate) fn results(&self) -> (&[u64], &[u64], &[ProcId], &[TaskId]) {
+        (&self.start, &self.finish, &self.proc, &self.seq)
+    }
+
+    /// Clear every buffer for a run of `graph` on `n_procs` processors,
+    /// with nothing ready, idle or queued, and rank-compress the
+    /// `(key, id)` pairs of the tasks to place: rank order is `(key, id)`
+    /// order, so popping the smallest present rank is exactly a heap's
+    /// pop of the smallest `(key, id)`.
+    fn begin(
+        &mut self,
+        graph: &TaskGraph,
+        n_procs: usize,
+        to_place: impl Iterator<Item = (u64, u32)>,
+    ) {
+        let n = graph.len();
+        self.reserve(n, n_procs);
+        self.start.clear();
+        self.start.resize(n, 0);
+        self.finish.clear();
+        self.finish.resize(n, 0);
+        self.proc.clear();
+        self.proc.resize(n, ProcId(u32::MAX));
+        self.seq.clear();
+
+        self.rank_pairs.clear();
+        self.rank_pairs.extend(to_place);
+        self.rank_pairs.sort_unstable();
+        self.rank_of.clear();
+        self.rank_of.resize(n, 0);
+        for (r, &(_key, id)) in self.rank_pairs.iter().enumerate() {
+            self.rank_of[id as usize] = r as u32;
+        }
+
+        self.ready.reset(self.rank_pairs.len());
+        self.missing_preds.clear();
+        self.events.reset();
+        self.idle_stack.clear();
+        self.idle_pending.clear();
+    }
+
+    /// The event loop: from cycle 0, drain every event due now, start
+    /// ready tasks on idle processors, and advance to the next event,
+    /// until every ranked task has started. The setup must have filled
+    /// `missing_preds`, the ready set and the idle stack, and queued
+    /// only releases and wake-ups. Returns the makespan.
+    fn run(&mut self, graph: &TaskGraph) -> u64 {
+        let ListScheduleWorkspace {
+            rank_pairs,
+            rank_of,
+            ready,
+            events,
+            idle_stack,
+            idle_pending,
+            missing_preds,
+            start,
+            finish,
+            proc,
+            seq,
+            peak_held: ws_peak_held,
+            blocked: ws_blocked,
+        } = self;
+        let to_place = rank_pairs.len();
+        let mut idle_pending_time = 0u64;
+        // Releases and wake-ups still queued; every other queued event
+        // is a running task's finish.
+        let mut arrivals = events.len();
+        let mut peak_held = 0usize;
+        let mut blocked = false;
+        let mut makespan = 0u64;
+        let mut now = 0u64;
+        let mut scheduled = 0usize;
+        while scheduled < to_place {
+            // Drain every event due at the current time. (Nothing is due
+            // *before* `now`: the clock only ever advances to the queue's
+            // minimum, and each batch drains completely.)
+            while let Some(event) = events.pop_at(now) {
+                match event {
+                    Event::Finish(id) => {
+                        let t = TaskId(id);
+                        idle_push(
+                            idle_stack,
+                            idle_pending,
+                            &mut idle_pending_time,
+                            now,
+                            proc[t.index()].0,
+                        );
+                        for &s in graph.successors(t) {
+                            satisfy(missing_preds, ready, rank_of, s);
+                        }
+                    }
+                    Event::Release(id) => {
+                        arrivals -= 1;
+                        satisfy(missing_preds, ready, rank_of, TaskId(id));
+                    }
+                    Event::Wake(p) => {
+                        arrivals -= 1;
+                        idle_push(idle_stack, idle_pending, &mut idle_pending_time, now, p);
+                    }
+                }
+            }
+
+            // Start ready tasks while processors are free. Zero-weight tasks
+            // (STG dummy nodes) retire immediately, possibly readying more
+            // tasks at the same instant.
+            while !ready.is_empty() && (!idle_stack.is_empty() || !idle_pending.is_empty()) {
+                let rank = ready.pop_min();
+                let id = rank_pairs[rank as usize].1;
+                let p = idle_pop(idle_stack, idle_pending);
+                let t = TaskId(id);
+                let w = graph.weight(t);
+                start[t.index()] = now;
+                finish[t.index()] = now + w;
+                proc[t.index()] = ProcId(p);
+                seq.push(t);
+                scheduled += 1;
+                makespan = makespan.max(now + w);
+                if w == 0 {
+                    idle_push(idle_stack, idle_pending, &mut idle_pending_time, now, p);
+                    for &s in graph.successors(t) {
+                        satisfy(missing_preds, ready, rank_of, s);
+                    }
+                } else {
+                    events.push(now + w, Event::Finish(id));
+                }
+                // Processors held right now: every running task plus the
+                // momentary hold of a zero-weight assignment.
+                let held = events.len() - arrivals + usize::from(w == 0);
+                if held > peak_held {
+                    peak_held = held;
+                }
+            }
+
+            if scheduled == to_place {
+                break;
+            }
+
+            // Advance to the next event; the top of the loop drains it
+            // (and anything else due at the same instant). A ready task
+            // waiting here is the one situation where the processor count
+            // shaped the schedule.
+            if !ready.is_empty() {
+                blocked = true;
+            }
+            now = events
+                .min_time()
+                .expect("unplaced tasks remain, so an event must be queued");
+        }
+
+        *ws_peak_held = peak_held;
+        *ws_blocked = blocked;
+        makespan
+    }
+}
+
+/// One missing predecessor of `t` is satisfied; it becomes ready when
+/// none remain.
+#[inline]
+fn satisfy(missing_preds: &mut [u32], ready: &mut ReadySet, rank_of: &[u32], t: TaskId) {
+    missing_preds[t.index()] -= 1;
+    if missing_preds[t.index()] == 0 {
+        ready.insert(rank_of[t.index()]);
     }
 }
 
@@ -435,138 +630,89 @@ pub fn list_schedule_into(
     }
     let _span = lamps_obs::span("sched", "list_schedule");
 
-    let n = graph.len();
-    ws.reserve(n, n_procs);
-    ws.start.clear();
-    ws.start.resize(n, 0);
-    ws.finish.clear();
-    ws.finish.resize(n, 0);
-    ws.proc.clear();
-    ws.proc.resize(n, ProcId(0));
-    ws.seq.clear();
-    let start = &mut ws.start;
-    let finish = &mut ws.finish;
-    let proc = &mut ws.proc;
-    let seq = &mut ws.seq;
-
-    // Rank-compress the priority keys: rank order is (key, id) order,
-    // so popping the smallest present rank is exactly the ready heap's
-    // pop of the smallest (key, id).
-    let rank_pairs = &mut ws.rank_pairs;
-    rank_pairs.clear();
-    rank_pairs.extend(keys.iter().copied().zip(0..n as u32));
-    rank_pairs.sort_unstable();
-    let rank_of = &mut ws.rank_of;
-    rank_of.clear();
-    rank_of.resize(n, 0);
-    for (r, &(_key, id)) in rank_pairs.iter().enumerate() {
-        rank_of[id as usize] = r as u32;
-    }
-
-    let ready = &mut ws.ready;
-    ready.reset(n);
-    let missing_preds = &mut ws.missing_preds;
-    missing_preds.clear();
-    missing_preds.extend((0..n).map(|i| graph.in_degree(TaskId(i as u32)) as u32));
+    // Nothing done, every processor free at cycle 0: the roots are
+    // ready, the processors form one idle segment (descending ids, so
+    // the stack pops processor 0 first), and nothing arrives later.
+    ws.begin(
+        graph,
+        n_procs,
+        keys.iter().copied().zip(0..graph.len() as u32),
+    );
+    ws.missing_preds
+        .extend(graph.tasks().map(|t| graph.in_degree(t) as u32));
     for t in graph.tasks() {
-        if missing_preds[t.index()] == 0 {
-            ready.insert(rank_of[t.index()]);
+        if ws.missing_preds[t.index()] == 0 {
+            ws.ready.insert(ws.rank_of[t.index()]);
         }
     }
+    ws.idle_stack.extend((0..n_procs as u32).rev());
+    ws.run(graph)
+}
 
-    let running = &mut ws.running;
-    running.reset();
-    // All processors idle since time 0: one pre-sorted segment
-    // (descending ids, so the stack pops processor 0 first).
-    let idle_stack = &mut ws.idle_stack;
-    idle_stack.clear();
-    idle_stack.extend((0..n_procs as u32).rev());
-    let idle_pending = &mut ws.idle_pending;
-    idle_pending.clear();
-    let mut idle_pending_time = 0u64;
-
-    ws.peak_held = 0;
-    ws.blocked = false;
-    let mut peak_held = 0usize;
-    let mut blocked = false;
-    let mut makespan = 0u64;
-    let mut now = 0u64;
-    let mut scheduled = 0usize;
-    while scheduled < n {
-        // Retire every task finishing at the current time: free its
-        // processor and release its successors. (Nothing can finish
-        // *before* `now`: the clock only ever advances to the queue's
-        // minimum, and that retirement batch drains completely.)
-        while let Some((_ft, id)) = running.pop_at(now) {
-            let t = TaskId(id);
-            idle_push(
-                idle_stack,
-                idle_pending,
-                &mut idle_pending_time,
-                now,
-                proc[t.index()].0,
-            );
-            for &s in graph.successors(t) {
-                missing_preds[s.index()] -= 1;
-                if missing_preds[s.index()] == 0 {
-                    ready.insert(rank_of[s.index()]);
+/// The setup of a partial run, behind
+/// [`crate::partial::reschedule_remaining`] (which checks the slice
+/// lengths): pending tasks count their pending predecessors, plus one
+/// for a release queued at the latest finish of their done ones when
+/// that is after cycle 0; processors free at 0 start idle, later ones
+/// queue a wake-up, failed ones never appear. Returns the makespan of
+/// the placed tasks (0 when none are pending).
+pub(crate) fn reschedule_into(
+    ws: &mut ListScheduleWorkspace,
+    graph: &TaskGraph,
+    done: &[bool],
+    finish_done: &[u64],
+    avail: &[ProcAvailability],
+    keys: &[u64],
+) -> u64 {
+    let pending_keys = graph
+        .tasks()
+        .filter(|t| !done[t.index()])
+        .map(|t| (keys[t.index()], t.0));
+    ws.begin(graph, avail.len(), pending_keys);
+    let pending = ws.rank_pairs.len();
+    for t in graph.tasks() {
+        let mut missing = 0u32;
+        if done[t.index()] {
+            for &p in graph.predecessors(t) {
+                assert!(
+                    done[p.index()],
+                    "{t} is done but its predecessor {p} is pending"
+                );
+            }
+        } else {
+            let mut release = 0u64;
+            for &p in graph.predecessors(t) {
+                if done[p.index()] {
+                    release = release.max(finish_done[p.index()]);
+                } else {
+                    missing += 1;
                 }
             }
-        }
-
-        // Start ready tasks while processors are free. Zero-weight tasks
-        // (STG dummy nodes) retire immediately, possibly readying more
-        // tasks at the same instant.
-        while !ready.is_empty() && (!idle_stack.is_empty() || !idle_pending.is_empty()) {
-            let rank = ready.pop_min();
-            let id = rank_pairs[rank as usize].1;
-            let p = idle_pop(idle_stack, idle_pending);
-            let t = TaskId(id);
-            let w = graph.weight(t);
-            start[t.index()] = now;
-            finish[t.index()] = now + w;
-            proc[t.index()] = ProcId(p);
-            seq.push(t);
-            scheduled += 1;
-            makespan = makespan.max(now + w);
-            if w == 0 {
-                idle_push(idle_stack, idle_pending, &mut idle_pending_time, now, p);
-                for &s in graph.successors(t) {
-                    missing_preds[s.index()] -= 1;
-                    if missing_preds[s.index()] == 0 {
-                        ready.insert(rank_of[s.index()]);
-                    }
-                }
-            } else {
-                running.push(finish[t.index()], id);
+            if release > 0 {
+                missing += 1;
+                ws.events.push(release, Event::Release(t.0));
             }
-            // Processors held right now: every running task plus the
-            // momentary hold of a zero-weight assignment.
-            let held = running.len() + usize::from(w == 0);
-            if held > peak_held {
-                peak_held = held;
+            if missing == 0 {
+                ws.ready.insert(ws.rank_of[t.index()]);
             }
         }
-
-        if scheduled == n {
-            break;
-        }
-
-        // Advance to the next finish event; the top of the loop retires
-        // it (and anything else finishing at the same instant). A ready
-        // task waiting here is the one situation where the processor
-        // count shaped the schedule.
-        if !ready.is_empty() {
-            blocked = true;
-        }
-        now = running
-            .min_finish()
-            .expect("unscheduled tasks remain, so something must be running");
+        ws.missing_preds.push(missing);
     }
-
-    ws.peak_held = peak_held;
-    ws.blocked = blocked;
-    makespan
+    assert!(
+        pending == 0
+            || avail
+                .iter()
+                .any(|a| matches!(a, ProcAvailability::FreeAt(_))),
+        "tasks pending but no processor survives"
+    );
+    for (p, a) in avail.iter().enumerate().rev() {
+        match *a {
+            ProcAvailability::FreeAt(0) => ws.idle_stack.push(p as u32),
+            ProcAvailability::FreeAt(at) => ws.events.push(at, Event::Wake(p as u32)),
+            ProcAvailability::Failed => {}
+        }
+    }
+    ws.run(graph)
 }
 
 /// Copy the workspace's latest run into an owned [`Schedule`]: five
@@ -585,98 +731,6 @@ fn materialize(ws: &ListScheduleWorkspace, n_procs: usize) -> Schedule {
         order,
         offsets,
     )
-}
-
-/// The original three-`BinaryHeap` list scheduler, kept verbatim as the
-/// executable specification of the event order. The indexed
-/// implementation in [`list_schedule_into`] must produce schedules
-/// identical to this, bit for bit; the `crates/sched` integration tests
-/// pin that equivalence across the edge cases (zero-weight chains,
-/// same-instant retirement batches, processor reuse ties). Not part of
-/// the public API.
-#[doc(hidden)]
-pub fn list_schedule_heap_reference(graph: &TaskGraph, n_procs: usize, keys: &[u64]) -> Schedule {
-    assert!(n_procs > 0, "need at least one processor");
-    assert_eq!(keys.len(), graph.len(), "one key per task");
-
-    let n = graph.len();
-    let mut start = vec![0u64; n];
-    let mut finish = vec![0u64; n];
-    let mut proc = vec![ProcId(0); n];
-    let mut seq: Vec<TaskId> = Vec::with_capacity(n);
-
-    // Ready tasks: min-heap on (key, id).
-    let mut ready: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    let mut missing_preds: Vec<u32> = (0..n)
-        .map(|i| graph.in_degree(TaskId(i as u32)) as u32)
-        .collect();
-    for t in graph.tasks() {
-        if missing_preds[t.index()] == 0 {
-            ready.push(Reverse((keys[t.index()], t.0)));
-        }
-    }
-
-    // Running tasks: min-heap on (finish time, id).
-    let mut running: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    // Idle processors: max-heap on (time it became idle, Reverse(id)) so
-    // that `pop` yields the most-recently-freed processor, lowest id on
-    // ties.
-    let mut idle: BinaryHeap<(u64, Reverse<u32>)> = BinaryHeap::new();
-    idle.extend((0..n_procs as u32).map(|p| (0u64, Reverse(p))));
-
-    let mut now = 0u64;
-    let mut scheduled = 0usize;
-    while scheduled < n {
-        while let Some(&Reverse((ft, id))) = running.peek() {
-            if ft > now {
-                break;
-            }
-            running.pop();
-            let t = TaskId(id);
-            idle.push((now, Reverse(proc[t.index()].0)));
-            for &s in graph.successors(t) {
-                missing_preds[s.index()] -= 1;
-                if missing_preds[s.index()] == 0 {
-                    ready.push(Reverse((keys[s.index()], s.0)));
-                }
-            }
-        }
-
-        while !idle.is_empty() && !ready.is_empty() {
-            let Reverse((_key, id)) = ready.pop().expect("checked non-empty");
-            let (_freed_at, Reverse(p)) = idle.pop().expect("checked non-empty");
-            let t = TaskId(id);
-            let w = graph.weight(t);
-            start[t.index()] = now;
-            finish[t.index()] = now + w;
-            proc[t.index()] = ProcId(p);
-            seq.push(t);
-            scheduled += 1;
-            if w == 0 {
-                idle.push((now, Reverse(p)));
-                for &s in graph.successors(t) {
-                    missing_preds[s.index()] -= 1;
-                    if missing_preds[s.index()] == 0 {
-                        ready.push(Reverse((keys[s.index()], s.0)));
-                    }
-                }
-            } else {
-                running.push(Reverse((finish[t.index()], id)));
-            }
-        }
-
-        if scheduled == n {
-            break;
-        }
-
-        let &Reverse((ft, _)) = running
-            .peek()
-            .expect("unscheduled tasks remain, so something must be running");
-        now = ft;
-    }
-
-    let (order, offsets) = csr_from_sorted(n_procs, &proc, seq.iter().copied());
-    Schedule::from_parts_unchecked(n_procs, start, finish, proc, order, offsets)
 }
 
 /// LS-EDF (§4): list scheduling with latest-finish-time keys derived from
@@ -855,18 +909,34 @@ mod tests {
 
     #[test]
     fn matches_heap_reference_on_examples() {
-        // The indexed event structures replay the heap implementation's
-        // event order exactly (the full corpus pin lives in the
-        // integration tests; this is the in-crate smoke version).
+        // The indexed event structures replay the heap oracle's event
+        // order exactly: with nothing done and every processor free at 0
+        // it is the whole-graph schedule (the full corpus pin lives in
+        // the integration tests; this is the in-crate smoke version).
         let g = fig4a();
         for n in 1..=6usize {
+            let done = vec![false; g.len()];
+            let finish_done = vec![0u64; g.len()];
+            let avail = vec![ProcAvailability::FreeAt(0); n];
             for d in [12u64, 20, 50] {
                 let keys = latest_finish_times(&g, d);
-                assert_eq!(
-                    list_schedule(&g, n, &keys),
-                    list_schedule_heap_reference(&g, n, &keys),
-                    "n={n} d={d}"
+                let s = list_schedule(&g, n, &keys);
+                let reference = crate::partial::reschedule_remaining_heap_reference(
+                    &g,
+                    &done,
+                    &finish_done,
+                    &avail,
+                    &keys,
                 );
+                for t in g.tasks() {
+                    assert_eq!(s.start(t), reference.start(t), "n={n} d={d} {t}");
+                    assert_eq!(s.finish(t), reference.finish(t), "n={n} d={d} {t}");
+                    assert_eq!(s.proc(t), reference.proc(t), "n={n} d={d} {t}");
+                }
+                for p in (0..n as u32).map(ProcId) {
+                    assert_eq!(s.tasks_on(p), reference.tasks_on(p), "n={n} d={d} {p:?}");
+                }
+                assert_eq!(s.makespan_cycles(), reference.makespan_cycles());
             }
         }
     }

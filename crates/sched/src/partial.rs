@@ -1,21 +1,25 @@
 //! Re-list-scheduling a partially executed graph on a processor subset.
 //!
-//! When a processor fail-stops mid-run, the tasks that already finished
-//! (or are running to completion on survivors) are facts; everything
-//! else must be re-placed on the surviving processors. This module
-//! generalizes the list scheduler of [`crate::list`] to that situation:
-//! tasks carry *release times* inherited from their completed
-//! predecessors, and processors become available at per-processor times
-//! (a survivor is busy until its current task retires; a dead processor
-//! never becomes available).
+//! When a processor fail-stops mid-run, or a task retires early, the
+//! tasks that already finished (or are running to completion on
+//! survivors) are facts; everything else must be re-placed on the
+//! surviving processors. [`reschedule_remaining`] runs the list
+//! scheduler of [`crate::list`] on that situation: tasks carry *release
+//! times* inherited from their completed predecessors, and processors
+//! become available at per-processor times (a survivor is busy until its
+//! current task retires; a dead processor never becomes available).
 //!
 //! The result is a [`PartialSchedule`]: placements for the remaining
 //! tasks only, in the same cycle domain as the input times. With every
 //! task pending, all releases zero, and all processors available at
-//! zero, the output matches [`crate::list::list_schedule`] exactly —
-//! see the `degenerate_matches_full_list_schedule` test.
+//! zero, the output matches [`crate::list::list_schedule`] exactly.
+//!
+//! [`reschedule_remaining_heap_reference`] is the same algorithm on
+//! `BinaryHeap`s: the executable specification both list-scheduling
+//! entry points are pinned to.
 
-use crate::schedule::ProcId;
+use crate::list::{reschedule_into, ListScheduleWorkspace};
+use crate::schedule::{csr_fill, ProcId};
 use lamps_taskgraph::{TaskGraph, TaskId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -29,13 +33,14 @@ pub enum ProcAvailability {
     Failed,
 }
 
-/// Placements for the tasks that still had to run, produced by
+/// Placements for the tasks that still had to run, filled by
 /// [`reschedule_remaining`].
 ///
 /// Start/finish/processor entries are meaningful only for tasks that
 /// were *pending* (not `done`) in the call; entries of completed tasks
-/// are left at zero / `ProcId(u32::MAX)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// are left at zero / `ProcId(u32::MAX)`. A schedule that was never
+/// filled holds no tasks and no processors.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartialSchedule {
     start: Vec<u64>,
     finish: Vec<u64>,
@@ -49,6 +54,11 @@ pub struct PartialSchedule {
 }
 
 impl PartialSchedule {
+    /// An empty schedule, to be filled by [`reschedule_remaining`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Start time of pending task `t` in cycles.
     #[inline]
     pub fn start(&self, t: TaskId) -> u64 {
@@ -85,7 +95,7 @@ impl PartialSchedule {
 }
 
 /// List-schedule the pending subset of `graph` on the surviving
-/// processors.
+/// processors, into `out`.
 ///
 /// * `done[t]` — task `t` has already finished (or is guaranteed to
 ///   finish without re-placement); its completion cycle is
@@ -99,14 +109,61 @@ impl PartialSchedule {
 ///
 /// Work-conserving and deterministic with the same tie-breaks as
 /// [`crate::list::list_schedule`]: ready ties on `(key, id)`, processor
-/// ties prefer the most recently freed, then the lowest id.
+/// ties prefer the most recently freed, then the lowest id. Once `ws`
+/// and `out` have been through a run of this shape, a run performs
+/// **zero heap allocations**.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths disagree with the graph, no processor
-/// survives while tasks are pending, or a pending task has a `done`
-/// successorial inconsistency (a done task with a pending predecessor).
+/// survives while tasks are pending, or a done task has a pending
+/// predecessor.
 pub fn reschedule_remaining(
+    ws: &mut ListScheduleWorkspace,
+    graph: &TaskGraph,
+    done: &[bool],
+    finish_done: &[u64],
+    avail: &[ProcAvailability],
+    keys: &[u64],
+    out: &mut PartialSchedule,
+) {
+    let n = graph.len();
+    assert_eq!(done.len(), n, "one done flag per task");
+    assert_eq!(finish_done.len(), n, "one finish time per task");
+    assert_eq!(keys.len(), n, "one key per task");
+    out.makespan = reschedule_into(ws, graph, done, finish_done, avail, keys);
+    let (start, finish, proc, seq) = ws.results();
+    out.start.clear();
+    out.start.extend_from_slice(start);
+    out.finish.clear();
+    out.finish.extend_from_slice(finish);
+    out.proc.clear();
+    out.proc.extend_from_slice(proc);
+    // Each processor's subsequence of the assignment order is its
+    // execution order; done tasks are absent from it.
+    csr_fill(
+        avail.len(),
+        proc,
+        seq.iter().copied(),
+        &mut out.order,
+        &mut out.offsets,
+    );
+    out.n_placed = seq.len();
+}
+
+/// The heap oracle: [`reschedule_remaining`] written plainly on
+/// `BinaryHeap`s and fresh vectors, kept as the executable specification
+/// of the list scheduler's event order. With every task pending, all
+/// releases zero and every processor free at 0 it is the whole-graph
+/// [`crate::list::list_schedule`]. The `crates/sched` pins and
+/// `lamps_core::suffix::resolve_suffix_fresh` hold the indexed engine to
+/// it bit for bit. Not part of the public API.
+///
+/// # Panics
+///
+/// As [`reschedule_remaining`].
+#[doc(hidden)]
+pub fn reschedule_remaining_heap_reference(
     graph: &TaskGraph,
     done: &[bool],
     finish_done: &[u64],
@@ -337,6 +394,25 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// [`reschedule_remaining`] into fresh buffers, checked against the
+    /// heap oracle.
+    fn reschedule(
+        graph: &TaskGraph,
+        done: &[bool],
+        finish_done: &[u64],
+        avail: &[ProcAvailability],
+        keys: &[u64],
+    ) -> PartialSchedule {
+        let mut ps = PartialSchedule::new();
+        let mut ws = ListScheduleWorkspace::new();
+        reschedule_remaining(&mut ws, graph, done, finish_done, avail, keys, &mut ps);
+        assert_eq!(
+            ps,
+            reschedule_remaining_heap_reference(graph, done, finish_done, avail, keys)
+        );
+        ps
+    }
+
     fn check_partial(
         graph: &TaskGraph,
         done: &[bool],
@@ -382,7 +458,7 @@ mod tests {
         let done = vec![false; g.len()];
         let fd = vec![0u64; g.len()];
         let avail = vec![ProcAvailability::FreeAt(0); 2];
-        let part = reschedule_remaining(&g, &done, &fd, &avail, &keys);
+        let part = reschedule(&g, &done, &fd, &avail, &keys);
         for t in g.tasks() {
             assert_eq!(part.start(t), full.start(t), "{t}");
             assert_eq!(part.finish(t), full.finish(t), "{t}");
@@ -400,7 +476,7 @@ mod tests {
         let done = vec![true, false, false, false, false];
         let fd = vec![2u64, 0, 0, 0, 0];
         let avail = vec![ProcAvailability::FreeAt(4), ProcAvailability::Failed];
-        let ps = reschedule_remaining(&g, &done, &fd, &avail, &keys);
+        let ps = reschedule(&g, &done, &fd, &avail, &keys);
         check_partial(&g, &done, &fd, &avail, &ps);
         assert_eq!(ps.n_placed(), 4);
         // Serialized on one processor from cycle 4: 6+4+4+2 = 16 cycles.
@@ -417,7 +493,7 @@ mod tests {
         let done = vec![true, false, false, false, false];
         let fd = vec![10u64, 0, 0, 0, 0];
         let avail = vec![ProcAvailability::FreeAt(0); 3];
-        let ps = reschedule_remaining(&g, &done, &fd, &avail, &keys);
+        let ps = reschedule(&g, &done, &fd, &avail, &keys);
         check_partial(&g, &done, &fd, &avail, &ps);
         for t in [1u32, 2, 3] {
             assert_eq!(ps.start(TaskId(t)), 10);
@@ -436,7 +512,7 @@ mod tests {
         let fd = vec![0u64, 0];
         let avail = vec![ProcAvailability::FreeAt(7), ProcAvailability::FreeAt(3)];
         let keys = vec![10u64, 20];
-        let ps = reschedule_remaining(&g, &done, &fd, &avail, &keys);
+        let ps = reschedule(&g, &done, &fd, &avail, &keys);
         check_partial(&g, &done, &fd, &avail, &ps);
         // More urgent task 0 grabs the earlier processor P1.
         assert_eq!(ps.proc(TaskId(0)), ProcId(1));
@@ -457,7 +533,7 @@ mod tests {
         let done = vec![false; 3];
         let fd = vec![0u64; 3];
         let avail = vec![ProcAvailability::FreeAt(1), ProcAvailability::Failed];
-        let ps = reschedule_remaining(&g, &done, &fd, &avail, &keys);
+        let ps = reschedule(&g, &done, &fd, &avail, &keys);
         check_partial(&g, &done, &fd, &avail, &ps);
         assert_eq!(ps.makespan_cycles(), 5);
     }
@@ -469,7 +545,7 @@ mod tests {
         let done = vec![true; g.len()];
         let fd = vec![2u64, 8, 6, 6, 10];
         let avail = vec![ProcAvailability::Failed; 2];
-        let ps = reschedule_remaining(&g, &done, &fd, &avail, &keys);
+        let ps = reschedule(&g, &done, &fd, &avail, &keys);
         assert_eq!(ps.n_placed(), 0);
         assert_eq!(ps.makespan_cycles(), 0);
     }
@@ -481,7 +557,7 @@ mod tests {
         let keys = latest_finish_times(&g, 12);
         let done = vec![false; g.len()];
         let fd = vec![0u64; g.len()];
-        reschedule_remaining(&g, &done, &fd, &[ProcAvailability::Failed], &keys);
+        reschedule(&g, &done, &fd, &[ProcAvailability::Failed], &keys);
     }
 
     #[test]
@@ -492,6 +568,6 @@ mod tests {
         let done = vec![false, true, false, false, false];
         let fd = vec![0u64; g.len()];
         let avail = vec![ProcAvailability::FreeAt(0); 2];
-        reschedule_remaining(&g, &done, &fd, &avail, &keys);
+        reschedule(&g, &done, &fd, &avail, &keys);
     }
 }

@@ -98,28 +98,50 @@ pub struct Schedule {
 
 /// Build the CSR `(order, offsets)` arena from per-task processor
 /// assignments and an iterator yielding every task in execution order
-/// (ties already broken). Counting sort by processor: one pass to size
-/// the buckets, one pass to place.
+/// (ties already broken), in two exact-size allocations.
 pub(crate) fn csr_from_sorted(
     n_procs: usize,
     proc: &[ProcId],
     sorted: impl Iterator<Item = TaskId> + Clone,
 ) -> (Vec<TaskId>, Vec<usize>) {
-    let mut offsets = vec![0usize; n_procs + 1];
-    for p in proc {
-        offsets[p.index() + 1] += 1;
+    let mut order = Vec::with_capacity(proc.len());
+    let mut offsets = Vec::with_capacity(n_procs + 1);
+    csr_fill(n_procs, proc, sorted, &mut order, &mut offsets);
+    (order, offsets)
+}
+
+/// Fill `order`/`offsets` in place with the CSR arena of the tasks
+/// `sorted` yields, in execution order. Counting sort by processor: one
+/// pass to size the buckets, one to place. Only the yielded tasks are
+/// counted, so tasks left out may carry any `proc` entry.
+pub(crate) fn csr_fill(
+    n_procs: usize,
+    proc: &[ProcId],
+    sorted: impl Iterator<Item = TaskId> + Clone,
+    order: &mut Vec<TaskId>,
+    offsets: &mut Vec<usize>,
+) {
+    offsets.clear();
+    offsets.resize(n_procs + 1, 0);
+    for t in sorted.clone() {
+        offsets[proc[t.index()].index() + 1] += 1;
     }
     for i in 1..offsets.len() {
         offsets[i] += offsets[i - 1];
     }
-    let mut cursor = offsets.clone();
-    let mut order = vec![TaskId(0); proc.len()];
+    order.clear();
+    order.resize(offsets[n_procs], TaskId(0));
+    // Place through `offsets[p]` as processor `p`'s cursor; each ends at
+    // the start of `p + 1`, so shifting right by one restores the starts.
     for t in sorted {
         let p = proc[t.index()].index();
-        order[cursor[p]] = t;
-        cursor[p] += 1;
+        order[offsets[p]] = t;
+        offsets[p] += 1;
     }
-    (order, offsets)
+    for p in (1..=n_procs).rev() {
+        offsets[p] = offsets[p - 1];
+    }
+    offsets[0] = 0;
 }
 
 impl Schedule {

@@ -1,12 +1,15 @@
 //! Proof that a warm [`ListScheduleWorkspace`] really is allocation-free.
 //!
 //! The solver's LAMPS scan leans on the contract documented on
-//! [`lamps_sched::list_schedule_into`]: once the workspace has been
-//! through a run of a given size, every further run clears and refills
-//! the same buffers and touches the heap **zero** times. This test
-//! enforces the contract with a counting global allocator — if someone
-//! reintroduces a per-run `Vec::new()` or lets a heap grow run-to-run,
-//! the count moves and the test names the regression.
+//! [`lamps_sched::list_schedule_into`], and the online suffix re-solve
+//! on the same contract of [`lamps_sched::reschedule_remaining`]: once
+//! the workspace (and, for partial runs, the output
+//! [`PartialSchedule`]) has been through a run of a given shape, every
+//! further run clears and refills the same buffers and touches the heap
+//! **zero** times. This test enforces the contract with a counting
+//! global allocator — if someone reintroduces a per-run `Vec::new()` or
+//! lets a heap grow run-to-run, the count moves and the test names the
+//! regression.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a sibling test allocating on another thread
@@ -15,7 +18,8 @@
 //! test only.
 
 use lamps_sched::list::{list_schedule_into, ListScheduleWorkspace};
-use lamps_taskgraph::GraphBuilder;
+use lamps_sched::partial::{reschedule_remaining, PartialSchedule, ProcAvailability};
+use lamps_taskgraph::{GraphBuilder, TaskGraph};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -143,4 +147,76 @@ fn warm_workspace_runs_allocate_nothing() {
         "warm zero-weight runs changed the makespans"
     );
     assert_eq!(zero_cold, [0; 4], "an all-zero-weight graph has makespan 0");
+
+    // Partial runs through the same workspace into one reused output:
+    // a done prefix with late finish times (queued releases), staggered
+    // wake-ups and a failed processor, on both graphs above. Every input
+    // is built before the measured region.
+    let cuts: Vec<_> = [(&graph, &keys), (&zero_graph, &zero_keys)]
+        .into_iter()
+        .flat_map(|(g, k)| [partial_cut(g, k, 1, 3), partial_cut(g, k, 3, 8)])
+        .collect();
+    let mut out = PartialSchedule::new();
+    let mut partial_cold = [0u64; 4];
+    for (slot, (g, k, done, fd, avail)) in partial_cold.iter_mut().zip(&cuts) {
+        reschedule_remaining(&mut ws, g, done, fd, avail, k, &mut out);
+        *slot = out.makespan_cycles();
+    }
+    let mut partial_warm = [0u64; 4];
+    let before = allocations();
+    for (slot, (g, k, done, fd, avail)) in partial_warm.iter_mut().zip(&cuts) {
+        reschedule_remaining(&mut ws, g, done, fd, avail, k, &mut out);
+        *slot = out.makespan_cycles();
+    }
+    let grew = allocations() - before;
+    assert_eq!(
+        grew, 0,
+        "warm reschedule_remaining runs performed {grew} allocation(s); \
+         the partial runs' zero-allocation contract is broken"
+    );
+    assert_eq!(
+        partial_cold, partial_warm,
+        "warm partial runs changed the makespans"
+    );
+    assert!(
+        partial_cold[0] > 0,
+        "the layered graph's pending rest takes time"
+    );
+}
+
+type Cut<'a> = (
+    &'a TaskGraph,
+    &'a [u64],
+    Vec<bool>,
+    Vec<u64>,
+    Vec<ProcAvailability>,
+);
+
+/// A partial-run input: the first `num/den` of `graph`'s topological
+/// order done, finishing at staggered late cycles, on four processors
+/// that wake at staggered cycles, the last one failed.
+fn partial_cut<'a>(graph: &'a TaskGraph, keys: &'a [u64], num: usize, den: usize) -> Cut<'a> {
+    let n = graph.len();
+    let mut done = vec![false; n];
+    let mut finish_done = vec![0u64; n];
+    for (i, t) in graph
+        .topo_order()
+        .into_iter()
+        .take(n * num / den)
+        .enumerate()
+    {
+        done[t.index()] = true;
+        finish_done[t.index()] = 10 + (i as u64 % 5) * 7;
+    }
+    let n_procs = 4;
+    let avail = (0..n_procs)
+        .map(|p| {
+            if p + 1 == n_procs {
+                ProcAvailability::Failed
+            } else {
+                ProcAvailability::FreeAt(p as u64 * 9)
+            }
+        })
+        .collect();
+    (graph, keys, done, finish_done, avail)
 }

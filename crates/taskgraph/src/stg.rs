@@ -97,8 +97,13 @@ pub fn parse(text: &str) -> Result<TaskGraph, StgError> {
         return Err(StgError::BadHeader);
     }
 
-    let mut builder = GraphBuilder::with_capacity(n as usize, n as usize * 2);
-    let mut preds: Vec<Vec<u64>> = Vec::with_capacity(n as usize);
+    // Reserve no more than the input can hold: every task line takes at
+    // least three tokens and every predecessor one, so a huge declared
+    // count in a short input cannot request a huge allocation.
+    let max_tokens = text.split_whitespace().count();
+    let n_cap = usize::try_from(n).unwrap_or(usize::MAX).min(max_tokens / 3);
+    let mut builder = GraphBuilder::with_capacity(n_cap, n_cap.saturating_mul(2).min(max_tokens));
+    let mut preds: Vec<Vec<u64>> = Vec::with_capacity(n_cap);
     for expected in 0..n {
         let id = next()?;
         if id != expected {
@@ -109,7 +114,8 @@ pub fn parse(text: &str) -> Result<TaskGraph, StgError> {
         }
         let weight = next()?;
         let npred = next()?;
-        let mut plist = Vec::with_capacity(npred as usize);
+        let mut plist =
+            Vec::with_capacity(usize::try_from(npred).unwrap_or(usize::MAX).min(max_tokens));
         for _ in 0..npred {
             plist.push(next()?);
         }
@@ -194,6 +200,17 @@ mod tests {
         let text = "4\n0 1 0\n1 1 0\n2 1 0\n3 1 3 0 1\n2\n";
         let g = parse(text).unwrap();
         assert_eq!(g.predecessors(TaskId(3)).len(), 3);
+    }
+
+    #[test]
+    fn huge_declared_counts_in_tiny_inputs_are_truncated_not_reserved() {
+        for text in ["100000000000000\n0 0 0\n", "2\n0 0 100000000000000\n"] {
+            assert_eq!(
+                parse(text).unwrap_err(),
+                StgError::UnexpectedEof,
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   [`crate::runtime::check_online`], a worst-case on-time stream must
 //!   make reclamation a bitwise no-op, and the incremental
 //!   [`SuffixSolver`] must match the from-scratch
-//!   [`resolve_suffix_fresh`] reference bit for bit.
+//!   [`resolve_suffix_fresh`] reference, which schedules on the list
+//!   scheduler's heap oracle, bit for bit — also with jobs in flight
+//!   and a processor dead.
 //!
 //! A failing case is greedily shrunk (drop tasks, drop edges, halve
 //! weights, thin the fault and online dimensions) while it keeps
@@ -485,11 +487,15 @@ fn online_battery(
 }
 
 /// Differentiate the arena-recycling [`SuffixSolver`] against the
-/// from-scratch [`resolve_suffix_fresh`] reference on mid-frame states
-/// of the case's static plan: same feasibility, same level bits, same
-/// pending assignment and finish times, same step counts — with and
-/// without a candidate cap, reusing one solver so the key memo is
-/// exercised.
+/// from-scratch [`resolve_suffix_fresh`] reference — the indexed list
+/// scheduler against its heap oracle — on mid-frame states of the
+/// case's static plan: same feasibility, same level bits, same pending
+/// assignment and finish times, same per-processor order, same step
+/// counts — with and without a candidate cap, reusing one solver so the
+/// key memo is exercised. Each cut is tried with every processor idle,
+/// with each processor's next planned job in flight on a WCET estimate
+/// past `now` (staggered availability), and with one processor dead
+/// besides when another survives.
 fn suffix_differential(
     dag: &lamps_kpn::PeriodicDag,
     sol: &Solution,
@@ -498,6 +504,7 @@ fn suffix_differential(
 ) {
     let graph = &dag.graph;
     let n = graph.len();
+    let n_procs = sol.n_procs;
     let f_max = scfg.max_frequency();
     let horizon_s = dag.hyperperiod_cycles as f64 / f_max;
     let due_s: Vec<f64> = dag
@@ -508,8 +515,6 @@ fn suffix_differential(
     let mut order: Vec<TaskId> = graph.tasks().collect();
     order.sort_by_key(|&t| (sol.schedule.finish(t), t.0));
     let candidates: Vec<_> = scfg.levels.points().to_vec();
-    let running = vec![None; sol.n_procs];
-    let dead = vec![false; sol.n_procs];
     let mut solver = SuffixSolver::new();
 
     for cut in [n / 3, n / 2, (2 * n) / 3] {
@@ -525,55 +530,92 @@ fn suffix_differential(
             finish_s[t.index()] = sol.schedule.finish(t) as f64 / sol.level.freq * 0.9;
         }
         let now_s = finish_s.iter().fold(0.0f64, |a, &b| a.max(b));
-        let ctx = SuffixContext {
-            finished: &finished,
-            finish_s: &finish_s,
-            running: &running,
-            dead: &dead,
-            now_s,
-            deadline_s: horizon_s,
-            own_due_s: Some(&due_s),
-        };
-        for cap in [None, Some(3u64)] {
-            let a = solver.resolve(graph, &ctx, &candidates, cap);
-            let b = resolve_suffix_fresh(graph, &ctx, &candidates, cap);
-            match (&a, &b) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    if a.level.freq.to_bits() != b.level.freq.to_bits()
-                        || a.feasible != b.feasible
-                        || a.steps != b.steps
-                        || a.complete != b.complete
-                    {
-                        violations.push(format!(
-                            "suffix differential (cut {cut}, cap {cap:?}): solver (vdd {}, \
-                             feasible {}, steps {}) vs fresh (vdd {}, feasible {}, steps {})",
-                            a.level.vdd, a.feasible, a.steps, b.level.vdd, b.feasible, b.steps
-                        ));
-                        continue;
-                    }
-                    for t in graph.tasks() {
-                        if finished[t.index()] {
-                            continue;
-                        }
-                        if a.plan.proc(t) != b.plan.proc(t) || a.plan.finish(t) != b.plan.finish(t)
+        let idle = vec![None; n_procs];
+        let in_flight: Vec<Option<(TaskId, f64)>> = (0..n_procs)
+            .map(|p| {
+                let next = sol
+                    .schedule
+                    .tasks_on(ProcId(p as u32))
+                    .iter()
+                    .copied()
+                    .find(|t| !finished[t.index()])?;
+                let ready = graph.predecessors(next).iter().all(|q| finished[q.index()]);
+                let wcet_s = graph.weight(next).max(1) as f64 / sol.level.freq;
+                ready.then_some((next, now_s + wcet_s))
+            })
+            .collect();
+        let all_live = vec![false; n_procs];
+        let mut shapes = vec![
+            ("idle", idle, all_live.clone()),
+            ("in-flight", in_flight.clone(), all_live),
+        ];
+        if n_procs > 1 {
+            // The dead processor's job is not in flight: it re-plans.
+            let p_dead = cut % n_procs;
+            let mut running = in_flight;
+            running[p_dead] = None;
+            let mut dead = vec![false; n_procs];
+            dead[p_dead] = true;
+            shapes.push(("one-dead", running, dead));
+        }
+        for (shape, running, dead) in &shapes {
+            let ctx = SuffixContext {
+                finished: &finished,
+                finish_s: &finish_s,
+                running,
+                dead,
+                now_s,
+                deadline_s: horizon_s,
+                own_due_s: Some(&due_s),
+            };
+            for cap in [None, Some(3u64)] {
+                let what = format!("suffix differential (cut {cut}, {shape}, cap {cap:?})");
+                let a = solver.resolve(graph, &ctx, &candidates, cap);
+                let b = resolve_suffix_fresh(graph, &ctx, &candidates, cap);
+                match (&a, &b) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        if a.level.freq.to_bits() != b.level.freq.to_bits()
+                            || a.feasible != b.feasible
+                            || a.steps != b.steps
+                            || a.complete != b.complete
                         {
                             violations.push(format!(
-                                "suffix differential (cut {cut}, cap {cap:?}): {t} placed at \
-                                 {:?}/{} vs {:?}/{}",
-                                a.plan.proc(t),
-                                a.plan.finish(t),
-                                b.plan.proc(t),
-                                b.plan.finish(t)
+                                "{what}: solver (vdd {}, feasible {}, steps {}) vs fresh \
+                                 (vdd {}, feasible {}, steps {})",
+                                a.level.vdd, a.feasible, a.steps, b.level.vdd, b.feasible, b.steps
                             ));
+                            continue;
+                        }
+                        for t in graph.tasks() {
+                            if a.plan.proc(t) != b.plan.proc(t)
+                                || a.plan.finish(t) != b.plan.finish(t)
+                            {
+                                violations.push(format!(
+                                    "{what}: {t} placed at {:?}/{} vs {:?}/{}",
+                                    a.plan.proc(t),
+                                    a.plan.finish(t),
+                                    b.plan.proc(t),
+                                    b.plan.finish(t)
+                                ));
+                            }
+                        }
+                        for p in (0..n_procs as u32).map(ProcId) {
+                            if a.plan.tasks_on(p) != b.plan.tasks_on(p) {
+                                violations.push(format!(
+                                    "{what}: {p:?} runs {:?} vs {:?}",
+                                    a.plan.tasks_on(p),
+                                    b.plan.tasks_on(p)
+                                ));
+                            }
                         }
                     }
+                    _ => violations.push(format!(
+                        "{what}: solver {:?} vs fresh {:?}",
+                        a.is_some(),
+                        b.is_some()
+                    )),
                 }
-                _ => violations.push(format!(
-                    "suffix differential (cut {cut}, cap {cap:?}): solver {:?} vs fresh {:?}",
-                    a.is_some(),
-                    b.is_some()
-                )),
             }
         }
     }
