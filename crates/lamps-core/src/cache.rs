@@ -22,7 +22,7 @@
 //!   deadline at maximum frequency.
 
 use lamps_sched::deadlines::{latest_finish_times, latest_finish_times_into};
-use lamps_sched::list::{list_schedule_with, ListScheduleWorkspace};
+use lamps_sched::list::{list_schedule_into, ListScheduleWorkspace};
 use lamps_sched::{IdleSummary, Schedule};
 use lamps_taskgraph::TaskGraph;
 use std::sync::Arc;
@@ -106,6 +106,9 @@ impl CacheStats {
 pub struct ScheduleCache<'g> {
     graph: &'g TaskGraph,
     keys: Vec<u64>,
+    /// The graph's weights, built once per cache: every memoized
+    /// schedule's duration column is a clone of this `Arc`.
+    durations: Arc<[u64]>,
     memo: Vec<Option<Arc<Schedule>>>,
     summaries: Vec<Option<IdleSummary>>,
     ws: ListScheduleWorkspace,
@@ -149,6 +152,7 @@ impl<'g> ScheduleCache<'g> {
         ScheduleCache {
             graph,
             keys: bufs.keys,
+            durations: Arc::from(graph.weights()),
             memo: bufs.memo,
             summaries: bufs.summaries,
             ws: bufs.ws,
@@ -177,6 +181,7 @@ impl<'g> ScheduleCache<'g> {
         ScheduleCache {
             graph,
             keys,
+            durations: Arc::from(graph.weights()),
             memo: Vec::new(),
             summaries: Vec::new(),
             ws: ListScheduleWorkspace::new(),
@@ -248,7 +253,8 @@ impl<'g> ScheduleCache<'g> {
             self.memo.resize_with(n, || None);
         }
         if self.memo[n - 1].is_none() {
-            let s = list_schedule_with(&mut self.ws, self.graph, n, &self.keys);
+            list_schedule_into(&mut self.ws, self.graph, n, &self.keys);
+            let s = self.ws.to_schedule(Arc::clone(&self.durations));
             // An unblocked run is the infinite-processor schedule: its
             // peak concurrency is the schedule width, and every count at
             // or above it replays the identical event sequence (see

@@ -63,6 +63,7 @@ use crate::deadlines::latest_finish_times;
 use crate::partial::ProcAvailability;
 use crate::schedule::{csr_from_sorted, ProcId, Schedule};
 use lamps_taskgraph::{TaskGraph, TaskId};
+use std::sync::Arc;
 
 const NIL: u32 = u32::MAX;
 
@@ -79,8 +80,8 @@ struct ReadySet {
 impl ReadySet {
     fn reserve(&mut self, n_ranks: usize) {
         let n_words = n_ranks.div_ceil(64).max(1);
-        self.words.reserve(n_words);
-        self.summary.reserve(n_words.div_ceil(64));
+        reserve_total(&mut self.words, n_words);
+        reserve_total(&mut self.summary, n_words.div_ceil(64));
     }
 
     /// Clear and size for `n_ranks` ranks, all absent.
@@ -171,9 +172,9 @@ impl Default for EventQueue {
 
 impl EventQueue {
     fn reserve(&mut self, cap: usize) {
-        self.time.reserve(cap);
-        self.event.reserve(cap);
-        self.next.reserve(cap);
+        reserve_total(&mut self.time, cap);
+        reserve_total(&mut self.event, cap);
+        reserve_total(&mut self.next, cap);
     }
 
     fn reset(&mut self) {
@@ -281,8 +282,9 @@ impl EventQueue {
 /// once per candidate level; keeping the event structures, the
 /// in-degree counters, and the per-run result arrays alive across runs
 /// means a run through a warm workspace performs **zero heap
-/// allocations**; materializing an owned [`Schedule`] afterwards costs
-/// exactly the five exact-size arrays the schedule keeps. The workspace
+/// allocations**; materializing an owned [`Schedule`] afterwards
+/// ([`Self::to_schedule`]) costs exactly the four exact-size arrays the
+/// schedule owns, its duration column being shared. The workspace
 /// carries no semantic state between runs — every run clears and
 /// refills it — so reusing one workspace produces schedules identical to
 /// fresh [`list_schedule`] calls.
@@ -308,6 +310,8 @@ pub struct ListScheduleWorkspace {
     /// is queued.
     missing_preds: Vec<u32>,
     // Results of the most recent run, valid until the next one.
+    n_procs: usize,
+    makespan: u64,
     start: Vec<u64>,
     finish: Vec<u64>,
     proc: Vec<ProcId>,
@@ -332,23 +336,23 @@ impl ListScheduleWorkspace {
     /// allocates nothing. `reserve` is a no-op when capacity is already
     /// sufficient; runs against larger inputs simply grow on demand.
     pub fn reserve(&mut self, n_tasks: usize, n_procs: usize) {
-        self.rank_pairs.reserve(n_tasks);
-        self.rank_of.reserve(n_tasks);
+        reserve_total(&mut self.rank_pairs, n_tasks);
+        reserve_total(&mut self.rank_of, n_tasks);
         self.ready.reserve(n_tasks);
         // At most one task runs per processor at any instant.
         self.events.reserve(n_procs.min(n_tasks.max(1)));
-        self.idle_stack.reserve(n_procs);
-        self.idle_pending.reserve(n_procs);
-        self.missing_preds.reserve(n_tasks);
-        self.start.reserve(n_tasks);
-        self.finish.reserve(n_tasks);
-        self.proc.reserve(n_tasks);
-        self.seq.reserve(n_tasks);
+        reserve_total(&mut self.idle_stack, n_procs);
+        reserve_total(&mut self.idle_pending, n_procs);
+        reserve_total(&mut self.missing_preds, n_tasks);
+        reserve_total(&mut self.start, n_tasks);
+        reserve_total(&mut self.finish, n_tasks);
+        reserve_total(&mut self.proc, n_tasks);
+        reserve_total(&mut self.seq, n_tasks);
     }
 
     /// Makespan of the most recent run.
     pub fn makespan_cycles(&self) -> u64 {
-        self.finish.iter().copied().max().unwrap_or(0)
+        self.makespan
     }
 
     /// Peak number of processors held simultaneously during the most
@@ -376,6 +380,43 @@ impl ListScheduleWorkspace {
         self.blocked
     }
 
+    /// Copy the latest whole-graph run ([`list_schedule_into`]) into an
+    /// owned [`Schedule`] whose finish times are `start + durations`:
+    /// four exact-size allocations (start, proc and the CSR order arena),
+    /// no per-processor `Vec`s. `durations` must be the scheduled
+    /// graph's weight column ([`TaskGraph::weights`]); a caller that
+    /// materializes many runs of one graph passes clones of one
+    /// `Arc<[u64]>`, and every schedule shares that allocation. Within
+    /// one processor the assignment sequence is chronological, so a
+    /// stable counting sort of the sequence by processor yields each
+    /// processor's execution order — authoritative even for zero-weight
+    /// chains assigned at the same instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last run left a task unplaced (a partial run) or
+    /// `durations` has the wrong length. Debug builds also check every
+    /// duration against the run's finish times.
+    pub fn to_schedule(&self, durations: Arc<[u64]>) -> Schedule {
+        let n = self.start.len();
+        assert_eq!(self.seq.len(), n, "the last run must place every task");
+        assert_eq!(durations.len(), n, "one duration per task");
+        debug_assert!(
+            (0..n).all(|i| self.start[i].wrapping_add(durations[i]) == self.finish[i]),
+            "durations must be the scheduled graph's weights"
+        );
+        let (order, offsets) = csr_from_sorted(self.n_procs, &self.proc, self.seq.iter().copied());
+        Schedule::from_columns(
+            self.n_procs,
+            self.makespan,
+            self.start.clone(),
+            durations,
+            self.proc.clone(),
+            order,
+            offsets,
+        )
+    }
+
     /// The last run's start and finish cycles and processor per task,
     /// and the placed tasks in assignment order.
     pub(crate) fn results(&self) -> (&[u64], &[u64], &[ProcId], &[TaskId]) {
@@ -395,6 +436,7 @@ impl ListScheduleWorkspace {
     ) {
         let n = graph.len();
         self.reserve(n, n_procs);
+        self.n_procs = n_procs;
         self.start.clear();
         self.start.resize(n, 0);
         self.finish.clear();
@@ -433,6 +475,8 @@ impl ListScheduleWorkspace {
             idle_stack,
             idle_pending,
             missing_preds,
+            n_procs: _,
+            makespan: ws_makespan,
             start,
             finish,
             proc,
@@ -529,6 +573,7 @@ impl ListScheduleWorkspace {
 
         *ws_peak_held = peak_held;
         *ws_blocked = blocked;
+        *ws_makespan = makespan;
         makespan
     }
 }
@@ -569,6 +614,13 @@ fn idle_push(
     pending.push(p);
 }
 
+/// Grow `v`'s capacity to at least `n` elements in total. `Vec::reserve`
+/// counts from the length, and a workspace buffer still holds the last
+/// run's results when the next run reserves, so it would double.
+fn reserve_total<T>(v: &mut Vec<T>, n: usize) {
+    v.reserve(n.saturating_sub(v.len()));
+}
+
 #[inline]
 fn idle_pop(stack: &mut Vec<u32>, pending: &mut Vec<u32>) -> u32 {
     idle_flush(stack, pending);
@@ -598,12 +650,13 @@ pub fn list_schedule_with(
     keys: &[u64],
 ) -> Schedule {
     list_schedule_into(ws, graph, n_procs, keys);
-    materialize(ws, n_procs)
+    ws.to_schedule(Arc::from(graph.weights()))
 }
 
 /// Run the list scheduler, leaving the per-task results in `ws` (read
 /// them back via [`ListScheduleWorkspace::makespan_cycles`] or
-/// materialize an owned [`Schedule`] with [`list_schedule_with`]).
+/// materialize an owned [`Schedule`] with
+/// [`ListScheduleWorkspace::to_schedule`]).
 /// Returns the makespan in cycles.
 ///
 /// Once `ws` has been through a run of at least this size (or was
@@ -713,24 +766,6 @@ pub(crate) fn reschedule_into(
         }
     }
     ws.run(graph)
-}
-
-/// Copy the workspace's latest run into an owned [`Schedule`]: five
-/// exact-size allocations (start/finish/proc plus the CSR order arena),
-/// no per-processor `Vec`s. Within one processor the assignment sequence
-/// is chronological, so a stable counting sort of `seq` by processor
-/// yields each processor's execution order — authoritative even for
-/// zero-weight chains assigned at the same instant.
-fn materialize(ws: &ListScheduleWorkspace, n_procs: usize) -> Schedule {
-    let (order, offsets) = csr_from_sorted(n_procs, &ws.proc, ws.seq.iter().copied());
-    Schedule::from_parts_unchecked(
-        n_procs,
-        ws.start.clone(),
-        ws.finish.clone(),
-        ws.proc.clone(),
-        order,
-        offsets,
-    )
 }
 
 /// LS-EDF (§4): list scheduling with latest-finish-time keys derived from

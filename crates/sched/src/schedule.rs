@@ -1,6 +1,7 @@
 //! The schedule data structure and its validity checks.
 
 use lamps_taskgraph::{TaskGraph, TaskId};
+use std::sync::Arc;
 
 /// Identifier of a processor: a dense index `0..n_procs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -76,18 +77,33 @@ impl std::error::Error for ScheduleError {}
 /// A complete static schedule of a task graph onto `n_procs` identical
 /// processors, in cycles at the nominal frequency.
 ///
-/// Immutable once produced by the list scheduler. Start/finish times are
-/// per task; the per-processor execution orders are stored in one flat
-/// CSR arena — a single `order` array holding every processor's task
-/// sequence back to back, with `offsets[p]..offsets[p + 1]` delimiting
-/// processor `p`'s slice. Compared to a `Vec<Vec<TaskId>>` this is one
-/// allocation instead of `n_procs`, and iterating a whole schedule walks
-/// one contiguous array.
+/// Immutable once produced by the list scheduler. Per task it stores a
+/// start time and a processor; the per-processor execution orders are
+/// stored in one flat CSR arena — a single `order` array holding every
+/// processor's task sequence back to back, with `offsets[p]..offsets[p +
+/// 1]` delimiting processor `p`'s slice. Compared to a
+/// `Vec<Vec<TaskId>>` this is one allocation instead of `n_procs`, and
+/// iterating a whole schedule walks one contiguous array.
+///
+/// Finish times are derived, not stored: `finish(t)` is `start(t) +
+/// dur[t]` (wrapping), where `dur` is a shared, read-only duration
+/// column. For a list schedule that column is the graph's weights, and
+/// every schedule a `ScheduleCache` memoizes for one graph shares one
+/// allocation of it, so each schedule owns `16·N + 8·(n_procs + 1)` heap
+/// bytes (start 8, proc 4, order 4 per task, plus the offsets) instead
+/// of a private copy of the weights as well. The external constructors
+/// take finish times and store `finish − start` (wrapping), which
+/// round-trips every finish value bit for bit, including inconsistent
+/// ones that [`Self::validate`] must report. The makespan is computed
+/// once, at construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     n_procs: usize,
+    /// The largest finish time (0 for an empty schedule).
+    makespan: u64,
     start: Vec<u64>,
-    finish: Vec<u64>,
+    /// Per-task durations: `finish(t) = start[t].wrapping_add(dur[t])`.
+    dur: Arc<[u64]>,
     proc: Vec<ProcId>,
     /// Every processor's task sequence, concatenated in processor order.
     order: Vec<TaskId>,
@@ -158,14 +174,7 @@ impl Schedule {
         let mut sorted: Vec<TaskId> = (0..start.len() as u32).map(TaskId).collect();
         sorted.sort_by_key(|t| (start[t.index()], finish[t.index()], t.0));
         let (order, offsets) = csr_from_sorted(n_procs, &proc, sorted.iter().copied());
-        Schedule {
-            n_procs,
-            start,
-            finish,
-            proc,
-            order,
-            offsets,
-        }
+        Schedule::from_finish(n_procs, start, &finish, proc, order, offsets)
     }
 
     /// Assemble a schedule with the exact per-processor execution order
@@ -225,35 +234,52 @@ impl Schedule {
             }
         }
         assert!(seen.into_iter().all(|s| s), "order must cover every task");
-        Schedule {
-            n_procs,
-            start,
-            finish,
-            proc,
-            order,
-            offsets,
-        }
+        Schedule::from_finish(n_procs, start, &finish, proc, order, offsets)
     }
 
-    /// Crate-internal constructor for schedulers that build the arena
-    /// correct by construction (the list scheduler's counting sort); the
-    /// public constructors re-validate coverage instead.
-    pub(crate) fn from_parts_unchecked(
+    /// The external constructors' common tail: store each finish time
+    /// as its wrapping distance from the start, so `finish(t)` returns
+    /// exactly the value passed in.
+    fn from_finish(
         n_procs: usize,
         start: Vec<u64>,
-        finish: Vec<u64>,
+        finish: &[u64],
         proc: Vec<ProcId>,
         order: Vec<TaskId>,
         offsets: Vec<usize>,
     ) -> Schedule {
-        debug_assert_eq!(start.len(), finish.len());
+        let dur = start
+            .iter()
+            .zip(finish)
+            .map(|(&s, &f)| f.wrapping_sub(s))
+            .collect();
+        let makespan = finish.iter().copied().max().unwrap_or(0);
+        Schedule::from_columns(n_procs, makespan, start, dur, proc, order, offsets)
+    }
+
+    /// Crate-internal constructor from consistent columns: `makespan`
+    /// is the largest finish time and the arena covers every task once.
+    /// The list scheduler's arena is correct by construction (a counting
+    /// sort of its assignment order) and its `dur` is the graph's weight
+    /// column; the public constructors re-validate coverage instead.
+    pub(crate) fn from_columns(
+        n_procs: usize,
+        makespan: u64,
+        start: Vec<u64>,
+        dur: Arc<[u64]>,
+        proc: Vec<ProcId>,
+        order: Vec<TaskId>,
+        offsets: Vec<usize>,
+    ) -> Schedule {
+        debug_assert_eq!(start.len(), dur.len());
         debug_assert_eq!(start.len(), proc.len());
         debug_assert_eq!(offsets.len(), n_procs + 1);
         debug_assert_eq!(*offsets.last().unwrap(), order.len());
         Schedule {
             n_procs,
+            makespan,
             start,
-            finish,
+            dur,
             proc,
             order,
             offsets,
@@ -287,7 +313,16 @@ impl Schedule {
     /// Finish time of `t` in cycles.
     #[inline]
     pub fn finish(&self, t: TaskId) -> u64 {
-        self.finish[t.index()]
+        self.start[t.index()].wrapping_add(self.dur[t.index()])
+    }
+
+    /// Every task's duration in cycles, indexed by task: `finish(t) −
+    /// start(t)`, wrapping. For a list schedule this is the graph's
+    /// weight column, shared with every schedule built from the same
+    /// column.
+    #[inline]
+    pub fn durations(&self) -> &[u64] {
+        &self.dur
     }
 
     /// Processor assigned to `t`.
@@ -302,17 +337,20 @@ impl Schedule {
         &self.order[self.offsets[p.index()]..self.offsets[p.index() + 1]]
     }
 
-    /// Completion time of the whole schedule in cycles.
+    /// Completion time of the whole schedule in cycles (stored at
+    /// construction).
+    #[inline]
     pub fn makespan_cycles(&self) -> u64 {
-        self.finish.iter().copied().max().unwrap_or(0)
+        self.makespan
     }
 
-    /// Total busy cycles of processor `p`.
+    /// Total busy cycles of processor `p`: the sum of its tasks'
+    /// durations (wrapping, so an inconsistent external schedule cannot
+    /// panic here; [`Self::validate`] reports it).
     pub fn busy_cycles(&self, p: ProcId) -> u64 {
         self.tasks_on(p)
             .iter()
-            .map(|&t| self.finish(t) - self.start(t))
-            .sum()
+            .fold(0u64, |sum, &t| sum.wrapping_add(self.dur[t.index()]))
     }
 
     /// Number of processors that actually execute at least one task.
@@ -333,7 +371,10 @@ impl Schedule {
             });
         }
         for t in graph.tasks() {
-            if self.finish(t) != self.start(t) + graph.weight(t) {
+            // The duration must be the weight, and start + weight must
+            // not pass `u64::MAX` (the stored finish would have wrapped).
+            let w = graph.weight(t);
+            if self.dur[t.index()] != w || self.start(t).checked_add(w).is_none() {
                 return Err(ScheduleError::BadFinishTime(t));
             }
             for &p in graph.predecessors(t) {
@@ -417,6 +458,39 @@ mod tests {
         let g = two_task_graph();
         let s = Schedule::new(1, vec![0, 5], vec![5, 9], vec![ProcId(0), ProcId(0)]);
         assert_eq!(s.validate(&g), Err(ScheduleError::BadFinishTime(TaskId(1))));
+    }
+
+    #[test]
+    fn finish_past_u64_max_is_a_bad_finish_not_a_panic() {
+        // Start near `u64::MAX`: start + weight would pass it, so the
+        // finish a caller can store has wrapped.
+        let g = two_task_graph();
+        let s = Schedule::new(
+            1,
+            vec![u64::MAX - 2, 0],
+            vec![2, 3],
+            vec![ProcId(0), ProcId(0)],
+        );
+        assert_eq!(s.finish(TaskId(0)), 2);
+        assert_eq!(s.validate(&g), Err(ScheduleError::BadFinishTime(TaskId(0))));
+    }
+
+    #[test]
+    fn finish_before_start_is_a_bad_finish_not_a_panic() {
+        let g = two_task_graph();
+        let s = Schedule::new(1, vec![10, 12], vec![4, 15], vec![ProcId(0), ProcId(0)]);
+        // Durations wrap: 4 − 10 is 2^64 − 6; the busy sum wraps with it.
+        assert_eq!(s.durations(), &[u64::MAX - 5, 3]);
+        assert_eq!(s.busy_cycles(ProcId(0)), u64::MAX - 2);
+        assert_eq!(s.validate(&g), Err(ScheduleError::BadFinishTime(TaskId(0))));
+    }
+
+    #[test]
+    fn schedule_struct_stays_128_bytes() {
+        // Four vectors, the column's fat pointer and two scalars: 16
+        // words, as before, since the `finish` vector's three words pay
+        // for the fat pointer and the inline makespan.
+        assert_eq!(std::mem::size_of::<Schedule>(), 128);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! **zero** times. This test enforces the contract with a counting
 //! global allocator — if someone reintroduces a per-run `Vec::new()` or
 //! lets a heap grow run-to-run, the count moves and the test names the
-//! regression.
+//! regression. Materializing a warm run into an owned `Schedule` makes
+//! exactly four allocations: the duration column is the caller's.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a sibling test allocating on another thread
@@ -22,6 +23,7 @@ use lamps_sched::partial::{reschedule_remaining, PartialSchedule, ProcAvailabili
 use lamps_taskgraph::{GraphBuilder, TaskGraph};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// System allocator with a count of every `alloc`/`realloc` call
 /// (deallocation is free to happen; only *new* memory breaks the
@@ -107,6 +109,22 @@ fn warm_workspace_runs_allocate_nothing() {
         cold[0] >= cold[proc_counts.len() - 1],
         "more processors cannot lengthen the makespan"
     );
+
+    // Materializing a warm run shares the caller's duration column:
+    // start, proc and the CSR order arena are the only allocations.
+    let durations: Arc<[u64]> = Arc::from(graph.weights());
+    list_schedule_into(&mut ws, &graph, 8, &keys);
+    let before = allocations();
+    let schedule = ws.to_schedule(Arc::clone(&durations));
+    let grew = allocations() - before;
+    assert_eq!(
+        grew, 4,
+        "to_schedule performed {grew} allocation(s); start, proc, order \
+         and offsets are four"
+    );
+    assert!(std::ptr::eq(schedule.durations(), &*durations));
+    assert_eq!(schedule.makespan_cycles(), cold[2]);
+    drop(schedule);
 
     // The indexed ready-queue's degenerate paths must hold the same
     // contract: an all-zero-weight chain (every event at instant 0, one

@@ -6,7 +6,7 @@ use lamps_sched::deadlines::latest_finish_times;
 use lamps_sched::insertion::insertion_schedule;
 use lamps_sched::list::list_schedule;
 use lamps_sched::metrics::metrics;
-use lamps_sched::PriorityPolicy;
+use lamps_sched::{PriorityPolicy, ProcId, Schedule};
 use lamps_taskgraph::rng::Rng;
 use lamps_taskgraph::{GraphBuilder, TaskGraph, TaskId};
 
@@ -125,5 +125,43 @@ fn capacity_anomalies_are_bounded() {
         let m1 = list_schedule(&g, n_procs, &keys).makespan_cycles();
         let m2 = list_schedule(&g, n_procs * 2, &keys).makespan_cycles();
         assert!(m2 <= m1 + g.critical_path_cycles());
+    }
+}
+
+/// A value near either end of `u64`, or anywhere in between.
+fn arb_cycle(rng: &mut Rng) -> u64 {
+    match rng.gen_range(0u32..4) {
+        0 => rng.gen_range(0u64..16),
+        1 => u64::MAX - rng.gen_range(0u64..16),
+        _ => rng.next_u64(),
+    }
+}
+
+/// External schedules store `finish − start` (wrapping) and derive the
+/// finish from it: every finish time passed to `Schedule::new` comes
+/// back bit for bit, including ones before their start and ones near
+/// `u64::MAX`, and the makespan is the largest of them.
+#[test]
+fn external_finish_times_round_trip() {
+    let mut rng = Rng::seed_from_u64(0xD006);
+    for _ in 0..CASES {
+        let n = rng.gen_range(0usize..12);
+        let n_procs = rng.gen_range(1usize..4);
+        let start: Vec<u64> = (0..n).map(|_| arb_cycle(&mut rng)).collect();
+        let finish: Vec<u64> = (0..n).map(|_| arb_cycle(&mut rng)).collect();
+        let proc: Vec<ProcId> = (0..n)
+            .map(|_| ProcId(rng.gen_range(0u32..n_procs as u32)))
+            .collect();
+        let s = Schedule::new(n_procs, start.clone(), finish.clone(), proc);
+        for i in 0..n {
+            let t = TaskId(i as u32);
+            assert_eq!(s.start(t), start[i]);
+            assert_eq!(s.finish(t), finish[i]);
+            assert_eq!(s.durations()[i], finish[i].wrapping_sub(start[i]));
+        }
+        assert_eq!(
+            s.makespan_cycles(),
+            finish.iter().copied().max().unwrap_or(0)
+        );
     }
 }
