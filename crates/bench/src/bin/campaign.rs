@@ -150,7 +150,7 @@ fn run_batch(
     let mut kept = Vec::new();
     for (chunk_idx, chunk) in jobs.chunks(CHUNK_JOBS).enumerate() {
         let rows = evaluate_graphs(strategies, cfg, chunk);
-        for (j, row) in rows.into_iter().enumerate() {
+        for (j, row) in rows.iter().enumerate() {
             let job_idx = chunk_idx * CHUNK_JOBS + j;
             for (k, cell) in row.iter().enumerate() {
                 totals.add(
@@ -159,7 +159,7 @@ fn run_batch(
                 );
             }
             if job_idx % stride == 0 {
-                kept.push((job_idx, row));
+                kept.push((job_idx, row.to_vec()));
             }
         }
     }

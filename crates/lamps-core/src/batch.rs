@@ -9,12 +9,18 @@
 //!
 //! [`solve_batch`] amortizes both. Work items are *graph-granularity*
 //! [`BatchJob`]s fanned out over the shared worker pool; each worker
-//! keeps one warm [`CacheBuffers`] set that every graph it processes is
-//! rebuilt into, and the whole batch shares one immutable
+//! builds one [`CacheBuffers`] set per call that every graph it
+//! processes is rebuilt into, and the whole batch shares one immutable
 //! [`LevelSweep`] with every level's sleep cutoff resolved exactly
 //! once. Within a job, all deadlines × strategies share the graph's
 //! schedule cache (LS-EDF schedules are deadline- and
 //! strategy-invariant; see [`ScheduleCache::for_graph`]).
+//!
+//! The results come back as one [`BatchRows`] table: a single flat cell
+//! array, sized and allocated on the caller's thread before any worker
+//! starts, with one row per job. Each job's worker writes its row in
+//! place, so no result lives in a worker thread's allocation and
+//! nothing is merged after the workers join.
 //!
 //! None of the amortized state is semantic: recycled buffers start
 //! every cache cold and the precomputed cutoffs are the values the
@@ -32,8 +38,9 @@ use lamps_parallel::{Pool, PoolMetrics};
 use lamps_power::OperatingPoint;
 use lamps_taskgraph::TaskGraph;
 
-/// Worker pool for graph-granularity batch items. On single-core hosts
-/// everything runs inline; either way results come back in job order.
+/// Worker pool for graph-granularity batch items. The caller's thread
+/// works too (alone on a single-core host); either way every row lands
+/// in its job's place in the table.
 static BATCH_POOL: Pool = Pool::new(
     "batch",
     "core",
@@ -88,18 +95,110 @@ impl From<&Solution> for BatchCell {
     }
 }
 
-/// Solve every job's deadlines × strategies, returning full
-/// [`Solution`]s (schedules included).
+/// The results of one batch call: one row per job, in job order, all
+/// rows in one flat cell array the caller allocated once.
 ///
-/// The outer `Vec` is in job order; each inner `Vec` is deadline-major
-/// (`deadlines_s × strategies` row-major: all strategies of the first
-/// deadline, then the next deadline). Results are bitwise identical to
-/// calling [`crate::solve_with_cache`] per graph in the same order.
+/// Row `j` holds job `j`'s `deadlines_s.len() × strategies.len()` cells,
+/// deadline-major (all strategies of the first deadline, then the next
+/// deadline). Rows are read as slices through [`BatchRows::iter`],
+/// `&rows` in a `for` loop, or `rows[j]`; the workers wrote them in
+/// place, so the cells never live in a worker thread's allocation.
+#[derive(Debug, Clone)]
+pub struct BatchRows<R> {
+    /// Every row's cells, back to back.
+    cells: Vec<Result<R, SolveError>>,
+    /// `ends[j]` is one past row `j`'s last cell in `cells`.
+    ends: Vec<usize>,
+}
+
+impl<R> BatchRows<R> {
+    /// Number of rows (jobs).
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the batch had no jobs.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Row `j`, or `None` past the last job.
+    pub fn get(&self, j: usize) -> Option<&[Result<R, SolveError>]> {
+        let end = *self.ends.get(j)?;
+        let start = if j == 0 { 0 } else { self.ends[j - 1] };
+        Some(&self.cells[start..end])
+    }
+
+    /// The rows in job order.
+    pub fn iter(&self) -> BatchRowsIter<'_, R> {
+        BatchRowsIter {
+            rest: &self.cells,
+            start: 0,
+            ends: self.ends.iter(),
+        }
+    }
+
+    /// Every cell of every row, back to back in job order.
+    pub fn cells(&self) -> &[Result<R, SolveError>] {
+        &self.cells
+    }
+}
+
+impl<R> std::ops::Index<usize> for BatchRows<R> {
+    type Output = [Result<R, SolveError>];
+
+    fn index(&self, j: usize) -> &Self::Output {
+        self.get(j)
+            .unwrap_or_else(|| panic!("row {j} out of range for a batch of {} jobs", self.len()))
+    }
+}
+
+impl<'a, R> IntoIterator for &'a BatchRows<R> {
+    type Item = &'a [Result<R, SolveError>];
+    type IntoIter = BatchRowsIter<'a, R>;
+
+    fn into_iter(self) -> BatchRowsIter<'a, R> {
+        self.iter()
+    }
+}
+
+/// Iterator over the rows of a [`BatchRows`], in job order.
+#[derive(Debug, Clone)]
+pub struct BatchRowsIter<'a, R> {
+    /// The cells of the rows not yet yielded.
+    rest: &'a [Result<R, SolveError>],
+    /// Index in the flat array of `rest`'s first cell.
+    start: usize,
+    ends: std::slice::Iter<'a, usize>,
+}
+
+impl<'a, R> Iterator for BatchRowsIter<'a, R> {
+    type Item = &'a [Result<R, SolveError>];
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let end = *self.ends.next()?;
+        let (row, rest) = self.rest.split_at(end - self.start);
+        self.rest = rest;
+        self.start = end;
+        Some(row)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
+impl<R> ExactSizeIterator for BatchRowsIter<'_, R> {}
+
+/// Solve every job's deadlines × strategies, returning full
+/// [`Solution`]s (schedules included), one row per job. Results are
+/// bitwise identical to calling [`crate::solve_with_cache`] per graph
+/// in the same order.
 pub fn solve_batch(
     strategies: &[Strategy],
     cfg: &SchedulerConfig,
     jobs: &[BatchJob<'_>],
-) -> Vec<Vec<Result<Solution, SolveError>>> {
+) -> BatchRows<Solution> {
     run_batch(strategies, cfg, jobs, |s| s)
 }
 
@@ -111,7 +210,7 @@ pub fn evaluate_graphs(
     strategies: &[Strategy],
     cfg: &SchedulerConfig,
     jobs: &[BatchJob<'_>],
-) -> Vec<Vec<Result<BatchCell, SolveError>>> {
+) -> BatchRows<BatchCell> {
     run_batch(strategies, cfg, jobs, |s| BatchCell::from(&s))
 }
 
@@ -120,33 +219,60 @@ fn run_batch<R: Send>(
     cfg: &SchedulerConfig,
     jobs: &[BatchJob<'_>],
     project: impl Fn(Solution) -> R + Sync,
-) -> Vec<Vec<Result<R, SolveError>>> {
+) -> BatchRows<R> {
     let _span = lamps_obs::span("core", "solve_batch");
+    let ends: Vec<usize> = jobs
+        .iter()
+        .scan(0, |end, job| {
+            *end += job.deadlines_s.len() * strategies.len();
+            Some(*end)
+        })
+        .collect();
+    // Every cell starts as a placeholder that its job overwrites; the
+    // debug assertion below checks that no placeholder survives.
+    let mut cells = Vec::new();
+    cells.resize_with(ends.last().copied().unwrap_or(0), || {
+        Err(SolveError::BudgetExhausted {
+            explored: 0,
+            total: 0,
+        })
+    });
+    // Pair each job with its row of the flat table; the pool hands each
+    // pair to one worker, which writes the row in place.
+    let mut rest = cells.as_mut_slice();
+    let rows = jobs.iter().map(|job| {
+        let (row, tail) =
+            std::mem::take(&mut rest).split_at_mut(job.deadlines_s.len() * strategies.len());
+        rest = tail;
+        (job, row)
+    });
     // One cutoff resolution for the whole batch, shared read-only by
     // every worker.
     let sweep = LevelSweep::new(cfg.levels.points(), &cfg.sleep);
-    BATCH_POOL.map_with(jobs, CacheBuffers::default, |bufs, job, _| {
+    BATCH_POOL.fill_with(rows, CacheBuffers::default, |bufs, (job, row), _| {
         let mut cache = ScheduleCache::for_graph_recycled(job.graph, std::mem::take(bufs));
-        let mut out = Vec::with_capacity(job.deadlines_s.len() * strategies.len());
+        let mut slots = row.iter_mut();
         for &deadline_s in job.deadlines_s {
             for &strategy in strategies {
-                out.push(
-                    solve_impl(
-                        strategy,
-                        deadline_s,
-                        cfg,
-                        &mut cache,
-                        None,
-                        Some(&sweep),
-                        None,
-                    )
-                    .map(|b| project(b.solution)),
-                );
+                let slot = slots
+                    .next()
+                    .expect("a row holds deadlines × strategies cells");
+                *slot = solve_impl(
+                    strategy,
+                    deadline_s,
+                    cfg,
+                    &mut cache,
+                    None,
+                    Some(&sweep),
+                    None,
+                )
+                .map(|b| project(b.solution));
             }
         }
+        debug_assert!(slots.next().is_none(), "every cell of the row was written");
         *bufs = cache.into_buffers();
-        out
-    })
+    });
+    BatchRows { cells, ends }
 }
 
 #[cfg(test)]
@@ -265,5 +391,118 @@ mod tests {
         assert!(out[0].is_empty());
         let no_strat = solve_batch(&[], &cfg(), &jobs);
         assert!(no_strat[0].is_empty());
+    }
+
+    /// Bitwise comparison of one batch row with per-graph
+    /// `solve_with_cache` calls on a fresh cache, in deadline-major
+    /// order.
+    fn assert_row_matches_solo(
+        job: &BatchJob<'_>,
+        strategies: &[Strategy],
+        row: &[Result<Solution, SolveError>],
+    ) {
+        assert_eq!(row.len(), job.deadlines_s.len() * strategies.len());
+        let mut cache = ScheduleCache::for_graph(job.graph);
+        let mut cells = row.iter();
+        for &d in job.deadlines_s {
+            for &s in strategies {
+                let reference = solve_with_cache(s, d, &cfg(), &mut cache);
+                match (cells.next().expect("row length checked"), &reference) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a.n_procs, b.n_procs, "{s} @ {d}");
+                        assert_eq!(a.level.freq.to_bits(), b.level.freq.to_bits());
+                        assert_eq!(a.makespan_cycles, b.makespan_cycles);
+                        assert_eq!(a.energy.total().to_bits(), b.energy.total().to_bits());
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a, b),
+                    (a, b) => panic!("{s} @ {d}: {a:?} vs {b:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_row_lengths_come_back_in_job_order() {
+        let graphs = corpus();
+        // Job j gets 0, 1 or 5 deadlines in turn; 0.5 × CPL is
+        // infeasible, so the error path lands in rows too.
+        let deadlines: Vec<Vec<f64>> = graphs
+            .iter()
+            .enumerate()
+            .map(|(j, g)| match j % 3 {
+                0 => Vec::new(),
+                1 => vec![deadlines_for(g)[2]],
+                _ => {
+                    let mut d = deadlines_for(g);
+                    d[0] *= 0.5;
+                    d
+                }
+            })
+            .collect();
+        let jobs: Vec<BatchJob<'_>> = graphs
+            .iter()
+            .zip(&deadlines)
+            .map(|(graph, d)| BatchJob {
+                graph,
+                deadlines_s: d,
+            })
+            .collect();
+        let strategies = Strategy::all();
+        let rows = solve_batch(&strategies, &cfg(), &jobs);
+        assert_eq!(rows.len(), jobs.len());
+        assert_eq!(rows.iter().len(), jobs.len());
+        assert!(rows.get(jobs.len()).is_none());
+        let lengths: Vec<usize> = rows.iter().map(<[_]>::len).collect();
+        let expected: Vec<usize> = [0, 1, 5]
+            .iter()
+            .cycle()
+            .take(jobs.len())
+            .map(|k| k * strategies.len())
+            .collect();
+        assert_eq!(lengths, expected);
+        assert!(rows.cells().iter().any(Result::is_err));
+        for (j, (job, row)) in jobs.iter().zip(&rows).enumerate() {
+            assert_eq!(row.len(), rows[j].len());
+            assert_row_matches_solo(job, &strategies, row);
+        }
+
+        let no_strategies = solve_batch(&[], &cfg(), &jobs);
+        assert_eq!(no_strategies.len(), jobs.len());
+        assert!(no_strategies.iter().all(<[_]>::is_empty));
+        assert!(no_strategies.cells().is_empty());
+    }
+
+    #[test]
+    fn rows_are_contiguous_slices_of_one_flat_array() {
+        let graphs = corpus();
+        let deadlines: Vec<Vec<f64>> = graphs
+            .iter()
+            .enumerate()
+            .map(|(j, g)| deadlines_for(g)[..j % 4].to_vec())
+            .collect();
+        let jobs: Vec<BatchJob<'_>> = graphs
+            .iter()
+            .zip(&deadlines)
+            .map(|(graph, d)| BatchJob {
+                graph,
+                deadlines_s: d,
+            })
+            .collect();
+        let strategies = Strategy::all();
+        let rows = evaluate_graphs(&strategies, &cfg(), &jobs);
+        let flat = rows.cells().as_ptr_range();
+        let total: usize = rows.iter().map(<[_]>::len).sum();
+        assert_eq!(rows.cells().len(), total);
+        // Each row starts where the previous one ended, inside the one
+        // flat array, and the last ends where the array does: no row
+        // lives in an allocation of its own.
+        let mut cursor = flat.start;
+        for row in &rows {
+            let range = row.as_ptr_range();
+            assert_eq!(range.start, cursor);
+            assert!(range.end <= flat.end);
+            cursor = range.end;
+        }
+        assert_eq!(cursor, flat.end);
     }
 }

@@ -38,12 +38,13 @@ const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 
 /// Minimum graph size before the LAMPS linear scan evaluates its
 /// candidates' level sweeps in parallel. Below this the sweeps are
-/// microseconds each and the pool's claim/merge overhead dominates.
+/// microseconds each and the pool's per-call overhead dominates.
 pub(crate) const PAR_SCAN_MIN_TASKS: usize = 512;
 
-/// Worker pool for the intra-solve candidate evaluation. On single-core
-/// hosts (or under the size threshold) everything runs inline; either
-/// way the scan consumes the evaluations in ascending processor count
+/// Worker pool for the intra-solve candidate evaluation: each sweep
+/// writes its candidate into the scan's own prefetch slot. On
+/// single-core hosts the caller's thread runs every sweep; either way
+/// the scan consumes the evaluations in ascending processor count
 /// with the same strict-`<` rule as its own sweeps, so the chosen
 /// solution is bitwise identical.
 static PAR_SCAN_POOL: Pool = Pool::new(
@@ -391,21 +392,26 @@ fn solve_search(
             counters.candidates += counts.len() as u64;
             counters.parallel_candidates += counts.len() as u64;
             let summaries = cache.summaries(&counts);
-            let items: Vec<(usize, &IdleSummary)> = counts.iter().copied().zip(summaries).collect();
-            prefetched = PAR_SCAN_POOL.map(&items, |&(n, summary)| {
-                let required_freq = summary.makespan_cycles() as f64 / deadline_s;
-                best_level(
-                    summary,
-                    n,
-                    required_freq,
-                    deadline_s,
-                    cfg,
-                    ps,
-                    sweep,
-                    usize::MAX,
-                    None,
-                )
-            });
+            prefetched.resize(counts.len(), None);
+            let cells = counts.iter().zip(summaries).zip(prefetched.iter_mut());
+            PAR_SCAN_POOL.fill_with(
+                cells,
+                || (),
+                |(), ((&n, summary), slot), _| {
+                    let required_freq = summary.makespan_cycles() as f64 / deadline_s;
+                    *slot = best_level(
+                        summary,
+                        n,
+                        required_freq,
+                        deadline_s,
+                        cfg,
+                        ps,
+                        sweep,
+                        usize::MAX,
+                        None,
+                    );
+                },
+            );
         }
         let mut best: Option<Candidate> = None;
         let mut best_index: Option<usize> = None;

@@ -375,6 +375,17 @@ mod tests {
     use crate::registry::tests::test_lock;
 
     #[test]
+    fn event_is_56_bytes() {
+        // 8 ts_us + 8 tid + 16 kind (pointer and length) + 3 × 8
+        // payload: a default segment is 4096 × 56 bytes = 224 KiB.
+        assert_eq!(std::mem::size_of::<FlightEvent>(), 56);
+        assert_eq!(
+            DEFAULT_SEGMENT_CAPACITY * std::mem::size_of::<FlightEvent>(),
+            224 * 1024
+        );
+    }
+
+    #[test]
     fn disabled_records_nothing() {
         let _g = test_lock();
         disable_flight();

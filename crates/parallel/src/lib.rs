@@ -1,20 +1,28 @@
-//! A minimal scoped-thread worker pool with ordered results.
+//! A minimal scoped-thread worker pool that writes into caller-owned
+//! storage.
 //!
 //! One [`Pool`] describes a call site: a short name (used in panic
 //! messages and worker span labels) and a table of metric names. The
-//! two entry points are [`Pool::map`] — apply a closure to every item,
-//! in parallel, preserving input order — and [`Pool::map_with`], which
-//! additionally gives every worker thread its own mutable state (a
-//! scratch workspace, an RNG, a schedule cache) built once per worker
-//! rather than once per item.
+//! core entry point is [`Pool::fill_with`]: the caller pairs every item
+//! with the output slot it owns (an `&mut` into a vector, a row of a
+//! flat table), and the pool hands each pair to exactly one worker,
+//! which writes its result in place. [`Pool::map`] and
+//! [`Pool::map_with`] are thin wrappers that fill a `Vec<Option<R>>`
+//! the caller allocated. Per-worker state (a scratch workspace, an RNG,
+//! schedule-cache buffers) is built once per worker per call, not once
+//! per item.
 //!
-//! Workers claim items one at a time from a shared atomic counter
-//! (dynamic "work-stealing-lite" chunking, so uneven item costs still
-//! balance) and collect `(index, result)` pairs locally; the pairs are
-//! merged into an ordered output after the scope joins. The output is
-//! therefore **deterministic**: it depends only on the items and the
-//! closure, never on thread interleaving. No `unsafe` anywhere — the
-//! crate forbids it.
+//! Every worker runs one claiming loop: lock the `Mutex` around the
+//! enumerated pair iterator, take the next pair, unlock, run the
+//! closure. Claiming one pair at a time balances uneven item costs, and
+//! because every result lands in the slot it was paired with, there are
+//! no per-worker result vectors and no ordered merge: the output
+//! depends only on the items and the closure, never on thread
+//! interleaving. The caller's thread runs the loop as worker 0 and
+//! spawns only `n − 1` scoped threads, so on a single-core host (or for
+//! an empty or singleton input) no thread is spawned and the same loop
+//! runs inline, with the same ordering, panic format and metrics. No
+//! `unsafe` anywhere — the crate forbids it.
 //!
 //! A panic inside the closure is caught per item: the remaining workers
 //! stop claiming work, the scope joins cleanly, and the pool re-panics
@@ -23,16 +31,12 @@
 //! would tear down one worker while the others kept burning through the
 //! remaining items, and the eventual join error would not say which
 //! input was responsible.
-//!
-//! On a single-core host (or for empty/singleton inputs) everything
-//! runs inline on the caller's thread with the same semantics — same
-//! ordering, same panic format, no thread is spawned.
 
 #![forbid(unsafe_code)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Metric names recorded by a [`Pool`] when the global metrics registry
@@ -40,21 +44,23 @@ use std::time::Instant;
 /// interns names statically.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolMetrics {
-    /// Counter: number of `map`/`map_with` calls.
+    /// Counter: number of `fill_with`/`map`/`map_with` calls.
     pub calls: &'static str,
     /// Counter: total items across all calls.
     pub items: &'static str,
     /// Histogram: per-worker microseconds spent inside the closure.
+    /// The caller's thread counts as a worker.
     pub worker_busy_us: &'static str,
     /// Histogram: per-worker microseconds outside the closure
-    /// (claiming, merging, waiting).
+    /// (claiming and building per-worker state).
     pub worker_idle_us: &'static str,
     /// Histogram: items processed per worker.
     pub worker_items: &'static str,
 }
 
 /// A named parallel-map call site. Construct with [`Pool::new`]
-/// (usually as a `const`) and call [`Pool::map`] / [`Pool::map_with`].
+/// (usually as a `const`) and call [`Pool::fill_with`], [`Pool::map`]
+/// or [`Pool::map_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     /// Label used in panic messages ("`{name}` worker panicked on item
@@ -63,6 +69,15 @@ pub struct Pool {
     /// Trace-span category for worker spans.
     span_cat: &'static str,
     metrics: PoolMetrics,
+}
+
+/// The machine's available parallelism, read once per process: the
+/// query reads cgroup files on Linux, which costs more than a small
+/// pool call. A later change of the process's CPU affinity or quota is
+/// not seen.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl Pool {
@@ -76,13 +91,11 @@ impl Pool {
         }
     }
 
-    /// Worker threads a call over `n_items` items would use: the
-    /// machine's available parallelism capped by the item count.
+    /// Workers a call over `n_items` items would use, the caller's
+    /// thread included: the machine's available parallelism (counted
+    /// once per process) capped by the item count.
     pub fn threads_for(&self, n_items: usize) -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(n_items.max(1))
+        cores().min(n_items.max(1))
     }
 
     /// Apply `f` to every item, in parallel, preserving order.
@@ -96,13 +109,13 @@ impl Pool {
     }
 
     /// [`Pool::map`] with per-worker mutable state: `init` runs once on
-    /// each worker thread (and once inline for the sequential
-    /// fallback), and `f` receives `(&mut state, &item, index)`. Use
-    /// this to amortize scratch allocations across the items a worker
-    /// processes; for the result to stay deterministic the state must
-    /// not leak information between items in a way that changes `f`'s
-    /// output (a cleared scratch buffer is fine, an accumulating cache
-    /// that alters results is not).
+    /// each worker (the caller's thread included), and `f` receives
+    /// `(&mut state, &item, index)`. Use this to amortize scratch
+    /// allocations across the items a worker processes; for the result
+    /// to stay deterministic the state must not leak information
+    /// between items in a way that changes `f`'s output (a cleared
+    /// scratch buffer is fine, an accumulating cache that alters results
+    /// is not).
     pub fn map_with<S, T, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
     where
         T: Sync,
@@ -110,127 +123,105 @@ impl Pool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, &T, usize) -> R + Sync,
     {
+        let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
+        out.resize_with(items.len(), || None);
+        self.fill_with(
+            items.iter().zip(out.iter_mut()),
+            init,
+            |state, (item, slot), i| {
+                *slot = Some(f(state, item, i));
+            },
+        );
+        out.into_iter()
+            .map(|r| r.expect("every slot was filled"))
+            .collect()
+    }
+
+    /// Hand every `(item, slot)` pair of `pairs` to exactly one worker,
+    /// which calls `f(&mut state, pair, index)`; `index` is the pair's
+    /// position in `pairs`. The pairs carry the caller's output storage,
+    /// so `f` writes its result in place and nothing is merged after the
+    /// workers join. `init` runs once on each worker, the caller's
+    /// thread included, with the same determinism caveat as
+    /// [`Pool::map_with`].
+    ///
+    /// Pairs are claimed in ascending order. When `f` panics, the
+    /// workers stop claiming, and the pool re-panics on the caller's
+    /// thread naming the lowest failing index; slots of unclaimed pairs
+    /// are then left as the caller created them.
+    pub fn fill_with<S, P, I, F>(&self, pairs: P, init: I, f: F)
+    where
+        P: ExactSizeIterator + Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, P::Item, usize) + Sync,
+    {
+        let n_items = pairs.len();
         if lamps_obs::metrics_enabled() {
             lamps_obs::counter(self.metrics.calls).inc();
-            lamps_obs::counter(self.metrics.items).add(items.len() as u64);
+            lamps_obs::counter(self.metrics.items).add(n_items as u64);
         }
-        let n_threads = self.threads_for(items.len());
-        if n_threads <= 1 || items.len() <= 1 {
-            let mut state = init();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    catch_unwind(AssertUnwindSafe(|| f(&mut state, item, i))).unwrap_or_else(
-                        |payload| {
-                            panic!(
-                                "{} worker panicked on item {i}: {}",
-                                self.name,
-                                payload_msg(&*payload)
-                            )
-                        },
-                    )
-                })
-                .collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(usize::MAX);
+        let claims = Mutex::new(pairs.enumerate());
+        let stop = AtomicBool::new(false);
         let first_panic: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        let mut parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_threads)
-                .map(|w| {
-                    let init = &init;
-                    let f = &f;
-                    let next = &next;
-                    let failed = &failed;
-                    let first_panic = &first_panic;
-                    let worker = w;
-                    scope.spawn(move || {
-                        // Per-worker accounting only runs when
-                        // observability is on; the disabled path pays
-                        // two relaxed atomic loads.
-                        let obs_on = lamps_obs::metrics_enabled();
-                        let _wspan = if lamps_obs::tracing_enabled() {
-                            lamps_obs::span_named(
-                                self.span_cat,
-                                format!("{}_worker_{worker}", self.name),
-                            )
-                        } else {
-                            lamps_obs::trace::Span::inert()
-                        };
-                        let started = obs_on.then(Instant::now);
-                        let mut busy_us: u64 = 0;
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        let mut state = init();
-                        loop {
-                            if failed.load(Ordering::Relaxed) != usize::MAX {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            let item_start = obs_on.then(Instant::now);
-                            let outcome =
-                                catch_unwind(AssertUnwindSafe(|| f(&mut state, &items[i], i)));
-                            if let Some(t0) = item_start {
-                                busy_us += t0.elapsed().as_micros() as u64;
-                            }
-                            match outcome {
-                                Ok(r) => local.push((i, r)),
-                                Err(payload) => {
-                                    failed.fetch_min(i, Ordering::Relaxed);
-                                    let msg = payload_msg(&*payload);
-                                    let mut slot = first_panic.lock().unwrap_or_else(|e| {
-                                        // Only this closure locks, and
-                                        // it never panics while holding
-                                        // it.
-                                        e.into_inner()
-                                    });
-                                    if slot.as_ref().is_none_or(|(j, _)| i < *j) {
-                                        *slot = Some((i, msg));
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                        if let Some(t0) = started {
-                            let total_us = t0.elapsed().as_micros() as u64;
-                            lamps_obs::histogram(self.metrics.worker_busy_us).record(busy_us);
-                            lamps_obs::histogram(self.metrics.worker_idle_us)
-                                .record(total_us.saturating_sub(busy_us));
-                            lamps_obs::histogram(self.metrics.worker_items)
-                                .record(local.len() as u64);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
+        let worker = |w: usize| {
+            // Per-worker accounting only runs when observability is
+            // on; the disabled path pays two relaxed atomic loads.
+            let obs_on = lamps_obs::metrics_enabled();
+            let _wspan = if lamps_obs::tracing_enabled() {
+                lamps_obs::span_named(self.span_cat, format!("{}_worker_{w}", self.name))
+            } else {
+                lamps_obs::trace::Span::inert()
+            };
+            let started = obs_on.then(Instant::now);
+            let mut busy_us: u64 = 0;
+            let mut done: u64 = 0;
+            let mut state = init();
+            while !stop.load(Ordering::Relaxed) {
+                let claimed = claims
+                    .lock()
+                    .expect("the pair iterator panicked on another worker")
+                    .next();
+                let Some((i, pair)) = claimed else {
+                    break;
+                };
+                let item_start = obs_on.then(Instant::now);
+                let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut state, pair, i)));
+                if let Some(t0) = item_start {
+                    busy_us += t0.elapsed().as_micros() as u64;
+                }
+                if let Err(payload) = outcome {
+                    stop.store(true, Ordering::Relaxed);
+                    let msg = payload_msg(&*payload);
+                    // Only this arm locks `first_panic`, and it never
+                    // panics while holding it.
+                    let mut slot = first_panic.lock().unwrap_or_else(|e| e.into_inner());
+                    if slot.as_ref().is_none_or(|(j, _)| i < *j) {
+                        *slot = Some((i, msg));
+                    }
+                    break;
+                }
+                done += 1;
+            }
+            if let Some(t0) = started {
+                let total_us = t0.elapsed().as_micros() as u64;
+                lamps_obs::histogram(self.metrics.worker_busy_us).record(busy_us);
+                lamps_obs::histogram(self.metrics.worker_idle_us)
+                    .record(total_us.saturating_sub(busy_us));
+                lamps_obs::histogram(self.metrics.worker_items).record(done);
+            }
+        };
+        let n_threads = self.threads_for(n_items);
+        std::thread::scope(|scope| {
+            for w in 1..n_threads {
+                let worker = &worker;
+                scope.spawn(move || worker(w));
+            }
+            worker(0);
         });
 
-        if failed.load(Ordering::Relaxed) != usize::MAX {
-            let (i, msg) = first_panic
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("a failed index implies a recorded panic");
+        if let Some((i, msg)) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
             panic!("{} worker panicked on item {i}: {msg}", self.name);
         }
-
-        let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for part in parts.drain(..) {
-            for (i, r) in part {
-                debug_assert!(out[i].is_none(), "index {i} claimed twice");
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every index was processed"))
-            .collect()
     }
 }
 
