@@ -1,37 +1,49 @@
-//! Bench-regression gate: compare a fresh `throughput` run against the
-//! committed baseline and fail if the solver got materially slower, the
-//! pruned and unpruned engines stopped agreeing bit-for-bit, or the
-//! fresh run is missing the per-stage timings / prune counters the
-//! current schema requires (a sign of a stale binary).
+//! Bench-regression gate: check fresh benchmark results against their
+//! schemas and the committed baselines, and exit 1 if anything fails.
 //!
 //! ```text
 //! gate --baseline BENCH_solver.json --current /tmp/bench_smoke.json [--min-ratio 0.5]
+//! gate --campaign /tmp/campaign_smoke.json
 //! gate --serve-baseline BENCH_serve.json --serve-current /tmp/bench_serve.json
+//! gate --online-current /tmp/online_smoke.json
 //! ```
 //!
-//! Three independent sections share the binary: the solver-throughput
-//! gate (`--current`, against `--baseline`), the serve gate
-//! (`--serve-current`, against `--serve-baseline`) for `loadgen`
-//! output — schema presence (latency percentiles, saturation
-//! throughput, degraded/rejected counters), the wire-vs-local bitwise
-//! differential, a zero worker-panic count, and the same `--min-ratio`
-//! floor applied to saturated solves/s — and the online gate
-//! (`--online-current`) for `online` output: zero panics and validator
-//! violations, positive reclaimed energy, incremental re-solves cheaper
-//! than from-scratch frame solves, a clean fault-free miss rate, and a
-//! severe-preset miss-rate ceiling. Give any subset of the sections;
-//! giving none is a usage error.
+//! Each benchmark file is parsed once with [`lamps_obs::json::parse`]; a
+//! file that is not JSON fails in one line and its rules are skipped.
+//! Each section's checks are the rows of a rule table, one string per
+//! row: `path [op operand] [| message]`. The path is dotted object keys,
+//! where `rows[name=severe]` picks the array element whose `name` is
+//! `severe`. A bare path must hold a number; otherwise `op` is `==`,
+//! `!=`, `>` or `<=` and the operand a JSON literal or another path. A
+//! missing value fails its row. The sections (give any subset; none is
+//! a usage error):
 //!
-//! The JSON fields are pulled out with a purpose-built scanner (the
-//! workspace is dependency-free, so no serde): we only need two scalars,
-//! and the files are written by our own `throughput` binary.
+//! * solver (`--current`, [`SOLVER_RULES`]): `all_bitwise_equal`, the
+//!   three stage timings, six prune/cache counters and `ns_per_solve`;
+//!   and `after.solves_per_sec` at least `--min-ratio` (default 0.5) of
+//!   the `--baseline` file's.
+//! * campaign (`--campaign`, [`CAMPAIGN_RULES`]): five stage timings,
+//!   four rates, three giant-graph figures, two batch counters,
+//!   `all_bitwise_equal` and a nonzero `workload.solve_calls`.
+//! * serve (`--serve-current`, [`SERVE_RULES`]): the schema, six traffic
+//!   counters, four latency percentiles, four saturation figures, a
+//!   differential that ran, checked a nonzero count and matched bit for
+//!   bit, zero server panics; and `saturation.solves_per_sec` at least
+//!   `--min-ratio` of the `--serve-baseline` file's.
+//! * online (`--online-current`, [`ONLINE_RULES`]): the schema, zero
+//!   panics and violations, nonzero workloads, positive reclaimed
+//!   energy, re-solves no costlier than full solves, and the `none`,
+//!   `severe` and `overload` rows' miss and shed rates.
+//!
+//! Both rates a floor compares must be positive and finite; anything
+//! else is a usage error (exit 2), as is an unreadable file.
 //!
 //! `--metrics <file>` points at a metrics snapshot (written by
 //! `throughput --metrics-out`); when the gate fails, one summary line of
 //! those metrics is printed so the CI log carries the context — solve
 //! rate, cache hit rate, and the hottest histogram bucket.
 //!
-//! A fourth section gates the observability surface itself:
+//! A last section gates the observability surface itself:
 //! `--telemetry <file>` (a raw wire `telemetry` response line, as saved
 //! by `top --telemetry-out`) must parse, pass the `lamps_verify` wire
 //! checker, and show a nonzero request count; `--flight <file>` (a raw
@@ -45,39 +57,199 @@ use lamps_bench::cli::Options;
 use lamps_obs::json::{parse, Value};
 use lamps_serve::Response;
 
-/// Extract the number following `"key":` after (optionally) the first
-/// occurrence of `"section"`. Whitespace-tolerant; returns `None` if the
-/// key is missing or the value does not parse.
-fn json_number(text: &str, section: Option<&str>, key: &str) -> Option<f64> {
-    let start = match section {
-        Some(s) => {
-            let needle = format!("\"{s}\"");
-            text.find(&needle)? + needle.len()
-        }
-        None => 0,
-    };
-    let needle = format!("\"{key}\"");
-    let at = text[start..].find(&needle)? + start + needle.len();
-    let rest = text[at..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The fresh `throughput` run. A file without the stage timings or the
+/// prune counters came from a stale binary; the baseline may predate the
+/// schema, so only the fresh run is held to it.
+const SOLVER_RULES: &[&str] = &[
+    "all_bitwise_equal == true | engines no longer agree bit-for-bit",
+    "after.ns_per_solve",
+    "after.stages.schedule_seconds",
+    "after.stages.sweep_seconds",
+    "after.stages.unpruned_reference_seconds",
+    "after.counters.plateau_hits",
+    "after.counters.probes_pruned",
+    "after.counters.candidates",
+    "after.counters.scan_breaks",
+    "after.counters.list_schedule_runs",
+    "after.counters.list_schedule_tasks",
+];
+
+/// The `campaign` section, of a merged `BENCH_solver.json` or of a
+/// standalone `campaign` file.
+const CAMPAIGN_RULES: &[&str] = &[
+    "campaign.stages.generate_seconds",
+    "campaign.stages.batch_seconds",
+    "campaign.stages.grouped_seconds",
+    "campaign.stages.per_request_seconds",
+    "campaign.stages.unpruned_reference_seconds",
+    "campaign.rates.batch_solves_per_sec",
+    "campaign.rates.grouped_solves_per_sec",
+    "campaign.rates.per_request_solves_per_sec",
+    "campaign.rates.ns_per_solve_batch",
+    "campaign.giant.tasks",
+    "campaign.giant.schedule_tasks_per_sec",
+    "campaign.giant.solve_seconds",
+    "campaign.counters.batch_calls",
+    "campaign.counters.batch_items",
+    "campaign.all_bitwise_equal == true | campaign engines no longer agree bit-for-bit",
+    "campaign.workload.solve_calls != 0 | campaign ran zero solves",
+];
+
+/// A fresh `loadgen` result (`BENCH_serve.json` schema).
+const SERVE_RULES: &[&str] = &[
+    r#"schema == "lamps-serve-bench-v1" | does not carry the lamps-serve-bench-v1 schema"#,
+    "requests",
+    "ok",
+    "degraded",
+    "rejected",
+    "errors",
+    "solves_per_sec",
+    "latency_us.p50",
+    "latency_us.p90",
+    "latency_us.p99",
+    "latency_us.max",
+    "saturation.requests",
+    "saturation.solves_per_sec",
+    "saturation.solved",
+    "saturation.rejected",
+    "differential.enabled == true | was recorded without --differential; the serve gate requires it",
+    "differential.all_bitwise_equal == true | served responses no longer match local solves bit-for-bit",
+    "differential.checked != 0 | differential checked zero responses",
+    "server.panics == 0 | server caught worker panics during the run",
+];
+
+/// A fresh `online` result (`BENCH_online.json` schema).
+const ONLINE_RULES: &[&str] = &[
+    r#"schema == "lamps-online-bench-v1" | does not carry the lamps-online-bench-v1 schema"#,
+    "panics == 0 | online runtime recorded panics",
+    "violations == 0 | online runtime recorded validator violations",
+    "workloads != 0 | ran zero workloads",
+    "reclaim.reclaimed_j > 0 | reclamation stopped saving energy on under-WCET workloads",
+    "reclaim.avg_resolve_steps <= reclaim.avg_full_solve_steps | incremental re-solves cost more than from-scratch frame solves",
+    "rows[name=none].miss_rate == 0 | fault-free online runs missed deadlines",
+    // At 1.0 the fault ladder saves no frame at all under severe injection.
+    "rows[name=severe].miss_rate <= 0.98 | severe-preset miss rate exceeds its ceiling — the fault ladder stopped defending frames",
+    "rows[name=overload].shed_rate != 0 | overload row shed nothing — admission control is not engaging",
+];
+
+/// The value at `path`: object keys joined by dots, where a segment
+/// `key[field=want]` picks the first element of the array `key` whose
+/// string `field` is `want`.
+fn lookup<'v>(root: &'v Value, path: &str) -> Option<&'v Value> {
+    path.split('.')
+        .try_fold(root, |v, seg| match seg.split_once('[') {
+            None => v.get(seg),
+            Some((key, select)) => {
+                let (field, want) = select.strip_suffix(']')?.split_once('=')?;
+                let rows = v.get(key)?.as_array()?;
+                rows.iter()
+                    .find(|row| row.get(field).and_then(Value::as_str) == Some(want))
+            }
+        })
 }
 
-/// Extract the boolean following `"key":`.
-fn json_bool(text: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
+/// Whether the condition `path [op operand]` holds in `root`, or the
+/// path whose value is missing (a bare path must hold a number).
+fn holds<'r>(root: &Value, cond: &'r str) -> Result<bool, &'r str> {
+    let mut words = cond.splitn(3, ' ');
+    let path = words.next().unwrap_or(cond);
+    let found = lookup(root, path).ok_or(path)?;
+    let (Some(op), Some(operand)) = (words.next(), words.next()) else {
+        return found.as_number().map(|_| true).ok_or(path);
+    };
+    let want = match parse(operand) {
+        Ok(literal) => literal,
+        Err(_) => lookup(root, operand).ok_or(operand)?.clone(),
+    };
+    Ok(match (found.as_number(), want.as_number(), op) {
+        (Some(a), Some(b), "!=") => a != b,
+        (Some(a), Some(b), ">") => a > b,
+        (Some(a), Some(b), "<=") => a <= b,
+        (_, _, "==") => *found == want,
+        _ => false,
+    })
+}
+
+/// The failure line of every rule that `root`, read from `file`, breaks.
+fn violations(root: &Value, file: &str, rules: &[&str]) -> Vec<String> {
+    let mut lines = Vec::new();
+    for rule in rules {
+        let (cond, why) = rule.split_once(" | ").unwrap_or((rule, ""));
+        match holds(root, cond) {
+            Ok(true) => {}
+            Ok(false) => {
+                let found = match lookup(root, cond.split(' ').next().unwrap_or(cond)) {
+                    Some(Value::Number(n)) => n.to_string(),
+                    Some(Value::Bool(b)) => b.to_string(),
+                    Some(Value::String(s)) => format!("{s:?}"),
+                    other => format!("{other:?}"),
+                };
+                lines.push(format!("{file}: {why} (want {cond}, found {found})"));
+            }
+            Err(missing) => lines.push(format!("{file} is missing {missing}")),
+        }
     }
+    lines
+}
+
+/// Parse `text`, read from `file`; print one failure line if it is not
+/// JSON.
+fn parse_file(text: &str, file: &str) -> Option<Value> {
+    parse(text)
+        .map_err(|e| eprintln!("gate FAILURE: {file} is not JSON: {e}"))
+        .ok()
+}
+
+/// Print one line per rule that `root` breaks. True if any did, or if
+/// the file did not parse (`None`, already reported).
+fn check_rules(root: Option<&Value>, file: &str, rules: &[&str]) -> bool {
+    let Some(root) = root else {
+        return true;
+    };
+    let lines = violations(root, file, rules);
+    for line in &lines {
+        eprintln!("gate FAILURE: {line}");
+    }
+    !lines.is_empty()
+}
+
+/// The rate at `path` in `root`, read from `file`. A missing, zero,
+/// negative or non-finite rate is an error: no ratio against it means
+/// anything.
+fn rate(root: &Value, file: &str, path: &str) -> Result<f64, String> {
+    match lookup(root, path).and_then(Value::as_number) {
+        Some(r) if r.is_finite() && r > 0.0 => Ok(r),
+        Some(r) => Err(format!(
+            "{file} has {path} = {r}; a rate must be positive and finite"
+        )),
+        None => Err(format!("{file} has no {path}")),
+    }
+}
+
+/// True (after saying why) if the rate at `path` in `current` fell below
+/// `min_ratio` of the `baseline` file's, or if that file did not parse
+/// (`None`, already reported). A bad rate exits 2.
+fn below_floor(
+    path: &str,
+    (baseline, base_file): (Option<Value>, &str),
+    (current, cur_file): (&Value, &str),
+    min_ratio: f64,
+) -> bool {
+    let Some(baseline) = baseline else {
+        return true;
+    };
+    let base_rate = rate(&baseline, base_file, path).unwrap_or_else(|e| usage(&e));
+    let cur_rate = rate(current, cur_file, path).unwrap_or_else(|e| usage(&e));
+    let ratio = cur_rate / base_rate;
+    eprintln!(
+        "gate: {path} baseline {base_rate:.1}, current {cur_rate:.1}, ratio {ratio:.2} (floor {min_ratio})"
+    );
+    // A NaN --min-ratio must fail, so test for the passing condition.
+    let fast_enough = ratio >= min_ratio;
+    if !fast_enough {
+        eprintln!("gate FAILURE: {path} regressed below {min_ratio}x of the committed baseline");
+    }
+    !fast_enough
 }
 
 /// One line summarizing a metrics snapshot: solve rate, schedule-cache
@@ -129,334 +301,6 @@ fn metrics_summary(text: &str) -> String {
     format!(
         "metrics: {solves_per_sec:.0} solves/s, schedule cache {hit_rate:.0}% hit, peak bucket {peak_text}"
     )
-}
-
-/// Per-stage timings every fresh `throughput` run must report.
-const STAGE_KEYS: [&str; 3] = [
-    "schedule_seconds",
-    "sweep_seconds",
-    "unpruned_reference_seconds",
-];
-
-/// Prune/cache counters every fresh `throughput` run must report.
-const COUNTER_KEYS: [&str; 6] = [
-    "plateau_hits",
-    "probes_pruned",
-    "candidates",
-    "scan_breaks",
-    "list_schedule_runs",
-    "list_schedule_tasks",
-];
-
-/// Per-stage timings every fresh `campaign` run must report.
-const CAMPAIGN_STAGE_KEYS: [&str; 5] = [
-    "generate_seconds",
-    "batch_seconds",
-    "grouped_seconds",
-    "per_request_seconds",
-    "unpruned_reference_seconds",
-];
-
-/// Service-model rates every fresh `campaign` run must report.
-const CAMPAIGN_RATE_KEYS: [&str; 4] = [
-    "batch_solves_per_sec",
-    "grouped_solves_per_sec",
-    "per_request_solves_per_sec",
-    "ns_per_solve_batch",
-];
-
-/// Giant-graph figures every fresh `campaign` run must report.
-const CAMPAIGN_GIANT_KEYS: [&str; 3] = ["tasks", "schedule_tasks_per_sec", "solve_seconds"];
-
-/// Batch counters every fresh `campaign` run must report.
-const CAMPAIGN_COUNTER_KEYS: [&str; 2] = ["batch_calls", "batch_items"];
-
-/// The text from the first `"campaign"` key onward — the campaign
-/// section is always the document's last top-level key (both in the
-/// merged `BENCH_solver.json` and in a standalone campaign file), so
-/// scoped lookups against this slice cannot match earlier sections.
-fn campaign_slice(text: &str) -> Option<&str> {
-    let at = text.find("\"campaign\"")?;
-    Some(&text[at..])
-}
-
-/// Check the campaign section of `text`, printing one line per missing
-/// or failing field. Returns true if anything failed.
-fn check_campaign(text: &str, path: &str) -> bool {
-    let Some(c) = campaign_slice(text) else {
-        eprintln!("gate FAILURE: {path} has no campaign section");
-        return true;
-    };
-    let mut failed = false;
-    let mut require = |section: &str, key: &str| {
-        if json_number(c, Some(section), key).is_none() {
-            failed = true;
-            eprintln!("gate FAILURE: {path} campaign section is missing {section}.{key}");
-        }
-    };
-    for key in CAMPAIGN_STAGE_KEYS {
-        require("stages", key);
-    }
-    for key in CAMPAIGN_RATE_KEYS {
-        require("rates", key);
-    }
-    for key in CAMPAIGN_GIANT_KEYS {
-        require("giant", key);
-    }
-    for key in CAMPAIGN_COUNTER_KEYS {
-        require("counters", key);
-    }
-    match json_bool(c, "all_bitwise_equal") {
-        Some(true) => {}
-        Some(false) => {
-            failed = true;
-            eprintln!(
-                "gate FAILURE: campaign engines no longer agree bit-for-bit (campaign all_bitwise_equal = false)"
-            );
-        }
-        None => {
-            failed = true;
-            eprintln!("gate FAILURE: {path} campaign section has no all_bitwise_equal");
-        }
-    }
-    if json_number(c, Some("workload"), "solve_calls") == Some(0.0) {
-        failed = true;
-        eprintln!("gate FAILURE: {path} campaign ran zero solves");
-    }
-    failed
-}
-
-/// The text from the first `"key"` onward, for scoped lookups inside a
-/// subsection (same convention as [`campaign_slice`]).
-fn section_slice<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)?;
-    Some(&text[at..])
-}
-
-/// Latency percentiles every fresh `loadgen` run must report.
-const SERVE_LATENCY_KEYS: [&str; 4] = ["p50", "p90", "p99", "max"];
-
-/// Traffic counters every fresh `loadgen` run must report.
-const SERVE_COUNTER_KEYS: [&str; 6] = [
-    "requests",
-    "ok",
-    "degraded",
-    "rejected",
-    "errors",
-    "solves_per_sec",
-];
-
-/// Saturation-phase figures every fresh `loadgen` run must report.
-const SERVE_SATURATION_KEYS: [&str; 4] = ["requests", "solves_per_sec", "solved", "rejected"];
-
-/// Check a fresh `loadgen` result (`BENCH_serve.json` schema): field
-/// presence, the bitwise differential, and a clean panic counter.
-/// Prints one line per failure; returns true if anything failed.
-fn check_serve(text: &str, path: &str) -> bool {
-    let mut failed = false;
-    let fail = |msg: String| {
-        eprintln!("gate FAILURE: {msg}");
-    };
-    if !text.contains("\"lamps-serve-bench-v1\"") {
-        fail(format!(
-            "{path} does not carry the lamps-serve-bench-v1 schema"
-        ));
-        return true;
-    }
-    for key in SERVE_COUNTER_KEYS {
-        if json_number(text, None, key).is_none() {
-            failed = true;
-            fail(format!("{path} is missing {key}"));
-        }
-    }
-    for key in SERVE_LATENCY_KEYS {
-        if json_number(text, Some("latency_us"), key).is_none() {
-            failed = true;
-            fail(format!("{path} is missing latency_us.{key}"));
-        }
-    }
-    match section_slice(text, "saturation") {
-        None => {
-            failed = true;
-            fail(format!("{path} has no saturation section"));
-        }
-        Some(s) => {
-            for key in SERVE_SATURATION_KEYS {
-                if json_number(s, None, key).is_none() {
-                    failed = true;
-                    fail(format!("{path} saturation section is missing {key}"));
-                }
-            }
-        }
-    }
-    match section_slice(text, "differential") {
-        None => {
-            failed = true;
-            fail(format!("{path} has no differential section"));
-        }
-        Some(d) => {
-            if json_bool(d, "enabled") != Some(true) {
-                failed = true;
-                fail(format!(
-                    "{path} was recorded without --differential; the serve gate requires it"
-                ));
-            } else if json_bool(d, "all_bitwise_equal") != Some(true) {
-                failed = true;
-                fail(
-                    "served responses no longer match local solves bit-for-bit \
-                     (differential all_bitwise_equal = false)"
-                        .to_string(),
-                );
-            }
-            if json_number(d, None, "checked") == Some(0.0) {
-                failed = true;
-                fail(format!("{path} differential checked zero responses"));
-            }
-        }
-    }
-    match section_slice(text, "server").and_then(|s| json_number(s, None, "panics")) {
-        Some(0.0) => {}
-        Some(n) => {
-            failed = true;
-            fail(format!("server caught {n} worker panics during the run"));
-        }
-        None => {
-            failed = true;
-            fail(format!(
-                "{path} server section is missing the panics counter"
-            ));
-        }
-    }
-    failed
-}
-
-/// Highest severe-preset frame-miss rate the online gate tolerates: a
-/// regression driving it to 1.0 means the fault ladder stopped saving
-/// *any* frame under severe injection.
-const ONLINE_SEVERE_MISS_CEILING: f64 = 0.98;
-
-/// The text from `"name": "<name>"` onward — one row of the online
-/// bench's `rows` array.
-fn online_row_slice<'t>(text: &'t str, name: &str) -> Option<&'t str> {
-    let needle = format!("\"name\": \"{name}\"");
-    let at = text.find(&needle)?;
-    Some(&text[at..])
-}
-
-/// Check a fresh `online` result (`BENCH_online.json` schema): the
-/// runtime must never panic, every trace must pass the independent
-/// validator, reclamation must claw back energy, incremental re-solves
-/// must stay cheaper than from-scratch frame solves, the fault-free
-/// preset must never miss, and the severe preset must keep saving some
-/// frames. Prints one line per failure; returns true if anything failed.
-fn check_online_bench(text: &str, path: &str) -> bool {
-    let mut failed = false;
-    let fail = |msg: String| {
-        eprintln!("gate FAILURE: {msg}");
-    };
-    if !text.contains("\"lamps-online-bench-v1\"") {
-        fail(format!(
-            "{path} does not carry the lamps-online-bench-v1 schema"
-        ));
-        return true;
-    }
-    for (key, expect_zero) in [("panics", true), ("violations", true), ("workloads", false)] {
-        match json_number(text, None, key) {
-            None => {
-                failed = true;
-                fail(format!("{path} is missing {key}"));
-            }
-            Some(n) if expect_zero && n != 0.0 => {
-                failed = true;
-                fail(format!("online runtime recorded {n} {key} (must be 0)"));
-            }
-            Some(n) if !expect_zero && n == 0.0 => {
-                failed = true;
-                fail(format!("{path} ran zero {key}"));
-            }
-            Some(_) => {}
-        }
-    }
-    match section_slice(text, "reclaim") {
-        None => {
-            failed = true;
-            fail(format!("{path} has no reclaim section"));
-        }
-        Some(r) => {
-            match json_number(r, None, "reclaimed_j") {
-                Some(j) if j > 0.0 => {}
-                Some(j) => {
-                    failed = true;
-                    fail(format!(
-                        "reclamation stopped saving energy (reclaimed_j = {j}; must be > 0 \
-                         on under-WCET workloads)"
-                    ));
-                }
-                None => {
-                    failed = true;
-                    fail(format!("{path} reclaim section is missing reclaimed_j"));
-                }
-            }
-            match (
-                json_number(r, None, "avg_resolve_steps"),
-                json_number(r, None, "avg_full_solve_steps"),
-            ) {
-                (Some(inc), Some(full)) => {
-                    if inc > full {
-                        failed = true;
-                        fail(format!(
-                            "incremental re-solves cost more than from-scratch frame solves \
-                             ({inc} vs {full} steps)"
-                        ));
-                    }
-                }
-                _ => {
-                    failed = true;
-                    fail(format!(
-                        "{path} reclaim section is missing avg_resolve_steps/avg_full_solve_steps"
-                    ));
-                }
-            }
-        }
-    }
-    for (row, check) in [
-        ("none", "miss_rate"),
-        ("severe", "miss_rate"),
-        ("overload", "shed_rate"),
-    ] {
-        let Some(slice) = online_row_slice(text, row) else {
-            failed = true;
-            fail(format!("{path} has no {row} row"));
-            continue;
-        };
-        let Some(n) = json_number(slice, None, check) else {
-            failed = true;
-            fail(format!("{path} {row} row is missing {check}"));
-            continue;
-        };
-        match row {
-            "none" if n != 0.0 => {
-                failed = true;
-                fail(format!(
-                    "fault-free online runs missed deadlines (none miss_rate = {n})"
-                ));
-            }
-            "severe" if n > ONLINE_SEVERE_MISS_CEILING => {
-                failed = true;
-                fail(format!(
-                    "severe-preset miss rate {n} exceeds the {ONLINE_SEVERE_MISS_CEILING} \
-                     ceiling — the fault ladder stopped defending frames"
-                ));
-            }
-            "overload" if n == 0.0 => {
-                failed = true;
-                fail("overload row shed nothing — admission control is not engaging".to_string());
-            }
-            _ => {}
-        }
-    }
-    failed
 }
 
 /// Gate a raw wire `telemetry` response line. Returns `(failed,
@@ -545,11 +389,14 @@ fn check_flight_dump_file(text: &str, path: &str, counters: &[(String, u64)]) ->
     failed
 }
 
+/// Print a usage error and exit 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 fn read(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    })
+    std::fs::read_to_string(path).unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}")))
 }
 
 fn main() {
@@ -566,132 +413,56 @@ fn main() {
         "flight",
         "flight-file",
     ]);
-    let baseline_path = opts.string("baseline", "BENCH_solver.json");
-    let current_path = opts.string("current", "");
     let min_ratio = opts.f64("min-ratio", 0.5);
     let metrics_path = opts.string("metrics", "");
-    let campaign_path = opts.string("campaign", "");
-    let serve_baseline_path = opts.string("serve-baseline", "BENCH_serve.json");
-    let serve_current_path = opts.string("serve-current", "");
-    let online_current_path = opts.string("online-current", "");
     let telemetry_path = opts.string("telemetry", "");
     let flight_path = opts.string("flight", "");
     let flight_file_path = opts.string("flight-file", "");
+    // Each benchmark section: its file, its rules, and the baseline file
+    // and rate path of its regression floor. The serve floor is on the
+    // *saturated* rate: the paced phase only echoes the arrival rate.
+    let solver_floor = (
+        opts.string("baseline", "BENCH_solver.json"),
+        "after.solves_per_sec",
+    );
+    let serve_floor = (
+        opts.string("serve-baseline", "BENCH_serve.json"),
+        "saturation.solves_per_sec",
+    );
+    let sections = [
+        (opts.string("current", ""), SOLVER_RULES, Some(solver_floor)),
+        (opts.string("campaign", ""), CAMPAIGN_RULES, None),
+        (
+            opts.string("serve-current", ""),
+            SERVE_RULES,
+            Some(serve_floor),
+        ),
+        (opts.string("online-current", ""), ONLINE_RULES, None),
+    ];
 
-    if current_path.is_empty()
-        && serve_current_path.is_empty()
-        && online_current_path.is_empty()
-        && telemetry_path.is_empty()
-        && flight_path.is_empty()
-        && flight_file_path.is_empty()
+    let files = sections.iter().map(|s| &s.0);
+    if files
+        .chain([&telemetry_path, &flight_path, &flight_file_path])
+        .all(|f| f.is_empty())
     {
-        eprintln!(
-            "error: nothing to gate — give --current, --serve-current, --online-current, \
-             and/or --telemetry/--flight/--flight-file"
+        usage(
+            "nothing to gate — give --current, --campaign, --serve-current, --online-current, \
+             and/or --telemetry/--flight/--flight-file",
         );
-        std::process::exit(2);
     }
 
+    let load = |path: &str| parse_file(&read(path), path);
     let mut failed = false;
-
-    if !current_path.is_empty() {
-        let baseline = read(&baseline_path);
-        let current = read(&current_path);
-
-        let base_rate =
-            json_number(&baseline, Some("after"), "solves_per_sec").unwrap_or_else(|| {
-                eprintln!("error: {baseline_path} has no after.solves_per_sec");
-                std::process::exit(2);
-            });
-        let cur_rate =
-            json_number(&current, Some("after"), "solves_per_sec").unwrap_or_else(|| {
-                eprintln!("error: {current_path} has no after.solves_per_sec");
-                std::process::exit(2);
-            });
-        let cur_equal = json_bool(&current, "all_bitwise_equal").unwrap_or_else(|| {
-            eprintln!("error: {current_path} has no all_bitwise_equal");
-            std::process::exit(2);
-        });
-
-        let ratio = cur_rate / base_rate;
-        eprintln!(
-            "gate: baseline {base_rate:.1} solves/s, current {cur_rate:.1} solves/s, ratio {ratio:.2} (floor {min_ratio})"
-        );
-        if !cur_equal {
-            failed = true;
-            eprintln!(
-                "gate FAILURE: engines no longer agree bit-for-bit (all_bitwise_equal = false)"
-            );
+    for (file, rules, floor) in &sections {
+        if file.is_empty() {
+            continue;
         }
-        // Schema check: a current file without the per-stage timings or
-        // the prune counters came from a stale binary — fail loudly
-        // instead of gating on a number whose provenance is unknown.
-        // (The *baseline* may predate the schema; only the fresh run is
-        // held to it.)
-        for key in STAGE_KEYS {
-            if json_number(&current, Some("stages"), key).is_none() {
-                failed = true;
-                eprintln!("gate FAILURE: {current_path} is missing stages.{key}");
-            }
+        let current = load(file);
+        failed |= check_rules(current.as_ref(), file, rules);
+        if let (Some(current), Some((baseline, path))) = (&current, floor) {
+            let base = (load(baseline), baseline.as_str());
+            failed |= below_floor(path, base, (current, file), min_ratio);
         }
-        for key in COUNTER_KEYS {
-            if json_number(&current, Some("counters"), key).is_none() {
-                failed = true;
-                eprintln!("gate FAILURE: {current_path} is missing counters.{key}");
-            }
-        }
-        if json_number(&current, Some("after"), "ns_per_solve").is_none() {
-            failed = true;
-            eprintln!("gate FAILURE: {current_path} is missing after.ns_per_solve");
-        }
-        // NaN (corrupt input) must fail, so test for the passing
-        // condition.
-        let fast_enough = ratio >= min_ratio;
-        if !fast_enough {
-            failed = true;
-            eprintln!(
-                "gate FAILURE: throughput regressed below {min_ratio}x of the committed baseline"
-            );
-        }
-    }
-    // Campaign schema: only checked when a campaign file is supplied
-    // (CI supplies one; local gate runs against an old throughput-only
-    // JSON still work).
-    if !campaign_path.is_empty() {
-        failed |= check_campaign(&read(&campaign_path), &campaign_path);
-    }
-
-    if !serve_current_path.is_empty() {
-        let baseline = read(&serve_baseline_path);
-        let current = read(&serve_current_path);
-        failed |= check_serve(&current, &serve_current_path);
-        // Regression floor on *saturated* throughput — the paced phase
-        // only echoes the arrival rate when the server keeps up.
-        let sat = |text: &str, path: &str| {
-            section_slice(text, "saturation")
-                .and_then(|s| json_number(s, None, "solves_per_sec"))
-                .unwrap_or_else(|| {
-                    eprintln!("error: {path} has no saturation.solves_per_sec");
-                    std::process::exit(2);
-                })
-        };
-        let base_rate = sat(&baseline, &serve_baseline_path);
-        let cur_rate = sat(&current, &serve_current_path);
-        let ratio = cur_rate / base_rate;
-        eprintln!(
-            "serve gate: baseline {base_rate:.1} saturated solves/s, current {cur_rate:.1}, ratio {ratio:.2} (floor {min_ratio})"
-        );
-        // NaN (a zero/zero ratio from a corrupt file) must fail, not pass.
-        if ratio.is_nan() || ratio < min_ratio {
-            failed = true;
-            eprintln!(
-                "gate FAILURE: serve throughput regressed below {min_ratio}x of the committed baseline"
-            );
-        }
-    }
-
-    if !online_current_path.is_empty() {
-        failed |= check_online_bench(&read(&online_current_path), &online_current_path);
     }
 
     let mut telemetry_counters: Vec<(String, u64)> = Vec::new();
@@ -735,6 +506,200 @@ fn main() {
 mod tests {
     use super::*;
 
+    const BENCH_SOLVER: &str = include_str!("../../../../BENCH_solver.json");
+    const BENCH_SERVE: &str = include_str!("../../../../BENCH_serve.json");
+    const BENCH_ONLINE: &str = include_str!("../../../../BENCH_online.json");
+
+    /// Each rule table with the committed file it gates in CI's
+    /// self-gate step (`BENCH_solver.json` serves as both `--current`
+    /// and `--campaign`).
+    const SECTIONS: [(&str, &[&str]); 4] = [
+        (BENCH_SOLVER, SOLVER_RULES),
+        (BENCH_SOLVER, CAMPAIGN_RULES),
+        (BENCH_SERVE, SERVE_RULES),
+        (BENCH_ONLINE, ONLINE_RULES),
+    ];
+
+    fn json(text: &str) -> Value {
+        parse(text).expect("sample parses")
+    }
+
+    /// Whether `rules` fail on `text`, parsed the way `main` parses a file.
+    fn fails(text: &str, rules: &[&str]) -> bool {
+        check_rules(parse_file(text, "sample").as_ref(), "sample", rules)
+    }
+
+    /// `text` with `from` replaced by `to`, which must change it.
+    fn edit(text: &str, from: &str, to: &str) -> String {
+        let out = text.replace(from, to);
+        assert_ne!(out, text, "{from:?} is not in the sample");
+        out
+    }
+
+    /// The value at `path`, mutably: [`lookup`] for test edits.
+    fn lookup_mut<'v>(root: &'v mut Value, path: &str) -> Option<&'v mut Value> {
+        path.split('.').try_fold(root, |v, seg| {
+            let (key, select) = match seg.split_once('[') {
+                None => (seg, None),
+                Some((key, select)) => (key, select.strip_suffix(']')?.split_once('=')),
+            };
+            let Value::Object(map) = v else { return None };
+            match (map.get_mut(key)?, select) {
+                (v, None) => Some(v),
+                (Value::Array(rows), Some((field, want))) => rows
+                    .iter_mut()
+                    .find(|row| row.get(field).and_then(Value::as_str) == Some(want)),
+                _ => None,
+            }
+        })
+    }
+
+    /// `root` without the field at `path`.
+    fn without(root: &Value, path: &str) -> Value {
+        let mut out = root.clone();
+        let (parent, key) = match path.rsplit_once('.') {
+            Some((parent, key)) => (lookup_mut(&mut out, parent), key),
+            None => (Some(&mut out), path),
+        };
+        let Some(Value::Object(map)) = parent else {
+            panic!("{path} has no parent object");
+        };
+        assert!(map.remove(key).is_some(), "{path} is not in the file");
+        out
+    }
+
+    /// A value for the path of `cond` (`path [op operand]`) that fails it.
+    fn failing(root: &Value, cond: &str) -> Value {
+        let words: Vec<&str> = cond.split(' ').collect();
+        let [_, op, operand] = words[..] else {
+            return Value::String("not a number".to_string());
+        };
+        let want = parse(operand).unwrap_or_else(|_| lookup(root, operand).unwrap().clone());
+        match (op, want) {
+            ("==", Value::Bool(b)) => Value::Bool(!b),
+            ("==", Value::String(_)) => Value::String("lamps-other-bench-v1".to_string()),
+            ("==" | "<=", Value::Number(n)) => Value::Number(n + 1.0),
+            // `!=` and `>` fail at the operand itself.
+            (_, want) => want,
+        }
+    }
+
+    #[test]
+    fn committed_files_pass_every_rule_table() {
+        for (text, rules) in SECTIONS {
+            assert_eq!(violations(&json(text), "f", rules), Vec::<String>::new());
+        }
+        let solver = json(BENCH_SOLVER);
+        assert!(rate(&solver, "f", "after.solves_per_sec").is_ok());
+        assert!(rate(&json(BENCH_SERVE), "f", "saturation.solves_per_sec").is_ok());
+    }
+
+    #[test]
+    fn every_rule_bites() {
+        for (text, rules) in SECTIONS {
+            let root = json(text);
+            for rule in rules {
+                let cond = rule.split(" | ").next().unwrap();
+                let words: Vec<&str> = cond.split(' ').collect();
+                let mut broken = vec![without(&root, words[0])];
+                if let [_, _, operand] = words[..] {
+                    if parse(operand).is_err() {
+                        broken.push(without(&root, operand));
+                    }
+                }
+                let mut bad = root.clone();
+                *lookup_mut(&mut bad, words[0]).unwrap() = failing(&root, cond);
+                broken.push(bad);
+                for b in &broken {
+                    let lines = violations(b, "f", rules);
+                    assert_eq!(lines.len(), 1, "{rule}: {lines:?}");
+                }
+            }
+        }
+    }
+
+    // One test per defect of the substring scanner this gate replaced:
+    // each input passed that scanner.
+
+    #[test]
+    fn severe_row_without_miss_rate_fails() {
+        // The scanner read the next row's (overload's) miss_rate.
+        let broken = edit(
+            BENCH_ONLINE,
+            "\"name\": \"severe\", \"miss_rate\": 0.9583333333333334, ",
+            "\"name\": \"severe\", ",
+        );
+        assert!(fails(&broken, ONLINE_RULES));
+    }
+
+    #[test]
+    fn serve_counters_are_read_at_top_level() {
+        // The scanner found saturation.requests and server.degraded.
+        let no_requests = edit(BENCH_SERVE, "\"requests\": 1200,", "");
+        assert!(fails(&no_requests, SERVE_RULES));
+        let no_degraded = edit(BENCH_SERVE, "\"degraded\": 292,\n", "");
+        assert!(fails(&no_degraded, SERVE_RULES));
+    }
+
+    #[test]
+    fn solver_counters_are_not_read_from_the_campaign() {
+        // The scanner found campaign.counters.candidates.
+        let broken = edit(BENCH_SOLVER, "\"candidates\": 2786,", "");
+        assert!(fails(&broken, SOLVER_RULES));
+    }
+
+    #[test]
+    fn campaign_without_solve_calls_fails() {
+        let broken = edit(BENCH_SOLVER, "\"solve_calls\": 1000000,", "");
+        assert!(fails(&broken, CAMPAIGN_RULES));
+    }
+
+    #[test]
+    fn serve_without_differential_checked_fails() {
+        let broken = edit(BENCH_SERVE, "\"checked\": 1626, ", "");
+        assert!(fails(&broken, SERVE_RULES));
+    }
+
+    #[test]
+    fn zero_baseline_rate_is_a_usage_error() {
+        // A zero baseline made the ratio inf, which cleared any floor.
+        let solver = edit(
+            BENCH_SOLVER,
+            "\"solves_per_sec\": 3867.1207692593666",
+            "\"solves_per_sec\": 0",
+        );
+        assert!(rate(&json(&solver), "f", "after.solves_per_sec").is_err());
+        let serve = edit(
+            BENCH_SERVE,
+            "\"solves_per_sec\": 7984.769857471296",
+            "\"solves_per_sec\": 0",
+        );
+        assert!(rate(&json(&serve), "f", "saturation.solves_per_sec").is_err());
+        let negative = edit(
+            BENCH_SERVE,
+            "\"solves_per_sec\": 7984.769857471296",
+            "\"solves_per_sec\": -1",
+        );
+        assert!(rate(&json(&negative), "f", "saturation.solves_per_sec").is_err());
+        let infinite = edit(
+            BENCH_SERVE,
+            "\"solves_per_sec\": 7984.769857471296",
+            "\"solves_per_sec\": 1e999",
+        );
+        assert!(rate(&json(&infinite), "f", "saturation.solves_per_sec").is_err());
+        assert!(rate(&json(BENCH_SERVE), "f", "saturation.absent").is_err());
+    }
+
+    #[test]
+    fn truncated_files_fail() {
+        let online = edit(BENCH_ONLINE, "\"violations\": 0\n}", "\"violations\": 0");
+        assert!(parse(&online).is_err());
+        assert!(fails(&online, ONLINE_RULES));
+        let serve = edit(BENCH_SERVE, "\"panics\": 0}\n}", "\"panics\": 0");
+        assert!(parse(&serve).is_err());
+        assert!(fails(&serve, SERVE_RULES));
+    }
+
     const SAMPLE: &str = r#"{
   "before": { "seconds": 2.0, "solves_per_sec": 400.5 },
   "after": { "seconds": 0.5, "solves_per_sec": 1601.25 },
@@ -744,26 +709,35 @@ mod tests {
 
     #[test]
     fn extracts_sectioned_numbers() {
-        assert_eq!(
-            json_number(SAMPLE, Some("after"), "solves_per_sec"),
-            Some(1601.25)
-        );
-        assert_eq!(
-            json_number(SAMPLE, Some("before"), "solves_per_sec"),
-            Some(400.5)
-        );
-        assert_eq!(json_number(SAMPLE, None, "speedup"), Some(4.0));
-        assert_eq!(json_number(SAMPLE, Some("after"), "missing"), None);
-        assert_eq!(json_number(SAMPLE, Some("nope"), "speedup"), None);
+        let root = json(SAMPLE);
+        let number = |path| lookup(&root, path).and_then(Value::as_number);
+        assert_eq!(number("after.solves_per_sec"), Some(1601.25));
+        assert_eq!(number("before.solves_per_sec"), Some(400.5));
+        assert_eq!(number("speedup"), Some(4.0));
+        assert_eq!(number("after.missing"), None);
+        assert_eq!(number("nope.speedup"), None);
+        // A path through a scalar is missing too.
+        assert_eq!(number("speedup.seconds"), None);
     }
 
     #[test]
     fn extracts_bools() {
-        assert_eq!(json_bool(SAMPLE, "all_bitwise_equal"), Some(true));
-        assert_eq!(json_bool(SAMPLE, "missing"), None);
+        let root = json(SAMPLE);
         assert_eq!(
-            json_bool("{\"all_bitwise_equal\": false}", "all_bitwise_equal"),
+            lookup(&root, "all_bitwise_equal").and_then(Value::as_bool),
+            Some(true)
+        );
+        assert!(lookup(&root, "missing").is_none());
+        let false_flag = json("{\"all_bitwise_equal\": false}");
+        assert_eq!(
+            lookup(&false_flag, "all_bitwise_equal").and_then(Value::as_bool),
             Some(false)
+        );
+        assert_eq!(holds(&false_flag, "all_bitwise_equal == false"), Ok(true));
+        // A bool is not a number, so a bare-path rule finds it missing.
+        assert_eq!(
+            holds(&false_flag, "all_bitwise_equal"),
+            Err("all_bitwise_equal")
         );
     }
 
@@ -797,20 +771,15 @@ mod tests {
   },
   "all_bitwise_equal": true
 }"#;
-        for key in STAGE_KEYS {
-            assert!(
-                json_number(sample, Some("stages"), key).is_some(),
-                "missing stage {key}"
-            );
-        }
-        for key in COUNTER_KEYS {
-            assert!(
-                json_number(sample, Some("counters"), key).is_some(),
-                "missing counter {key}"
-            );
+        let root = json(sample);
+        for path in SOLVER_RULES {
+            if path.starts_with("after.stages.") || path.starts_with("after.counters.") {
+                assert_eq!(holds(&root, path), Ok(true), "missing {path}");
+            }
         }
         // The pre-rework schema must be recognizably incomplete.
-        assert!(json_number(SAMPLE, Some("stages"), "schedule_seconds").is_none());
+        assert!(lookup(&json(SAMPLE), "after.stages.schedule_seconds").is_none());
+        assert!(fails(SAMPLE, SOLVER_RULES));
     }
 
     #[test]
@@ -829,13 +798,13 @@ mod tests {
     "all_bitwise_equal": true
   }
 }"#;
-        assert!(!check_campaign(sample, "sample"));
+        assert!(!fails(sample, CAMPAIGN_RULES));
     }
 
     #[test]
     fn campaign_schema_fails_on_missing_or_false_fields() {
         // No campaign section at all.
-        assert!(check_campaign("{\"after\": {}}", "sample"));
+        assert!(fails("{\"after\": {}}", CAMPAIGN_RULES));
         // Present but missing the batch rate and with a false equality.
         let broken = r#"{
   "campaign": {
@@ -849,22 +818,27 @@ mod tests {
     "all_bitwise_equal": false
   }
 }"#;
-        assert!(check_campaign(broken, "sample"));
+        assert!(fails(broken, CAMPAIGN_RULES));
         // A campaign that reports zero solves must fail even if the
         // schema is otherwise complete.
         let empty = broken.replace("\"solve_calls\": 10", "\"solve_calls\": 0");
-        assert!(check_campaign(&empty, "sample"));
+        assert!(fails(&empty, CAMPAIGN_RULES));
     }
 
     #[test]
-    fn campaign_slice_scopes_to_the_last_section() {
-        let merged = r#"{"after": {"stages": {"schedule_seconds": 1}},
-                         "all_bitwise_equal": false,
-                         "campaign": {"all_bitwise_equal": true}}"#;
-        let c = campaign_slice(merged).expect("campaign present");
-        // The slice must not see the outer (false) flag.
-        assert_eq!(json_bool(c, "all_bitwise_equal"), Some(true));
-        assert!(campaign_slice("{\"after\": {}}").is_none());
+    fn lookup_scopes_the_campaign_flag() {
+        let merged = json(
+            r#"{"after": {"stages": {"schedule_seconds": 1}},
+                "all_bitwise_equal": false,
+                "campaign": {"all_bitwise_equal": true}}"#,
+        );
+        // The campaign's flag, not the outer (false) one.
+        assert_eq!(
+            holds(&merged, "campaign.all_bitwise_equal == true"),
+            Ok(true)
+        );
+        assert_eq!(holds(&merged, "all_bitwise_equal == true"), Ok(false));
+        assert!(lookup(&json("{\"after\": {}}"), "campaign").is_none());
     }
 
     const SERVE_SAMPLE: &str = r#"{
@@ -884,51 +858,54 @@ mod tests {
 
     #[test]
     fn serve_schema_passes_on_complete_file() {
-        assert!(!check_serve(SERVE_SAMPLE, "sample"));
+        assert!(!fails(SERVE_SAMPLE, SERVE_RULES));
     }
 
     #[test]
     fn serve_schema_fails_on_missing_or_bad_fields() {
         // Wrong schema marker.
-        assert!(check_serve("{\"schema\": \"other\"}", "sample"));
+        assert!(fails("{\"schema\": \"other\"}", SERVE_RULES));
         // Differential disabled.
-        assert!(check_serve(
+        assert!(fails(
             &SERVE_SAMPLE.replace("\"enabled\": true", "\"enabled\": false"),
-            "sample"
+            SERVE_RULES
         ));
         // Bitwise mismatch.
-        assert!(check_serve(
+        assert!(fails(
             &SERVE_SAMPLE.replace(
                 "\"all_bitwise_equal\": true",
                 "\"all_bitwise_equal\": false"
             ),
-            "sample"
+            SERVE_RULES
         ));
         // A caught worker panic.
-        assert!(check_serve(
+        assert!(fails(
             &SERVE_SAMPLE.replace("\"panics\": 0", "\"panics\": 1"),
-            "sample"
+            SERVE_RULES
         ));
         // Missing saturation section.
-        assert!(check_serve(
+        assert!(fails(
             &SERVE_SAMPLE.replace("saturation", "saturation_gone"),
-            "sample"
+            SERVE_RULES
         ));
         // Zero differential coverage.
-        assert!(check_serve(
+        assert!(fails(
             &SERVE_SAMPLE.replace("\"checked\": 232", "\"checked\": 0"),
-            "sample"
+            SERVE_RULES
         ));
     }
 
     #[test]
-    fn section_slice_scopes_serve_lookups() {
-        // "rejected" appears at top level and inside saturation; the
-        // scoped lookup must see the saturation one.
-        let s = section_slice(SERVE_SAMPLE, "saturation").expect("present");
-        assert_eq!(json_number(s, None, "rejected"), Some(120.0));
-        assert_eq!(json_number(s, None, "solves_per_sec"), Some(8200.0));
-        assert!(section_slice(SERVE_SAMPLE, "absent").is_none());
+    fn lookup_scopes_serve_keys() {
+        // "requests" appears at top level, in saturation and in server;
+        // each path reads its own.
+        let root = json(SERVE_SAMPLE);
+        let number = |path| lookup(&root, path).and_then(Value::as_number);
+        assert_eq!(number("requests"), Some(96.0));
+        assert_eq!(number("saturation.requests"), Some(256.0));
+        assert_eq!(number("server.requests"), Some(232.0));
+        assert_eq!(number("saturation.solves_per_sec"), Some(8200.0));
+        assert_eq!(number("absent.requests"), None);
     }
 
     const ONLINE_SAMPLE: &str = r#"{
@@ -951,73 +928,79 @@ mod tests {
 
     #[test]
     fn online_schema_passes_on_complete_file() {
-        assert!(!check_online_bench(ONLINE_SAMPLE, "sample"));
+        assert!(!fails(ONLINE_SAMPLE, ONLINE_RULES));
     }
 
     #[test]
     fn online_schema_fails_on_missing_or_bad_fields() {
         // Wrong schema marker.
-        assert!(check_online_bench("{\"schema\": \"other\"}", "sample"));
+        assert!(fails("{\"schema\": \"other\"}", ONLINE_RULES));
         // A caught panic.
-        assert!(check_online_bench(
+        assert!(fails(
             &ONLINE_SAMPLE.replace("\"panics\": 0", "\"panics\": 1"),
-            "sample"
+            ONLINE_RULES
         ));
         // A validator violation.
-        assert!(check_online_bench(
+        assert!(fails(
             &ONLINE_SAMPLE.replace("\"violations\": 0", "\"violations\": 3"),
-            "sample"
+            ONLINE_RULES
         ));
         // Reclamation stopped saving energy.
-        assert!(check_online_bench(
+        assert!(fails(
             &ONLINE_SAMPLE.replace("\"reclaimed_j\": 0.0013", "\"reclaimed_j\": -0.002"),
-            "sample"
+            ONLINE_RULES
         ));
         // Incremental re-solves costlier than from-scratch solves.
-        assert!(check_online_bench(
+        assert!(fails(
             &ONLINE_SAMPLE.replace("\"avg_resolve_steps\": 1.15", "\"avg_resolve_steps\": 9.5"),
-            "sample"
+            ONLINE_RULES
         ));
         // Fault-free runs missing deadlines.
-        assert!(check_online_bench(
+        assert!(fails(
             &ONLINE_SAMPLE.replace(
                 "{\"name\": \"none\", \"miss_rate\": 0",
                 "{\"name\": \"none\", \"miss_rate\": 0.1"
             ),
-            "sample"
+            ONLINE_RULES
         ));
         // Severe preset losing every frame.
-        assert!(check_online_bench(
+        assert!(fails(
             &ONLINE_SAMPLE.replace(
                 "{\"name\": \"severe\", \"miss_rate\": 0.91",
                 "{\"name\": \"severe\", \"miss_rate\": 1.0"
             ),
-            "sample"
+            ONLINE_RULES
         ));
         // Overload row not shedding.
-        assert!(check_online_bench(
+        assert!(fails(
             &ONLINE_SAMPLE.replace("\"shed_rate\": 0.25", "\"shed_rate\": 0"),
-            "sample"
+            ONLINE_RULES
         ));
         // Missing a row entirely.
-        assert!(check_online_bench(
+        assert!(fails(
             &ONLINE_SAMPLE.replace("\"name\": \"severe\"", "\"name\": \"renamed\""),
-            "sample"
+            ONLINE_RULES
         ));
     }
 
     #[test]
-    fn online_row_slice_scopes_to_one_row() {
-        let s = online_row_slice(ONLINE_SAMPLE, "moderate").expect("present");
-        assert_eq!(json_number(s, None, "miss_rate"), Some(0.41));
-        assert!(online_row_slice(ONLINE_SAMPLE, "absent").is_none());
+    fn row_selector_scopes_to_one_row() {
+        let root = json(ONLINE_SAMPLE);
+        let number = |path| lookup(&root, path).and_then(Value::as_number);
+        assert_eq!(number("rows[name=moderate].miss_rate"), Some(0.41));
+        assert_eq!(number("rows[name=overload].shed_rate"), Some(0.25));
+        assert_eq!(number("rows[name=absent].miss_rate"), None);
+        assert_eq!(number("rows[name=moderate].absent"), None);
+        // A selector on a non-array, or a malformed one, finds nothing.
+        assert_eq!(number("reclaim[name=none].resolves"), None);
+        assert_eq!(number("rows[name].miss_rate"), None);
     }
 
     #[test]
     fn scientific_notation_parses() {
-        let t = "{\"after\": {\"solves_per_sec\": 2.5315e3}}";
+        let root = json("{\"after\": {\"solves_per_sec\": 2.5315e3}}");
         assert_eq!(
-            json_number(t, Some("after"), "solves_per_sec"),
+            lookup(&root, "after.solves_per_sec").and_then(Value::as_number),
             Some(2531.5)
         );
     }
