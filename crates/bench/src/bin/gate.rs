@@ -20,6 +20,8 @@
 //!
 //! * solver (`--current`, [`SOLVER_RULES`]): `all_bitwise_equal`, the
 //!   three stage timings, six prune/cache counters and `ns_per_solve`;
+//!   the same-run `ratios.unpruned_over_pruned` above 1 (the pruned
+//!   engine beats its unpruned reference on the file's own workload);
 //!   and `after.solves_per_sec` at least `--min-ratio` (default 0.5) of
 //!   the `--baseline` file's.
 //! * campaign (`--campaign`, [`CAMPAIGN_RULES`]): five stage timings,
@@ -72,6 +74,7 @@ const SOLVER_RULES: &[&str] = &[
     "after.counters.scan_breaks",
     "after.counters.list_schedule_runs",
     "after.counters.list_schedule_tasks",
+    "ratios.unpruned_over_pruned > 1 | the pruned engine is no faster than its unpruned reference",
 ];
 
 /// The `campaign` section, of a merged `BENCH_solver.json` or of a
@@ -661,11 +664,23 @@ mod tests {
     }
 
     #[test]
+    fn pruned_engine_slower_than_its_reference_fails() {
+        // The rate floor compares a smoke run with the committed full
+        // workload; the same-run ratio does not depend on either.
+        let slower = edit(
+            BENCH_SOLVER,
+            "\"unpruned_over_pruned\": 2.160126005702583",
+            "\"unpruned_over_pruned\": 0.9",
+        );
+        assert!(fails(&slower, SOLVER_RULES));
+    }
+
+    #[test]
     fn zero_baseline_rate_is_a_usage_error() {
         // A zero baseline made the ratio inf, which cleared any floor.
         let solver = edit(
             BENCH_SOLVER,
-            "\"solves_per_sec\": 3867.1207692593666",
+            "\"solves_per_sec\": 3508.223729374883",
             "\"solves_per_sec\": 0",
         );
         assert!(rate(&json(&solver), "f", "after.solves_per_sec").is_err());

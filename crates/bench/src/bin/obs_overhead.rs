@@ -357,8 +357,8 @@ fn main() {
     let unit = Granularity::Coarse.cycles_per_unit();
     let graphs: Vec<TaskGraph> = suite
         .groups
-        .iter()
-        .flat_map(|g| g.graphs.iter().map(|graph| graph.scale_weights(unit)))
+        .into_iter()
+        .flat_map(|g| g.graphs.into_iter().map(|graph| graph.scale_weights(unit)))
         .collect();
     let cells = graphs.len() * DEADLINE_FACTORS.len() * Strategy::all().len();
     eprintln!(

@@ -26,7 +26,10 @@
 //! caches: feasibility search + level sweeps only), and the untimed-
 //! path `unpruned_reference_seconds`, plus one workload's worth of
 //! cache/prune counters (plateau hits, probes pruned, scan breaks,
-//! candidates).
+//! candidates). `ratios.unpruned_over_pruned` is the same-run speedup of
+//! the production engine over the unpruned reference (both timed in this
+//! process on this workload), the figure CI gates, since a rate compared
+//! with another machine's or another workload's says little.
 //!
 //! Observability: `--trace <json>` writes a Chrome trace, `--metrics-out
 //! <json>` dumps the metrics registry (including a
@@ -248,8 +251,8 @@ fn main() {
     let group_names: Vec<String> = suite.groups.iter().map(|g| g.name.clone()).collect();
     let graphs: Vec<TaskGraph> = suite
         .groups
-        .iter()
-        .flat_map(|g| g.graphs.iter().map(|graph| graph.scale_weights(unit)))
+        .into_iter()
+        .flat_map(|g| g.graphs.into_iter().map(|graph| graph.scale_weights(unit)))
         .collect();
     eprintln!(
         "throughput: {} graphs ({} groups) x {} factors x {} strategies, coarse grain, seed {seed}, {reps} reps",
@@ -438,6 +441,13 @@ fn main() {
     let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"speedup\": {speedup},");
+    let _ = writeln!(json, "  \"ratios\": {{");
+    let _ = writeln!(
+        json,
+        "    \"unpruned_over_pruned\": {}",
+        reference_s / total_s
+    );
+    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"energy_totals_j\": {{");
     for (si, name) in strategies.iter().enumerate() {
         let (a, r) = (after.per_strategy[si], reference.per_strategy[si]);

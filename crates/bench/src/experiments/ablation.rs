@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn edf_vs_itself_is_one() {
         let cfg = SchedulerConfig::paper();
-        let g = stg_group(60, 1, 9)[0].scale_weights(3_100_000);
+        let g = stg_group(60, 1, 9).remove(0).scale_weights(3_100_000);
         let d = 2.0 * g.critical_path_cycles() as f64 / cfg.max_frequency();
         let a = stretch_energy(&g, PriorityPolicy::EarliestDeadlineFirst, d, &cfg).unwrap();
         let b = stretch_energy(&g, PriorityPolicy::EarliestDeadlineFirst, d, &cfg).unwrap();

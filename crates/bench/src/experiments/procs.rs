@@ -49,14 +49,13 @@ pub fn local_minima(curve: &[Option<f64>]) -> usize {
 /// Regenerate Fig. 6 for the three application proxies.
 pub fn fig06(factor: f64, max_procs: usize) -> ExperimentOutput {
     let cfg = SchedulerConfig::paper();
-    let apps = proxies::all();
     let unit = Granularity::Coarse.cycles_per_unit();
 
-    let curves: Vec<(&str, Vec<Option<f64>>)> = apps
-        .iter()
+    let curves: Vec<(&str, Vec<Option<f64>>)> = proxies::all()
+        .into_iter()
         .map(|(name, g)| {
             let scaled = g.scale_weights(unit);
-            (*name, energy_vs_procs(&scaled, factor, max_procs, &cfg))
+            (name, energy_vs_procs(&scaled, factor, max_procs, &cfg))
         })
         .collect();
 

@@ -91,7 +91,7 @@ pub fn evaluate_graph(
     factor: f64,
     cfg: &SchedulerConfig,
 ) -> Result<GraphResult, SolveError> {
-    let scaled = graph.scale_weights(granularity.cycles_per_unit());
+    let scaled = graph.clone().scale_weights(granularity.cycles_per_unit());
     let deadline_s = factor * scaled.critical_path_cycles() as f64 / cfg.max_frequency();
     evaluate_scaled(&scaled, deadline_s, cfg)
 }
@@ -105,7 +105,7 @@ pub fn evaluate_graph_all_factors(
     factors: &[f64],
     cfg: &SchedulerConfig,
 ) -> Vec<Option<GraphResult>> {
-    let scaled = graph.scale_weights(granularity.cycles_per_unit());
+    let scaled = graph.clone().scale_weights(granularity.cycles_per_unit());
     let mut cache = ScheduleCache::for_graph(&scaled);
     factors
         .iter()

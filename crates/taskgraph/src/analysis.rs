@@ -12,7 +12,9 @@ impl TaskGraph {
     /// finish no earlier than its top level on an unbounded machine.
     /// Their maximum is [`Self::critical_path_cycles`].
     pub fn top_levels(&self) -> Vec<u64> {
-        self.compute_top_levels().expect("built graphs are acyclic")
+        self.top_levels_and_critical_path()
+            .expect("built graphs are acyclic")
+            .0
     }
 
     /// *Bottom levels*: for each task, the length in cycles of the

@@ -92,29 +92,32 @@ pub mod layered {
         let mut rng = Rng::seed_from_u64(seed);
         let n_layers = cfg.n_layers.min(cfg.n_tasks);
 
+        // Layer `li` is the consecutive ids `start[li]..start[li + 1]`.
         // Random layer widths: distribute tasks over layers, each layer
-        // non-empty.
-        let mut widths = vec![1usize; n_layers];
+        // non-empty; a prefix sum then turns widths into starts.
+        let mut start = vec![1u32; n_layers + 1];
+        start[0] = 0;
         for _ in 0..cfg.n_tasks - n_layers {
-            widths[rng.gen_range(0..n_layers)] += 1;
+            start[rng.gen_range(0..n_layers) + 1] += 1;
         }
+        for li in 0..n_layers {
+            start[li + 1] += start[li];
+        }
+        let layer = |li: usize| start[li]..start[li + 1];
 
         let mut b = GraphBuilder::with_capacity(
             cfg.n_tasks + 2,
             (cfg.n_tasks as f64 * cfg.mean_in_degree) as usize + cfg.n_tasks,
         );
-        let mut layers: Vec<Vec<TaskId>> = Vec::with_capacity(n_layers);
-        for &w in &widths {
-            let layer: Vec<TaskId> = (0..w)
-                .map(|_| b.add_task(rng.gen_range(cfg.weight_range.0..=cfg.weight_range.1)))
-                .collect();
-            layers.push(layer);
+        for _ in 0..cfg.n_tasks {
+            b.add_task(rng.gen_range(cfg.weight_range.0..=cfg.weight_range.1));
         }
 
-        // Wire predecessors.
-        for li in 1..layers.len() {
-            for ti in 0..layers[li].len() {
-                let t = layers[li][ti];
+        // Wire predecessors. Every task past the first layer gets at
+        // least one, so only missing successors need tracking.
+        let mut has_succ = vec![false; cfg.n_tasks];
+        for li in 1..n_layers {
+            for t in layer(li) {
                 let n_preds = 1 + sample_extra(&mut rng, cfg.mean_in_degree - 1.0);
                 for k in 0..n_preds {
                     let from_layer = if k > 0 && rng.gen_bool(cfg.skip_prob) && li > 1 {
@@ -122,8 +125,11 @@ pub mod layered {
                     } else {
                         li - 1
                     };
-                    let src = layers[from_layer][rng.gen_range(0..layers[from_layer].len())];
-                    b.add_edge(src, t).expect("indices are valid");
+                    let from = layer(from_layer);
+                    let src = from.start + rng.gen_range(0..from.len()) as u32;
+                    has_succ[src as usize] = true;
+                    b.add_edge(TaskId(src), TaskId(t))
+                        .expect("indices are valid");
                 }
             }
         }
@@ -131,25 +137,18 @@ pub mod layered {
         if cfg.dummies {
             let entry = b.add_task(0);
             let exit = b.add_task(0);
-            for &t in &layers[0] {
-                b.add_edge(entry, t).expect("valid");
+            for t in layer(0) {
+                b.add_edge(entry, TaskId(t)).expect("valid");
             }
-            for &t in layers.last().expect("non-empty") {
-                b.add_edge(t, exit).expect("valid");
+            for t in layer(n_layers - 1) {
+                b.add_edge(TaskId(t), exit).expect("valid");
             }
-            // Orphan-free: connect any still-sourceless/sinkless interior
-            // tasks to the dummies so the graph has a unique entry/exit,
-            // as STG files do.
-            let (has_pred, has_succ) = b.endpoint_flags();
-            for t in (0..b.len() as u32).map(TaskId) {
-                if t == entry || t == exit {
-                    continue;
-                }
-                if !has_pred[t.index()] {
-                    b.add_edge(entry, t).expect("valid");
-                }
-                if !has_succ[t.index()] {
-                    b.add_edge(t, exit).expect("valid");
+            // Orphan-free: connect any still-sinkless task before the
+            // last layer to the exit so the graph has a unique entry and
+            // exit, as STG files do.
+            for t in 0..start[n_layers - 1] {
+                if !has_succ[t as usize] {
+                    b.add_edge(TaskId(t), exit).expect("valid");
                 }
             }
         }

@@ -1,8 +1,12 @@
 //! Core weighted-DAG representation.
 //!
-//! A [`TaskGraph`] is immutable once built; construction goes through
-//! [`GraphBuilder`], which validates that the edge relation is acyclic,
-//! that all endpoints exist and that the total work fits in a `u64`.
+//! A [`TaskGraph`]'s structure is immutable once built; construction
+//! goes through [`GraphBuilder`], which validates that the edge relation
+//! is acyclic, that all endpoints exist and that the total work fits in a
+//! `u64`. The one change a built graph allows is
+//! [`TaskGraph::scale_weights`], which consumes the graph and scales its
+//! weights (and the two stored totals) in place.
+//!
 //! Adjacency is stored in compressed sparse row form in both directions
 //! so that schedulers can walk successors and predecessors without
 //! allocation.
@@ -10,9 +14,13 @@
 //! Every array is an exact-length boxed slice, and the per-task name
 //! table stays empty unless some task is named, so an unnamed graph of
 //! `N` tasks and `E` edges owns exactly `8·N + 8·(N+1) + 8·E` heap bytes.
-//! The total work (a checked sum) and the critical path (from the Kahn
-//! pass that proves acyclicity) are computed once, at build time, and
-//! kept as two inline `u64`s.
+//! The total work (a checked sum) and the critical path are computed
+//! once, at build time, and kept as two inline `u64`s. The critical path
+//! comes from the pass that proves acyclicity: an order-free walk over a
+//! stack of ready tasks, with one buffer that holds each task's count of
+//! untaken predecessors and then its top level. Building allocates only
+//! the graph's own arrays, that buffer and the stack; no scratch copy of
+//! the offsets and no topological order.
 
 /// Identifier of a task: a dense index into the graph's node arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -163,31 +171,23 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Which tasks have at least one incoming and at least one outgoing
-    /// edge so far, as `(has_pred, has_succ)` indexed by task id.
-    pub(crate) fn endpoint_flags(&self) -> (Vec<bool>, Vec<bool>) {
-        let n = self.weights.len();
-        let (mut has_pred, mut has_succ) = (vec![false; n], vec![false; n]);
-        for &(from, to) in &self.edges {
-            has_succ[from.index()] = true;
-            has_pred[to.index()] = true;
-        }
-        (has_pred, has_succ)
-    }
-
     /// Finalize: deduplicate edges, build CSR adjacency, verify acyclicity
     /// and compute the critical path and total work.
     ///
     /// O(V+E) apart from sorting each task's own successor list: edges
     /// are bucketed by source, each bucket is sorted and deduplicated in
     /// place, and predecessors are filled by walking sources in
-    /// ascending order, so both adjacency lists come out ascending. One
-    /// Kahn pass then proves the graph acyclic and yields every top
-    /// level, whose maximum is the critical path.
+    /// ascending order, so both adjacency lists come out ascending. The
+    /// offset slots serve as their own scatter cursors, so no scratch
+    /// copy of them is made. One order-free pass over a LIFO of ready
+    /// tasks then proves the graph acyclic and keeps the largest top
+    /// level, the critical path (see [`TaskGraph::top_levels`]).
     ///
     /// Errors with [`GraphError::WorkOverflow`] when the weights sum past
     /// `u64::MAX`; since every path is a subset of the tasks, every path
-    /// sum of a built graph then fits too.
+    /// sum of a built graph then fits too. Errors with
+    /// [`GraphError::Cycle`] naming the lowest-id task that no
+    /// topological order can reach.
     pub fn build(self) -> Result<TaskGraph, GraphError> {
         let n = self.weights.len();
         if n == 0 {
@@ -213,18 +213,19 @@ impl GraphBuilder {
             succ_off[i + 1] += succ_off[i];
         }
         let mut succ = vec![TaskId(0); self.edges.len()];
-        {
-            let mut cursor = succ_off[..n].to_vec();
-            for &(from, to) in &self.edges {
-                succ[cursor[from.index()] as usize] = to;
-                cursor[from.index()] += 1;
-            }
+        for &(from, to) in &self.edges {
+            let slot = &mut succ_off[from.index()];
+            succ[*slot as usize] = to;
+            *slot += 1;
         }
+        unshift(succ_off);
         drop(self.edges);
         let mut write = 0usize;
         for i in 0..n {
             let (lo, hi) = (succ_off[i] as usize, succ_off[i + 1] as usize);
-            succ[lo..hi].sort_unstable();
+            if hi - lo > 1 {
+                succ[lo..hi].sort_unstable();
+            }
             let start = write;
             succ_off[i] = start as u32;
             for r in lo..hi {
@@ -247,15 +248,14 @@ impl GraphBuilder {
             pred_off[i + 1] += pred_off[i];
         }
         let mut pred = vec![TaskId(0); succ.len()];
-        {
-            let mut cursor = pred_off[..n].to_vec();
-            for from in 0..n {
-                for &to in &succ[succ_off[from] as usize..succ_off[from + 1] as usize] {
-                    pred[cursor[to.index()] as usize] = TaskId(from as u32);
-                    cursor[to.index()] += 1;
-                }
+        for from in 0..n {
+            for &to in &succ[succ_off[from] as usize..succ_off[from + 1] as usize] {
+                let slot = &mut pred_off[to.index()];
+                pred[*slot as usize] = TaskId(from as u32);
+                *slot += 1;
             }
         }
+        unshift(pred_off);
 
         let mut graph = TaskGraph {
             weights: self.weights.into_boxed_slice(),
@@ -266,10 +266,18 @@ impl GraphBuilder {
             critical_path_cycles: 0,
             total_work_cycles,
         };
-        let top_levels = graph.compute_top_levels()?;
-        graph.critical_path_cycles = top_levels.into_iter().max().unwrap_or(0);
+        graph.critical_path_cycles = graph.top_levels_and_critical_path()?.1;
         Ok(graph)
     }
+}
+
+/// After a scatter that advanced each bucket's start offset `off[i]` to
+/// its end, which is the next bucket's start, shift the offsets back one
+/// place so `off[i]` is bucket `i`'s start again.
+fn unshift(off: &mut [u32]) {
+    let n = off.len() - 1;
+    off.copy_within(0..n, 1);
+    off[0] = 0;
 }
 
 /// An immutable weighted task DAG.
@@ -279,7 +287,8 @@ impl GraphBuilder {
 /// verified at build time; no order is stored, and [`Self::topo_order`]
 /// recomputes one on each call. The critical path and total work are
 /// computed at build time and stored, so their accessors are O(1); the
-/// graph is immutable, so they cannot go stale.
+/// structure is immutable and [`Self::scale_weights`] scales them with
+/// the weights, so they cannot go stale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskGraph {
     weights: Box<[u64]>,
@@ -291,7 +300,7 @@ pub struct TaskGraph {
     offsets: Box<[u32]>,
     succ: Box<[TaskId]>,
     pred: Box<[TaskId]>,
-    /// Longest weighted path, from the Kahn pass in `build`.
+    /// Longest weighted path, from the top-level pass in `build`.
     critical_path_cycles: u64,
     /// Sum of `weights`, checked in `build`.
     total_work_cycles: u64,
@@ -399,11 +408,10 @@ impl TaskGraph {
 
     /// Kahn's algorithm, using the output `Vec` as its own FIFO queue
     /// and taking in-degrees from the predecessor offsets; it yields the
-    /// order documented on [`Self::topo_order`]. `visit(t)` runs as `t`
-    /// is taken from the queue, after every predecessor of `t` was
-    /// visited. Errors with [`GraphError::Cycle`] naming the lowest-id
-    /// task left unordered if the edge relation is cyclic.
-    fn kahn(&self, mut visit: impl FnMut(TaskId)) -> Result<Vec<TaskId>, GraphError> {
+    /// order documented on [`Self::topo_order`]. Errors with
+    /// [`GraphError::Cycle`] naming the lowest-id task left unordered if
+    /// the edge relation is cyclic.
+    fn kahn(&self) -> Result<Vec<TaskId>, GraphError> {
         let n = self.len();
         let pred_off = &self.offsets[n + 1..];
         let mut indeg: Vec<u32> = pred_off.windows(2).map(|w| w[1] - w[0]).collect();
@@ -412,7 +420,6 @@ impl TaskGraph {
         let mut head = 0;
         while let Some(&t) = order.get(head) {
             head += 1;
-            visit(t);
             for &s in self.successors(t) {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
@@ -430,20 +437,50 @@ impl TaskGraph {
         Ok(order)
     }
 
-    /// Every task's top level (see [`Self::top_levels`]), filled in
-    /// during one [`Self::kahn`] pass.
-    pub(crate) fn compute_top_levels(&self) -> Result<Vec<u64>, GraphError> {
-        let mut tl = vec![0u64; self.len()];
-        self.kahn(|t| {
-            let ready = self
+    /// Every task's top level (see [`Self::top_levels`]) and their
+    /// maximum, the critical path, from one pass in no particular order.
+    ///
+    /// Ready tasks wait on a LIFO stack. One buffer serves twice: a
+    /// task's slot holds its count of predecessors not yet taken until
+    /// the task itself is taken, and its top level from then on. A task
+    /// is taken only after all its predecessors, so it reads their
+    /// finished top levels. Any topological order gives the same levels,
+    /// so the stack's order is free. On a cycle some task is never
+    /// taken; only then does [`Self::kahn`] run, for the
+    /// [`GraphError::Cycle`] payload.
+    pub(crate) fn top_levels_and_critical_path(&self) -> Result<(Vec<u64>, u64), GraphError> {
+        let n = self.len();
+        let pred_off = &self.offsets[n + 1..];
+        let mut level: Vec<u64> = pred_off
+            .windows(2)
+            .map(|w| u64::from(w[1] - w[0]))
+            .collect();
+        let mut ready: Vec<TaskId> = Vec::with_capacity(n);
+        ready.extend((0..n as u32).map(TaskId).filter(|t| level[t.index()] == 0));
+        let (mut taken, mut critical_path) = (0usize, 0u64);
+        while let Some(t) = ready.pop() {
+            taken += 1;
+            let start = self
                 .predecessors(t)
                 .iter()
-                .map(|&p| tl[p.index()])
+                .map(|&p| level[p.index()])
                 .max()
                 .unwrap_or(0);
-            tl[t.index()] = ready + self.weight(t);
-        })?;
-        Ok(tl)
+            let finish = start + self.weight(t);
+            level[t.index()] = finish;
+            critical_path = critical_path.max(finish);
+            for &s in self.successors(t) {
+                let missing = &mut level[s.index()];
+                *missing -= 1;
+                if *missing == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        if taken != n {
+            return Err(self.kahn().expect_err("a task was never taken"));
+        }
+        Ok((level, critical_path))
     }
 
     /// The original Kahn pass (a `VecDeque` queue plus a separate output
@@ -486,7 +523,7 @@ impl TaskGraph {
     /// tasks ready at the same time, lower ids need not come first:
     /// sources 0 and 1 with edges `0 → 5` and `1 → 3` give `0, 1, 5, 3`.
     pub fn topo_order(&self) -> Vec<TaskId> {
-        self.kahn(|_| {}).expect("built graphs are acyclic")
+        self.kahn().expect("built graphs are acyclic")
     }
 
     /// Critical path length in cycles (Table 2's *critical path*): the
@@ -509,22 +546,25 @@ impl TaskGraph {
     /// factor, so the critical path and total work are scaled exactly
     /// rather than recomputed. Panics if a scaled weight or the scaled
     /// total work overflows `u64`, in every build profile.
-    pub fn scale_weights(&self, cycles_per_unit: u64) -> TaskGraph {
-        let mut g = self.clone();
-        for w in g.weights.iter_mut() {
+    ///
+    /// Takes the graph by value and scales its weights in place, so it
+    /// allocates nothing; a caller that still needs the unscaled graph
+    /// scales a `.clone()`.
+    pub fn scale_weights(mut self, cycles_per_unit: u64) -> TaskGraph {
+        for w in self.weights.iter_mut() {
             *w = w
                 .checked_mul(cycles_per_unit)
                 .expect("weight scaling overflowed u64");
         }
-        g.total_work_cycles = g
+        self.total_work_cycles = self
             .total_work_cycles
             .checked_mul(cycles_per_unit)
             .expect("scaled total work overflowed u64");
-        g.critical_path_cycles = g
+        self.critical_path_cycles = self
             .critical_path_cycles
             .checked_mul(cycles_per_unit)
             .expect("the critical path is at most the total work");
-        g
+        self
     }
 }
 
@@ -657,6 +697,68 @@ mod tests {
         assert!(
             built > 1000 && cyclic > 100 && rejected > 50,
             "{built} {cyclic} {rejected}"
+        );
+    }
+
+    /// A random builder of 200–2000 tasks whose edges mostly span a few
+    /// ids, so paths run deep and many tasks wait on the ready stack at
+    /// once. About a third of the edges repeat earlier ones; every
+    /// self-loop the draw produces must be rejected. Some builders get a
+    /// few back edges, which close a cycle when a forward path spans
+    /// them. Returns the builder and the number of rejected self-loops.
+    fn large_random_builder(rng: &mut Rng) -> (GraphBuilder, usize) {
+        let n = rng.gen_range(200..=2000u32);
+        let mut b = GraphBuilder::new();
+        for _ in 0..n {
+            b.add_task(rng.gen_range(0..400u64));
+        }
+        let mut added: Vec<(TaskId, TaskId)> = Vec::new();
+        let mut self_loops = 0;
+        for _ in 0..rng.gen_range(n..=4 * n) {
+            let (from, to) = if !added.is_empty() && rng.gen_bool(0.3) {
+                added[rng.gen_range(0..added.len())]
+            } else {
+                let a = rng.gen_range(0..n);
+                let reach = if rng.gen_bool(0.05) { n } else { 40 };
+                (TaskId(a), TaskId((a + rng.gen_range(0..=reach)).min(n - 1)))
+            };
+            if from == to {
+                assert_eq!(b.add_edge(from, to), Err(GraphError::SelfLoop(from)));
+                self_loops += 1;
+                continue;
+            }
+            b.add_edge(from, to).unwrap();
+            added.push((from, to));
+        }
+        if rng.gen_bool(0.4) {
+            for _ in 0..rng.gen_range(1..=3u32) {
+                let a = rng.gen_range(0..n - 1);
+                let c = (a + rng.gen_range(1..=60u32)).min(n - 1);
+                b.add_edge(TaskId(c), TaskId(a)).unwrap();
+            }
+        }
+        (b, self_loops)
+    }
+
+    #[test]
+    fn build_matches_sorting_reference_on_large_graphs() {
+        let (mut built, mut cyclic, mut self_loops) = (0, 0, 0);
+        for seed in 0..40 {
+            let mut rng = Rng::seed_from_u64(0x1A26E ^ seed);
+            let (b, rejected) = large_random_builder(&mut rng);
+            self_loops += rejected;
+            let want = reference_build(b.clone());
+            let got = b.build();
+            assert_eq!(got, want, "seed {seed}");
+            match got {
+                Ok(_) => built += 1,
+                Err(GraphError::Cycle(_)) => cyclic += 1,
+                Err(e) => panic!("seed {seed}: unexpected {e}"),
+            }
+        }
+        assert!(
+            built >= 15 && cyclic >= 5 && self_loops > 0,
+            "{built} {cyclic} {self_loops}"
         );
     }
 

@@ -89,7 +89,7 @@ fn corpus() -> Vec<(String, TaskGraph)> {
         .map(|(name, g)| {
             (
                 format!("{name}/scaled"),
-                g.scale_weights(COARSE_GRAIN_CYCLES_PER_UNIT),
+                g.clone().scale_weights(COARSE_GRAIN_CYCLES_PER_UNIT),
             )
         })
         .collect();

@@ -28,7 +28,7 @@ fn dominance_chain_across_suite() {
     let mut checked = 0;
     for (i, g) in stg_group(60, 4, 77).into_iter().enumerate() {
         for unit in [COARSE_GRAIN_CYCLES_PER_UNIT, FINE_GRAIN_CYCLES_PER_UNIT] {
-            let scaled = g.scale_weights(unit);
+            let scaled = g.clone().scale_weights(unit);
             for factor in [1.5, 2.0, 4.0, 8.0] {
                 let d = deadline(&scaled, factor);
                 let e = |s| {
@@ -178,7 +178,7 @@ fn end_to_end_determinism() {
 fn granularity_controls_shutdown_opportunities() {
     let cfg = cfg();
     let g = proxies::sparse();
-    let coarse = g.scale_weights(COARSE_GRAIN_CYCLES_PER_UNIT);
+    let coarse = g.clone().scale_weights(COARSE_GRAIN_CYCLES_PER_UNIT);
     let fine = g.scale_weights(FINE_GRAIN_CYCLES_PER_UNIT);
     let dc = deadline(&coarse, 2.0);
     let df = deadline(&fine, 2.0);
