@@ -30,8 +30,11 @@
 //! * serve (`--serve-current`, [`SERVE_RULES`]): the schema, six traffic
 //!   counters, four latency percentiles, four saturation figures, a
 //!   differential that ran, checked a nonzero count and matched bit for
-//!   bit, zero server panics; and `saturation.solves_per_sec` at least
-//!   `--min-ratio` of the `--serve-baseline` file's.
+//!   bit, zero server panics; the same-run
+//!   `ratios.saturated_over_inprocess` above 0.2 (the served saturated
+//!   rate against one in-process pass over the same request lines); and
+//!   `saturation.solves_per_sec` at least `--min-ratio` of the
+//!   `--serve-baseline` file's.
 //! * online (`--online-current`, [`ONLINE_RULES`]): the schema, zero
 //!   panics and violations, nonzero workloads, positive reclaimed
 //!   energy, re-solves no costlier than full solves, and the `none`,
@@ -119,6 +122,7 @@ const SERVE_RULES: &[&str] = &[
     "differential.all_bitwise_equal == true | served responses no longer match local solves bit-for-bit",
     "differential.checked != 0 | differential checked zero responses",
     "server.panics == 0 | server caught worker panics during the run",
+    "ratios.saturated_over_inprocess > 0.2 | the served saturated rate fell below 0.2x the same run's in-process solve rate",
 ];
 
 /// A fresh `online` result (`BENCH_online.json` schema).
@@ -640,7 +644,7 @@ mod tests {
         // The scanner found saturation.requests and server.degraded.
         let no_requests = edit(BENCH_SERVE, "\"requests\": 1200,", "");
         assert!(fails(&no_requests, SERVE_RULES));
-        let no_degraded = edit(BENCH_SERVE, "\"degraded\": 292,\n", "");
+        let no_degraded = edit(BENCH_SERVE, "\"degraded\": 420,\n", "");
         assert!(fails(&no_degraded, SERVE_RULES));
     }
 
@@ -659,7 +663,7 @@ mod tests {
 
     #[test]
     fn serve_without_differential_checked_fails() {
-        let broken = edit(BENCH_SERVE, "\"checked\": 1626, ", "");
+        let broken = edit(BENCH_SERVE, "\"checked\": 1711, ", "");
         assert!(fails(&broken, SERVE_RULES));
     }
 
@@ -676,6 +680,18 @@ mod tests {
     }
 
     #[test]
+    fn served_saturation_far_below_its_inprocess_pass_fails() {
+        // The rate floor compares a smoke run with the committed full
+        // workload; the same-run ratio does not depend on either.
+        let slower = edit(
+            BENCH_SERVE,
+            "\"saturated_over_inprocess\": 0.4559734620729905",
+            "\"saturated_over_inprocess\": 0.19",
+        );
+        assert!(fails(&slower, SERVE_RULES));
+    }
+
+    #[test]
     fn zero_baseline_rate_is_a_usage_error() {
         // A zero baseline made the ratio inf, which cleared any floor.
         let solver = edit(
@@ -686,19 +702,19 @@ mod tests {
         assert!(rate(&json(&solver), "f", "after.solves_per_sec").is_err());
         let serve = edit(
             BENCH_SERVE,
-            "\"solves_per_sec\": 7984.769857471296",
+            "\"solves_per_sec\": 16864.73711851742",
             "\"solves_per_sec\": 0",
         );
         assert!(rate(&json(&serve), "f", "saturation.solves_per_sec").is_err());
         let negative = edit(
             BENCH_SERVE,
-            "\"solves_per_sec\": 7984.769857471296",
+            "\"solves_per_sec\": 16864.73711851742",
             "\"solves_per_sec\": -1",
         );
         assert!(rate(&json(&negative), "f", "saturation.solves_per_sec").is_err());
         let infinite = edit(
             BENCH_SERVE,
-            "\"solves_per_sec\": 7984.769857471296",
+            "\"solves_per_sec\": 16864.73711851742",
             "\"solves_per_sec\": 1e999",
         );
         assert!(rate(&json(&infinite), "f", "saturation.solves_per_sec").is_err());
@@ -867,6 +883,8 @@ mod tests {
   "errors": 0,
   "latency_us": {"p50": 150, "p90": 210, "p99": 270, "max": 450},
   "saturation": {"requests": 256, "elapsed_seconds": 0.016, "solves_per_sec": 8200.0, "solved": 136, "rejected": 120},
+  "inprocess": {"lines": 256, "elapsed_seconds": 0.0128, "solves_per_sec": 20000.0},
+  "ratios": {"saturated_over_inprocess": 0.41},
   "differential": {"enabled": true, "checked": 232, "all_bitwise_equal": true},
   "server": {"connections": 2, "requests": 232, "panics": 0}
 }"#;

@@ -28,6 +28,14 @@
 //! phase's solves/s merely echoes the arrival rate when the server
 //! keeps up.
 //!
+//! Once the traffic is over, the generator times one **in-process
+//! pass** over the burst's request lines on its own thread — parse,
+//! solve on a fresh cache, encode the reply, as a worker does — and
+//! records the saturated rate over that pass's rate as
+//! `ratios.saturated_over_inprocess`. Both rates come from the same run
+//! on the same machine, so the ratio moves when the served path slows
+//! down relative to the solver, whatever the machine's speed.
+//!
 //! Results land in `BENCH_serve.json` (`--out`): solves/s, latency
 //! p50/p90/p99/max, ok/degraded/rejected/error counts, the server's own
 //! counters (including the panic counter, which must be 0), and the
@@ -46,8 +54,8 @@ use lamps_core::{
     solve_with_budget_cache, solve_with_cache, SchedulerConfig, SolveBudget, SolveError, Strategy,
 };
 use lamps_serve::protocol::{
-    encode_request, encode_solve_request, parse_response, strategy_wire_name, DeadlineSpec,
-    Request, Response, SolvedResponse,
+    encode_error, encode_request, encode_solve_request, encode_solved, parse_request,
+    parse_response, strategy_wire_name, DeadlineSpec, Limits, Request, Response, SolvedResponse,
 };
 use lamps_serve::{ServeConfig, Server};
 use lamps_taskgraph::gen::layered::stg_group;
@@ -172,6 +180,36 @@ fn solve_error_kind(e: &SolveError) -> &'static str {
         SolveError::Power(_) => "power",
         SolveError::BudgetExhausted { .. } => "budget_exhausted",
     }
+}
+
+/// Seconds of one in-process pass over `lines` on this thread: each is
+/// parsed, solved on a fresh cache and its reply encoded, as a server
+/// worker does, without the wire, the queue or the worker threads.
+fn inprocess_pass_seconds(lines: &[String], cfg: &SchedulerConfig) -> f64 {
+    let limits = Limits::default();
+    let start = Instant::now();
+    for line in lines {
+        let Ok(Request::Solve(req)) = parse_request(line.trim_end(), &limits) else {
+            panic!("loadgen encoded a line its own server would not solve: {line}");
+        };
+        let deadline_s = match req.deadline {
+            DeadlineSpec::Seconds(s) => s,
+            DeadlineSpec::Factor(f) => {
+                f * req.graph.critical_path_cycles() as f64 / cfg.max_frequency()
+            }
+        };
+        let budget = req
+            .budget_steps
+            .map_or_else(SolveBudget::unlimited, SolveBudget::steps);
+        let mut cache = ScheduleCache::for_graph(&req.graph);
+        let reply =
+            match solve_with_budget_cache(req.strategy, deadline_s, cfg, &mut cache, &budget) {
+                Ok(b) => encode_solved(req.id, req.strategy, &b),
+                Err(e) => encode_error(Some(req.id), solve_error_kind(&e), &e.to_string()),
+            };
+        std::hint::black_box(reply);
+    }
+    start.elapsed().as_secs_f64()
 }
 
 /// Re-solve every server response locally and compare bit for bit.
@@ -393,15 +431,18 @@ fn main() {
         streams.push(stream);
     }
 
-    let mut send = |i: usize| {
+    let encode = |i: usize| {
         let plan = &plans[i];
-        let line = encode_solve_request(
+        encode_solve_request(
             i as u64,
             plan.strategy,
             DeadlineSpec::Factor(plan.factor),
             &graphs[plan.graph_idx],
             plan.budget_steps,
-        );
+        )
+    };
+    let mut send = |i: usize| {
+        let line = encode(i);
         shared
             .pending
             .lock()
@@ -550,6 +591,17 @@ fn main() {
         std::process::exit(1);
     }
 
+    // The same-run reference for the saturated rate: the burst's lines,
+    // served in-process once the traffic is over.
+    let burst_lines: Vec<String> = (requests..requests + burst).map(encode).collect();
+    let inprocess_elapsed = inprocess_pass_seconds(&burst_lines, &cfg);
+    let inprocess_solves_per_sec = burst_lines.len() as f64 / inprocess_elapsed.max(1e-9);
+    let saturated_over_inprocess = sat_solves_per_sec / inprocess_solves_per_sec.max(1e-9);
+    println!(
+        "in-process: {} burst lines parsed, solved and encoded in {inprocess_elapsed:.3}s ({inprocess_solves_per_sec:.0} solves/s); saturated/in-process {saturated_over_inprocess:.3}",
+        burst_lines.len()
+    );
+
     let (diff_checked, mismatches) = if differential {
         run_differential(&log, &plans, &graphs, &cfg)
     } else {
@@ -575,6 +627,11 @@ fn main() {
         percentile(&lat, 0.90),
         percentile(&lat, 0.99),
         percentile(&lat, 1.0),
+    );
+    let _ = write!(
+        json,
+        "  \"inprocess\": {{\"lines\": {}, \"elapsed_seconds\": {inprocess_elapsed}, \"solves_per_sec\": {inprocess_solves_per_sec}}},\n  \"ratios\": {{\"saturated_over_inprocess\": {saturated_over_inprocess}}},\n",
+        burst_lines.len(),
     );
     let _ = write!(
         json,

@@ -287,17 +287,21 @@ impl FlightSnapshot {
 
 /// Append one event as a single-line JSON object (no trailing newline).
 pub fn write_event_json(out: &mut String, ev: &FlightEvent) {
-    let _ = write!(
-        out,
-        "{{\"ts_us\": {}, \"tid\": {}, \"kind\": ",
-        ev.ts_us, ev.tid
-    );
+    out.push_str("{\"ts_us\": ");
+    json::write_u64(out, ev.ts_us);
+    out.push_str(", \"tid\": ");
+    json::write_u64(out, ev.tid);
+    out.push_str(", \"kind\": ");
     json::write_string(out, ev.kind);
-    let _ = write!(
-        out,
-        ", \"key\": {}, \"a\": {}, \"b\": {}}}",
-        ev.key, ev.a, ev.b
-    );
+    for (name, value) in [
+        (", \"key\": ", ev.key),
+        (", \"a\": ", ev.a),
+        (", \"b\": ", ev.b),
+    ] {
+        out.push_str(name);
+        json::write_u64(out, value);
+    }
+    out.push('}');
 }
 
 /// Merge every segment into a timestamp-ordered snapshot. Segments are

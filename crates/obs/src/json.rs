@@ -1,5 +1,5 @@
-//! JSON support: escape-correct writing, a pull tokenizer, and a value
-//! tree built on that tokenizer.
+//! JSON support: escape-correct string writing, digit-pair integer
+//! writing, a pull tokenizer, and a value tree built on that tokenizer.
 //!
 //! The workspace is dependency-free by policy, so the observability
 //! exports (metrics snapshots, Chrome traces, solver decision logs) are
@@ -634,12 +634,104 @@ pub fn write_string(out: &mut String, s: &str) {
 
 /// Append `v` to `out` as a JSON number. Non-finite floats (which JSON
 /// cannot represent) become `null`.
+///
+/// Floats go through `core::fmt`, whose shortest round-trip digits are
+/// what lets a reader rebuild the same bits; only integers have a
+/// hand-written writer ([`write_u64`]).
 pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
+}
+
+/// A buffer the integer writers append ASCII to: a `String` for the
+/// encoders that also use `write!`, or a `Vec<u8>` for a line that is
+/// checked as UTF-8 once, when it is complete.
+pub trait AsciiSink {
+    /// Append `ascii`, which holds only bytes below 0x80.
+    fn push_ascii(&mut self, ascii: &[u8]);
+}
+
+impl AsciiSink for String {
+    fn push_ascii(&mut self, ascii: &[u8]) {
+        self.extend(ascii.iter().map(|&b| char::from(b)));
+    }
+}
+
+impl AsciiSink for Vec<u8> {
+    fn push_ascii(&mut self, ascii: &[u8]) {
+        self.extend_from_slice(ascii);
+    }
+}
+
+/// `"00" "01" … "99"`: the two decimal digits of every value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Append `v` in decimal, exactly as `v.to_string()` writes it.
+///
+/// The digits are rendered by [`put_u64_before`] into a 20-byte stack
+/// buffer (`u64::MAX` has 20 digits) and appended in one copy: about
+/// half the cost of `write!(out, "{v}")`, which matters on request lines
+/// that are thousands of integers.
+pub fn write_u64(out: &mut impl AsciiSink, v: u64) {
+    let mut buf = [0u8; 20];
+    let start = put_u64_before(&mut buf, 20, v);
+    out.push_ascii(&buf[start..]);
+}
+
+/// Render `v` in decimal so that its last digit lands at `buf[end - 1]`,
+/// and return the index of its first digit. Two digits per division,
+/// from a lookup table.
+///
+/// This is [`write_u64`]'s core, for a caller that renders several
+/// numbers and their punctuation right to left into one stack buffer
+/// and appends them with one copy.
+///
+/// # Panics
+///
+/// If `buf[..end]` is shorter than the digits (at most 20).
+pub fn put_u64_before(buf: &mut [u8], end: usize, v: u64) -> usize {
+    let mut at = end;
+    let mut put_pair = |at: usize, pair: usize| {
+        buf[at - 2..at].copy_from_slice(&DIGIT_PAIRS[2 * pair..2 * pair + 2]);
+        at - 2
+    };
+    // 64-bit divisions only while the value needs them; task indices
+    // and most weights start below 2^32, where division is cheaper.
+    let mut wide = v;
+    while wide > u64::from(u32::MAX) {
+        at = put_pair(at, (wide % 100) as usize);
+        wide /= 100;
+    }
+    let mut v = wide as u32;
+    while v >= 100 {
+        at = put_pair(at, (v % 100) as usize);
+        v /= 100;
+    }
+    if v >= 10 {
+        put_pair(at, v as usize)
+    } else {
+        buf[at - 1] = b'0' + v as u8;
+        at - 1
+    }
+}
+
+/// Append `v` as 16 lowercase hex digits, zero-padded: what
+/// `format!("{v:016x}")` writes, for the wire's `*_bits` fields.
+pub fn write_hex64(out: &mut impl AsciiSink, v: u64) {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+    let mut buf = [0u8; 16];
+    for (i, b) in buf.iter_mut().enumerate() {
+        *b = NIBBLES[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out.push_ascii(&buf);
 }
 
 #[cfg(test)]
@@ -699,6 +791,67 @@ mod tests {
         out.push(' ');
         write_f64(&mut out, 2.5);
         assert_eq!(out, "null 2.5");
+    }
+
+    /// 0, `u64::MAX`, every `10^k - 1`, `10^k`, `10^k + 1`, and 100,000
+    /// values from a fixed-seed splitmix64 stream, spread over every
+    /// digit count by a random shift.
+    fn integer_cases() -> Vec<u64> {
+        let mut cases = vec![0, u64::MAX];
+        for k in 0..20 {
+            let p = 10u64.pow(k);
+            cases.extend([p - 1, p, p + 1]);
+        }
+        let mut state = 0x5eed_u64;
+        for _ in 0..100_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            cases.push(z >> (z % 64));
+        }
+        cases
+    }
+
+    #[test]
+    fn write_u64_matches_to_string() {
+        let mut text = String::new();
+        let mut bytes = Vec::new();
+        for v in integer_cases() {
+            text.clear();
+            bytes.clear();
+            write_u64(&mut text, v);
+            write_u64(&mut bytes, v);
+            let want = v.to_string();
+            assert_eq!(text, want, "String sink, v={v}");
+            assert_eq!(bytes, want.as_bytes(), "Vec<u8> sink, v={v}");
+        }
+    }
+
+    #[test]
+    fn write_hex64_matches_padded_hex_format() {
+        let mut text = String::new();
+        let mut bytes = Vec::new();
+        for v in integer_cases() {
+            text.clear();
+            bytes.clear();
+            write_hex64(&mut text, v);
+            write_hex64(&mut bytes, v);
+            let want = format!("{v:016x}");
+            assert_eq!(text, want, "String sink, v={v:#x}");
+            assert_eq!(bytes, want.as_bytes(), "Vec<u8> sink, v={v:#x}");
+        }
+    }
+
+    #[test]
+    fn integer_writers_append() {
+        let mut out = String::from("[");
+        write_u64(&mut out, 7);
+        out.push(',');
+        write_hex64(&mut out, 0xab);
+        out.push(']');
+        assert_eq!(out, "[7,00000000000000ab]");
     }
 
     #[test]

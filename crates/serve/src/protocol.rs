@@ -59,7 +59,10 @@
 //! schema does not name are ignored.
 
 use lamps_core::{BudgetedSolution, Completeness, Strategy};
-use lamps_obs::json::{parse, write_string, Event, ParseError, Str, Tokenizer, Value};
+use lamps_obs::json::{
+    parse, put_u64_before, write_hex64, write_string, write_u64, Event, ParseError, Str, Tokenizer,
+    Value,
+};
 use lamps_taskgraph::{GraphBuilder, TaskGraph, TaskId};
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -655,44 +658,54 @@ pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, ProtoError>
 
 fn push_id(out: &mut String, id: Option<u64>) {
     match id {
-        Some(id) => {
-            let _ = write!(out, "{{\"id\":{id}");
-        }
+        Some(id) => push_u64(out, "{\"id\":", id),
         None => out.push_str("{\"id\":null"),
     }
+}
+
+/// Append `prefix` (a key and its punctuation), then `value`.
+fn push_u64(out: &mut String, prefix: &str, value: u64) {
+    out.push_str(prefix);
+    write_u64(out, value);
+}
+
+/// Append `prefix`, then `bits` as a quoted 16-digit hex string.
+fn push_bits(out: &mut String, prefix: &str, bits: u64) {
+    out.push_str(prefix);
+    out.push('"');
+    write_hex64(out, bits);
+    out.push('"');
 }
 
 /// Encode a solved (complete or degraded) response.
 pub fn encode_solved(req_id: u64, strategy: Strategy, b: &BudgetedSolution) -> String {
     let s = &b.solution;
+    let e = &s.energy;
     let mut out = String::with_capacity(384);
     push_id(&mut out, Some(req_id));
-    let status = if b.completeness.is_complete() {
-        "ok"
+    out.push_str(if b.completeness.is_complete() {
+        ",\"status\":\"ok\",\"strategy\":\""
     } else {
-        "degraded"
-    };
+        ",\"status\":\"degraded\",\"strategy\":\""
+    });
+    out.push_str(strategy_wire_name(strategy));
+    push_u64(&mut out, "\",\"n_procs\":", s.n_procs as u64);
+    let _ = write!(out, ",\"vdd\":{},\"freq_hz\":{}", s.level.vdd, s.level.freq);
+    push_bits(&mut out, ",\"freq_bits\":", s.level.freq.to_bits());
+    let _ = write!(out, ",\"energy_j\":{}", e.total());
+    push_bits(&mut out, ",\"energy_bits\":", e.total().to_bits());
     let _ = write!(
         out,
-        ",\"status\":\"{status}\",\"strategy\":\"{}\",\"n_procs\":{},\"vdd\":{},\"freq_hz\":{},\"freq_bits\":\"{:016x}\",\"energy_j\":{},\"energy_bits\":\"{:016x}\",\"active_j\":{},\"idle_j\":{},\"sleep_j\":{},\"transition_j\":{},\"sleep_episodes\":{},\"makespan_cycles\":{},\"makespan_s\":{},\"steps\":{}",
-        strategy_wire_name(strategy),
-        s.n_procs,
-        s.level.vdd,
-        s.level.freq,
-        s.level.freq.to_bits(),
-        s.energy.total(),
-        s.energy.total().to_bits(),
-        s.energy.active_j,
-        s.energy.idle_j,
-        s.energy.sleep_j,
-        s.energy.transition_j,
-        s.energy.sleep_episodes,
-        s.makespan_cycles,
-        s.makespan_s,
-        b.steps,
+        ",\"active_j\":{},\"idle_j\":{},\"sleep_j\":{},\"transition_j\":{}",
+        e.active_j, e.idle_j, e.sleep_j, e.transition_j,
     );
+    push_u64(&mut out, ",\"sleep_episodes\":", e.sleep_episodes as u64);
+    push_u64(&mut out, ",\"makespan_cycles\":", s.makespan_cycles);
+    let _ = write!(out, ",\"makespan_s\":{}", s.makespan_s);
+    push_u64(&mut out, ",\"steps\":", b.steps);
     if let Completeness::Degraded { explored, total } = b.completeness {
-        let _ = write!(out, ",\"explored\":{explored},\"total\":{total}");
+        push_u64(&mut out, ",\"explored\":", explored);
+        push_u64(&mut out, ",\"total\":", total);
     }
     out.push_str("}\n");
     out
@@ -712,19 +725,34 @@ pub fn encode_error(id: Option<u64>, kind: &str, message: &str) -> String {
 
 /// Encode an admission-control rejection (`status: "overloaded"`).
 pub fn encode_overloaded(id: u64, queue_depth: usize, queue_capacity: usize) -> String {
-    format!(
-        "{{\"id\":{id},\"status\":\"overloaded\",\"queue_depth\":{queue_depth},\"queue_capacity\":{queue_capacity}}}\n"
-    )
+    let mut out = String::with_capacity(96);
+    push_id(&mut out, Some(id));
+    push_u64(
+        &mut out,
+        ",\"status\":\"overloaded\",\"queue_depth\":",
+        queue_depth as u64,
+    );
+    push_u64(&mut out, ",\"queue_capacity\":", queue_capacity as u64);
+    out.push_str("}\n");
+    out
+}
+
+/// A reply that is an id and a status, nothing else.
+fn encode_bare_status(id: u64, tail: &str) -> String {
+    let mut out = String::with_capacity(48);
+    push_id(&mut out, Some(id));
+    out.push_str(tail);
+    out
 }
 
 /// Encode the reply to a `ping`.
 pub fn encode_pong(id: u64) -> String {
-    format!("{{\"id\":{id},\"status\":\"pong\"}}\n")
+    encode_bare_status(id, ",\"status\":\"pong\"}\n")
 }
 
 /// Encode the acknowledgement of a `shutdown` request.
 pub fn encode_shutdown_ack(id: u64) -> String {
-    format!("{{\"id\":{id},\"status\":\"shutting_down\"}}\n")
+    encode_bare_status(id, ",\"status\":\"shutting_down\"}\n")
 }
 
 /// Quantile summary of one histogram, as it crosses the wire.
@@ -808,29 +836,21 @@ fn write_quantile(out: &mut String, key: &str, q: Option<f64>) {
 /// `lamps_verify::serve::check_response_line`.
 pub fn encode_telemetry_body(id: u64, status: &str, body: &TelemetryBody) -> String {
     let mut out = String::with_capacity(128 + (body.counters.len() + body.gauges.len()) * 32);
-    let _ = write!(out, "{{\"id\":{id},\"status\":\"{status}\",\"counters\":{{");
-    for (i, (name, value)) in body.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_string(&mut out, name);
-        let _ = write!(out, ":{value}");
-    }
+    push_id(&mut out, Some(id));
+    out.push_str(",\"status\":\"");
+    out.push_str(status);
+    out.push_str("\",\"counters\":{");
+    write_name_u64_map(&mut out, &body.counters);
     out.push_str("},\"gauges\":{");
-    for (i, (name, value)) in body.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_string(&mut out, name);
-        let _ = write!(out, ":{value}");
-    }
+    write_name_u64_map(&mut out, &body.gauges);
     out.push_str("},\"histograms\":{");
     for (i, h) in body.histograms.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         write_string(&mut out, &h.name);
-        let _ = write!(out, ":{{\"count\":{},\"sum\":{}", h.count, h.sum);
+        push_u64(&mut out, ":{\"count\":", h.count);
+        push_u64(&mut out, ",\"sum\":", h.sum);
         write_quantile(&mut out, "p50", h.p50);
         write_quantile(&mut out, "p90", h.p90);
         write_quantile(&mut out, "p99", h.p99);
@@ -838,6 +858,17 @@ pub fn encode_telemetry_body(id: u64, status: &str, body: &TelemetryBody) -> Str
     }
     out.push_str("}}\n");
     out
+}
+
+/// The members of a `counters` or `gauges` object, without its braces.
+fn write_name_u64_map(out: &mut String, entries: &[(String, u64)]) {
+    for (i, (name, value)) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_string(out, name);
+        push_u64(out, ":", *value);
+    }
 }
 
 /// Encode the reply to a `stats` request.
@@ -854,10 +885,9 @@ pub fn encode_telemetry(id: u64, body: &TelemetryBody) -> String {
 /// in-process journal, oldest first, in dump-file event schema.
 pub fn encode_flight(id: u64, events: &[lamps_obs::FlightEvent], dropped: u64) -> String {
     let mut out = String::with_capacity(64 + events.len() * 96);
-    let _ = write!(
-        out,
-        "{{\"id\":{id},\"status\":\"flight\",\"dropped\":{dropped},\"events\":["
-    );
+    push_id(&mut out, Some(id));
+    push_u64(&mut out, ",\"status\":\"flight\",\"dropped\":", dropped);
+    out.push_str(",\"events\":[");
     for (i, ev) in events.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -1141,9 +1171,42 @@ fn parse_telemetry_body(root: &Value) -> Result<TelemetryBody, String> {
     })
 }
 
+/// Bytes of a solve line outside its deadline number and graph arrays:
+/// every key and all punctuation, the longest strategy name, and a
+/// 20-digit id and budget (`u64::MAX` has 20 digits).
+const SOLVE_HEAD_BYTES: usize = r#"{"id":,"op":"solve","strategy":"lamps_ps","deadline_factor":,"budget_steps":,"graph":{"weights":[],"edges":[]}}"#
+    .len()
+    + "\n".len()
+    + 2 * 20;
+
+/// Decimal digits of `v`.
+fn decimal_digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Bytes `core::fmt` writes for `v`, counted without storing them.
+fn display_len(v: f64) -> usize {
+    struct Count(usize);
+    impl std::fmt::Write for Count {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut count = Count(0);
+    let _ = write!(count, "{v}");
+    count.0
+}
+
 /// Render a solve request line — the client-side inverse of
 /// [`parse_request`], shared by the load generator and the tests so
 /// both speak exactly the schema the server validates.
+///
+/// One allocation: the line is written as bytes into a buffer reserved
+/// from an upper bound (the widest weight's digits for every weight,
+/// the widest task index's digits for both ends of every edge), then
+/// checked as UTF-8 once. Integers go through [`write_u64`]; the
+/// deadline keeps `core::fmt`'s shortest round-trip digits.
 pub fn encode_solve_request(
     id: u64,
     strategy: Strategy,
@@ -1151,39 +1214,59 @@ pub fn encode_solve_request(
     graph: &TaskGraph,
     budget_steps: Option<u64>,
 ) -> String {
-    let mut out = String::with_capacity(64 + graph.len() * 10 + graph.edge_count() * 8);
-    let _ = write!(
-        out,
-        "{{\"id\":{id},\"op\":\"solve\",\"strategy\":\"{}\",",
-        strategy_wire_name(strategy)
-    );
-    match deadline {
-        DeadlineSpec::Seconds(s) => {
-            let _ = write!(out, "\"deadline_s\":{s},");
-        }
-        DeadlineSpec::Factor(f) => {
-            let _ = write!(out, "\"deadline_factor\":{f},");
-        }
-    }
+    let (deadline_key, deadline) = match deadline {
+        DeadlineSpec::Seconds(s) => ("\"deadline_s\":", s),
+        DeadlineSpec::Factor(f) => ("\"deadline_factor\":", f),
+    };
+    let widest_weight = graph.weights().iter().copied().max().unwrap_or(0);
+    let widest_index = graph.len().saturating_sub(1) as u64;
+    // Each weight is followed by at most one comma; each edge is
+    // `[from,to]` plus at most one comma.
+    let bound = SOLVE_HEAD_BYTES
+        + display_len(deadline)
+        + graph.len() * (decimal_digits(widest_weight) + 1)
+        + graph.edge_count() * (2 * decimal_digits(widest_index) + 4);
+    let mut out = Vec::with_capacity(bound);
+    out.extend_from_slice(b"{\"id\":");
+    write_u64(&mut out, id);
+    out.extend_from_slice(b",\"op\":\"solve\",\"strategy\":\"");
+    out.extend_from_slice(strategy_wire_name(strategy).as_bytes());
+    out.extend_from_slice(b"\",");
+    out.extend_from_slice(deadline_key.as_bytes());
+    let _ = std::io::Write::write_fmt(&mut out, format_args!("{deadline},"));
     if let Some(steps) = budget_steps {
-        let _ = write!(out, "\"budget_steps\":{steps},");
+        out.extend_from_slice(b"\"budget_steps\":");
+        write_u64(&mut out, steps);
+        out.push(b',');
     }
-    out.push_str("\"graph\":{\"weights\":[");
-    for (i, w) in graph.weights().iter().enumerate() {
+    out.extend_from_slice(b"\"graph\":{\"weights\":[");
+    for (i, &w) in graph.weights().iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        let _ = write!(out, "{w}");
+        write_u64(&mut out, w);
     }
-    out.push_str("],\"edges\":[");
-    for (i, (from, to)) in graph.edges().enumerate() {
-        if i > 0 {
-            out.push(',');
+    out.extend_from_slice(b"],\"edges\":[");
+    // Each edge is rendered right to left as `,[from,to]` into one
+    // stack buffer and appended in one copy (the first without its
+    // comma), not in five appends.
+    let mut edge = [0u8; 44];
+    let mut skip = 1;
+    for from in graph.tasks() {
+        for to in graph.successors(from) {
+            let mut at = edge.len() - 1;
+            edge[at] = b']';
+            at = put_u64_before(&mut edge, at, to.index() as u64) - 1;
+            edge[at] = b',';
+            at = put_u64_before(&mut edge, at, from.index() as u64) - 2;
+            edge[at..at + 2].copy_from_slice(b",[");
+            out.extend_from_slice(&edge[at + skip..]);
+            skip = 0;
         }
-        let _ = write!(out, "[{},{}]", from.index(), to.index());
     }
-    out.push_str("]}}\n");
-    out
+    out.extend_from_slice(b"]}}\n");
+    debug_assert!(out.len() <= bound, "{} > {bound}", out.len());
+    String::from_utf8(out).expect("ASCII keys and digits, and core::fmt's float text")
 }
 
 /// Render any request as one line (with its newline) — the client-side
