@@ -72,7 +72,6 @@ const SOLVER_RULES: &[&str] = &[
     "after.stages.sweep_seconds",
     "after.stages.unpruned_reference_seconds",
     "after.counters.plateau_hits",
-    "after.counters.probes_pruned",
     "after.counters.candidates",
     "after.counters.scan_breaks",
     "after.counters.list_schedule_runs",
@@ -798,7 +797,7 @@ mod tests {
   "after": {
     "solves_per_sec": 4400.0,
     "stages": {"schedule_seconds": 0.09, "sweep_seconds": 0.04, "unpruned_reference_seconds": 0.6},
-    "counters": {"plateau_hits": 1710, "probes_pruned": 0, "candidates": 2786, "scan_breaks": 216, "list_schedule_runs": 506, "list_schedule_tasks": 650000}
+    "counters": {"plateau_hits": 1710, "candidates": 2786, "scan_breaks": 216, "list_schedule_runs": 506, "list_schedule_tasks": 650000}
   },
   "all_bitwise_equal": true
 }"#;

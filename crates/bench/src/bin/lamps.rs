@@ -19,7 +19,7 @@
 //! Observability: `--trace <json>` writes a Chrome trace-event file
 //! (open in Perfetto / `chrome://tracing`), `--explain` prints the
 //! solver decision log as text, `--explain-json <file>` writes it as
-//! `lamps-explain-v2` JSON, and `--metrics` dumps the metrics registry
+//! `lamps-explain-v3` JSON, and `--metrics` dumps the metrics registry
 //! after the run. The old per-cycle power CSV moved to `--power-trace`.
 
 use lamps_bench::cli::{or_die, Options};

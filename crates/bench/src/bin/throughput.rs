@@ -25,7 +25,7 @@
 //! minus warm pass), `sweep_seconds` (a warm pass over pre-built
 //! caches: feasibility search + level sweeps only), and the untimed-
 //! path `unpruned_reference_seconds`, plus one workload's worth of
-//! cache/prune counters (plateau hits, probes pruned, scan breaks,
+//! cache/prune counters (plateau hits, scan breaks,
 //! candidates). `ratios.unpruned_over_pruned` is the same-run speedup of
 //! the production engine over the unpruned reference (both timed in this
 //! process on this workload), the figure CI gates, since a rate compared
@@ -34,7 +34,7 @@
 //! Observability: `--trace <json>` writes a Chrome trace, `--metrics-out
 //! <json>` dumps the metrics registry (including a
 //! `bench.throughput.solves_per_sec` gauge), and `--explain <json>`
-//! writes one sample `lamps-explain-v2` decision log for CI validation.
+//! writes one sample `lamps-explain-v3` decision log for CI validation.
 //! Enabling tracing from the start perturbs the timed passes; the
 //! recorded figures are only meaningful without `--trace`.
 
@@ -192,13 +192,12 @@ struct Counters {
     values: [u64; COUNTER_NAMES.len()],
 }
 
-const COUNTER_NAMES: [(&str, &str); 11] = [
+const COUNTER_NAMES: [(&str, &str); 10] = [
     ("schedule_hits", "core.cache.schedule_hits"),
     ("schedule_misses", "core.cache.schedule_misses"),
     ("summary_hits", "core.cache.summary_hits"),
     ("summary_misses", "core.cache.summary_misses"),
     ("plateau_hits", "core.cache.plateau_hits"),
-    ("probes_pruned", "core.cache.probes_pruned"),
     ("candidates", "core.scan.candidates"),
     ("parallel_candidates", "core.scan.parallel_candidates"),
     ("scan_breaks", "core.prune.scan_breaks"),

@@ -6,7 +6,7 @@
 //!
 //! Runs the `lamps-verify` checkers over the given files: Chrome
 //! trace-event JSON (as written by `--trace` on the bins) and
-//! `lamps-explain-v2` solver decision logs (as written by
+//! `lamps-explain-v3` solver decision logs (as written by
 //! `--explain-json`). Prints every problem found and exits nonzero if
 //! any file fails, so CI can gate on the artifacts actually being
 //! loadable rather than merely existing.

@@ -69,10 +69,6 @@ pub struct CacheStats {
     /// existed for the count and none was built (see
     /// [`ScheduleCache::makespan`]).
     pub plateau_hits: u64,
-    /// Binary-search probes skipped because the work/critical-path lower
-    /// bound already proved the count infeasible (see
-    /// [`ScheduleCache::min_feasible_procs_with`]).
-    pub probes_pruned: u64,
 }
 
 impl CacheStats {
@@ -96,7 +92,6 @@ impl CacheStats {
             summary_hits: self.summary_hits - earlier.summary_hits,
             summary_misses: self.summary_misses - earlier.summary_misses,
             plateau_hits: self.plateau_hits - earlier.plateau_hits,
-            probes_pruned: self.probes_pruned - earlier.probes_pruned,
         }
     }
 }
@@ -194,10 +189,9 @@ impl<'g> ScheduleCache<'g> {
     }
 
     /// Disable the cache's scheduling shortcuts, making the reference
-    /// path exhaustive. Exactly three shortcuts are controlled: the
-    /// width-plateau makespan answer ([`Self::makespan`]), the
-    /// lower-bound probe skip in [`Self::min_feasible_procs_with`], and
-    /// the critical-path early stop in [`Self::max_useful_procs_with`].
+    /// path exhaustive. Exactly two shortcuts are controlled: the
+    /// width-plateau makespan answer ([`Self::makespan`]) and the
+    /// critical-path early stop in [`Self::max_useful_procs_with`].
     /// With the flag off, every probe is answered by a real
     /// list-scheduling run and every scan runs to its plain
     /// strict-decrease termination. The differential suite uses this to
@@ -216,30 +210,14 @@ impl<'g> ScheduleCache<'g> {
         self.shortcuts_enabled
     }
 
-    /// Test-only mutation hook: compute `LB(m)` as if for `m − 1`
-    /// processors, the classic off-by-one that turns sound pruning into
-    /// over-pruning. The verification gauntlet proves the differential
-    /// suite catches it; never enable outside tests.
+    /// Test-only mutation hook: seed the binary search of
+    /// [`Self::min_feasible_procs_with`] with `LB(m)` computed as if for
+    /// `m − 1` processors, the classic off-by-one that turns a sound
+    /// lower bound into over-pruning. The verification gauntlet proves
+    /// the differential suite catches it; never enable outside tests.
     #[doc(hidden)]
     pub fn mutate_lb_off_by_one_for_tests(&mut self) {
         self.lb_off_by_one = true;
-    }
-
-    /// `LB(n) = max(critical_path, ⌈total_work / n⌉)`: no schedule on
-    /// `n` processors can finish sooner (the standard makespan lower
-    /// bound). Computed from the graph's stored totals — no scheduling.
-    pub fn lower_bound_cycles(&self, n: usize) -> u64 {
-        assert!(n >= 1, "need at least one processor");
-        let n = if self.lb_off_by_one {
-            // Deliberately wrong divisor, reachable only through the
-            // test hook above.
-            n.saturating_sub(1).max(1)
-        } else {
-            n
-        };
-        let g = self.graph;
-        g.critical_path_cycles()
-            .max(g.total_work_cycles().div_ceil(n as u64))
     }
 
     /// The underlying graph.
@@ -328,15 +306,6 @@ impl<'g> ScheduleCache<'g> {
             .collect()
     }
 
-    /// Both the schedule and its idle summary on `n` processors.
-    pub fn schedule_and_summary(&mut self, n: usize) -> (&Schedule, &IdleSummary) {
-        self.ensure_summary(n);
-        (
-            self.memo[n - 1].as_ref().expect("just ensured"),
-            self.summaries[n - 1].as_ref().expect("just ensured"),
-        )
-    }
-
     /// Number of list-scheduling runs performed so far — the `T_ls`
     /// multiplier of the paper's §4.2 complexity formula
     /// `T_LAMPS = log₂(N_upb − N_lwb)·T_ls + M·T_ls`.
@@ -422,51 +391,45 @@ impl<'g> ScheduleCache<'g> {
     /// (binary search on `[⌈work/D⌉, |V|]`, §4.2). `None` if even `|V|`
     /// processors miss the deadline.
     pub fn min_feasible_procs(&mut self, deadline_cycles: u64) -> Option<usize> {
-        self.min_feasible_procs_with(deadline_cycles, &mut |_, _, _| {})
+        self.min_feasible_procs_with(deadline_cycles, &mut |c, n| {
+            c.makespan(n) <= deadline_cycles
+        })
     }
 
-    /// [`Self::min_feasible_procs`], reporting each probed count to
-    /// `probe(n, makespan_cycles, was_cached)` in probe order.
+    /// The §4.2 binary search under any feasibility test: the minimal
+    /// count in `[⌈work/bound_cycles⌉, |V|]` that `feasible(cache, n)`
+    /// accepts, assuming acceptance is monotone in the count. `|V|` is
+    /// probed first; `None` if it is rejected (or `bound_cycles` is 0).
     pub fn min_feasible_procs_with(
         &mut self,
-        deadline_cycles: u64,
-        probe: &mut dyn FnMut(usize, u64, bool),
+        bound_cycles: u64,
+        feasible: &mut dyn FnMut(&mut Self, usize) -> bool,
     ) -> Option<usize> {
         let n_upb = self.graph.len().max(1);
-        let n_lwb = self
-            .graph
-            .min_processors_lower_bound(deadline_cycles)?
-            .min(n_upb);
-        let cached = self.is_cached(n_upb);
-        let upb_makespan = self.makespan(n_upb);
-        probe(n_upb, upb_makespan, cached);
-        if upb_makespan > deadline_cycles {
+        let mut n_lwb = self.graph.min_processors_lower_bound(bound_cycles)?;
+        if self.lb_off_by_one {
+            // Deliberately wrong seed, reachable only through the test
+            // hook: the smallest `n` with `LB(n − 1) ≤ bound`.
+            n_lwb += 1;
+        }
+        if !feasible(self, n_upb) {
             return None;
         }
-        let (mut lo, mut hi) = (n_lwb, n_upb);
+        let (mut lo, mut hi) = (n_lwb.min(n_upb), n_upb);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            // LB(mid) > D proves the probe infeasible without running
-            // the scheduler (the real makespan can only be larger).
-            // `n_lwb` is already the smallest count whose lower bound
-            // fits, so this only fires when the lower-bound seeding and
-            // the probe ladder disagree — it is a guard, and the hook
-            // for the gauntlet's off-by-one mutation check.
-            if self.shortcuts_enabled && self.lower_bound_cycles(mid) > deadline_cycles {
-                self.stats.probes_pruned += 1;
-                lo = mid + 1;
-                continue;
-            }
-            let cached = self.is_cached(mid);
-            let m = self.makespan(mid);
-            probe(mid, m, cached);
-            if m <= deadline_cycles {
+            if feasible(self, mid) {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
         Some(lo)
+    }
+
+    /// The cache's EDF keys (per-task solves: the latest finish times).
+    pub(crate) fn keys(&self) -> &[u64] {
+        &self.keys
     }
 }
 
@@ -511,8 +474,8 @@ mod tests {
         let mut c = ScheduleCache::new(&g, 20);
         let direct = IdleSummary::new(&c.schedule_arc(2));
         assert_eq!(*c.summary(2), direct);
-        let (s, sum) = c.schedule_and_summary(2);
-        assert_eq!(sum.makespan_cycles(), s.makespan_cycles());
+        let makespan = c.schedule(2).makespan_cycles();
+        assert_eq!(c.summary(2).makespan_cycles(), makespan);
         assert_eq!(c.list_scheduling_runs(), 1);
     }
 
@@ -609,7 +572,6 @@ mod tests {
                 summary_hits: 0,
                 summary_misses: 2,
                 plateau_hits: 1,
-                probes_pruned: 0,
             }
         );
         assert_eq!(
@@ -620,20 +582,17 @@ mod tests {
                 summary_hits: 2,
                 summary_misses: 0,
                 plateau_hits: 1,
-                probes_pruned: 0,
             }
         );
     }
 
     #[test]
-    fn probes_pruned_counts_only_when_the_guard_fires() {
-        // Diagnosis of the benched `probes_pruned: 0`: the in-search
-        // lower-bound guard can only fire when the LB seeding of the
-        // binary-search range and the per-probe LB ladder *disagree* —
-        // impossible in production, where both derive from the same
-        // `LB(n) = max(CPL, ⌈W/n⌉)`. Eight independent 10-cycle tasks
-        // under deadline 20: the search probes counts 8, 6, 5, 4 and
-        // never trips the guard.
+    fn off_by_one_seed_over_prunes_the_search() {
+        // Eight independent 10-cycle tasks under deadline 20: the sound
+        // seed ⌈80/20⌉ = 4 is the true minimum. The gauntlet's off-by-one
+        // mutation seeds the search as if LB were computed for n − 1
+        // processors, starts at 5, and over-prunes to 5 — the divergence
+        // the differential suite exists to catch.
         let mut b = GraphBuilder::new();
         for _ in 0..8 {
             b.add_task(10);
@@ -641,20 +600,9 @@ mod tests {
         let g = b.build().unwrap();
         let mut c = ScheduleCache::new(&g, 20);
         assert_eq!(c.min_feasible_procs(20), Some(4));
-        assert_eq!(
-            c.stats().probes_pruned,
-            0,
-            "a sound lower bound never prunes a probe the seeding admitted"
-        );
-        // The gauntlet's off-by-one mutation is exactly such a
-        // disagreement: LB is computed as if for n − 1 processors, so
-        // the probe at 4 evaluates ⌈80/3⌉ = 27 > 20, the guard fires
-        // (counter moves), and the search over-prunes to 5 — the
-        // divergence the differential suite exists to catch.
         let mut m = ScheduleCache::new(&g, 20);
         m.mutate_lb_off_by_one_for_tests();
         assert_eq!(m.min_feasible_procs(20), Some(5));
-        assert_eq!(m.stats().probes_pruned, 1, "the guard must be counted");
     }
 
     #[test]
@@ -707,16 +655,18 @@ mod tests {
 
     #[test]
     fn lower_bound_is_sound_and_tight_on_fig4a() {
-        // LB(n) = max(CPL, ceil(W/n)) must never exceed the true
-        // makespan, and for fig4a it is exact at n = 1 (work-bound) and
-        // n = 2 (CPL-bound).
+        // The binary search's seed ⌈W/D⌉ never exceeds the smallest
+        // feasible count, and for fig4a it is exact at D = 18 (one
+        // processor, work-bound) and D = 10 (two, CPL-bound).
         let g = fig4a();
         let mut c = ScheduleCache::for_graph(&g);
-        for n in 1..=g.len() {
-            assert!(c.lower_bound_cycles(n) <= c.makespan(n), "n {n}");
+        for d in 10..=40u64 {
+            let seed = g.min_processors_lower_bound(d).unwrap();
+            let min = (1..=g.len()).find(|&n| c.makespan(n) <= d).unwrap();
+            assert!(seed <= min, "deadline {d}: seed {seed} > {min}");
         }
-        assert_eq!(c.lower_bound_cycles(1), 18); // total work
-        assert_eq!(c.lower_bound_cycles(2), 10); // critical path
+        assert_eq!(g.min_processors_lower_bound(18), Some(1));
+        assert_eq!(g.min_processors_lower_bound(10), Some(2));
         assert_eq!(c.makespan(1), 18);
         assert_eq!(c.makespan(2), 10);
     }

@@ -2,10 +2,10 @@
 //!
 //! A uniform deadline (§3.1's frame-based model) is a special case; an
 //! unrolled Kahn Process Network instead pins each copy of an output
-//! process to its own deadline (Fig. 1). This solver runs the same four
-//! strategies against a *vector* of deadlines: the schedule is feasible
-//! at a level `f` iff every task finishes by its own latest finish time,
-//! i.e.
+//! process to its own deadline (Fig. 1). [`solve_with_deadlines`] runs
+//! the same four strategies against a *vector* of deadlines: the
+//! schedule is feasible at a level `f` iff every task finishes by its
+//! own latest finish time, i.e.
 //!
 //! ```text
 //! finish(t)/f ≤ lf(t)/f_max   for all t
@@ -16,13 +16,19 @@
 //! ratio rather than the makespan alone. Energy is accounted up to the
 //! stream horizon (the latest deadline), after which the platform can
 //! power off entirely.
+//!
+//! This module holds no search of its own. [`solve_with_deadlines`]
+//! builds a schedule cache keyed by the latest finish times and hands it
+//! to the one §4.2 search in [`crate::solve`](mod@crate::solve) under
+//! the per-task deadline model, which swaps in the feasibility test, the
+//! required frequency, the billing horizon and the error above
+//! (DESIGN.md §11, "Deadline models").
 
 use crate::cache::ScheduleCache;
 use crate::config::SchedulerConfig;
-use crate::solve::{best_level, Candidate};
+use crate::solve::{solve_impl, DeadlineModel};
 use crate::types::{Solution, SolveError, Strategy};
 use lamps_sched::deadlines::latest_finish_times_with;
-use lamps_sched::Schedule;
 use lamps_taskgraph::TaskGraph;
 
 /// A per-task deadline specification, in cycles at the maximum
@@ -61,33 +67,10 @@ impl DeadlineVector {
     }
 }
 
-/// The minimum frequency at which `schedule` meets every latest finish
-/// time, as a fraction of `f_max` times `f_max` \[Hz\].
-fn required_frequency(schedule: &Schedule, lf: &[u64], f_max: f64) -> f64 {
-    let mut req: f64 = 0.0;
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..lf.len() {
-        let t = lamps_taskgraph::TaskId(i as u32);
-        let finish = schedule.finish(t) as f64;
-        // lf ≥ weight ≥ 0; lf == 0 only for zero-weight tasks due at 0,
-        // which any frequency satisfies (finish == 0 too, or infeasible).
-        if lf[i] > 0 {
-            req = req.max(finish * f_max / lf[i] as f64);
-        } else if finish > 0.0 {
-            req = f64::INFINITY;
-        }
-    }
-    req
-}
-
-/// Whether the schedule meets every latest finish time at the maximum
-/// frequency (the feasibility test of the processor-count searches).
-fn feasible_at_fmax(schedule: &Schedule, lf: &[u64]) -> bool {
-    (0..lf.len()).all(|i| schedule.finish(lamps_taskgraph::TaskId(i as u32)) <= lf[i])
-}
-
-/// Solve with per-task deadlines. Mirrors [`crate::solve::solve`] exactly for
-/// [`DeadlineVector::uniform`] inputs.
+/// Solve with per-task deadlines. Agrees with [`crate::solve::solve`] on
+/// [`DeadlineVector::uniform`] inputs in processor count, and in energy
+/// to within a few ulps (the two rules derive the required frequency and
+/// the billing horizon by different float paths).
 /// # Example
 ///
 /// ```
@@ -117,112 +100,44 @@ pub fn solve_with_deadlines(
     deadlines: &DeadlineVector,
     cfg: &SchedulerConfig,
 ) -> Result<Solution, SolveError> {
+    solve_per_task(strategy, graph, deadlines, cfg, true)
+}
+
+/// The reference engine for [`solve_with_deadlines`]: the same search
+/// on a cache with its shortcuts, and with them every pruning rule,
+/// turned off (see [`crate::solve_with_cache_unpruned`]). The fuzzer's
+/// online cases run it as the oracle the pruned per-task solve must
+/// match bitwise; it is not meant for production use.
+#[doc(hidden)]
+pub fn solve_with_deadlines_unpruned(
+    strategy: Strategy,
+    graph: &TaskGraph,
+    deadlines: &DeadlineVector,
+    cfg: &SchedulerConfig,
+) -> Result<Solution, SolveError> {
+    solve_per_task(strategy, graph, deadlines, cfg, false)
+}
+
+/// Build the `lf`-keyed cache and run the one search under the per-task
+/// deadline model.
+fn solve_per_task(
+    strategy: Strategy,
+    graph: &TaskGraph,
+    deadlines: &DeadlineVector,
+    cfg: &SchedulerConfig,
+    prune: bool,
+) -> Result<Solution, SolveError> {
     assert_eq!(
         deadlines.own.len(),
         graph.len(),
         "one deadline slot per task"
     );
-    let f_max = cfg.max_frequency();
-    let horizon_s = deadlines.horizon_cycles as f64 / f_max;
-    if deadlines.horizon_cycles == 0 {
-        return Err(SolveError::BadDeadline(0.0));
-    }
-
-    let lf = deadlines.latest_finish_times(graph);
-    let infeasible = || {
-        // Best possible: every task at its top level on unbounded
-        // processors; report the worst ratio.
-        let tl = graph.top_levels();
-        let worst = graph
-            .tasks()
-            .map(|t| tl[t.index()] as f64 / lf[t.index()].max(1) as f64)
-            .fold(1.0f64, f64::max);
-        SolveError::Infeasible {
-            deadline_s: horizon_s,
-            best_possible_s: horizon_s * worst,
-        }
+    let mut cache = ScheduleCache::with_keys(graph, deadlines.latest_finish_times(graph));
+    cache.set_shortcuts_enabled(prune);
+    let model = DeadlineModel::PerTask {
+        horizon_cycles: deadlines.horizon_cycles,
     };
-    // Even unbounded processors cannot beat the top levels.
-    {
-        let tl = graph.top_levels();
-        if graph.tasks().any(|t| tl[t.index()] > lf[t.index()]) {
-            return Err(infeasible());
-        }
-    }
-
-    let mut cache = ScheduleCache::with_keys(graph, lf.clone());
-    let ps = strategy.uses_ps();
-
-    let evaluate_n = |cache: &mut ScheduleCache<'_>, n: usize| -> Option<Candidate> {
-        let (schedule, summary) = cache.schedule_and_summary(n);
-        let req = required_frequency(schedule, &lf, f_max);
-        best_level(summary, n, req, horizon_s, cfg, ps, None, usize::MAX, None)
-    };
-
-    let best = if strategy.searches_proc_count() {
-        let n_upb = graph.len().max(1);
-        // Binary search for the minimal feasible count, as in §4.2 but
-        // with the vector feasibility test.
-        let n_min = {
-            if !feasible_at_fmax(cache.schedule(n_upb), &lf) {
-                return Err(infeasible());
-            }
-            let n_lwb = graph
-                .min_processors_lower_bound(deadlines.horizon_cycles)
-                .unwrap_or(1)
-                .min(n_upb);
-            let (mut lo, mut hi) = (n_lwb, n_upb);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if feasible_at_fmax(cache.schedule(mid), &lf) {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            lo
-        };
-        let mut best: Option<Candidate> = None;
-        let mut prev_makespan: Option<u64> = None;
-        for n in n_min..=n_upb {
-            let makespan = cache.makespan(n);
-            if let Some(prev) = prev_makespan {
-                if makespan >= prev {
-                    break;
-                }
-            }
-            prev_makespan = Some(makespan);
-            if let Some(c) = evaluate_n(&mut cache, n) {
-                if best
-                    .as_ref()
-                    .is_none_or(|b| c.energy.total() < b.energy.total())
-                {
-                    best = Some(c);
-                }
-            }
-        }
-        best.ok_or_else(infeasible)?
-    } else {
-        let mut n = cache.max_useful_procs();
-        if !feasible_at_fmax(cache.schedule(n), &lf) {
-            // Fall back to any feasible count (anomaly guard).
-            n = (1..=graph.len())
-                .find(|&m| feasible_at_fmax(cache.schedule(m), &lf))
-                .ok_or_else(infeasible)?;
-        }
-        evaluate_n(&mut cache, n).ok_or_else(infeasible)?
-    };
-
-    let schedule = cache.schedule_arc(best.n_procs);
-    Ok(Solution {
-        strategy,
-        n_procs: best.n_procs,
-        level: best.level,
-        energy: best.energy,
-        makespan_cycles: best.makespan_cycles,
-        makespan_s: best.makespan_cycles as f64 / best.level.freq,
-        schedule,
-    })
+    solve_impl(strategy, model, cfg, &mut cache, None, None, None).map(|b| b.solution)
 }
 
 #[cfg(test)]
@@ -250,27 +165,48 @@ mod tests {
         b.build().unwrap().scale_weights(3_100_000)
     }
 
+    /// Worst relative energy gap between the per-task rule on an
+    /// all-`None` vector and the scalar solver, measured over the corpus
+    /// of [`uniform_vector_matches_scalar_solver`] (7.78e-10, at seed 4,
+    /// 40 tasks, S&S at 2×). The two rules derive
+    /// the required frequency (`max finish·f_max/lf` vs makespan/deadline)
+    /// and the billing horizon (cycles/f_max vs seconds) by different
+    /// float paths, so some answers differ in the last bits; none in the
+    /// processor count.
+    const UNIFORM_VECTOR_GAP: f64 = 7.8e-10;
+
     #[test]
     fn uniform_vector_matches_scalar_solver() {
-        let g = fig4a_coarse();
         let cfg = cfg();
-        for factor in [1.5, 2.0, 4.0, 8.0] {
-            let d_s = factor * g.critical_path_cycles() as f64 / cfg.max_frequency();
-            let d_cycles = cfg.deadline_cycles(d_s);
-            let dv = DeadlineVector::uniform(&g, d_cycles);
-            for s in Strategy::all() {
-                let scalar = solve(s, &g, d_s, &cfg).unwrap();
-                let vector = solve_with_deadlines(s, &g, &dv, &cfg).unwrap();
-                assert_eq!(scalar.n_procs, vector.n_procs, "{s} @ {factor}x");
-                assert!(
-                    (scalar.energy.total() - vector.energy.total()).abs()
-                        < scalar.energy.total() * 1e-9,
-                    "{s} @ {factor}x: {} vs {}",
-                    scalar.energy.total(),
-                    vector.energy.total()
-                );
+        let mut worst: f64 = 0.0;
+        for seed in 0..12u64 {
+            for n_tasks in [10usize, 40, 200] {
+                let g = lamps_taskgraph::gen::layered::generate(
+                    &lamps_taskgraph::gen::layered::LayeredConfig {
+                        n_tasks,
+                        n_layers: (n_tasks / 5).max(2),
+                        ..Default::default()
+                    },
+                    seed,
+                )
+                .scale_weights(310_000);
+                for factor in [1.5, 2.0, 4.0, 8.0] {
+                    let d_s = factor * g.critical_path_cycles() as f64 / cfg.max_frequency();
+                    let dv = DeadlineVector::uniform(&g, cfg.deadline_cycles(d_s));
+                    for s in Strategy::all() {
+                        let scalar = solve(s, &g, d_s, &cfg).unwrap();
+                        let vector = solve_with_deadlines(s, &g, &dv, &cfg).unwrap();
+                        let at = format!("seed {seed}, {n_tasks} tasks, {s} @ {factor}x");
+                        assert_eq!(scalar.n_procs, vector.n_procs, "{at}");
+                        let (a, b) = (scalar.energy.total(), vector.energy.total());
+                        let gap = (a - b).abs() / a;
+                        assert!(gap <= UNIFORM_VECTOR_GAP, "{at}: {a} vs {b} ({gap:e})");
+                        worst = worst.max(gap);
+                    }
+                }
             }
         }
+        assert!(worst > 0.0, "the corpus no longer exercises the float gap");
     }
 
     #[test]
@@ -367,5 +303,43 @@ mod tests {
             solve_with_deadlines(Strategy::Lamps, &g, &dv, &cfg()),
             Err(SolveError::BadDeadline(_)) | Err(SolveError::Infeasible { .. })
         ));
+    }
+
+    #[test]
+    fn per_task_parallel_arm_matches_the_unpruned_reference() {
+        // Graphs above PAR_SCAN_MIN_TASKS take the parallel arm (forced
+        // on under cfg(test)), which computes each count's per-task
+        // required frequency before the fan-out; the unpruned reference
+        // runs the plain sequential scan. Both must agree to the bit.
+        let cfg = cfg();
+        let graphs = lamps_taskgraph::gen::layered::stg_group(600, 2, 41)
+            .into_iter()
+            .map(|g| g.scale_weights(310_000))
+            .filter(|g| g.len() >= crate::solve::PAR_SCAN_MIN_TASKS)
+            .collect::<Vec<_>>();
+        assert!(!graphs.is_empty());
+        for (gi, g) in graphs.iter().enumerate() {
+            let cpl = g.critical_path_cycles();
+            for factor in [1, 2, 4] {
+                // Every seventh task due at `factor`·CPL, the rest by the
+                // horizon half a CPL later.
+                let own = (0..g.len())
+                    .map(|i| (i % 7 == 0).then_some(factor * cpl))
+                    .collect();
+                let dv = DeadlineVector::from_kpn(own, factor * cpl + cpl / 2);
+                for s in [Strategy::Lamps, Strategy::LampsPs] {
+                    let par = solve_with_deadlines(s, g, &dv, &cfg).unwrap();
+                    let seq = solve_with_deadlines_unpruned(s, g, &dv, &cfg).unwrap();
+                    assert_eq!(par.n_procs, seq.n_procs, "graph {gi}, {s} @ {factor}");
+                    assert_eq!(par.level.freq.to_bits(), seq.level.freq.to_bits());
+                    assert_eq!(par.makespan_cycles, seq.makespan_cycles);
+                    assert_eq!(
+                        par.energy.total().to_bits(),
+                        seq.energy.total().to_bits(),
+                        "graph {gi}, {s} @ {factor}"
+                    );
+                }
+            }
+        }
     }
 }

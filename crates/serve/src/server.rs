@@ -48,6 +48,7 @@ use crate::queue::{Bounded, PushError};
 use lamps_core::cache::{CacheBuffers, ScheduleCache};
 use lamps_core::{SchedulerConfig, SolveBudget, SolveError};
 use lamps_obs::flight;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -171,8 +172,11 @@ struct Shared {
     queue: Bounded<Job>,
     shutdown: AtomicBool,
     stats: ServerStats,
-    /// Streams of live connections, for the final read-side unblock.
-    conn_streams: Mutex<Vec<TcpStream>>,
+    /// A read-side handle of each live connection, keyed by connection
+    /// id, for the final unblock. Each connection removes its own entry
+    /// when it ends, so its socket closes (the client reads EOF) and a
+    /// long-lived daemon holds no descriptor for a closed connection.
+    conn_streams: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl Shared {
@@ -208,7 +212,7 @@ impl Server {
             addr,
             shutdown: AtomicBool::new(false),
             stats: ServerStats::default(),
-            conn_streams: Mutex::new(Vec::new()),
+            conn_streams: Mutex::new(HashMap::new()),
         });
 
         let worker_handles = (0..workers)
@@ -249,6 +253,11 @@ impl Server {
         self.shared.stats.snapshot()
     }
 
+    /// Connections accepted and not yet closed.
+    pub fn live_connections(&self) -> usize {
+        self.shared.conn_streams.lock().expect("streams").len()
+    }
+
     /// Trigger a graceful drain without blocking: stop accepting, close
     /// the queue to new work. Also reachable over the wire as
     /// `{"op": "shutdown"}`.
@@ -284,7 +293,7 @@ impl Server {
         }
         // Unblock connection readers (SHUT_RD only — pending response
         // writes still flush), then join them.
-        for s in self.shared.conn_streams.lock().expect("streams").drain(..) {
+        for s in self.shared.conn_streams.lock().expect("streams").values() {
             let _ = s.shutdown(Shutdown::Read);
         }
         let handles: Vec<_> = self.conns.lock().expect("conns").drain(..).collect();
@@ -306,25 +315,35 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<Jo
         if shared.shutdown.load(Ordering::SeqCst) {
             return; // the wake-up connection (or a late client) is dropped
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream else {
+            // Out of descriptors (or a transient accept error): back off
+            // instead of spinning until a connection closes.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
         bump(&shared.stats.connections, "serve.connections");
-        flight::record(
-            flight::SERVE_ACCEPT,
-            shared.stats.connections.load(Ordering::Relaxed),
-            0,
-            0,
-        );
+        let id = shared.stats.connections.load(Ordering::Relaxed);
+        flight::record(flight::SERVE_ACCEPT, id, 0, 0);
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
         if let Ok(clone) = stream.try_clone() {
-            shared.conn_streams.lock().expect("streams").push(clone);
+            shared
+                .conn_streams
+                .lock()
+                .expect("streams")
+                .insert(id, clone);
         }
         let shared = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name("serve-conn".to_string())
-            .spawn(move || connection_loop(&shared, stream))
+            .spawn(move || {
+                connection_loop(&shared, stream);
+                shared.conn_streams.lock().expect("streams").remove(&id);
+            })
             .expect("spawn connection");
-        conns.lock().expect("conns").push(handle);
+        let mut conns = conns.lock().expect("conns");
+        conns.retain(|h| !h.is_finished());
+        conns.push(handle);
     }
 }
 

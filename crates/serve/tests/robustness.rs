@@ -520,3 +520,61 @@ fn many_lines_in_one_write_each_answer_with_their_own_id() {
     assert_eq!(seen, want);
     assert_eq!(server.stats().panics, 0);
 }
+
+/// Poll until the server's connection registry is empty, or give up
+/// after `limit`.
+fn registry_drains(server: &Server, limit: Duration) -> bool {
+    let start = std::time::Instant::now();
+    while server.live_connections() > 0 {
+        if start.elapsed() > limit {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    true
+}
+
+#[test]
+fn half_closed_client_reads_eof_well_inside_the_idle_timeout() {
+    let idle = Duration::from_secs(5);
+    let server = test_server(|c| c.idle_timeout = idle);
+    let mut s = connect(&server);
+    match s.roundtrip("{\"id\":3,\"op\":\"ping\"}") {
+        Response::Pong { id } => assert_eq!(id, 3),
+        other => panic!("expected pong, got {other:?}"),
+    }
+    let start = std::time::Instant::now();
+    s.stream.shutdown(std::net::Shutdown::Write).unwrap();
+    assert_eq!(s.read_to_eof(), 0, "no bytes after the pong");
+    let waited = start.elapsed();
+    assert!(
+        waited < idle / 5,
+        "the server held a half-closed connection open for {waited:?}"
+    );
+    assert!(registry_drains(&server, Duration::from_secs(2)));
+    assert_eq!(server.stats().panics, 0);
+}
+
+#[test]
+fn closed_connections_leave_the_registry() {
+    let server = test_server(|_| {});
+    for i in 0..200u64 {
+        let mut s = connect(&server);
+        if i % 2 == 0 {
+            match s.roundtrip(&format!("{{\"id\":{i},\"op\":\"ping\"}}")) {
+                Response::Pong { id } => assert_eq!(id, i),
+                other => panic!("expected pong, got {other:?}"),
+            }
+        }
+        drop(s);
+    }
+    assert!(
+        registry_drains(&server, Duration::from_secs(10)),
+        "{} closed connections still registered",
+        server.live_connections()
+    );
+    assert_eq!(server.stats().connections, 200);
+    assert_still_serving(&server);
+    assert!(registry_drains(&server, Duration::from_secs(10)));
+    assert_eq!(server.stats().panics, 0);
+}

@@ -2,8 +2,11 @@
 //!
 //! [`run_online`] executes a [`lamps_kpn::PeriodicDag`] frame stream the
 //! way a deployed scheduler would: the hyperperiod frame is solved
-//! *once* offline ([`lamps_core::multi::solve_with_deadlines`]) and then
-//! replayed for every arriving frame, while the runtime
+//! *once* offline and then replayed for every arriving frame. The plan
+//! solve is [`lamps_core::multi::solve_with_deadlines`], a thin wrapper
+//! that keys a schedule cache by the jobs' latest finish times and runs
+//! the solver's one §4.2 search under its per-task deadline model (every
+//! job by its own deadline, energy billed to the hyperperiod). The runtime
 //!
 //! * **admits** each frame against the current backlog — on time
 //!   ([`AdmissionVerdict::Admitted`]), late but queued

@@ -40,7 +40,7 @@ use crate::case::Case;
 use crate::oracle::{exhaustive_optimum, OracleConfig, OracleError};
 use crate::runtime::check_run;
 use crate::validator::{check_solution, rebill};
-use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
+use lamps_core::multi::{solve_with_deadlines, solve_with_deadlines_unpruned, DeadlineVector};
 use lamps_core::suffix::{resolve_suffix_fresh, SuffixContext, SuffixSolver};
 use lamps_core::{
     solve, solve_batch, solve_with_budget_cache, solve_with_cache_unpruned, BatchJob,
@@ -329,6 +329,44 @@ fn fault_battery(
     }
 }
 
+/// Per-task-deadline dimension of the pruning differential: every
+/// strategy's [`solve_with_deadlines`] answer must match the reference
+/// engine on the same `lf`-keyed cache with its shortcuts off
+/// ([`solve_with_deadlines_unpruned`]) bit for bit, and the two must fail
+/// with the same error.
+fn deadline_differential(
+    graph: &TaskGraph,
+    dv: &DeadlineVector,
+    scfg: &SchedulerConfig,
+    violations: &mut Vec<String>,
+) {
+    for strategy in Strategy::all() {
+        let got = solve_with_deadlines(strategy, graph, dv, scfg);
+        let oracle = solve_with_deadlines_unpruned(strategy, graph, dv, scfg);
+        let agree = match (&got, &oracle) {
+            (Ok(a), Ok(b)) => {
+                a.n_procs == b.n_procs
+                    && a.makespan_cycles == b.makespan_cycles
+                    && a.level.freq.to_bits() == b.level.freq.to_bits()
+                    && a.energy.total().to_bits() == b.energy.total().to_bits()
+            }
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        };
+        if !agree {
+            let show = |r: &Result<Solution, SolveError>| match r {
+                Ok(s) => format!("n {}, {} J", s.n_procs, s.energy.total()),
+                Err(e) => format!("error {e}"),
+            };
+            violations.push(format!(
+                "{strategy}: per-task-deadline solve diverged from the unpruned reference: {} vs {}",
+                show(&got),
+                show(&oracle)
+            ));
+        }
+    }
+}
+
 /// Run one online case through the runtime under both configurations
 /// (reclaiming and static), validate every trace with
 /// [`crate::runtime::check_online`], hold the no-slack bitwise
@@ -344,6 +382,7 @@ fn online_battery(
 
     let f_max = scfg.max_frequency();
     let dv = DeadlineVector::from_kpn(dag.deadlines.clone(), dag.hyperperiod_cycles);
+    deadline_differential(&dag.graph, &dv, scfg, violations);
     let sol = match solve_with_deadlines(Strategy::LampsPs, &dag.graph, &dv, scfg) {
         Ok(s) => s,
         Err(_) => {
@@ -622,8 +661,8 @@ fn suffix_differential(
 }
 
 /// Pruning dimension: re-solve with every solver shortcut disabled —
-/// no width plateau, no lower-bound probe skip, no early scan
-/// termination — and demand the bitwise-identical
+/// no width plateau, no early scan termination — and demand the
+/// bitwise-identical
 /// solution. A budget leg repeats the comparison under a step cap drawn
 /// from `seed`: at any cap both engines must pick the same solution, and
 /// a degraded pruned answer must report exactly the reference's steps.

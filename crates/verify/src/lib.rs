@@ -17,7 +17,7 @@
 //!   runner so every counterexample ever found stays fixed.
 //! * [`obs`] — structural checks for the observability artifacts: Chrome
 //!   trace-event JSON ([`obs::check_chrome_trace`]) and the
-//!   `lamps-explain-v2` solver decision log ([`obs::check_explain`]).
+//!   `lamps-explain-v3` solver decision log ([`obs::check_explain`]).
 //! * [`serve`] — wire-protocol checks for `lamps-serve`: internal
 //!   consistency of response lines and bitwise replay of
 //!   request/response exchanges against a local solve.

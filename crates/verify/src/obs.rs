@@ -9,7 +9,7 @@
 //!   with a `traceEvents` array; every event carries `name`/`ph`/`ts`/
 //!   `pid`/`tid`, complete events carry a non-negative `dur`.)
 //! * [`check_explain`] — does this document conform to the
-//!   `lamps-explain-v2` schema emitted by
+//!   `lamps-explain-v3` schema emitted by
 //!   [`lamps_core::explain::SolveExplain::to_json`]? (Field presence,
 //!   types, and cross-references: `chosen` and `best_level` indices in
 //!   range, verdicts consistent with the recorded cutoff, and the
@@ -73,7 +73,7 @@ pub fn check_chrome_trace(text: &str) -> Vec<String> {
     out
 }
 
-/// Check `text` against the `lamps-explain-v2` schema. Returns the
+/// Check `text` against the `lamps-explain-v3` schema. Returns the
 /// violations (empty = conforming).
 pub fn check_explain(text: &str) -> Vec<String> {
     let mut out = Vec::new();
@@ -82,7 +82,7 @@ pub fn check_explain(text: &str) -> Vec<String> {
         Err(e) => return vec![format!("not valid JSON: {e}")],
     };
     match v.get("schema").and_then(Value::as_str) {
-        Some("lamps-explain-v2") => {}
+        Some("lamps-explain-v3") => {}
         Some(other) => out.push(format!("unknown schema \"{other}\"")),
         None => out.push("missing string \"schema\"".to_string()),
     }
@@ -157,7 +157,6 @@ pub fn check_explain(text: &str) -> Vec<String> {
                 "summary_hits",
                 "summary_misses",
                 "plateau_hits",
-                "probes_pruned",
             ] {
                 if cache.get(f).and_then(Value::as_number).is_none() {
                     out.push(format!("cache: missing numeric \"{f}\""));
@@ -358,15 +357,15 @@ mod tests {
         let wrong_schema = r#"{"schema": "lamps-explain-v0", "strategy": "LAMPS",
             "deadline_s": 1, "deadline_cycles": 1, "search": [], "candidates": [],
             "chosen": null, "cache": {"schedule_hits": 0, "schedule_misses": 0,
-            "summary_hits": 0, "summary_misses": 0, "plateau_hits": 0,
-            "probes_pruned": 0}, "prune": {"scan_breaks": 0},
+            "summary_hits": 0, "summary_misses": 0, "plateau_hits": 0},
+            "prune": {"scan_breaks": 0},
             "error": null}"#;
         let v = check_explain(wrong_schema);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("unknown schema"));
         // Out-of-range chosen index.
         let bad_chosen = wrong_schema
-            .replace("lamps-explain-v0", "lamps-explain-v2")
+            .replace("lamps-explain-v0", "lamps-explain-v3")
             .replace("\"chosen\": null", "\"chosen\": 2");
         let v = check_explain(&bad_chosen);
         assert_eq!(v.len(), 1, "{v:?}");
