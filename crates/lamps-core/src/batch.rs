@@ -31,7 +31,7 @@
 
 use crate::cache::{CacheBuffers, ScheduleCache};
 use crate::config::SchedulerConfig;
-use crate::solve::solve_impl;
+use crate::solve::{solve_impl, DeadlineModel};
 use crate::types::{Solution, SolveError, Strategy};
 use lamps_energy::{EnergyBreakdown, LevelSweep};
 use lamps_parallel::{Pool, PoolMetrics};
@@ -259,7 +259,7 @@ fn run_batch<R: Send>(
                     .expect("a row holds deadlines × strategies cells");
                 *slot = solve_impl(
                     strategy,
-                    deadline_s,
+                    DeadlineModel::Uniform { deadline_s },
                     cfg,
                     &mut cache,
                     None,

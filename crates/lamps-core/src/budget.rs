@@ -25,7 +25,7 @@
 
 use crate::cache::ScheduleCache;
 use crate::config::SchedulerConfig;
-use crate::solve::solve_impl;
+use crate::solve::{solve_impl, DeadlineModel};
 use crate::types::{Solution, SolveError, Strategy};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -215,7 +215,8 @@ pub fn solve_with_budget_cache(
     cache: &mut ScheduleCache<'_>,
     budget: &SolveBudget,
 ) -> Result<BudgetedSolution, SolveError> {
-    solve_impl(strategy, deadline_s, cfg, cache, None, None, Some(budget))
+    let model = DeadlineModel::Uniform { deadline_s };
+    solve_impl(strategy, model, cfg, cache, None, None, Some(budget))
 }
 
 #[cfg(test)]
