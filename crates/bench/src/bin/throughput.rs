@@ -345,14 +345,9 @@ fn main() {
         all_equal &= equal;
         eprintln!("energy[{name}]: pruned {a:.9e} J, unpruned {r:.9e} J, bitwise_equal={equal}");
     }
-    let speedup = if baseline.found && baseline.solves_per_sec > 0.0 {
-        solves_per_sec / baseline.solves_per_sec
-    } else {
-        f64::NAN
-    };
     if baseline.found {
         eprintln!(
-            "baseline {}: {:.1} solves/s recorded, speedup {speedup:.2}x{}",
+            "baseline {}: {:.1} solves/s recorded{}",
             baseline.source,
             baseline.solves_per_sec,
             if baseline.comparable {
@@ -363,7 +358,7 @@ fn main() {
         );
     } else {
         eprintln!(
-            "baseline {}: not found / unreadable — no speedup figure",
+            "baseline {}: not found / unreadable — no energies to compare",
             baseline.source
         );
     }
@@ -439,7 +434,6 @@ fn main() {
     }
     let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"speedup\": {speedup},");
     let _ = writeln!(json, "  \"ratios\": {{");
     let _ = writeln!(
         json,

@@ -65,6 +65,18 @@ impl DeadlineVector {
     pub fn latest_finish_times(&self, graph: &TaskGraph) -> Vec<u64> {
         latest_finish_times_with(graph, self.horizon_cycles, &self.own)
     }
+
+    /// The per-task deadline model of this vector.
+    pub(crate) fn model(&self) -> DeadlineModel {
+        DeadlineModel::PerTask {
+            horizon_cycles: self.horizon_cycles,
+            latest_cycles: self
+                .own
+                .iter()
+                .flatten()
+                .fold(self.horizon_cycles, |a, &d| a.max(d)),
+        }
+    }
 }
 
 /// Solve with per-task deadlines. Agrees with [`crate::solve::solve`] on
@@ -134,10 +146,16 @@ fn solve_per_task(
     );
     let mut cache = ScheduleCache::with_keys(graph, deadlines.latest_finish_times(graph));
     cache.set_shortcuts_enabled(prune);
-    let model = DeadlineModel::PerTask {
-        horizon_cycles: deadlines.horizon_cycles,
-    };
-    solve_impl(strategy, model, cfg, &mut cache, None, None, None).map(|b| b.solution)
+    solve_impl(
+        strategy,
+        deadlines.model(),
+        cfg,
+        &mut cache,
+        None,
+        None,
+        None,
+    )
+    .map(|b| b.solution)
 }
 
 #[cfg(test)]

@@ -109,8 +109,12 @@ pub(crate) enum DeadlineModel {
     /// [`ScheduleCache`] — under a horizon (the KPN generalisation,
     /// Fig. 1): a count is feasible when every `finish(t) ≤ lf[t]`, the
     /// required frequency is `max finish·f_max/lf`, and energy is billed
-    /// to the horizon.
-    PerTask { horizon_cycles: u64 },
+    /// to the horizon. `latest_cycles` is the latest of the horizon and
+    /// every explicit per-task deadline; no `lf` exceeds it.
+    PerTask {
+        horizon_cycles: u64,
+        latest_cycles: u64,
+    },
 }
 
 impl DeadlineModel {
@@ -138,7 +142,7 @@ impl DeadlineModel {
                 }
                 Ok((deadline_cycles, deadline_s))
             }
-            DeadlineModel::PerTask { horizon_cycles } => {
+            DeadlineModel::PerTask { horizon_cycles, .. } => {
                 if horizon_cycles == 0 {
                     return Err(SolveError::BadDeadline(0.0));
                 }
@@ -149,6 +153,18 @@ impl DeadlineModel {
                 }
                 Ok((horizon_cycles, horizon_cycles as f64 / cfg.max_frequency()))
             }
+        }
+    }
+
+    /// The latest any task of a feasible schedule may finish, given the
+    /// bound from [`Self::admit`]: the deadline itself, or the latest of
+    /// the horizon and every explicit per-task deadline (which may lie
+    /// past the horizon). No feasible count's makespan exceeds it, so
+    /// `⌈work/latest⌉` is a lower bound that seeds the binary search.
+    fn latest_cycles(&self, bound_cycles: u64) -> u64 {
+        match *self {
+            DeadlineModel::Uniform { .. } => bound_cycles,
+            DeadlineModel::PerTask { latest_cycles, .. } => latest_cycles,
         }
     }
 
@@ -224,7 +240,7 @@ impl DeadlineModel {
                 let best = cache.makespan(n).max(graph.critical_path_cycles());
                 (deadline_s, best as f64 / cfg.max_frequency())
             }
-            DeadlineModel::PerTask { horizon_cycles } => {
+            DeadlineModel::PerTask { horizon_cycles, .. } => {
                 let horizon_s = horizon_cycles as f64 / cfg.max_frequency();
                 let tl = graph.top_levels();
                 let ratios = tl
@@ -471,10 +487,12 @@ fn solve_search(
         feasible,
         cache_hit,
     };
-    // The §4.2 binary search for the minimal count the model accepts.
+    // The §4.2 binary search for the minimal count the model accepts,
+    // seeded at ⌈work/latest⌉.
+    let latest_cycles = model.latest_cycles(bound_cycles);
     let min_feasible =
         |cache: &mut ScheduleCache<'_>, phase: SearchPhase, probes: &mut Vec<SearchStep>| {
-            cache.min_feasible_procs_with(bound_cycles, &mut |c, n| {
+            cache.min_feasible_procs_with(latest_cycles, &mut |c, n| {
                 let hit = c.is_cached(n);
                 let (makespan, fits) = model.probe(c, n, bound_cycles);
                 if want_explain {
@@ -1278,6 +1296,7 @@ mod tests {
         let lf = vec![10 * unit, 20 * unit, 20 * unit];
         let model = DeadlineModel::PerTask {
             horizon_cycles: 30 * unit,
+            latest_cycles: 30 * unit,
         };
         for s in Strategy::all() {
             let mut cache = ScheduleCache::with_keys(&g, lf.clone());
@@ -1304,5 +1323,69 @@ mod tests {
             );
             assert!(sol.n_procs >= 2);
         }
+    }
+
+    /// Past-horizon vectors (one sink due at 3·CPL, horizon 1.5·CPL):
+    /// the per-task binary search starts at a lower bound, so a linear
+    /// scan from one processor up finds no feasible count below the one
+    /// the search settles on.
+    #[test]
+    fn per_task_search_seed_is_a_lower_bound_past_the_horizon() {
+        use crate::multi::DeadlineVector;
+        use lamps_taskgraph::gen::layered::{generate, LayeredConfig};
+        let cfg = cfg();
+        let mut below_horizon_seed = 0;
+        for seed in 0..30u64 {
+            let g = generate(
+                &LayeredConfig {
+                    n_tasks: [10, 40, 60][seed as usize % 3],
+                    n_layers: 5,
+                    ..LayeredConfig::default()
+                },
+                seed,
+            )
+            .scale_weights(310_000);
+            let cpl = g.critical_path_cycles();
+            let mut own = vec![None; g.len()];
+            own[g.len() - 1] = Some(3 * cpl);
+            let dv = DeadlineVector::from_kpn(own, cpl + cpl / 2);
+            let lf = dv.latest_finish_times(&g);
+            let mut cache = ScheduleCache::with_keys(&g, lf.clone());
+            let mut ex = SolveExplain::new(Strategy::LampsPs, 0.0);
+            let solved = solve_impl(
+                Strategy::LampsPs,
+                dv.model(),
+                &cfg,
+                &mut cache,
+                Some(&mut ex),
+                None,
+                None,
+            );
+            let Some(n_min) = ex
+                .search
+                .iter()
+                .filter(|st| st.phase == SearchPhase::BinaryProbe && st.feasible)
+                .map(|st| st.n_procs)
+                .min()
+            else {
+                assert!(
+                    solved.is_err(),
+                    "seed {seed}: a solve needs a feasible count"
+                );
+                continue;
+            };
+            let linear = (1..=g.len())
+                .find(|&n| meets_latest_finish(&cache.schedule_arc(n), &lf))
+                .unwrap();
+            assert_eq!(
+                linear, n_min,
+                "seed {seed}: the search missed a smaller count"
+            );
+            if linear < g.min_processors_lower_bound(dv.horizon_cycles).unwrap() {
+                below_horizon_seed += 1;
+            }
+        }
+        // The corpus reaches counts that `⌈work/horizon⌉` would skip.
+        assert!(below_horizon_seed > 0);
     }
 }

@@ -220,15 +220,21 @@ impl SuffixSolver {
     }
 
     /// Index of the memo entry for `(f, horizon, own)`, computing and
-    /// inserting it on a miss. Reuse requires an exact bit-match.
+    /// inserting it on a miss. Reuse requires an exact bit-match; the
+    /// per-task bits are compared in place, and snapshotted only on a
+    /// miss, so a hit allocates nothing.
     fn keys_for(&mut self, graph: &TaskGraph, ctx: &SuffixContext<'_>, f: f64) -> usize {
         let freq_bits = f.to_bits();
         let deadline_bits = ctx.deadline_s.to_bits();
-        let own_bits: Option<Vec<u64>> = ctx
-            .own_due_s
-            .map(|own| own.iter().map(|d| d.to_bits()).collect());
+        let own_matches = |snapshot: &Option<Vec<u64>>| match (snapshot, ctx.own_due_s) {
+            (None, None) => true,
+            (Some(bits), Some(own)) => {
+                bits.len() == own.len() && bits.iter().zip(own).all(|(&b, d)| b == d.to_bits())
+            }
+            _ => false,
+        };
         if let Some(i) = self.entries.iter().position(|e| {
-            e.freq_bits == freq_bits && e.deadline_bits == deadline_bits && e.own_bits == own_bits
+            e.freq_bits == freq_bits && e.deadline_bits == deadline_bits && own_matches(&e.own_bits)
         }) {
             self.key_hits += 1;
             // Move-to-back so the entry survives future lookups cheaply
@@ -246,7 +252,9 @@ impl SuffixSolver {
         self.entries.push(KeyEntry {
             freq_bits,
             deadline_bits,
-            own_bits,
+            own_bits: ctx
+                .own_due_s
+                .map(|own| own.iter().map(|d| d.to_bits()).collect()),
             keys,
         });
         self.entries.len() - 1

@@ -102,6 +102,20 @@ struct ProcState {
     extra_latency_s: f64,
 }
 
+/// What an executor keeps across frames and re-solves: the suffix
+/// solver, with its arenas and key memo, and the buffers every re-solve
+/// refills, so a re-solve allocates only the plan it returns.
+#[derive(Default)]
+pub(crate) struct Resolver {
+    pub solver: SuffixSolver,
+    /// Per processor, its in-flight task and WCET-based finish estimate.
+    running: Vec<Option<(TaskId, f64)>>,
+    /// Per processor, whether it has fail-stopped.
+    dead: Vec<bool>,
+    /// The levels the re-solve sweeps, in order.
+    candidates: Vec<OperatingPoint>,
+}
+
 /// Whether the reclamation budget still allows a re-solve; flags the
 /// frame degraded when it does not.
 fn budget_open(budget: &SolveBudget, steps_left: Option<u64>, degraded: &mut bool) -> bool {
@@ -118,7 +132,7 @@ fn budget_open(budget: &SolveBudget, steps_left: Option<u64>, degraded: &mut boo
 pub(crate) fn run_frame(
     fr: &Frame<'_>,
     cfg: &SchedulerConfig,
-    solver: &mut SuffixSolver,
+    resolver: &mut Resolver,
 ) -> FrameRun {
     let graph = fr.graph;
     let n = graph.len();
@@ -206,10 +220,9 @@ pub(crate) fn run_frame(
             && n_finished < n
             && budget_open(fr.budget, steps_left, &mut degraded)
         {
-            let candidates: Vec<OperatingPoint> =
-                cfg.levels.at_least(reclaim_floor.freq).copied().collect();
             let state = (&procs[..], &finished[..], &finish_s[..]);
-            if let Some(sp) = resolve_suffix(solver, fr, state, now, &candidates, steps_left) {
+            let candidates = cfg.levels.at_least(reclaim_floor.freq).copied();
+            if let Some(sp) = resolver.resolve(fr, state, now, candidates, steps_left) {
                 resolves += 1;
                 resolve_steps += sp.steps;
                 flight::record(
@@ -254,12 +267,14 @@ pub(crate) fn run_frame(
                 });
             }
 
-            let candidates: Vec<OperatingPoint> = match fr.policy {
-                RecoveryPolicy::Absorb => vec![base_level],
-                RecoveryPolicy::Boost => cfg.levels.at_least(base_level.freq).copied().collect(),
+            let mut absorb = std::iter::once(base_level);
+            let mut boost = cfg.levels.at_least(base_level.freq).copied();
+            let candidates: &mut dyn Iterator<Item = OperatingPoint> = match fr.policy {
+                RecoveryPolicy::Absorb => &mut absorb,
+                RecoveryPolicy::Boost => &mut boost,
             };
             let state = (&procs[..], &finished[..], &finish_s[..]);
-            if let Some(sp) = resolve_suffix(solver, fr, state, now, &candidates, None) {
+            if let Some(sp) = resolver.resolve(fr, state, now, candidates, None) {
                 resolves += 1;
                 resolve_steps += sp.steps;
                 flight::record(
@@ -542,36 +557,41 @@ pub(crate) fn run_frame(
     }
 }
 
-/// Re-solve the pending suffix from what the runtime knows at `now`:
-/// the finished prefix, WCET-based finish estimates for in-flight tasks
-/// (never a not-yet-observed overrun), and the dead processors.
-fn resolve_suffix(
-    solver: &mut SuffixSolver,
-    fr: &Frame<'_>,
-    (procs, finished, finish_s): (&[ProcState], &[bool], &[f64]),
-    now: f64,
-    candidates: &[OperatingPoint],
-    max_candidates: Option<u64>,
-) -> Option<SuffixPlan> {
-    let running: Vec<Option<(TaskId, f64)>> = procs
-        .iter()
-        .map(|p| {
+impl Resolver {
+    /// Re-solve the pending suffix from what the runtime knows at
+    /// `now`: the finished prefix, WCET-based finish estimates for
+    /// in-flight tasks (never a not-yet-observed overrun), and the dead
+    /// processors.
+    fn resolve(
+        &mut self,
+        fr: &Frame<'_>,
+        (procs, finished, finish_s): (&[ProcState], &[bool], &[f64]),
+        now: f64,
+        candidates: impl Iterator<Item = OperatingPoint>,
+        max_candidates: Option<u64>,
+    ) -> Option<SuffixPlan> {
+        self.candidates.clear();
+        self.candidates.extend(candidates);
+        self.running.clear();
+        self.running.extend(procs.iter().map(|p| {
             p.running
                 .as_ref()
                 .map(|rf| (rf.rec.task, rf.expected_finish_s.max(now)))
-        })
-        .collect();
-    let dead: Vec<bool> = procs.iter().map(|p| p.dead).collect();
-    let ctx = SuffixContext {
-        finished,
-        finish_s,
-        running: &running,
-        dead: &dead,
-        now_s: now,
-        deadline_s: fr.horizon_s,
-        own_due_s: fr.own_due.then_some(fr.due_s),
-    };
-    solver.resolve(fr.graph, &ctx, candidates, max_candidates)
+        }));
+        self.dead.clear();
+        self.dead.extend(procs.iter().map(|p| p.dead));
+        let ctx = SuffixContext {
+            finished,
+            finish_s,
+            running: &self.running,
+            dead: &self.dead,
+            now_s: now,
+            deadline_s: fr.horizon_s,
+            own_due_s: fr.own_due.then_some(fr.due_s),
+        };
+        self.solver
+            .resolve(fr.graph, &ctx, &self.candidates, max_candidates)
+    }
 }
 
 /// Install a suffix re-plan: replace every queue and the window ends of

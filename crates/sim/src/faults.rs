@@ -219,10 +219,12 @@ pub(crate) fn draw_faults(
 /// an online stream lends one into the stream's flat fault arrays (see
 /// [`crate::FrameTable`]): `overruns` and `dvs` are frame `i`'s slices
 /// of the stream-wide overrun and DVS arrays, between the previous
-/// frame's end offsets and its own, and `fail_stop` is its slot. Those
-/// arrays cost a stream of `F` frames with `O` overruns and `D` DVS
-/// faults exactly `32·F + 16·O + 24·D` heap bytes, and nothing when no
-/// frame has a fault.
+/// frame's end offsets and its own, and `fail_stop` is rebuilt from its
+/// slot of the packed fail-stop columns (a presence bit, a `u32`
+/// processor and an `f64` time). Those arrays cost a stream of `F`
+/// frames with `O` overruns and `D` DVS faults exactly
+/// `8·F + 12·F + 8·⌈F/64⌉ + 16·O + 24·D` heap bytes, and nothing when
+/// no frame has a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultView<'a> {
     /// Per-task WCET overruns (at most one entry per task).

@@ -24,6 +24,7 @@
 //! beats the §3.4 break-even, up to the deadline horizon.
 
 pub mod actuals;
+pub mod arrivals;
 pub mod error;
 mod exec;
 pub mod faults;
@@ -33,6 +34,7 @@ pub mod runner;
 pub mod workload;
 
 pub use actuals::Actuals;
+pub use arrivals::Arrivals;
 pub use error::SimError;
 pub use faults::{
     DvsFault, DvsFaultKind, FailStop, FaultIntensity, FaultPlan, FaultView, InjectedEvent, Overrun,

@@ -54,8 +54,9 @@
 //! dead-processor silence, arrival-anchored verdicts, energy re-bill).
 
 use crate::actuals::{Actuals, Column};
+use crate::arrivals::{ArrivalColumn, Arrivals};
 use crate::error::SimError;
-use crate::exec::{bill_idle, run_frame, Frame};
+use crate::exec::{bill_idle, run_frame, Frame, Resolver};
 use crate::faults::{
     draw_faults, DvsFault, FailStop, FaultChecker, FaultIntensity, FaultPlan, FaultView,
     InjectedEvent, Overrun,
@@ -64,11 +65,11 @@ use crate::recovery::{ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome};
 use crate::runner::DvsSwitchCost;
 use crate::workload::draw_actual_cycles;
 use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
-use lamps_core::suffix::SuffixSolver;
 use lamps_core::{SchedulerConfig, SolveBudget, Strategy};
 use lamps_energy::EnergyBreakdown;
 use lamps_kpn::PeriodicDag;
 use lamps_obs::flight;
+use lamps_sched::ProcId;
 use std::collections::VecDeque;
 
 /// How the online runtime behaves.
@@ -133,50 +134,65 @@ pub struct FrameInput<'a> {
 }
 
 /// The frames of an [`OnlineStream`], stored as stream-level arrays
-/// rather than one heap object per frame:
+/// rather than one heap object per frame, each holding only what cannot
+/// be derived:
 ///
-/// * `arrival_s` — one arrival per frame;
+/// * `arrival_s` — the progression `i · arrival_factor · span` of a
+///   built stream, three numbers for the whole stream, or one explicit
+///   arrival per frame for a table assembled or edited arrival by
+///   arrival (read through [`Arrivals`] views);
 /// * `actual` — every frame's actual cycles back to back, frame-major,
 ///   at a stride of [`FrameTable::jobs`] entries per frame, in one
 ///   column of `u32` when every value fits and of `u64` otherwise
 ///   (read through [`Actuals`] views);
-/// * five fault arrays, all empty when no frame has a fault: every
+/// * seven fault arrays, all empty when no frame has a fault: every
 ///   frame's overruns back to back, every frame's DVS faults back to
-///   back, one `Option<FailStop>` per frame, and per frame the `u32`
-///   end offset of its overruns and of its DVS faults (a frame's slice
-///   starts at the previous frame's end).
+///   back, per frame the `u32` end offset of its overruns and of its DVS
+///   faults (a frame's slice starts at the previous frame's end), and
+///   the fail-stops as one presence bit, one `u32` processor and one
+///   `f64` time per frame.
 ///
 /// The constructors keep every per-frame array the same length in
 /// frames, so a frame's actuals always span exactly one stride; whether
 /// that stride matches the graph is checked once per stream by
-/// [`run_online`]. A fault-free stream of `F` frames of `N` jobs owns
-/// exactly `8·F + 4·F·N` heap bytes with a narrow column and
-/// `8·F + 8·F·N` with a wide one; with faults it adds
-/// `32·F + 16·O + 24·D` bytes for its `O` overruns and `D` DVS faults
-/// (24 B per fail-stop slot, 4 B per end offset).
+/// [`run_online`]. A fault-free stream of `F` frames of `N` jobs built
+/// by [`OnlineStream::periodic`] or [`OnlineStream::synthesize`] owns
+/// exactly `4·F·N` heap bytes with a narrow column and `8·F·N` with a
+/// wide one (explicit arrivals add `8·F`); with faults it adds
+/// `8·F + 12·F + 8·⌈F/64⌉ + 16·O + 24·D` bytes for its `O` overruns and
+/// `D` DVS faults (two 4-byte end offsets and a 12-byte fail-stop slot
+/// per frame, and one 64-bit presence word per 64 frames).
 ///
 /// The layout is canonical: the column is narrow exactly when every
-/// actual fits in `u32`, and a table whose frames carry no fault holds
-/// no fault arrays, however it was built. So two tables compare equal
-/// exactly when every frame reads the same.
+/// actual fits in `u32`, a table whose frames carry no fault holds no
+/// fault arrays, however it was built, and a frame without a fail-stop
+/// stores zeros in its slot. Arrivals compare by value, whether derived
+/// or explicit. So two tables compare equal exactly when every frame
+/// reads the same.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrameTable {
-    arrival_s: Vec<f64>,
+    arrival_s: ArrivalColumn,
     actual: Column,
     jobs: usize,
     faults: FaultArrays,
 }
 
-/// The fault half of a [`FrameTable`]: empty, or one fail-stop slot and
-/// two end offsets per frame. The offsets are `u32`, so a table holds
-/// at most `u32::MAX` overruns and as many DVS faults.
+/// The fault half of a [`FrameTable`]: empty, or per frame two end
+/// offsets and a fail-stop slot. The offsets are `u32`, so a table
+/// holds at most `u32::MAX` overruns and as many DVS faults. A slot is
+/// a bit of `fail_present` with its entries of `fail_proc` and
+/// `fail_at_s`, both zero when the bit is clear; no processor value is
+/// reserved, so every [`ProcId`] round-trips.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct FaultArrays {
     overruns: Vec<Overrun>,
     overrun_end: Vec<u32>,
-    fail_stop: Vec<Option<FailStop>>,
     dvs: Vec<DvsFault>,
     dvs_end: Vec<u32>,
+    /// Bit `i % 64` of word `i / 64` is set when frame `i` fail-stops.
+    fail_present: Vec<u64>,
+    fail_proc: Vec<u32>,
+    fail_at_s: Vec<f64>,
 }
 
 impl FaultArrays {
@@ -186,9 +202,11 @@ impl FaultArrays {
         FaultArrays {
             overruns: Vec::with_capacity(overruns),
             overrun_end: Vec::with_capacity(frames),
-            fail_stop: Vec::with_capacity(frames),
             dvs: Vec::with_capacity(dvs),
             dvs_end: Vec::with_capacity(frames),
+            fail_present: Vec::with_capacity(frames.div_ceil(64)),
+            fail_proc: Vec::with_capacity(frames),
+            fail_at_s: Vec::with_capacity(frames),
         }
     }
 
@@ -196,10 +214,33 @@ impl FaultArrays {
     /// appended since the previous frame closed. Fails when either
     /// array has outgrown its `u32` offsets.
     fn end_frame(&mut self, fail_stop: Option<FailStop>) -> Result<(), SimError> {
+        let i = self.overrun_end.len();
         self.overrun_end.push(offset(self.overruns.len())?);
         self.dvs_end.push(offset(self.dvs.len())?);
-        self.fail_stop.push(fail_stop);
+        if i % 64 == 0 {
+            self.fail_present.push(0);
+        }
+        self.fail_proc.push(0);
+        self.fail_at_s.push(0.0);
+        self.set_fail_stop(i, fail_stop);
         Ok(())
+    }
+
+    /// Store frame `i`'s fail-stop in its slot, zeros for none.
+    fn set_fail_stop(&mut self, i: usize, fail_stop: Option<FailStop>) {
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        let (proc, at_s) = match fail_stop {
+            Some(fs) => {
+                self.fail_present[word] |= bit;
+                (fs.proc.0, fs.at_s)
+            }
+            None => {
+                self.fail_present[word] &= !bit;
+                (0, 0.0)
+            }
+        };
+        self.fail_proc[i] = proc;
+        self.fail_at_s[i] = at_s;
     }
 
     /// Drop every array when no frame has a fault, else the growth
@@ -207,7 +248,7 @@ impl FaultArrays {
     fn canonicalize(&mut self) {
         if self.overruns.is_empty()
             && self.dvs.is_empty()
-            && self.fail_stop.iter().all(Option::is_none)
+            && self.fail_present.iter().all(|&w| w == 0)
         {
             *self = FaultArrays::default();
         } else {
@@ -218,12 +259,16 @@ impl FaultArrays {
 
     /// Frame `i`'s faults (`i` below the frame count).
     fn view(&self, i: usize) -> FaultView<'_> {
-        if self.fail_stop.is_empty() {
+        if self.overrun_end.is_empty() {
             return FaultView::default();
         }
+        let present = self.fail_present[i / 64] >> (i % 64) & 1 == 1;
         FaultView {
             overruns: &self.overruns[frame_range(&self.overrun_end, i)],
-            fail_stop: self.fail_stop[i],
+            fail_stop: present.then(|| FailStop {
+                proc: ProcId(self.fail_proc[i]),
+                at_s: self.fail_at_s[i],
+            }),
             dvs: &self.dvs[frame_range(&self.dvs_end, i)],
         }
     }
@@ -295,7 +340,7 @@ impl FrameTable {
         }
         flat.canonicalize();
         Ok(FrameTable {
-            arrival_s,
+            arrival_s: ArrivalColumn::Explicit(arrival_s),
             actual: Column::from_values(actual),
             jobs,
             faults: flat,
@@ -304,12 +349,12 @@ impl FrameTable {
 
     /// Number of frames.
     pub fn len(&self) -> usize {
-        self.arrival_s.len()
+        self.arrival_s().len()
     }
 
     /// Whether the stream has no frames.
     pub fn is_empty(&self) -> bool {
-        self.arrival_s.is_empty()
+        self.len() == 0
     }
 
     /// Actual cycle counts per frame: the stride of [`FrameTable::actual`].
@@ -319,9 +364,11 @@ impl FrameTable {
 
     /// Frame `i`, or `None` past the end.
     pub fn get(&self, i: usize) -> Option<FrameInput<'_>> {
-        let arrival_s = *self.arrival_s.get(i)?;
+        if i >= self.len() {
+            return None;
+        }
         Some(FrameInput {
-            arrival_s,
+            arrival_s: self.arrival_s().get(i),
             actual: self.actual.view(i * self.jobs..(i + 1) * self.jobs),
             faults: self.faults.view(i),
         })
@@ -333,8 +380,8 @@ impl FrameTable {
     }
 
     /// Every frame's arrival \[s\].
-    pub fn arrival_s(&self) -> &[f64] {
-        &self.arrival_s
+    pub fn arrival_s(&self) -> Arrivals<'_> {
+        self.arrival_s.view()
     }
 
     /// Every frame's actual cycles, frame-major at stride
@@ -343,9 +390,16 @@ impl FrameTable {
         self.actual.all()
     }
 
-    /// Mutable arrivals, one per frame.
-    pub fn arrival_s_mut(&mut self) -> &mut [f64] {
-        &mut self.arrival_s
+    /// Set frame `i` to arrive at `arrival_s`. A table whose arrivals
+    /// were a progression stores them explicitly from then on.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not below [`FrameTable::len`].
+    pub fn set_arrival(&mut self, i: usize, arrival_s: f64) {
+        let n_frames = self.len();
+        assert!(i < n_frames, "frame {i} out of range for {n_frames} frames");
+        self.arrival_s.set(i, arrival_s);
     }
 
     /// Set job `job` of frame `frame` to run `cycles` actual cycles. The
@@ -377,26 +431,29 @@ impl FrameTable {
         let n_frames = self.len();
         assert!(i < n_frames, "frame {i} out of range for {n_frames} frames");
         let f = &mut self.faults;
-        if f.fail_stop.is_empty() {
+        if f.overrun_end.is_empty() {
             if plan.is_empty() {
                 return;
             }
             f.overrun_end = vec![0; n_frames];
             f.dvs_end = vec![0; n_frames];
-            f.fail_stop = vec![None; n_frames];
+            f.fail_present = vec![0; n_frames.div_ceil(64)];
+            f.fail_proc = vec![0; n_frames];
+            f.fail_at_s = vec![0.0; n_frames];
         }
         splice_frame(&mut f.overruns, &mut f.overrun_end, i, &plan.overruns);
         splice_frame(&mut f.dvs, &mut f.dvs_end, i, &plan.dvs);
-        f.fail_stop[i] = plan.fail_stop;
+        f.set_fail_stop(i, plan.fail_stop);
         f.canonicalize();
     }
 }
 
 /// A stream of frames for [`run_online`]: arrivals, actual cycles and
-/// faults held as the stream-level arrays of a [`FrameTable`] (one
-/// arrival per frame, one flat stride-`jobs` actuals column, and flat
-/// fault arrays that are empty for a fault-free stream), read frame by
-/// frame through borrowed [`FrameInput`] views.
+/// faults held as the stream-level arrays of a [`FrameTable`] (the
+/// arrival progression or one arrival per frame, one flat stride-`jobs`
+/// actuals column, and flat fault arrays that are empty for a
+/// fault-free stream), read frame by frame through borrowed
+/// [`FrameInput`] views.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStream {
     /// The frames, in arrival order.
@@ -407,7 +464,8 @@ impl OnlineStream {
     /// An exactly-periodic fault-free worst-case stream: frame `i`
     /// arrives at `i · arrival_factor · span`, every job runs its WCET.
     /// `arrival_factor < 1` models overload (frames arrive faster than
-    /// the hyperperiod).
+    /// the hyperperiod). The arrivals are stored as that progression,
+    /// not one per frame.
     pub fn periodic(dag: &PeriodicDag, n_frames: usize, arrival_factor: f64, f_max: f64) -> Self {
         let span = dag.hyperperiod_cycles as f64 / f_max;
         let weights = dag.graph.weights();
@@ -420,7 +478,11 @@ impl OnlineStream {
         actual.canonicalize();
         OnlineStream {
             frames: FrameTable {
-                arrival_s: arrivals(n_frames, arrival_factor, span),
+                arrival_s: ArrivalColumn::Progression {
+                    n: n_frames,
+                    factor: arrival_factor,
+                    span,
+                },
                 actual,
                 jobs: weights.len(),
                 faults: FaultArrays::default(),
@@ -433,6 +495,8 @@ impl OnlineStream {
     /// random faults per frame — the plan [`FaultPlan::random`] draws
     /// from the frame's seed (times within the frame span).
     /// `n_procs` must match the plan the stream will run against.
+    /// Frame `i` arrives at `i · arrival_factor · span`, stored as that
+    /// progression, as in [`OnlineStream::periodic`].
     ///
     /// The actuals are drawn straight into a `u32` column when the
     /// graph's largest WCET fits in `u32`, since no actual exceeds its
@@ -486,18 +550,17 @@ impl OnlineStream {
         faults.canonicalize();
         OnlineStream {
             frames: FrameTable {
-                arrival_s: arrivals(n_frames, arrival_factor, span),
+                arrival_s: ArrivalColumn::Progression {
+                    n: n_frames,
+                    factor: arrival_factor,
+                    span,
+                },
                 actual,
                 jobs,
                 faults,
             },
         }
     }
-}
-
-/// Frame `i` of `n` arrives at `i · arrival_factor · span`.
-fn arrivals(n: usize, arrival_factor: f64, span: f64) -> Vec<f64> {
-    (0..n).map(|i| i as f64 * arrival_factor * span).collect()
 }
 
 /// What admission control decided for one frame.
@@ -597,7 +660,8 @@ pub struct OnlineReport {
     pub resolves: u64,
     /// Total candidate levels evaluated by re-solves.
     pub resolve_steps: u64,
-    /// EDF-key memo hits inside the shared [`SuffixSolver`].
+    /// EDF-key memo hits inside the shared
+    /// [`SuffixSolver`](lamps_core::suffix::SuffixSolver).
     pub key_cache_hits: u64,
     /// EDF-key memo misses (fresh traversals).
     pub key_cache_misses: u64,
@@ -720,7 +784,7 @@ pub fn run_online(
     let mut due_s = vec![0.0f64; n];
     let mut cycles = Vec::with_capacity(n);
 
-    let mut solver = SuffixSolver::new();
+    let mut resolver = Resolver::default();
     let mut frames: Vec<FrameRecord> = Vec::with_capacity(table.len());
     let mut energy = EnergyBreakdown::default();
     // Completion times of in-flight/waiting frames, for the backlog.
@@ -784,7 +848,7 @@ pub fn run_online(
                 key: i as u64,
             },
             cfg,
-            &mut solver,
+            &mut resolver,
         );
         let trace = run.trace;
         busy_until = start_s + trace.makespan_s.max(0.0);
@@ -857,8 +921,8 @@ pub fn run_online(
         jobs_late: late_jobs().sum(),
         resolves: frames.iter().map(|f| f.resolves).sum(),
         resolve_steps: frames.iter().map(|f| f.resolve_steps).sum(),
-        key_cache_hits: solver.key_cache_hits(),
-        key_cache_misses: solver.key_cache_misses(),
+        key_cache_hits: resolver.solver.key_cache_hits(),
+        key_cache_misses: resolver.solver.key_cache_misses(),
         dvs_switches: frames.iter().map(|f| f.dvs_switches).sum(),
         degraded_frames: count(|f| f.degraded),
         plan_vdd: sol.level.vdd,
@@ -1167,16 +1231,14 @@ mod tests {
         let good = OnlineStream::periodic(&dag, 2, 1.0, cfg.max_frequency());
 
         let mut unsorted = good.clone();
-        unsorted.frames.arrival_s_mut()[1] = -1.0;
+        unsorted.frames.set_arrival(1, -1.0);
         assert!(matches!(
             run_online(&dag, &unsorted, &ocfg, &cfg),
             Err(SimError::BadStream(_))
         ));
         let mut backwards = good.clone();
-        backwards
-            .frames
-            .arrival_s_mut()
-            .copy_from_slice(&[1.0, 0.5]);
+        backwards.frames.set_arrival(0, 1.0);
+        backwards.frames.set_arrival(1, 0.5);
         assert!(matches!(
             run_online(&dag, &backwards, &ocfg, &cfg),
             Err(SimError::BadStream(_))
@@ -1247,7 +1309,7 @@ mod tests {
                 fr.actual.to_vec(),
                 clean.frames.actual().to_vec()[i * n..(i + 1) * n]
             );
-            assert_eq!(fr.arrival_s, clean.frames.arrival_s()[i]);
+            assert_eq!(fr.arrival_s, clean.frames.arrival_s().get(i));
             assert!(fr.faults.is_empty());
             // Each frame holds exactly the plan `FaultPlan::random` draws
             // from the frame's seed.
@@ -1370,6 +1432,118 @@ mod tests {
             let plans = plans.iter().cycle().take(count).cloned().collect();
             assert!(matches!(build(plans), Err(SimError::BadStream(_))));
         }
+    }
+
+    /// A built stream derives its arrivals; a table assembled from the
+    /// same values stores them. The two read the same bits and compare
+    /// equal, and a differing arrival breaks the equality either way.
+    #[test]
+    fn derived_arrivals_equal_explicit_ones() {
+        let dag = wide_dag();
+        let f_max = cfg().max_frequency();
+        let n = dag.graph.len();
+        let span = dag.hyperperiod_cycles as f64 / f_max;
+        for built in [
+            OnlineStream::synthesize(&dag, 2, 7, 0.85, 0.5, 0.9, None, f_max, 4).frames,
+            OnlineStream::periodic(&dag, 7, 0.85, f_max).frames,
+        ] {
+            assert!(matches!(built.arrival_s, ArrivalColumn::Progression { .. }));
+            let arrivals = built.arrival_s().to_vec();
+            for (i, (a, fr)) in arrivals.iter().zip(built.iter()).enumerate() {
+                let want = i as f64 * 0.85 * span;
+                assert_eq!(a.to_bits(), want.to_bits(), "arrival {i}");
+                assert_eq!(fr.arrival_s.to_bits(), want.to_bits(), "frame {i}");
+            }
+            let explicit =
+                FrameTable::from_parts(arrivals.clone(), n, built.actual().to_vec(), vec![])
+                    .unwrap();
+            assert!(matches!(explicit.arrival_s, ArrivalColumn::Explicit(_)));
+            assert_eq!(explicit.arrival_s(), built.arrival_s());
+            assert_eq!(explicit, built);
+            let mut off = arrivals;
+            off[3] += 1e-9;
+            let off = FrameTable::from_parts(off, n, built.actual().to_vec(), vec![]).unwrap();
+            assert_ne!(off, built);
+            assert_ne!(built, off);
+        }
+    }
+
+    /// `set_arrival` stores a derived stream's arrivals explicitly,
+    /// changing only the one it sets.
+    #[test]
+    fn set_arrival_materialises_the_progression() {
+        let dag = wide_dag();
+        let f_max = cfg().max_frequency();
+        let built = OnlineStream::periodic(&dag, 5, 1.0, f_max).frames;
+        let mut same = built.clone();
+        same.set_arrival(2, built.arrival_s().get(2));
+        assert!(matches!(&same.arrival_s, ArrivalColumn::Explicit(v) if v.len() == 5));
+        assert_eq!(same, built);
+
+        let mut moved = built.clone();
+        moved.set_arrival(4, 100.0);
+        moved.set_arrival(1, 0.5);
+        let mut want = built.arrival_s().to_vec();
+        (want[4], want[1]) = (100.0, 0.5);
+        assert_eq!(moved.arrival_s().to_vec(), want);
+        assert_eq!(moved.get(4).unwrap().arrival_s, 100.0);
+        assert_eq!(moved.len(), 5);
+        assert_ne!(moved, built);
+        for (i, (m, b)) in moved.iter().zip(built.iter()).enumerate() {
+            assert_eq!(m.actual, b.actual, "frame {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_arrival_past_the_end_panics() {
+        let dag = wide_dag();
+        let mut t = OnlineStream::periodic(&dag, 2, 1.0, cfg().max_frequency()).frames;
+        t.set_arrival(2, 1.0);
+    }
+
+    /// No processor value is reserved: a fail-stop on `ProcId(u32::MAX)`
+    /// reads back from a table built by `from_parts` and from one edited
+    /// by `set_faults`, and clearing it restores the fault-free table.
+    #[test]
+    fn every_proc_id_round_trips_through_the_fail_stop_column() {
+        let dag = wide_dag();
+        let n = dag.graph.len();
+        let f = 70;
+        let arrivals: Vec<f64> = (0..f).map(|i| i as f64).collect();
+        let actual = vec![1u64; f * n];
+        let fail = |proc: u32, at_s: f64| FaultPlan {
+            fail_stop: Some(FailStop {
+                proc: ProcId(proc),
+                at_s,
+            }),
+            ..FaultPlan::none()
+        };
+        let mut plans = vec![FaultPlan::none(); f];
+        plans[0] = fail(u32::MAX, 0.25);
+        plans[64] = fail(0, 0.0);
+        plans[69] = fail(u32::MAX - 1, f64::MAX);
+        let parts =
+            FrameTable::from_parts(arrivals.clone(), n, actual.clone(), plans.clone()).unwrap();
+        assert_frames_read(&parts, &plans);
+
+        let clean = FrameTable::from_parts(arrivals, n, actual, vec![]).unwrap();
+        let mut set = clean.clone();
+        for i in [69, 0, 64] {
+            set.set_faults(i, &plans[i]);
+        }
+        assert_frames_read(&set, &plans);
+        assert_eq!(set, parts);
+
+        // A slot that lost its fail-stop stores zeros again.
+        set.set_faults(0, &fail(7, 1.0));
+        set.set_faults(0, &FaultPlan::none());
+        plans[0] = FaultPlan::none();
+        assert_frames_read(&set, &plans);
+        for i in [64, 69] {
+            set.set_faults(i, &FaultPlan::none());
+        }
+        assert_eq!(set, clean);
     }
 
     /// One above `u32::MAX`: the smallest actual that needs the wide

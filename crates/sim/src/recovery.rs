@@ -39,10 +39,9 @@
 //! billed to `max(deadline, makespan)`.
 
 use crate::error::SimError;
-use crate::exec::{bill_idle, run_frame, Frame};
+use crate::exec::{bill_idle, run_frame, Frame, Resolver};
 use crate::faults::{FaultPlan, FaultView, InjectedEvent};
 use crate::runner::DvsSwitchCost;
-use lamps_core::suffix::SuffixSolver;
 use lamps_core::{SchedulerConfig, Solution, SolveBudget};
 use lamps_energy::EnergyBreakdown;
 use lamps_sched::ProcId;
@@ -293,7 +292,7 @@ pub(crate) fn run_plan(
             key: 0,
         },
         cfg,
-        &mut SuffixSolver::new(),
+        &mut Resolver::default(),
     )
     .trace;
     bill_idle(

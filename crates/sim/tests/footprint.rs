@@ -1,18 +1,20 @@
 //! Proof that an online stream owns its stream-level arrays and nothing
 //! else.
 //!
-//! A fault-free stream of `F` frames of `N` jobs must hold `8·F` bytes
-//! of arrivals and one column of actuals on the heap: `4·F·N` bytes when
-//! every actual fits in `u32` (every WCET does), `8·F·N` when one does
-//! not. It is built in a constant number of allocations whatever `F` is:
-//! no per-frame vectors, no fault arrays, no capacity slack, and no
-//! `u64` staging of a narrow column. A stream with faults adds its five
-//! flat fault arrays and nothing else: with `O` overruns and `D` DVS
-//! faults over all its frames it owns exactly
+//! A fault-free stream of `F` frames of `N` jobs must hold one column of
+//! actuals on the heap and nothing else: `4·F·N` bytes when every actual
+//! fits in `u32` (every WCET does), `8·F·N` when one does not. Its
+//! arrivals are a progression stored inline, not a per-frame array. It
+//! is built in a constant number of allocations whatever `F` is: no
+//! per-frame vectors, no fault arrays, no capacity slack, and no `u64`
+//! staging of a narrow column. A stream with faults adds its seven flat
+//! fault arrays and nothing else: with `O` overruns and `D` DVS faults
+//! over all its frames it owns exactly
 //!
-//! `8·F + 4·F·N + 32·F + 16·O + 24·D` bytes
+//! `4·F·N + 8·F + 12·F + 8·⌈F/64⌉ + 16·O + 24·D` bytes
 //!
-//! (per frame a 24-byte `Option<FailStop>` and two 4-byte end offsets;
+//! (per frame two 4-byte end offsets and a fail-stop slot of a `u32`
+//! processor and an `f64` time, one 64-bit presence word per 64 frames;
 //! 16 bytes per `Overrun`, 24 per `DvsFault`), again in a constant
 //! number of allocations whatever `F` is. A byte-counting global
 //! allocator measures the live heap around each build.
@@ -23,7 +25,7 @@
 //! `GlobalAlloc` impl below lives in this integration test only.
 
 use lamps_kpn::{PeriodicDag, PeriodicSet};
-use lamps_sim::{DvsFault, FailStop, FaultIntensity, OnlineStream, Overrun};
+use lamps_sim::{DvsFault, FaultIntensity, OnlineStream, Overrun};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -78,9 +80,9 @@ fn retained(make: impl FnOnce() -> OnlineStream) -> (OnlineStream, i64, i64) {
     )
 }
 
-/// `8·F + w·F·N`: the arrivals and the flat actuals at `w` bytes each.
+/// `w·F·N`: the flat actuals at `w` bytes each.
 fn fault_free_bytes(frames: usize, jobs: usize, width: usize) -> i64 {
-    (8 * frames + width * frames * jobs) as i64
+    (width * frames * jobs) as i64
 }
 
 fn dag() -> PeriodicDag {
@@ -118,7 +120,7 @@ fn streams_hold_only_their_arrays() {
             fault_free_bytes(frames, n, 4),
             "synthesize, {frames} frames"
         );
-        assert_eq!(allocs, 2, "synthesize, {frames} frames");
+        assert_eq!(allocs, 1, "synthesize, {frames} frames");
 
         let (s, bytes, allocs) = retained(|| OnlineStream::periodic(&dag, frames, 1.0, f_max));
         assert_eq!(s.frames.len(), frames);
@@ -127,7 +129,7 @@ fn streams_hold_only_their_arrays() {
             fault_free_bytes(frames, n, 4),
             "periodic, {frames} frames"
         );
-        assert_eq!(allocs, 2, "periodic, {frames} frames");
+        assert_eq!(allocs, 1, "periodic, {frames} frames");
     }
 
     // A WCET above `u32::MAX`: the actuals need the wide column, unless
@@ -138,14 +140,14 @@ fn streams_hold_only_their_arrays() {
         let (s, bytes, allocs) = retained(|| OnlineStream::periodic(&wide, frames, 1.0, f_max));
         assert_eq!(s.frames.len(), frames);
         assert_eq!(bytes, fault_free_bytes(frames, wn, 8), "wide periodic");
-        assert_eq!(allocs, 2, "wide periodic, {frames} frames");
+        assert_eq!(allocs, 1, "wide periodic, {frames} frames");
 
         let (s, bytes, allocs) = retained(|| {
             OnlineStream::synthesize(&wide, 1, frames, 1.0, 0.9, 1.0, None, f_max, 2006)
         });
         assert!(s.frames.actual().iter().any(|a| a > u64::from(u32::MAX)));
         assert_eq!(bytes, fault_free_bytes(frames, wn, 8), "wide synthesize");
-        assert_eq!(allocs, 2, "wide synthesize, {frames} frames");
+        assert_eq!(allocs, 1, "wide synthesize, {frames} frames");
 
         // Draws of at most 0.8 × 5·10⁹ fit: the column narrows, at the
         // cost of the one wide buffer it was drawn into.
@@ -158,20 +160,13 @@ fn streams_hold_only_their_arrays() {
             fault_free_bytes(frames, wn, 4),
             "narrowed synthesize"
         );
-        assert_eq!(allocs, 3, "narrowed synthesize, {frames} frames");
+        assert_eq!(allocs, 2, "narrowed synthesize, {frames} frames");
     }
 
-    // With faults: the five flat fault arrays on top, at exact size.
-    assert_eq!(
-        (
-            size_of::<Option<FailStop>>() + 2 * size_of::<u32>(),
-            size_of::<Overrun>(),
-            size_of::<DvsFault>()
-        ),
-        (32, 16, 24)
-    );
+    // With faults: the seven flat fault arrays on top, at exact size.
+    assert_eq!((size_of::<Overrun>(), size_of::<DvsFault>()), (16, 24));
     let moderate = FaultIntensity::moderate();
-    for frames in [1, 10, 125] {
+    for frames in [1, 10, 64, 65, 125] {
         let (s, bytes, allocs) = retained(|| {
             OnlineStream::synthesize(&dag, 2, frames, 1.0, 0.6, 1.0, Some(&moderate), f_max, 2006)
         });
@@ -179,15 +174,16 @@ fn streams_hold_only_their_arrays() {
         let overruns: usize = s.frames.iter().map(|fr| fr.faults.overruns.len()).sum();
         let dvs: usize = s.frames.iter().map(|fr| fr.faults.dvs.len()).sum();
         assert!(s.frames.iter().all(|fr| fr.faults.fail_stop.is_some()));
-        let fault_bytes = 32 * frames + 16 * overruns + 24 * dvs;
+        let fault_bytes =
+            8 * frames + 12 * frames + 8 * frames.div_ceil(64) + 16 * overruns + 24 * dvs;
         assert_eq!(
             bytes,
             fault_free_bytes(frames, n, 4) + fault_bytes as i64,
             "moderate faults, {frames} frames"
         );
-        // Two for the fault-free arrays, one per fault array, and the
-        // shrink of each flat array from its worst-case reservation.
+        // One for the actuals, one per fault array, and the shrink of
+        // each flat array from its worst-case reservation.
         assert!(overruns > 0 && dvs > 0, "{frames} frames draw both kinds");
-        assert_eq!(allocs, 9, "moderate faults, {frames} frames");
+        assert_eq!(allocs, 10, "moderate faults, {frames} frames");
     }
 }
