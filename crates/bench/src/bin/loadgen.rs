@@ -11,13 +11,14 @@
 //! step-budgeted requests that exercise the degraded path.
 //!
 //! **Differential mode** (`--differential`): after the run, every
-//! solved response is re-solved locally through the exact same entry
-//! points ([`solve_with_budget_cache`], plus plain [`solve_with_cache`]
-//! for unbudgeted requests) and compared **bit for bit** — energy bits,
+//! solved or error response to a planned request is answered again
+//! locally through [`answer`], the path a server worker takes, and
+//! compared **bit for bit** by [`check_answer`] — energy bits,
 //! frequency bits, processor count, makespan, step count, degradation
-//! flag. One differing bit fails the run. This only holds when the
-//! server runs without `--timeout-ms` (wall-clock budgets are not
-//! reproducible; step budgets are).
+//! flag, or error kind; unbudgeted answers must also equal plain
+//! [`solve_with_cache`]. One differing bit fails the run. This only
+//! holds when the server runs without `--timeout-ms` (wall-clock
+//! budgets are not reproducible; step budgets are).
 //!
 //! After the paced phase, a **saturation burst** (`--burst` extra
 //! requests, sent with no pacing) measures what the open-loop phase
@@ -30,7 +31,7 @@
 //!
 //! Once the traffic is over, the generator times one **in-process
 //! pass** over the burst's request lines on its own thread — parse,
-//! solve on a fresh cache, encode the reply, as a worker does — and
+//! then [`answer`] on a fresh cache, as a worker does — and
 //! records the saturated rate over that pass's rate as
 //! `ratios.saturated_over_inprocess`. Both rates come from the same run
 //! on the same machine, so the ratio moves when the served path slows
@@ -50,16 +51,15 @@
 use lamps_bench::cli::{or_die, Options};
 use lamps_bench::suite::DEADLINE_FACTORS;
 use lamps_core::cache::ScheduleCache;
-use lamps_core::{
-    solve_with_budget_cache, solve_with_cache, SchedulerConfig, SolveBudget, SolveError, Strategy,
-};
+use lamps_core::{solve_with_cache, SchedulerConfig, Strategy};
 use lamps_serve::protocol::{
-    encode_error, encode_request, encode_solve_request, encode_solved, parse_request,
-    parse_response, strategy_wire_name, DeadlineSpec, Limits, Request, Response, SolvedResponse,
+    answer, encode_request, encode_solve_request, parse_request, parse_response, DeadlineSpec,
+    Limits, Request, Response, SolveRequest,
 };
 use lamps_serve::{ServeConfig, Server};
 use lamps_taskgraph::gen::layered::stg_group;
 use lamps_taskgraph::{TaskGraph, COARSE_GRAIN_CYCLES_PER_UNIT};
+use lamps_verify::check_answer;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
@@ -80,6 +80,19 @@ struct Plan {
     budget_steps: Option<u64>,
 }
 
+impl Plan {
+    /// The solve request planned as request `id`.
+    fn request(&self, id: u64, graphs: &[TaskGraph]) -> SolveRequest {
+        SolveRequest {
+            id,
+            strategy: self.strategy,
+            deadline: DeadlineSpec::Factor(self.factor),
+            graph: graphs[self.graph_idx].clone(),
+            budget_steps: self.budget_steps,
+        }
+    }
+}
+
 #[derive(Default)]
 struct Log {
     latencies_us: Vec<u64>,
@@ -88,8 +101,8 @@ struct Log {
     rejected: u64,
     errors: u64,
     parse_failures: u64,
-    solved: Vec<SolvedResponse>,
-    error_kinds: Vec<(Option<u64>, String)>,
+    /// Solved and error responses, the differential's subjects.
+    answers: Vec<Response>,
 }
 
 struct SharedState {
@@ -125,7 +138,7 @@ fn receiver(stream: TcpStream, shared: Arc<SharedState>) {
             .and_then(|id| shared.pending.lock().expect("pending").remove(&id));
         let mut log = shared.log.lock().expect("log");
         match resp {
-            Response::Solved(s) => {
+            Response::Solved(ref s) => {
                 if let Some(at) = sent {
                     log.latencies_us.push(at.elapsed().as_micros() as u64);
                 }
@@ -134,12 +147,12 @@ fn receiver(stream: TcpStream, shared: Arc<SharedState>) {
                 } else {
                     log.ok += 1;
                 }
-                log.solved.push(s);
+                log.answers.push(resp);
             }
             Response::Overloaded { .. } => log.rejected += 1,
-            Response::Error { id, kind, .. } => {
+            Response::Error { .. } => {
                 log.errors += 1;
-                log.error_kinds.push((id, kind));
+                log.answers.push(resp);
             }
             Response::Pong { .. } => {}
             Response::Stats { body, .. } => {
@@ -173,18 +186,9 @@ fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     true
 }
 
-fn solve_error_kind(e: &SolveError) -> &'static str {
-    match e {
-        SolveError::Infeasible { .. } => "infeasible",
-        SolveError::BadDeadline(_) => "bad_deadline",
-        SolveError::Power(_) => "power",
-        SolveError::BudgetExhausted { .. } => "budget_exhausted",
-    }
-}
-
 /// Seconds of one in-process pass over `lines` on this thread: each is
-/// parsed, solved on a fresh cache and its reply encoded, as a server
-/// worker does, without the wire, the queue or the worker threads.
+/// parsed and answered on a fresh cache, as a server worker does,
+/// without the wire, the queue or the worker threads.
 fn inprocess_pass_seconds(lines: &[String], cfg: &SchedulerConfig) -> f64 {
     let limits = Limits::default();
     let start = Instant::now();
@@ -192,27 +196,14 @@ fn inprocess_pass_seconds(lines: &[String], cfg: &SchedulerConfig) -> f64 {
         let Ok(Request::Solve(req)) = parse_request(line.trim_end(), &limits) else {
             panic!("loadgen encoded a line its own server would not solve: {line}");
         };
-        let deadline_s = match req.deadline {
-            DeadlineSpec::Seconds(s) => s,
-            DeadlineSpec::Factor(f) => {
-                f * req.graph.critical_path_cycles() as f64 / cfg.max_frequency()
-            }
-        };
-        let budget = req
-            .budget_steps
-            .map_or_else(SolveBudget::unlimited, SolveBudget::steps);
         let mut cache = ScheduleCache::for_graph(&req.graph);
-        let reply =
-            match solve_with_budget_cache(req.strategy, deadline_s, cfg, &mut cache, &budget) {
-                Ok(b) => encode_solved(req.id, req.strategy, &b),
-                Err(e) => encode_error(Some(req.id), solve_error_kind(&e), &e.to_string()),
-            };
-        std::hint::black_box(reply);
+        std::hint::black_box(answer(&req, &req.budget(None), cfg, &mut cache).1);
     }
     start.elapsed().as_secs_f64()
 }
 
-/// Re-solve every server response locally and compare bit for bit.
+/// Answer every planned request the server answered (solved or error)
+/// again locally, on warm per-graph caches, and compare bit for bit.
 /// Returns (responses checked, mismatch descriptions).
 fn run_differential(
     log: &Log,
@@ -223,117 +214,42 @@ fn run_differential(
     let mut caches: Vec<ScheduleCache<'_>> = graphs.iter().map(ScheduleCache::for_graph).collect();
     let mut checked = 0u64;
     let mut mismatches = Vec::new();
-    let mut report = |id: u64, what: String| {
-        if mismatches.len() < 8 {
-            mismatches.push(format!("request {id}: {what}"));
-        } else {
-            mismatches.push(String::new()); // counted, not printed
-        }
-    };
-    for s in &log.solved {
-        let Some(plan) = plans.get(s.id as usize) else {
-            report(s.id, "response id matches no planned request".into());
-            continue;
-        };
-        checked += 1;
-        let graph = &graphs[plan.graph_idx];
-        let deadline_s = plan.factor * graph.critical_path_cycles() as f64 / cfg.max_frequency();
-        let budget = match plan.budget_steps {
-            Some(n) => SolveBudget::steps(n),
-            None => SolveBudget::unlimited(),
-        };
-        let local = solve_with_budget_cache(
-            plan.strategy,
-            deadline_s,
-            cfg,
-            &mut caches[plan.graph_idx],
-            &budget,
-        );
-        match local {
-            Err(e) => report(s.id, format!("server solved it, local solve failed: {e}")),
-            Ok(b) => {
-                let sol = &b.solution;
-                if s.energy_bits != sol.energy.total().to_bits()
-                    || s.freq_bits != sol.level.freq.to_bits()
-                    || s.n_procs as usize != sol.n_procs
-                    || s.makespan_cycles != sol.makespan_cycles
-                    || s.steps != b.steps
-                    || s.degraded == b.completeness.is_complete()
-                    || s.strategy != strategy_wire_name(plan.strategy)
-                {
-                    report(
-                        s.id,
-                        format!(
-                            "bitwise mismatch: server energy {:016x} procs {} steps {} vs local {:016x} procs {} steps {}",
-                            s.energy_bits,
-                            s.n_procs,
-                            s.steps,
-                            sol.energy.total().to_bits(),
-                            sol.n_procs,
-                            b.steps
-                        ),
-                    );
-                }
-                // Unbudgeted responses must also equal the plain
-                // (non-budget) production entry point.
-                if plan.budget_steps.is_none() {
-                    match solve_with_cache(
-                        plan.strategy,
-                        deadline_s,
-                        cfg,
-                        &mut caches[plan.graph_idx],
-                    ) {
-                        Ok(plain) if plain.energy.total().to_bits() == s.energy_bits => {}
-                        Ok(plain) => report(
-                            s.id,
-                            format!(
-                                "budget path diverged from solve_with_cache: {:016x} vs {:016x}",
-                                s.energy_bits,
-                                plain.energy.total().to_bits()
-                            ),
-                        ),
-                        Err(e) => report(s.id, format!("solve_with_cache failed locally: {e}")),
-                    }
-                }
+    for served in &log.answers {
+        // Control-op ids live past the plan table; only a solved
+        // response must answer a planned request.
+        let Some((id, plan)) = served
+            .id()
+            .and_then(|id| Some((id, plans.get(id as usize)?)))
+        else {
+            if let Response::Solved(s) = served {
+                mismatches.push(format!("request {}: matches no planned request", s.id));
             }
-        }
-    }
-    for (id, kind) in &log.error_kinds {
-        // Only errors for planned solve requests are differential
-        // subjects (control-op ids live past the plan table).
-        let Some(plan) = id.and_then(|id| plans.get(id as usize)) else {
             continue;
         };
-        let id = id.expect("checked");
         checked += 1;
-        let graph = &graphs[plan.graph_idx];
-        let deadline_s = plan.factor * graph.critical_path_cycles() as f64 / cfg.max_frequency();
-        let budget = match plan.budget_steps {
-            Some(n) => SolveBudget::steps(n),
-            None => SolveBudget::unlimited(),
+        let req = plan.request(id, graphs);
+        let cache = &mut caches[plan.graph_idx];
+        let (local, _) = answer(&req, &req.budget(None), cfg, cache);
+        let violations = check_answer(served, id, plan.strategy, &local);
+        mismatches.extend(violations.iter().map(|v| format!("request {id}: {v}")));
+        // Unbudgeted answers must also equal the plain (non-budget)
+        // production entry point.
+        let (Ok(b), None) = (&local, plan.budget_steps) else {
+            continue;
         };
-        match solve_with_budget_cache(
-            plan.strategy,
-            deadline_s,
-            cfg,
-            &mut caches[plan.graph_idx],
-            &budget,
-        ) {
-            Err(e) if solve_error_kind(&e) == kind => {}
-            Err(e) => report(
-                id,
-                format!(
-                    "error kind mismatch: server {kind:?}, local {:?}",
-                    solve_error_kind(&e)
-                ),
-            ),
-            Ok(_) => report(
-                id,
-                format!("server errored ({kind}), local solve succeeded"),
-            ),
+        let deadline_s = req.deadline.seconds(&req.graph, cfg);
+        match solve_with_cache(plan.strategy, deadline_s, cfg, cache) {
+            Ok(plain) if plain.energy.total().to_bits() == b.solution.energy.total().to_bits() => {}
+            Ok(plain) => mismatches.push(format!(
+                "request {id}: budget path diverged from solve_with_cache: {:016x} vs {:016x}",
+                b.solution.energy.total().to_bits(),
+                plain.energy.total().to_bits()
+            )),
+            Err(e) => mismatches.push(format!(
+                "request {id}: solve_with_cache failed locally: {e}"
+            )),
         }
     }
-    mismatches.retain(|m| !m.is_empty());
     (checked, mismatches)
 }
 
@@ -650,7 +566,7 @@ fn main() {
 
     if !mismatches.is_empty() {
         eprintln!("error: differential found {} mismatches:", mismatches.len());
-        for m in &mismatches {
+        for m in mismatches.iter().take(8) {
             eprintln!("  {m}");
         }
         std::process::exit(1);

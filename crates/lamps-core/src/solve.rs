@@ -198,7 +198,8 @@ impl DeadlineModel {
     }
 
     /// The slowest frequency \[Hz\] at which the schedule on `n`
-    /// processors, of makespan `makespan_cycles`, meets every deadline.
+    /// processors, of makespan `makespan_cycles`, meets every deadline
+    /// (and, per task, ends by the billing horizon).
     fn required_freq(
         &self,
         cfg: &SchedulerConfig,
@@ -206,11 +207,15 @@ impl DeadlineModel {
         n: usize,
         makespan_cycles: u64,
     ) -> f64 {
-        if let DeadlineModel::Uniform { deadline_s } = *self {
-            return makespan_cycles as f64 / deadline_s;
-        }
+        let horizon_cycles = match *self {
+            DeadlineModel::Uniform { deadline_s } => return makespan_cycles as f64 / deadline_s,
+            DeadlineModel::PerTask { horizon_cycles, .. } => horizon_cycles,
+        };
         let (f_max, schedule) = (cfg.max_frequency(), cache.schedule_arc(n));
-        let mut req: f64 = 0.0;
+        // The bill ends at the horizon, so the schedule must too, even
+        // when an explicit deadline lies past it. With every deadline at
+        // or before the horizon the last sink already forces this floor.
+        let mut req = makespan_cycles as f64 * f_max / horizon_cycles as f64;
         for (i, &lf) in cache.keys().iter().enumerate() {
             let finish = schedule.finish(TaskId(i as u32)) as f64;
             // lf ≥ weight ≥ 0; lf == 0 only for zero-weight tasks due at 0,

@@ -373,16 +373,16 @@ const GOLDEN: &[&str] = &[
     "uniform seed 5 LAMPS: n=9 f=0x41e6feb06c6b629d e=0x40004f16f74c7a8a m=363630000",
     "uniform seed 5 S&S+PS: n=9 f=0x41e6feb06c6b629d e=0x3ffe7e3c7975cb17 m=363630000",
     "uniform seed 5 LAMPS+PS: n=9 f=0x41e6feb06c6b629d e=0x3ffe7e3c7975cb17 m=363630000",
-    "past-horizon seed 0 S&S: err=deadline 0.0893442536143167 s infeasible: critical path needs 0.0893442536143167 s at maximum frequency",
-    "past-horizon seed 0 LAMPS: err=deadline 0.0893442536143167 s infeasible: critical path needs 0.0893442536143167 s at maximum frequency",
+    "past-horizon seed 0 S&S: n=2 f=0x41df7072603b4b78 e=0x3fc7108ed07a94d0 m=183830000",
+    "past-horizon seed 0 LAMPS: n=2 f=0x41df7072603b4b78 e=0x3fc7108ed07a94d0 m=183830000",
     "past-horizon seed 0 S&S+PS: n=2 f=0x41df7072603b4b78 e=0x3fc31210622ffdce m=183830000",
     "past-horizon seed 0 LAMPS+PS: n=2 f=0x41df7072603b4b78 e=0x3fc31210622ffdce m=183830000",
-    "past-horizon seed 1 S&S: err=deadline 0.1386116582211996 s infeasible: critical path needs 0.1386116582211996 s at maximum frequency",
-    "past-horizon seed 1 LAMPS: err=deadline 0.1386116582211996 s infeasible: critical path needs 0.1386116582211996 s at maximum frequency",
+    "past-horizon seed 1 S&S: n=7 f=0x41df7072603b4b78 e=0x3ff1493dfc41d07b m=285200000",
+    "past-horizon seed 1 LAMPS: n=7 f=0x41df7072603b4b78 e=0x3ff1493dfc41d07b m=285200000",
     "past-horizon seed 1 S&S+PS: n=7 f=0x41df7072603b4b78 e=0x3fefe93a74805490 m=285200000",
     "past-horizon seed 1 LAMPS+PS: n=7 f=0x41df7072603b4b78 e=0x3fefe93a74805490 m=285200000",
-    "past-horizon seed 2 S&S: err=deadline 0.17251124854703645 s infeasible: critical path needs 0.17251124854703645 s at maximum frequency",
-    "past-horizon seed 2 LAMPS: err=deadline 0.17251124854703645 s infeasible: critical path needs 0.17251124854703645 s at maximum frequency",
+    "past-horizon seed 2 S&S: n=9 f=0x41df7072603b4b78 e=0x3ffb1118733bfecf m=362390000",
+    "past-horizon seed 2 LAMPS: n=9 f=0x41df7072603b4b78 e=0x3ffb1118733bfecf m=362390000",
     "past-horizon seed 2 S&S+PS: n=9 f=0x41df7072603b4b78 e=0x3ff8744643773e12 m=362390000",
     "past-horizon seed 2 LAMPS+PS: n=9 f=0x41df7072603b4b78 e=0x3ff8744643773e12 m=362390000",
 ];

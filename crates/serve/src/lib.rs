@@ -13,7 +13,8 @@
 //! - [`protocol`] — wire format: request parsing with hard payload
 //!   limits, response encoding (including the 16-hex-digit `*_bits`
 //!   fields that make bitwise differential testing possible over JSON),
-//!   and a client-side decoder used by `loadgen` and the tests.
+//!   [`protocol::answer`], the one path from a solve request to its
+//!   reply, and a client-side decoder used by `loadgen` and the tests.
 //! - [`queue`] — bounded admission control with an explicit drain mode
 //!   for graceful shutdown.
 //! - [`server`] — the daemon: accept loop, per-connection

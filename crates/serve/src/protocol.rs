@@ -58,7 +58,10 @@
 //! key, with no id echoed when the repeated key is `id`. Members the
 //! schema does not name are ignored.
 
-use lamps_core::{BudgetedSolution, Completeness, Strategy};
+use lamps_core::{
+    solve_with_budget_cache, BudgetedSolution, Completeness, ScheduleCache, SchedulerConfig,
+    SolveBudget, SolveError, Strategy,
+};
 use lamps_obs::json::{
     parse, put_u64_before, write_hex64, write_string, write_u64, Event, ParseError, Str, Tokenizer,
     Value,
@@ -98,6 +101,19 @@ pub enum DeadlineSpec {
     Factor(f64),
 }
 
+impl DeadlineSpec {
+    /// The deadline in seconds for `graph` on `cfg`'s platform; a factor
+    /// `f` resolves to `f·CPL/f_max`.
+    pub fn seconds(self, graph: &TaskGraph, cfg: &SchedulerConfig) -> f64 {
+        match self {
+            DeadlineSpec::Seconds(s) => s,
+            DeadlineSpec::Factor(f) => {
+                f * graph.critical_path_cycles() as f64 / cfg.max_frequency()
+            }
+        }
+    }
+}
+
 /// A validated solve request.
 #[derive(Debug, Clone)]
 pub struct SolveRequest {
@@ -111,6 +127,18 @@ pub struct SolveRequest {
     pub graph: TaskGraph,
     /// Optional search budget in candidate evaluations.
     pub budget_steps: Option<u64>,
+}
+
+impl SolveRequest {
+    /// The step budget the request runs under: its own `budget_steps`,
+    /// else `default_steps`; no cancellation token, no wall-clock limit.
+    pub fn budget(&self, default_steps: Option<u64>) -> SolveBudget {
+        SolveBudget {
+            max_steps: self.budget_steps.or(default_steps),
+            token: None,
+            deadline: None,
+        }
+    }
 }
 
 /// Any accepted request.
@@ -723,6 +751,36 @@ pub fn encode_error(id: Option<u64>, kind: &str, message: &str) -> String {
     out
 }
 
+/// The wire `kind` of a solver error.
+pub fn error_kind(e: &SolveError) -> &'static str {
+    match e {
+        SolveError::Infeasible { .. } => "infeasible",
+        SolveError::BadDeadline(_) => "bad_deadline",
+        SolveError::Power(_) => "power",
+        SolveError::BudgetExhausted { .. } => "budget_exhausted",
+    }
+}
+
+/// Answer a solve request: resolve its deadline, solve through
+/// [`solve_with_budget_cache`] under `budget`, and encode the reply
+/// line. `cache` must be built for `req.graph` (or an identical graph).
+/// The server's workers, the load generator's in-process pass and the
+/// served-vs-local checks all answer through here.
+pub fn answer(
+    req: &SolveRequest,
+    budget: &SolveBudget,
+    cfg: &SchedulerConfig,
+    cache: &mut ScheduleCache<'_>,
+) -> (Result<BudgetedSolution, SolveError>, String) {
+    let deadline_s = req.deadline.seconds(&req.graph, cfg);
+    let result = solve_with_budget_cache(req.strategy, deadline_s, cfg, cache, budget);
+    let line = match &result {
+        Ok(b) => encode_solved(req.id, req.strategy, b),
+        Err(e) => encode_error(Some(req.id), error_kind(e), &e.to_string()),
+    };
+    (result, line)
+}
+
 /// Encode an admission-control rejection (`status: "overloaded"`).
 pub fn encode_overloaded(id: u64, queue_depth: usize, queue_capacity: usize) -> String {
     let mut out = String::with_capacity(96);
@@ -1289,7 +1347,6 @@ pub fn encode_request(req: &Request) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamps_core::{solve_with_budget_cache, ScheduleCache, SchedulerConfig, SolveBudget};
     use lamps_taskgraph::GraphError;
 
     fn diamond() -> TaskGraph {
@@ -1755,6 +1812,42 @@ mod tests {
             parse_response(encode_shutdown_ack(5).trim_end()).unwrap(),
             Response::ShuttingDown { id: 5 }
         );
+    }
+
+    /// A factor resolves as `f·CPL/f_max`, multiplied first. The
+    /// diamond's CPL is 12,400,000 cycles and the paper platform's
+    /// `f_max` has bits `0x41e6feb06c6b629d`; at `f = 1.61` that order
+    /// gives `…c6b7`, while `f·(CPL/f_max)` gives `…c6b8` and
+    /// `f/f_max·CPL` gives `…c6b9`, so the pin catches a reordering.
+    #[test]
+    fn factor_deadline_multiplies_before_it_divides() {
+        let cfg = SchedulerConfig::paper();
+        let g = diamond();
+        assert_eq!(cfg.max_frequency().to_bits(), 0x41e6_feb0_6c6b_629d);
+        assert_eq!(g.critical_path_cycles(), 12_400_000);
+        let d = DeadlineSpec::Factor(1.61).seconds(&g, &cfg);
+        assert_eq!(d.to_bits(), 0x3f7a_7ec2_9261_c6b7);
+        assert_eq!(DeadlineSpec::Seconds(0.25).seconds(&g, &cfg), 0.25);
+    }
+
+    #[test]
+    fn request_budget_falls_back_to_the_default() {
+        let line = encode_solve_request(
+            1,
+            Strategy::Lamps,
+            DeadlineSpec::Factor(2.0),
+            &diamond(),
+            None,
+        );
+        let Ok(Request::Solve(mut req)) = parse_request(line.trim_end(), &Limits::default()) else {
+            panic!("expected a solve request");
+        };
+        assert_eq!(req.budget(None).max_steps, None);
+        assert_eq!(req.budget(Some(9)).max_steps, Some(9));
+        req.budget_steps = Some(4);
+        assert_eq!(req.budget(Some(9)).max_steps, Some(4));
+        let b = req.budget(None);
+        assert!(b.token.is_none() && b.deadline.is_none());
     }
 
     #[test]

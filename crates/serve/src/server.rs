@@ -18,6 +18,7 @@
 //! ```
 //!
 //! **Degradation, not collapse:** every solve runs through
+//! [`crate::protocol::answer`], over
 //! [`lamps_core::solve_with_budget_cache`]. A per-request step budget
 //! (from the request or [`ServeConfig::default_budget_steps`]) and an
 //! optional wall-clock budget counted **from admission**
@@ -40,13 +41,13 @@
 //! zero.
 
 use crate::protocol::{
-    encode_error, encode_flight, encode_overloaded, encode_pong, encode_shutdown_ack,
-    encode_solved, encode_stats, encode_telemetry, parse_request, HistogramSummary, Limits,
-    ProtoError, Request, SolveRequest, TelemetryBody,
+    answer, encode_error, encode_flight, encode_overloaded, encode_pong, encode_shutdown_ack,
+    encode_stats, encode_telemetry, parse_request, HistogramSummary, Limits, ProtoError, Request,
+    SolveRequest, TelemetryBody,
 };
 use crate::queue::{Bounded, PushError};
 use lamps_core::cache::{CacheBuffers, ScheduleCache};
-use lamps_core::{SchedulerConfig, SolveBudget, SolveError};
+use lamps_core::SchedulerConfig;
 use lamps_obs::flight;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -74,8 +75,9 @@ pub struct ServeConfig {
     /// time counts, so overload degrades answers instead of stretching
     /// the queue.
     pub request_timeout: Option<Duration>,
-    /// Per-connection read timeout; a connection idle (or dribbling a
-    /// partial line) past this is closed. The slow-loris defense.
+    /// Per-connection read and write timeout; a connection idle (or
+    /// dribbling a partial line) past this is closed, and so is one
+    /// whose client stops reading its replies. The slow-loris defense.
     pub idle_timeout: Duration,
     /// Request payload ceilings.
     pub limits: Limits,
@@ -326,6 +328,9 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<Jo
         flight::record(flight::SERVE_ACCEPT, id, 0, 0);
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
+        // A client that stops reading stalls its writer no longer than
+        // an idle reader, so replies cannot pile up and wedge shutdown.
+        let _ = stream.set_write_timeout(Some(shared.config.idle_timeout));
         if let Ok(clone) = stream.try_clone() {
             shared
                 .conn_streams
@@ -668,19 +673,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 fn handle_job(shared: &Arc<Shared>, job: Job, bufs: CacheBuffers) -> CacheBuffers {
     let _span = lamps_obs::span("serve", "request");
-    let cfg = &shared.config.scheduler;
     let req = &job.req;
-    let deadline_s = match req.deadline {
-        crate::protocol::DeadlineSpec::Seconds(s) => s,
-        crate::protocol::DeadlineSpec::Factor(f) => {
-            f * req.graph.critical_path_cycles() as f64 / cfg.max_frequency()
-        }
-    };
-    let mut budget = SolveBudget {
-        max_steps: req.budget_steps.or(shared.config.default_budget_steps),
-        token: None,
-        deadline: None,
-    };
+    let mut budget = req.budget(shared.config.default_budget_steps);
     if let Some(t) = shared.config.request_timeout {
         // Counted from admission: time spent queued eats the budget, so
         // a backlog degrades answers instead of stretching latencies.
@@ -688,31 +682,21 @@ fn handle_job(shared: &Arc<Shared>, job: Job, bufs: CacheBuffers) -> CacheBuffer
     }
     let mut cache = ScheduleCache::for_graph_recycled(&req.graph, bufs);
     flight::record(flight::SERVE_SOLVE_START, req.id, 0, 0);
-    let result =
-        lamps_core::solve_with_budget_cache(req.strategy, deadline_s, cfg, &mut cache, &budget);
-    let line = match &result {
-        Ok(b) => {
-            if b.completeness.is_complete() {
-                bump(&shared.stats.solved_ok, "serve.ok");
-                flight::record(flight::SERVE_SOLVE_DONE, req.id, b.steps, 0);
-            } else {
-                bump(&shared.stats.degraded, "serve.degraded");
-                flight::record(flight::SERVE_SOLVE_DONE, req.id, b.steps, 1);
-            }
-            encode_solved(req.id, req.strategy, b)
+    let (result, line) = answer(req, &budget, &shared.config.scheduler, &mut cache);
+    match &result {
+        Ok(b) if b.completeness.is_complete() => {
+            bump(&shared.stats.solved_ok, "serve.ok");
+            flight::record(flight::SERVE_SOLVE_DONE, req.id, b.steps, 0);
         }
-        Err(e) => {
+        Ok(b) => {
+            bump(&shared.stats.degraded, "serve.degraded");
+            flight::record(flight::SERVE_SOLVE_DONE, req.id, b.steps, 1);
+        }
+        Err(_) => {
             bump(&shared.stats.solve_errors, "serve.solve_errors");
             flight::record(flight::SERVE_SOLVE_DONE, req.id, 0, 2);
-            let kind = match e {
-                SolveError::Infeasible { .. } => "infeasible",
-                SolveError::BadDeadline(_) => "bad_deadline",
-                SolveError::Power(_) => "power",
-                SolveError::BudgetExhausted { .. } => "budget_exhausted",
-            };
-            encode_error(Some(req.id), kind, &e.to_string())
         }
-    };
+    }
     if lamps_obs::metrics_enabled() {
         lamps_obs::histogram("serve.latency_us").record(job.admitted.elapsed().as_micros() as u64);
     }

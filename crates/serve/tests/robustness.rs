@@ -578,3 +578,31 @@ fn closed_connections_leave_the_registry() {
     assert!(registry_drains(&server, Duration::from_secs(10)));
     assert_eq!(server.stats().panics, 0);
 }
+
+#[test]
+fn a_client_that_never_reads_cannot_wedge_shutdown() {
+    let server = test_server(|c| {
+        c.workers = 1;
+        c.idle_timeout = Duration::from_millis(500);
+    });
+    let mut s = connect(&server);
+    // Far more reply bytes than the socket buffers of both ends hold, so
+    // the connection's writer stalls for good unless its write times out.
+    // Each line lacks its id, so each counts as a protocol error once read.
+    let lines = 200_000;
+    s.write("{\"op\":\"stats\"}\n".repeat(lines).as_bytes());
+    let start = std::time::Instant::now();
+    while server.stats().protocol_errors < lines as u64 {
+        assert!(start.elapsed() < Duration::from_secs(10), "lines unread");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.shutdown());
+    });
+    let stats = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown wedged behind a client that never reads");
+    assert_eq!(stats.panics, 0);
+    drop(s);
+}

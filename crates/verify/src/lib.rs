@@ -19,8 +19,9 @@
 //!   trace-event JSON ([`obs::check_chrome_trace`]) and the
 //!   `lamps-explain-v3` solver decision log ([`obs::check_explain`]).
 //! * [`serve`] — wire-protocol checks for `lamps-serve`: internal
-//!   consistency of response lines and bitwise replay of
-//!   request/response exchanges against a local solve.
+//!   consistency of response lines, the one bitwise served-vs-local
+//!   comparison ([`check_answer`]), and replay of request/response
+//!   exchanges through it.
 //! * [`wire`] — a fuzzer for the `lamps-serve` request decoder
 //!   (grammar-generated requests plus byte mutations of a golden corpus)
 //!   and the corpus itself.
@@ -53,6 +54,6 @@ pub use fuzz::{
 pub use obs::{check_chrome_trace, check_explain};
 pub use oracle::{exhaustive_optimum, OracleConfig, OracleError, OracleResult};
 pub use runtime::{check_online, check_run, RunViolation};
-pub use serve::{check_exchange, check_response_line, ServeViolation};
+pub use serve::{check_answer, check_exchange, check_response_line, ServeViolation};
 pub use validator::{check_schedule, check_solution, rebill, RebilledEnergy, Violation};
 pub use wire::{check_line, daemon_lines, run_wire, WireFailure, WireFuzzConfig, WireFuzzOutcome};

@@ -5,17 +5,15 @@
 //! under test. [`check_response_line`] re-derives every internal
 //! consistency rule a response must satisfy (bit patterns agreeing with
 //! the printed floats, solved invariants, degraded bookkeeping) from
-//! the raw line, and [`check_exchange`] replays a request/response pair
-//! against a local solve through the production entry points and
-//! demands bitwise agreement — the library form of the load generator's
-//! differential mode, usable from tests on single exchanges.
+//! the raw line; [`check_answer`] compares a served response with the
+//! local answer to the same request bit for bit — the one served-vs-local
+//! comparison, used by the load generator's differential mode — and
+//! [`check_exchange`] replays a request/response pair through it.
 
-use lamps_core::{
-    solve_with_budget_cache, Completeness, ScheduleCache, SchedulerConfig, SolveBudget, SolveError,
-};
+use lamps_core::{BudgetedSolution, ScheduleCache, SchedulerConfig, SolveError, Strategy};
 use lamps_serve::protocol::{
-    parse_request, parse_response, strategy_wire_name, DeadlineSpec, Limits, Request, Response,
-    TelemetryBody,
+    answer, error_kind, parse_request, parse_response, strategy_wire_name, Limits, Request,
+    Response, TelemetryBody,
 };
 
 /// Internal-consistency rules for the shared `stats`/`telemetry`
@@ -192,16 +190,90 @@ pub fn check_response_line(line: &str) -> Vec<ServeViolation> {
     v
 }
 
-/// Replay a request/response exchange: re-solve the request locally
-/// (through [`solve_with_budget_cache`] on a fresh cache, the entry
-/// point the server uses) and
-/// demand the served answer matches **bit for bit** — same energy and
-/// frequency bit patterns, processor count, makespan, step count, and
-/// completeness; or, for error responses, the same error category.
+/// Compare a served response with the local answer to the same solve
+/// request (id `id`, strategy `strategy`) **bit for bit**: the id echo,
+/// and for a solved response the strategy name, energy and frequency
+/// bit patterns, processor count, makespan, step count and degraded
+/// flag; for an error response the error kind. An `overloaded`
+/// response passes, since admission control is load-dependent, not
+/// wrong.
 ///
 /// Only meaningful when the server ran without a wall-clock request
 /// timeout (step budgets are reproducible, time budgets are not).
-/// Control-op exchanges (ping/stats/shutdown) only check the id echo.
+pub fn check_answer(
+    served: &Response,
+    id: u64,
+    strategy: Strategy,
+    local: &Result<BudgetedSolution, SolveError>,
+) -> Vec<ServeViolation> {
+    let mut v = Vec::new();
+    if matches!(served, Response::Overloaded { .. }) {
+        return v;
+    }
+    if served.id() != Some(id) {
+        v.push(ServeViolation::WrongAnswer(format!(
+            "request id {id} echoed as {:?}",
+            served.id()
+        )));
+    }
+    let mut mismatch = |m: String| v.push(ServeViolation::Mismatch(m));
+    match (served, local) {
+        (Response::Solved(s), Ok(b)) => {
+            let wire_name = strategy_wire_name(strategy);
+            if s.strategy != wire_name {
+                mismatch(format!(
+                    "strategy {wire_name:?} answered as {:?}",
+                    s.strategy
+                ));
+            }
+            let sol = &b.solution;
+            let bits = [
+                ("energy_bits", s.energy_bits, sol.energy.total().to_bits()),
+                ("freq_bits", s.freq_bits, sol.level.freq.to_bits()),
+            ];
+            for (name, served, local) in bits {
+                if served != local {
+                    mismatch(format!("served {name} {served:016x}, local {local:016x}"));
+                }
+            }
+            let counts = [
+                ("n_procs", s.n_procs, sol.n_procs as u64),
+                ("makespan_cycles", s.makespan_cycles, sol.makespan_cycles),
+                ("steps", s.steps, b.steps),
+            ];
+            for (name, served, local) in counts {
+                if served != local {
+                    mismatch(format!("served {name} {served}, local {local}"));
+                }
+            }
+            let local_degraded = !b.completeness.is_complete();
+            if s.degraded != local_degraded {
+                mismatch(format!(
+                    "served degraded={}, local degraded={local_degraded}",
+                    s.degraded
+                ));
+            }
+        }
+        (Response::Error { kind, .. }, Err(e)) => {
+            if kind != error_kind(e) {
+                mismatch(format!(
+                    "served error kind {kind:?}, local {:?}",
+                    error_kind(e)
+                ));
+            }
+        }
+        (served, Ok(_)) => mismatch(format!("served {served:?} but the local solve succeeded")),
+        (served, Err(e)) => mismatch(format!("served {served:?} but the local solve failed: {e}")),
+    }
+    v
+}
+
+/// Replay a request/response exchange: answer the request locally
+/// ([`answer`] on a fresh cache, the path a server worker takes) and
+/// [`check_answer`] the served response against it, after
+/// [`check_response_line`]'s consistency rules. An invalid request must
+/// have been answered with an error echoing its id and category;
+/// control-op exchanges (ping/stats/shutdown) only check the id echo.
 pub fn check_exchange(
     request_line: &str,
     response_line: &str,
@@ -214,7 +286,22 @@ pub fn check_exchange(
         Err(_) => return v, // already reported
     };
     let req = match parse_request(request_line.trim(), limits) {
-        Ok(r) => r,
+        Ok(Request::Solve(req)) => req,
+        Ok(
+            Request::Ping { id }
+            | Request::Stats { id }
+            | Request::Telemetry { id }
+            | Request::Flight { id, .. }
+            | Request::Shutdown { id },
+        ) => {
+            if resp.id() != Some(id) {
+                v.push(ServeViolation::WrongAnswer(format!(
+                    "control op id {id} echoed as {:?}",
+                    resp.id()
+                )));
+            }
+            return v;
+        }
         Err(e) => {
             // The request itself is invalid: the server must have
             // answered with a structured error echoing the same id and
@@ -229,109 +316,19 @@ pub fn check_exchange(
             return v;
         }
     };
-    let solve = match req {
-        Request::Solve(s) => s,
-        Request::Ping { id }
-        | Request::Stats { id }
-        | Request::Telemetry { id }
-        | Request::Flight { id, .. }
-        | Request::Shutdown { id } => {
-            if resp.id() != Some(id) {
-                v.push(ServeViolation::WrongAnswer(format!(
-                    "control op id {id} echoed as {:?}",
-                    resp.id()
-                )));
-            }
-            return v;
-        }
-    };
-    let deadline_s = match solve.deadline {
-        DeadlineSpec::Seconds(s) => s,
-        DeadlineSpec::Factor(f) => {
-            f * solve.graph.critical_path_cycles() as f64 / cfg.max_frequency()
-        }
-    };
-    let budget = match solve.budget_steps {
-        Some(n) => SolveBudget::steps(n),
-        None => SolveBudget::unlimited(),
-    };
-    let mut cache = ScheduleCache::for_graph(&solve.graph);
-    let local = solve_with_budget_cache(solve.strategy, deadline_s, cfg, &mut cache, &budget);
-    match (&resp, &local) {
-        (Response::Solved(s), Ok(b)) => {
-            if s.id != solve.id {
-                v.push(ServeViolation::WrongAnswer(format!(
-                    "request id {} echoed as {}",
-                    solve.id, s.id
-                )));
-            }
-            if s.strategy != strategy_wire_name(solve.strategy) {
-                v.push(ServeViolation::WrongAnswer(format!(
-                    "strategy {:?} answered as {:?}",
-                    strategy_wire_name(solve.strategy),
-                    s.strategy
-                )));
-            }
-            let sol = &b.solution;
-            if s.energy_bits != sol.energy.total().to_bits()
-                || s.freq_bits != sol.level.freq.to_bits()
-                || s.n_procs as usize != sol.n_procs
-                || s.makespan_cycles != sol.makespan_cycles
-            {
-                v.push(ServeViolation::Mismatch(format!(
-                    "served energy {:016x} / {} procs, local {:016x} / {} procs",
-                    s.energy_bits,
-                    s.n_procs,
-                    sol.energy.total().to_bits(),
-                    sol.n_procs
-                )));
-            }
-            if s.steps != b.steps {
-                v.push(ServeViolation::Mismatch(format!(
-                    "served steps {}, local {}",
-                    s.steps, b.steps
-                )));
-            }
-            let local_degraded = matches!(b.completeness, Completeness::Degraded { .. });
-            if s.degraded != local_degraded {
-                v.push(ServeViolation::Mismatch(format!(
-                    "served degraded={}, local degraded={local_degraded}",
-                    s.degraded
-                )));
-            }
-        }
-        (Response::Error { kind, .. }, Err(e)) => {
-            let local_kind = match e {
-                SolveError::Infeasible { .. } => "infeasible",
-                SolveError::BadDeadline(_) => "bad_deadline",
-                SolveError::Power(_) => "power",
-                SolveError::BudgetExhausted { .. } => "budget_exhausted",
-            };
-            if kind != local_kind {
-                v.push(ServeViolation::Mismatch(format!(
-                    "served error kind {kind:?}, local {local_kind:?}"
-                )));
-            }
-        }
-        (Response::Overloaded { .. }, _) => {
-            // Admission control is load-dependent, not wrong.
-        }
-        (resp, local) => v.push(ServeViolation::Mismatch(format!(
-            "served {resp:?} but local solve returned {}",
-            match local {
-                Ok(_) => "a solution".to_string(),
-                Err(e) => format!("error {e}"),
-            }
-        ))),
-    }
+    let mut cache = ScheduleCache::for_graph(&req.graph);
+    let (local, _) = answer(&req, &req.budget(None), cfg, &mut cache);
+    v.extend(check_answer(&resp, req.id, req.strategy, &local));
     v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamps_core::Strategy;
-    use lamps_serve::protocol::{encode_error, encode_solve_request, encode_solved};
+    use lamps_core::{solve_with_budget_cache, SolveBudget};
+    use lamps_serve::protocol::{
+        encode_error, encode_solve_request, encode_solved, DeadlineSpec, SolvedResponse,
+    };
     use lamps_taskgraph::GraphBuilder;
     use lamps_taskgraph::TaskGraph;
 
@@ -395,6 +392,93 @@ mod tests {
         .unwrap();
         let resp = encode_solved(5, Strategy::ScheduleStretch, &b2);
         assert!(!check_exchange(&req, &resp, &cfg, &Limits::default()).is_empty());
+    }
+
+    /// Every field the served-vs-local comparison covers, flipped one at
+    /// a time, must produce a violation naming it.
+    #[test]
+    fn check_answer_catches_each_flipped_field() {
+        let cfg = SchedulerConfig::paper();
+        let g = chain();
+        let cpl_s = g.critical_path_cycles() as f64 / cfg.max_frequency();
+        let solve = |factor: f64| {
+            solve_with_budget_cache(
+                Strategy::Lamps,
+                factor * cpl_s,
+                &cfg,
+                &mut ScheduleCache::for_graph(&g),
+                &SolveBudget::unlimited(),
+            )
+        };
+        let local = solve(2.0);
+        let line = encode_solved(5, Strategy::Lamps, local.as_ref().unwrap());
+        let Ok(Response::Solved(clean)) = parse_response(line.trim_end()) else {
+            panic!("expected a solved response: {line}");
+        };
+        let served = Response::Solved(clean.clone());
+        assert_eq!(
+            check_answer(&served, 5, Strategy::Lamps, &local),
+            Vec::new()
+        );
+        type Flip = fn(&mut SolvedResponse);
+        let flips: [(&str, Flip); 8] = [
+            ("id", |s| s.id += 1),
+            ("strategy", |s| s.strategy = "ss".into()),
+            ("energy_bits", |s| s.energy_bits ^= 1),
+            ("freq_bits", |s| s.freq_bits ^= 1),
+            ("n_procs", |s| s.n_procs += 1),
+            ("makespan_cycles", |s| s.makespan_cycles += 1),
+            ("steps", |s| s.steps += 1),
+            ("degraded", |s| s.degraded = !s.degraded),
+        ];
+        for (field, flip) in flips {
+            let mut s = clean.clone();
+            flip(&mut s);
+            let v = check_answer(&Response::Solved(s), 5, Strategy::Lamps, &local);
+            assert!(
+                v.iter().any(|v| v.to_string().contains(field)),
+                "flipped {field}: {v:?}"
+            );
+        }
+
+        // Error answers: the kind and the id echo are compared.
+        let infeasible = solve(0.5);
+        let error = |id: Option<u64>, kind: &str| Response::Error {
+            id,
+            kind: kind.to_string(),
+            message: String::new(),
+        };
+        let served = error(Some(5), "infeasible");
+        assert_eq!(
+            check_answer(&served, 5, Strategy::Lamps, &infeasible),
+            Vec::new()
+        );
+        for kind in ["bad_deadline", "power", "budget_exhausted", "bad_request"] {
+            let v = check_answer(&error(Some(5), kind), 5, Strategy::Lamps, &infeasible);
+            assert!(
+                v.iter().any(|v| v.to_string().contains("error kind")),
+                "served {kind}: {v:?}"
+            );
+        }
+        let v = check_answer(&error(None, "infeasible"), 5, Strategy::Lamps, &infeasible);
+        assert!(v
+            .iter()
+            .any(|v| matches!(v, ServeViolation::WrongAnswer(_))));
+
+        // An answer of the wrong sort, either way round.
+        assert!(!check_answer(&served, 5, Strategy::Lamps, &local).is_empty());
+        let solved = Response::Solved(clean);
+        assert!(!check_answer(&solved, 5, Strategy::Lamps, &infeasible).is_empty());
+
+        // Admission control is load-dependent, never a mismatch.
+        let overloaded = Response::Overloaded {
+            id: 5,
+            queue_depth: 64,
+        };
+        assert_eq!(
+            check_answer(&overloaded, 5, Strategy::Lamps, &local),
+            Vec::new()
+        );
     }
 
     #[test]

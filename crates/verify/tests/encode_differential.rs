@@ -7,14 +7,12 @@
 //! was encoded from, so equal bytes cannot hide a shared mistake.
 
 use lamps_core::cache::ScheduleCache;
-use lamps_core::{
-    solve_with_budget_cache, BudgetedSolution, Completeness, SchedulerConfig, SolveBudget, Strategy,
-};
+use lamps_core::{BudgetedSolution, Completeness, SchedulerConfig, Strategy};
 use lamps_obs::FlightEvent;
 use lamps_serve::protocol::{
-    encode_flight, encode_overloaded, encode_pong, encode_shutdown_ack, encode_solve_request,
-    encode_solved, encode_telemetry_body, parse_request, strategy_wire_name, DeadlineSpec,
-    HistogramSummary, Limits, Request, TelemetryBody,
+    answer, encode_flight, encode_overloaded, encode_pong, encode_shutdown_ack,
+    encode_solve_request, encode_solved, encode_telemetry_body, parse_request, strategy_wire_name,
+    DeadlineSpec, HistogramSummary, Limits, Request, TelemetryBody,
 };
 use lamps_taskgraph::apps::proxies;
 use lamps_taskgraph::gen::layered::stg_group;
@@ -262,18 +260,8 @@ fn solved_responses_to_the_wire_corpus_match_the_format_encoder() {
         let Ok(Request::Solve(req)) = parse_request(&entry.line, &entry.limits) else {
             continue;
         };
-        let deadline_s = match req.deadline {
-            DeadlineSpec::Seconds(s) => s,
-            DeadlineSpec::Factor(f) => {
-                f * req.graph.critical_path_cycles() as f64 / cfg.max_frequency()
-            }
-        };
-        let budget = req
-            .budget_steps
-            .map_or_else(SolveBudget::unlimited, SolveBudget::steps);
         let mut cache = ScheduleCache::for_graph(&req.graph);
-        let Ok(b) = solve_with_budget_cache(req.strategy, deadline_s, &cfg, &mut cache, &budget)
-        else {
+        let (Ok(b), _) = answer(&req, &req.budget(None), &cfg, &mut cache) else {
             continue;
         };
         if b.completeness.is_complete() {
