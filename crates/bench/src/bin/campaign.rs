@@ -225,9 +225,10 @@ fn unpruned_row_matches(
             let reference = solve_with_cache_unpruned(s, d, cfg, &mut cache);
             let ok = match (&row[k], &reference) {
                 (Ok(a), Ok(b)) => {
-                    a.n_procs == b.n_procs
+                    a.n_procs as usize == b.n_procs
                         && a.makespan_cycles == b.makespan_cycles
-                        && a.level.freq.to_bits() == b.level.freq.to_bits()
+                        && a.freq.to_bits() == b.level.freq.to_bits()
+                        && a.makespan_s().to_bits() == b.makespan_s.to_bits()
                         && a.energy.total().to_bits() == b.energy.total().to_bits()
                 }
                 (Err(a), Err(b)) => format!("{a}") == format!("{b}"),
@@ -314,7 +315,7 @@ fn run_giant(tasks: usize, seed: u64, cfg: &SchedulerConfig, reps: usize) -> Gia
             let reference = solve_with_cache(s, d, cfg, &mut cache);
             bitwise_equal &= match (&row[k], &reference) {
                 (Ok(a), Ok(b)) => {
-                    a.n_procs == b.n_procs
+                    a.n_procs as usize == b.n_procs
                         && a.energy.total().to_bits() == b.energy.total().to_bits()
                 }
                 (Err(a), Err(b)) => format!("{a}") == format!("{b}"),

@@ -20,19 +20,21 @@
 //! holds when the server runs without `--timeout-ms` (wall-clock
 //! budgets are not reproducible; step budgets are).
 //!
-//! After the paced phase, a **saturation burst** (`--burst` extra
-//! requests, sent with no pacing) measures what the open-loop phase
-//! cannot: actual drain throughput with the queue full, plus the
-//! admission-control path under genuine overload (the burst outruns the
-//! queue, so `overloaded` rejections show up in the recorded counters).
-//! The burst's solves/s is the gate's regression metric — the paced
-//! phase's solves/s merely echoes the arrival rate when the server
-//! keeps up.
+//! After the paced phase, [`BURSTS`] **saturation bursts** (`--burst`
+//! requests each, sent with no pacing, each drained before the next)
+//! measure what the open-loop phase cannot: actual drain throughput with
+//! the queue full, plus the admission-control path under genuine
+//! overload (a burst outruns the queue, so `overloaded` rejections show
+//! up in the recorded counters). The median burst's solves/s is the
+//! gate's regression metric — the paced phase's solves/s merely echoes
+//! the arrival rate when the server keeps up. One burst lasts only
+//! 10–30 ms, so a single one swings with whatever else the machine is
+//! doing; the median of several does not.
 //!
 //! Once the traffic is over, the generator times one **in-process
-//! pass** over the burst's request lines on its own thread — parse,
-//! then [`answer`] on a fresh cache, as a worker does — and
-//! records the saturated rate over that pass's rate as
+//! pass** over each burst's request lines on its own thread — parse,
+//! then [`answer`] on a fresh cache, as a worker does — and records the
+//! median saturated rate over the median in-process rate as
 //! `ratios.saturated_over_inprocess`. Both rates come from the same run
 //! on the same machine, so the ratio moves when the served path slows
 //! down relative to the solver, whatever the machine's speed.
@@ -71,6 +73,10 @@ use std::time::{Duration, Instant};
 /// Request-size mix in STG units (scaled to coarse grain) — the
 /// run-time re-solve band, matching the `campaign` corpus.
 const SIZES: [usize; 3] = [10, 20, 40];
+
+/// Saturation bursts per run; the recorded saturated and in-process
+/// rates are medians over them. Odd, so the median is one burst's.
+const BURSTS: usize = 7;
 
 /// One planned request; the request id indexes this table.
 struct Plan {
@@ -172,6 +178,13 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx]
+}
+
+/// The middle value of `rates` (the upper middle of an even count), or
+/// 0 when there is none. Sorts `rates` in place.
+fn median(rates: &mut [f64]) -> f64 {
+    rates.sort_unstable_by(f64::total_cmp);
+    rates.get(rates.len() / 2).copied().unwrap_or(0.0)
 }
 
 /// Spin until `cond` holds or `timeout` passes. True on success.
@@ -300,7 +313,8 @@ fn main() {
         );
     }
     let strategies = Strategy::all();
-    let plans: Vec<Plan> = (0..requests + burst)
+    let total_sent = requests + BURSTS * burst;
+    let plans: Vec<Plan> = (0..total_sent)
         .map(|i| Plan {
             graph_idx: i % graphs.len(),
             strategy: strategies[i % strategies.len()],
@@ -396,30 +410,32 @@ fn main() {
         (log.latencies_us.clone(), log.ok + log.degraded)
     };
 
-    // Phase 2 — saturation burst: no pacing, queue fills, admission
-    // control kicks in. Solved-per-second here is the capacity figure
-    // the gate regresses on.
-    let (burst_elapsed, burst_solved, burst_rejected) = if burst > 0 {
+    // Phase 2 — saturation bursts: no pacing, queue fills, admission
+    // control kicks in. The median burst's solved-per-second is the
+    // capacity figure the gate regresses on.
+    let bursts = if burst > 0 { BURSTS } else { 0 };
+    let burst_ids = |k: usize| requests + k * burst..requests + (k + 1) * burst;
+    let (mut burst_elapsed, mut burst_solved, mut burst_rejected) = (0.0, 0, 0);
+    let mut sat_rates = Vec::with_capacity(bursts);
+    for k in 0..bursts {
         let (pre_solved, pre_rejected) = {
             let log = shared.log.lock().expect("log");
             (log.ok + log.degraded, log.rejected)
         };
         let t0 = Instant::now();
-        for i in requests..requests + burst {
+        for i in burst_ids(k) {
             send(i);
         }
         drain_or_die("burst");
         let e = t0.elapsed().as_secs_f64();
         let log = shared.log.lock().expect("log");
-        (
-            e,
-            log.ok + log.degraded - pre_solved,
-            log.rejected - pre_rejected,
-        )
-    } else {
-        (0.0, 0, 0)
-    };
-    let sat_solves_per_sec = burst_solved as f64 / burst_elapsed.max(1e-9);
+        let solved = log.ok + log.degraded - pre_solved;
+        sat_rates.push(solved as f64 / e.max(1e-9));
+        burst_elapsed += e;
+        burst_solved += solved;
+        burst_rejected += log.rejected - pre_rejected;
+    }
+    let sat_solves_per_sec = median(&mut sat_rates);
 
     // Server counters: over the wire from an external daemon, straight
     // from the handle when self-hosting.
@@ -436,7 +452,7 @@ fn main() {
             ("panics".into(), s.panics),
         ]
     } else {
-        let stats_id = (requests + burst) as u64;
+        let stats_id = total_sent as u64;
         or_die(streams[0].write_all(encode_request(&Request::Stats { id: stats_id }).as_bytes()));
         if !wait_for(Duration::from_secs(10), || {
             shared.stats.lock().expect("stats").is_some()
@@ -448,7 +464,7 @@ fn main() {
     };
 
     if do_shutdown {
-        let shutdown_id = (requests + burst) as u64 + 1;
+        let shutdown_id = total_sent as u64 + 1;
         or_die(
             streams[0].write_all(encode_request(&Request::Shutdown { id: shutdown_id }).as_bytes()),
         );
@@ -473,7 +489,6 @@ fn main() {
         .map(|s| s.log.into_inner().expect("log"))
         .unwrap_or_else(|_| panic!("receiver threads still hold the log"));
     let answered = log.ok + log.degraded + log.rejected + log.errors;
-    let total_sent = requests + burst;
     let solves_per_sec = paced_solved as f64 / elapsed.max(1e-9);
     let mut lat = paced_lat;
     lat.sort_unstable();
@@ -484,7 +499,7 @@ fn main() {
     );
     if burst > 0 {
         println!(
-            "burst: {burst} requests → {burst_solved} solved, {burst_rejected} rejected in {burst_elapsed:.2}s ({sat_solves_per_sec:.0} solves/s saturated)"
+            "bursts: {BURSTS} × {burst} requests → {burst_solved} solved, {burst_rejected} rejected in {burst_elapsed:.2}s ({sat_solves_per_sec:.0} solves/s saturated, median burst)"
         );
     }
     println!(
@@ -507,15 +522,21 @@ fn main() {
         std::process::exit(1);
     }
 
-    // The same-run reference for the saturated rate: the burst's lines,
-    // served in-process once the traffic is over.
-    let burst_lines: Vec<String> = (requests..requests + burst).map(encode).collect();
-    let inprocess_elapsed = inprocess_pass_seconds(&burst_lines, &cfg);
-    let inprocess_solves_per_sec = burst_lines.len() as f64 / inprocess_elapsed.max(1e-9);
+    // The same-run reference for the saturated rate: each burst's
+    // lines, served in-process once the traffic is over.
+    let (mut inprocess_elapsed, mut inprocess_lines) = (0.0, 0);
+    let mut inprocess_rates = Vec::with_capacity(bursts);
+    for k in 0..bursts {
+        let lines: Vec<String> = burst_ids(k).map(encode).collect();
+        let e = inprocess_pass_seconds(&lines, &cfg);
+        inprocess_rates.push(lines.len() as f64 / e.max(1e-9));
+        inprocess_elapsed += e;
+        inprocess_lines += lines.len();
+    }
+    let inprocess_solves_per_sec = median(&mut inprocess_rates);
     let saturated_over_inprocess = sat_solves_per_sec / inprocess_solves_per_sec.max(1e-9);
     println!(
-        "in-process: {} burst lines parsed, solved and encoded in {inprocess_elapsed:.3}s ({inprocess_solves_per_sec:.0} solves/s); saturated/in-process {saturated_over_inprocess:.3}",
-        burst_lines.len()
+        "in-process: {inprocess_lines} burst lines parsed, solved and encoded in {inprocess_elapsed:.3}s ({inprocess_solves_per_sec:.0} solves/s, median burst); saturated/in-process {saturated_over_inprocess:.3}"
     );
 
     let (diff_checked, mismatches) = if differential {
@@ -533,7 +554,7 @@ fn main() {
     let mut json = String::with_capacity(1024);
     let _ = write!(
         json,
-        "{{\n  \"schema\": \"lamps-serve-bench-v1\",\n  \"smoke\": {smoke},\n  \"requests\": {requests},\n  \"conns\": {conns_n},\n  \"rate_per_sec\": {rate},\n  \"graphs\": {},\n  \"budgeted_requests\": {budgeted},\n  \"elapsed_seconds\": {elapsed},\n  \"solves_per_sec\": {solves_per_sec},\n  \"ok\": {},\n  \"degraded\": {},\n  \"rejected\": {},\n  \"errors\": {},\n  \"latency_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}},\n  \"saturation\": {{\"requests\": {burst}, \"elapsed_seconds\": {burst_elapsed}, \"solves_per_sec\": {sat_solves_per_sec}, \"solved\": {burst_solved}, \"rejected\": {burst_rejected}}},\n",
+        "{{\n  \"schema\": \"lamps-serve-bench-v1\",\n  \"smoke\": {smoke},\n  \"requests\": {requests},\n  \"conns\": {conns_n},\n  \"rate_per_sec\": {rate},\n  \"graphs\": {},\n  \"budgeted_requests\": {budgeted},\n  \"elapsed_seconds\": {elapsed},\n  \"solves_per_sec\": {solves_per_sec},\n  \"ok\": {},\n  \"degraded\": {},\n  \"rejected\": {},\n  \"errors\": {},\n  \"latency_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}},\n  \"saturation\": {{\"bursts\": {}, \"requests\": {}, \"elapsed_seconds\": {burst_elapsed}, \"solves_per_sec\": {sat_solves_per_sec}, \"solved\": {burst_solved}, \"rejected\": {burst_rejected}}},\n",
         graphs.len(),
         log.ok,
         log.degraded,
@@ -543,11 +564,12 @@ fn main() {
         percentile(&lat, 0.90),
         percentile(&lat, 0.99),
         percentile(&lat, 1.0),
+        bursts,
+        bursts * burst,
     );
     let _ = write!(
         json,
-        "  \"inprocess\": {{\"lines\": {}, \"elapsed_seconds\": {inprocess_elapsed}, \"solves_per_sec\": {inprocess_solves_per_sec}}},\n  \"ratios\": {{\"saturated_over_inprocess\": {saturated_over_inprocess}}},\n",
-        burst_lines.len(),
+        "  \"inprocess\": {{\"lines\": {inprocess_lines}, \"elapsed_seconds\": {inprocess_elapsed}, \"solves_per_sec\": {inprocess_solves_per_sec}}},\n  \"ratios\": {{\"saturated_over_inprocess\": {saturated_over_inprocess}}},\n",
     );
     let _ = write!(
         json,

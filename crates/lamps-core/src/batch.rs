@@ -35,7 +35,6 @@ use crate::solve::{solve_impl, DeadlineModel};
 use crate::types::{Solution, SolveError, Strategy};
 use lamps_energy::{EnergyBreakdown, LevelSweep};
 use lamps_parallel::{Pool, PoolMetrics};
-use lamps_power::OperatingPoint;
 use lamps_taskgraph::TaskGraph;
 
 /// Worker pool for graph-granularity batch items. The caller's thread
@@ -66,31 +65,46 @@ pub struct BatchJob<'a> {
 
 /// The compact outcome of one batch cell — everything the campaign
 /// aggregation needs, without retaining the schedule.
+///
+/// It keeps what its readers read and nothing they can derive: the
+/// chosen level is kept as its frequency, and the makespan in seconds
+/// is [`BatchCell::makespan_s`], computed from the cycles on demand.
+/// With `n_procs` as a `u32` the cell is 64 bytes, and so is a
+/// `Result<BatchCell, SolveError>`: the error fits beside the strategy,
+/// whose spare values tell the two apart. A campaign holds one per
+/// strategy, deadline and graph of a batch call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchCell {
     /// Strategy that produced this cell.
     pub strategy: Strategy,
     /// Processor count employed.
-    pub n_procs: usize,
-    /// Chosen operating point.
-    pub level: OperatingPoint,
+    pub n_procs: u32,
+    /// Frequency of the chosen operating point \[Hz\].
+    pub freq: f64,
     /// Full energy accounting.
     pub energy: EnergyBreakdown,
     /// Makespan in cycles at the nominal frequency.
     pub makespan_cycles: u64,
-    /// Makespan in seconds at the chosen level.
-    pub makespan_s: f64,
+}
+
+impl BatchCell {
+    /// Makespan in seconds at the chosen level: the same expression the
+    /// solver uses for [`Solution::makespan_s`], so the two agree bit
+    /// for bit.
+    pub fn makespan_s(&self) -> f64 {
+        self.makespan_cycles as f64 / self.freq
+    }
 }
 
 impl From<&Solution> for BatchCell {
     fn from(s: &Solution) -> Self {
         BatchCell {
             strategy: s.strategy,
-            n_procs: s.n_procs,
-            level: s.level,
+            n_procs: u32::try_from(s.n_procs)
+                .expect("a processor count never exceeds the task count"),
+            freq: s.level.freq,
             energy: s.energy,
             makespan_cycles: s.makespan_cycles,
-            makespan_s: s.makespan_s,
         }
     }
 }
@@ -370,6 +384,9 @@ mod tests {
                     (Ok(sol), Ok(cell)) => {
                         assert_eq!(cell, &BatchCell::from(sol));
                         assert_eq!(cell.energy.total().to_bits(), sol.energy.total().to_bits());
+                        assert_eq!(cell.n_procs as usize, sol.n_procs);
+                        assert_eq!(cell.freq.to_bits(), sol.level.freq.to_bits());
+                        assert_eq!(cell.makespan_s().to_bits(), sol.makespan_s.to_bits());
                     }
                     (Err(a), Err(b)) => assert_eq!(format!("{a}"), format!("{b}")),
                     (a, b) => panic!("{a:?} vs {b:?}"),
@@ -504,5 +521,15 @@ mod tests {
             cursor = range.end;
         }
         assert_eq!(cursor, flat.end);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_batch_cell_result_is_eight_words() {
+        // A campaign holds one of these per cell of a batch call (16,384
+        // for 1024 jobs × 4 deadlines × 4 strategies); growing it shows
+        // up in peak memory.
+        assert_eq!(std::mem::size_of::<BatchCell>(), 64);
+        assert_eq!(std::mem::size_of::<Result<BatchCell, SolveError>>(), 64);
     }
 }

@@ -135,7 +135,7 @@ impl FaultPlan {
     /// The plan as the borrowed view every reader takes.
     pub fn view(&self) -> FaultView<'_> {
         FaultView {
-            overruns: &self.overruns,
+            overruns: Overruns::from(self.overruns.as_slice()),
             fail_stop: self.fail_stop,
             dvs: &self.dvs,
         }
@@ -167,22 +167,23 @@ impl FaultPlan {
 
 /// The one fault draw behind [`FaultPlan::random`] and the fault
 /// streams of [`crate::OnlineStream::synthesize`]: appends the drawn
-/// overruns and DVS faults to `overruns` and `dvs` and returns the
-/// fail-stop, so both callers consume the same RNG sequence.
+/// overruns and DVS faults to `overruns` (a plan's list or a stream's
+/// columns) and `dvs` and returns the fail-stop, so both callers
+/// consume the same RNG sequence.
 pub(crate) fn draw_faults(
     graph: &TaskGraph,
     n_procs: usize,
     deadline_s: f64,
     intensity: &FaultIntensity,
     seed: u64,
-    overruns: &mut Vec<Overrun>,
+    overruns: &mut impl Extend<Overrun>,
     dvs: &mut Vec<DvsFault>,
 ) -> Option<FailStop> {
     let mut rng = Rng::seed_from_u64(seed ^ 0xFA_07_5E_ED);
     for t in graph.tasks() {
         if graph.weight(t) > 0 && rng.gen_bool(intensity.overrun_prob) {
             let factor = rng.gen_range(1.0..=intensity.max_overrun_factor.max(1.0));
-            overruns.push(Overrun { task: t, factor });
+            overruns.extend([Overrun { task: t, factor }]);
         }
     }
     let fail_stop = if intensity.fail_stop && n_procs > 0 {
@@ -212,23 +213,23 @@ pub(crate) fn draw_faults(
 }
 
 /// A borrowed, `Copy` view of one run's faults — the only way the
-/// runners and checkers read them. It owns no heap memory: two borrowed
+/// runners and checkers read them. It owns no heap memory: borrowed
 /// slices and a copied fail-stop.
 ///
 /// A [`FaultPlan`] lends one through [`FaultPlan::view`]. Frame `i` of
 /// an online stream lends one into the stream's flat fault arrays (see
-/// [`crate::FrameTable`]): `overruns` and `dvs` are frame `i`'s slices
-/// of the stream-wide overrun and DVS arrays, between the previous
-/// frame's end offsets and its own, and `fail_stop` is rebuilt from its
-/// slot of the packed fail-stop columns (a presence bit, a `u32`
-/// processor and an `f64` time). Those arrays cost a stream of `F`
-/// frames with `O` overruns and `D` DVS faults exactly
-/// `8·F + 12·F + 8·⌈F/64⌉ + 16·O + 24·D` heap bytes, and nothing when
-/// no frame has a fault.
+/// [`crate::FrameTable`]): `overruns` and `dvs` are frame `i`'s runs of
+/// the stream-wide overrun columns (task, factor) and DVS array,
+/// between the previous frame's end offsets and its own, and
+/// `fail_stop` is rebuilt from its slot of the packed fail-stop columns
+/// (a presence bit, a `u32` processor and an `f64` time). Those arrays
+/// cost a stream of `F` frames with `O` overruns and `D` DVS faults
+/// exactly `8·F + 12·F + 8·⌈F/64⌉ + 12·O + 24·D` heap bytes, and
+/// nothing when no frame has a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultView<'a> {
     /// Per-task WCET overruns (at most one entry per task).
-    pub overruns: &'a [Overrun],
+    pub overruns: Overruns<'a>,
     /// At most one processor fail-stop.
     pub fail_stop: Option<FailStop>,
     /// DVS regulator faults (at most one entry per processor).
@@ -244,7 +245,7 @@ impl FaultView<'_> {
     /// An owned copy of the faults.
     pub fn to_plan(&self) -> FaultPlan {
         FaultPlan {
-            overruns: self.overruns.to_vec(),
+            overruns: self.overruns.iter().collect(),
             fail_stop: self.fail_stop,
             dvs: self.dvs.to_vec(),
         }
@@ -266,7 +267,7 @@ impl FaultView<'_> {
     pub fn effective_cycles(&self, graph: &TaskGraph, actual: Actuals<'_>, out: &mut Vec<u64>) {
         out.clear();
         out.extend(actual.iter());
-        for o in self.overruns {
+        for o in self.overruns.iter() {
             let w = graph.weight(o.task);
             if w > 0 {
                 out[o.task.index()] = ((w as f64 * o.factor).round() as u64).max(1);
@@ -274,6 +275,114 @@ impl FaultView<'_> {
         }
     }
 }
+
+/// A borrowed run of overruns: a plan's own list, or one frame's run of
+/// a stream's two overrun columns (a `u32` task and an `f64` factor, 12
+/// bytes an overrun where a padded [`Overrun`] takes 16). Read as
+/// [`Overrun`] values either way; two views are equal when they hold
+/// the same overruns in the same order.
+#[derive(Debug, Clone, Copy)]
+pub struct Overruns<'a>(OverrunSlice<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum OverrunSlice<'a> {
+    Rows(&'a [Overrun]),
+    Columns {
+        task: &'a [TaskId],
+        factor: &'a [f64],
+    },
+}
+
+impl<'a> Overruns<'a> {
+    /// A view of two columns of equal length.
+    pub(crate) fn columns(task: &'a [TaskId], factor: &'a [f64]) -> Self {
+        debug_assert_eq!(task.len(), factor.len());
+        Overruns(OverrunSlice::Columns { task, factor })
+    }
+
+    /// Number of overruns.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            OverrunSlice::Rows(rows) => rows.len(),
+            OverrunSlice::Columns { task, .. } => task.len(),
+        }
+    }
+
+    /// Whether the view holds no overrun.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The overruns in order.
+    pub fn iter(&self) -> OverrunsIter<'a> {
+        match self.0 {
+            OverrunSlice::Rows(rows) => OverrunsIter {
+                rows: rows.iter(),
+                columns: [].iter().zip([].iter()),
+            },
+            OverrunSlice::Columns { task, factor } => OverrunsIter {
+                rows: [].iter(),
+                columns: task.iter().zip(factor.iter()),
+            },
+        }
+    }
+}
+
+impl Default for Overruns<'_> {
+    fn default() -> Self {
+        Overruns(OverrunSlice::Rows(&[]))
+    }
+}
+
+impl<'a> From<&'a [Overrun]> for Overruns<'a> {
+    fn from(rows: &'a [Overrun]) -> Self {
+        Overruns(OverrunSlice::Rows(rows))
+    }
+}
+
+impl PartialEq for Overruns<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<'a> IntoIterator for Overruns<'a> {
+    type Item = Overrun;
+    type IntoIter = OverrunsIter<'a>;
+
+    fn into_iter(self) -> OverrunsIter<'a> {
+        self.iter()
+    }
+}
+
+/// The overruns of an [`Overruns`] view. One of the two sources is
+/// always empty.
+#[derive(Debug, Clone)]
+pub struct OverrunsIter<'a> {
+    rows: std::slice::Iter<'a, Overrun>,
+    columns: std::iter::Zip<std::slice::Iter<'a, TaskId>, std::slice::Iter<'a, f64>>,
+}
+
+impl Iterator for OverrunsIter<'_> {
+    type Item = Overrun;
+
+    fn next(&mut self) -> Option<Overrun> {
+        match self.rows.next() {
+            Some(&o) => Some(o),
+            None => self
+                .columns
+                .next()
+                .map(|(&task, &factor)| Overrun { task, factor }),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.rows.len() + self.columns.len();
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for OverrunsIter<'_> {}
 
 /// Validates any number of [`FaultView`]s against one graph and machine
 /// with a single pair of duplicate markers: a marker holds the stamp of
@@ -301,7 +410,7 @@ impl<'g> FaultChecker<'g> {
     pub(crate) fn check(&mut self, faults: &FaultView<'_>) -> Result<(), SimError> {
         self.stamp += 1;
         let (graph, n_procs, stamp) = (self.graph, self.n_procs, self.stamp);
-        for o in faults.overruns {
+        for o in faults.overruns.iter() {
             if o.task.index() >= graph.len() {
                 return Err(bad_plan(format!("{} not in the graph", o.task)));
             }

@@ -59,7 +59,7 @@ use crate::error::SimError;
 use crate::exec::{bill_idle, run_frame, Frame, Resolver};
 use crate::faults::{
     draw_faults, DvsFault, FailStop, FaultChecker, FaultIntensity, FaultPlan, FaultView,
-    InjectedEvent, Overrun,
+    InjectedEvent, Overrun, Overruns,
 };
 use crate::recovery::{ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome};
 use crate::runner::DvsSwitchCost;
@@ -70,7 +70,9 @@ use lamps_energy::EnergyBreakdown;
 use lamps_kpn::PeriodicDag;
 use lamps_obs::flight;
 use lamps_sched::ProcId;
+use lamps_taskgraph::TaskId;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// How the online runtime behaves.
 #[derive(Debug, Clone)]
@@ -145,9 +147,10 @@ pub struct FrameInput<'a> {
 ///   at a stride of [`FrameTable::jobs`] entries per frame, in one
 ///   column of `u32` when every value fits and of `u64` otherwise
 ///   (read through [`Actuals`] views);
-/// * seven fault arrays, all empty when no frame has a fault: every
-///   frame's overruns back to back, every frame's DVS faults back to
-///   back, per frame the `u32` end offset of its overruns and of its DVS
+/// * eight fault arrays, all empty when no frame has a fault: every
+///   frame's overruns back to back as a task column and a factor column,
+///   every frame's DVS faults back to back, per frame the `u32` end
+///   offset of its overruns and of its DVS
 ///   faults (a frame's slice starts at the previous frame's end), and
 ///   the fail-stops as one presence bit, one `u32` processor and one
 ///   `f64` time per frame.
@@ -159,9 +162,10 @@ pub struct FrameInput<'a> {
 /// by [`OnlineStream::periodic`] or [`OnlineStream::synthesize`] owns
 /// exactly `4·F·N` heap bytes with a narrow column and `8·F·N` with a
 /// wide one (explicit arrivals add `8·F`); with faults it adds
-/// `8·F + 12·F + 8·⌈F/64⌉ + 16·O + 24·D` bytes for its `O` overruns and
+/// `8·F + 12·F + 8·⌈F/64⌉ + 12·O + 24·D` bytes for its `O` overruns and
 /// `D` DVS faults (two 4-byte end offsets and a 12-byte fail-stop slot
-/// per frame, and one 64-bit presence word per 64 frames).
+/// per frame, one 64-bit presence word per 64 frames, and a 4-byte task
+/// and an 8-byte factor per overrun).
 ///
 /// The layout is canonical: the column is narrow exactly when every
 /// actual fits in `u32`, a table whose frames carry no fault holds no
@@ -185,7 +189,7 @@ pub struct FrameTable {
 /// reserved, so every [`ProcId`] round-trips.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct FaultArrays {
-    overruns: Vec<Overrun>,
+    overruns: OverrunColumns,
     overrun_end: Vec<u32>,
     dvs: Vec<DvsFault>,
     dvs_end: Vec<u32>,
@@ -200,7 +204,7 @@ impl FaultArrays {
     /// `dvs` DVS faults in all.
     fn with_capacity(frames: usize, overruns: usize, dvs: usize) -> Self {
         FaultArrays {
-            overruns: Vec::with_capacity(overruns),
+            overruns: OverrunColumns::with_capacity(overruns),
             overrun_end: Vec::with_capacity(frames),
             dvs: Vec::with_capacity(dvs),
             dvs_end: Vec::with_capacity(frames),
@@ -264,7 +268,7 @@ impl FaultArrays {
         }
         let present = self.fail_present[i / 64] >> (i % 64) & 1 == 1;
         FaultView {
-            overruns: &self.overruns[frame_range(&self.overrun_end, i)],
+            overruns: self.overruns.view(frame_range(&self.overrun_end, i)),
             fail_stop: present.then(|| FailStop {
                 proc: ProcId(self.fail_proc[i]),
                 at_s: self.fail_at_s[i],
@@ -283,24 +287,74 @@ fn offset(len: usize) -> Result<u32, SimError> {
 
 /// The range of frame `i`'s entries in a flat array with per-frame end
 /// offsets `ends`.
-fn frame_range(ends: &[u32], i: usize) -> std::ops::Range<usize> {
+fn frame_range(ends: &[u32], i: usize) -> Range<usize> {
     i.checked_sub(1).map_or(0, |p| ends[p] as usize)..ends[i] as usize
 }
 
-/// Replace frame `i`'s entries of a flat array with `new`, shifting the
-/// end offsets of frame `i` onwards.
+/// Make room for frame `i` to hold `added` entries of a flat array of
+/// `len` entries: shift the end offsets of frame `i` onwards and return
+/// the range of the frame's old entries, which the caller replaces.
 ///
 /// # Panics
 ///
 /// If the array would outgrow its `u32` offsets.
-fn splice_frame<T: Copy>(flat: &mut Vec<T>, ends: &mut [u32], i: usize, new: &[T]) {
+fn splice_frame(ends: &mut [u32], len: usize, i: usize, added: usize) -> Range<usize> {
     let old = frame_range(ends, i);
     let removed = old.len();
-    offset(flat.len() - removed + new.len()).expect("a table holds at most u32::MAX faults");
-    flat.splice(old, new.iter().copied());
+    offset(len - removed + added).expect("a table holds at most u32::MAX faults");
     for end in &mut ends[i..] {
         // Every end is at most the new length, which fits.
-        *end = (*end as usize - removed + new.len()) as u32;
+        *end = (*end as usize - removed + added) as u32;
+    }
+    old
+}
+
+/// Every frame's overruns back to back, as two columns of equal length:
+/// 12 bytes an overrun, where a padded [`Overrun`] takes 16.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct OverrunColumns {
+    task: Vec<TaskId>,
+    factor: Vec<f64>,
+}
+
+impl OverrunColumns {
+    fn with_capacity(len: usize) -> Self {
+        OverrunColumns {
+            task: Vec::with_capacity(len),
+            factor: Vec::with_capacity(len),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.task.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.task.is_empty()
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.task.shrink_to_fit();
+        self.factor.shrink_to_fit();
+    }
+
+    fn view(&self, range: Range<usize>) -> Overruns<'_> {
+        Overruns::columns(&self.task[range.clone()], &self.factor[range])
+    }
+
+    /// Replace the entries in `range` with `new`.
+    fn splice(&mut self, range: Range<usize>, new: &[Overrun]) {
+        self.task.splice(range.clone(), new.iter().map(|o| o.task));
+        self.factor.splice(range, new.iter().map(|o| o.factor));
+    }
+}
+
+impl Extend<Overrun> for OverrunColumns {
+    fn extend<I: IntoIterator<Item = Overrun>>(&mut self, overruns: I) {
+        for o in overruns {
+            self.task.push(o.task);
+            self.factor.push(o.factor);
+        }
     }
 }
 
@@ -334,7 +388,7 @@ impl FrameTable {
             faults.iter().map(|p| p.dvs.len()).sum(),
         );
         for plan in &faults {
-            flat.overruns.extend_from_slice(&plan.overruns);
+            flat.overruns.extend(plan.overruns.iter().copied());
             flat.dvs.extend_from_slice(&plan.dvs);
             flat.end_frame(plan.fail_stop)?;
         }
@@ -441,8 +495,10 @@ impl FrameTable {
             f.fail_proc = vec![0; n_frames];
             f.fail_at_s = vec![0.0; n_frames];
         }
-        splice_frame(&mut f.overruns, &mut f.overrun_end, i, &plan.overruns);
-        splice_frame(&mut f.dvs, &mut f.dvs_end, i, &plan.dvs);
+        let old = splice_frame(&mut f.overrun_end, f.overruns.len(), i, plan.overruns.len());
+        f.overruns.splice(old, &plan.overruns);
+        let old = splice_frame(&mut f.dvs_end, f.dvs.len(), i, plan.dvs.len());
+        f.dvs.splice(old, plan.dvs.iter().copied());
         f.set_fail_stop(i, plan.fail_stop);
         f.canonicalize();
     }

@@ -12,9 +12,12 @@ impl TaskGraph {
     /// finish no earlier than its top level on an unbounded machine.
     /// Their maximum is [`Self::critical_path_cycles`].
     pub fn top_levels(&self) -> Vec<u64> {
-        self.top_levels_and_critical_path()
-            .expect("built graphs are acyclic")
-            .0
+        self.top_levels_and_critical_path(
+            Vec::with_capacity(self.len()),
+            Vec::with_capacity(self.len()),
+        )
+        .expect("built graphs are acyclic")
+        .0
     }
 
     /// *Bottom levels*: for each task, the length in cycles of the

@@ -11,16 +11,18 @@
 //! so that schedulers can walk successors and predecessors without
 //! allocation.
 //!
-//! Every array is an exact-length boxed slice, and the per-task name
-//! table stays empty unless some task is named, so an unnamed graph of
-//! `N` tasks and `E` edges owns exactly `8·N + 8·(N+1) + 8·E` heap bytes.
-//! The total work (a checked sum) and the critical path are computed
-//! once, at build time, and kept as two inline `u64`s. The critical path
-//! comes from the pass that proves acyclicity: an order-free walk over a
-//! stack of ready tasks, with one buffer that holds each task's count of
-//! untaken predecessors and then its top level. Building allocates only
-//! the graph's own arrays, that buffer and the stack; no scratch copy of
-//! the offsets and no topological order.
+//! A graph lives in two heap blocks: its weights, and one arena holding
+//! both directions' offsets and lists. The per-task name table exists
+//! only when some task is named, so an unnamed graph of `N` tasks and
+//! `E` edges owns exactly `8·N + 8·(N+1) + 8·E` heap bytes in those two
+//! blocks, behind a 56-byte struct. The total work (a checked sum) and
+//! the critical path are computed once, at build time, and kept as two
+//! inline `u64`s. The critical path comes from the pass that proves
+//! acyclicity: an order-free walk over a stack of ready tasks, with one
+//! buffer that holds each task's count of untaken predecessors and then
+//! its top level. Building allocates three blocks: the arena, at its
+//! final size, and two scratch buffers that bucket the edges by source
+//! and then serve that pass as its level buffer and its stack.
 
 /// Identifier of a task: a dense index into the graph's node arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -171,23 +173,35 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Finalize: deduplicate edges, build CSR adjacency, verify acyclicity
-    /// and compute the critical path and total work.
+    /// Finalize: deduplicate edges, lay out the adjacency arena, verify
+    /// acyclicity and compute the critical path and total work.
     ///
-    /// O(V+E) apart from sorting each task's own successor list: edges
-    /// are bucketed by source, each bucket is sorted and deduplicated in
-    /// place, and predecessors are filled by walking sources in
-    /// ascending order, so both adjacency lists come out ascending. The
-    /// offset slots serve as their own scatter cursors, so no scratch
-    /// copy of them is made. One order-free pass over a LIFO of ready
-    /// tasks then proves the graph acyclic and keeps the largest top
-    /// level, the critical path (see [`TaskGraph::top_levels`]).
+    /// O(V+E) apart from sorting each task's own successor list. Edge
+    /// targets are bucketed by source into a scratch list (a counting
+    /// sort), and each bucket is sorted and deduplicated while the list
+    /// is compacted in place, which fixes the edge count before the
+    /// arena exists. The arena is then allocated once at its final size
+    /// and written in place: successor offsets and lists from the
+    /// compacted buckets, then predecessor lists by one scatter that
+    /// walks sources in ascending order, so both directions come out
+    /// ascending; the predecessor offset slots serve as their own
+    /// scatter cursors. One order-free pass over a LIFO of ready tasks
+    /// then proves the graph acyclic and keeps the largest top level,
+    /// the critical path (see [`TaskGraph::top_levels`]). That pass
+    /// reuses the bucket ends as its level buffer and the scratch list
+    /// as its stack, so building allocates three blocks, the arena among
+    /// them, and the weights move from the builder without a copy.
     ///
     /// Errors with [`GraphError::WorkOverflow`] when the weights sum past
     /// `u64::MAX`; since every path is a subset of the tasks, every path
     /// sum of a built graph then fits too. Errors with
     /// [`GraphError::Cycle`] naming the lowest-id task that no
     /// topological order can reach.
+    ///
+    /// # Panics
+    ///
+    /// If the arena, `2·(N+1) + 2·E` entries, has more than `u32::MAX`
+    /// of them: its offsets are `u32`.
     pub fn build(self) -> Result<TaskGraph, GraphError> {
         let n = self.weights.len();
         if n == 0 {
@@ -199,85 +213,98 @@ impl GraphBuilder {
             .try_fold(0u64, |sum, &w| sum.checked_add(w))
             .ok_or(GraphError::WorkOverflow)?;
 
-        // Both offset arrays share one allocation: successor offsets,
-        // then predecessor offsets.
-        let mut offsets = vec![0u32; 2 * (n + 1)];
-        let (succ_off, pred_off) = offsets.split_at_mut(n + 1);
-
-        // Successors: bucket by source (counting sort), then sort and
-        // deduplicate each bucket while compacting the array in place.
+        // Bucket the targets by source: `ends[i]` ends up at bucket `i`'s
+        // end, which is bucket `i + 1`'s start. The scratch list is also
+        // long enough to serve as the top-level pass's ready stack.
+        let mut ends = vec![0u64; n + 1];
         for &(from, _) in &self.edges {
-            succ_off[from.index() + 1] += 1;
+            ends[from.index() + 1] += 1;
         }
         for i in 0..n {
-            succ_off[i + 1] += succ_off[i];
+            ends[i + 1] += ends[i];
         }
-        let mut succ = vec![TaskId(0); self.edges.len()];
+        let mut scratch = Vec::with_capacity(self.edges.len().max(n));
+        scratch.resize(self.edges.len(), TaskId(0));
         for &(from, to) in &self.edges {
-            let slot = &mut succ_off[from.index()];
-            succ[*slot as usize] = to;
-            *slot += 1;
+            let cursor = &mut ends[from.index()];
+            scratch[*cursor as usize] = to;
+            *cursor += 1;
         }
-        unshift(succ_off);
         drop(self.edges);
-        let mut write = 0usize;
-        for i in 0..n {
-            let (lo, hi) = (succ_off[i] as usize, succ_off[i + 1] as usize);
+        // Sort each bucket and drop its repeats, compacting the list in
+        // place; `ends[i]` becomes bucket `i`'s compacted end.
+        let (mut lo, mut e) = (0, 0);
+        for end in &mut ends[..n] {
+            let hi = *end as usize;
             if hi - lo > 1 {
-                succ[lo..hi].sort_unstable();
+                scratch[lo..hi].sort_unstable();
             }
-            let start = write;
-            succ_off[i] = start as u32;
+            let start = e;
             for r in lo..hi {
-                let to = succ[r];
-                if write == start || succ[write - 1] != to {
-                    succ[write] = to;
-                    write += 1;
+                let to = scratch[r];
+                if e == start || scratch[e - 1] != to {
+                    scratch[e] = to;
+                    e += 1;
                 }
             }
+            *end = e as u64;
+            lo = hi;
         }
-        succ_off[n] = write as u32;
-        succ.truncate(write);
+
+        let (base, len) = (2 * (n + 1), 2 * (n + 1) + 2 * e);
+        u32::try_from(len).expect("the adjacency arena overflows its u32 offsets");
+        let mut adjacency = vec![TaskId(0); len];
+        let (offsets, lists) = adjacency.split_at_mut(base);
+        let (succ_off, pred_off) = offsets.split_at_mut(n + 1);
+        let (succ, pred) = lists.split_at_mut(e);
+
+        // Successors: the compacted buckets. Offsets are absolute: the
+        // successor lists begin right after the offsets, the predecessor
+        // lists right after the successor lists.
+        succ.copy_from_slice(&scratch[..e]);
+        succ_off[0] = TaskId(base as u32);
+        for (off, &end) in succ_off[1..].iter_mut().zip(&ends) {
+            *off = TaskId((base as u64 + end) as u32);
+        }
+        for &to in succ.iter() {
+            pred_off[to.index() + 1].0 += 1;
+        }
 
         // Predecessors: walking sources in ascending order fills every
-        // bucket in ascending order.
-        for &to in &succ {
-            pred_off[to.index() + 1] += 1;
-        }
+        // list in ascending order.
+        pred_off[0] = TaskId((base + e) as u32);
         for i in 0..n {
-            pred_off[i + 1] += pred_off[i];
+            pred_off[i + 1].0 += pred_off[i].0;
         }
-        let mut pred = vec![TaskId(0); succ.len()];
         for from in 0..n {
-            for &to in &succ[succ_off[from] as usize..succ_off[from + 1] as usize] {
-                let slot = &mut pred_off[to.index()];
-                pred[*slot as usize] = TaskId(from as u32);
-                *slot += 1;
+            let list = succ_off[from].index() - base..succ_off[from + 1].index() - base;
+            for &to in &succ[list] {
+                let cursor = &mut pred_off[to.index()];
+                pred[cursor.index() - base - e] = TaskId(from as u32);
+                cursor.0 += 1;
             }
         }
-        unshift(pred_off);
+        unshift(pred_off, TaskId((base + e) as u32));
 
         let mut graph = TaskGraph {
             weights: self.weights.into_boxed_slice(),
-            names: self.names.into_boxed_slice(),
-            offsets: offsets.into_boxed_slice(),
-            succ: succ.into_boxed_slice(),
-            pred: pred.into_boxed_slice(),
+            adjacency: adjacency.into_boxed_slice(),
+            names: (!self.names.is_empty()).then(|| Box::new(self.names.into_boxed_slice())),
             critical_path_cycles: 0,
             total_work_cycles,
         };
-        graph.critical_path_cycles = graph.top_levels_and_critical_path()?.1;
+        graph.critical_path_cycles = graph.top_levels_and_critical_path(ends, scratch)?.1;
         Ok(graph)
     }
 }
 
-/// After a scatter that advanced each bucket's start offset `off[i]` to
-/// its end, which is the next bucket's start, shift the offsets back one
-/// place so `off[i]` is bucket `i`'s start again.
-fn unshift(off: &mut [u32]) {
+/// After a scatter that advanced each list's start offset `off[i]` to
+/// its end, which is the next list's start, shift the offsets back one
+/// place and put the first list's start, `first`, in front again.
+fn unshift(off: &mut [TaskId], first: TaskId) {
     let n = off.len() - 1;
     off.copy_within(0..n, 1);
-    off[0] = 0;
+    off[0] = first;
 }
 
 /// An immutable weighted task DAG.
@@ -292,19 +319,23 @@ fn unshift(off: &mut [u32]) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskGraph {
     weights: Box<[u64]>,
-    /// Empty when no task is named, else one slot per task.
-    names: Box<[Option<String>]>,
-    /// Successor offsets (`N + 1`) then predecessor offsets (`N + 1`).
-    /// One allocation, not two, keeps the struct at 96 bytes with the
-    /// two totals below.
-    offsets: Box<[u32]>,
-    succ: Box<[TaskId]>,
-    pred: Box<[TaskId]>,
+    /// One arena for both adjacency directions:
+    /// `[succ_off (N+1) | pred_off (N+1) | succ (E) | pred (E)]`. The
+    /// offsets are absolute indices into the arena, stored as `u32`s in
+    /// `TaskId`s, so task `t`'s successors are
+    /// `adjacency[adjacency[t]..adjacency[t + 1]]`.
+    adjacency: Box<[TaskId]>,
+    /// `None` when no task is named, else one slot per task. Boxed twice
+    /// so the field is one word: few graphs are named.
+    names: Option<Box<NameTable>>,
     /// Longest weighted path, from the top-level pass in `build`.
     critical_path_cycles: u64,
     /// Sum of `weights`, checked in `build`.
     total_work_cycles: u64,
 }
+
+/// The per-task names of a graph with at least one named task.
+type NameTable = Box<[Option<String>]>;
 
 impl TaskGraph {
     /// Number of tasks.
@@ -321,7 +352,7 @@ impl TaskGraph {
     /// Number of (deduplicated) dependence edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.succ.len()
+        (self.adjacency.len() - 2 * (self.len() + 1)) / 2
     }
 
     /// Execution weight of `t` in cycles.
@@ -345,7 +376,7 @@ impl TaskGraph {
             "task {t} is not in a graph of {} tasks",
             self.len()
         );
-        self.names.get(i).and_then(Option::as_deref)
+        self.names.as_ref().and_then(|names| names[i].as_deref())
     }
 
     /// Display label: the name if set, else `T<id>`.
@@ -359,18 +390,27 @@ impl TaskGraph {
     /// Direct successors of `t`.
     #[inline]
     pub fn successors(&self, t: TaskId) -> &[TaskId] {
-        let lo = self.offsets[t.index()] as usize;
-        let hi = self.offsets[t.index() + 1] as usize;
-        &self.succ[lo..hi]
+        self.list(&self.adjacency[..self.len() + 1], t)
     }
 
     /// Direct predecessors of `t`.
     #[inline]
     pub fn predecessors(&self, t: TaskId) -> &[TaskId] {
-        let pred_off = &self.offsets[self.len() + 1..];
-        let lo = pred_off[t.index()] as usize;
-        let hi = pred_off[t.index() + 1] as usize;
-        &self.pred[lo..hi]
+        self.list(self.pred_offsets(), t)
+    }
+
+    /// Task `t`'s list in the arena, given the `N + 1` offsets of one
+    /// direction. Panics if `t` is not a task of this graph.
+    #[inline]
+    fn list(&self, offsets: &[TaskId], t: TaskId) -> &[TaskId] {
+        &self.adjacency[offsets[t.index()].index()..offsets[t.index() + 1].index()]
+    }
+
+    /// The `N + 1` predecessor offsets.
+    #[inline]
+    fn pred_offsets(&self) -> &[TaskId] {
+        let n = self.len();
+        &self.adjacency[n + 1..2 * (n + 1)]
     }
 
     /// In-degree of `t`.
@@ -413,8 +453,11 @@ impl TaskGraph {
     /// the edge relation is cyclic.
     fn kahn(&self) -> Result<Vec<TaskId>, GraphError> {
         let n = self.len();
-        let pred_off = &self.offsets[n + 1..];
-        let mut indeg: Vec<u32> = pred_off.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut indeg: Vec<u32> = self
+            .pred_offsets()
+            .windows(2)
+            .map(|w| w[1].0 - w[0].0)
+            .collect();
         let mut order: Vec<TaskId> = Vec::with_capacity(n);
         order.extend((0..n as u32).map(TaskId).filter(|t| indeg[t.index()] == 0));
         let mut head = 0;
@@ -447,15 +490,22 @@ impl TaskGraph {
     /// finished top levels. Any topological order gives the same levels,
     /// so the stack's order is free. On a cycle some task is never
     /// taken; only then does [`Self::kahn`] run, for the
-    /// [`GraphError::Cycle`] payload.
-    pub(crate) fn top_levels_and_critical_path(&self) -> Result<(Vec<u64>, u64), GraphError> {
+    /// [`GraphError::Cycle`] payload. The buffer is `level` and the
+    /// stack `ready`, both cleared first, so a caller that hands in room
+    /// for `N` entries each allocates nothing here.
+    pub(crate) fn top_levels_and_critical_path(
+        &self,
+        mut level: Vec<u64>,
+        mut ready: Vec<TaskId>,
+    ) -> Result<(Vec<u64>, u64), GraphError> {
         let n = self.len();
-        let pred_off = &self.offsets[n + 1..];
-        let mut level: Vec<u64> = pred_off
-            .windows(2)
-            .map(|w| u64::from(w[1] - w[0]))
-            .collect();
-        let mut ready: Vec<TaskId> = Vec::with_capacity(n);
+        level.clear();
+        level.extend(
+            self.pred_offsets()
+                .windows(2)
+                .map(|w| u64::from(w[1].0 - w[0].0)),
+        );
+        ready.clear();
         ready.extend((0..n as u32).map(TaskId).filter(|t| level[t.index()] == 0));
         let (mut taken, mut critical_path) = (0usize, 0u64);
         while let Some(t) = ready.pop() {
@@ -604,13 +654,10 @@ mod tests {
         };
         let (succ_off, succ) = csr(|&(from, to)| (from, to));
         let (pred_off, pred) = csr(|&(from, to)| (to, from));
-        let offsets = [succ_off, pred_off].concat().into_boxed_slice();
         let mut graph = TaskGraph {
             weights: b.weights.into_boxed_slice(),
-            names: b.names.into_boxed_slice(),
-            offsets,
-            succ,
-            pred,
+            adjacency: arena(&succ_off, &succ, &pred_off, &pred),
+            names: (!b.names.is_empty()).then(|| Box::new(b.names.into_boxed_slice())),
             critical_path_cycles: 0,
             total_work_cycles: 0,
         };
@@ -627,6 +674,25 @@ mod tests {
         graph.critical_path_cycles = tl.into_iter().max().unwrap_or(0);
         graph.total_work_cycles = graph.weights.iter().sum();
         Ok(graph)
+    }
+
+    /// Pack two CSR halves, each with offsets relative to its own list,
+    /// into the graph's arena layout with absolute offsets.
+    fn arena(
+        succ_off: &[u32],
+        succ: &[TaskId],
+        pred_off: &[u32],
+        pred: &[TaskId],
+    ) -> Box<[TaskId]> {
+        let succ_base = (succ_off.len() + pred_off.len()) as u32;
+        let pred_base = succ_base + succ.len() as u32;
+        let succ_abs = succ_off.iter().map(|&o| TaskId(succ_base + o));
+        let pred_abs = pred_off.iter().map(|&o| TaskId(pred_base + o));
+        succ_abs
+            .chain(pred_abs)
+            .chain(succ.iter().copied())
+            .chain(pred.iter().copied())
+            .collect()
     }
 
     /// A random builder of up to 24 tasks (sometimes none, sometimes some
@@ -950,10 +1016,11 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn the_graph_struct_stays_twelve_words() {
-        // Five boxed slices and the two cached totals. A corpus of many
-        // small graphs pays this per graph, so growing it shows up in
-        // peak memory even though no heap bytes change.
-        assert_eq!(std::mem::size_of::<TaskGraph>(), 96);
+    fn the_graph_struct_stays_seven_words() {
+        // The weights and the arena (two boxed slices), the one-word name
+        // table and the two cached totals. A corpus of many small graphs
+        // pays this per graph, so growing it shows up in peak memory even
+        // though no heap bytes change.
+        assert_eq!(std::mem::size_of::<TaskGraph>(), 56);
     }
 }

@@ -3,11 +3,12 @@
 //!
 //! - `scale_weights` takes the graph by value and scales it in place:
 //!   no allocation at all.
-//! - `GraphBuilder::build` allocates its three CSR arrays, one shrink of
-//!   the successor array when duplicate edges were dropped, and the two
-//!   buffers of the top-level pass (a level per task, a stack of ready
-//!   tasks): the same count for 100 tasks as for 10,000, and no scratch
-//!   copies of the offsets or a topological order on the side.
+//! - `GraphBuilder::build` allocates the graph's adjacency arena at its
+//!   final size, duplicate edges or not, and the two buffers of the
+//!   top-level pass (a level per task, a stack of ready tasks): the same
+//!   count for 100 tasks as for 10,000, and no scratch CSR arrays, no
+//!   shrink after deduplication and no topological order on the side.
+//!   The weights move from the builder without a copy.
 //! - `layered::generate` keeps its layers as one array of start offsets,
 //!   so its count does not grow with the layer count.
 //!
@@ -110,10 +111,9 @@ fn construction_allocates_a_fixed_count() {
         small_calls, large_calls,
         "build of 10,000 tasks made {large_calls} allocations, of 100 tasks {small_calls}"
     );
-    // Offsets, successors, their shrink after deduplication,
-    // predecessors, the level buffer and the ready stack.
+    // The arena, the level buffer and the ready stack.
     assert_eq!(
-        large_calls, 6,
+        large_calls, 3,
         "build allocated scratch beyond its fixed set"
     );
 
