@@ -644,7 +644,7 @@ mod tests {
         // The scanner found saturation.requests and server.degraded.
         let no_requests = edit(BENCH_SERVE, "\"requests\": 1200,", "");
         assert!(fails(&no_requests, SERVE_RULES));
-        let no_degraded = edit(BENCH_SERVE, "\"degraded\": 420,\n", "");
+        let no_degraded = edit(BENCH_SERVE, "\"degraded\": 1722,\n", "");
         assert!(fails(&no_degraded, SERVE_RULES));
     }
 
@@ -663,7 +663,7 @@ mod tests {
 
     #[test]
     fn serve_without_differential_checked_fails() {
-        let broken = edit(BENCH_SERVE, "\"checked\": 1711, ", "");
+        let broken = edit(BENCH_SERVE, "\"checked\": 7461, ", "");
         assert!(fails(&broken, SERVE_RULES));
     }
 
@@ -685,7 +685,7 @@ mod tests {
         // workload; the same-run ratio does not depend on either.
         let slower = edit(
             BENCH_SERVE,
-            "\"saturated_over_inprocess\": 0.4559734620729905",
+            "\"saturated_over_inprocess\": 0.6793226452688461",
             "\"saturated_over_inprocess\": 0.29",
         );
         assert!(fails(&slower, SERVE_RULES));
@@ -702,19 +702,19 @@ mod tests {
         assert!(rate(&json(&solver), "f", "after.solves_per_sec").is_err());
         let serve = edit(
             BENCH_SERVE,
-            "\"solves_per_sec\": 16864.73711851742",
+            "\"solves_per_sec\": 17249.693926388965",
             "\"solves_per_sec\": 0",
         );
         assert!(rate(&json(&serve), "f", "saturation.solves_per_sec").is_err());
         let negative = edit(
             BENCH_SERVE,
-            "\"solves_per_sec\": 16864.73711851742",
+            "\"solves_per_sec\": 17249.693926388965",
             "\"solves_per_sec\": -1",
         );
         assert!(rate(&json(&negative), "f", "saturation.solves_per_sec").is_err());
         let infinite = edit(
             BENCH_SERVE,
-            "\"solves_per_sec\": 16864.73711851742",
+            "\"solves_per_sec\": 17249.693926388965",
             "\"solves_per_sec\": 1e999",
         );
         assert!(rate(&json(&infinite), "f", "saturation.solves_per_sec").is_err());
@@ -726,7 +726,11 @@ mod tests {
         let online = edit(BENCH_ONLINE, "\"violations\": 0\n}", "\"violations\": 0");
         assert!(parse(&online).is_err());
         assert!(fails(&online, ONLINE_RULES));
-        let serve = edit(BENCH_SERVE, "\"panics\": 0}\n}", "\"panics\": 0");
+        let serve = edit(
+            BENCH_SERVE,
+            "\"solve_errors\": 0}\n}",
+            "\"solve_errors\": 0",
+        );
         assert!(parse(&serve).is_err());
         assert!(fails(&serve, SERVE_RULES));
     }

@@ -3,9 +3,8 @@
 //! Runs the Fig. 10 coarse-grain workload (STG-style random groups,
 //! 50–5000 nodes, plus the application proxies; four deadline factors ×
 //! four strategies per graph, 608 solves) through the production solver
-//! — flat-arena schedule cache, lower-bound pruned scan, parallel
-//! candidate sweep — and times it with the shared min-over-reps helper
-//! ([`lamps_bench::timing`]).
+//! — flat-arena schedule cache, lower-bound pruned scan — and times it
+//! with the shared min-over-reps helper ([`lamps_bench::timing`]).
 //!
 //! There is no in-process "legacy engine" reconstruction: the *before*
 //! figure comes from a **baseline JSON** recorded by actually running
@@ -192,14 +191,13 @@ struct Counters {
     values: [u64; COUNTER_NAMES.len()],
 }
 
-const COUNTER_NAMES: [(&str, &str); 10] = [
+const COUNTER_NAMES: [(&str, &str); 9] = [
     ("schedule_hits", "core.cache.schedule_hits"),
     ("schedule_misses", "core.cache.schedule_misses"),
     ("summary_hits", "core.cache.summary_hits"),
     ("summary_misses", "core.cache.summary_misses"),
     ("plateau_hits", "core.cache.plateau_hits"),
     ("candidates", "core.scan.candidates"),
-    ("parallel_candidates", "core.scan.parallel_candidates"),
     ("scan_breaks", "core.prune.scan_breaks"),
     ("list_schedule_runs", "sched.list_schedule.runs"),
     ("list_schedule_tasks", "sched.list_schedule.tasks"),
@@ -411,7 +409,7 @@ fn main() {
     let _ = writeln!(json, "  \"after\": {{");
     let _ = writeln!(
         json,
-        "    \"engine\": \"flat-arena cache + lower-bound pruned scan + parallel sweep\","
+        "    \"engine\": \"flat-arena cache + lower-bound pruned scan\","
     );
     let _ = writeln!(json, "    \"reps\": {reps},");
     let _ = writeln!(json, "    \"seconds\": {total_s},");

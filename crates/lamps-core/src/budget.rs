@@ -172,12 +172,6 @@ impl Meter {
         self.interrupted
     }
 
-    /// Whether anything can stop the scan early: a step cap, a token or
-    /// a wall-clock deadline.
-    pub(crate) fn can_trip(&self) -> bool {
-        self.max != u64::MAX || self.token.is_some() || self.deadline.is_some()
-    }
-
     /// Admit the next candidate, whose full level sweep costs `steps`.
     /// Returns how many of its levels the scan may evaluate, or `None`
     /// once the cap is spent, the token tripped or the deadline passed.
@@ -222,7 +216,7 @@ pub fn solve_with_budget_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::{solve, solve_with_cache_explained, PAR_SCAN_MIN_TASKS};
+    use crate::solve::{solve, solve_with_cache_explained};
     use lamps_taskgraph::gen::layered::{generate, stg_group, LayeredConfig};
     use lamps_taskgraph::{GraphBuilder, TaskGraph};
 
@@ -300,7 +294,7 @@ mod tests {
             .chain(stg_group(600, 1, 41))
             .map(|g| g.scale_weights(310_000))
             .collect();
-        assert!(graphs.iter().any(|g| g.len() >= PAR_SCAN_MIN_TASKS));
+        assert!(graphs.iter().any(|g| g.len() >= 512), "one large graph");
         for (i, g) in graphs.iter().enumerate() {
             let mut pruned = ScheduleCache::for_graph(g);
             let mut reference = ScheduleCache::for_graph(g);
@@ -320,16 +314,15 @@ mod tests {
                         let got = solve_with_budget_cache(s, d, &cfg(), &mut pruned, &budget);
                         assert_budget_match(&got, &oracle(&budget), &ctx);
                     }
-                    // The parallel arm (unlimited, large graph) and the
-                    // sequential one (a token forces it) agree on the
-                    // solution and the steps.
+                    // An unlimited meter and one that could trip (an
+                    // untripped token) agree on the solution and the steps.
                     let unlimited = SolveBudget::unlimited();
-                    let par = solve_with_budget_cache(s, d, &cfg(), &mut pruned, &unlimited);
+                    let free = solve_with_budget_cache(s, d, &cfg(), &mut pruned, &unlimited);
                     let with_token = unlimited.with_token(CancelToken::new());
-                    let seq = solve_with_budget_cache(s, d, &cfg(), &mut pruned, &with_token);
-                    let ctx = format!("graph {i}, {s}, {factor}x: parallel vs sequential");
-                    assert_budget_match(&par, &seq, &ctx);
-                    if let (Ok(a), Ok(b)) = (&par, &seq) {
+                    let held = solve_with_budget_cache(s, d, &cfg(), &mut pruned, &with_token);
+                    let ctx = format!("graph {i}, {s}, {factor}x: unlimited vs token");
+                    assert_budget_match(&free, &held, &ctx);
+                    if let (Ok(a), Ok(b)) = (&free, &held) {
                         assert_eq!(a.steps, b.steps, "{ctx}");
                         assert_eq!(a.completeness, b.completeness, "{ctx}");
                     }

@@ -197,9 +197,8 @@ impl<'g> ScheduleCache<'g> {
     /// strict-decrease termination. The differential suite uses this to
     /// build the unpruned reference path; solutions must be bitwise
     /// identical either way. The solver reads the same flag: with it
-    /// off, the search also ends no scan early and never takes the
-    /// parallel arm — the reference engine of
-    /// [`crate::solve_with_cache_unpruned`].
+    /// off, the search also ends no scan early — the reference engine
+    /// of [`crate::solve_with_cache_unpruned`].
     pub fn set_shortcuts_enabled(&mut self, enabled: bool) {
         self.shortcuts_enabled = enabled;
     }
@@ -288,22 +287,6 @@ impl<'g> ScheduleCache<'g> {
     pub fn summary(&mut self, n: usize) -> &IdleSummary {
         self.ensure_summary(n);
         self.summaries[n - 1].as_ref().expect("just ensured")
-    }
-
-    /// Idle summaries for a batch of processor counts, in the order
-    /// given (duplicates allowed). Ensures every summary exists first,
-    /// then hands back one shared borrow per count — the shape the
-    /// parallel candidate evaluation needs, where the sweeps run
-    /// concurrently over `&IdleSummary` references while the cache
-    /// itself is no longer borrowed mutably.
-    pub fn summaries(&mut self, counts: &[usize]) -> Vec<&IdleSummary> {
-        for &n in counts {
-            self.ensure_summary(n);
-        }
-        counts
-            .iter()
-            .map(|&n| self.summaries[n - 1].as_ref().expect("just ensured"))
-            .collect()
     }
 
     /// Number of list-scheduling runs performed so far — the `T_ls`

@@ -324,16 +324,14 @@ mod tests {
     }
 
     #[test]
-    fn per_task_parallel_arm_matches_the_unpruned_reference() {
-        // Graphs above PAR_SCAN_MIN_TASKS take the parallel arm (forced
-        // on under cfg(test)), which computes each count's per-task
-        // required frequency before the fan-out; the unpruned reference
-        // runs the plain sequential scan. Both must agree to the bit.
+    fn per_task_large_graphs_match_the_unpruned_reference() {
+        // Graphs of at least 512 tasks, pruned against the unpruned
+        // reference: both must agree to the bit.
         let cfg = cfg();
         let graphs = lamps_taskgraph::gen::layered::stg_group(600, 2, 41)
             .into_iter()
             .map(|g| g.scale_weights(310_000))
-            .filter(|g| g.len() >= crate::solve::PAR_SCAN_MIN_TASKS)
+            .filter(|g| g.len() >= 512)
             .collect::<Vec<_>>();
         assert!(!graphs.is_empty());
         for (gi, g) in graphs.iter().enumerate() {
@@ -346,14 +344,17 @@ mod tests {
                     .collect();
                 let dv = DeadlineVector::from_kpn(own, factor * cpl + cpl / 2);
                 for s in [Strategy::Lamps, Strategy::LampsPs] {
-                    let par = solve_with_deadlines(s, g, &dv, &cfg).unwrap();
-                    let seq = solve_with_deadlines_unpruned(s, g, &dv, &cfg).unwrap();
-                    assert_eq!(par.n_procs, seq.n_procs, "graph {gi}, {s} @ {factor}");
-                    assert_eq!(par.level.freq.to_bits(), seq.level.freq.to_bits());
-                    assert_eq!(par.makespan_cycles, seq.makespan_cycles);
+                    let pruned = solve_with_deadlines(s, g, &dv, &cfg).unwrap();
+                    let reference = solve_with_deadlines_unpruned(s, g, &dv, &cfg).unwrap();
                     assert_eq!(
-                        par.energy.total().to_bits(),
-                        seq.energy.total().to_bits(),
+                        pruned.n_procs, reference.n_procs,
+                        "graph {gi}, {s} @ {factor}"
+                    );
+                    assert_eq!(pruned.level.freq.to_bits(), reference.level.freq.to_bits());
+                    assert_eq!(pruned.makespan_cycles, reference.makespan_cycles);
+                    assert_eq!(
+                        pruned.energy.total().to_bits(),
+                        reference.energy.total().to_bits(),
                         "graph {gi}, {s} @ {factor}"
                     );
                 }

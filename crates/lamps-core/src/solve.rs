@@ -9,7 +9,6 @@ use crate::explain::{
 };
 use crate::types::{Solution, SolveError, Strategy};
 use lamps_energy::{evaluate_summary, min_sleep_cycles, EnergyBreakdown, LevelSweep};
-use lamps_parallel::{Pool, PoolMetrics};
 use lamps_power::OperatingPoint;
 use lamps_sched::{IdleSummary, ProcId, Schedule};
 use lamps_taskgraph::{TaskGraph, TaskId};
@@ -35,29 +34,6 @@ pub(crate) struct Candidate {
 /// *equals* the floor — zero idle at the cheapest feasible level — is
 /// never cut off by an incumbent it could tie or beat.)
 const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
-
-/// Minimum graph size before the LAMPS linear scan evaluates its
-/// candidates' level sweeps in parallel. Below this the sweeps are
-/// microseconds each and the pool's per-call overhead dominates.
-pub(crate) const PAR_SCAN_MIN_TASKS: usize = 512;
-
-/// Worker pool for the intra-solve candidate evaluation: each sweep
-/// writes its candidate into the scan's own prefetch slot. On
-/// single-core hosts the caller's thread runs every sweep; either way
-/// the scan consumes the evaluations in ascending processor count
-/// with the same strict-`<` rule as its own sweeps, so the chosen
-/// solution is bitwise identical.
-static PAR_SCAN_POOL: Pool = Pool::new(
-    "par_scan",
-    "core",
-    PoolMetrics {
-        calls: "core.par_scan.calls",
-        items: "core.par_scan.items",
-        worker_busy_us: "core.par_scan.worker_busy_us",
-        worker_idle_us: "core.par_scan.worker_idle_us",
-        worker_items: "core.par_scan.worker_items",
-    },
-);
 
 /// Lower bound on the total energy of any candidate whose makespan is at
 /// least `bound_cycles`: every one of the graph's `work_cycles` executed
@@ -272,7 +248,6 @@ fn meets_latest_finish(schedule: &Schedule, lf: &[u64]) -> bool {
 #[derive(Default)]
 struct SolveCounters {
     candidates: u64,
-    parallel_candidates: u64,
     scan_breaks: u64,
 }
 
@@ -341,10 +316,10 @@ pub fn solve_with_cache(
 /// The reference engine: [`solve_with_cache`] with the cache's shortcuts
 /// — and with them every solver-side pruning rule — turned off, where
 /// they stay after the call. No plateau answers, no early scan
-/// termination, no parallel arm: the search walks exactly the candidate
-/// set of the original exhaustive formulation. The differential suite
-/// runs this as the oracle the pruned path must match bitwise; it is not
-/// meant for production use.
+/// termination: the search walks exactly the candidate set of the
+/// original exhaustive formulation. The differential suite runs this as
+/// the oracle the pruned path must match bitwise; it is not meant for
+/// production use.
 pub fn solve_with_cache_unpruned(
     strategy: Strategy,
     deadline_s: f64,
@@ -420,7 +395,6 @@ pub(crate) fn solve_impl(
         lamps_obs::counter("core.cache.summary_misses").add(delta.summary_misses);
         lamps_obs::counter("core.cache.plateau_hits").add(delta.plateau_hits);
         lamps_obs::counter("core.scan.candidates").add(counters.candidates);
-        lamps_obs::counter("core.scan.parallel_candidates").add(counters.parallel_candidates);
         lamps_obs::counter("core.prune.scan_breaks").add(counters.scan_breaks);
     }
     result
@@ -430,11 +404,10 @@ pub(crate) fn solve_impl(
 /// every [`DeadlineModel`].
 ///
 /// Pruning follows the cache: with its shortcuts on, the critical path
-/// (and, under a uniform deadline, the energy floor) ends the scan early,
-/// and large graphs may evaluate their sweeps on the worker pool; with
-/// them off this is the exhaustive reference engine. `meter` charges one
-/// step per level a candidate's sweep covers (see [`sweep_steps`]) and
-/// stops the scan when its budget trips.
+/// (and, under a uniform deadline, the energy floor) ends the scan early;
+/// with them off this is the exhaustive reference engine. `meter`
+/// charges one step per level a candidate's sweep covers (see
+/// [`sweep_steps`]) and stops the scan when its budget trips.
 #[allow(clippy::too_many_arguments)]
 fn solve_search(
     strategy: Strategy,
@@ -533,59 +506,6 @@ fn solve_search(
         let scan_floor = (prune && matches!(model, DeadlineModel::Uniform { .. }))
             .then(|| energy_floor(cfg, graph.total_work_cycles(), cpl_cycles, horizon_s))
             .flatten();
-        // Intra-solve parallelism: on a multi-core host and a large
-        // graph, discover the scan cells and their required frequencies
-        // up front (makespans only — the cheap, plateau-accelerated
-        // part), prefetch their idle summaries, and fan the independent
-        // level sweeps out over the worker pool. The scan below then
-        // takes each sweep's result in ascending-count order instead of
-        // running it, so the candidate set, the step charges and the
-        // chosen solution are identical to the sequential scan's. Only a
-        // meter that cannot trip allows this: a cap needs the sweeps run
-        // one at a time.
-        // Under `cfg(test)` the size gate alone decides, so the arm is
-        // exercised even on a single-core test host (the pool then runs
-        // inline). The unpruned reference (`prune == false`) never
-        // takes it.
-        let use_parallel = prune
-            && !want_explain
-            && !meter.can_trip()
-            && graph.len() >= PAR_SCAN_MIN_TASKS
-            && (PAR_SCAN_POOL.threads_for(2) > 1 || cfg!(test));
-        let mut prefetched: Vec<Option<Candidate>> = Vec::new();
-        let mut prefetched_freqs: Vec<f64> = Vec::new();
-        if use_parallel {
-            let mut counts: Vec<usize> = Vec::new();
-            let mut prev_makespan: Option<u64> = None;
-            for n in n_min..=n_hi {
-                let makespan = cache.makespan(n);
-                if prev_makespan.is_some_and(|prev| makespan >= prev) {
-                    break;
-                }
-                prev_makespan = Some(makespan);
-                counts.push(n);
-                prefetched_freqs.push(model.required_freq(cfg, cache, n, makespan));
-                if makespan == cpl_cycles {
-                    break;
-                }
-            }
-            counters.candidates += counts.len() as u64;
-            counters.parallel_candidates += counts.len() as u64;
-            let summaries = cache.summaries(&counts);
-            prefetched.resize(counts.len(), None);
-            let cells = counts
-                .iter()
-                .zip(&prefetched_freqs)
-                .zip(summaries)
-                .zip(prefetched.iter_mut());
-            PAR_SCAN_POOL.fill_with(
-                cells,
-                || (),
-                |(), (((&n, &required_freq), summary), slot), _| {
-                    *slot = evaluate(summary, n, required_freq, usize::MAX, None);
-                },
-            );
-        }
         let mut best: Option<Candidate> = None;
         let mut best_index: Option<usize> = None;
         let mut prev_makespan: Option<u64> = None;
@@ -611,24 +531,14 @@ fn solve_search(
                 }
             }
             prev_makespan = Some(makespan);
-            let i = n - n_min;
-            let required_freq = (prefetched_freqs.get(i).copied())
-                .unwrap_or_else(|| model.required_freq(cfg, cache, n, makespan));
+            let required_freq = model.required_freq(cfg, cache, n, makespan);
             let Some(granted) = meter.admit(sweep_steps(cfg, required_freq, ps)) else {
                 break;
             };
             let mut detail = want_explain.then(|| candidate_detail(n, makespan, was_cached));
-            // A prefetched sweep already ran, and was counted, on the pool.
-            let cand = prefetched.get(i).copied().unwrap_or_else(|| {
-                counters.candidates += 1;
-                evaluate(
-                    cache.summary(n),
-                    n,
-                    required_freq,
-                    granted as usize,
-                    detail.as_mut(),
-                )
-            });
+            counters.candidates += 1;
+            let summary = cache.summary(n);
+            let cand = evaluate(summary, n, required_freq, granted as usize, detail.as_mut());
             if let (Some(e), Some(d)) = (ex.as_deref_mut(), detail) {
                 e.candidates.push(d);
             }
@@ -1081,70 +991,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential_scan_bitwise() {
-        // Graphs above PAR_SCAN_MIN_TASKS take the parallel candidate-
-        // evaluation arm (forced on under cfg(test) even on one core);
-        // the explained path always runs the sequential scan. Both must
-        // choose the identical solution, to the last bit.
-        let graphs = lamps_taskgraph::gen::layered::stg_group(600, 2, 41)
-            .into_iter()
-            .map(|g| g.scale_weights(310_000))
-            .collect::<Vec<_>>();
-        assert!(graphs.iter().any(|g| g.len() >= PAR_SCAN_MIN_TASKS));
-        for (i, g) in graphs.iter().enumerate() {
-            for factor in [1.2, 2.0, 6.0] {
-                let d = deadline_x(g, factor);
-                for s in [Strategy::Lamps, Strategy::LampsPs] {
-                    let par = solve(s, g, d, &cfg()).unwrap();
-                    let (seq, _ex) = explained(s, g, d);
-                    let seq = seq.unwrap();
-                    assert_eq!(par.n_procs, seq.n_procs, "graph {i}, {s}, {factor}x");
-                    assert_eq!(par.level.freq.to_bits(), seq.level.freq.to_bits());
-                    assert_eq!(par.makespan_cycles, seq.makespan_cycles);
-                    assert_eq!(
-                        par.energy.total().to_bits(),
-                        seq.energy.total().to_bits(),
-                        "graph {i}, {s}, {factor}x: parallel arm diverged"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_candidates_counter_moves_on_large_graphs() {
-        // Diagnosis of the benched `parallel_candidates: 0`: the
-        // counter is wired to the parallel scan arm, which requires a
-        // graph of at least PAR_SCAN_MIN_TASKS tasks *and* a multi-core
-        // host (or cfg(test), which forces the arm so this test runs
-        // the same code path everywhere). The Fig. 10 bench workload
-        // has 50-task graphs on a single-core runner, so its zero is
-        // correct, not a mis-wire — this pins the counter actually
-        // counting whenever the arm runs.
-        let g = lamps_taskgraph::gen::layered::stg_group(600, 2, 77)
-            .into_iter()
-            .map(|g| g.scale_weights(310_000))
-            .find(|g| g.len() >= PAR_SCAN_MIN_TASKS)
-            .expect("600-task request yields a graph over the gate");
-        let _metrics = crate::METRICS_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        lamps_obs::enable_metrics();
-        let par = lamps_obs::counter("core.scan.parallel_candidates");
-        let all = lamps_obs::counter("core.scan.candidates");
-        let (par_before, all_before) = (par.get(), all.get());
-        solve(Strategy::LampsPs, &g, deadline_x(&g, 4.0), &cfg()).unwrap();
-        let par_delta = par.get() - par_before;
-        let all_delta = all.get() - all_before;
-        lamps_obs::disable_metrics();
-        assert!(par_delta > 0, "the parallel arm must count its candidates");
-        assert!(
-            all_delta >= par_delta,
-            "parallel candidates are a subset of all candidates: {all_delta} < {par_delta}"
-        );
     }
 
     #[test]

@@ -8,15 +8,21 @@
 //! to [`record`] returns after the flag load, the same discipline the
 //! metrics registry keeps for its 2% disabled-path budget.
 //!
-//! Events are fixed-size and allocation-free: a monotonic microsecond
-//! timestamp (shared origin across threads, from [`std::time::Instant`]
-//! so wall-clock steps cannot reorder them), a small per-process thread
-//! id, a `&'static` kind tag, a correlation `key` (request id, frame
-//! index), and two `u64` payload words whose meaning is per-kind. When
-//! a segment fills, the oldest events on that thread are overwritten
-//! and counted in `dropped` — the journal is a flight recorder, not a
-//! log: it answers "what was the system doing just before X", not
-//! "everything that ever happened".
+//! Events are fixed-size, and recording one allocates nothing once its
+//! thread's ring has grown and has seen its kind: a monotonic
+//! microsecond timestamp (shared origin across threads, from
+//! [`std::time::Instant`] so wall-clock steps cannot reorder them), a
+//! `&'static` kind tag, a correlation `key` (request id, frame index),
+//! and two `u64` payload words whose meaning is per-kind. A segment
+//! stores each one in a 32-byte slot: the timestamp in the low 48 bits
+//! of one word (about 8.9 years of µs; later stamps read back as
+//! [`MAX_TS_US`]), a segment-local kind index in its high 16 bits, then
+//! the three payload words. The thread id lives once on the segment and
+//! the kind tags in its small kind table, so [`snapshot`] rebuilds the
+//! public 56-byte [`FlightEvent`]s. When a segment fills, the oldest
+//! events on that thread are overwritten and counted in `dropped` — the
+//! journal is a flight recorder, not a log: it answers "what was the
+//! system doing just before X", not "everything that ever happened".
 //!
 //! [`snapshot`] merges every segment oldest-first and stable-sorts by
 //! timestamp, so per-thread event order is preserved exactly and
@@ -115,11 +121,12 @@ pub const CORE_BUDGET_EXPIRED: &str = "core.budget.expired";
 /// Suffix re-solve completed; `a` = steps, `b` = 1 if key-cache hit.
 pub const CORE_SUFFIX_RESOLVE: &str = "core.suffix.resolve";
 
-/// One recorded event. Fixed-size and `Copy`; payload words `a`/`b`
-/// are per-kind (see the kind constants).
+/// One recorded event, as [`snapshot`] returns it. Fixed-size and
+/// `Copy`; payload words `a`/`b` are per-kind (see the kind constants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Microseconds since the recorder's origin (monotonic clock).
+    /// Microseconds since the recorder's origin (monotonic clock), at
+    /// most [`MAX_TS_US`].
     pub ts_us: u64,
     /// Small per-process thread id, assigned in first-record order.
     pub tid: u64,
@@ -133,9 +140,79 @@ pub struct FlightEvent {
     pub b: u64,
 }
 
+/// The latest timestamp a slot can hold: 2^48 − 1 µs, about 8.9 years
+/// after the recorder's origin. A later stamp is stored as this.
+pub const MAX_TS_US: u64 = (1 << KIND_SHIFT) - 1;
+
+/// The kind a thread's events read back with once its kind table is
+/// full (65,535 distinct kinds): the last of the slot's 16-bit kind
+/// indices is reserved for it.
+pub const KIND_OVERFLOW: &str = "flight.kind_overflow";
+
+const KIND_SHIFT: u32 = 48;
+const OVERFLOW_INDEX: u16 = u16::MAX;
+
+/// One stored event: 32 bytes. `ts_kind` holds the timestamp in its
+/// low 48 bits and the segment-local kind index in its high 16; the
+/// thread id is the segment's.
+struct Slot {
+    ts_kind: u64,
+    key: u64,
+    a: u64,
+    b: u64,
+}
+
+/// A segment's kind tags, indexed by the 16-bit index its slots store.
+/// A tag is looked up by address first (every use of a constant in one
+/// crate shares it), then by text, so equal tags at two addresses — a
+/// constant inlined into two crates, a leaked copy — share one index.
+#[derive(Default)]
+struct KindTable {
+    names: Vec<&'static str>,
+    /// Indices into `names`, ordered by text.
+    by_text: Vec<u16>,
+}
+
+/// How many of a table's first kinds the address lookup scans. A thread
+/// records a handful of kinds; any past these are found by text alone,
+/// so even a full table costs a bounded scan and a binary search.
+const ADDR_SCAN: usize = 64;
+
+impl KindTable {
+    fn index(&mut self, kind: &'static str) -> u16 {
+        let scanned = &self.names[..self.names.len().min(ADDR_SCAN)];
+        if let Some(i) = scanned.iter().position(|&k| std::ptr::eq(k, kind)) {
+            return i as u16;
+        }
+        let names = &self.names;
+        let at = match self
+            .by_text
+            .binary_search_by(|&i| names[usize::from(i)].cmp(kind))
+        {
+            Ok(p) => return self.by_text[p],
+            Err(p) => p,
+        };
+        if names.len() >= usize::from(OVERFLOW_INDEX) {
+            return OVERFLOW_INDEX;
+        }
+        let i = names.len() as u16;
+        self.names.push(kind);
+        self.by_text.insert(at, i);
+        i
+    }
+
+    fn name(&self, index: u16) -> &'static str {
+        self.names
+            .get(usize::from(index))
+            .copied()
+            .unwrap_or(KIND_OVERFLOW)
+    }
+}
+
 struct Segment {
     tid: u64,
-    buf: Vec<FlightEvent>,
+    kinds: KindTable,
+    ring: Vec<Slot>,
     capacity: usize,
     /// Insertion index once the ring has wrapped.
     next: usize,
@@ -143,22 +220,37 @@ struct Segment {
 }
 
 impl Segment {
-    fn push(&mut self, ev: FlightEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(ev);
+    fn push(&mut self, ts_us: u64, kind: &'static str, key: u64, a: u64, b: u64) {
+        let kind = u64::from(self.kinds.index(kind));
+        let ts_kind = (kind << KIND_SHIFT) | ts_us.min(MAX_TS_US);
+        let slot = Slot { ts_kind, key, a, b };
+        if self.ring.len() < self.capacity {
+            if self.ring.len() == self.ring.capacity() {
+                // Double, but never past the capacity: it is user input
+                // (`--flight-capacity`), so a ring holds only what its
+                // thread has recorded, and no slack beyond the capacity.
+                let len = self.ring.len();
+                self.ring.reserve_exact(len.max(8).min(self.capacity - len));
+            }
+            self.ring.push(slot);
         } else {
-            self.buf[self.next] = ev;
+            self.ring[self.next] = slot;
             self.next = (self.next + 1) % self.capacity;
             self.dropped += 1;
         }
     }
 
     /// Events oldest-first.
-    fn ordered(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
+    fn ordered(&self) -> impl Iterator<Item = FlightEvent> + '_ {
+        let (newer, older) = self.ring.split_at(self.next);
+        older.iter().chain(newer).map(|s| FlightEvent {
+            ts_us: s.ts_kind & MAX_TS_US,
+            tid: self.tid,
+            kind: self.kinds.name((s.ts_kind >> KIND_SHIFT) as u16),
+            key: s.key,
+            a: s.a,
+            b: s.b,
+        })
     }
 }
 
@@ -224,7 +316,8 @@ fn new_segment() -> Arc<Mutex<Segment>> {
     static NEXT_TID: AtomicU64 = AtomicU64::new(0);
     let seg = Arc::new(Mutex::new(Segment {
         tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-        buf: Vec::new(),
+        kinds: KindTable::default(),
+        ring: Vec::new(),
         capacity: SEGMENT_CAPACITY.load(Ordering::Relaxed),
         next: 0,
         dropped: 0,
@@ -234,19 +327,7 @@ fn new_segment() -> Arc<Mutex<Segment>> {
 }
 
 fn record_event(ts_us: u64, kind: &'static str, key: u64, a: u64, b: u64) {
-    SEGMENT.with(|cell| {
-        let seg = cell.get_or_init(new_segment);
-        let mut s = lock(seg);
-        let tid = s.tid;
-        s.push(FlightEvent {
-            ts_us,
-            tid,
-            kind,
-            key,
-            a,
-            b,
-        });
-    });
+    SEGMENT.with(|cell| lock(cell.get_or_init(new_segment)).push(ts_us, kind, key, a, b));
 }
 
 /// A merged point-in-time copy of every thread's segment.
@@ -324,7 +405,7 @@ pub fn snapshot() -> FlightSnapshot {
 /// Number of events currently buffered across all threads.
 pub fn event_count() -> usize {
     let segments = lock(&recorder().segments).clone();
-    segments.iter().map(|s| lock(s).buf.len()).sum()
+    segments.iter().map(|s| lock(s).ring.len()).sum()
 }
 
 /// Empty every segment and zero the drop counters (segments stay
@@ -333,7 +414,7 @@ pub fn clear() {
     let segments = lock(&recorder().segments).clone();
     for seg in &segments {
         let mut s = lock(seg);
-        s.buf.clear();
+        s.ring.clear();
         s.next = 0;
         s.dropped = 0;
     }
@@ -379,13 +460,146 @@ mod tests {
     use crate::registry::tests::test_lock;
 
     #[test]
-    fn event_is_56_bytes() {
-        // 8 ts_us + 8 tid + 16 kind (pointer and length) + 3 × 8
-        // payload: a default segment is 4096 × 56 bytes = 224 KiB.
-        assert_eq!(std::mem::size_of::<FlightEvent>(), 56);
+    fn a_slot_is_32_bytes_and_a_default_segment_128_kib() {
+        // A ring stores 8 ts_kind + 3 × 8 payload per event, so a default
+        // segment is 4096 × 32 bytes = 128 KiB. The public event keeps
+        // its 56 bytes: 8 ts_us + 8 tid + 16 kind (pointer and length) +
+        // 3 × 8 payload.
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
         assert_eq!(
-            DEFAULT_SEGMENT_CAPACITY * std::mem::size_of::<FlightEvent>(),
-            224 * 1024
+            DEFAULT_SEGMENT_CAPACITY * std::mem::size_of::<Slot>(),
+            128 * 1024
+        );
+        assert_eq!(std::mem::size_of::<FlightEvent>(), 56);
+    }
+
+    /// Record on a fresh thread, so the events have a segment of their
+    /// own, and return them as the snapshot reads them back.
+    fn recorded_on_a_fresh_thread(record_all: impl FnOnce() + Send + 'static) -> Vec<FlightEvent> {
+        enable_flight();
+        clear();
+        let tid = std::thread::spawn(move || {
+            record_all();
+            SEGMENT.with(|c| lock(c.get().expect("recorded")).tid)
+        })
+        .join()
+        .unwrap();
+        disable_flight();
+        let events = snapshot()
+            .events
+            .into_iter()
+            .filter(|e| e.tid == tid)
+            .collect();
+        clear();
+        events
+    }
+
+    #[test]
+    fn equal_kind_text_at_two_addresses_is_one_kind() {
+        let _g = test_lock();
+        let leaked: &'static str = Box::leak(String::from("test.flight.alias").into_boxed_str());
+        let constant: &'static str = "test.flight.alias";
+        assert_ne!(leaked.as_ptr(), constant.as_ptr());
+        let mut table = KindTable::default();
+        let first = table.index(constant);
+        assert_eq!(table.index(leaked), first);
+        assert_eq!(table.index(constant), first);
+        assert_eq!(table.names.len(), 1, "one text, one kind");
+        assert_eq!(table.index("test.flight.other"), first + 1);
+        let events = recorded_on_a_fresh_thread(move || {
+            record_at(1, constant, 1, 0, 0);
+            record_at(2, leaked, 2, 0, 0);
+        });
+        let kinds: Vec<_> = events.iter().map(|e| (e.kind, e.key)).collect();
+        assert_eq!(kinds, [(constant, 1), (constant, 2)]);
+    }
+
+    #[test]
+    fn dump_format_is_pinned() {
+        let event = |ts_us, tid, kind, key, a, b| FlightEvent {
+            ts_us,
+            tid,
+            kind,
+            key,
+            a,
+            b,
+        };
+        let snap = FlightSnapshot {
+            events: vec![
+                event(0, 0, SERVE_ADMIT, 7, 3, 0),
+                event(15, 1, SERVE_SOLVE_DONE, 7, 120, 1),
+                event(MAX_TS_US, 2, "test.\"quoted\"", u64::MAX, 0, 42),
+            ],
+            dropped: 5,
+        };
+        let expected = concat!(
+            "{\"schema\": \"lamps-flight-v1\", \"reason\": \"pin\", \"events\": 3, \"dropped\": 5}\n",
+            "{\"ts_us\": 0, \"tid\": 0, \"kind\": \"serve.admit\", \"key\": 7, \"a\": 3, \"b\": 0}\n",
+            "{\"ts_us\": 15, \"tid\": 1, \"kind\": \"serve.solve.done\", \"key\": 7, \"a\": 120, \"b\": 1}\n",
+            "{\"ts_us\": 281474976710655, \"tid\": 2, \"kind\": \"test.\\\"quoted\\\"\", ",
+            "\"key\": 18446744073709551615, \"a\": 0, \"b\": 42}\n",
+        );
+        assert_eq!(snap.to_jsonl("pin"), expected);
+    }
+
+    #[test]
+    fn timestamps_past_48_bits_read_back_as_the_maximum() {
+        let _g = test_lock();
+        let stamps = [0, 12_345, MAX_TS_US, MAX_TS_US + 1, u64::MAX];
+        let events = recorded_on_a_fresh_thread(move || {
+            for (i, &ts) in stamps.iter().enumerate() {
+                record_at(ts, "test.flight.ts", i as u64, ts, !ts);
+            }
+        });
+        let got: Vec<_> = events
+            .iter()
+            .map(|e| (e.ts_us, e.kind, e.key, e.a, e.b))
+            .collect();
+        let want: Vec<_> = stamps
+            .iter()
+            .enumerate()
+            .map(|(i, &ts)| (ts.min(MAX_TS_US), "test.flight.ts", i as u64, ts, !ts))
+            .collect();
+        assert_eq!(
+            got, want,
+            "the stamp saturates; kind and payload stay intact"
+        );
+    }
+
+    #[test]
+    fn kinds_past_the_table_read_back_as_the_overflow_kind() {
+        let _g = test_lock();
+        // 65,537 distinct six-digit tags, sliced from one leaked string.
+        let text: &'static str = Box::leak(
+            (0..65_537)
+                .map(|i| format!("{i:06}"))
+                .collect::<String>()
+                .into_boxed_str(),
+        );
+        let tag = |i: usize| &text[6 * i..6 * i + 6];
+        set_segment_capacity(16);
+        let events = recorded_on_a_fresh_thread(move || {
+            for i in 0..65_537 {
+                record_at(i as u64, tag(i), i as u64, 0, 0);
+            }
+            record_at(65_537, tag(0), 0, 0, 0);
+            record_at(65_538, tag(1000), 1000, 0, 0);
+        });
+        set_segment_capacity(DEFAULT_SEGMENT_CAPACITY);
+        let kinds: Vec<_> = events.iter().map(|e| (e.key, e.kind)).collect();
+        // The table holds 65,535 kinds; the 65,536th and 65,537th share
+        // the overflow kind, and known kinds, inside and past the address
+        // scan, still read back as themselves.
+        assert_eq!(
+            &kinds[10..],
+            [
+                (65_533, tag(65_533)),
+                (65_534, tag(65_534)),
+                (65_535, KIND_OVERFLOW),
+                (65_536, KIND_OVERFLOW),
+                (0, tag(0)),
+                (1000, tag(1000))
+            ]
         );
     }
 
