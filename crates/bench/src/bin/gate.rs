@@ -536,13 +536,6 @@ mod tests {
         check_rules(parse_file(text, "sample").as_ref(), "sample", rules)
     }
 
-    /// `text` with `from` replaced by `to`, which must change it.
-    fn edit(text: &str, from: &str, to: &str) -> String {
-        let out = text.replace(from, to);
-        assert_ne!(out, text, "{from:?} is not in the sample");
-        out
-    }
-
     /// The value at `path`, mutably: [`lookup`] for test edits.
     fn lookup_mut<'v>(root: &'v mut Value, path: &str) -> Option<&'v mut Value> {
         path.split('.').try_fold(root, |v, seg| {
@@ -628,111 +621,94 @@ mod tests {
     // One test per defect of the substring scanner this gate replaced:
     // each input passed that scanner.
 
+    /// `root` with the value at `path` replaced by `value`.
+    fn with(root: &Value, path: &str, value: Value) -> Value {
+        let mut out = root.clone();
+        *lookup_mut(&mut out, path).unwrap_or_else(|| panic!("{path} is not in the file")) = value;
+        out
+    }
+
     #[test]
     fn severe_row_without_miss_rate_fails() {
         // The scanner read the next row's (overload's) miss_rate.
-        let broken = edit(
-            BENCH_ONLINE,
-            "\"name\": \"severe\", \"miss_rate\": 0.9583333333333334, ",
-            "\"name\": \"severe\", ",
-        );
-        assert!(fails(&broken, ONLINE_RULES));
+        let broken = without(&json(BENCH_ONLINE), "rows[name=severe].miss_rate");
+        assert!(!violations(&broken, "f", ONLINE_RULES).is_empty());
     }
 
     #[test]
     fn serve_counters_are_read_at_top_level() {
         // The scanner found saturation.requests and server.degraded.
-        let no_requests = edit(BENCH_SERVE, "\"requests\": 1200,", "");
-        assert!(fails(&no_requests, SERVE_RULES));
-        let no_degraded = edit(BENCH_SERVE, "\"degraded\": 1722,\n", "");
-        assert!(fails(&no_degraded, SERVE_RULES));
+        let serve = json(BENCH_SERVE);
+        for path in ["requests", "degraded"] {
+            let broken = without(&serve, path);
+            assert!(!violations(&broken, "f", SERVE_RULES).is_empty(), "{path}");
+        }
     }
 
     #[test]
     fn solver_counters_are_not_read_from_the_campaign() {
         // The scanner found campaign.counters.candidates.
-        let broken = edit(BENCH_SOLVER, "\"candidates\": 2786,", "");
-        assert!(fails(&broken, SOLVER_RULES));
+        let broken = without(&json(BENCH_SOLVER), "after.counters.candidates");
+        assert!(!violations(&broken, "f", SOLVER_RULES).is_empty());
     }
 
     #[test]
     fn campaign_without_solve_calls_fails() {
-        let broken = edit(BENCH_SOLVER, "\"solve_calls\": 1000000,", "");
-        assert!(fails(&broken, CAMPAIGN_RULES));
+        let broken = without(&json(BENCH_SOLVER), "campaign.workload.solve_calls");
+        assert!(!violations(&broken, "f", CAMPAIGN_RULES).is_empty());
     }
 
     #[test]
     fn serve_without_differential_checked_fails() {
-        let broken = edit(BENCH_SERVE, "\"checked\": 7461, ", "");
-        assert!(fails(&broken, SERVE_RULES));
+        let broken = without(&json(BENCH_SERVE), "differential.checked");
+        assert!(!violations(&broken, "f", SERVE_RULES).is_empty());
     }
 
     #[test]
     fn pruned_engine_slower_than_its_reference_fails() {
         // The rate floor compares a smoke run with the committed full
         // workload; the same-run ratio does not depend on either.
-        let slower = edit(
-            BENCH_SOLVER,
-            "\"unpruned_over_pruned\": 2.160126005702583",
-            "\"unpruned_over_pruned\": 0.9",
-        );
-        assert!(fails(&slower, SOLVER_RULES));
+        let path = "ratios.unpruned_over_pruned";
+        let slower = with(&json(BENCH_SOLVER), path, Value::Number(0.9));
+        assert!(!violations(&slower, "f", SOLVER_RULES).is_empty());
     }
 
     #[test]
     fn served_saturation_far_below_its_inprocess_pass_fails() {
         // The rate floor compares a smoke run with the committed full
         // workload; the same-run ratio does not depend on either.
-        let slower = edit(
-            BENCH_SERVE,
-            "\"saturated_over_inprocess\": 0.6793226452688461",
-            "\"saturated_over_inprocess\": 0.29",
-        );
-        assert!(fails(&slower, SERVE_RULES));
+        let path = "ratios.saturated_over_inprocess";
+        let slower = with(&json(BENCH_SERVE), path, Value::Number(0.29));
+        assert!(!violations(&slower, "f", SERVE_RULES).is_empty());
     }
 
     #[test]
     fn zero_baseline_rate_is_a_usage_error() {
         // A zero baseline made the ratio inf, which cleared any floor.
-        let solver = edit(
-            BENCH_SOLVER,
-            "\"solves_per_sec\": 3508.223729374883",
-            "\"solves_per_sec\": 0",
-        );
-        assert!(rate(&json(&solver), "f", "after.solves_per_sec").is_err());
-        let serve = edit(
-            BENCH_SERVE,
-            "\"solves_per_sec\": 17249.693926388965",
-            "\"solves_per_sec\": 0",
-        );
-        assert!(rate(&json(&serve), "f", "saturation.solves_per_sec").is_err());
-        let negative = edit(
-            BENCH_SERVE,
-            "\"solves_per_sec\": 17249.693926388965",
-            "\"solves_per_sec\": -1",
-        );
-        assert!(rate(&json(&negative), "f", "saturation.solves_per_sec").is_err());
-        let infinite = edit(
-            BENCH_SERVE,
-            "\"solves_per_sec\": 17249.693926388965",
-            "\"solves_per_sec\": 1e999",
-        );
-        assert!(rate(&json(&infinite), "f", "saturation.solves_per_sec").is_err());
+        for (text, path) in [
+            (BENCH_SOLVER, "after.solves_per_sec"),
+            (BENCH_SERVE, "saturation.solves_per_sec"),
+        ] {
+            let root = json(text);
+            assert!(rate(&root, "f", path).is_ok(), "{path}");
+            for bad in [0.0, -1.0, f64::INFINITY] {
+                let broken = with(&root, path, Value::Number(bad));
+                assert!(rate(&broken, "f", path).is_err(), "{path} = {bad}");
+            }
+        }
         assert!(rate(&json(BENCH_SERVE), "f", "saturation.absent").is_err());
     }
 
     #[test]
     fn truncated_files_fail() {
-        let online = edit(BENCH_ONLINE, "\"violations\": 0\n}", "\"violations\": 0");
-        assert!(parse(&online).is_err());
-        assert!(fails(&online, ONLINE_RULES));
-        let serve = edit(
-            BENCH_SERVE,
-            "\"solve_errors\": 0}\n}",
-            "\"solve_errors\": 0",
-        );
-        assert!(parse(&serve).is_err());
-        assert!(fails(&serve, SERVE_RULES));
+        for (text, rules) in [(BENCH_ONLINE, ONLINE_RULES), (BENCH_SERVE, SERVE_RULES)] {
+            let cut = text
+                .trim_end()
+                .strip_suffix('}')
+                .expect("the file ends its object");
+            assert!(parse(cut).is_err());
+            assert!(fails(cut, rules));
+        }
     }
 
     const SAMPLE: &str = r#"{

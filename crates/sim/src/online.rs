@@ -53,7 +53,7 @@
 //! ordering, window disjointness, precedence, processor exclusivity,
 //! dead-processor silence, arrival-anchored verdicts, energy re-bill).
 
-use crate::actuals::{Actuals, Column};
+use crate::actuals::{frame_seed, Actuals, Column};
 use crate::arrivals::{ArrivalColumn, Arrivals};
 use crate::error::SimError;
 use crate::exec::{bill_idle, run_frame, Frame, Resolver};
@@ -63,7 +63,7 @@ use crate::faults::{
 };
 use crate::recovery::{ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome};
 use crate::runner::DvsSwitchCost;
-use crate::workload::draw_actual_cycles;
+use crate::workload::check_fractions;
 use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
 use lamps_core::{SchedulerConfig, SolveBudget, Strategy};
 use lamps_energy::EnergyBreakdown;
@@ -143,10 +143,13 @@ pub struct FrameInput<'a> {
 ///   built stream, three numbers for the whole stream, or one explicit
 ///   arrival per frame for a table assembled or edited arrival by
 ///   arrival (read through [`Arrivals`] views);
-/// * `actual` — every frame's actual cycles back to back, frame-major,
-///   at a stride of [`FrameTable::jobs`] entries per frame, in one
-///   column of `u32` when every value fits and of `u64` otherwise
-///   (read through [`Actuals`] views);
+/// * `actual` — every frame's actual cycles, frame-major at a stride of
+///   [`FrameTable::jobs`] entries per frame: for a built stream, the
+///   recipe they derive from (a copy of the job WCETs, and the draw's
+///   fraction bounds and seed), every frame redrawn on read; for a table
+///   assembled or edited value by value, the values back to back in one
+///   column of `u32` when every value fits and of `u64` otherwise (read
+///   through [`Actuals`] views either way);
 /// * eight fault arrays, all empty when no frame has a fault: every
 ///   frame's overruns back to back as a task column and a factor column,
 ///   every frame's DVS faults back to back, per frame the `u32` end
@@ -158,21 +161,23 @@ pub struct FrameInput<'a> {
 /// The constructors keep every per-frame array the same length in
 /// frames, so a frame's actuals always span exactly one stride; whether
 /// that stride matches the graph is checked once per stream by
-/// [`run_online`]. A fault-free stream of `F` frames of `N` jobs built
-/// by [`OnlineStream::periodic`] or [`OnlineStream::synthesize`] owns
-/// exactly `4·F·N` heap bytes with a narrow column and `8·F·N` with a
-/// wide one (explicit arrivals add `8·F`); with faults it adds
+/// [`run_online`]. A fault-free stream of `N` jobs built by
+/// [`OnlineStream::periodic`] or [`OnlineStream::synthesize`] owns
+/// exactly `8·N` heap bytes, its WCET copy, however many frames `F` it
+/// holds and whatever the WCETs' width (a stored column takes `4·F·N`
+/// bytes when narrow and `8·F·N` when wide, and explicit arrivals add
+/// `8·F`); with faults it adds
 /// `8·F + 12·F + 8·⌈F/64⌉ + 12·O + 24·D` bytes for its `O` overruns and
 /// `D` DVS faults (two 4-byte end offsets and a 12-byte fail-stop slot
 /// per frame, one 64-bit presence word per 64 frames, and a 4-byte task
 /// and an 8-byte factor per overrun).
 ///
-/// The layout is canonical: the column is narrow exactly when every
-/// actual fits in `u32`, a table whose frames carry no fault holds no
-/// fault arrays, however it was built, and a frame without a fail-stop
-/// stores zeros in its slot. Arrivals compare by value, whether derived
-/// or explicit. So two tables compare equal exactly when every frame
-/// reads the same.
+/// The layout is canonical: a stored column is narrow exactly when
+/// every actual fits in `u32`, a table whose frames carry no fault holds
+/// no fault arrays, however it was built, and a frame without a
+/// fail-stop stores zeros in its slot. Arrivals and actuals compare by
+/// value, whether derived or stored. So two tables compare equal exactly
+/// when every frame reads the same.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrameTable {
     arrival_s: ArrivalColumn,
@@ -456,7 +461,8 @@ impl FrameTable {
         self.arrival_s.set(i, arrival_s);
     }
 
-    /// Set job `job` of frame `frame` to run `cycles` actual cycles. The
+    /// Set job `job` of frame `frame` to run `cycles` actual cycles. A
+    /// table whose actuals were derived stores them from then on. The
     /// table stays canonical: the column widens to `u64` when `cycles`
     /// does not fit in `u32`, and narrows back once every value does.
     ///
@@ -506,9 +512,9 @@ impl FrameTable {
 
 /// A stream of frames for [`run_online`]: arrivals, actual cycles and
 /// faults held as the stream-level arrays of a [`FrameTable`] (the
-/// arrival progression or one arrival per frame, one flat stride-`jobs`
-/// actuals column, and flat fault arrays that are empty for a
-/// fault-free stream), read frame by frame through borrowed
+/// arrival progression or one arrival per frame, the actuals' recipe or
+/// one flat stride-`jobs` column of them, and flat fault arrays that are
+/// empty for a fault-free stream), read frame by frame through borrowed
 /// [`FrameInput`] views.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStream {
@@ -521,17 +527,11 @@ impl OnlineStream {
     /// arrives at `i · arrival_factor · span`, every job runs its WCET.
     /// `arrival_factor < 1` models overload (frames arrive faster than
     /// the hyperperiod). The arrivals are stored as that progression,
-    /// not one per frame.
+    /// not one per frame, and the actuals as one copy of the WCETs, not
+    /// one per frame.
     pub fn periodic(dag: &PeriodicDag, n_frames: usize, arrival_factor: f64, f_max: f64) -> Self {
         let span = dag.hyperperiod_cycles as f64 / f_max;
         let weights = dag.graph.weights();
-        let max = weights.iter().copied().max().unwrap_or(0);
-        let mut actual = Column::with_capacity(n_frames * weights.len(), max);
-        for _ in 0..n_frames {
-            actual.extend(weights.iter().copied());
-        }
-        // Only an empty stream can hold no value of a wide WCET.
-        actual.canonicalize();
         OnlineStream {
             frames: FrameTable {
                 arrival_s: ArrivalColumn::Progression {
@@ -539,7 +539,7 @@ impl OnlineStream {
                     factor: arrival_factor,
                     span,
                 },
-                actual,
+                actual: Column::wcet(weights, n_frames),
                 jobs: weights.len(),
                 faults: FaultArrays::default(),
             },
@@ -554,13 +554,15 @@ impl OnlineStream {
     /// Frame `i` arrives at `i · arrival_factor · span`, stored as that
     /// progression, as in [`OnlineStream::periodic`].
     ///
-    /// The actuals are drawn straight into a `u32` column when the
-    /// graph's largest WCET fits in `u32`, since no actual exceeds its
-    /// WCET.
+    /// The actuals are not stored: the stream keeps a copy of the WCETs,
+    /// `lo`, `hi` and `seed`, and every read of frame `i` draws its values
+    /// afresh, as [`crate::actual_cycles`] does with frame `i`'s seed, so
+    /// each read gives the same bits.
     ///
     /// # Panics
     ///
-    /// If the stream draws more than `u32::MAX` overruns or DVS faults.
+    /// Unless `0 < lo ≤ hi ≤ 1`, or if the stream draws more than
+    /// `u32::MAX` overruns or DVS faults.
     #[allow(clippy::too_many_arguments)]
     pub fn synthesize(
         dag: &PeriodicDag,
@@ -573,26 +575,22 @@ impl OnlineStream {
         f_max: f64,
         seed: u64,
     ) -> Self {
+        check_fractions(lo, hi);
         let span = dag.hyperperiod_cycles as f64 / f_max;
-        let jobs = dag.graph.len();
-        let max_wcet = dag.graph.weights().iter().copied().max().unwrap_or(0);
-        let mut actual = Column::with_capacity(n_frames * jobs, max_wcet);
-        // Room for the most a frame can draw, so the arrays never grow;
-        // `canonicalize` returns the slack.
-        let mut faults = match intensity {
-            Some(_) => FaultArrays::with_capacity(n_frames, n_frames * jobs, n_frames * n_procs),
-            None => FaultArrays::default(),
-        };
-        for i in 0..n_frames {
-            let fseed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            actual.extend(draw_actual_cycles(&dag.graph, lo, hi, fseed));
-            if let Some(fi) = intensity {
+        let weights = dag.graph.weights();
+        let mut faults = FaultArrays::default();
+        if let Some(fi) = intensity {
+            // Room for the most a frame can draw, so the arrays never
+            // grow; `canonicalize` returns the slack.
+            let jobs = weights.len();
+            faults = FaultArrays::with_capacity(n_frames, n_frames * jobs, n_frames * n_procs);
+            for i in 0..n_frames {
                 let fail_stop = draw_faults(
                     &dag.graph,
                     n_procs,
                     span,
                     fi,
-                    fseed ^ 0x5EED,
+                    frame_seed(seed, i) ^ 0x5EED,
                     &mut faults.overruns,
                     &mut faults.dvs,
                 );
@@ -600,10 +598,8 @@ impl OnlineStream {
                     .end_frame(fail_stop)
                     .expect("a stream draws at most u32::MAX faults of one kind");
             }
+            faults.canonicalize();
         }
-        // Draws below a WCET that needs `u64` may all fit in `u32`.
-        actual.canonicalize();
-        faults.canonicalize();
         OnlineStream {
             frames: FrameTable {
                 arrival_s: ArrivalColumn::Progression {
@@ -611,8 +607,8 @@ impl OnlineStream {
                     factor: arrival_factor,
                     span,
                 },
-                actual,
-                jobs,
+                actual: Column::drawn(weights, n_frames, lo, hi, seed),
+                jobs: weights.len(),
                 faults,
             },
         }
@@ -791,6 +787,9 @@ pub fn run_online(
             got: table.jobs(),
         });
     }
+    // Derived actuals never exceed the WCETs they were derived from, so
+    // when those are the graph's, one comparison covers every frame.
+    let wcet_bounded = table.actual.wcet_bound() == Some(graph.weights());
     let mut prev_arrival = 0.0f64;
     for (i, fr) in table.iter().enumerate() {
         if !fr.arrival_s.is_finite() || fr.arrival_s < 0.0 {
@@ -808,6 +807,9 @@ pub fn run_online(
             )));
         }
         prev_arrival = fr.arrival_s;
+        if wcet_bounded {
+            continue;
+        }
         for (t, actual) in graph.tasks().zip(fr.actual) {
             if actual > graph.weight(t) {
                 return Err(SimError::ActualExceedsWcet {
@@ -1612,7 +1614,7 @@ mod tests {
         let n = dag.graph.len();
         let f_max = cfg().max_frequency();
         let clean = OnlineStream::synthesize(&dag, 2, 4, 0.8, 0.5, 0.9, None, f_max, 4).frames;
-        assert!(matches!(clean.actual, Column::Narrow(_)));
+        assert!(matches!(clean.actual, Column::Derived(_)));
         let mut actual = clean.actual().to_vec();
         actual[n + 2] = BIG + 12_345;
         let wide =
@@ -1649,6 +1651,103 @@ mod tests {
         table.set_actual(3, 0, clean.get(3).unwrap().actual.get(0));
         assert!(matches!(table.actual, Column::Narrow(_)));
         assert_eq!(table, clean);
+    }
+
+    /// A built stream's derived actuals read the same through `get` as
+    /// through iteration, on the whole table and on every frame.
+    #[test]
+    fn derived_actuals_get_what_iteration_reads() {
+        let dag = wide_dag();
+        let f_max = cfg().max_frequency();
+        for built in [
+            OnlineStream::synthesize(&dag, 2, 4, 0.8, 0.5, 0.9, None, f_max, 4).frames,
+            OnlineStream::periodic(&dag, 4, 0.8, f_max).frames,
+        ] {
+            let mut views = vec![built.actual()];
+            views.extend(built.iter().map(|fr| fr.actual));
+            for v in views {
+                for j in 0..v.len() {
+                    assert_eq!(Some(v.get(j)), v.iter().nth(j), "value {j}");
+                }
+            }
+        }
+    }
+
+    /// A derived table equals its own `from_parts` copy; `set_actual`
+    /// stores it in the canonical column, and the edited table equals a
+    /// `from_parts` rebuild of its own values.
+    #[test]
+    fn derived_tables_equal_their_stored_copies() {
+        let f_max = cfg().max_frequency();
+        let mut big = PeriodicSet::new();
+        let src = big.add("src", 1_000_000_000, 8_000_000_000);
+        let job = big.add("big", 5_000_000_000, 8_000_000_000);
+        big.depends(src, job).unwrap();
+        let (narrow, wide) = (wide_dag(), big.to_frame_dag());
+        let rebuild = |t: &FrameTable| {
+            FrameTable::from_parts(
+                t.arrival_s().to_vec(),
+                t.jobs(),
+                t.actual().to_vec(),
+                vec![],
+            )
+            .unwrap()
+        };
+        for (dag, stored_wide) in [(&narrow, false), (&wide, true)] {
+            for built in [
+                OnlineStream::synthesize(dag, 2, 5, 0.8, 0.9, 1.0, None, f_max, 4).frames,
+                OnlineStream::periodic(dag, 5, 0.8, f_max).frames,
+            ] {
+                assert!(matches!(built.actual, Column::Derived(_)));
+                let copy = rebuild(&built);
+                assert_eq!(matches!(copy.actual, Column::Wide(_)), stored_wide);
+                assert_eq!(copy, built);
+                assert_eq!(built, copy);
+
+                let mut edited = built.clone();
+                let keep = built.get(2).unwrap().actual.get(1);
+                edited.set_actual(2, 1, keep);
+                assert_eq!(matches!(edited.actual, Column::Wide(_)), stored_wide);
+                assert!(!matches!(edited.actual, Column::Derived(_)));
+                assert_eq!(edited, built);
+                edited.set_actual(4, 0, 1);
+                assert_ne!(edited, built);
+                assert_eq!(edited, rebuild(&edited));
+                assert_eq!(edited.get(4).unwrap().actual.get(0), 1);
+            }
+        }
+    }
+
+    /// A derived stream built for one graph still meets the per-frame
+    /// WCET check on a graph with a smaller WCET.
+    #[test]
+    fn derived_actuals_above_a_smaller_wcet_are_rejected() {
+        let cfg = cfg();
+        let f_max = cfg.max_frequency();
+        let mut small = PeriodicSet::new();
+        let ctl = small.add("ctl", 13_000_000, 31_000_000);
+        let est = small.add("est", 9_000_000, 62_000_000);
+        let log = small.add("log", 6_000_000, 62_000_000);
+        small.depends(ctl, est).unwrap();
+        small.depends(est, log).unwrap();
+        let small = small.to_frame_dag();
+        let dag = demo_dag();
+        assert_eq!(small.graph.len(), dag.graph.len());
+        for stream in [
+            OnlineStream::synthesize(&dag, 1, 3, 1.0, 0.9, 1.0, None, f_max, 5),
+            OnlineStream::periodic(&dag, 3, 1.0, f_max),
+        ] {
+            for ocfg in [OnlineConfig::reclaiming(), OnlineConfig::static_plan()] {
+                assert!(run_online(&dag, &stream, &ocfg, &cfg).is_ok());
+                assert!(matches!(
+                    run_online(&small, &stream, &ocfg, &cfg),
+                    Err(SimError::ActualExceedsWcet {
+                        wcet: 9_000_000,
+                        ..
+                    })
+                ));
+            }
+        }
     }
 
     /// A table whose frames carry no fault stores no fault arrays,

@@ -20,30 +20,33 @@ pub fn actual_cycles(
     max_fraction: f64,
     seed: u64,
 ) -> Vec<u64> {
-    draw_actual_cycles(graph, min_fraction, max_fraction, seed).collect()
+    check_fractions(min_fraction, max_fraction);
+    let mut rng = Rng::seed_from_u64(seed);
+    graph
+        .weights()
+        .iter()
+        .map(|&w| draw_job(&mut rng, w, min_fraction, max_fraction))
+        .collect()
 }
 
-/// [`actual_cycles`] as an iterator, one count per task in id order: a
-/// stream draws every frame's actuals straight into its column.
-pub(crate) fn draw_actual_cycles(
-    graph: &TaskGraph,
-    min_fraction: f64,
-    max_fraction: f64,
-    seed: u64,
-) -> impl Iterator<Item = u64> + '_ {
+/// Panic unless `0 < min_fraction ≤ max_fraction ≤ 1`.
+pub(crate) fn check_fractions(min_fraction: f64, max_fraction: f64) {
     assert!(
         min_fraction > 0.0 && min_fraction <= max_fraction && max_fraction <= 1.0,
         "fractions must satisfy 0 < min <= max <= 1"
     );
-    let mut rng = Rng::seed_from_u64(seed);
-    graph.weights().iter().map(move |&w| {
-        if w == 0 {
-            0
-        } else {
-            let f = rng.gen_range(min_fraction..=max_fraction);
-            ((w as f64 * f).round() as u64).clamp(1, w)
-        }
-    })
+}
+
+/// One job's actual cycles, the next draw of `rng` for WCET `w`: the
+/// per-job step of [`actual_cycles`], and of every read of a stream's
+/// drawn actuals. A zero-weight job reads 0 and consumes no draw.
+pub(crate) fn draw_job(rng: &mut Rng, w: u64, min_fraction: f64, max_fraction: f64) -> u64 {
+    if w == 0 {
+        0
+    } else {
+        let f = rng.gen_range(min_fraction..=max_fraction);
+        ((w as f64 * f).round() as u64).clamp(1, w)
+    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,16 @@
 //! Proof that an online stream owns its stream-level arrays and nothing
 //! else.
 //!
-//! A fault-free stream of `F` frames of `N` jobs must hold one column of
-//! actuals on the heap and nothing else: `4·F·N` bytes when every actual
-//! fits in `u32` (every WCET does), `8·F·N` when one does not. Its
-//! arrivals are a progression stored inline, not a per-frame array. It
-//! is built in a constant number of allocations whatever `F` is: no
-//! per-frame vectors, no fault arrays, no capacity slack, and no `u64`
-//! staging of a narrow column. A stream with faults adds its eight flat
-//! fault arrays and nothing else: with `O` overruns and `D` DVS faults
-//! over all its frames it owns exactly
+//! A fault-free stream of `F` frames of `N` jobs must hold one copy of
+//! the job WCETs on the heap and nothing else: exactly `8·N` bytes in one
+//! allocation, whatever `F` is and whether or not a WCET fits in `u32`.
+//! Its actuals are drawn from that copy on every read, not stored, and
+//! its arrivals are a progression stored inline, not a per-frame array:
+//! no per-frame vectors, no fault arrays, no capacity slack. A stream
+//! with faults adds its eight flat fault arrays and nothing else: with
+//! `O` overruns and `D` DVS faults over all its frames it owns exactly
 //!
-//! `4·F·N + 8·F + 12·F + 8·⌈F/64⌉ + 12·O + 24·D` bytes
+//! `8·N + 8·F + 12·F + 8·⌈F/64⌉ + 12·O + 24·D` bytes
 //!
 //! (per frame two 4-byte end offsets and a fail-stop slot of a `u32`
 //! processor and an `f64` time, one 64-bit presence word per 64 frames;
@@ -81,9 +80,9 @@ fn retained(make: impl FnOnce() -> OnlineStream) -> (OnlineStream, i64, i64) {
     )
 }
 
-/// `w·F·N`: the flat actuals at `w` bytes each.
-fn fault_free_bytes(frames: usize, jobs: usize, width: usize) -> i64 {
-    (width * frames * jobs) as i64
+/// `8·N`: the copy of the job WCETs the actuals derive from.
+fn fault_free_bytes(jobs: usize) -> i64 {
+    (size_of::<u64>() * jobs) as i64
 }
 
 fn dag() -> PeriodicDag {
@@ -116,52 +115,39 @@ fn streams_hold_only_their_arrays() {
             OnlineStream::synthesize(&dag, 2, frames, 1.0, 0.55, 0.75, None, f_max, 2006)
         });
         assert_eq!((s.frames.len(), s.frames.jobs()), (frames, n));
-        assert_eq!(
-            bytes,
-            fault_free_bytes(frames, n, 4),
-            "synthesize, {frames} frames"
-        );
+        assert_eq!(bytes, fault_free_bytes(n), "synthesize, {frames} frames");
         assert_eq!(allocs, 1, "synthesize, {frames} frames");
 
         let (s, bytes, allocs) = retained(|| OnlineStream::periodic(&dag, frames, 1.0, f_max));
         assert_eq!(s.frames.len(), frames);
-        assert_eq!(
-            bytes,
-            fault_free_bytes(frames, n, 4),
-            "periodic, {frames} frames"
-        );
+        assert_eq!(bytes, fault_free_bytes(n), "periodic, {frames} frames");
         assert_eq!(allocs, 1, "periodic, {frames} frames");
     }
 
-    // A WCET above `u32::MAX`: the actuals need the wide column, unless
-    // every draw fits after all.
+    // A WCET above `u32::MAX`: a stored column would be wide, but the
+    // derived one costs the same 8 bytes a job, whether or not the draws
+    // fit in `u32`.
     let wide = big_wcet_dag();
     let wn = wide.graph.len();
     for frames in [1, 10, 250] {
         let (s, bytes, allocs) = retained(|| OnlineStream::periodic(&wide, frames, 1.0, f_max));
         assert_eq!(s.frames.len(), frames);
-        assert_eq!(bytes, fault_free_bytes(frames, wn, 8), "wide periodic");
+        assert_eq!(bytes, fault_free_bytes(wn), "wide periodic");
         assert_eq!(allocs, 1, "wide periodic, {frames} frames");
 
         let (s, bytes, allocs) = retained(|| {
             OnlineStream::synthesize(&wide, 1, frames, 1.0, 0.9, 1.0, None, f_max, 2006)
         });
         assert!(s.frames.actual().iter().any(|a| a > u64::from(u32::MAX)));
-        assert_eq!(bytes, fault_free_bytes(frames, wn, 8), "wide synthesize");
+        assert_eq!(bytes, fault_free_bytes(wn), "wide synthesize");
         assert_eq!(allocs, 1, "wide synthesize, {frames} frames");
 
-        // Draws of at most 0.8 × 5·10⁹ fit: the column narrows, at the
-        // cost of the one wide buffer it was drawn into.
         let (s, bytes, allocs) = retained(|| {
             OnlineStream::synthesize(&wide, 1, frames, 1.0, 0.5, 0.8, None, f_max, 2006)
         });
         assert!(s.frames.actual().iter().all(|a| a <= u64::from(u32::MAX)));
-        assert_eq!(
-            bytes,
-            fault_free_bytes(frames, wn, 4),
-            "narrowed synthesize"
-        );
-        assert_eq!(allocs, 2, "narrowed synthesize, {frames} frames");
+        assert_eq!(bytes, fault_free_bytes(wn), "narrow draws of a wide WCET");
+        assert_eq!(allocs, 1, "narrow draws of a wide WCET, {frames} frames");
     }
 
     // With faults: the eight flat fault arrays on top, at exact size.
@@ -184,10 +170,10 @@ fn streams_hold_only_their_arrays() {
             + 24 * dvs;
         assert_eq!(
             bytes,
-            fault_free_bytes(frames, n, 4) + fault_bytes as i64,
+            fault_free_bytes(n) + fault_bytes as i64,
             "moderate faults, {frames} frames"
         );
-        // One for the actuals, one per fault array, and the shrink of
+        // One for the WCET copy, one per fault array, and the shrink of
         // each flat array (the two overrun columns and the DVS faults)
         // from its worst-case reservation.
         assert!(overruns > 0 && dvs > 0, "{frames} frames draw both kinds");
