@@ -7,7 +7,7 @@
 //! [`ScheduleCache`] (workspace, memo spines, EDF keys) per graph and a
 //! fresh per-level sleep-cutoff resolution per solve.
 //!
-//! [`solve_batch`] amortizes both. Work items are *graph-granularity*
+//! [`evaluate_graphs`] amortizes both. Work items are *graph-granularity*
 //! [`BatchJob`]s fanned out over the shared worker pool; each worker
 //! builds one [`CacheBuffers`] set per call that every graph it
 //! processes is rebuilt into, and the whole batch shares one immutable
@@ -16,8 +16,8 @@
 //! schedule cache (LS-EDF schedules are deadline- and
 //! strategy-invariant; see [`ScheduleCache::for_graph`]).
 //!
-//! The results come back as one [`BatchRows`] table: a single flat cell
-//! array, sized and allocated on the caller's thread before any worker
+//! The results come back as one [`BatchRows`] table of compact
+//! [`BatchCell`]s: a single flat cell array, sized and allocated on the caller's thread before any worker
 //! starts, with one row per job. Each job's worker writes its row in
 //! place, so no result lives in a worker thread's allocation and
 //! nothing is merged after the workers join.
@@ -118,14 +118,14 @@ impl From<&Solution> for BatchCell {
 /// `&rows` in a `for` loop, or `rows[j]`; the workers wrote them in
 /// place, so the cells never live in a worker thread's allocation.
 #[derive(Debug, Clone)]
-pub struct BatchRows<R> {
+pub struct BatchRows {
     /// Every row's cells, back to back.
-    cells: Vec<Result<R, SolveError>>,
+    cells: Vec<Result<BatchCell, SolveError>>,
     /// `ends[j]` is one past row `j`'s last cell in `cells`.
     ends: Vec<usize>,
 }
 
-impl<R> BatchRows<R> {
+impl BatchRows {
     /// Number of rows (jobs).
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -137,14 +137,14 @@ impl<R> BatchRows<R> {
     }
 
     /// Row `j`, or `None` past the last job.
-    pub fn get(&self, j: usize) -> Option<&[Result<R, SolveError>]> {
+    pub fn get(&self, j: usize) -> Option<&[Result<BatchCell, SolveError>]> {
         let end = *self.ends.get(j)?;
         let start = if j == 0 { 0 } else { self.ends[j - 1] };
         Some(&self.cells[start..end])
     }
 
     /// The rows in job order.
-    pub fn iter(&self) -> BatchRowsIter<'_, R> {
+    pub fn iter(&self) -> BatchRowsIter<'_> {
         BatchRowsIter {
             rest: &self.cells,
             start: 0,
@@ -153,13 +153,13 @@ impl<R> BatchRows<R> {
     }
 
     /// Every cell of every row, back to back in job order.
-    pub fn cells(&self) -> &[Result<R, SolveError>] {
+    pub fn cells(&self) -> &[Result<BatchCell, SolveError>] {
         &self.cells
     }
 }
 
-impl<R> std::ops::Index<usize> for BatchRows<R> {
-    type Output = [Result<R, SolveError>];
+impl std::ops::Index<usize> for BatchRows {
+    type Output = [Result<BatchCell, SolveError>];
 
     fn index(&self, j: usize) -> &Self::Output {
         self.get(j)
@@ -167,27 +167,27 @@ impl<R> std::ops::Index<usize> for BatchRows<R> {
     }
 }
 
-impl<'a, R> IntoIterator for &'a BatchRows<R> {
-    type Item = &'a [Result<R, SolveError>];
-    type IntoIter = BatchRowsIter<'a, R>;
+impl<'a> IntoIterator for &'a BatchRows {
+    type Item = &'a [Result<BatchCell, SolveError>];
+    type IntoIter = BatchRowsIter<'a>;
 
-    fn into_iter(self) -> BatchRowsIter<'a, R> {
+    fn into_iter(self) -> BatchRowsIter<'a> {
         self.iter()
     }
 }
 
 /// Iterator over the rows of a [`BatchRows`], in job order.
 #[derive(Debug, Clone)]
-pub struct BatchRowsIter<'a, R> {
+pub struct BatchRowsIter<'a> {
     /// The cells of the rows not yet yielded.
-    rest: &'a [Result<R, SolveError>],
+    rest: &'a [Result<BatchCell, SolveError>],
     /// Index in the flat array of `rest`'s first cell.
     start: usize,
     ends: std::slice::Iter<'a, usize>,
 }
 
-impl<'a, R> Iterator for BatchRowsIter<'a, R> {
-    type Item = &'a [Result<R, SolveError>];
+impl<'a> Iterator for BatchRowsIter<'a> {
+    type Item = &'a [Result<BatchCell, SolveError>];
 
     fn next(&mut self) -> Option<Self::Item> {
         let end = *self.ends.next()?;
@@ -202,38 +202,19 @@ impl<'a, R> Iterator for BatchRowsIter<'a, R> {
     }
 }
 
-impl<R> ExactSizeIterator for BatchRowsIter<'_, R> {}
+impl ExactSizeIterator for BatchRowsIter<'_> {}
 
-/// Solve every job's deadlines × strategies, returning full
-/// [`Solution`]s (schedules included), one row per job. Results are
-/// bitwise identical to calling [`crate::solve_with_cache`] per graph
-/// in the same order.
-pub fn solve_batch(
-    strategies: &[Strategy],
-    cfg: &SchedulerConfig,
-    jobs: &[BatchJob<'_>],
-) -> BatchRows<Solution> {
-    run_batch(strategies, cfg, jobs, |s| s)
-}
-
-/// [`solve_batch`] returning compact [`BatchCell`]s instead of full
-/// solutions: each cell's schedule handle is dropped as soon as the
-/// cell is billed, so a million-solve campaign retains counters and
-/// energies, not schedules.
+/// Solve every job's deadlines × strategies, one row of compact
+/// [`BatchCell`]s per job. Each cell's schedule handle is dropped as
+/// soon as the cell is billed, so a million-solve campaign retains
+/// counters and energies, not schedules. Results are bitwise identical
+/// to calling [`crate::solve_with_cache`] per graph in the same order.
 pub fn evaluate_graphs(
     strategies: &[Strategy],
     cfg: &SchedulerConfig,
     jobs: &[BatchJob<'_>],
-) -> BatchRows<BatchCell> {
-    run_batch(strategies, cfg, jobs, |s| BatchCell::from(&s))
-}
-
-fn run_batch<R: Send>(
-    strategies: &[Strategy],
-    cfg: &SchedulerConfig,
-    jobs: &[BatchJob<'_>],
-    project: impl Fn(Solution) -> R + Sync,
-) -> BatchRows<R> {
+) -> BatchRows {
+    // The span keeps the name recorded traces already carry.
     let _span = lamps_obs::span("core", "solve_batch");
     let ends: Vec<usize> = jobs
         .iter()
@@ -280,7 +261,7 @@ fn run_batch<R: Send>(
                     Some(&sweep),
                     None,
                 )
-                .map(|b| project(b.solution));
+                .map(|b| BatchCell::from(&b.solution));
             }
         }
         debug_assert!(slots.next().is_none(), "every cell of the row was written");
@@ -320,103 +301,53 @@ mod tests {
             .collect()
     }
 
+    fn jobs<'a>(graphs: &'a [TaskGraph], deadlines: &'a [Vec<f64>]) -> Vec<BatchJob<'a>> {
+        graphs
+            .iter()
+            .zip(deadlines)
+            .map(|(graph, d)| BatchJob {
+                graph,
+                deadlines_s: d,
+            })
+            .collect()
+    }
+
     #[test]
     fn batch_is_bitwise_equal_to_per_graph_solves() {
         let graphs = corpus();
         let deadlines: Vec<Vec<f64>> = graphs.iter().map(deadlines_for).collect();
-        let jobs: Vec<BatchJob<'_>> = graphs
-            .iter()
-            .zip(&deadlines)
-            .map(|(graph, d)| BatchJob {
-                graph,
-                deadlines_s: d,
-            })
-            .collect();
+        let jobs = jobs(&graphs, &deadlines);
         let strategies = Strategy::all();
-        let batch = solve_batch(&strategies, &cfg(), &jobs);
+        let batch = evaluate_graphs(&strategies, &cfg(), &jobs);
         assert_eq!(batch.len(), jobs.len());
-        for (job, results) in jobs.iter().zip(&batch) {
-            let mut cache = ScheduleCache::for_graph(job.graph);
-            let mut k = 0;
-            for &d in job.deadlines_s {
-                for &s in strategies.iter() {
-                    let reference = solve_with_cache(s, d, &cfg(), &mut cache);
-                    match (&results[k], &reference) {
-                        (Ok(a), Ok(b)) => {
-                            assert_eq!(a.n_procs, b.n_procs, "{s} @ {d}");
-                            assert_eq!(a.level.freq.to_bits(), b.level.freq.to_bits());
-                            assert_eq!(a.makespan_cycles, b.makespan_cycles);
-                            assert_eq!(
-                                a.energy.total().to_bits(),
-                                b.energy.total().to_bits(),
-                                "{s} @ {d}: batch energy diverged"
-                            );
-                        }
-                        (Err(a), Err(b)) => assert_eq!(format!("{a}"), format!("{b}")),
-                        (a, b) => panic!("{s} @ {d}: {a:?} vs {b:?}"),
-                    }
-                    k += 1;
-                }
-            }
-            assert_eq!(k, results.len());
-        }
-    }
-
-    #[test]
-    fn evaluate_graphs_matches_solve_batch() {
-        let graphs = corpus();
-        let deadlines: Vec<Vec<f64>> = graphs.iter().map(deadlines_for).collect();
-        let jobs: Vec<BatchJob<'_>> = graphs
-            .iter()
-            .zip(&deadlines)
-            .map(|(graph, d)| BatchJob {
-                graph,
-                deadlines_s: d,
-            })
-            .collect();
-        let strategies = [Strategy::Lamps, Strategy::LampsPs];
-        let full = solve_batch(&strategies, &cfg(), &jobs);
-        let cells = evaluate_graphs(&strategies, &cfg(), &jobs);
-        for (f_row, c_row) in full.iter().zip(&cells) {
-            assert_eq!(f_row.len(), c_row.len());
-            for (f, c) in f_row.iter().zip(c_row) {
-                match (f, c) {
-                    (Ok(sol), Ok(cell)) => {
-                        assert_eq!(cell, &BatchCell::from(sol));
-                        assert_eq!(cell.energy.total().to_bits(), sol.energy.total().to_bits());
-                        assert_eq!(cell.n_procs as usize, sol.n_procs);
-                        assert_eq!(cell.freq.to_bits(), sol.level.freq.to_bits());
-                        assert_eq!(cell.makespan_s().to_bits(), sol.makespan_s.to_bits());
-                    }
-                    (Err(a), Err(b)) => assert_eq!(format!("{a}"), format!("{b}")),
-                    (a, b) => panic!("{a:?} vs {b:?}"),
-                }
-            }
+        for (job, row) in jobs.iter().zip(&batch) {
+            assert_row_matches_solo(job, &strategies, row);
         }
     }
 
     #[test]
     fn empty_inputs_are_fine() {
-        assert!(solve_batch(&Strategy::all(), &cfg(), &[]).is_empty());
+        assert!(evaluate_graphs(&Strategy::all(), &cfg(), &[]).is_empty());
         let g = corpus().remove(0);
         let jobs = [BatchJob {
             graph: &g,
             deadlines_s: &[],
         }];
-        let out = solve_batch(&Strategy::all(), &cfg(), &jobs);
+        let out = evaluate_graphs(&Strategy::all(), &cfg(), &jobs);
         assert_eq!(out.len(), 1);
         assert!(out[0].is_empty());
-        let no_strat = solve_batch(&[], &cfg(), &jobs);
+        let no_strat = evaluate_graphs(&[], &cfg(), &jobs);
         assert!(no_strat[0].is_empty());
     }
 
     /// Bitwise comparison of one batch row with per-graph
     /// `solve_with_cache` calls on a fresh cache, in deadline-major
-    /// order.
+    /// order: each cell is the projection of its solo solution, with
+    /// the same energy and makespan bits.
     fn assert_row_matches_solo(
         job: &BatchJob<'_>,
         strategies: &[Strategy],
-        row: &[Result<Solution, SolveError>],
+        row: &[Result<BatchCell, SolveError>],
     ) {
         assert_eq!(row.len(), job.deadlines_s.len() * strategies.len());
         let mut cache = ScheduleCache::for_graph(job.graph);
@@ -425,11 +356,17 @@ mod tests {
             for &s in strategies {
                 let reference = solve_with_cache(s, d, &cfg(), &mut cache);
                 match (cells.next().expect("row length checked"), &reference) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.n_procs, b.n_procs, "{s} @ {d}");
-                        assert_eq!(a.level.freq.to_bits(), b.level.freq.to_bits());
-                        assert_eq!(a.makespan_cycles, b.makespan_cycles);
-                        assert_eq!(a.energy.total().to_bits(), b.energy.total().to_bits());
+                    (Ok(cell), Ok(sol)) => {
+                        assert_eq!(cell, &BatchCell::from(sol), "{s} @ {d}");
+                        assert_eq!(cell.n_procs as usize, sol.n_procs);
+                        assert_eq!(cell.freq.to_bits(), sol.level.freq.to_bits());
+                        assert_eq!(cell.makespan_cycles, sol.makespan_cycles);
+                        assert_eq!(
+                            cell.energy.total().to_bits(),
+                            sol.energy.total().to_bits(),
+                            "{s} @ {d}: batch energy diverged"
+                        );
+                        assert_eq!(cell.makespan_s().to_bits(), sol.makespan_s.to_bits());
                     }
                     (Err(a), Err(b)) => assert_eq!(a, b),
                     (a, b) => panic!("{s} @ {d}: {a:?} vs {b:?}"),
@@ -456,16 +393,9 @@ mod tests {
                 }
             })
             .collect();
-        let jobs: Vec<BatchJob<'_>> = graphs
-            .iter()
-            .zip(&deadlines)
-            .map(|(graph, d)| BatchJob {
-                graph,
-                deadlines_s: d,
-            })
-            .collect();
+        let jobs = jobs(&graphs, &deadlines);
         let strategies = Strategy::all();
-        let rows = solve_batch(&strategies, &cfg(), &jobs);
+        let rows = evaluate_graphs(&strategies, &cfg(), &jobs);
         assert_eq!(rows.len(), jobs.len());
         assert_eq!(rows.iter().len(), jobs.len());
         assert!(rows.get(jobs.len()).is_none());
@@ -483,7 +413,7 @@ mod tests {
             assert_row_matches_solo(job, &strategies, row);
         }
 
-        let no_strategies = solve_batch(&[], &cfg(), &jobs);
+        let no_strategies = evaluate_graphs(&[], &cfg(), &jobs);
         assert_eq!(no_strategies.len(), jobs.len());
         assert!(no_strategies.iter().all(<[_]>::is_empty));
         assert!(no_strategies.cells().is_empty());
@@ -497,14 +427,7 @@ mod tests {
             .enumerate()
             .map(|(j, g)| deadlines_for(g)[..j % 4].to_vec())
             .collect();
-        let jobs: Vec<BatchJob<'_>> = graphs
-            .iter()
-            .zip(&deadlines)
-            .map(|(graph, d)| BatchJob {
-                graph,
-                deadlines_s: d,
-            })
-            .collect();
+        let jobs = jobs(&graphs, &deadlines);
         let strategies = Strategy::all();
         let rows = evaluate_graphs(&strategies, &cfg(), &jobs);
         let flat = rows.cells().as_ptr_range();

@@ -53,7 +53,7 @@ pub mod solve;
 pub mod suffix;
 pub mod types;
 
-pub use batch::{evaluate_graphs, solve_batch, BatchCell, BatchJob, BatchRows, BatchRowsIter};
+pub use batch::{evaluate_graphs, BatchCell, BatchJob, BatchRows, BatchRowsIter};
 pub use budget::{
     solve_with_budget_cache, BudgetedSolution, CancelToken, Completeness, SolveBudget,
 };

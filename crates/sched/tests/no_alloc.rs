@@ -12,11 +12,10 @@
 //! regression. Materializing a warm run into an owned `Schedule` makes
 //! exactly four allocations: the duration column is the caller's.
 //!
-//! This file deliberately contains a single `#[test]`: the counter is
-//! process-global, and a sibling test allocating on another thread
-//! would show up as a false positive. The library crate forbids
-//! `unsafe`; the `GlobalAlloc` impl below lives in this integration
-//! test only.
+//! Only the test's own thread is counted: the test harness's other
+//! threads (its main thread, for one) may allocate while the test runs.
+//! The library crate forbids `unsafe`; the `GlobalAlloc` impl below
+//! lives in this integration test only.
 
 use lamps_sched::list::{list_schedule_into, ListScheduleWorkspace};
 use lamps_sched::partial::{reschedule_remaining, PartialSchedule, ProcAvailability};
@@ -25,26 +24,37 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// System allocator with a count of every `alloc`/`realloc` call
-/// (deallocation is free to happen; only *new* memory breaks the
-/// contract).
+/// System allocator with a count of every `alloc`/`realloc` call on
+/// the tracked thread (deallocation is free to happen; only *new*
+/// memory breaks the contract).
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the test's thread; allocations elsewhere are not counted.
+    static TRACKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+fn note() {
+    if TRACKED.with(|t| t.get()) {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        note();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        note();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        note();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -62,6 +72,7 @@ fn allocations() -> u64 {
 
 #[test]
 fn warm_workspace_runs_allocate_nothing() {
+    TRACKED.with(|t| t.set(true));
     // A layered DAG big enough to exercise every internal buffer: 240
     // tasks in 12 layers, each task depending on two tasks of the
     // previous layer.

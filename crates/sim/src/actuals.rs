@@ -7,13 +7,9 @@
 //! [`crate::actual_cycles`]. So the column costs `8·N` bytes for `N`
 //! jobs, however many frames it spans.
 //!
-//! A table assembled from values, or edited value by value, stores
-//! every frame's actual cycles in one flat column at the narrowest width
-//! that holds every value: `u32` when every count fits, `u64` otherwise.
-//! An actual never exceeds its job's WCET, so a graph whose largest
-//! WCET fits in `u32` always gets the narrow column. The width is a fact
-//! of the values, never a setting: a stored column is narrow exactly
-//! when every value fits.
+//! A table assembled from values stores every frame's actual cycles in
+//! one flat `u64` column, `8·F·N` bytes for `F` frames. A column is
+//! never edited once built.
 //!
 //! Columns compare by value, whatever their form, and readers see an
 //! [`Actuals`] view and get every value as `u64`.
@@ -28,12 +24,11 @@ pub(crate) fn frame_seed(seed: u64, i: usize) -> u64 {
     seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Every frame's actual cycles, frame-major: derived from a [`Recipe`],
-/// or stored, narrow exactly when every value fits in `u32`.
+/// Every frame's actual cycles, frame-major: stored, or derived from a
+/// [`Recipe`].
 #[derive(Debug, Clone)]
 pub(crate) enum Column {
-    Narrow(Vec<u32>),
-    Wide(Vec<u64>),
+    Stored(Box<[u64]>),
     Derived(Recipe),
 }
 
@@ -58,7 +53,7 @@ struct Draw {
 
 impl Default for Column {
     fn default() -> Self {
-        Column::Narrow(Vec::new())
+        Column::Stored(Box::default())
     }
 }
 
@@ -91,9 +86,7 @@ impl Column {
 
     /// The column holding exactly `values`.
     pub(crate) fn from_values(values: Vec<u64>) -> Self {
-        let mut column = Column::Wide(values);
-        column.canonicalize();
-        column
+        Column::Stored(values.into_boxed_slice())
     }
 
     /// The WCETs a derived column reads at or below, frame by frame;
@@ -105,47 +98,6 @@ impl Column {
         }
     }
 
-    /// Narrow a wide column whose every value fits.
-    fn canonicalize(&mut self) {
-        if let Column::Wide(v) = self {
-            if v.iter().all(|&a| u32::try_from(a).is_ok()) {
-                *self = Column::Narrow(v.iter().map(|&a| a as u32).collect());
-            }
-        }
-    }
-
-    /// Overwrite value `i` with `value`. A derived column is stored
-    /// first; a stored one widens when `value` does not fit and narrows
-    /// when `value` replaced the last value that did not.
-    ///
-    /// # Panics
-    ///
-    /// If `i` is out of range.
-    pub(crate) fn set(&mut self, i: usize, value: u64) {
-        match self {
-            Column::Narrow(v) => match u32::try_from(value) {
-                Ok(narrow) => v[i] = narrow,
-                Err(_) => {
-                    assert!(i < v.len(), "index {i} out of range for {}", v.len());
-                    let mut wide: Vec<u64> = v.iter().map(|&a| u64::from(a)).collect();
-                    wide[i] = value;
-                    *self = Column::Wide(wide);
-                }
-            },
-            Column::Wide(v) => {
-                let old = std::mem::replace(&mut v[i], value);
-                if u32::try_from(old).is_err() && u32::try_from(value).is_ok() {
-                    self.canonicalize();
-                }
-            }
-            Column::Derived(_) => {
-                let mut stored = Column::from_values(self.all().to_vec());
-                stored.set(i, value);
-                *self = stored;
-            }
-        }
-    }
-
     /// The values in `range`.
     ///
     /// # Panics
@@ -153,8 +105,7 @@ impl Column {
     /// If `range` does not lie within the column.
     pub(crate) fn view(&self, range: Range<usize>) -> Actuals<'_> {
         Actuals(match self {
-            Column::Narrow(v) => Slice::Narrow(&v[range]),
-            Column::Wide(v) => Slice::Wide(&v[range]),
+            Column::Stored(v) => Slice::Stored(&v[range]),
             Column::Derived(recipe) => {
                 let len = self.len();
                 assert!(
@@ -177,8 +128,7 @@ impl Column {
 
     fn len(&self) -> usize {
         match self {
-            Column::Narrow(v) => v.len(),
-            Column::Wide(v) => v.len(),
+            Column::Stored(v) => v.len(),
             Column::Derived(recipe) => recipe.frames * recipe.wcet.len(),
         }
     }
@@ -192,8 +142,7 @@ pub struct Actuals<'a>(Slice<'a>);
 
 #[derive(Debug, Clone, Copy)]
 enum Slice<'a> {
-    Narrow(&'a [u32]),
-    Wide(&'a [u64]),
+    Stored(&'a [u64]),
     /// Values `start..start + len` of a derived column.
     Derived {
         recipe: &'a Recipe,
@@ -206,8 +155,7 @@ impl<'a> Actuals<'a> {
     /// Number of values.
     pub fn len(&self) -> usize {
         match self.0 {
-            Slice::Narrow(v) => v.len(),
-            Slice::Wide(v) => v.len(),
+            Slice::Stored(v) => v.len(),
             Slice::Derived { len, .. } => len,
         }
     }
@@ -227,8 +175,7 @@ impl<'a> Actuals<'a> {
     /// If `j` is not below [`Actuals::len`].
     pub fn get(&self, j: usize) -> u64 {
         match self.0 {
-            Slice::Narrow(v) => u64::from(v[j]),
-            Slice::Wide(v) => v[j],
+            Slice::Stored(v) => v[j],
             Slice::Derived { recipe, start, len } => {
                 assert!(j < len, "index {j} out of range for {len}");
                 Derived::at(recipe, start + j, 1).value()
@@ -239,8 +186,7 @@ impl<'a> Actuals<'a> {
     /// The values in order.
     pub fn iter(&self) -> Iter<'a> {
         Iter(match self.0 {
-            Slice::Narrow(v) => Form::Narrow(v.iter()),
-            Slice::Wide(v) => Form::Wide(v.iter()),
+            Slice::Stored(v) => Form::Stored(v.iter()),
             Slice::Derived { recipe, start, len } => Form::Derived(Derived::at(recipe, start, len)),
         })
     }
@@ -253,7 +199,7 @@ impl<'a> Actuals<'a> {
 
 impl<'a> From<&'a [u64]> for Actuals<'a> {
     fn from(values: &'a [u64]) -> Self {
-        Actuals(Slice::Wide(values))
+        Actuals(Slice::Stored(values))
     }
 }
 
@@ -278,8 +224,7 @@ pub struct Iter<'a>(Form<'a>);
 
 #[derive(Debug, Clone)]
 enum Form<'a> {
-    Narrow(std::slice::Iter<'a, u32>),
-    Wide(std::slice::Iter<'a, u64>),
+    Stored(std::slice::Iter<'a, u64>),
     Derived(Derived<'a>),
 }
 
@@ -339,8 +284,7 @@ impl Iterator for Iter<'_> {
 
     fn next(&mut self) -> Option<u64> {
         match &mut self.0 {
-            Form::Narrow(v) => v.next().map(|&a| u64::from(a)),
-            Form::Wide(v) => v.next().copied(),
+            Form::Stored(v) => v.next().copied(),
             Form::Derived(d) => {
                 if d.left == 0 {
                     return None;
@@ -353,8 +297,7 @@ impl Iterator for Iter<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let len = match &self.0 {
-            Form::Narrow(v) => v.len(),
-            Form::Wide(v) => v.len(),
+            Form::Stored(v) => v.len(),
             Form::Derived(d) => d.left,
         };
         (len, Some(len))
@@ -372,25 +315,16 @@ mod tests {
     const BIG: u64 = u32::MAX as u64 + 1;
 
     #[test]
-    fn columns_are_narrow_exactly_when_every_value_fits() {
-        let fits = Column::from_values(vec![0, 7, u32::MAX as u64]);
-        assert!(matches!(fits, Column::Narrow(_)));
-        assert_eq!(fits.all().to_vec(), [0, 7, u32::MAX as u64]);
-        let wide = Column::from_values(vec![0, BIG]);
-        assert!(matches!(wide, Column::Wide(_)));
-        assert_eq!(Column::from_values(vec![]), Column::default());
-    }
-
-    #[test]
     fn views_read_the_same_values_at_either_width() {
-        let narrow = Column::Narrow(vec![1, 2, 3, 4]);
-        let wide: &[u64] = &[2, 3];
-        assert_eq!(narrow.view(1..3), Actuals::from(wide));
-        assert_ne!(narrow.view(0..2), Actuals::from(wide));
-        let v = narrow.view(1..4);
-        assert_eq!((v.len(), v.get(2)), (3, 4));
-        assert_eq!(v.iter().len(), 3);
-        assert_eq!(v.into_iter().sum::<u64>(), 9);
+        let stored = Column::from_values(vec![1, 2, 3, 4, BIG]);
+        let borrowed: &[u64] = &[2, 3];
+        assert_eq!(stored.view(1..3), Actuals::from(borrowed));
+        assert_ne!(stored.view(0..2), Actuals::from(borrowed));
+        let v = stored.view(1..5);
+        assert_eq!((v.len(), v.get(2), v.get(3)), (4, 4, BIG));
+        assert_eq!(v.iter().len(), 4);
+        assert_eq!(v.into_iter().sum::<u64>(), 9 + BIG);
+        assert_eq!(Column::from_values(vec![]), Column::default());
     }
 
     /// Jobs of every kind a draw treats apart: zero-weight dummies
@@ -471,30 +405,23 @@ mod tests {
     }
 
     /// Equality is by value: a derived column equals the stored column
-    /// of its values, and `set` turns it into that canonical column.
+    /// of its values, whether or not they fit in `u32`.
     #[test]
     fn derived_columns_compare_and_store_by_value() {
         let narrow_wcet = [0, 9, 1_000_000];
-        let derived = Column::drawn(&narrow_wcet, 4, 0.5, 0.9, 2);
-        let stored = Column::from_values(derived.all().to_vec());
-        assert!(matches!(stored, Column::Narrow(_)));
-        assert_eq!(derived, stored);
-        assert_eq!(stored, derived);
-        assert_ne!(derived, Column::drawn(&narrow_wcet, 4, 0.5, 0.9, 3));
+        for (wcet, frames) in [(&narrow_wcet[..], 4), (&WCET[..], 2)] {
+            let derived = Column::drawn(wcet, frames, 0.5, 0.9, 2);
+            let stored = Column::from_values(derived.all().to_vec());
+            assert!(matches!(stored, Column::Stored(_)));
+            assert_eq!(derived, stored);
+            assert_eq!(stored, derived);
+            assert_ne!(derived, Column::drawn(wcet, frames, 0.5, 0.9, 3));
+            assert_eq!(
+                Column::wcet(wcet, frames),
+                Column::from_values(wcet.repeat(frames))
+            );
+        }
         assert_eq!(Column::wcet(&narrow_wcet, 0), Column::default());
-
-        let mut edited = derived.clone();
-        let same = derived.all().get(4);
-        edited.set(4, same);
-        assert!(matches!(edited, Column::Narrow(_)));
-        assert_eq!(edited, derived);
-
-        let mut wide = Column::wcet(&WCET, 2);
-        wide.set(1, 3);
-        assert!(matches!(wide, Column::Wide(_)));
-        let mut want = [WCET, WCET].concat();
-        want[1] = 3;
-        assert_eq!(wide, Column::from_values(want));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! `i · arrival_factor · span`, so it stores the three numbers of that
 //! progression instead of one `f64` per frame and evaluates the product
 //! in exactly that order whenever an arrival is read. A table assembled
-//! from explicit arrivals ([`crate::FrameTable::from_parts`]), or edited
-//! through [`crate::FrameTable::set_arrival`], holds them as a vector.
+//! from explicit arrivals ([`crate::FrameTable::from_parts`]) holds them
+//! as a vector. Neither is edited once built.
 //!
 //! Readers see an [`Arrivals`] view, and two columns compare equal when
 //! they hold the same values, whichever way each is stored.
@@ -27,22 +27,6 @@ impl Default for ArrivalColumn {
 }
 
 impl ArrivalColumn {
-    /// Overwrite arrival `i` with `arrival_s`, storing the values
-    /// explicitly from then on.
-    ///
-    /// # Panics
-    ///
-    /// If `i` is out of range.
-    pub(crate) fn set(&mut self, i: usize, arrival_s: f64) {
-        if let ArrivalColumn::Progression { .. } = self {
-            *self = ArrivalColumn::Explicit(self.view().to_vec());
-        }
-        let ArrivalColumn::Explicit(v) = self else {
-            unreachable!("materialised above")
-        };
-        v[i] = arrival_s;
-    }
-
     /// Every arrival.
     pub(crate) fn view(&self) -> Arrivals<'_> {
         Arrivals(self)
@@ -128,17 +112,6 @@ mod tests {
             ArrivalColumn::Progression { n: 0, factor, span },
             ArrivalColumn::default()
         );
-    }
-
-    #[test]
-    fn set_materialises_the_progression() {
-        let mut col = ArrivalColumn::Progression {
-            n: 3,
-            factor: 1.0,
-            span: 2.0,
-        };
-        col.set(1, 7.5);
-        assert!(matches!(&col, ArrivalColumn::Explicit(v) if v == &[0.0, 7.5, 4.0]));
     }
 
     #[test]

@@ -141,15 +141,14 @@ pub struct FrameInput<'a> {
 ///
 /// * `arrival_s` — the progression `i · arrival_factor · span` of a
 ///   built stream, three numbers for the whole stream, or one explicit
-///   arrival per frame for a table assembled or edited arrival by
-///   arrival (read through [`Arrivals`] views);
+///   arrival per frame for a table assembled from its arrays (read
+///   through [`Arrivals`] views);
 /// * `actual` — every frame's actual cycles, frame-major at a stride of
 ///   [`FrameTable::jobs`] entries per frame: for a built stream, the
 ///   recipe they derive from (a copy of the job WCETs, and the draw's
 ///   fraction bounds and seed), every frame redrawn on read; for a table
-///   assembled or edited value by value, the values back to back in one
-///   column of `u32` when every value fits and of `u64` otherwise (read
-///   through [`Actuals`] views either way);
+///   assembled from its arrays, the values back to back in one `u64`
+///   column (read through [`Actuals`] views either way);
 /// * eight fault arrays, all empty when no frame has a fault: every
 ///   frame's overruns back to back as a task column and a factor column,
 ///   every frame's DVS faults back to back, per frame the `u32` end
@@ -158,22 +157,23 @@ pub struct FrameInput<'a> {
 ///   the fail-stops as one presence bit, one `u32` processor and one
 ///   `f64` time per frame.
 ///
-/// The constructors keep every per-frame array the same length in
-/// frames, so a frame's actuals always span exactly one stride; whether
-/// that stride matches the graph is checked once per stream by
-/// [`run_online`]. A fault-free stream of `N` jobs built by
-/// [`OnlineStream::periodic`] or [`OnlineStream::synthesize`] owns
-/// exactly `8·N` heap bytes, its WCET copy, however many frames `F` it
-/// holds and whatever the WCETs' width (a stored column takes `4·F·N`
-/// bytes when narrow and `8·F·N` when wide, and explicit arrivals add
-/// `8·F`); with faults it adds
+/// A table is built by [`FrameTable::from_parts`],
+/// [`OnlineStream::periodic`] or [`OnlineStream::synthesize`] and never
+/// edited after. The constructors keep every per-frame array the same
+/// length in frames, so a frame's actuals always span exactly one
+/// stride, and the checks [`run_online`] makes once per stream (the
+/// stride against the graph, the actuals against the WCETs, the fault
+/// plans against the platform) hold for the table's whole life. A
+/// fault-free stream of `N` jobs built by [`OnlineStream::periodic`] or
+/// [`OnlineStream::synthesize`] owns exactly `8·N` heap bytes, its WCET
+/// copy, however many frames `F` it holds (a stored column takes `8·F·N`
+/// bytes, and explicit arrivals add `8·F`); with faults it adds
 /// `8·F + 12·F + 8·⌈F/64⌉ + 12·O + 24·D` bytes for its `O` overruns and
 /// `D` DVS faults (two 4-byte end offsets and a 12-byte fail-stop slot
 /// per frame, one 64-bit presence word per 64 frames, and a 4-byte task
 /// and an 8-byte factor per overrun).
 ///
-/// The layout is canonical: a stored column is narrow exactly when
-/// every actual fits in `u32`, a table whose frames carry no fault holds
+/// The layout is canonical: a table whose frames carry no fault holds
 /// no fault arrays, however it was built, and a frame without a
 /// fail-stop stores zeros in its slot. Arrivals and actuals compare by
 /// value, whether derived or stored. So two tables compare equal exactly
@@ -229,27 +229,16 @@ impl FaultArrays {
         if i % 64 == 0 {
             self.fail_present.push(0);
         }
-        self.fail_proc.push(0);
-        self.fail_at_s.push(0.0);
-        self.set_fail_stop(i, fail_stop);
-        Ok(())
-    }
-
-    /// Store frame `i`'s fail-stop in its slot, zeros for none.
-    fn set_fail_stop(&mut self, i: usize, fail_stop: Option<FailStop>) {
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
         let (proc, at_s) = match fail_stop {
             Some(fs) => {
-                self.fail_present[word] |= bit;
+                self.fail_present[i / 64] |= 1 << (i % 64);
                 (fs.proc.0, fs.at_s)
             }
-            None => {
-                self.fail_present[word] &= !bit;
-                (0, 0.0)
-            }
+            None => (0, 0.0),
         };
-        self.fail_proc[i] = proc;
-        self.fail_at_s[i] = at_s;
+        self.fail_proc.push(proc);
+        self.fail_at_s.push(at_s);
+        Ok(())
     }
 
     /// Drop every array when no frame has a fault, else the growth
@@ -296,24 +285,6 @@ fn frame_range(ends: &[u32], i: usize) -> Range<usize> {
     i.checked_sub(1).map_or(0, |p| ends[p] as usize)..ends[i] as usize
 }
 
-/// Make room for frame `i` to hold `added` entries of a flat array of
-/// `len` entries: shift the end offsets of frame `i` onwards and return
-/// the range of the frame's old entries, which the caller replaces.
-///
-/// # Panics
-///
-/// If the array would outgrow its `u32` offsets.
-fn splice_frame(ends: &mut [u32], len: usize, i: usize, added: usize) -> Range<usize> {
-    let old = frame_range(ends, i);
-    let removed = old.len();
-    offset(len - removed + added).expect("a table holds at most u32::MAX faults");
-    for end in &mut ends[i..] {
-        // Every end is at most the new length, which fits.
-        *end = (*end as usize - removed + added) as u32;
-    }
-    old
-}
-
 /// Every frame's overruns back to back, as two columns of equal length:
 /// 12 bytes an overrun, where a padded [`Overrun`] takes 16.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -346,12 +317,6 @@ impl OverrunColumns {
     fn view(&self, range: Range<usize>) -> Overruns<'_> {
         Overruns::columns(&self.task[range.clone()], &self.factor[range])
     }
-
-    /// Replace the entries in `range` with `new`.
-    fn splice(&mut self, range: Range<usize>, new: &[Overrun]) {
-        self.task.splice(range.clone(), new.iter().map(|o| o.task));
-        self.factor.splice(range, new.iter().map(|o| o.factor));
-    }
 }
 
 impl Extend<Overrun> for OverrunColumns {
@@ -366,8 +331,8 @@ impl Extend<Overrun> for OverrunColumns {
 impl FrameTable {
     /// Assemble a table from its arrays: `actual` must hold `jobs`
     /// entries per arrival, `faults` none or one plan per arrival. The
-    /// actuals go into a `u32` column when every value fits; the plans
-    /// are flattened into the table's fault arrays.
+    /// actuals are stored as given; the plans are flattened into the
+    /// table's fault arrays.
     pub fn from_parts(
         arrival_s: Vec<f64>,
         jobs: usize,
@@ -447,66 +412,6 @@ impl FrameTable {
     /// [`FrameTable::jobs`].
     pub fn actual(&self) -> Actuals<'_> {
         self.actual.all()
-    }
-
-    /// Set frame `i` to arrive at `arrival_s`. A table whose arrivals
-    /// were a progression stores them explicitly from then on.
-    ///
-    /// # Panics
-    ///
-    /// If `i` is not below [`FrameTable::len`].
-    pub fn set_arrival(&mut self, i: usize, arrival_s: f64) {
-        let n_frames = self.len();
-        assert!(i < n_frames, "frame {i} out of range for {n_frames} frames");
-        self.arrival_s.set(i, arrival_s);
-    }
-
-    /// Set job `job` of frame `frame` to run `cycles` actual cycles. A
-    /// table whose actuals were derived stores them from then on. The
-    /// table stays canonical: the column widens to `u64` when `cycles`
-    /// does not fit in `u32`, and narrows back once every value does.
-    ///
-    /// # Panics
-    ///
-    /// If `frame` is not below [`FrameTable::len`] or `job` not below
-    /// [`FrameTable::jobs`].
-    pub fn set_actual(&mut self, frame: usize, job: usize, cycles: u64) {
-        let (n_frames, jobs) = (self.len(), self.jobs);
-        assert!(
-            frame < n_frames && job < jobs,
-            "job {job} of frame {frame} out of range for {n_frames} frames of {jobs} jobs"
-        );
-        self.actual.set(frame * jobs + job, cycles);
-    }
-
-    /// Replace frame `i`'s faults with `plan`'s, leaving every other
-    /// frame's as it was. The table stays canonical: setting the last
-    /// faulty frame's plan to an empty one drops the fault arrays.
-    ///
-    /// # Panics
-    ///
-    /// If `i` is not below [`FrameTable::len`], or if the table would
-    /// hold more than `u32::MAX` overruns or DVS faults.
-    pub fn set_faults(&mut self, i: usize, plan: &FaultPlan) {
-        let n_frames = self.len();
-        assert!(i < n_frames, "frame {i} out of range for {n_frames} frames");
-        let f = &mut self.faults;
-        if f.overrun_end.is_empty() {
-            if plan.is_empty() {
-                return;
-            }
-            f.overrun_end = vec![0; n_frames];
-            f.dvs_end = vec![0; n_frames];
-            f.fail_present = vec![0; n_frames.div_ceil(64)];
-            f.fail_proc = vec![0; n_frames];
-            f.fail_at_s = vec![0.0; n_frames];
-        }
-        let old = splice_frame(&mut f.overrun_end, f.overruns.len(), i, plan.overruns.len());
-        f.overruns.splice(old, &plan.overruns);
-        let old = splice_frame(&mut f.dvs_end, f.dvs.len(), i, plan.dvs.len());
-        f.dvs.splice(old, plan.dvs.iter().copied());
-        f.set_fail_stop(i, plan.fail_stop);
-        f.canonicalize();
     }
 }
 
@@ -1287,29 +1192,28 @@ mod tests {
         let cfg = cfg();
         let ocfg = OnlineConfig::reclaiming();
         let good = OnlineStream::periodic(&dag, 2, 1.0, cfg.max_frequency());
+        let arrivals = good.frames.arrival_s().to_vec();
+        let actual = good.frames.actual().to_vec();
+        let n = dag.graph.len();
+        let stream =
+            |arrivals: &[f64], jobs: usize, actual: &[u64], faults: Vec<FaultPlan>| OnlineStream {
+                frames: FrameTable::from_parts(arrivals.to_vec(), jobs, actual.to_vec(), faults)
+                    .unwrap(),
+            };
+        assert_eq!(stream(&arrivals, n, &actual, vec![]), good);
 
-        let mut unsorted = good.clone();
-        unsorted.frames.set_arrival(1, -1.0);
+        let unsorted = stream(&[arrivals[0], -1.0], n, &actual, vec![]);
         assert!(matches!(
             run_online(&dag, &unsorted, &ocfg, &cfg),
             Err(SimError::BadStream(_))
         ));
-        let mut backwards = good.clone();
-        backwards.frames.set_arrival(0, 1.0);
-        backwards.frames.set_arrival(1, 0.5);
+        let backwards = stream(&[1.0, 0.5], n, &actual, vec![]);
         assert!(matches!(
             run_online(&dag, &backwards, &ocfg, &cfg),
             Err(SimError::BadStream(_))
         ));
-        // A frame's actuals cannot be shortened in place: a short frame
-        // is a stream built at the wrong stride.
-        let n = dag.graph.len();
-        let mut actual = good.frames.actual().to_vec();
-        actual.truncate(2 * (n - 1));
-        let short = OnlineStream {
-            frames: FrameTable::from_parts(good.frames.arrival_s().to_vec(), n - 1, actual, vec![])
-                .unwrap(),
-        };
+        // A short frame is a stream built at the wrong stride.
+        let short = stream(&arrivals, n - 1, &actual[..2 * (n - 1)], vec![]);
         assert_eq!(
             run_online(&dag, &short, &ocfg, &cfg).unwrap_err(),
             SimError::WrongActualLength {
@@ -1317,24 +1221,21 @@ mod tests {
                 got: n - 1
             }
         );
-        let mut over = good.clone();
-        over.frames
-            .set_actual(0, 0, good.frames.actual().get(0) + 1);
+        let mut over = actual.clone();
+        over[0] += 1;
+        let over = stream(&arrivals, n, &over, vec![]);
         assert!(matches!(
             run_online(&dag, &over, &ocfg, &cfg),
             Err(SimError::ActualExceedsWcet { .. })
         ));
-        let mut bad_fault = good.clone();
-        bad_fault.frames.set_faults(
-            0,
-            &FaultPlan {
-                fail_stop: Some(FailStop {
-                    proc: lamps_sched::ProcId(99),
-                    at_s: 0.001,
-                }),
-                ..FaultPlan::none()
-            },
-        );
+        let fail_99 = FaultPlan {
+            fail_stop: Some(FailStop {
+                proc: lamps_sched::ProcId(99),
+                at_s: 0.001,
+            }),
+            ..FaultPlan::none()
+        };
+        let bad_fault = stream(&arrivals, n, &actual, vec![fail_99, FaultPlan::none()]);
         assert!(matches!(
             run_online(&dag, &bad_fault, &ocfg, &cfg),
             Err(SimError::BadFaultPlan(_))
@@ -1460,30 +1361,15 @@ mod tests {
     fn fault_tables_round_trip_through_from_parts() {
         let dag = wide_dag();
         let n = dag.graph.len();
-        let mut plans = mixed_plans();
+        let plans = mixed_plans();
         let f = plans.len();
         let arrivals: Vec<f64> = (0..f).map(|i| i as f64).collect();
         let actual = vec![1u64; f * n];
         let build = |plans: Vec<FaultPlan>| {
             FrameTable::from_parts(arrivals.clone(), n, actual.clone(), plans)
         };
-        let mut table = build(plans.clone()).unwrap();
+        let table = build(plans.clone()).unwrap();
         assert_frames_read(&table, &plans);
-
-        // Growing, shrinking and emptying a middle frame leaves its
-        // neighbours alone and matches a table built from scratch.
-        let edits = [
-            (2, plans[4].clone()),
-            (1, FaultPlan::none()),
-            (4, plans[3].clone()),
-            (3, plans[4].clone()),
-        ];
-        for (i, plan) in edits {
-            table.set_faults(i, &plan);
-            plans[i] = plan;
-            assert_frames_read(&table, &plans);
-            assert_eq!(table, build(plans.clone()).unwrap());
-        }
 
         // A wrong plan count is a shape error.
         for count in [1, f - 1, f + 1] {
@@ -1526,43 +1412,8 @@ mod tests {
         }
     }
 
-    /// `set_arrival` stores a derived stream's arrivals explicitly,
-    /// changing only the one it sets.
-    #[test]
-    fn set_arrival_materialises_the_progression() {
-        let dag = wide_dag();
-        let f_max = cfg().max_frequency();
-        let built = OnlineStream::periodic(&dag, 5, 1.0, f_max).frames;
-        let mut same = built.clone();
-        same.set_arrival(2, built.arrival_s().get(2));
-        assert!(matches!(&same.arrival_s, ArrivalColumn::Explicit(v) if v.len() == 5));
-        assert_eq!(same, built);
-
-        let mut moved = built.clone();
-        moved.set_arrival(4, 100.0);
-        moved.set_arrival(1, 0.5);
-        let mut want = built.arrival_s().to_vec();
-        (want[4], want[1]) = (100.0, 0.5);
-        assert_eq!(moved.arrival_s().to_vec(), want);
-        assert_eq!(moved.get(4).unwrap().arrival_s, 100.0);
-        assert_eq!(moved.len(), 5);
-        assert_ne!(moved, built);
-        for (i, (m, b)) in moved.iter().zip(built.iter()).enumerate() {
-            assert_eq!(m.actual, b.actual, "frame {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn set_arrival_past_the_end_panics() {
-        let dag = wide_dag();
-        let mut t = OnlineStream::periodic(&dag, 2, 1.0, cfg().max_frequency()).frames;
-        t.set_arrival(2, 1.0);
-    }
-
     /// No processor value is reserved: a fail-stop on `ProcId(u32::MAX)`
-    /// reads back from a table built by `from_parts` and from one edited
-    /// by `set_faults`, and clearing it restores the fault-free table.
+    /// reads back from a table built by `from_parts`.
     #[test]
     fn every_proc_id_round_trips_through_the_fail_stop_column() {
         let dag = wide_dag();
@@ -1581,31 +1432,11 @@ mod tests {
         plans[0] = fail(u32::MAX, 0.25);
         plans[64] = fail(0, 0.0);
         plans[69] = fail(u32::MAX - 1, f64::MAX);
-        let parts =
-            FrameTable::from_parts(arrivals.clone(), n, actual.clone(), plans.clone()).unwrap();
+        let parts = FrameTable::from_parts(arrivals, n, actual, plans.clone()).unwrap();
         assert_frames_read(&parts, &plans);
-
-        let clean = FrameTable::from_parts(arrivals, n, actual, vec![]).unwrap();
-        let mut set = clean.clone();
-        for i in [69, 0, 64] {
-            set.set_faults(i, &plans[i]);
-        }
-        assert_frames_read(&set, &plans);
-        assert_eq!(set, parts);
-
-        // A slot that lost its fail-stop stores zeros again.
-        set.set_faults(0, &fail(7, 1.0));
-        set.set_faults(0, &FaultPlan::none());
-        plans[0] = FaultPlan::none();
-        assert_frames_read(&set, &plans);
-        for i in [64, 69] {
-            set.set_faults(i, &FaultPlan::none());
-        }
-        assert_eq!(set, clean);
     }
 
-    /// One above `u32::MAX`: the smallest actual that needs the wide
-    /// column.
+    /// One above `u32::MAX`: the smallest actual that needs 64 bits.
     const BIG: u64 = u32::MAX as u64 + 1;
 
     #[test]
@@ -1619,7 +1450,7 @@ mod tests {
         actual[n + 2] = BIG + 12_345;
         let wide =
             FrameTable::from_parts(clean.arrival_s().to_vec(), n, actual.clone(), vec![]).unwrap();
-        assert!(matches!(wide.actual, Column::Wide(_)));
+        assert!(matches!(wide.actual, Column::Stored(_)));
         assert_eq!(wide.actual().to_vec(), actual);
         for (i, fr) in wide.iter().enumerate() {
             assert_eq!(fr.actual.len(), n);
@@ -1628,29 +1459,6 @@ mod tests {
             }
         }
         assert_ne!(wide, clean);
-    }
-
-    #[test]
-    fn set_actual_widens_then_narrows_back() {
-        let dag = wide_dag();
-        let f_max = cfg().max_frequency();
-        let clean = OnlineStream::synthesize(&dag, 2, 4, 0.8, 0.5, 0.9, None, f_max, 4).frames;
-        let old = clean.get(1).unwrap().actual.get(2);
-        let mut table = clean.clone();
-        table.set_actual(1, 2, BIG);
-        assert!(matches!(table.actual, Column::Wide(_)));
-        let mut want = clean.actual().to_vec();
-        want[clean.jobs() + 2] = BIG;
-        assert_eq!(table.actual().to_vec(), want);
-
-        // A second large value keeps the column wide while the first
-        // stays; overwriting both narrows it to the original table.
-        table.set_actual(3, 0, BIG * 2);
-        table.set_actual(1, 2, old);
-        assert!(matches!(table.actual, Column::Wide(_)));
-        table.set_actual(3, 0, clean.get(3).unwrap().actual.get(0));
-        assert!(matches!(table.actual, Column::Narrow(_)));
-        assert_eq!(table, clean);
     }
 
     /// A built stream's derived actuals read the same through `get` as
@@ -1673,9 +1481,9 @@ mod tests {
         }
     }
 
-    /// A derived table equals its own `from_parts` copy; `set_actual`
-    /// stores it in the canonical column, and the edited table equals a
-    /// `from_parts` rebuild of its own values.
+    /// A derived table equals its own `from_parts` copy, whether or not
+    /// its values fit in `u32`, and a copy with one value changed does
+    /// not.
     #[test]
     fn derived_tables_equal_their_stored_copies() {
         let f_max = cfg().max_frequency();
@@ -1684,35 +1492,26 @@ mod tests {
         let job = big.add("big", 5_000_000_000, 8_000_000_000);
         big.depends(src, job).unwrap();
         let (narrow, wide) = (wide_dag(), big.to_frame_dag());
-        let rebuild = |t: &FrameTable| {
-            FrameTable::from_parts(
-                t.arrival_s().to_vec(),
-                t.jobs(),
-                t.actual().to_vec(),
-                vec![],
-            )
-            .unwrap()
+        let rebuild = |t: &FrameTable, actual: Vec<u64>| {
+            FrameTable::from_parts(t.arrival_s().to_vec(), t.jobs(), actual, vec![]).unwrap()
         };
-        for (dag, stored_wide) in [(&narrow, false), (&wide, true)] {
+        for (dag, above_u32) in [(&narrow, false), (&wide, true)] {
             for built in [
                 OnlineStream::synthesize(dag, 2, 5, 0.8, 0.9, 1.0, None, f_max, 4).frames,
                 OnlineStream::periodic(dag, 5, 0.8, f_max).frames,
             ] {
                 assert!(matches!(built.actual, Column::Derived(_)));
-                let copy = rebuild(&built);
-                assert_eq!(matches!(copy.actual, Column::Wide(_)), stored_wide);
+                let mut actual = built.actual().to_vec();
+                assert_eq!(actual.iter().any(|&a| a > u64::from(u32::MAX)), above_u32);
+                let copy = rebuild(&built, actual.clone());
+                assert!(matches!(copy.actual, Column::Stored(_)));
                 assert_eq!(copy, built);
                 assert_eq!(built, copy);
 
-                let mut edited = built.clone();
-                let keep = built.get(2).unwrap().actual.get(1);
-                edited.set_actual(2, 1, keep);
-                assert_eq!(matches!(edited.actual, Column::Wide(_)), stored_wide);
-                assert!(!matches!(edited.actual, Column::Derived(_)));
-                assert_eq!(edited, built);
-                edited.set_actual(4, 0, 1);
+                actual[4 * built.jobs()] = 1;
+                let edited = rebuild(&built, actual);
                 assert_ne!(edited, built);
-                assert_eq!(edited, rebuild(&edited));
+                assert_ne!(built, edited);
                 assert_eq!(edited.get(4).unwrap().actual.get(0), 1);
             }
         }
@@ -1763,18 +1562,8 @@ mod tests {
             FrameTable::from_parts(arrivals.clone(), clean.jobs(), actual.clone(), faults).unwrap()
         };
         assert_eq!(parts(vec![FaultPlan::none(); 5]), clean);
-
-        let mut set = clean.clone();
-        set.set_faults(2, &FaultPlan::none());
-        assert_eq!(set, clean);
-        let plans = mixed_plans();
-        set.set_faults(2, &plans[4]);
-        set.set_faults(3, &plans[3]);
-        assert_ne!(set, clean);
-        set.set_faults(2, &FaultPlan::none());
-        set.set_faults(3, &FaultPlan::none());
-        assert_eq!(set, clean);
-        assert_eq!(set, parts(vec![FaultPlan::none(); 5]));
+        assert_eq!(parts(vec![]), clean);
+        assert_ne!(parts(mixed_plans()[..5].to_vec()), clean);
 
         // No intensity draws nothing: a stream whose plans are all empty
         // also holds no fault arrays.
@@ -1900,7 +1689,7 @@ mod tests {
         let cfg = cfg();
         let f_max = cfg.max_frequency();
         let span = dag.hyperperiod_cycles as f64 / f_max;
-        let mut stream = OnlineStream::synthesize(&dag, 2, 3, 1.0, 0.8, 1.0, None, f_max, 3);
+        let drawn = OnlineStream::synthesize(&dag, 2, 3, 1.0, 0.8, 1.0, None, f_max, 3).frames;
         let faults = FaultPlan {
             fail_stop: Some(FailStop {
                 proc: lamps_sched::ProcId(0),
@@ -1914,7 +1703,15 @@ mod tests {
                 .collect(),
             ..FaultPlan::none()
         };
-        stream.frames.set_faults(1, &faults);
+        let stream = OnlineStream {
+            frames: FrameTable::from_parts(
+                drawn.arrival_s().to_vec(),
+                drawn.jobs(),
+                drawn.actual().to_vec(),
+                vec![FaultPlan::none(), faults, FaultPlan::none()],
+            )
+            .unwrap(),
+        };
         let ocfg = OnlineConfig {
             reclaim: false,
             ..OnlineConfig::reclaiming()

@@ -43,7 +43,7 @@ use crate::validator::{check_solution, rebill};
 use lamps_core::multi::{solve_with_deadlines, solve_with_deadlines_unpruned, DeadlineVector};
 use lamps_core::suffix::{resolve_suffix_fresh, SuffixContext, SuffixSolver};
 use lamps_core::{
-    solve, solve_batch, solve_with_budget_cache, solve_with_cache_unpruned, BatchJob,
+    evaluate_graphs, solve, solve_with_budget_cache, solve_with_cache_unpruned, BatchJob,
     BudgetedSolution, ScheduleCache, SchedulerConfig, Solution, SolveBudget, SolveError, Strategy,
 };
 use lamps_energy::{evaluate, evaluate_summary};
@@ -742,11 +742,11 @@ pub fn pruning_differential(
     }
 }
 
-/// Batch dimension: push the case through [`solve_batch`] (one job,
-/// every strategy) and demand results bitwise identical to the
-/// per-graph [`solve`] calls — same errors on the error paths, same
-/// processor count, level, makespan, and energy bits on the solved
-/// ones. This is what keeps the batch path's amortized state (recycled
+/// Batch dimension: push the case through [`evaluate_graphs`] (one
+/// job, every strategy), the path the campaign runs, and demand cells
+/// bitwise identical to the per-graph [`solve`] calls — same errors on
+/// the error paths, same processor count, makespan cycles, frequency,
+/// energy and makespan-seconds bits on the solved ones. This is what keeps the batch path's amortized state (recycled
 /// cache buffers, batch-wide sleep cutoffs) provably non-semantic.
 fn batch_differential(
     graph: &TaskGraph,
@@ -760,22 +760,27 @@ fn batch_differential(
         deadlines_s: &deadlines,
     }];
     let strategies = Strategy::all();
-    let batch = solve_batch(&strategies, scfg, &jobs);
+    let batch = evaluate_graphs(&strategies, scfg, &jobs);
     for (k, strategy) in strategies.into_iter().enumerate() {
         let reference = solve(strategy, graph, deadline_s, scfg);
         match (&batch[0][k], &reference) {
             (Ok(a), Ok(b)) => {
-                if a.n_procs != b.n_procs
+                if a.n_procs as usize != b.n_procs
                     || a.makespan_cycles != b.makespan_cycles
-                    || a.level.freq.to_bits() != b.level.freq.to_bits()
+                    || a.freq.to_bits() != b.level.freq.to_bits()
                     || a.energy.total().to_bits() != b.energy.total().to_bits()
+                    || a.makespan_s().to_bits() != b.makespan_s.to_bits()
                 {
                     violations.push(format!(
-                        "{strategy}: solve_batch diverged from solve: n {} vs {}, makespan {} vs {}, {} J vs {} J",
+                        "{strategy}: evaluate_graphs diverged from solve: n {} vs {}, makespan {} vs {} cycles, {} vs {} s, {} Hz vs {} Hz, {} J vs {} J",
                         a.n_procs,
                         b.n_procs,
                         a.makespan_cycles,
                         b.makespan_cycles,
+                        a.makespan_s(),
+                        b.makespan_s,
+                        a.freq,
+                        b.level.freq,
                         a.energy.total(),
                         b.energy.total()
                     ));
@@ -784,12 +789,12 @@ fn batch_differential(
             (Err(a), Err(b)) => {
                 if format!("{a}") != format!("{b}") {
                     violations.push(format!(
-                        "{strategy}: solve_batch error diverged: {a} vs {b}"
+                        "{strategy}: evaluate_graphs error diverged: {a} vs {b}"
                     ));
                 }
             }
             (a, b) => violations.push(format!(
-                "{strategy}: solve_batch disagrees on solvability: batch {:?} vs solo {:?}",
+                "{strategy}: evaluate_graphs disagrees on solvability: batch {:?} vs solo {:?}",
                 a.is_ok(),
                 b.is_ok()
             )),

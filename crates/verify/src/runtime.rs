@@ -990,7 +990,8 @@ mod tests {
     use super::*;
     use lamps_core::{solve, Strategy};
     use lamps_sim::{
-        run_with_faults, workload::actual_cycles, FailStop, FaultIntensity, RecoveryPolicy,
+        run_with_faults, workload::actual_cycles, FailStop, FaultIntensity, FrameTable,
+        RecoveryPolicy,
     };
     use lamps_taskgraph::gen::layered::{generate, LayeredConfig};
 
@@ -1475,18 +1476,25 @@ mod tests {
         .unwrap()
         .n_procs;
         assert!(n_procs >= 2);
-        let mut stream = OnlineStream::synthesize(&dag, n_procs, 3, 1.0, 0.5, 0.9, None, f_max, 9);
+        let drawn =
+            OnlineStream::synthesize(&dag, n_procs, 3, 1.0, 0.5, 0.9, None, f_max, 9).frames;
         let frame_fail = FailStop {
             proc: ProcId(0),
             at_s: 0.2 * dag.hyperperiod_cycles as f64 / f_max,
         };
-        stream.frames.set_faults(
-            1,
-            &lamps_sim::FaultPlan {
-                fail_stop: Some(frame_fail),
-                ..lamps_sim::FaultPlan::none()
-            },
-        );
+        let fail_plan = FaultPlan {
+            fail_stop: Some(frame_fail),
+            ..FaultPlan::none()
+        };
+        let stream = OnlineStream {
+            frames: FrameTable::from_parts(
+                drawn.arrival_s().to_vec(),
+                drawn.jobs(),
+                drawn.actual().to_vec(),
+                vec![FaultPlan::none(), fail_plan, FaultPlan::none()],
+            )
+            .unwrap(),
+        };
         let online = run_online(&dag, &stream, &ocfg, &cfg).unwrap();
         assert!(check_online(&dag, &stream, &ocfg, &cfg, &online).is_empty());
 
