@@ -31,9 +31,9 @@
 //!
 //! The results are merged into the `throughput` JSON (default
 //! `BENCH_solver.json`) as a top-level `"campaign"` section, replacing
-//! any previous one, so the `--baseline` machinery and the `gate`
-//! binary see one file. If the out file is missing or foreign, a
-//! standalone `{"campaign": ...}` document is written instead.
+//! any previous one, so the `gate` binary sees one file. If the out file
+//! is missing or foreign, a standalone `{"campaign": ...}` document is
+//! written instead.
 
 use lamps_bench::cli::Options;
 use lamps_bench::suite::DEADLINE_FACTORS;
@@ -43,7 +43,7 @@ use lamps_core::{
     evaluate_graphs, solve_with_cache, solve_with_cache_unpruned, BatchCell, BatchJob,
     SchedulerConfig, SolveError, Strategy,
 };
-use lamps_obs::json::{parse, Value};
+use lamps_obs::json::parse;
 use lamps_sched::latest_finish_times;
 use lamps_sched::list::{list_schedule_into, ListScheduleWorkspace};
 use lamps_taskgraph::gen::layered::{generate, stg_group, LayeredConfig};
@@ -360,39 +360,6 @@ fn counters_now() -> [u64; COUNTER_NAMES.len()] {
     out
 }
 
-/// What the `--baseline` file recorded: the single-solve headline rate
-/// (`after.solves_per_sec`) and, when a campaign section already
-/// exists, its batch rate.
-struct Baseline {
-    source: String,
-    single_solve_rate: Option<f64>,
-    batch_rate: Option<f64>,
-}
-
-fn read_baseline(path: &str) -> Baseline {
-    let mut b = Baseline {
-        source: path.to_string(),
-        single_solve_rate: None,
-        batch_rate: None,
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return b;
-    };
-    let Ok(root) = parse(&text) else {
-        return b;
-    };
-    b.single_solve_rate = root
-        .get("after")
-        .and_then(|a| a.get("solves_per_sec"))
-        .and_then(Value::as_number);
-    b.batch_rate = root
-        .get("campaign")
-        .and_then(|c| c.get("rates"))
-        .and_then(|r| r.get("batch_solves_per_sec"))
-        .and_then(Value::as_number);
-    b
-}
-
 /// Splice the campaign object into an existing `throughput` JSON as its
 /// last top-level key (replacing a previous campaign section), or wrap
 /// it standalone when the base file is missing or not ours.
@@ -420,7 +387,6 @@ fn main() {
         "out",
         "smoke",
         "reps",
-        "baseline",
         "sample",
         "stride",
         "giant-tasks",
@@ -432,7 +398,6 @@ fn main() {
     let seed = opts.u64("seed", 2006);
     let out = opts.string("out", "BENCH_solver.json");
     let reps = opts.usize("reps", if smoke { 2 } else { 1 }).max(1);
-    let baseline_path = opts.string("baseline", "BENCH_solver.json");
     let sample_graphs = opts
         .usize("sample", if smoke { 100 } else { 2_000 })
         .clamp(1, total_graphs);
@@ -442,7 +407,6 @@ fn main() {
     let cfg = SchedulerConfig::paper();
     let strategies = Strategy::all();
     let strategy_names = ["ss", "lamps", "ss_ps", "lamps_ps"];
-    let baseline = read_baseline(&baseline_path);
 
     let (generate_s, corpus) = sample_seconds(|| build_corpus(total_graphs, seed, &cfg));
     let jobs = corpus.jobs();
@@ -528,25 +492,6 @@ fn main() {
     );
 
     let all_equal = grouped_equal && unpruned_equal && giant.bitwise_equal;
-    let vs_single_solve = baseline
-        .single_solve_rate
-        .map(|r| batch_rate / r)
-        .unwrap_or(f64::NAN);
-    match baseline.single_solve_rate {
-        Some(r) => eprintln!(
-            "baseline {}: {r:.1} single-solve solves/s recorded -> batch is {vs_single_solve:.2}x (different workload: campaign-size graphs){}",
-            baseline.source,
-            baseline
-                .batch_rate
-                .map(|b| format!("; previous campaign batch rate {b:.1}"))
-                .unwrap_or_default()
-        ),
-        None => eprintln!(
-            "baseline {}: no after.solves_per_sec — no comparison figure",
-            baseline.source
-        ),
-    }
-
     let mut j = String::new();
     j.push_str("{\n");
     let _ = writeln!(j, "    \"smoke\": {smoke},");
@@ -588,28 +533,6 @@ fn main() {
         "      \"per_request_solves_per_sec\": {per_request_rate},"
     );
     let _ = writeln!(j, "      \"ns_per_solve_batch\": {ns_per_solve}");
-    let _ = writeln!(j, "    }},");
-    let _ = writeln!(j, "    \"baseline\": {{");
-    let _ = writeln!(j, "      \"source\": \"{}\",", baseline.source);
-    let _ = writeln!(
-        j,
-        "      \"single_solve_solves_per_sec\": {},",
-        baseline
-            .single_solve_rate
-            .map_or("null".into(), |r| r.to_string())
-    );
-    let _ = writeln!(
-        j,
-        "      \"batch_solves_per_sec\": {},",
-        baseline.batch_rate.map_or("null".into(), |r| r.to_string())
-    );
-    let _ = writeln!(j, "      \"batch_vs_single_solve\": {vs_single_solve},");
-    let _ = writeln!(
-        j,
-        "      \"note\": \"single-solve baseline is the Fig. 10 workload (50-5000 task graphs); the campaign corpus is {}-{} task graphs\"",
-        CAMPAIGN_SIZES[0],
-        CAMPAIGN_SIZES[CAMPAIGN_SIZES.len() - 1]
-    );
     let _ = writeln!(j, "    }},");
     let _ = writeln!(j, "    \"giant\": {{");
     let _ = writeln!(j, "      \"tasks\": {},", giant.tasks);

@@ -6,7 +6,7 @@
 //!
 //! * **baseline** — a reimplementation of the optimized search on the
 //!   public cache/energy APIs with no observability calls at the solve
-//!   layer (the same pattern `throughput` uses for its legacy engine);
+//!   layer;
 //! * **disabled** — the real [`solve_with_cache`] with metrics, tracing
 //!   and the flight recorder off, i.e. the instrumentation compiled in
 //!   but reduced to relaxed atomic loads;

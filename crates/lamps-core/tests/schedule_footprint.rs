@@ -10,58 +10,12 @@
 //! A counting global allocator measures both the calls and the live
 //! bytes around each miss of a cache recycled from one that already
 //! scheduled the same shapes.
-//!
-//! Only the test's own thread is counted, and the file contains a
-//! single `#[test]`, so the counters have one owner. The library crate
-//! forbids `unsafe`; the `GlobalAlloc` impl below lives in this
-//! integration test only.
 
 use lamps_core::cache::ScheduleCache;
 use lamps_sched::Schedule;
 use lamps_taskgraph::{GraphBuilder, TaskGraph};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use lamps_testalloc::{on_this_thread, CountingAlloc};
 use std::sync::Arc;
-
-/// System allocator counting allocation calls and live heap bytes.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-thread_local! {
-    /// Set on the test's thread; allocations elsewhere are not counted.
-    static TRACKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn note(calls: u64, delta: i64) {
-    if TRACKED.with(|t| t.get()) {
-        ALLOC_CALLS.fetch_add(calls, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size() as i64);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size() as i64);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(1, new_size as i64 - layout.size() as i64);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(0, -(layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -70,13 +24,8 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// processors; the schedule's `Arc` stays in the memo.
 fn miss(cache: &mut ScheduleCache<'_>, n: usize) -> (u64, i64) {
     assert!(!cache.is_cached(n), "{n} processors must be a miss");
-    let calls = ALLOC_CALLS.load(Ordering::Relaxed);
-    let bytes = LIVE_BYTES.load(Ordering::Relaxed);
-    cache.schedule(n);
-    (
-        ALLOC_CALLS.load(Ordering::Relaxed) - calls,
-        LIVE_BYTES.load(Ordering::Relaxed) - bytes,
-    )
+    let tally = on_this_thread(|| cache.schedule(n)).1;
+    (tally.calls, tally.bytes)
 }
 
 /// `16·N + 8·(P+1)` bytes of arrays plus the `Arc<Schedule>` block
@@ -120,7 +69,6 @@ fn assert_one_shared_column(cache: &mut ScheduleCache<'_>, counts: &[usize]) {
 
 #[test]
 fn warm_cache_misses_allocate_four_arrays_and_one_arc() {
-    TRACKED.with(|t| t.set(true));
     let graph = layered();
     let n = graph.len();
     let counts = [20usize, 1, 3, 8];
@@ -147,5 +95,4 @@ fn warm_cache_misses_allocate_four_arrays_and_one_arc() {
         );
     }
     assert_one_shared_column(&mut cache, &counts);
-    TRACKED.with(|t| t.set(false));
 }

@@ -6,65 +6,21 @@
 //! deadline bits in place and makes exactly the allocations of one clone
 //! of its returned plan (the five arrays of a `PartialSchedule`), with
 //! or without per-task deadlines, over one level or several.
-//!
-//! Only the test's own thread is counted, and the file contains a
-//! single `#[test]`, so the counters have one owner. The library crate
-//! forbids `unsafe`; the `GlobalAlloc` impl below lives in this
-//! integration test only.
 
 use lamps_core::suffix::{SuffixContext, SuffixSolver};
 use lamps_core::SchedulerConfig;
 use lamps_power::OperatingPoint;
 use lamps_taskgraph::gen::layered::{generate, LayeredConfig};
 use lamps_taskgraph::TaskGraph;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// System allocator counting allocation calls.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Set on the test's thread; allocations elsewhere are not counted.
-    static TRACKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn note() {
-    if TRACKED.with(|t| t.get()) {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use lamps_testalloc::{on_this_thread, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Allocation calls `f` makes on this thread, and its result.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOC_CALLS.load(Ordering::Relaxed) - before)
+    let (out, tally) = on_this_thread(f);
+    (out, tally.calls)
 }
 
 fn graph() -> TaskGraph {
@@ -81,7 +37,6 @@ fn graph() -> TaskGraph {
 
 #[test]
 fn warm_memo_hits_allocate_only_the_returned_plan() {
-    TRACKED.with(|t| t.set(true));
     let cfg = SchedulerConfig::paper();
     let g = graph();
     let f_max = cfg.max_frequency();

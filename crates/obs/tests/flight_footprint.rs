@@ -8,56 +8,14 @@
 //! still return exactly the newest 4096 events with the thread's id,
 //! kinds and payloads.
 //!
-//! Only the recording thread is counted: the test harness's main thread
-//! allocates now and then while a test runs. The file contains a single
-//! `#[test]`, so the counter has one owner and the recording thread is
-//! the process's first segment. The library crate forbids `unsafe`; the
-//! `GlobalAlloc` impl below lives in this integration test only.
+//! Only the recording thread is counted. The file contains a single
+//! `#[test]`, so the recording thread is the process's first segment.
 
 use lamps_obs::flight::{self, FlightEvent, DEFAULT_SEGMENT_CAPACITY};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
-
-/// System allocator that keeps a running total of live heap bytes.
-struct ByteCountingAlloc;
-
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-thread_local! {
-    /// Set on the recording thread; allocations elsewhere are not counted.
-    static TRACKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn add(bytes: i64) {
-    if TRACKED.with(|t| t.get()) {
-        LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for ByteCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        add(layout.size() as i64);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        add(layout.size() as i64);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        add(new_size as i64 - layout.size() as i64);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        add(-(layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use lamps_testalloc::{on_this_thread, CountingAlloc};
 
 #[global_allocator]
-static ALLOCATOR: ByteCountingAlloc = ByteCountingAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const KINDS: [&str; 3] = [
     flight::SERVE_ADMIT,
@@ -87,15 +45,14 @@ fn a_segment_holds_32_bytes_per_event_plus_its_kind_table() {
     assert_eq!(DEFAULT_SEGMENT_CAPACITY, 4096);
     flight::enable_flight();
     let live = std::thread::spawn(|| {
-        TRACKED.with(|t| t.set(true));
-        let before = LIVE_BYTES.load(Ordering::Relaxed);
-        for i in 0..EVENTS {
-            let e = payload(i);
-            flight::record_at(e.ts_us, e.kind, e.key, e.a, e.b);
-        }
-        let live = LIVE_BYTES.load(Ordering::Relaxed) - before;
-        TRACKED.with(|t| t.set(false));
-        live
+        on_this_thread(|| {
+            for i in 0..EVENTS {
+                let e = payload(i);
+                flight::record_at(e.ts_us, e.kind, e.key, e.a, e.b);
+            }
+        })
+        .1
+        .bytes
     })
     .join()
     .unwrap();

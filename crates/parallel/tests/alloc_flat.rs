@@ -7,42 +7,10 @@
 //! would make `O(log n)` growth allocations per worker; this test counts
 //! every `alloc`/`realloc` with a global allocator and demands that a
 //! call over 10,000 items makes exactly as many as a call over 100.
-//!
-//! This file deliberately contains a single `#[test]`: the counter is
-//! process-global, and a sibling test allocating on another thread
-//! would show up as a false positive. The library crate forbids
-//! `unsafe`; the `GlobalAlloc` impl below lives in this integration
-//! test only.
+//! The workers allocate on their own threads, so every thread counts.
 
 use lamps_parallel::{Pool, PoolMetrics};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// System allocator with a count of every `alloc`/`realloc` call.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use lamps_testalloc::{on_all_threads, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -65,22 +33,22 @@ const POOL: Pool = Pool::new(
 fn allocations_for(items: &[u64]) -> u64 {
     (0..3)
         .map(|_| {
-            let before = ALLOC_CALLS.load(Ordering::Relaxed);
-            let out = POOL.map_with(
-                items,
-                || 0u64,
-                |seen, &x, i| {
-                    *seen += 1;
-                    x.wrapping_mul(31) ^ i as u64
-                },
-            );
-            let after = ALLOC_CALLS.load(Ordering::Relaxed);
+            let (out, tally) = on_all_threads(|| {
+                POOL.map_with(
+                    items,
+                    || 0u64,
+                    |seen, &x, i| {
+                        *seen += 1;
+                        x.wrapping_mul(31) ^ i as u64
+                    },
+                )
+            });
             assert_eq!(out.len(), items.len());
             assert_eq!(
                 out[items.len() - 1],
                 items[items.len() - 1].wrapping_mul(31) ^ (items.len() - 1) as u64
             );
-            after - before
+            tally.calls
         })
         .min()
         .expect("three calls")

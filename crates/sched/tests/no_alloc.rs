@@ -11,68 +11,18 @@
 //! lets a heap grow run-to-run, the count moves and the test names the
 //! regression. Materializing a warm run into an owned `Schedule` makes
 //! exactly four allocations: the duration column is the caller's.
-//!
-//! Only the test's own thread is counted: the test harness's other
-//! threads (its main thread, for one) may allocate while the test runs.
-//! The library crate forbids `unsafe`; the `GlobalAlloc` impl below
-//! lives in this integration test only.
 
 use lamps_sched::list::{list_schedule_into, ListScheduleWorkspace};
 use lamps_sched::partial::{reschedule_remaining, PartialSchedule, ProcAvailability};
 use lamps_taskgraph::{GraphBuilder, TaskGraph};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use lamps_testalloc::{on_this_thread, CountingAlloc};
 use std::sync::Arc;
-
-/// System allocator with a count of every `alloc`/`realloc` call on
-/// the tracked thread (deallocation is free to happen; only *new*
-/// memory breaks the contract).
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Set on the test's thread; allocations elsewhere are not counted.
-    static TRACKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn note() {
-    if TRACKED.with(|t| t.get()) {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
-}
-
 #[test]
 fn warm_workspace_runs_allocate_nothing() {
-    TRACKED.with(|t| t.set(true));
     // A layered DAG big enough to exercise every internal buffer: 240
     // tasks in 12 layers, each task depending on two tasks of the
     // previous layer.
@@ -103,11 +53,13 @@ fn warm_workspace_runs_allocate_nothing() {
     // nothing in the measured region may allocate, including the test's
     // own bookkeeping.)
     let mut warm = [0u64; 4];
-    let before = allocations();
-    for (slot, &n) in warm.iter_mut().zip(&proc_counts) {
-        *slot = list_schedule_into(&mut ws, &graph, n, &keys);
-    }
-    let grew = allocations() - before;
+    let grew = on_this_thread(|| {
+        for (slot, &n) in warm.iter_mut().zip(&proc_counts) {
+            *slot = list_schedule_into(&mut ws, &graph, n, &keys);
+        }
+    })
+    .1
+    .calls;
     assert_eq!(
         grew, 0,
         "warm list_schedule_into runs performed {grew} allocation(s); \
@@ -125,9 +77,8 @@ fn warm_workspace_runs_allocate_nothing() {
     // start, proc and the CSR order arena are the only allocations.
     let durations: Arc<[u64]> = Arc::from(graph.weights());
     list_schedule_into(&mut ws, &graph, 8, &keys);
-    let before = allocations();
-    let schedule = ws.to_schedule(Arc::clone(&durations));
-    let grew = allocations() - before;
+    let (schedule, tally) = on_this_thread(|| ws.to_schedule(Arc::clone(&durations)));
+    let grew = tally.calls;
     assert_eq!(
         grew, 4,
         "to_schedule performed {grew} allocation(s); start, proc, order \
@@ -161,11 +112,13 @@ fn warm_workspace_runs_allocate_nothing() {
         *slot = list_schedule_into(&mut ws, &zero_graph, n, &zero_keys);
     }
     let mut zero_warm = [0u64; 4];
-    let before = allocations();
-    for (slot, &n) in zero_warm.iter_mut().zip(&proc_counts) {
-        *slot = list_schedule_into(&mut ws, &zero_graph, n, &zero_keys);
-    }
-    let grew = allocations() - before;
+    let grew = on_this_thread(|| {
+        for (slot, &n) in zero_warm.iter_mut().zip(&proc_counts) {
+            *slot = list_schedule_into(&mut ws, &zero_graph, n, &zero_keys);
+        }
+    })
+    .1
+    .calls;
     assert_eq!(
         grew, 0,
         "warm zero-weight runs performed {grew} allocation(s); \
@@ -192,12 +145,14 @@ fn warm_workspace_runs_allocate_nothing() {
         *slot = out.makespan_cycles();
     }
     let mut partial_warm = [0u64; 4];
-    let before = allocations();
-    for (slot, (g, k, done, fd, avail)) in partial_warm.iter_mut().zip(&cuts) {
-        reschedule_remaining(&mut ws, g, done, fd, avail, k, &mut out);
-        *slot = out.makespan_cycles();
-    }
-    let grew = allocations() - before;
+    let grew = on_this_thread(|| {
+        for (slot, (g, k, done, fd, avail)) in partial_warm.iter_mut().zip(&cuts) {
+            reschedule_remaining(&mut ws, g, done, fd, avail, k, &mut out);
+            *slot = out.makespan_cycles();
+        }
+    })
+    .1
+    .calls;
     assert_eq!(
         grew, 0,
         "warm reschedule_remaining runs performed {grew} allocation(s); \

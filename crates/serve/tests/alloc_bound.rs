@@ -5,65 +5,20 @@
 //! line's bytes on a 1000-task request and on requests exactly at their
 //! [`Limits`]. Past the limits nothing more is stored, so a line many
 //! times over the limits costs no more than one at them.
-//!
-//! This file deliberately contains a single `#[test]`: the counters are
-//! process-global, and a sibling test allocating on another thread would
-//! show up in the peak. The library crate forbids `unsafe`; the
-//! `GlobalAlloc` impl below lives in this integration test only.
 
 use lamps_core::Strategy;
 use lamps_serve::encode_solve_request;
 use lamps_serve::protocol::{parse_request, DeadlineSpec, Limits, Request};
 use lamps_taskgraph::gen::layered::stg_group;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// System allocator that tracks live bytes and their high-water mark.
-struct PeakAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Count the move as both blocks live at once: an upper bound.
-        grow(new_size);
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use lamps_testalloc::{on_this_thread, CountingAlloc};
 
 #[global_allocator]
-static ALLOCATOR: PeakAlloc = PeakAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Peak heap bytes above the starting level while `f` runs (its result
 /// dropped inside).
 fn peak_of<T>(f: impl FnOnce() -> T) -> usize {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    drop(f());
-    PEAK.load(Ordering::Relaxed) - base
+    on_this_thread(|| drop(f())).1.peak as usize
 }
 
 #[test]

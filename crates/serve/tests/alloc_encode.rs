@@ -5,64 +5,21 @@
 //! widest task index's digits for both ends of every edge, so a graph
 //! whose weights reach `u64::MAX` fits as well as an ordinary one; the
 //! finished bytes become the returned `String` without a copy.
-//!
-//! Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) are counted on
-//! the test's own thread only, and the file contains a single `#[test]`,
-//! so the counter has one owner. The library crate forbids `unsafe`; the
-//! `GlobalAlloc` impl below lives in this integration test only.
 
 use lamps_core::Strategy;
 use lamps_serve::encode_solve_request;
 use lamps_serve::protocol::DeadlineSpec;
 use lamps_taskgraph::gen::layered::stg_group;
 use lamps_taskgraph::{GraphBuilder, TaskGraph, TaskId, COARSE_GRAIN_CYCLES_PER_UNIT};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// System allocator that counts allocation calls on tracked threads.
-struct CountingAlloc;
-
-thread_local! {
-    /// Set on the test's thread; allocations elsewhere are not counted.
-    static TRACKED: Cell<bool> = const { Cell::new(false) };
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    if TRACKED.with(Cell::get) {
-        CALLS.with(|c| c.set(c.get() + 1));
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use lamps_testalloc::{on_this_thread, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// `f`'s result and the number of allocation calls it made.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = CALLS.with(Cell::get);
-    let out = std::hint::black_box(f());
-    (out, CALLS.with(Cell::get) - before)
+    let (out, tally) = on_this_thread(|| std::hint::black_box(f()));
+    (out, tally.calls)
 }
 
 /// A chain of `n` tasks whose middle task weighs `u64::MAX` (the rest
@@ -95,7 +52,6 @@ fn encode_solve_request_allocates_once() {
         }
         graphs.push((format!("max_weight_graph({n})"), max_weight_graph(n as u32)));
     }
-    TRACKED.with(|t| t.set(true));
     for (name, g) in &graphs {
         for (id, deadline, budget) in [
             (0, DeadlineSpec::Factor(2.0), None),

@@ -18,66 +18,20 @@
 //! padded 16-byte `Overrun`; 24 bytes per `DvsFault`), again in a
 //! constant number of allocations whatever `F` is. A byte-counting global
 //! allocator measures the live heap around each build.
-//!
-//! This file deliberately contains a single `#[test]`: the counters are
-//! process-global, and a sibling test allocating on another thread
-//! would skew them. The library crate forbids `unsafe`; the
-//! `GlobalAlloc` impl below lives in this integration test only.
 
 use lamps_kpn::{PeriodicDag, PeriodicSet};
 use lamps_sim::{DvsFault, FaultIntensity, OnlineStream, Overrun};
-use std::alloc::{GlobalAlloc, Layout, System};
+use lamps_testalloc::{on_this_thread, CountingAlloc};
 use std::mem::size_of;
-use std::sync::atomic::{AtomicI64, Ordering};
-
-/// System allocator that keeps a running total of live heap bytes and
-/// of allocation calls.
-struct CountingAlloc;
-
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-static ALLOCS: AtomicI64 = AtomicI64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// The stream `make` returns, the heap bytes still live after it
 /// returns, and the allocation calls it made.
-fn retained(make: impl FnOnce() -> OnlineStream) -> (OnlineStream, i64, i64) {
-    let (bytes, allocs) = (
-        LIVE_BYTES.load(Ordering::Relaxed),
-        ALLOCS.load(Ordering::Relaxed),
-    );
-    let s = make();
-    (
-        s,
-        LIVE_BYTES.load(Ordering::Relaxed) - bytes,
-        ALLOCS.load(Ordering::Relaxed) - allocs,
-    )
+fn retained(make: impl FnOnce() -> OnlineStream) -> (OnlineStream, i64, u64) {
+    let (s, tally) = on_this_thread(make);
+    (s, tally.bytes, tally.calls)
 }
 
 /// `8·N`: the copy of the job WCETs the actuals derive from.

@@ -11,61 +11,18 @@
 //!   The weights move from the builder without a copy.
 //! - `layered::generate` keeps its layers as one array of start offsets,
 //!   so its count does not grow with the layer count.
-//!
-//! Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) are counted on
-//! the test's own thread only, and the file contains a single `#[test]`,
-//! so the counter has one owner. The library crate forbids `unsafe`; the
-//! `GlobalAlloc` impl below lives in this integration test only.
 
 use lamps_taskgraph::gen::layered::{generate, LayeredConfig};
 use lamps_taskgraph::{GraphBuilder, TaskGraph, TaskId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// System allocator that counts allocation calls on tracked threads.
-struct CountingAlloc;
-
-thread_local! {
-    /// Set on the test's thread; allocations elsewhere are not counted.
-    static TRACKED: Cell<bool> = const { Cell::new(false) };
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    if TRACKED.with(Cell::get) {
-        CALLS.with(|c| c.set(c.get() + 1));
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use lamps_testalloc::{on_this_thread, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// `f`'s result and the number of allocation calls it made.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = CALLS.with(Cell::get);
-    let out = std::hint::black_box(f());
-    (out, CALLS.with(Cell::get) - before)
+    let (out, tally) = on_this_thread(|| std::hint::black_box(f()));
+    (out, tally.calls)
 }
 
 /// A ladder of `n` tasks, each edge `i → i+1` added twice and `i → i+2`
@@ -96,8 +53,6 @@ fn layered(n_layers: usize) -> TaskGraph {
 
 #[test]
 fn construction_allocates_a_fixed_count() {
-    TRACKED.with(|t| t.set(true));
-
     let g = ladder(500).build().unwrap();
     let (scaled, calls) = allocations(|| g.scale_weights(3_100_000));
     assert_eq!(calls, 0, "scale_weights allocated");

@@ -8,76 +8,19 @@
 //! allocator measures the live heap bytes and blocks around each build.
 //! Named graphs must still carry every name. (The cached critical path
 //! and total work are inline fields: no heap bytes.)
-//!
-//! Only the test's own thread is counted: the test harness's main
-//! thread allocates now and then while a test runs, and counting it
-//! made the byte totals flaky. The file still contains a single
-//! `#[test]`, so the counter has one owner. The library crate forbids
-//! `unsafe`; the `GlobalAlloc` impl below lives in this integration
-//! test only.
 
 use lamps_kpn::{unroll, Network, UnrollConfig};
 use lamps_taskgraph::gen::layered::stg_group;
 use lamps_taskgraph::{apps, stg, GraphBuilder, TaskGraph, TaskId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
-
-/// System allocator that keeps running totals of live heap bytes and
-/// live heap blocks.
-struct ByteCountingAlloc;
-
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-static LIVE_BLOCKS: AtomicI64 = AtomicI64::new(0);
-
-thread_local! {
-    /// Set on the test's thread; allocations elsewhere are not counted.
-    static TRACKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn add(bytes: i64, blocks: i64) {
-    if TRACKED.with(|t| t.get()) {
-        LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed);
-        LIVE_BLOCKS.fetch_add(blocks, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for ByteCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        add(layout.size() as i64, 1);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        add(layout.size() as i64, 1);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        add(new_size as i64 - layout.size() as i64, 0);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        add(-(layout.size() as i64), -1);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use lamps_testalloc::{on_this_thread, CountingAlloc};
 
 #[global_allocator]
-static ALLOCATOR: ByteCountingAlloc = ByteCountingAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Heap bytes and blocks still live after `make` returns its graph.
 fn retained(make: impl FnOnce() -> TaskGraph) -> (TaskGraph, i64, i64) {
-    let live = || {
-        (
-            LIVE_BYTES.load(Ordering::Relaxed),
-            LIVE_BLOCKS.load(Ordering::Relaxed),
-        )
-    };
-    let before = live();
-    let g = make();
-    let after = live();
-    (g, after.0 - before.0, after.1 - before.1)
+    let (g, tally) = on_this_thread(make);
+    (g, tally.bytes, tally.blocks)
 }
 
 fn lean_bytes(g: &TaskGraph) -> i64 {
@@ -90,7 +33,6 @@ const LEAN_BLOCKS: i64 = 2;
 
 #[test]
 fn unnamed_graphs_hold_only_their_csr_and_named_graphs_keep_names() {
-    TRACKED.with(|t| t.set(true));
     // Hand-built, with duplicate edges and an isolated task.
     let (g, bytes, blocks) = retained(|| {
         let mut b = GraphBuilder::with_capacity(64, 256);
