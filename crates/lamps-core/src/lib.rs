@@ -60,7 +60,7 @@ pub use budget::{
 pub use cache::{CacheBuffers, CacheStats, ScheduleCache};
 pub use config::SchedulerConfig;
 pub use explain::SolveExplain;
-pub use suffix::{resolve_suffix_fresh, SuffixContext, SuffixPlan, SuffixSolver};
+pub use suffix::{resolve_suffix_fresh, SuffixContext, SuffixPlan, SuffixSolver, SuffixSweep};
 
 pub use solve::{solve, solve_with_cache, solve_with_cache_explained, solve_with_cache_unpruned};
 pub use types::{Solution, SolveError, Strategy};

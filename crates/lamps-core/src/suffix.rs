@@ -6,11 +6,12 @@
 //! suffix over a sweep of candidate operating levels *incrementally*:
 //! scratch arenas (done flags, completed-finish times, processor
 //! availability, scaled per-task deadlines, the list scheduler's
-//! workspace and its output schedule) are recycled across candidates and
-//! calls, and the EDF priority keys for each `(level, horizon,
-//! own-deadline)` combination are memoized, so a periodic stream that
-//! re-solves the same frame shape every hyperperiod pays the
-//! `latest_finish_times` traversal once instead of per re-solve.
+//! workspace) are recycled across candidates and calls, every candidate
+//! is scheduled into one caller-owned output schedule, and the EDF
+//! priority keys for each `(level, horizon, own-deadline)` combination
+//! are memoized, so a periodic stream that re-solves the same frame
+//! shape every hyperperiod pays the `latest_finish_times` traversal once
+//! instead of per re-solve.
 //!
 //! Correctness contract: the memoized path is **bitwise identical** to
 //! [`resolve_suffix_fresh`], the from-scratch reference that recomputes
@@ -65,7 +66,25 @@ pub struct SuffixContext<'a> {
     pub own_due_s: Option<&'a [f64]>,
 }
 
-/// What a suffix re-solve produced.
+/// What a [`SuffixSolver::resolve`] sweep chose; the placements it
+/// chose them with are in the caller's [`PartialSchedule`].
+#[derive(Debug, Clone, Copy)]
+pub struct SuffixSweep {
+    /// The chosen base operating level for the suffix.
+    pub level: OperatingPoint,
+    /// Whether the chosen level meets the horizon (and every per-task
+    /// deadline, when given). `false` means best-effort: the fastest
+    /// candidate evaluated, returned instead of stalling.
+    pub feasible: bool,
+    /// Candidate levels actually evaluated.
+    pub steps: u64,
+    /// `false` when a candidate cap stopped the sweep before either a
+    /// feasible level or the end of the candidate list was reached.
+    pub complete: bool,
+}
+
+/// What a from-scratch suffix re-solve ([`resolve_suffix_fresh`])
+/// produced: the sweep's choice with an owned plan.
 #[derive(Debug, Clone)]
 pub struct SuffixPlan {
     /// The chosen base operating level for the suffix.
@@ -113,9 +132,6 @@ pub struct SuffixSolver {
     avail: Vec<ProcAvailability>,
     own_scaled: Vec<Option<u64>>,
     ws: ListScheduleWorkspace,
-    /// The latest candidate's schedule; only the last candidate a
-    /// resolve evaluates is returned, so one buffer serves them all.
-    plan: PartialSchedule,
     key_hits: u64,
     key_misses: u64,
     resolves: u64,
@@ -142,11 +158,17 @@ impl SuffixSolver {
         self.resolves
     }
 
-    /// Incrementally re-solve the pending suffix of `graph`.
+    /// Incrementally re-solve the pending suffix of `graph`, filling
+    /// `plan` with the placements of the level the sweep returns.
+    ///
+    /// Every candidate is scheduled into `plan`, and only the last one
+    /// evaluated is returned, so one caller-owned buffer serves every
+    /// candidate and every call: a warm re-solve allocates nothing.
     ///
     /// Returns `None` when nothing is pending or no processor survives —
-    /// the caller's wind-down paths, not errors. `max_candidates` caps
-    /// the level sweep (budget rung); `None` means sweep to the end.
+    /// the caller's wind-down paths, not errors — and then leaves `plan`
+    /// as it was. `max_candidates` caps the level sweep (budget rung);
+    /// `None` means sweep to the end.
     ///
     /// # Panics
     ///
@@ -158,7 +180,8 @@ impl SuffixSolver {
         ctx: &SuffixContext<'_>,
         candidates: &[OperatingPoint],
         max_candidates: Option<u64>,
-    ) -> Option<SuffixPlan> {
+        plan: &mut PartialSchedule,
+    ) -> Option<SuffixSweep> {
         let n = graph.len();
         match self.n_tasks {
             Some(prev) => assert_eq!(prev, n, "SuffixSolver reused across graphs"),
@@ -194,9 +217,9 @@ impl SuffixSolver {
                 &self.finish_done,
                 &self.avail,
                 &self.entries[entry].keys,
-                &mut self.plan,
+                plan,
             );
-            let feasible = plan_feasible(graph, ctx, &self.done, &self.plan, f);
+            let feasible = plan_feasible(graph, ctx, &self.done, plan, f);
             best = Some((*lvl, feasible));
             if feasible {
                 break;
@@ -210,9 +233,8 @@ impl SuffixSolver {
             steps,
             u64::from(feasible),
         );
-        Some(SuffixPlan {
+        Some(SuffixSweep {
             level,
-            plan: self.plan.clone(),
             feasible,
             steps,
             complete,
@@ -474,7 +496,12 @@ mod tests {
         (finished, finish_s)
     }
 
-    fn assert_plans_bitwise_equal(a: &SuffixPlan, b: &SuffixPlan, what: &str) {
+    /// A solver sweep and the plan it filled match a fresh re-solve.
+    fn assert_plans_bitwise_equal(
+        (a, plan): (&SuffixSweep, &PartialSchedule),
+        b: &SuffixPlan,
+        what: &str,
+    ) {
         assert_eq!(
             a.level.vdd.to_bits(),
             b.level.vdd.to_bits(),
@@ -482,7 +509,8 @@ mod tests {
         );
         assert_eq!(a.feasible, b.feasible, "{what}: feasible");
         assert_eq!(a.steps, b.steps, "{what}: steps");
-        assert_eq!(a.plan, b.plan, "{what}: plan");
+        assert_eq!(a.complete, b.complete, "{what}: complete");
+        assert_eq!(*plan, b.plan, "{what}: plan");
     }
 
     #[test]
@@ -517,14 +545,16 @@ mod tests {
                     own_due_s: own_case,
                 };
                 let mut solver = SuffixSolver::new();
-                // Twice through the memo: the second call must hit.
-                let first = solver.resolve(&g, &ctx, &candidates, None);
-                let second = solver.resolve(&g, &ctx, &candidates, None);
+                // Twice through the memo, into two buffers: the second
+                // call must hit.
+                let (mut miss, mut hit) = (PartialSchedule::new(), PartialSchedule::new());
+                let first = solver.resolve(&g, &ctx, &candidates, None, &mut miss);
+                let second = solver.resolve(&g, &ctx, &candidates, None, &mut hit);
                 let fresh = resolve_suffix_fresh(&g, &ctx, &candidates, None);
                 match (first, second, fresh) {
                     (Some(a), Some(b), Some(c)) => {
-                        assert_plans_bitwise_equal(&a, &c, "memo-miss vs fresh");
-                        assert_plans_bitwise_equal(&b, &c, "memo-hit vs fresh");
+                        assert_plans_bitwise_equal((&a, &miss), &c, "memo-miss vs fresh");
+                        assert_plans_bitwise_equal((&b, &hit), &c, "memo-hit vs fresh");
                         assert!(solver.key_cache_hits() > 0, "second pass must hit the memo");
                     }
                     (None, None, None) => {}
@@ -553,13 +583,14 @@ mod tests {
             deadline_s: horizon,
             own_due_s: None,
         };
-        let plan = SuffixSolver::new()
-            .resolve(&g, &ctx, &candidates, None)
+        let mut plan = PartialSchedule::new();
+        let sweep = SuffixSolver::new()
+            .resolve(&g, &ctx, &candidates, None, &mut plan)
             .expect("everything pending");
-        assert!(plan.feasible, "generous horizon must be feasible");
-        assert_eq!(plan.plan.n_placed(), g.len());
+        assert!(sweep.feasible, "generous horizon must be feasible");
+        assert_eq!(plan.n_placed(), g.len());
         // A generous horizon stops the ascending sweep at a slow level.
-        assert!(plan.level.freq < cfg.levels.fastest().freq);
+        assert!(sweep.level.freq < cfg.levels.fastest().freq);
     }
 
     #[test]
@@ -594,8 +625,13 @@ mod tests {
             ..scalar_ctx
         };
         let mut solver = SuffixSolver::new();
-        let scalar = solver.resolve(&g, &scalar_ctx, &candidates, None).unwrap();
-        let pinned = solver.resolve(&g, &own_ctx, &candidates, None).unwrap();
+        let mut plan = PartialSchedule::new();
+        let scalar = solver
+            .resolve(&g, &scalar_ctx, &candidates, None, &mut plan)
+            .unwrap();
+        let pinned = solver
+            .resolve(&g, &own_ctx, &candidates, None, &mut plan)
+            .unwrap();
         assert!(pinned.feasible);
         assert!(
             pinned.level.freq > scalar.level.freq,
@@ -603,7 +639,7 @@ mod tests {
             pinned.level.freq,
             scalar.level.freq
         );
-        assert!(pinned.plan.finish(z) as f64 / pinned.level.freq <= tight * (1.0 + 1e-9));
+        assert!(plan.finish(z) as f64 / pinned.level.freq <= tight * (1.0 + 1e-9));
     }
 
     #[test]
@@ -628,21 +664,22 @@ mod tests {
             deadline_s: horizon,
             own_due_s: None,
         };
+        let mut plan = PartialSchedule::new();
         let full = SuffixSolver::new()
-            .resolve(&g, &ctx, &candidates, None)
+            .resolve(&g, &ctx, &candidates, None, &mut plan)
             .unwrap();
         assert!(!full.feasible);
         assert!(full.complete);
         assert_eq!(full.steps, candidates.len() as u64);
         // ...and a cap of 1 stops after the slowest, flagged incomplete.
         let capped = SuffixSolver::new()
-            .resolve(&g, &ctx, &candidates, Some(1))
+            .resolve(&g, &ctx, &candidates, Some(1), &mut plan)
             .unwrap();
         assert_eq!(capped.steps, 1);
         assert!(!capped.complete);
         assert!(!capped.feasible);
         let fresh = resolve_suffix_fresh(&g, &ctx, &candidates, Some(1)).unwrap();
-        assert_plans_bitwise_equal(&capped, &fresh, "capped");
+        assert_plans_bitwise_equal((&capped, &plan), &fresh, "capped");
     }
 
     #[test]
@@ -663,8 +700,9 @@ mod tests {
             deadline_s: 1.0,
             own_due_s: None,
         };
+        let mut plan = PartialSchedule::new();
         assert!(SuffixSolver::new()
-            .resolve(&g, &ctx, &candidates, None)
+            .resolve(&g, &ctx, &candidates, None, &mut plan)
             .is_none());
         assert!(resolve_suffix_fresh(&g, &ctx, &candidates, None).is_none());
 
@@ -676,9 +714,11 @@ mod tests {
             ..ctx
         };
         assert!(SuffixSolver::new()
-            .resolve(&g, &ctx, &candidates, None)
+            .resolve(&g, &ctx, &candidates, None, &mut plan)
             .is_none());
         assert!(resolve_suffix_fresh(&g, &ctx, &candidates, None).is_none());
+        // Neither wind-down path touches the caller's buffer.
+        assert_eq!(plan, PartialSchedule::new());
     }
 
     #[test]
@@ -706,7 +746,8 @@ mod tests {
             own_due_s: None,
         };
         let mut solver = SuffixSolver::new();
-        let _ = solver.resolve(&g1, &ctx1, &candidates, None);
+        let mut plan = PartialSchedule::new();
+        let _ = solver.resolve(&g1, &ctx1, &candidates, None, &mut plan);
         let finished2 = vec![false; g2.len()];
         let finish2 = vec![0.0; g2.len()];
         let ctx2 = SuffixContext {
@@ -714,6 +755,6 @@ mod tests {
             finish_s: &finish2,
             ..ctx1
         };
-        let _ = solver.resolve(&g2, &ctx2, &candidates, None);
+        let _ = solver.resolve(&g2, &ctx2, &candidates, None, &mut plan);
     }
 }

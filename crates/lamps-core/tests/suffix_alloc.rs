@@ -1,15 +1,16 @@
-//! Proof that a warm suffix re-solve allocates only the plan it returns.
+//! Proof that a warm suffix re-solve allocates nothing.
 //!
-//! Once a `SuffixSolver` has re-solved a frame shape, its arenas, its
-//! list-scheduler workspace and its key memo are grown: a re-solve that
-//! hits the memo for every level it sweeps compares the per-task
-//! deadline bits in place and makes exactly the allocations of one clone
-//! of its returned plan (the five arrays of a `PartialSchedule`), with
-//! or without per-task deadlines, over one level or several.
+//! Once a `SuffixSolver` has re-solved a frame shape into a caller-owned
+//! `PartialSchedule`, its arenas, its list-scheduler workspace, its key
+//! memo and that plan's five arrays are grown: a re-solve that hits the
+//! memo for every level it sweeps compares the per-task deadline bits in
+//! place, refills the plan in place and makes no allocation at all,
+//! with or without per-task deadlines, over one level or several.
 
 use lamps_core::suffix::{SuffixContext, SuffixSolver};
 use lamps_core::SchedulerConfig;
 use lamps_power::OperatingPoint;
+use lamps_sched::partial::PartialSchedule;
 use lamps_taskgraph::gen::layered::{generate, LayeredConfig};
 use lamps_taskgraph::TaskGraph;
 use lamps_testalloc::{on_this_thread, CountingAlloc};
@@ -36,7 +37,7 @@ fn graph() -> TaskGraph {
 }
 
 #[test]
-fn warm_memo_hits_allocate_only_the_returned_plan() {
+fn warm_memo_hits_allocate_nothing() {
     let cfg = SchedulerConfig::paper();
     let g = graph();
     let f_max = cfg.max_frequency();
@@ -78,13 +79,15 @@ fn warm_memo_hits_allocate_only_the_returned_plan() {
                 own_due_s,
             };
             let mut solver = SuffixSolver::new();
+            let mut plan = PartialSchedule::new();
             let cold = solver
-                .resolve(&g, &ctx, candidates, None)
+                .resolve(&g, &ctx, candidates, None, &mut plan)
                 .expect("work is pending");
+            let cold_plan = plan.clone();
             let misses = solver.key_cache_misses();
             let hits = solver.key_cache_hits();
 
-            let (warm, calls) = counted(|| solver.resolve(&g, &ctx, candidates, None));
+            let (warm, calls) = counted(|| solver.resolve(&g, &ctx, candidates, None, &mut plan));
             let warm = warm.expect("work is pending");
             assert_eq!(
                 solver.key_cache_misses(),
@@ -92,17 +95,16 @@ fn warm_memo_hits_allocate_only_the_returned_plan() {
                 "the warm pass misses nothing"
             );
             assert_eq!(solver.key_cache_hits() - hits, warm.steps);
-            assert_eq!(warm.plan, cold.plan);
+            assert_eq!((warm.steps, warm.feasible), (cold.steps, cold.feasible));
+            assert_eq!(plan, cold_plan);
 
-            let (_clone, clone_calls) = counted(|| warm.plan.clone());
             let what = format!(
                 "own deadlines: {}, {} levels, {} swept",
                 own_due_s.is_some(),
                 candidates.len(),
                 warm.steps
             );
-            assert_eq!(calls, clone_calls, "{what}");
-            assert_eq!(calls, 5, "{what}");
+            assert_eq!(calls, 0, "{what}");
         }
     }
 }

@@ -30,7 +30,7 @@ use crate::recovery::{
     TaskLateness,
 };
 use crate::runner::DvsSwitchCost;
-use lamps_core::suffix::{SuffixContext, SuffixPlan, SuffixSolver};
+use lamps_core::suffix::{SuffixContext, SuffixSolver, SuffixSweep};
 use lamps_core::{SchedulerConfig, SolveBudget};
 use lamps_energy::EnergyBreakdown;
 use lamps_obs::flight;
@@ -104,10 +104,13 @@ struct ProcState {
 
 /// What an executor keeps across frames and re-solves: the suffix
 /// solver, with its arenas and key memo, and the buffers every re-solve
-/// refills, so a re-solve allocates only the plan it returns.
+/// refills, the plan it fills among them, so a warm re-solve allocates
+/// nothing.
 #[derive(Default)]
 pub(crate) struct Resolver {
     pub solver: SuffixSolver,
+    /// The latest re-solve's placements.
+    plan: PartialSchedule,
     /// Per processor, its in-flight task and WCET-based finish estimate.
     running: Vec<Option<(TaskId, f64)>>,
     /// Per processor, whether it has fail-stopped.
@@ -141,20 +144,25 @@ pub(crate) fn run_frame(
     let mut procs: Vec<ProcState> = (0..fr.n_procs)
         .map(|p| {
             let pid = ProcId(p as u32);
-            let fault = fr.faults.dvs.iter().find(|d| d.proc == pid);
             ProcState {
                 queue: fr.schedule.tasks_on(pid).iter().copied().collect(),
                 running: None,
                 current: plan_level,
                 dead: false,
-                stuck: matches!(fault.map(|d| d.kind), Some(DvsFaultKind::StuckAtLevel)),
-                extra_latency_s: match fault.map(|d| d.kind) {
-                    Some(DvsFaultKind::ExtraLatency { extra_s }) => extra_s,
-                    _ => 0.0,
-                },
+                stuck: false,
+                extra_latency_s: 0.0,
             }
         })
         .collect();
+    // Validated faults name each processor at most once, so one pass
+    // reads them all.
+    for d in fr.faults.dvs {
+        let ps = &mut procs[d.proc.index()];
+        match d.kind {
+            DvsFaultKind::StuckAtLevel => ps.stuck = true,
+            DvsFaultKind::ExtraLatency { extra_s } => ps.extra_latency_s = extra_s,
+        }
+    }
 
     // The reclamation floor: the slowest level stretching may reach.
     // The discrete critical level bounds it from below (§3.3 — slower
@@ -238,7 +246,7 @@ pub(crate) fn run_frame(
                     degraded = true;
                 }
                 if sp.feasible {
-                    adopt_plan(&sp.plan, sp.level, &mut procs, &mut target_finish_s);
+                    adopt_plan(&resolver.plan, sp.level, &mut procs, &mut target_finish_s);
                     base_level = sp.level;
                 }
             }
@@ -287,7 +295,7 @@ pub(crate) fn run_frame(
                 let migrated = (0..fr.n_procs)
                     .map(|p| {
                         let pid = ProcId(p as u32);
-                        let queue = sp.plan.tasks_on(pid);
+                        let queue = resolver.plan.tasks_on(pid);
                         queue
                             .iter()
                             .filter(|&&t| fr.schedule.proc(t) != pid)
@@ -295,7 +303,7 @@ pub(crate) fn run_frame(
                     })
                     .sum();
                 flight::record(flight::ONLINE_FAULT, fr.key, 0, migrated as u64);
-                adopt_plan(&sp.plan, sp.level, &mut procs, &mut target_finish_s);
+                adopt_plan(&resolver.plan, sp.level, &mut procs, &mut target_finish_s);
                 recoveries.push(RecoveryAction::Rescheduled {
                     failed_proc: fs.proc,
                     at_s: fs.at_s,
@@ -561,7 +569,7 @@ impl Resolver {
     /// Re-solve the pending suffix from what the runtime knows at
     /// `now`: the finished prefix, WCET-based finish estimates for
     /// in-flight tasks (never a not-yet-observed overrun), and the dead
-    /// processors.
+    /// processors. The placements land in `self.plan`.
     fn resolve(
         &mut self,
         fr: &Frame<'_>,
@@ -569,7 +577,7 @@ impl Resolver {
         now: f64,
         candidates: impl Iterator<Item = OperatingPoint>,
         max_candidates: Option<u64>,
-    ) -> Option<SuffixPlan> {
+    ) -> Option<SuffixSweep> {
         self.candidates.clear();
         self.candidates.extend(candidates);
         self.running.clear();
@@ -589,8 +597,13 @@ impl Resolver {
             deadline_s: fr.horizon_s,
             own_due_s: fr.own_due.then_some(fr.due_s),
         };
-        self.solver
-            .resolve(fr.graph, &ctx, &self.candidates, max_candidates)
+        self.solver.resolve(
+            fr.graph,
+            &ctx,
+            &self.candidates,
+            max_candidates,
+            &mut self.plan,
+        )
     }
 }
 

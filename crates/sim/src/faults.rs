@@ -137,7 +137,7 @@ impl FaultPlan {
         FaultView {
             overruns: Overruns::from(self.overruns.as_slice()),
             fail_stop: self.fail_stop,
-            dvs: &self.dvs,
+            dvs: DvsFaults::from(self.dvs.as_slice()),
         }
     }
 
@@ -151,81 +151,150 @@ impl FaultPlan {
         intensity: &FaultIntensity,
         seed: u64,
     ) -> Self {
-        let mut plan = FaultPlan::none();
-        plan.fail_stop = draw_faults(
-            graph,
+        let spec = FaultSpec {
+            intensity: *intensity,
             n_procs,
             deadline_s,
-            intensity,
-            seed,
-            &mut plan.overruns,
-            &mut plan.dvs,
-        );
-        plan
+        };
+        let mut draw = DrawnFaults::new(&spec, graph.weights(), seed).walk();
+        let overruns = std::iter::from_fn(|| draw.overrun()).collect();
+        let fail_stop = draw.fail_stop();
+        FaultPlan {
+            overruns,
+            fail_stop,
+            dvs: std::iter::from_fn(|| draw.dvs()).collect(),
+        }
     }
 }
 
-/// The one fault draw behind [`FaultPlan::random`] and the fault
-/// streams of [`crate::OnlineStream::synthesize`]: appends the drawn
-/// overruns and DVS faults to `overruns` (a plan's list or a stream's
-/// columns) and `dvs` and returns the fail-stop, so both callers
-/// consume the same RNG sequence.
-pub(crate) fn draw_faults(
-    graph: &TaskGraph,
-    n_procs: usize,
-    deadline_s: f64,
-    intensity: &FaultIntensity,
+/// Everything a fault draw takes apart from its seed and the WCETs:
+/// how hostile it is, the machine size, and the span fail-stop times
+/// fall in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FaultSpec {
+    pub(crate) intensity: FaultIntensity,
+    pub(crate) n_procs: usize,
+    pub(crate) deadline_s: f64,
+}
+
+impl FaultSpec {
+    /// Panic unless both probabilities of the intensity lie in
+    /// `[0, 1]`, as every draw requires.
+    pub(crate) fn check(&self) {
+        for p in [self.intensity.overrun_prob, self.intensity.dvs_fault_prob] {
+            assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
+        }
+    }
+}
+
+/// One run's faults as a recipe, not yet drawn: the spec, the job
+/// WCETs and the run's seed. `Copy`, and owns nothing, so a view can
+/// carry it and redraw on every read.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DrawnFaults<'a> {
+    spec: &'a FaultSpec,
+    wcet: &'a [u64],
     seed: u64,
-    overruns: &mut impl Extend<Overrun>,
-    dvs: &mut Vec<DvsFault>,
-) -> Option<FailStop> {
-    let mut rng = Rng::seed_from_u64(seed ^ 0xFA_07_5E_ED);
-    for t in graph.tasks() {
-        if graph.weight(t) > 0 && rng.gen_bool(intensity.overrun_prob) {
-            let factor = rng.gen_range(1.0..=intensity.max_overrun_factor.max(1.0));
-            overruns.extend([Overrun { task: t, factor }]);
-        }
-    }
-    let fail_stop = if intensity.fail_stop && n_procs > 0 {
-        Some(FailStop {
-            proc: ProcId(rng.gen_range(0u32..n_procs as u32)),
-            at_s: rng.gen_range(0.0..=deadline_s.max(0.0)),
-        })
-    } else {
-        None
-    };
-    for p in 0..n_procs as u32 {
-        if rng.gen_bool(intensity.dvs_fault_prob) {
-            let kind = if rng.gen_bool(0.5) {
-                DvsFaultKind::StuckAtLevel
-            } else {
-                DvsFaultKind::ExtraLatency {
-                    extra_s: rng.gen_range(1.0e-5..=1.0e-3),
-                }
-            };
-            dvs.push(DvsFault {
-                proc: ProcId(p),
-                kind,
-            });
-        }
-    }
-    fail_stop
 }
 
-/// A borrowed, `Copy` view of one run's faults — the only way the
-/// runners and checkers read them. It owns no heap memory: borrowed
-/// slices and a copied fail-stop.
+impl<'a> DrawnFaults<'a> {
+    pub(crate) fn new(spec: &'a FaultSpec, wcet: &'a [u64], seed: u64) -> Self {
+        DrawnFaults { spec, wcet, seed }
+    }
+
+    /// A fresh walk of the draw, from its first overrun on.
+    fn walk(self) -> FaultDraw<'a> {
+        FaultDraw {
+            from: self,
+            rng: Rng::seed_from_u64(self.seed ^ 0xFA_07_5E_ED),
+            task: 0,
+            proc: 0,
+        }
+    }
+}
+
+/// The one fault draw behind [`FaultPlan::random`] and every read of a
+/// synthesized stream's faults, so both consume the same RNG sequence:
+/// per task of positive WCET whether it overruns and by what factor,
+/// then the fail-stop, then per processor whether its regulator is
+/// faulty and how. Readers take the three parts in that order.
+#[derive(Debug, Clone)]
+struct FaultDraw<'a> {
+    from: DrawnFaults<'a>,
+    rng: Rng,
+    /// The next task to draw an overrun for.
+    task: usize,
+    /// The next processor to draw a DVS fault for.
+    proc: u32,
+}
+
+impl FaultDraw<'_> {
+    /// The next overrun, or `None` once every task has drawn.
+    fn overrun(&mut self) -> Option<Overrun> {
+        let fi = &self.from.spec.intensity;
+        while let Some(&w) = self.from.wcet.get(self.task) {
+            let task = TaskId(self.task as u32);
+            self.task += 1;
+            if w > 0 && self.rng.gen_bool(fi.overrun_prob) {
+                let factor = self.rng.gen_range(1.0..=fi.max_overrun_factor.max(1.0));
+                return Some(Overrun { task, factor });
+            }
+        }
+        None
+    }
+
+    /// The fail-stop, drawn after whatever overruns are left.
+    fn fail_stop(&mut self) -> Option<FailStop> {
+        while self.overrun().is_some() {}
+        let spec = self.from.spec;
+        (spec.intensity.fail_stop && spec.n_procs > 0).then(|| FailStop {
+            proc: ProcId(self.rng.gen_range(0u32..spec.n_procs as u32)),
+            at_s: self.rng.gen_range(0.0..=spec.deadline_s.max(0.0)),
+        })
+    }
+
+    /// The next DVS fault, or `None` once every processor has drawn.
+    /// Call after [`FaultDraw::fail_stop`].
+    fn dvs(&mut self) -> Option<DvsFault> {
+        let spec = self.from.spec;
+        while self.proc < spec.n_procs as u32 {
+            let proc = ProcId(self.proc);
+            self.proc += 1;
+            if self.rng.gen_bool(spec.intensity.dvs_fault_prob) {
+                let kind = if self.rng.gen_bool(0.5) {
+                    DvsFaultKind::StuckAtLevel
+                } else {
+                    DvsFaultKind::ExtraLatency {
+                        extra_s: self.rng.gen_range(1.0e-5..=1.0e-3),
+                    }
+                };
+                return Some(DvsFault { proc, kind });
+            }
+        }
+        None
+    }
+}
+
+/// A `Copy` view of one run's faults — the only way the runners and
+/// checkers read them. It owns no heap memory.
 ///
-/// A [`FaultPlan`] lends one through [`FaultPlan::view`]. Frame `i` of
-/// an online stream lends one into the stream's flat fault arrays (see
-/// [`crate::FrameTable`]): `overruns` and `dvs` are frame `i`'s runs of
-/// the stream-wide overrun columns (task, factor) and DVS array,
-/// between the previous frame's end offsets and its own, and
-/// `fail_stop` is rebuilt from its slot of the packed fail-stop columns
-/// (a presence bit, a `u32` processor and an `f64` time). Those arrays
-/// cost a stream of `F` frames with `O` overruns and `D` DVS faults
-/// exactly `8·F + 12·F + 8·⌈F/64⌉ + 12·O + 24·D` heap bytes, and
-/// nothing when no frame has a fault.
+/// A [`FaultPlan`] lends one through [`FaultPlan::view`], of its own
+/// lists. Frame `i` of an online stream lends one through
+/// [`crate::FrameTable::get`], in one of two forms:
+///
+/// * stored, in a table assembled by [`crate::FrameTable::from_parts`]:
+///   `overruns` and `dvs` are frame `i`'s runs of the table's flat
+///   overrun columns (task, factor) and DVS array, and `fail_stop` is
+///   rebuilt from its slot of the packed fail-stop columns;
+/// * derived, in a stream built by [`crate::OnlineStream::synthesize`]:
+///   the view carries the stream's fault recipe and the frame's seed.
+///   `fail_stop` is drawn when the view is made; `overruns` and `dvs`
+///   redraw the frame's plan from its seed on every read, through the
+///   generator behind [`FaultPlan::random`], so each read gives the same
+///   bits and costs O(N + P) draws for `N` jobs and `P` processors.
+///
+/// Two views are equal when they hold the same faults, whatever their
+/// forms.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultView<'a> {
     /// Per-task WCET overruns (at most one entry per task).
@@ -233,10 +302,20 @@ pub struct FaultView<'a> {
     /// At most one processor fail-stop.
     pub fail_stop: Option<FailStop>,
     /// DVS regulator faults (at most one entry per processor).
-    pub dvs: &'a [DvsFault],
+    pub dvs: DvsFaults<'a>,
 }
 
-impl FaultView<'_> {
+impl<'a> FaultView<'a> {
+    /// The view of a derived frame: its fail-stop drawn now, its
+    /// overruns and DVS faults on every read.
+    pub(crate) fn drawn(draw: DrawnFaults<'a>) -> Self {
+        FaultView {
+            overruns: Overruns(OverrunSlice::Drawn(draw)),
+            fail_stop: draw.walk().fail_stop(),
+            dvs: DvsFaults(DvsSlice::Drawn(draw)),
+        }
+    }
+
     /// Whether the view injects nothing.
     pub fn is_empty(&self) -> bool {
         self.overruns.is_empty() && self.fail_stop.is_none() && self.dvs.is_empty()
@@ -247,7 +326,7 @@ impl FaultView<'_> {
         FaultPlan {
             overruns: self.overruns.iter().collect(),
             fail_stop: self.fail_stop,
-            dvs: self.dvs.to_vec(),
+            dvs: self.dvs.iter().collect(),
         }
     }
 
@@ -276,11 +355,11 @@ impl FaultView<'_> {
     }
 }
 
-/// A borrowed run of overruns: a plan's own list, or one frame's run of
-/// a stream's two overrun columns (a `u32` task and an `f64` factor, 12
-/// bytes an overrun where a padded [`Overrun`] takes 16). Read as
-/// [`Overrun`] values either way; two views are equal when they hold
-/// the same overruns in the same order.
+/// A run of overruns: a plan's own list, one frame's run of a stored
+/// stream's two overrun columns (a `u32` task and an `f64` factor, 12
+/// bytes an overrun where a padded [`Overrun`] takes 16), or a derived
+/// frame's draw. Read as [`Overrun`] values either way; two views are
+/// equal when they hold the same overruns in the same order.
 #[derive(Debug, Clone, Copy)]
 pub struct Overruns<'a>(OverrunSlice<'a>);
 
@@ -291,6 +370,7 @@ enum OverrunSlice<'a> {
         task: &'a [TaskId],
         factor: &'a [f64],
     },
+    Drawn(DrawnFaults<'a>),
 }
 
 impl<'a> Overruns<'a> {
@@ -300,31 +380,29 @@ impl<'a> Overruns<'a> {
         Overruns(OverrunSlice::Columns { task, factor })
     }
 
-    /// Number of overruns.
+    /// Number of overruns. On a derived view this redraws them.
     pub fn len(&self) -> usize {
         match self.0 {
             OverrunSlice::Rows(rows) => rows.len(),
             OverrunSlice::Columns { task, .. } => task.len(),
+            OverrunSlice::Drawn(_) => self.iter().count(),
         }
     }
 
     /// Whether the view holds no overrun.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.iter().next().is_none()
     }
 
     /// The overruns in order.
     pub fn iter(&self) -> OverrunsIter<'a> {
-        match self.0 {
-            OverrunSlice::Rows(rows) => OverrunsIter {
-                rows: rows.iter(),
-                columns: [].iter().zip([].iter()),
-            },
-            OverrunSlice::Columns { task, factor } => OverrunsIter {
-                rows: [].iter(),
-                columns: task.iter().zip(factor.iter()),
-            },
-        }
+        OverrunsIter(match self.0 {
+            OverrunSlice::Rows(rows) => OverrunsForm::Rows(rows.iter()),
+            OverrunSlice::Columns { task, factor } => {
+                OverrunsForm::Columns(task.iter().zip(factor.iter()))
+            }
+            OverrunSlice::Drawn(draw) => OverrunsForm::Drawn(draw.walk()),
+        })
     }
 }
 
@@ -342,7 +420,7 @@ impl<'a> From<&'a [Overrun]> for Overruns<'a> {
 
 impl PartialEq for Overruns<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
+        self.iter().eq(other.iter())
     }
 }
 
@@ -355,34 +433,133 @@ impl<'a> IntoIterator for Overruns<'a> {
     }
 }
 
-/// The overruns of an [`Overruns`] view. One of the two sources is
-/// always empty.
+/// The overruns of an [`Overruns`] view.
 #[derive(Debug, Clone)]
-pub struct OverrunsIter<'a> {
-    rows: std::slice::Iter<'a, Overrun>,
-    columns: std::iter::Zip<std::slice::Iter<'a, TaskId>, std::slice::Iter<'a, f64>>,
+pub struct OverrunsIter<'a>(OverrunsForm<'a>);
+
+#[derive(Debug, Clone)]
+enum OverrunsForm<'a> {
+    Rows(std::slice::Iter<'a, Overrun>),
+    Columns(std::iter::Zip<std::slice::Iter<'a, TaskId>, std::slice::Iter<'a, f64>>),
+    Drawn(FaultDraw<'a>),
 }
 
 impl Iterator for OverrunsIter<'_> {
     type Item = Overrun;
 
     fn next(&mut self) -> Option<Overrun> {
-        match self.rows.next() {
-            Some(&o) => Some(o),
-            None => self
-                .columns
+        match &mut self.0 {
+            OverrunsForm::Rows(rows) => rows.next().copied(),
+            OverrunsForm::Columns(columns) => columns
                 .next()
                 .map(|(&task, &factor)| Overrun { task, factor }),
+            OverrunsForm::Drawn(draw) => draw.overrun(),
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let len = self.rows.len() + self.columns.len();
-        (len, Some(len))
+        match &self.0 {
+            OverrunsForm::Rows(rows) => rows.size_hint(),
+            OverrunsForm::Columns(columns) => columns.size_hint(),
+            OverrunsForm::Drawn(_) => (0, None),
+        }
     }
 }
 
-impl ExactSizeIterator for OverrunsIter<'_> {}
+/// A run of DVS faults: a plan's own list, one frame's run of a stored
+/// stream's DVS array, or a derived frame's draw. Read as [`DvsFault`]
+/// values either way; two views are equal when they hold the same
+/// faults in the same order.
+#[derive(Debug, Clone, Copy)]
+pub struct DvsFaults<'a>(DvsSlice<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum DvsSlice<'a> {
+    Stored(&'a [DvsFault]),
+    Drawn(DrawnFaults<'a>),
+}
+
+impl<'a> DvsFaults<'a> {
+    /// Number of DVS faults. On a derived view this redraws the frame.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            DvsSlice::Stored(v) => v.len(),
+            DvsSlice::Drawn(_) => self.iter().count(),
+        }
+    }
+
+    /// Whether the view holds no DVS fault.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+
+    /// The DVS faults in order.
+    pub fn iter(&self) -> DvsFaultsIter<'a> {
+        DvsFaultsIter(match self.0 {
+            DvsSlice::Stored(v) => DvsForm::Stored(v.iter()),
+            DvsSlice::Drawn(draw) => {
+                let mut draw = draw.walk();
+                draw.fail_stop();
+                DvsForm::Drawn(draw)
+            }
+        })
+    }
+}
+
+impl Default for DvsFaults<'_> {
+    fn default() -> Self {
+        DvsFaults(DvsSlice::Stored(&[]))
+    }
+}
+
+impl<'a> From<&'a [DvsFault]> for DvsFaults<'a> {
+    fn from(faults: &'a [DvsFault]) -> Self {
+        DvsFaults(DvsSlice::Stored(faults))
+    }
+}
+
+impl PartialEq for DvsFaults<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<'a> IntoIterator for DvsFaults<'a> {
+    type Item = DvsFault;
+    type IntoIter = DvsFaultsIter<'a>;
+
+    fn into_iter(self) -> DvsFaultsIter<'a> {
+        self.iter()
+    }
+}
+
+/// The faults of a [`DvsFaults`] view.
+#[derive(Debug, Clone)]
+pub struct DvsFaultsIter<'a>(DvsForm<'a>);
+
+#[derive(Debug, Clone)]
+enum DvsForm<'a> {
+    Stored(std::slice::Iter<'a, DvsFault>),
+    Drawn(FaultDraw<'a>),
+}
+
+impl Iterator for DvsFaultsIter<'_> {
+    type Item = DvsFault;
+
+    fn next(&mut self) -> Option<DvsFault> {
+        match &mut self.0 {
+            DvsForm::Stored(v) => v.next().copied(),
+            DvsForm::Drawn(draw) => draw.dvs(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            DvsForm::Stored(v) => v.size_hint(),
+            DvsForm::Drawn(_) => (0, None),
+        }
+    }
+}
 
 /// Validates any number of [`FaultView`]s against one graph and machine
 /// with a single pair of duplicate markers: a marker holds the stamp of

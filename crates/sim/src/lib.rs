@@ -37,8 +37,8 @@ pub use actuals::Actuals;
 pub use arrivals::Arrivals;
 pub use error::SimError;
 pub use faults::{
-    DvsFault, DvsFaultKind, FailStop, FaultIntensity, FaultPlan, FaultView, InjectedEvent, Overrun,
-    Overruns, OverrunsIter,
+    DvsFault, DvsFaultKind, DvsFaults, DvsFaultsIter, FailStop, FaultIntensity, FaultPlan,
+    FaultView, InjectedEvent, Overrun, Overruns, OverrunsIter,
 };
 pub use online::{
     run_online, AdmissionVerdict, FrameInput, FrameRecord, FrameTable, OnlineConfig, OnlineReport,

@@ -58,8 +58,8 @@ use crate::arrivals::{ArrivalColumn, Arrivals};
 use crate::error::SimError;
 use crate::exec::{bill_idle, run_frame, Frame, Resolver};
 use crate::faults::{
-    draw_faults, DvsFault, FailStop, FaultChecker, FaultIntensity, FaultPlan, FaultView,
-    InjectedEvent, Overrun, Overruns,
+    DrawnFaults, DvsFault, DvsFaults, FailStop, FaultChecker, FaultIntensity, FaultPlan, FaultSpec,
+    FaultView, InjectedEvent, Overrun, Overruns,
 };
 use crate::recovery::{ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome};
 use crate::runner::DvsSwitchCost;
@@ -149,13 +149,17 @@ pub struct FrameInput<'a> {
 ///   fraction bounds and seed), every frame redrawn on read; for a table
 ///   assembled from its arrays, the values back to back in one `u64`
 ///   column (read through [`Actuals`] views either way);
-/// * eight fault arrays, all empty when no frame has a fault: every
-///   frame's overruns back to back as a task column and a factor column,
-///   every frame's DVS faults back to back, per frame the `u32` end
-///   offset of its overruns and of its DVS
-///   faults (a frame's slice starts at the previous frame's end), and
-///   the fail-stops as one presence bit, one `u32` processor and one
-///   `f64` time per frame.
+/// * the faults (read through [`FaultView`]s either way) — for a
+///   stream built by [`OnlineStream::synthesize`] with an intensity,
+///   the recipe they derive from (the intensity, the processor count,
+///   the frame span and the stream seed, drawn over the actuals' WCET
+///   copy), every frame's plan redrawn on read; for a table assembled
+///   from its arrays, eight fault arrays, all empty when no frame has a
+///   fault: every frame's overruns back to back as a task column and a
+///   factor column, every frame's DVS faults back to back, per frame the
+///   `u32` end offset of its overruns and of its DVS faults (a frame's
+///   slice starts at the previous frame's end), and the fail-stops as
+///   one presence bit, one `u32` processor and one `f64` time per frame.
 ///
 /// A table is built by [`FrameTable::from_parts`],
 /// [`OnlineStream::periodic`] or [`OnlineStream::synthesize`] and never
@@ -164,35 +168,89 @@ pub struct FrameInput<'a> {
 /// stride, and the checks [`run_online`] makes once per stream (the
 /// stride against the graph, the actuals against the WCETs, the fault
 /// plans against the platform) hold for the table's whole life. A
-/// fault-free stream of `N` jobs built by [`OnlineStream::periodic`] or
+/// stream of `N` jobs built by [`OnlineStream::periodic`] or
 /// [`OnlineStream::synthesize`] owns exactly `8·N` heap bytes, its WCET
-/// copy, however many frames `F` it holds (a stored column takes `8·F·N`
-/// bytes, and explicit arrivals add `8·F`); with faults it adds
-/// `8·F + 12·F + 8·⌈F/64⌉ + 12·O + 24·D` bytes for its `O` overruns and
-/// `D` DVS faults (two 4-byte end offsets and a 12-byte fail-stop slot
-/// per frame, one 64-bit presence word per 64 frames, and a 4-byte task
-/// and an 8-byte factor per overrun).
+/// copy, however many frames `F` it holds and whether or not it has
+/// faults. A table built by [`FrameTable::from_parts`] stores its
+/// actuals in `8·F·N` bytes, its arrivals in `8·F`, and, when some
+/// frame has a fault, `8·F + 12·F + 8·⌈F/64⌉ + 12·O + 24·D` bytes for
+/// its `O` overruns and `D` DVS faults (two 4-byte end offsets and a
+/// 12-byte fail-stop slot per frame, one 64-bit presence word per 64
+/// frames, and a 4-byte task and an 8-byte factor per overrun).
 ///
-/// The layout is canonical: a table whose frames carry no fault holds
-/// no fault arrays, however it was built, and a frame without a
-/// fail-stop stores zeros in its slot. Arrivals and actuals compare by
-/// value, whether derived or stored. So two tables compare equal exactly
-/// when every frame reads the same.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The stored layout is canonical: a table assembled from frames that
+/// carry no fault holds no fault arrays, and a frame without a
+/// fail-stop stores zeros in its slot. Arrivals, actuals and faults
+/// compare by value, whether derived or stored. So two tables compare
+/// equal exactly when every frame reads the same.
+#[derive(Debug, Clone, Default)]
 pub struct FrameTable {
     arrival_s: ArrivalColumn,
     actual: Column,
     jobs: usize,
-    faults: FaultArrays,
+    faults: Faults,
 }
 
-/// The fault half of a [`FrameTable`]: empty, or per frame two end
+impl PartialEq for FrameTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.arrival_s == other.arrival_s
+            && self.jobs == other.jobs
+            && self.actual == other.actual
+            && self
+                .iter()
+                .zip(other.iter())
+                .all(|(a, b)| a.faults == b.faults)
+    }
+}
+
+/// The fault half of a [`FrameTable`]: stored per frame, or derived
+/// from a recipe.
+#[derive(Debug, Clone)]
+enum Faults {
+    Stored(FaultArrays),
+    Derived(FaultRecipe),
+}
+
+/// How a synthesized stream's faults read: frame `i` holds the plan
+/// [`FaultPlan::random`] draws under `spec` from
+/// `frame_seed(seed, i) ^ 0x5EED`, over the WCETs its actuals derive
+/// from.
+#[derive(Debug, Clone)]
+struct FaultRecipe {
+    spec: FaultSpec,
+    seed: u64,
+}
+
+impl Default for Faults {
+    fn default() -> Self {
+        Faults::Stored(FaultArrays::default())
+    }
+}
+
+impl Faults {
+    /// Frame `i`'s faults (`i` below the frame count), in a table whose
+    /// actuals are `actual`.
+    fn view<'a>(&'a self, i: usize, actual: &'a Column) -> FaultView<'a> {
+        match self {
+            Faults::Stored(arrays) => arrays.view(i),
+            Faults::Derived(recipe) => {
+                let wcet = actual
+                    .wcet_bound()
+                    .expect("derived faults draw over derived actuals");
+                let seed = frame_seed(recipe.seed, i) ^ 0x5EED;
+                FaultView::drawn(DrawnFaults::new(&recipe.spec, wcet, seed))
+            }
+        }
+    }
+}
+
+/// The stored faults of a [`FrameTable`]: empty, or per frame two end
 /// offsets and a fail-stop slot. The offsets are `u32`, so a table
 /// holds at most `u32::MAX` overruns and as many DVS faults. A slot is
 /// a bit of `fail_present` with its entries of `fail_proc` and
 /// `fail_at_s`, both zero when the bit is clear; no processor value is
 /// reserved, so every [`ProcId`] round-trips.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 struct FaultArrays {
     overruns: OverrunColumns,
     overrun_end: Vec<u32>,
@@ -205,8 +263,8 @@ struct FaultArrays {
 }
 
 impl FaultArrays {
-    /// Room for `frames` frames holding up to `overruns` overruns and
-    /// `dvs` DVS faults in all.
+    /// Room for `frames` frames holding `overruns` overruns and `dvs`
+    /// DVS faults in all.
     fn with_capacity(frames: usize, overruns: usize, dvs: usize) -> Self {
         FaultArrays {
             overruns: OverrunColumns::with_capacity(overruns),
@@ -241,17 +299,13 @@ impl FaultArrays {
         Ok(())
     }
 
-    /// Drop every array when no frame has a fault, else the growth
-    /// slack of the flat arrays.
+    /// Drop every array when no frame has a fault.
     fn canonicalize(&mut self) {
         if self.overruns.is_empty()
             && self.dvs.is_empty()
             && self.fail_present.iter().all(|&w| w == 0)
         {
             *self = FaultArrays::default();
-        } else {
-            self.overruns.shrink_to_fit();
-            self.dvs.shrink_to_fit();
         }
     }
 
@@ -267,7 +321,7 @@ impl FaultArrays {
                 proc: ProcId(self.fail_proc[i]),
                 at_s: self.fail_at_s[i],
             }),
-            dvs: &self.dvs[frame_range(&self.dvs_end, i)],
+            dvs: DvsFaults::from(&self.dvs[frame_range(&self.dvs_end, i)]),
         }
     }
 }
@@ -287,7 +341,7 @@ fn frame_range(ends: &[u32], i: usize) -> Range<usize> {
 
 /// Every frame's overruns back to back, as two columns of equal length:
 /// 12 bytes an overrun, where a padded [`Overrun`] takes 16.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 struct OverrunColumns {
     task: Vec<TaskId>,
     factor: Vec<f64>,
@@ -307,11 +361,6 @@ impl OverrunColumns {
 
     fn is_empty(&self) -> bool {
         self.task.is_empty()
-    }
-
-    fn shrink_to_fit(&mut self) {
-        self.task.shrink_to_fit();
-        self.factor.shrink_to_fit();
     }
 
     fn view(&self, range: Range<usize>) -> Overruns<'_> {
@@ -367,7 +416,7 @@ impl FrameTable {
             arrival_s: ArrivalColumn::Explicit(arrival_s),
             actual: Column::from_values(actual),
             jobs,
-            faults: flat,
+            faults: Faults::Stored(flat),
         })
     }
 
@@ -394,7 +443,7 @@ impl FrameTable {
         Some(FrameInput {
             arrival_s: self.arrival_s().get(i),
             actual: self.actual.view(i * self.jobs..(i + 1) * self.jobs),
-            faults: self.faults.view(i),
+            faults: self.faults.view(i, &self.actual),
         })
     }
 
@@ -446,7 +495,7 @@ impl OnlineStream {
                 },
                 actual: Column::wcet(weights, n_frames),
                 jobs: weights.len(),
-                faults: FaultArrays::default(),
+                faults: Faults::default(),
             },
         }
     }
@@ -459,15 +508,19 @@ impl OnlineStream {
     /// Frame `i` arrives at `i · arrival_factor · span`, stored as that
     /// progression, as in [`OnlineStream::periodic`].
     ///
-    /// The actuals are not stored: the stream keeps a copy of the WCETs,
-    /// `lo`, `hi` and `seed`, and every read of frame `i` draws its values
-    /// afresh, as [`crate::actual_cycles`] does with frame `i`'s seed, so
-    /// each read gives the same bits.
+    /// Neither actuals nor faults are stored. The stream keeps a copy of
+    /// the WCETs, `lo`, `hi` and `seed`, and, with faults, the
+    /// intensity, `n_procs` and the span: every read of frame `i` draws
+    /// its actuals afresh, as [`crate::actual_cycles`] does with frame
+    /// `i`'s seed, and its faults as [`FaultPlan::random`] does, so each
+    /// read gives the same bits. The stream owns `8·N` heap bytes for
+    /// `N` jobs, with or without faults, however many frames it holds.
     ///
     /// # Panics
     ///
-    /// Unless `0 < lo ≤ hi ≤ 1`, or if the stream draws more than
-    /// `u32::MAX` overruns or DVS faults.
+    /// Unless `0 < lo ≤ hi ≤ 1` and, when `intensity` is given, its
+    /// `overrun_prob` and `dvs_fault_prob` lie in `[0, 1]`; checked
+    /// when the stream is built, for any number of frames.
     #[allow(clippy::too_many_arguments)]
     pub fn synthesize(
         dag: &PeriodicDag,
@@ -482,29 +535,16 @@ impl OnlineStream {
     ) -> Self {
         check_fractions(lo, hi);
         let span = dag.hyperperiod_cycles as f64 / f_max;
+        let faults = intensity.map_or_else(Faults::default, |fi| {
+            let spec = FaultSpec {
+                intensity: *fi,
+                n_procs,
+                deadline_s: span,
+            };
+            spec.check();
+            Faults::Derived(FaultRecipe { spec, seed })
+        });
         let weights = dag.graph.weights();
-        let mut faults = FaultArrays::default();
-        if let Some(fi) = intensity {
-            // Room for the most a frame can draw, so the arrays never
-            // grow; `canonicalize` returns the slack.
-            let jobs = weights.len();
-            faults = FaultArrays::with_capacity(n_frames, n_frames * jobs, n_frames * n_procs);
-            for i in 0..n_frames {
-                let fail_stop = draw_faults(
-                    &dag.graph,
-                    n_procs,
-                    span,
-                    fi,
-                    frame_seed(seed, i) ^ 0x5EED,
-                    &mut faults.overruns,
-                    &mut faults.dvs,
-                );
-                faults
-                    .end_frame(fail_stop)
-                    .expect("a stream draws at most u32::MAX faults of one kind");
-            }
-            faults.canonicalize();
-        }
         OnlineStream {
             frames: FrameTable {
                 arrival_s: ArrivalColumn::Progression {
@@ -1517,6 +1557,132 @@ mod tests {
         }
     }
 
+    /// A derived fault table equals its `from_parts` copy frame by
+    /// frame, and `run_online` rejects both alike; a copy with one
+    /// overrun factor changed, one DVS fault dropped or one fail-stop
+    /// moved does not equal it.
+    #[test]
+    fn derived_faults_equal_their_stored_copies() {
+        let dag = wide_dag();
+        let cfg = cfg();
+        let f_max = cfg.max_frequency();
+        let severe = FaultIntensity::severe();
+        let built =
+            OnlineStream::synthesize(&dag, 3, 9, 0.8, 0.6, 1.0, Some(&severe), f_max, 7).frames;
+        assert!(matches!(built.faults, Faults::Derived(_)));
+        let plans: Vec<FaultPlan> = built.iter().map(|fr| fr.faults.to_plan()).collect();
+        let copy_of = |plans: Vec<FaultPlan>| {
+            let (arrivals, actual) = (built.arrival_s().to_vec(), built.actual().to_vec());
+            FrameTable::from_parts(arrivals, built.jobs(), actual, plans).unwrap()
+        };
+        let copy = copy_of(plans.clone());
+        assert!(matches!(copy.faults, Faults::Stored(_)));
+        assert_eq!(copy, built);
+        assert_eq!(built, copy);
+        for (i, (a, b)) in built.iter().zip(copy.iter()).enumerate() {
+            assert_eq!(a.faults, b.faults, "frame {i}");
+            assert_eq!(b.faults, a.faults, "frame {i}");
+            assert_eq!(a.faults.overruns.len(), plans[i].overruns.len());
+            assert_eq!(a.faults.dvs.len(), plans[i].dvs.len());
+        }
+
+        let first = |has: fn(&FaultPlan) -> bool| plans.iter().position(has).unwrap();
+        let mut factor = plans.clone();
+        factor[first(|p| !p.overruns.is_empty())].overruns[0].factor += 0.125;
+        let mut dropped = plans.clone();
+        dropped[first(|p| !p.dvs.is_empty())].dvs.remove(0);
+        let mut moved = plans.clone();
+        let fs = moved[first(|p| p.fail_stop.is_some())]
+            .fail_stop
+            .as_mut()
+            .unwrap();
+        fs.at_s *= 0.5;
+        for (what, edited) in [("factor", factor), ("dropped", dropped), ("moved", moved)] {
+            let edited = copy_of(edited);
+            assert_ne!(edited, built, "{what}");
+            assert_ne!(built, edited, "{what}");
+        }
+
+        // Built for more processors than the plan employs, a fail-stop
+        // or DVS fault names a processor the run does not have: both
+        // forms are rejected with the same error.
+        let dv = DeadlineVector::from_kpn(dag.deadlines.clone(), dag.hyperperiod_cycles);
+        let plan_procs = solve_with_deadlines(Strategy::LampsPs, &dag.graph, &dv, &cfg)
+            .unwrap()
+            .n_procs;
+        let wide = OnlineStream::synthesize(
+            &dag,
+            plan_procs + 4,
+            9,
+            0.8,
+            0.6,
+            1.0,
+            Some(&severe),
+            f_max,
+            7,
+        );
+        let stored = OnlineStream {
+            frames: copy_of(wide.frames.iter().map(|fr| fr.faults.to_plan()).collect()),
+        };
+        assert_eq!(stored, wide);
+        let ocfg = OnlineConfig::reclaiming();
+        let (a, b) = (
+            run_online(&dag, &wide, &ocfg, &cfg).unwrap_err(),
+            run_online(&dag, &stored, &ocfg, &cfg).unwrap_err(),
+        );
+        assert!(matches!(a, SimError::BadFaultPlan(_)), "{a:?}");
+        assert_eq!(a.to_string(), b.to_string());
+    }
+
+    /// The draws happen on read, so `synthesize` checks the intensity's
+    /// probabilities when it builds the stream, for any frame count.
+    #[test]
+    fn probabilities_outside_the_unit_interval_panic_in_synthesize() {
+        let dag = wide_dag();
+        let f_max = cfg().max_frequency();
+        let moderate = FaultIntensity::moderate();
+        let bad = [
+            FaultIntensity {
+                overrun_prob: 1.5,
+                ..moderate
+            },
+            FaultIntensity {
+                overrun_prob: f64::NAN,
+                ..moderate
+            },
+            FaultIntensity {
+                dvs_fault_prob: -0.25,
+                ..moderate
+            },
+        ];
+        for frames in [0, 3] {
+            for intensity in &bad {
+                let built = std::panic::catch_unwind(|| {
+                    OnlineStream::synthesize(
+                        &dag,
+                        2,
+                        frames,
+                        1.0,
+                        0.5,
+                        0.9,
+                        Some(intensity),
+                        f_max,
+                        1,
+                    )
+                });
+                let message = built.expect_err("an out-of-range probability must panic");
+                let message = message.downcast_ref::<String>().unwrap();
+                assert!(message.contains("outside [0, 1]"), "{message}");
+            }
+            let edges = FaultIntensity {
+                overrun_prob: 1.0,
+                dvs_fault_prob: 0.0,
+                ..moderate
+            };
+            OnlineStream::synthesize(&dag, 2, frames, 1.0, 0.5, 0.9, Some(&edges), f_max, 1);
+        }
+    }
+
     /// A derived stream built for one graph still meets the per-frame
     /// WCET check on a graph with a smaller WCET.
     #[test]
@@ -1549,8 +1715,9 @@ mod tests {
         }
     }
 
-    /// A table whose frames carry no fault stores no fault arrays,
-    /// whichever way it was built, so it equals the fault-free table.
+    /// A table whose frames carry no fault stores no fault arrays, and
+    /// reads like the fault-free table whichever way it was built, so it
+    /// equals it.
     #[test]
     fn fault_free_tables_are_canonical() {
         let dag = wide_dag();
@@ -1565,8 +1732,8 @@ mod tests {
         assert_eq!(parts(vec![]), clean);
         assert_ne!(parts(mixed_plans()[..5].to_vec()), clean);
 
-        // No intensity draws nothing: a stream whose plans are all empty
-        // also holds no fault arrays.
+        // An intensity that draws nothing reads as the fault-free
+        // table: equality is by value.
         let mild = FaultIntensity {
             overrun_prob: 0.0,
             ..FaultIntensity::mild()

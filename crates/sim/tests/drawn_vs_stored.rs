@@ -1,7 +1,8 @@
-//! Drawn vs stored: a built stream derives its actuals on every read,
-//! and a table assembled by `FrameTable::from_parts` from the values
-//! those reads give stores them. `run_online` must not tell the two
-//! apart: on every seed, set shape and configuration below, the two
+//! Drawn vs stored: a built stream derives its actuals and faults on
+//! every read, and a table assembled by `FrameTable::from_parts` from
+//! the values and fault plans those reads give stores them. `run_online`
+//! must not tell the two apart: on every seed, set shape and
+//! configuration below, fault-free and with `moderate` faults, the two
 //! reports agree bit for bit — total and per-frame energy, verdicts,
 //! deadline outcomes, per-job records, fault events, recoveries and
 //! re-solve counts.

@@ -48,6 +48,7 @@ use lamps_core::{
 };
 use lamps_energy::{evaluate, evaluate_summary};
 use lamps_kpn::{unroll, Network, UnrollConfig};
+use lamps_sched::partial::PartialSchedule;
 use lamps_sched::{IdleSummary, ProcId};
 use lamps_sim::workload::actual_cycles;
 use lamps_sim::{run_with_faults, DvsSwitchCost, FailStop, FaultPlan, Overrun, RecoveryPolicy};
@@ -555,6 +556,7 @@ fn suffix_differential(
     order.sort_by_key(|&t| (sol.schedule.finish(t), t.0));
     let candidates: Vec<_> = scfg.levels.points().to_vec();
     let mut solver = SuffixSolver::new();
+    let mut plan = PartialSchedule::new();
 
     for cut in [n / 3, n / 2, (2 * n) / 3] {
         if cut >= n {
@@ -609,7 +611,7 @@ fn suffix_differential(
             };
             for cap in [None, Some(3u64)] {
                 let what = format!("suffix differential (cut {cut}, {shape}, cap {cap:?})");
-                let a = solver.resolve(graph, &ctx, &candidates, cap);
+                let a = solver.resolve(graph, &ctx, &candidates, cap, &mut plan);
                 let b = resolve_suffix_fresh(graph, &ctx, &candidates, cap);
                 match (&a, &b) {
                     (None, None) => {}
@@ -627,23 +629,22 @@ fn suffix_differential(
                             continue;
                         }
                         for t in graph.tasks() {
-                            if a.plan.proc(t) != b.plan.proc(t)
-                                || a.plan.finish(t) != b.plan.finish(t)
+                            if plan.proc(t) != b.plan.proc(t) || plan.finish(t) != b.plan.finish(t)
                             {
                                 violations.push(format!(
                                     "{what}: {t} placed at {:?}/{} vs {:?}/{}",
-                                    a.plan.proc(t),
-                                    a.plan.finish(t),
+                                    plan.proc(t),
+                                    plan.finish(t),
                                     b.plan.proc(t),
                                     b.plan.finish(t)
                                 ));
                             }
                         }
                         for p in (0..n_procs as u32).map(ProcId) {
-                            if a.plan.tasks_on(p) != b.plan.tasks_on(p) {
+                            if plan.tasks_on(p) != b.plan.tasks_on(p) {
                                 violations.push(format!(
                                     "{what}: {p:?} runs {:?} vs {:?}",
-                                    a.plan.tasks_on(p),
+                                    plan.tasks_on(p),
                                     b.plan.tasks_on(p)
                                 ));
                             }
