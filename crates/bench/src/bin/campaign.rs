@@ -12,8 +12,8 @@
 //! are directly comparable:
 //!
 //! * **batch** — [`evaluate_graphs`]: graph-granularity jobs over the
-//!   shared pool, warm [`CacheBuffers`] per worker, one `LevelSweep`
-//!   per chunk. The headline figure.
+//!   shared pool, warm [`CacheBuffers`](lamps_core::cache::CacheBuffers)
+//!   per worker, one `LevelSweep` per chunk. The headline figure.
 //! * **grouped** — one fresh [`ScheduleCache`] per *graph*, cells
 //!   solved through [`solve_with_cache`] (the `throughput` binary's
 //!   methodology).

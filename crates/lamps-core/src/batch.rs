@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation — and the run-time re-solve scenario the
 //! ROADMAP targets — is a *campaign*: every strategy swept over many
-//! graphs × deadline factors. Solving each cell through [`crate::solve`]
+//! graphs × deadline factors. Solving each cell through [`crate::solve()`]
 //! pays per-solve setup costs thousands of times over: a fresh
 //! [`ScheduleCache`] (workspace, memo spines, EDF keys) per graph and a
 //! fresh per-level sleep-cutoff resolution per solve.

@@ -1,7 +1,7 @@
 //! Budgeted, cancellable *anytime* solving.
 //!
 //! [`solve_with_budget_cache`] runs the one LAMPS / S&S scan of
-//! [`crate::solve`] under a [`SolveBudget`]. The unit of accounting — a
+//! [`crate::solve()`] under a [`SolveBudget`]. The unit of accounting — a
 //! *step* — is one `(processor count, level)` candidate evaluation.
 //! Before every candidate the scan checks a cooperative
 //! [`CancelToken`], the wall clock and the remaining step budget; when
@@ -10,7 +10,7 @@
 //! space it covered. A search that runs to its natural end — or that the
 //! energy floor proves finished early — is tagged
 //! [`Completeness::Complete`] and returns bit-identical results to
-//! [`crate::solve`]. The pruned scan only ends earlier than the
+//! [`crate::solve()`]. The pruned scan only ends earlier than the
 //! exhaustive one, never skips a candidate inside it, so at every step
 //! cap the answer is the one the exhaustive reference engine gives.
 //!
@@ -69,7 +69,7 @@ pub struct SolveBudget {
 }
 
 impl SolveBudget {
-    /// No limit and no token: behaves exactly like [`crate::solve`].
+    /// No limit and no token: behaves exactly like [`crate::solve()`].
     pub fn unlimited() -> Self {
         SolveBudget::default()
     }
@@ -100,7 +100,7 @@ impl SolveBudget {
 /// Did the search cover everything it wanted to?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Completeness {
-    /// The full search ran; the result is identical to [`crate::solve`].
+    /// The full search ran; the result is identical to [`crate::solve()`].
     Complete,
     /// The budget (or a cancel) stopped the search early; the solution
     /// is the best of the `explored` candidates.
@@ -201,7 +201,7 @@ impl Meter {
 ///
 /// Errors with [`SolveError::BudgetExhausted`] only when the budget ran
 /// out before *any* feasible candidate was evaluated; all other errors
-/// match [`crate::solve`].
+/// match [`crate::solve()`].
 pub fn solve_with_budget_cache(
     strategy: Strategy,
     deadline_s: f64,

@@ -14,7 +14,7 @@
 //! [`SolveExplain::render_text`] an aligned human-readable account.
 //! Collecting the log costs extra work (per-gap verdicts, level-sweep
 //! bookkeeping), so it only happens on the `*_explained` entry points —
-//! the plain [`solve`](crate::solve) path never pays for it.
+//! the plain [`solve`](crate::solve()) path never pays for it.
 //!
 //! [`min_sleep_cycles`]: lamps_energy::min_sleep_cycles
 

@@ -38,7 +38,7 @@
 //!   becomes a two-level bitset over ranks; pop-min is a summary-word
 //!   scan plus two `trailing_zeros`. Identical order: rank order *is*
 //!   `(key, id)` order.
-//! * **Events** — a monotone bucket queue ([`EventQueue`]). Every event
+//! * **Events** — a monotone bucket queue (`EventQueue`). Every event
 //!   is queued at or after the current cycle — a finish at `now + w`, a
 //!   release or a wake-up at its own cycle, queued at setup — and popped
 //!   in nondecreasing order, so a radix-style bucket structure (bucket =

@@ -3,7 +3,7 @@
 //! A built stream derives its actuals rather than storing them: it
 //! keeps a copy of the job WCETs, and every read either returns those
 //! WCETs (a worst-case stream) or draws frame `i`'s values afresh from
-//! the frame's seed, [`frame_seed`]`(seed, i)`, with the per-job step of
+//! the frame's seed, `frame_seed(seed, i)`, with the per-job step of
 //! [`crate::actual_cycles`]. So the column costs `8·N` bytes for `N`
 //! jobs, however many frames it spans.
 //!

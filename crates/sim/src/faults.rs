@@ -144,6 +144,12 @@ impl FaultPlan {
     /// Draw a plan from a seed. Deterministic: the same
     /// `(graph, n_procs, deadline_s, intensity, seed)` always yields the
     /// same plan. Zero-weight tasks never overrun.
+    ///
+    /// # Panics
+    ///
+    /// Unless the intensity's `overrun_prob` and `dvs_fault_prob` lie in
+    /// `[0, 1]`, checked before any draw, so also when no draw reads
+    /// them.
     pub fn random(
         graph: &TaskGraph,
         n_procs: usize,
@@ -156,6 +162,7 @@ impl FaultPlan {
             n_procs,
             deadline_s,
         };
+        spec.check();
         let mut draw = DrawnFaults::new(&spec, graph.weights(), seed).walk();
         let overruns = std::iter::from_fn(|| draw.overrun()).collect();
         let fail_stop = draw.fail_stop();
@@ -283,9 +290,7 @@ impl FaultDraw<'_> {
 /// [`crate::FrameTable::get`], in one of two forms:
 ///
 /// * stored, in a table assembled by [`crate::FrameTable::from_parts`]:
-///   `overruns` and `dvs` are frame `i`'s runs of the table's flat
-///   overrun columns (task, factor) and DVS array, and `fail_stop` is
-///   rebuilt from its slot of the packed fail-stop columns;
+///   the view of frame `i`'s plan, as [`FaultPlan::view`] lends it;
 /// * derived, in a stream built by [`crate::OnlineStream::synthesize`]:
 ///   the view carries the stream's fault recipe and the frame's seed.
 ///   `fail_stop` is drawn when the view is made; `overruns` and `dvs`
@@ -355,36 +360,23 @@ impl<'a> FaultView<'a> {
     }
 }
 
-/// A run of overruns: a plan's own list, one frame's run of a stored
-/// stream's two overrun columns (a `u32` task and an `f64` factor, 12
-/// bytes an overrun where a padded [`Overrun`] takes 16), or a derived
-/// frame's draw. Read as [`Overrun`] values either way; two views are
-/// equal when they hold the same overruns in the same order.
+/// A run of overruns: a plan's own list or a derived frame's draw. Read
+/// as [`Overrun`] values either way; two views are equal when they hold
+/// the same overruns in the same order.
 #[derive(Debug, Clone, Copy)]
 pub struct Overruns<'a>(OverrunSlice<'a>);
 
 #[derive(Debug, Clone, Copy)]
 enum OverrunSlice<'a> {
     Rows(&'a [Overrun]),
-    Columns {
-        task: &'a [TaskId],
-        factor: &'a [f64],
-    },
     Drawn(DrawnFaults<'a>),
 }
 
 impl<'a> Overruns<'a> {
-    /// A view of two columns of equal length.
-    pub(crate) fn columns(task: &'a [TaskId], factor: &'a [f64]) -> Self {
-        debug_assert_eq!(task.len(), factor.len());
-        Overruns(OverrunSlice::Columns { task, factor })
-    }
-
     /// Number of overruns. On a derived view this redraws them.
     pub fn len(&self) -> usize {
         match self.0 {
             OverrunSlice::Rows(rows) => rows.len(),
-            OverrunSlice::Columns { task, .. } => task.len(),
             OverrunSlice::Drawn(_) => self.iter().count(),
         }
     }
@@ -398,9 +390,6 @@ impl<'a> Overruns<'a> {
     pub fn iter(&self) -> OverrunsIter<'a> {
         OverrunsIter(match self.0 {
             OverrunSlice::Rows(rows) => OverrunsForm::Rows(rows.iter()),
-            OverrunSlice::Columns { task, factor } => {
-                OverrunsForm::Columns(task.iter().zip(factor.iter()))
-            }
             OverrunSlice::Drawn(draw) => OverrunsForm::Drawn(draw.walk()),
         })
     }
@@ -440,7 +429,6 @@ pub struct OverrunsIter<'a>(OverrunsForm<'a>);
 #[derive(Debug, Clone)]
 enum OverrunsForm<'a> {
     Rows(std::slice::Iter<'a, Overrun>),
-    Columns(std::iter::Zip<std::slice::Iter<'a, TaskId>, std::slice::Iter<'a, f64>>),
     Drawn(FaultDraw<'a>),
 }
 
@@ -450,9 +438,6 @@ impl Iterator for OverrunsIter<'_> {
     fn next(&mut self) -> Option<Overrun> {
         match &mut self.0 {
             OverrunsForm::Rows(rows) => rows.next().copied(),
-            OverrunsForm::Columns(columns) => columns
-                .next()
-                .map(|(&task, &factor)| Overrun { task, factor }),
             OverrunsForm::Drawn(draw) => draw.overrun(),
         }
     }
@@ -460,16 +445,14 @@ impl Iterator for OverrunsIter<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.0 {
             OverrunsForm::Rows(rows) => rows.size_hint(),
-            OverrunsForm::Columns(columns) => columns.size_hint(),
             OverrunsForm::Drawn(_) => (0, None),
         }
     }
 }
 
-/// A run of DVS faults: a plan's own list, one frame's run of a stored
-/// stream's DVS array, or a derived frame's draw. Read as [`DvsFault`]
-/// values either way; two views are equal when they hold the same
-/// faults in the same order.
+/// A run of DVS faults: a plan's own list or a derived frame's draw.
+/// Read as [`DvsFault`] values either way; two views are equal when they
+/// hold the same faults in the same order.
 #[derive(Debug, Clone, Copy)]
 pub struct DvsFaults<'a>(DvsSlice<'a>);
 
@@ -714,6 +697,21 @@ mod tests {
             let p = FaultPlan::random(&g, 2, 0.01, &FaultIntensity::severe(), seed);
             assert!(p.overruns.iter().all(|o| o.task != TaskId(0)));
         }
+    }
+
+    /// No draw reads `overrun_prob` on zero-weight tasks with no
+    /// processors, so only the up-front check rejects it.
+    #[test]
+    #[should_panic(expected = "probability 2 outside [0, 1]")]
+    fn random_plans_check_probabilities_before_drawing() {
+        let mut b = GraphBuilder::new();
+        b.add_task(0);
+        let g = b.build().unwrap();
+        let intensity = FaultIntensity {
+            overrun_prob: 2.0,
+            ..FaultIntensity::mild()
+        };
+        FaultPlan::random(&g, 0, 0.01, &intensity, 1);
     }
 
     #[test]

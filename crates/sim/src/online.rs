@@ -58,8 +58,7 @@ use crate::arrivals::{ArrivalColumn, Arrivals};
 use crate::error::SimError;
 use crate::exec::{bill_idle, run_frame, Frame, Resolver};
 use crate::faults::{
-    DrawnFaults, DvsFault, DvsFaults, FailStop, FaultChecker, FaultIntensity, FaultPlan, FaultSpec,
-    FaultView, InjectedEvent, Overrun, Overruns,
+    DrawnFaults, FaultChecker, FaultIntensity, FaultPlan, FaultSpec, FaultView, InjectedEvent,
 };
 use crate::recovery::{ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome};
 use crate::runner::DvsSwitchCost;
@@ -69,10 +68,7 @@ use lamps_core::{SchedulerConfig, SolveBudget, Strategy};
 use lamps_energy::EnergyBreakdown;
 use lamps_kpn::PeriodicDag;
 use lamps_obs::flight;
-use lamps_sched::ProcId;
-use lamps_taskgraph::TaskId;
 use std::collections::VecDeque;
-use std::ops::Range;
 
 /// How the online runtime behaves.
 #[derive(Debug, Clone)]
@@ -154,12 +150,8 @@ pub struct FrameInput<'a> {
 ///   the recipe they derive from (the intensity, the processor count,
 ///   the frame span and the stream seed, drawn over the actuals' WCET
 ///   copy), every frame's plan redrawn on read; for a table assembled
-///   from its arrays, eight fault arrays, all empty when no frame has a
-///   fault: every frame's overruns back to back as a task column and a
-///   factor column, every frame's DVS faults back to back, per frame the
-///   `u32` end offset of its overruns and of its DVS faults (a frame's
-///   slice starts at the previous frame's end), and the fail-stops as
-///   one presence bit, one `u32` processor and one `f64` time per frame.
+///   from its arrays, the [`FaultPlan`]s it was given, one per frame, or
+///   none when no frame has a fault.
 ///
 /// A table is built by [`FrameTable::from_parts`],
 /// [`OnlineStream::periodic`] or [`OnlineStream::synthesize`] and never
@@ -171,18 +163,14 @@ pub struct FrameInput<'a> {
 /// stream of `N` jobs built by [`OnlineStream::periodic`] or
 /// [`OnlineStream::synthesize`] owns exactly `8·N` heap bytes, its WCET
 /// copy, however many frames `F` it holds and whether or not it has
-/// faults. A table built by [`FrameTable::from_parts`] stores its
-/// actuals in `8·F·N` bytes, its arrivals in `8·F`, and, when some
-/// frame has a fault, `8·F + 12·F + 8·⌈F/64⌉ + 12·O + 24·D` bytes for
-/// its `O` overruns and `D` DVS faults (two 4-byte end offsets and a
-/// 12-byte fail-stop slot per frame, one 64-bit presence word per 64
-/// frames, and a 4-byte task and an 8-byte factor per overrun).
+/// faults. A table built by [`FrameTable::from_parts`] owns the vectors
+/// it was given: its actuals in `8·F·N` bytes, its arrivals in `8·F`,
+/// and, when some frame has a fault, the plans as they came.
 ///
 /// The stored layout is canonical: a table assembled from frames that
-/// carry no fault holds no fault arrays, and a frame without a
-/// fail-stop stores zeros in its slot. Arrivals, actuals and faults
-/// compare by value, whether derived or stored. So two tables compare
-/// equal exactly when every frame reads the same.
+/// carry no fault holds no plans. Arrivals, actuals and faults compare
+/// by value, whether derived or stored. So two tables compare equal
+/// exactly when every frame reads the same.
 #[derive(Debug, Clone, Default)]
 pub struct FrameTable {
     arrival_s: ArrivalColumn,
@@ -207,7 +195,8 @@ impl PartialEq for FrameTable {
 /// from a recipe.
 #[derive(Debug, Clone)]
 enum Faults {
-    Stored(FaultArrays),
+    /// One plan per frame, or none when no frame has a fault.
+    Stored(Box<[FaultPlan]>),
     Derived(FaultRecipe),
 }
 
@@ -223,7 +212,7 @@ struct FaultRecipe {
 
 impl Default for Faults {
     fn default() -> Self {
-        Faults::Stored(FaultArrays::default())
+        Faults::Stored(Box::default())
     }
 }
 
@@ -232,7 +221,9 @@ impl Faults {
     /// actuals are `actual`.
     fn view<'a>(&'a self, i: usize, actual: &'a Column) -> FaultView<'a> {
         match self {
-            Faults::Stored(arrays) => arrays.view(i),
+            Faults::Stored(plans) => plans
+                .get(i)
+                .map_or_else(FaultView::default, FaultPlan::view),
             Faults::Derived(recipe) => {
                 let wcet = actual
                     .wcet_bound()
@@ -244,144 +235,11 @@ impl Faults {
     }
 }
 
-/// The stored faults of a [`FrameTable`]: empty, or per frame two end
-/// offsets and a fail-stop slot. The offsets are `u32`, so a table
-/// holds at most `u32::MAX` overruns and as many DVS faults. A slot is
-/// a bit of `fail_present` with its entries of `fail_proc` and
-/// `fail_at_s`, both zero when the bit is clear; no processor value is
-/// reserved, so every [`ProcId`] round-trips.
-#[derive(Debug, Clone, Default)]
-struct FaultArrays {
-    overruns: OverrunColumns,
-    overrun_end: Vec<u32>,
-    dvs: Vec<DvsFault>,
-    dvs_end: Vec<u32>,
-    /// Bit `i % 64` of word `i / 64` is set when frame `i` fail-stops.
-    fail_present: Vec<u64>,
-    fail_proc: Vec<u32>,
-    fail_at_s: Vec<f64>,
-}
-
-impl FaultArrays {
-    /// Room for `frames` frames holding `overruns` overruns and `dvs`
-    /// DVS faults in all.
-    fn with_capacity(frames: usize, overruns: usize, dvs: usize) -> Self {
-        FaultArrays {
-            overruns: OverrunColumns::with_capacity(overruns),
-            overrun_end: Vec::with_capacity(frames),
-            dvs: Vec::with_capacity(dvs),
-            dvs_end: Vec::with_capacity(frames),
-            fail_present: Vec::with_capacity(frames.div_ceil(64)),
-            fail_proc: Vec::with_capacity(frames),
-            fail_at_s: Vec::with_capacity(frames),
-        }
-    }
-
-    /// Close the next frame: it owns the overruns and DVS faults
-    /// appended since the previous frame closed. Fails when either
-    /// array has outgrown its `u32` offsets.
-    fn end_frame(&mut self, fail_stop: Option<FailStop>) -> Result<(), SimError> {
-        let i = self.overrun_end.len();
-        self.overrun_end.push(offset(self.overruns.len())?);
-        self.dvs_end.push(offset(self.dvs.len())?);
-        if i % 64 == 0 {
-            self.fail_present.push(0);
-        }
-        let (proc, at_s) = match fail_stop {
-            Some(fs) => {
-                self.fail_present[i / 64] |= 1 << (i % 64);
-                (fs.proc.0, fs.at_s)
-            }
-            None => (0, 0.0),
-        };
-        self.fail_proc.push(proc);
-        self.fail_at_s.push(at_s);
-        Ok(())
-    }
-
-    /// Drop every array when no frame has a fault.
-    fn canonicalize(&mut self) {
-        if self.overruns.is_empty()
-            && self.dvs.is_empty()
-            && self.fail_present.iter().all(|&w| w == 0)
-        {
-            *self = FaultArrays::default();
-        }
-    }
-
-    /// Frame `i`'s faults (`i` below the frame count).
-    fn view(&self, i: usize) -> FaultView<'_> {
-        if self.overrun_end.is_empty() {
-            return FaultView::default();
-        }
-        let present = self.fail_present[i / 64] >> (i % 64) & 1 == 1;
-        FaultView {
-            overruns: self.overruns.view(frame_range(&self.overrun_end, i)),
-            fail_stop: present.then(|| FailStop {
-                proc: ProcId(self.fail_proc[i]),
-                at_s: self.fail_at_s[i],
-            }),
-            dvs: DvsFaults::from(&self.dvs[frame_range(&self.dvs_end, i)]),
-        }
-    }
-}
-
-/// A flat fault array's length as a `u32` end offset.
-fn offset(len: usize) -> Result<u32, SimError> {
-    u32::try_from(len).map_err(|_| {
-        SimError::BadStream(format!("{len} faults of one kind overflow the u32 offsets"))
-    })
-}
-
-/// The range of frame `i`'s entries in a flat array with per-frame end
-/// offsets `ends`.
-fn frame_range(ends: &[u32], i: usize) -> Range<usize> {
-    i.checked_sub(1).map_or(0, |p| ends[p] as usize)..ends[i] as usize
-}
-
-/// Every frame's overruns back to back, as two columns of equal length:
-/// 12 bytes an overrun, where a padded [`Overrun`] takes 16.
-#[derive(Debug, Clone, Default)]
-struct OverrunColumns {
-    task: Vec<TaskId>,
-    factor: Vec<f64>,
-}
-
-impl OverrunColumns {
-    fn with_capacity(len: usize) -> Self {
-        OverrunColumns {
-            task: Vec::with_capacity(len),
-            factor: Vec::with_capacity(len),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.task.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.task.is_empty()
-    }
-
-    fn view(&self, range: Range<usize>) -> Overruns<'_> {
-        Overruns::columns(&self.task[range.clone()], &self.factor[range])
-    }
-}
-
-impl Extend<Overrun> for OverrunColumns {
-    fn extend<I: IntoIterator<Item = Overrun>>(&mut self, overruns: I) {
-        for o in overruns {
-            self.task.push(o.task);
-            self.factor.push(o.factor);
-        }
-    }
-}
-
 impl FrameTable {
     /// Assemble a table from its arrays: `actual` must hold `jobs`
-    /// entries per arrival, `faults` none or one plan per arrival. The
-    /// actuals are stored as given; the plans are flattened into the
-    /// table's fault arrays.
+    /// entries per arrival, `faults` none or one plan per arrival. All
+    /// three are kept as given (the vectors boxed), except that plans
+    /// which are all empty are dropped.
     pub fn from_parts(
         arrival_s: Vec<f64>,
         jobs: usize,
@@ -401,22 +259,16 @@ impl FrameTable {
                 faults.len()
             )));
         }
-        let mut flat = FaultArrays::with_capacity(
-            faults.len(),
-            faults.iter().map(|p| p.overruns.len()).sum(),
-            faults.iter().map(|p| p.dvs.len()).sum(),
-        );
-        for plan in &faults {
-            flat.overruns.extend(plan.overruns.iter().copied());
-            flat.dvs.extend_from_slice(&plan.dvs);
-            flat.end_frame(plan.fail_stop)?;
-        }
-        flat.canonicalize();
+        let faults = if faults.iter().all(FaultPlan::is_empty) {
+            Box::default()
+        } else {
+            faults.into_boxed_slice()
+        };
         Ok(FrameTable {
             arrival_s: ArrivalColumn::Explicit(arrival_s),
             actual: Column::from_values(actual),
             jobs,
-            faults: Faults::Stored(flat),
+            faults: Faults::Stored(faults),
         })
     }
 
@@ -467,9 +319,9 @@ impl FrameTable {
 /// A stream of frames for [`run_online`]: arrivals, actual cycles and
 /// faults held as the stream-level arrays of a [`FrameTable`] (the
 /// arrival progression or one arrival per frame, the actuals' recipe or
-/// one flat stride-`jobs` column of them, and flat fault arrays that are
-/// empty for a fault-free stream), read frame by frame through borrowed
-/// [`FrameInput`] views.
+/// one flat stride-`jobs` column of them, and the fault recipe or one
+/// plan per frame, none for a fault-free stream), read frame by frame
+/// through borrowed [`FrameInput`] views.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStream {
     /// The frames, in arrival order.
@@ -970,8 +822,9 @@ fn shed_record(i: usize, verdict: AdmissionVerdict, n: usize) -> FrameRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultIntensity;
+    use crate::faults::{DvsFault, FailStop, FaultIntensity, Overrun};
     use lamps_kpn::PeriodicSet;
+    use lamps_sched::ProcId;
 
     fn cfg() -> SchedulerConfig {
         SchedulerConfig::paper()
@@ -1349,7 +1202,6 @@ mod tests {
     /// kind of fault.
     fn mixed_plans() -> Vec<FaultPlan> {
         use crate::faults::DvsFaultKind;
-        use lamps_sched::ProcId;
         use lamps_taskgraph::TaskId;
         let overrun = |t: u32, factor: f64| Overrun {
             task: TaskId(t),
@@ -1715,8 +1567,8 @@ mod tests {
         }
     }
 
-    /// A table whose frames carry no fault stores no fault arrays, and
-    /// reads like the fault-free table whichever way it was built, so it
+    /// A table whose frames carry no fault stores no plans, and reads
+    /// like the fault-free table whichever way it was built, so it
     /// equals it.
     #[test]
     fn fault_free_tables_are_canonical() {
@@ -1728,7 +1580,9 @@ mod tests {
         let parts = |faults| {
             FrameTable::from_parts(arrivals.clone(), clean.jobs(), actual.clone(), faults).unwrap()
         };
-        assert_eq!(parts(vec![FaultPlan::none(); 5]), clean);
+        let empty_plans = parts(vec![FaultPlan::none(); 5]);
+        assert!(matches!(&empty_plans.faults, Faults::Stored(p) if p.is_empty()));
+        assert_eq!(empty_plans, clean);
         assert_eq!(parts(vec![]), clean);
         assert_ne!(parts(mixed_plans()[..5].to_vec()), clean);
 

@@ -11,17 +11,15 @@
 //! no capacity slack.
 //!
 //! A table assembled by `FrameTable::from_parts` stores what it is
-//! given. The copy of a faulty stream, with `O` overruns and `D` DVS
-//! faults over all its frames, holds its `8·F` arrivals, its `8·F·N`
-//! actuals and eight flat fault arrays of exactly
+//! given and allocates nothing when its inputs come at exact capacity.
+//! The copy of a faulty stream holds its `8·F` arrivals, its `8·F·N`
+//! actuals and its `F` fault plans, one `FaultPlan` each, with every
+//! plan's own lists: exactly
 //!
-//! `8·F + 12·F + 8·⌈F/64⌉ + 12·O + 24·D` bytes
+//! `8·F + 8·F·N + size_of::<FaultPlan>()·F + Σ (16·overruns + 24·dvs)`
 //!
-//! (per frame two 4-byte end offsets and a fail-stop slot of a `u32`
-//! processor and an `f64` time, one 64-bit presence word per 64 frames;
-//! per overrun a `u32` task and an `f64` factor in two columns, not a
-//! padded 16-byte `Overrun`; 24 bytes per `DvsFault`), one allocation
-//! per fault array whatever `F` is. A byte-counting global allocator
+//! bytes, the sum over the plans' list capacities (16 bytes per
+//! `Overrun`, 24 per `DvsFault`). A byte-counting global allocator
 //! measures the live heap around each build.
 
 use lamps_kpn::{PeriodicDag, PeriodicSet};
@@ -112,11 +110,9 @@ fn streams_hold_only_their_arrays() {
     // With faults: a synthesized stream stores the fault recipe inline
     // and draws every frame's plan on read, so it owns the same `8·N`
     // bytes in one allocation. Its `from_parts` copy stores the same
-    // frames: explicit arrivals, a `u64` actuals column and the eight
-    // flat fault arrays, at exact size, one allocation per array. An
-    // overrun is stored as its two fields, not as the padded struct.
+    // frames: explicit arrivals, a `u64` actuals column and the plans it
+    // was handed, kept as they came, with no allocation of its own.
     assert_eq!((size_of::<Overrun>(), size_of::<DvsFault>()), (16, 24));
-    let overrun_bytes = size_of::<u32>() + size_of::<f64>();
     let moderate = FaultIntensity::moderate();
     for frames in [1, 10, 64, 65, 125] {
         let (s, bytes, allocs) = retained(|| {
@@ -134,19 +130,20 @@ fn streams_hold_only_their_arrays() {
         let dvs: usize = s.frames.iter().map(|fr| fr.faults.dvs.len()).sum();
         assert!(s.frames.iter().all(|fr| fr.faults.fail_stop.is_some()));
         assert!(overruns > 0 && dvs > 0, "{frames} frames draw both kinds");
-        let fault_bytes = 8 * frames
-            + 12 * frames
-            + 8 * frames.div_ceil(64)
-            + overrun_bytes * overruns
-            + 24 * dvs;
         let parts = || {
             let t = &s.frames;
             let plans: Vec<FaultPlan> = t.iter().map(|fr| fr.faults.to_plan()).collect();
             (t.arrival_s().to_vec(), t.actual().to_vec(), plans)
         };
-        // Built inside the measurement, the copy keeps its inputs'
-        // arrivals and actuals and the fault arrays; the plans it
-        // flattens are freed.
+        let (_, _, plans) = parts();
+        assert_eq!(plans.capacity(), frames);
+        let list_bytes: usize = plans
+            .iter()
+            .map(|p| 16 * p.overruns.capacity() + 24 * p.dvs.capacity())
+            .sum();
+        let fault_bytes = size_of::<FaultPlan>() * frames + list_bytes;
+        // Built inside the measurement, the copy keeps its inputs:
+        // arrivals, actuals, the plan vector and every plan's lists.
         let (copy, stored) = on_this_thread(|| {
             let (arrivals, actual, plans) = parts();
             FrameTable::from_parts(arrivals, n, actual, plans).unwrap()
@@ -160,42 +157,52 @@ fn streams_hold_only_their_arrays() {
         let (arrivals, actual, plans) = parts();
         let (_, tally) =
             on_this_thread(|| FrameTable::from_parts(arrivals, n, actual, plans).unwrap());
-        assert_eq!(tally.calls, 8, "stored moderate faults, {frames} frames");
+        assert_eq!(tally.calls, 0, "stored moderate faults, {frames} frames");
     }
 }
 
-/// Reading a synthesized fault stream allocates nothing: each frame's
-/// view through `get` and `iter`, its fail-stop, and every overrun and
-/// DVS fault it draws, over every frame.
+/// Reading a fault stream allocates nothing, drawn or stored: each
+/// frame's view through `get` and `iter`, its fail-stop, and every
+/// overrun and DVS fault it holds, over every frame of a synthesized
+/// stream and of its `from_parts` copy.
 #[test]
 fn reading_derived_faults_allocates_nothing() {
     let dag = dag();
     let f_max = lamps_core::SchedulerConfig::paper().max_frequency();
     let severe = FaultIntensity::severe();
     let s = OnlineStream::synthesize(&dag, 3, 125, 1.0, 0.6, 1.0, Some(&severe), f_max, 2006);
-    let (read, tally) = on_this_thread(|| {
-        let (mut overruns, mut dvs, mut fail_stops, mut bits) = (0, 0, 0, 0u64);
-        for (i, fr) in s.frames.iter().enumerate() {
-            let again = s.frames.get(i).expect("frame below len").faults;
-            for faults in [fr.faults, again] {
-                for o in faults.overruns {
-                    overruns += 1;
-                    bits ^= o.factor.to_bits();
-                }
-                for d in faults.dvs.iter() {
-                    dvs += 1;
-                    bits ^= u64::from(d.proc.0);
-                }
-                if let Some(fs) = faults.fail_stop {
-                    fail_stops += 1;
-                    bits ^= fs.at_s.to_bits();
+    let t = &s.frames;
+    let plans = t.iter().map(|fr| fr.faults.to_plan()).collect();
+    let copy = FrameTable::from_parts(t.arrival_s().to_vec(), t.jobs(), t.actual().to_vec(), plans)
+        .unwrap();
+    let mut reads = Vec::new();
+    for (form, table) in [("derived", t), ("stored", &copy)] {
+        let (read, tally) = on_this_thread(|| {
+            let (mut overruns, mut dvs, mut fail_stops, mut bits) = (0, 0, 0, 0u64);
+            for (i, fr) in table.iter().enumerate() {
+                let again = table.get(i).expect("frame below len").faults;
+                for faults in [fr.faults, again] {
+                    for o in faults.overruns {
+                        overruns += 1;
+                        bits ^= o.factor.to_bits();
+                    }
+                    for d in faults.dvs.iter() {
+                        dvs += 1;
+                        bits ^= u64::from(d.proc.0);
+                    }
+                    if let Some(fs) = faults.fail_stop {
+                        fail_stops += 1;
+                        bits ^= fs.at_s.to_bits();
+                    }
                 }
             }
-        }
-        (overruns, dvs, fail_stops, bits)
-    });
-    let (overruns, dvs, fail_stops, _) = read;
-    assert!(overruns > 0 && dvs > 0, "the stream draws both kinds");
-    assert_eq!(fail_stops, 2 * s.frames.len());
-    assert_eq!(tally.calls, 0, "{read:?}");
+            (overruns, dvs, fail_stops, bits)
+        });
+        let (overruns, dvs, fail_stops, _) = read;
+        assert!(overruns > 0 && dvs > 0, "{form}: the stream has both kinds");
+        assert_eq!(fail_stops, 2 * table.len(), "{form}");
+        assert_eq!(tally.calls, 0, "{form}: {read:?}");
+        reads.push(read);
+    }
+    assert_eq!(reads[0], reads[1], "both forms read the same faults");
 }
