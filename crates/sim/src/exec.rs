@@ -24,7 +24,7 @@
 //! but never re-solves). Idle gaps are billed afterwards by
 //! [`bill_idle`], once the caller knows where the frame's window ends.
 
-use crate::faults::{DvsFaultKind, FailStop, FaultView, InjectedEvent};
+use crate::faults::{DvsFaultKind, FailStop, FaultPlan, InjectedEvent};
 use crate::recovery::{
     sort_lateness, ExecRecord, FaultyRunReport, RecoveryAction, RecoveryPolicy, RunOutcome,
     TaskLateness,
@@ -53,10 +53,10 @@ pub(crate) struct Frame<'a> {
     pub plan_level: OperatingPoint,
     pub n_procs: usize,
     /// Cycles each task executes: its actual (≤ WCET), or its overrun
-    /// (see [`FaultView::effective_cycles`]).
+    /// (see [`FaultPlan::effective_cycles`]).
     pub cycles: &'a [u64],
     /// Faults, times relative to the frame start.
-    pub faults: FaultView<'a>,
+    pub faults: &'a FaultPlan,
     /// Due time per task, frame-relative \[s\].
     pub due_s: &'a [f64],
     /// Whether suffix re-solves must meet every task's own due time, or
@@ -156,7 +156,7 @@ pub(crate) fn run_frame(
         .collect();
     // Validated faults name each processor at most once, so one pass
     // reads them all.
-    for d in fr.faults.dvs {
+    for d in &fr.faults.dvs {
         let ps = &mut procs[d.proc.index()];
         match d.kind {
             DvsFaultKind::StuckAtLevel => ps.stuck = true,

@@ -14,7 +14,6 @@
 //! the run already completed, a stuck regulator on a processor that
 //! never tried to switch) leaves no event.
 
-use crate::actuals::Actuals;
 use crate::error::{bad_plan, check_proc, SimError};
 use lamps_sched::ProcId;
 use lamps_taskgraph::rng::Rng;
@@ -62,8 +61,10 @@ pub struct Overrun {
     pub factor: f64,
 }
 
-/// Everything that will go wrong during one run, owned; code reads it
-/// through [`FaultPlan::view`].
+/// Everything that will go wrong during one run, owned. The runners and
+/// checkers read every fault through a `&FaultPlan`: a frame of an
+/// online stream is read into one by [`crate::FrameTable::read`], which
+/// refills the same plan's lists frame after frame.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Per-task WCET overruns (at most one entry per task).
@@ -129,16 +130,7 @@ impl FaultPlan {
 
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.view().is_empty()
-    }
-
-    /// The plan as the borrowed view every reader takes.
-    pub fn view(&self) -> FaultView<'_> {
-        FaultView {
-            overruns: Overruns::from(self.overruns.as_slice()),
-            fail_stop: self.fail_stop,
-            dvs: DvsFaults::from(self.dvs.as_slice()),
-        }
+        self.overruns.is_empty() && self.fail_stop.is_none() && self.dvs.is_empty()
     }
 
     /// Draw a plan from a seed. Deterministic: the same
@@ -163,13 +155,81 @@ impl FaultPlan {
             deadline_s,
         };
         spec.check();
-        let mut draw = DrawnFaults::new(&spec, graph.weights(), seed).walk();
-        let overruns = std::iter::from_fn(|| draw.overrun()).collect();
-        let fail_stop = draw.fail_stop();
-        FaultPlan {
-            overruns,
-            fail_stop,
-            dvs: std::iter::from_fn(|| draw.dvs()).collect(),
+        let mut plan = FaultPlan::none();
+        plan.draw(&spec, graph.weights(), seed);
+        plan
+    }
+
+    /// Refill the plan, in place, with the faults `spec` draws over the
+    /// job WCETs `wcet` from `seed`: the one draw behind
+    /// [`FaultPlan::random`] and every read of a synthesized stream's
+    /// faults. It walks the RNG in the only order there is: per task of
+    /// positive WCET whether it overruns and by what factor, then the
+    /// fail-stop, then per processor whether its regulator is faulty and
+    /// how. The lists keep their capacity, so a warm plan allocates
+    /// nothing. The caller checks `spec`.
+    pub(crate) fn draw(&mut self, spec: &FaultSpec, wcet: &[u64], seed: u64) {
+        let fi = &spec.intensity;
+        let mut rng = Rng::seed_from_u64(seed ^ 0xFA_07_5E_ED);
+        self.overruns.clear();
+        for (j, &w) in wcet.iter().enumerate() {
+            if w > 0 && rng.gen_bool(fi.overrun_prob) {
+                let factor = rng.gen_range(1.0..=fi.max_overrun_factor.max(1.0));
+                let task = TaskId(j as u32);
+                self.overruns.push(Overrun { task, factor });
+            }
+        }
+        self.fail_stop = (fi.fail_stop && spec.n_procs > 0).then(|| FailStop {
+            proc: ProcId(rng.gen_range(0u32..spec.n_procs as u32)),
+            at_s: rng.gen_range(0.0..=spec.deadline_s.max(0.0)),
+        });
+        self.dvs.clear();
+        for p in 0..spec.n_procs as u32 {
+            if rng.gen_bool(fi.dvs_fault_prob) {
+                let kind = if rng.gen_bool(0.5) {
+                    DvsFaultKind::StuckAtLevel
+                } else {
+                    DvsFaultKind::ExtraLatency {
+                        extra_s: rng.gen_range(1.0e-5..=1.0e-3),
+                    }
+                };
+                self.dvs.push(DvsFault {
+                    proc: ProcId(p),
+                    kind,
+                });
+            }
+        }
+    }
+
+    /// Overwrite the plan with `other`'s faults, keeping the lists'
+    /// capacity.
+    pub(crate) fn copy_from(&mut self, other: &FaultPlan) {
+        self.overruns.clone_from(&other.overruns);
+        self.fail_stop = other.fail_stop;
+        self.dvs.clone_from(&other.dvs);
+    }
+
+    /// Check the faults against a graph and machine size: overrun
+    /// factors finite and ≥ 1 on tasks of the graph (one entry per
+    /// task), fault times finite and ≥ 0, processors in range (one DVS
+    /// entry per processor), extra latencies finite and ≥ 0.
+    pub fn validate(&self, graph: &TaskGraph, n_procs: usize) -> Result<(), SimError> {
+        FaultChecker::new(graph, n_procs).check(self)
+    }
+
+    /// Fill `out` with the cycle counts tasks will *actually* execute:
+    /// `actual` everywhere, except overrunning tasks run
+    /// `round(wcet × factor)` (at least 1) regardless of their drawn
+    /// actuals — a mis-characterized WCET dwarfs normal variation. The
+    /// caller owns `out`, so one buffer serves every frame of a stream.
+    pub fn effective_cycles(&self, graph: &TaskGraph, actual: &[u64], out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(actual);
+        for o in &self.overruns {
+            let w = graph.weight(o.task);
+            if w > 0 {
+                out[o.task.index()] = ((w as f64 * o.factor).round() as u64).max(1);
+            }
         }
     }
 }
@@ -194,357 +254,7 @@ impl FaultSpec {
     }
 }
 
-/// One run's faults as a recipe, not yet drawn: the spec, the job
-/// WCETs and the run's seed. `Copy`, and owns nothing, so a view can
-/// carry it and redraw on every read.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DrawnFaults<'a> {
-    spec: &'a FaultSpec,
-    wcet: &'a [u64],
-    seed: u64,
-}
-
-impl<'a> DrawnFaults<'a> {
-    pub(crate) fn new(spec: &'a FaultSpec, wcet: &'a [u64], seed: u64) -> Self {
-        DrawnFaults { spec, wcet, seed }
-    }
-
-    /// A fresh walk of the draw, from its first overrun on.
-    fn walk(self) -> FaultDraw<'a> {
-        FaultDraw {
-            from: self,
-            rng: Rng::seed_from_u64(self.seed ^ 0xFA_07_5E_ED),
-            task: 0,
-            proc: 0,
-        }
-    }
-}
-
-/// The one fault draw behind [`FaultPlan::random`] and every read of a
-/// synthesized stream's faults, so both consume the same RNG sequence:
-/// per task of positive WCET whether it overruns and by what factor,
-/// then the fail-stop, then per processor whether its regulator is
-/// faulty and how. Readers take the three parts in that order.
-#[derive(Debug, Clone)]
-struct FaultDraw<'a> {
-    from: DrawnFaults<'a>,
-    rng: Rng,
-    /// The next task to draw an overrun for.
-    task: usize,
-    /// The next processor to draw a DVS fault for.
-    proc: u32,
-}
-
-impl FaultDraw<'_> {
-    /// The next overrun, or `None` once every task has drawn.
-    fn overrun(&mut self) -> Option<Overrun> {
-        let fi = &self.from.spec.intensity;
-        while let Some(&w) = self.from.wcet.get(self.task) {
-            let task = TaskId(self.task as u32);
-            self.task += 1;
-            if w > 0 && self.rng.gen_bool(fi.overrun_prob) {
-                let factor = self.rng.gen_range(1.0..=fi.max_overrun_factor.max(1.0));
-                return Some(Overrun { task, factor });
-            }
-        }
-        None
-    }
-
-    /// The fail-stop, drawn after whatever overruns are left.
-    fn fail_stop(&mut self) -> Option<FailStop> {
-        while self.overrun().is_some() {}
-        let spec = self.from.spec;
-        (spec.intensity.fail_stop && spec.n_procs > 0).then(|| FailStop {
-            proc: ProcId(self.rng.gen_range(0u32..spec.n_procs as u32)),
-            at_s: self.rng.gen_range(0.0..=spec.deadline_s.max(0.0)),
-        })
-    }
-
-    /// The next DVS fault, or `None` once every processor has drawn.
-    /// Call after [`FaultDraw::fail_stop`].
-    fn dvs(&mut self) -> Option<DvsFault> {
-        let spec = self.from.spec;
-        while self.proc < spec.n_procs as u32 {
-            let proc = ProcId(self.proc);
-            self.proc += 1;
-            if self.rng.gen_bool(spec.intensity.dvs_fault_prob) {
-                let kind = if self.rng.gen_bool(0.5) {
-                    DvsFaultKind::StuckAtLevel
-                } else {
-                    DvsFaultKind::ExtraLatency {
-                        extra_s: self.rng.gen_range(1.0e-5..=1.0e-3),
-                    }
-                };
-                return Some(DvsFault { proc, kind });
-            }
-        }
-        None
-    }
-}
-
-/// A `Copy` view of one run's faults — the only way the runners and
-/// checkers read them. It owns no heap memory.
-///
-/// A [`FaultPlan`] lends one through [`FaultPlan::view`], of its own
-/// lists. Frame `i` of an online stream lends one through
-/// [`crate::FrameTable::get`], in one of two forms:
-///
-/// * stored, in a table assembled by [`crate::FrameTable::from_parts`]:
-///   the view of frame `i`'s plan, as [`FaultPlan::view`] lends it;
-/// * derived, in a stream built by [`crate::OnlineStream::synthesize`]:
-///   the view carries the stream's fault recipe and the frame's seed.
-///   `fail_stop` is drawn when the view is made; `overruns` and `dvs`
-///   redraw the frame's plan from its seed on every read, through the
-///   generator behind [`FaultPlan::random`], so each read gives the same
-///   bits and costs O(N + P) draws for `N` jobs and `P` processors.
-///
-/// Two views are equal when they hold the same faults, whatever their
-/// forms.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultView<'a> {
-    /// Per-task WCET overruns (at most one entry per task).
-    pub overruns: Overruns<'a>,
-    /// At most one processor fail-stop.
-    pub fail_stop: Option<FailStop>,
-    /// DVS regulator faults (at most one entry per processor).
-    pub dvs: DvsFaults<'a>,
-}
-
-impl<'a> FaultView<'a> {
-    /// The view of a derived frame: its fail-stop drawn now, its
-    /// overruns and DVS faults on every read.
-    pub(crate) fn drawn(draw: DrawnFaults<'a>) -> Self {
-        FaultView {
-            overruns: Overruns(OverrunSlice::Drawn(draw)),
-            fail_stop: draw.walk().fail_stop(),
-            dvs: DvsFaults(DvsSlice::Drawn(draw)),
-        }
-    }
-
-    /// Whether the view injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.overruns.is_empty() && self.fail_stop.is_none() && self.dvs.is_empty()
-    }
-
-    /// An owned copy of the faults.
-    pub fn to_plan(&self) -> FaultPlan {
-        FaultPlan {
-            overruns: self.overruns.iter().collect(),
-            fail_stop: self.fail_stop,
-            dvs: self.dvs.iter().collect(),
-        }
-    }
-
-    /// Check the faults against a graph and machine size: overrun
-    /// factors finite and ≥ 1 on tasks of the graph (one entry per
-    /// task), fault times finite and ≥ 0, processors in range (one DVS
-    /// entry per processor), extra latencies finite and ≥ 0.
-    pub fn validate(&self, graph: &TaskGraph, n_procs: usize) -> Result<(), SimError> {
-        FaultChecker::new(graph, n_procs).check(self)
-    }
-
-    /// Fill `out` with the cycle counts tasks will *actually* execute:
-    /// `actual` everywhere, except overrunning tasks run
-    /// `round(wcet × factor)` (at least 1) regardless of their drawn
-    /// actuals — a mis-characterized WCET dwarfs normal variation. The
-    /// caller owns `out`, so one buffer serves every frame of a stream.
-    pub fn effective_cycles(&self, graph: &TaskGraph, actual: Actuals<'_>, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(actual.iter());
-        for o in self.overruns.iter() {
-            let w = graph.weight(o.task);
-            if w > 0 {
-                out[o.task.index()] = ((w as f64 * o.factor).round() as u64).max(1);
-            }
-        }
-    }
-}
-
-/// A run of overruns: a plan's own list or a derived frame's draw. Read
-/// as [`Overrun`] values either way; two views are equal when they hold
-/// the same overruns in the same order.
-#[derive(Debug, Clone, Copy)]
-pub struct Overruns<'a>(OverrunSlice<'a>);
-
-#[derive(Debug, Clone, Copy)]
-enum OverrunSlice<'a> {
-    Rows(&'a [Overrun]),
-    Drawn(DrawnFaults<'a>),
-}
-
-impl<'a> Overruns<'a> {
-    /// Number of overruns. On a derived view this redraws them.
-    pub fn len(&self) -> usize {
-        match self.0 {
-            OverrunSlice::Rows(rows) => rows.len(),
-            OverrunSlice::Drawn(_) => self.iter().count(),
-        }
-    }
-
-    /// Whether the view holds no overrun.
-    pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
-    }
-
-    /// The overruns in order.
-    pub fn iter(&self) -> OverrunsIter<'a> {
-        OverrunsIter(match self.0 {
-            OverrunSlice::Rows(rows) => OverrunsForm::Rows(rows.iter()),
-            OverrunSlice::Drawn(draw) => OverrunsForm::Drawn(draw.walk()),
-        })
-    }
-}
-
-impl Default for Overruns<'_> {
-    fn default() -> Self {
-        Overruns(OverrunSlice::Rows(&[]))
-    }
-}
-
-impl<'a> From<&'a [Overrun]> for Overruns<'a> {
-    fn from(rows: &'a [Overrun]) -> Self {
-        Overruns(OverrunSlice::Rows(rows))
-    }
-}
-
-impl PartialEq for Overruns<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl<'a> IntoIterator for Overruns<'a> {
-    type Item = Overrun;
-    type IntoIter = OverrunsIter<'a>;
-
-    fn into_iter(self) -> OverrunsIter<'a> {
-        self.iter()
-    }
-}
-
-/// The overruns of an [`Overruns`] view.
-#[derive(Debug, Clone)]
-pub struct OverrunsIter<'a>(OverrunsForm<'a>);
-
-#[derive(Debug, Clone)]
-enum OverrunsForm<'a> {
-    Rows(std::slice::Iter<'a, Overrun>),
-    Drawn(FaultDraw<'a>),
-}
-
-impl Iterator for OverrunsIter<'_> {
-    type Item = Overrun;
-
-    fn next(&mut self) -> Option<Overrun> {
-        match &mut self.0 {
-            OverrunsForm::Rows(rows) => rows.next().copied(),
-            OverrunsForm::Drawn(draw) => draw.overrun(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.0 {
-            OverrunsForm::Rows(rows) => rows.size_hint(),
-            OverrunsForm::Drawn(_) => (0, None),
-        }
-    }
-}
-
-/// A run of DVS faults: a plan's own list or a derived frame's draw.
-/// Read as [`DvsFault`] values either way; two views are equal when they
-/// hold the same faults in the same order.
-#[derive(Debug, Clone, Copy)]
-pub struct DvsFaults<'a>(DvsSlice<'a>);
-
-#[derive(Debug, Clone, Copy)]
-enum DvsSlice<'a> {
-    Stored(&'a [DvsFault]),
-    Drawn(DrawnFaults<'a>),
-}
-
-impl<'a> DvsFaults<'a> {
-    /// Number of DVS faults. On a derived view this redraws the frame.
-    pub fn len(&self) -> usize {
-        match self.0 {
-            DvsSlice::Stored(v) => v.len(),
-            DvsSlice::Drawn(_) => self.iter().count(),
-        }
-    }
-
-    /// Whether the view holds no DVS fault.
-    pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
-    }
-
-    /// The DVS faults in order.
-    pub fn iter(&self) -> DvsFaultsIter<'a> {
-        DvsFaultsIter(match self.0 {
-            DvsSlice::Stored(v) => DvsForm::Stored(v.iter()),
-            DvsSlice::Drawn(draw) => {
-                let mut draw = draw.walk();
-                draw.fail_stop();
-                DvsForm::Drawn(draw)
-            }
-        })
-    }
-}
-
-impl Default for DvsFaults<'_> {
-    fn default() -> Self {
-        DvsFaults(DvsSlice::Stored(&[]))
-    }
-}
-
-impl<'a> From<&'a [DvsFault]> for DvsFaults<'a> {
-    fn from(faults: &'a [DvsFault]) -> Self {
-        DvsFaults(DvsSlice::Stored(faults))
-    }
-}
-
-impl PartialEq for DvsFaults<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl<'a> IntoIterator for DvsFaults<'a> {
-    type Item = DvsFault;
-    type IntoIter = DvsFaultsIter<'a>;
-
-    fn into_iter(self) -> DvsFaultsIter<'a> {
-        self.iter()
-    }
-}
-
-/// The faults of a [`DvsFaults`] view.
-#[derive(Debug, Clone)]
-pub struct DvsFaultsIter<'a>(DvsForm<'a>);
-
-#[derive(Debug, Clone)]
-enum DvsForm<'a> {
-    Stored(std::slice::Iter<'a, DvsFault>),
-    Drawn(FaultDraw<'a>),
-}
-
-impl Iterator for DvsFaultsIter<'_> {
-    type Item = DvsFault;
-
-    fn next(&mut self) -> Option<DvsFault> {
-        match &mut self.0 {
-            DvsForm::Stored(v) => v.next().copied(),
-            DvsForm::Drawn(draw) => draw.dvs(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.0 {
-            DvsForm::Stored(v) => v.size_hint(),
-            DvsForm::Drawn(_) => (0, None),
-        }
-    }
-}
-
-/// Validates any number of [`FaultView`]s against one graph and machine
+/// Validates any number of [`FaultPlan`]s against one graph and machine
 /// with a single pair of duplicate markers: a marker holds the stamp of
 /// the last check that set it, so no check clears or reallocates them.
 pub(crate) struct FaultChecker<'g> {
@@ -566,11 +276,11 @@ impl<'g> FaultChecker<'g> {
         }
     }
 
-    /// Validate one view; see [`FaultView::validate`].
-    pub(crate) fn check(&mut self, faults: &FaultView<'_>) -> Result<(), SimError> {
+    /// Validate one plan; see [`FaultPlan::validate`].
+    pub(crate) fn check(&mut self, faults: &FaultPlan) -> Result<(), SimError> {
         self.stamp += 1;
         let (graph, n_procs, stamp) = (self.graph, self.n_procs, self.stamp);
-        for o in faults.overruns.iter() {
+        for o in &faults.overruns {
             if o.task.index() >= graph.len() {
                 return Err(bad_plan(format!("{} not in the graph", o.task)));
             }
@@ -595,7 +305,7 @@ impl<'g> FaultChecker<'g> {
                 )));
             }
         }
-        for d in faults.dvs {
+        for d in &faults.dvs {
             check_proc(d.proc, n_procs)?;
             if let DvsFaultKind::ExtraLatency { extra_s } = d.kind {
                 if !extra_s.is_finite() || extra_s < 0.0 {
@@ -685,7 +395,7 @@ mod tests {
         ] {
             for seed in 0..50 {
                 let p = FaultPlan::random(&g, 3, 0.02, &intensity, seed);
-                p.view().validate(&g, 3).unwrap();
+                p.validate(&g, 3).unwrap();
             }
         }
     }
@@ -726,8 +436,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let mut eff = Vec::new();
-        plan.view()
-            .effective_cycles(&g, actual.as_slice().into(), &mut eff);
+        plan.effective_cycles(&g, &actual, &mut eff);
         assert_eq!(eff[3], 1_500_000);
         assert_eq!(eff[1], 500_000);
     }
@@ -738,9 +447,7 @@ mod tests {
         let actual: Vec<u64> = g.weights().to_vec();
         assert!(FaultPlan::none().is_empty());
         let mut eff = vec![7; 3];
-        FaultPlan::none()
-            .view()
-            .effective_cycles(&g, actual.as_slice().into(), &mut eff);
+        FaultPlan::none().effective_cycles(&g, &actual, &mut eff);
         assert_eq!(eff, actual);
     }
 
@@ -801,10 +508,10 @@ mod tests {
         ];
         for plan in bad {
             assert!(
-                matches!(plan.view().validate(&g, 2), Err(SimError::BadFaultPlan(_))),
+                matches!(plan.validate(&g, 2), Err(SimError::BadFaultPlan(_))),
                 "{plan:?} must be rejected"
             );
         }
-        FaultPlan::none().view().validate(&g, 2).unwrap();
+        FaultPlan::none().validate(&g, 2).unwrap();
     }
 }

@@ -23,8 +23,8 @@
 //! per-task level, idle gaps at idle power or asleep when the interval
 //! beats the §3.4 break-even, up to the deadline horizon.
 
-pub mod actuals;
-pub mod arrivals;
+mod actuals;
+mod arrivals;
 pub mod error;
 mod exec;
 pub mod faults;
@@ -33,12 +33,9 @@ pub mod recovery;
 pub mod runner;
 pub mod workload;
 
-pub use actuals::Actuals;
-pub use arrivals::Arrivals;
 pub use error::SimError;
 pub use faults::{
-    DvsFault, DvsFaultKind, DvsFaults, DvsFaultsIter, FailStop, FaultIntensity, FaultPlan,
-    FaultView, InjectedEvent, Overrun, Overruns, OverrunsIter,
+    DvsFault, DvsFaultKind, FailStop, FaultIntensity, FaultPlan, InjectedEvent, Overrun,
 };
 pub use online::{
     run_online, AdmissionVerdict, FrameInput, FrameRecord, FrameTable, OnlineConfig, OnlineReport,

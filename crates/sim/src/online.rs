@@ -27,7 +27,7 @@
 //!   and is flagged `degraded`. Fail-stop re-plans bypass the budget
 //!   (migrating off a dead processor is correctness, not optimization)
 //!   but count toward the step metrics. Each frame carries its own
-//!   faults (a [`FaultView`], times relative to the frame start); a
+//!   faults (a [`FaultPlan`], times relative to the frame start); a
 //!   dead processor recovers at the next frame boundary.
 //!
 //! Deadlines are anchored at **arrival**: job `j` of a frame arriving at
@@ -53,13 +53,11 @@
 //! ordering, window disjointness, precedence, processor exclusivity,
 //! dead-processor silence, arrival-anchored verdicts, energy re-bill).
 
-use crate::actuals::{frame_seed, Actuals, Column};
-use crate::arrivals::{ArrivalColumn, Arrivals};
+use crate::actuals::{frame_seed, Column};
+use crate::arrivals::ArrivalColumn;
 use crate::error::SimError;
 use crate::exec::{bill_idle, run_frame, Frame, Resolver};
-use crate::faults::{
-    DrawnFaults, FaultChecker, FaultIntensity, FaultPlan, FaultSpec, FaultView, InjectedEvent,
-};
+use crate::faults::{FaultChecker, FaultIntensity, FaultPlan, FaultSpec, InjectedEvent};
 use crate::recovery::{ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome};
 use crate::runner::DvsSwitchCost;
 use crate::workload::check_fractions;
@@ -118,46 +116,46 @@ impl OnlineConfig {
     }
 }
 
-/// One arriving frame, borrowed from its [`FrameTable`]: a full
-/// instantiation of the hyperperiod DAG.
-#[derive(Debug, Clone, Copy)]
-pub struct FrameInput<'a> {
+/// One arriving frame, a full instantiation of the hyperperiod DAG: the
+/// buffer [`FrameTable::read`] fills. It owns its lists and every read
+/// refills them in place, so one `FrameInput` read frame after frame
+/// allocates nothing once its lists have grown to the largest frame's.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FrameInput {
     /// Absolute arrival time \[s\]. Arrivals must be non-decreasing.
     pub arrival_s: f64,
     /// Actual cycles per job (≤ WCET; overruns go in `faults`).
-    pub actual: Actuals<'a>,
+    pub actual: Vec<u64>,
     /// Faults scoped to this frame; times are relative to the frame's
     /// *start* (a dead processor recovers at the next frame).
-    pub faults: FaultView<'a>,
+    pub faults: FaultPlan,
 }
 
 /// The frames of an [`OnlineStream`], stored as stream-level arrays
 /// rather than one heap object per frame, each holding only what cannot
 /// be derived:
 ///
-/// * `arrival_s` — the progression `i · arrival_factor · span` of a
+/// * the arrivals — the progression `i · arrival_factor · span` of a
 ///   built stream, three numbers for the whole stream, or one explicit
-///   arrival per frame for a table assembled from its arrays (read
-///   through [`Arrivals`] views);
-/// * `actual` — every frame's actual cycles, frame-major at a stride of
-///   [`FrameTable::jobs`] entries per frame: for a built stream, the
-///   recipe they derive from (a copy of the job WCETs, and the draw's
-///   fraction bounds and seed), every frame redrawn on read; for a table
-///   assembled from its arrays, the values back to back in one `u64`
-///   column (read through [`Actuals`] views either way);
-/// * the faults (read through [`FaultView`]s either way) — for a
-///   stream built by [`OnlineStream::synthesize`] with an intensity,
-///   the recipe they derive from (the intensity, the processor count,
-///   the frame span and the stream seed, drawn over the actuals' WCET
-///   copy), every frame's plan redrawn on read; for a table assembled
-///   from its arrays, the [`FaultPlan`]s it was given, one per frame, or
-///   none when no frame has a fault.
+///   arrival per frame for a table assembled from its arrays;
+/// * the actuals — for a built stream, the recipe they derive from (a
+///   copy of the job WCETs, and the draw's fraction bounds and seed);
+///   for a table assembled from its arrays, every frame's values back
+///   to back in one `u64` column at a stride of [`FrameTable::jobs`];
+/// * the faults — for a stream built by [`OnlineStream::synthesize`]
+///   with an intensity, the recipe they derive from (the intensity, the
+///   processor count, the frame span and the stream seed, drawn over
+///   the actuals' WCET copy); for a table assembled from its arrays,
+///   the [`FaultPlan`]s it was given, one per frame, or none when no
+///   frame has a fault.
+///
+/// [`FrameTable::read`] is the one way to read a frame, and the only
+/// code that knows which form a table takes: it copies a stored frame,
+/// or draws a derived one once, into a [`FrameInput`] the caller owns.
 ///
 /// A table is built by [`FrameTable::from_parts`],
 /// [`OnlineStream::periodic`] or [`OnlineStream::synthesize`] and never
-/// edited after. The constructors keep every per-frame array the same
-/// length in frames, so a frame's actuals always span exactly one
-/// stride, and the checks [`run_online`] makes once per stream (the
+/// edited after, so the checks [`run_online`] makes once per stream (the
 /// stride against the graph, the actuals against the WCETs, the fault
 /// plans against the platform) hold for the table's whole life. A
 /// stream of `N` jobs built by [`OnlineStream::periodic`] or
@@ -168,9 +166,9 @@ pub struct FrameInput<'a> {
 /// and, when some frame has a fault, the plans as they came.
 ///
 /// The stored layout is canonical: a table assembled from frames that
-/// carry no fault holds no plans. Arrivals, actuals and faults compare
-/// by value, whether derived or stored. So two tables compare equal
-/// exactly when every frame reads the same.
+/// carry no fault holds no plans. Two tables compare equal exactly when
+/// they have the same stride and every frame reads the same, whichever
+/// form each takes.
 #[derive(Debug, Clone, Default)]
 pub struct FrameTable {
     arrival_s: ArrivalColumn,
@@ -181,13 +179,14 @@ pub struct FrameTable {
 
 impl PartialEq for FrameTable {
     fn eq(&self, other: &Self) -> bool {
-        self.arrival_s == other.arrival_s
+        let (mut a, mut b) = (FrameInput::default(), FrameInput::default());
+        self.len() == other.len()
             && self.jobs == other.jobs
-            && self.actual == other.actual
-            && self
-                .iter()
-                .zip(other.iter())
-                .all(|(a, b)| a.faults == b.faults)
+            && (0..self.len()).all(|i| {
+                self.read(i, &mut a);
+                other.read(i, &mut b);
+                a == b
+            })
     }
 }
 
@@ -217,19 +216,16 @@ impl Default for Faults {
 }
 
 impl Faults {
-    /// Frame `i`'s faults (`i` below the frame count), in a table whose
-    /// actuals are `actual`.
-    fn view<'a>(&'a self, i: usize, actual: &'a Column) -> FaultView<'a> {
+    /// Replace `out` with frame `i`'s faults, in a table whose actuals
+    /// are `actual`.
+    fn read(&self, i: usize, actual: &Column, out: &mut FaultPlan) {
         match self {
-            Faults::Stored(plans) => plans
-                .get(i)
-                .map_or_else(FaultView::default, FaultPlan::view),
+            Faults::Stored(plans) => out.copy_from(plans.get(i).unwrap_or(&FaultPlan::none())),
             Faults::Derived(recipe) => {
                 let wcet = actual
                     .wcet_bound()
                     .expect("derived faults draw over derived actuals");
-                let seed = frame_seed(recipe.seed, i) ^ 0x5EED;
-                FaultView::drawn(DrawnFaults::new(&recipe.spec, wcet, seed))
+                out.draw(&recipe.spec, wcet, frame_seed(recipe.seed, i) ^ 0x5EED);
             }
         }
     }
@@ -272,9 +268,33 @@ impl FrameTable {
         })
     }
 
+    /// The arrays [`FrameTable::from_parts`] takes, read back frame by
+    /// frame: the arrivals, the stride, the actuals back to back, and
+    /// one plan per frame, or none when no frame has a fault. Every
+    /// vector, each plan's lists among them, is at exact capacity, so
+    /// `from_parts` keeps them without reallocating, and the table it
+    /// assembles equals this one.
+    pub fn to_parts(&self) -> (Vec<f64>, usize, Vec<u64>, Vec<FaultPlan>) {
+        let n = self.len();
+        let mut arrival_s = Vec::with_capacity(n);
+        let mut actual = Vec::with_capacity(n.saturating_mul(self.jobs));
+        let mut faults = Vec::with_capacity(n);
+        let mut fr = FrameInput::default();
+        for i in 0..n {
+            self.read(i, &mut fr);
+            arrival_s.push(fr.arrival_s);
+            actual.extend_from_slice(&fr.actual);
+            faults.push(fr.faults.clone());
+        }
+        if faults.iter().all(FaultPlan::is_empty) {
+            faults = Vec::new();
+        }
+        (arrival_s, self.jobs, actual, faults)
+    }
+
     /// Number of frames.
     pub fn len(&self) -> usize {
-        self.arrival_s().len()
+        self.arrival_s.len()
     }
 
     /// Whether the stream has no frames.
@@ -282,37 +302,23 @@ impl FrameTable {
         self.len() == 0
     }
 
-    /// Actual cycle counts per frame: the stride of [`FrameTable::actual`].
+    /// Actual cycle counts per frame.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
 
-    /// Frame `i`, or `None` past the end.
-    pub fn get(&self, i: usize) -> Option<FrameInput<'_>> {
-        if i >= self.len() {
-            return None;
-        }
-        Some(FrameInput {
-            arrival_s: self.arrival_s().get(i),
-            actual: self.actual.view(i * self.jobs..(i + 1) * self.jobs),
-            faults: self.faults.view(i, &self.actual),
-        })
-    }
-
-    /// The frames, in arrival order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = FrameInput<'_>> + '_ {
-        (0..self.len()).map(|i| self.get(i).expect("index below len"))
-    }
-
-    /// Every frame's arrival \[s\].
-    pub fn arrival_s(&self) -> Arrivals<'_> {
-        self.arrival_s.view()
-    }
-
-    /// Every frame's actual cycles, frame-major at stride
-    /// [`FrameTable::jobs`].
-    pub fn actual(&self) -> Actuals<'_> {
-        self.actual.all()
+    /// Read frame `i` into `into`, replacing what it held: a stored
+    /// frame is copied, a derived one drawn from its seed, each part
+    /// once. The lists of `into` keep their capacity, so reading every
+    /// frame into one warm buffer allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not below [`FrameTable::len`].
+    pub fn read(&self, i: usize, into: &mut FrameInput) {
+        into.arrival_s = self.arrival_s.get(i);
+        self.actual.read(i, self.jobs, &mut into.actual);
+        self.faults.read(i, &self.actual, &mut into.faults);
     }
 }
 
@@ -321,7 +327,7 @@ impl FrameTable {
 /// arrival progression or one arrival per frame, the actuals' recipe or
 /// one flat stride-`jobs` column of them, and the fault recipe or one
 /// plan per frame, none for a fault-free stream), read frame by frame
-/// through borrowed [`FrameInput`] views.
+/// into a [`FrameInput`] through [`FrameTable::read`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStream {
     /// The frames, in arrival order.
@@ -345,7 +351,7 @@ impl OnlineStream {
                     factor: arrival_factor,
                     span,
                 },
-                actual: Column::wcet(weights, n_frames),
+                actual: Column::wcet(weights),
                 jobs: weights.len(),
                 faults: Faults::default(),
             },
@@ -363,10 +369,10 @@ impl OnlineStream {
     /// Neither actuals nor faults are stored. The stream keeps a copy of
     /// the WCETs, `lo`, `hi` and `seed`, and, with faults, the
     /// intensity, `n_procs` and the span: every read of frame `i` draws
-    /// its actuals afresh, as [`crate::actual_cycles`] does with frame
-    /// `i`'s seed, and its faults as [`FaultPlan::random`] does, so each
-    /// read gives the same bits. The stream owns `8·N` heap bytes for
-    /// `N` jobs, with or without faults, however many frames it holds.
+    /// its actuals, as [`crate::actual_cycles`] does with frame `i`'s
+    /// seed, and its faults, as [`FaultPlan::random`] does, so each read
+    /// gives the same bits. The stream owns `8·N` heap bytes for `N`
+    /// jobs, with or without faults, however many frames it holds.
     ///
     /// # Panics
     ///
@@ -404,7 +410,7 @@ impl OnlineStream {
                     factor: arrival_factor,
                     span,
                 },
-                actual: Column::drawn(weights, n_frames, lo, hi, seed),
+                actual: Column::drawn(weights, lo, hi, seed),
                 jobs: weights.len(),
                 faults,
             },
@@ -587,8 +593,11 @@ pub fn run_online(
     // Derived actuals never exceed the WCETs they were derived from, so
     // when those are the graph's, one comparison covers every frame.
     let wcet_bounded = table.actual.wcet_bound() == Some(graph.weights());
+    // The one buffer every pass reads its frames into.
+    let mut fr = FrameInput::default();
     let mut prev_arrival = 0.0f64;
-    for (i, fr) in table.iter().enumerate() {
+    for i in 0..table.len() {
+        table.read(i, &mut fr);
         if !fr.arrival_s.is_finite() || fr.arrival_s < 0.0 {
             return Err(SimError::BadStream(format!(
                 "frame {i}: arrival {} must be finite and non-negative",
@@ -607,7 +616,7 @@ pub fn run_online(
         if wcet_bounded {
             continue;
         }
-        for (t, actual) in graph.tasks().zip(fr.actual) {
+        for (t, &actual) in graph.tasks().zip(&fr.actual) {
             if actual > graph.weight(t) {
                 return Err(SimError::ActualExceedsWcet {
                     task: t,
@@ -624,7 +633,8 @@ pub fn run_online(
         .map_err(|e| SimError::PlanFailed(e.to_string()))?;
     let n_procs = sol.n_procs;
     let mut checker = FaultChecker::new(graph, n_procs);
-    for fr in table.iter() {
+    for i in 0..table.len() {
+        table.read(i, &mut fr);
         checker.check(&fr.faults)?;
     }
 
@@ -646,7 +656,8 @@ pub fn run_online(
     let mut pending_ends: VecDeque<f64> = VecDeque::new();
     let mut busy_until = 0.0f64;
 
-    for (i, fr) in table.iter().enumerate() {
+    for i in 0..table.len() {
+        table.read(i, &mut fr);
         while pending_ends.front().is_some_and(|&e| e <= fr.arrival_s) {
             pending_ends.pop_front();
         }
@@ -684,7 +695,7 @@ pub fn run_online(
         for (due, d) in due_s.iter_mut().zip(&due_rel) {
             *due = arrival_offset_s + d;
         }
-        fr.faults.effective_cycles(graph, fr.actual, &mut cycles);
+        fr.faults.effective_cycles(graph, &fr.actual, &mut cycles);
         let run = run_frame(
             &Frame {
                 graph,
@@ -692,7 +703,7 @@ pub fn run_online(
                 plan_level: sol.level,
                 n_procs,
                 cycles: &cycles,
-                faults: fr.faults,
+                faults: &fr.faults,
                 due_s: &due_s,
                 own_due: true,
                 horizon_s: arrival_offset_s + span_s,
@@ -737,18 +748,18 @@ pub fn run_online(
         .map(|f| f.frame)
         .collect();
     for (k, &fi) in executed.iter().enumerate() {
-        let input = table.get(fi).expect("executed frames are in the stream");
+        table.read(fi, &mut fr);
         let start = frames[fi].verdict.start_s().expect("executed");
         let end = match executed.get(k + 1) {
             Some(&next) => frames[next].verdict.start_s().expect("executed"),
-            None => (start + frames[fi].makespan_s).max(input.arrival_s + span_s),
+            None => (start + frames[fi].makespan_s).max(fr.arrival_s + span_s),
         };
         frames[fi].window_end_s = end;
         let mut idle = EnergyBreakdown::default();
         bill_idle(
             &frames[fi].tasks,
             &frames[fi].aborted,
-            input.faults.fail_stop,
+            fr.faults.fail_stop,
             start,
             end,
             n_procs,
@@ -823,6 +834,7 @@ fn shed_record(i: usize, verdict: AdmissionVerdict, n: usize) -> FrameRecord {
 mod tests {
     use super::*;
     use crate::faults::{DvsFault, FailStop, FaultIntensity, Overrun};
+    use crate::workload::actual_cycles;
     use lamps_kpn::PeriodicSet;
     use lamps_sched::ProcId;
 
@@ -1085,8 +1097,7 @@ mod tests {
         let cfg = cfg();
         let ocfg = OnlineConfig::reclaiming();
         let good = OnlineStream::periodic(&dag, 2, 1.0, cfg.max_frequency());
-        let arrivals = good.frames.arrival_s().to_vec();
-        let actual = good.frames.actual().to_vec();
+        let (arrivals, _, actual, _) = good.frames.to_parts();
         let n = dag.graph.len();
         let stream =
             |arrivals: &[f64], jobs: usize, actual: &[u64], faults: Vec<FaultPlan>| OnlineStream {
@@ -1154,14 +1165,16 @@ mod tests {
         );
         assert_eq!((clean.frames.len(), clean.frames.jobs()), (5, n));
         // Fault plans draw from their own seeds: the actuals match.
-        assert_eq!(clean.frames.actual(), faulty.frames.actual());
+        let (arrivals, _, actual, no_plans) = clean.frames.to_parts();
+        assert_eq!(faulty.frames.to_parts().2, actual);
+        assert!(no_plans.is_empty());
         let span = dag.hyperperiod_cycles as f64 / f_max;
-        for (i, fr) in clean.frames.iter().enumerate() {
-            assert_eq!(
-                fr.actual.to_vec(),
-                clean.frames.actual().to_vec()[i * n..(i + 1) * n]
-            );
-            assert_eq!(fr.arrival_s, clean.frames.arrival_s().get(i));
+        let (mut fr, mut faulty_fr) = (FrameInput::default(), FrameInput::default());
+        let mut any_fault = false;
+        for i in 0..5 {
+            clean.frames.read(i, &mut fr);
+            assert_eq!(fr.actual, actual[i * n..(i + 1) * n]);
+            assert_eq!(fr.arrival_s, arrivals[i]);
             assert!(fr.faults.is_empty());
             // Each frame holds exactly the plan `FaultPlan::random` draws
             // from the frame's seed.
@@ -1173,14 +1186,17 @@ mod tests {
                 &FaultIntensity::severe(),
                 fseed ^ 0x5EED,
             );
-            assert_eq!(faulty.frames.get(i).unwrap().faults, plan.view());
+            faulty.frames.read(i, &mut faulty_fr);
+            assert_eq!(faulty_fr.faults, plan);
+            any_fault |= !faulty_fr.faults.is_empty();
         }
-        assert!(faulty.frames.iter().any(|fr| !fr.faults.is_empty()));
-        assert!(clean.frames.get(5).is_none());
+        assert!(any_fault);
+        let past_the_end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            clean.frames.read(5, &mut fr);
+        }));
+        assert!(past_the_end.is_err(), "frame 5 of 5 must not read");
 
         // Shape errors are caught when the table is assembled.
-        let arrivals = clean.frames.arrival_s().to_vec();
-        let actual = clean.frames.actual().to_vec();
         for (jobs, faults) in [(n + 1, vec![]), (n, vec![FaultPlan::none(); 2])] {
             assert!(matches!(
                 FrameTable::from_parts(arrivals.clone(), jobs, actual.clone(), faults),
@@ -1244,9 +1260,17 @@ mod tests {
 
     fn assert_frames_read(table: &FrameTable, plans: &[FaultPlan]) {
         assert_eq!(table.len(), plans.len());
+        let mut fr = FrameInput::default();
         for (i, plan) in plans.iter().enumerate() {
-            assert_eq!(table.get(i).unwrap().faults, plan.view(), "frame {i}");
+            table.read(i, &mut fr);
+            assert_eq!(fr.faults, *plan, "frame {i}");
         }
+    }
+
+    /// `from_parts(to_parts(t))`: the table assembled from `t`'s arrays.
+    fn round_trip(t: &FrameTable) -> FrameTable {
+        let (arrivals, jobs, actual, faults) = t.to_parts();
+        FrameTable::from_parts(arrivals, jobs, actual, faults).unwrap()
     }
 
     #[test]
@@ -1262,11 +1286,31 @@ mod tests {
         };
         let table = build(plans.clone()).unwrap();
         assert_frames_read(&table, &plans);
+        assert_eq!(
+            table.to_parts(),
+            (arrivals.clone(), n, actual.clone(), plans.clone())
+        );
 
         // A wrong plan count is a shape error.
         for count in [1, f - 1, f + 1] {
             let plans = plans.iter().cycle().take(count).cloned().collect();
             assert!(matches!(build(plans), Err(SimError::BadStream(_))));
+        }
+
+        // Built streams, with and without faults, come back from their
+        // arrays unchanged, and so does the stored table.
+        let f_max = cfg().max_frequency();
+        let severe = FaultIntensity::severe();
+        for built in [
+            table,
+            OnlineStream::periodic(&dag, 6, 0.9, f_max).frames,
+            OnlineStream::periodic(&dag, 0, 0.9, f_max).frames,
+            OnlineStream::synthesize(&dag, 2, 6, 0.9, 0.5, 0.9, None, f_max, 5).frames,
+            OnlineStream::synthesize(&dag, 2, 6, 0.9, 0.5, 0.9, Some(&severe), f_max, 5).frames,
+        ] {
+            let copy = round_trip(&built);
+            assert_eq!(copy, built);
+            assert_eq!(copy.to_parts(), built.to_parts());
         }
     }
 
@@ -1284,21 +1328,22 @@ mod tests {
             OnlineStream::periodic(&dag, 7, 0.85, f_max).frames,
         ] {
             assert!(matches!(built.arrival_s, ArrivalColumn::Progression { .. }));
-            let arrivals = built.arrival_s().to_vec();
-            for (i, (a, fr)) in arrivals.iter().zip(built.iter()).enumerate() {
+            let (arrivals, _, actual, _) = built.to_parts();
+            let mut fr = FrameInput::default();
+            for (i, a) in arrivals.iter().enumerate() {
                 let want = i as f64 * 0.85 * span;
                 assert_eq!(a.to_bits(), want.to_bits(), "arrival {i}");
+                built.read(i, &mut fr);
                 assert_eq!(fr.arrival_s.to_bits(), want.to_bits(), "frame {i}");
             }
             let explicit =
-                FrameTable::from_parts(arrivals.clone(), n, built.actual().to_vec(), vec![])
-                    .unwrap();
+                FrameTable::from_parts(arrivals.clone(), n, actual.clone(), vec![]).unwrap();
             assert!(matches!(explicit.arrival_s, ArrivalColumn::Explicit(_)));
-            assert_eq!(explicit.arrival_s(), built.arrival_s());
+            assert_eq!(explicit.to_parts().0, arrivals);
             assert_eq!(explicit, built);
             let mut off = arrivals;
             off[3] += 1e-9;
-            let off = FrameTable::from_parts(off, n, built.actual().to_vec(), vec![]).unwrap();
+            let off = FrameTable::from_parts(off, n, actual, vec![]).unwrap();
             assert_ne!(off, built);
             assert_ne!(built, off);
         }
@@ -1337,39 +1382,79 @@ mod tests {
         let n = dag.graph.len();
         let f_max = cfg().max_frequency();
         let clean = OnlineStream::synthesize(&dag, 2, 4, 0.8, 0.5, 0.9, None, f_max, 4).frames;
-        assert!(matches!(clean.actual, Column::Derived(_)));
-        let mut actual = clean.actual().to_vec();
+        assert!(matches!(clean.actual, Column::Derived { .. }));
+        let (arrivals, _, mut actual, _) = clean.to_parts();
         actual[n + 2] = BIG + 12_345;
-        let wide =
-            FrameTable::from_parts(clean.arrival_s().to_vec(), n, actual.clone(), vec![]).unwrap();
+        let wide = FrameTable::from_parts(arrivals, n, actual.clone(), vec![]).unwrap();
         assert!(matches!(wide.actual, Column::Stored(_)));
-        assert_eq!(wide.actual().to_vec(), actual);
-        for (i, fr) in wide.iter().enumerate() {
-            assert_eq!(fr.actual.len(), n);
-            for j in 0..n {
-                assert_eq!(fr.actual.get(j), actual[i * n + j], "frame {i} job {j}");
-            }
+        assert_eq!(wide.to_parts().2, actual);
+        let mut fr = FrameInput::default();
+        for i in 0..wide.len() {
+            wide.read(i, &mut fr);
+            assert_eq!(fr.actual, actual[i * n..(i + 1) * n], "frame {i}");
         }
         assert_ne!(wide, clean);
     }
 
-    /// A built stream's derived actuals read the same through `get` as
-    /// through iteration, on the whole table and on every frame.
+    /// A built stream's frames read the same in any order: reading
+    /// them last to first into one buffer gives the values a front to
+    /// back pass (`to_parts`) gives.
     #[test]
     fn derived_actuals_get_what_iteration_reads() {
         let dag = wide_dag();
         let f_max = cfg().max_frequency();
+        let severe = FaultIntensity::severe();
         for built in [
             OnlineStream::synthesize(&dag, 2, 4, 0.8, 0.5, 0.9, None, f_max, 4).frames,
+            OnlineStream::synthesize(&dag, 2, 4, 0.8, 0.5, 0.9, Some(&severe), f_max, 4).frames,
             OnlineStream::periodic(&dag, 4, 0.8, f_max).frames,
         ] {
-            let mut views = vec![built.actual()];
-            views.extend(built.iter().map(|fr| fr.actual));
-            for v in views {
-                for j in 0..v.len() {
-                    assert_eq!(Some(v.get(j)), v.iter().nth(j), "value {j}");
-                }
+            let (arrivals, n, actual, plans) = built.to_parts();
+            let mut fr = FrameInput::default();
+            for i in (0..built.len()).rev() {
+                built.read(i, &mut fr);
+                assert_eq!(fr.arrival_s, arrivals[i], "frame {i}");
+                assert_eq!(fr.actual, actual[i * n..(i + 1) * n], "frame {i}");
+                assert_eq!(fr.faults, plans.get(i).cloned().unwrap_or_default());
             }
+        }
+    }
+
+    /// Frame `i` of a synthesized stream reads the draws of its own seed
+    /// for any `i`, the last frames of a `usize::MAX`-frame stream too:
+    /// no frame index is multiplied by the stride.
+    #[test]
+    fn the_last_frames_of_a_usize_max_stream_read_their_own_draws() {
+        let dag = demo_dag();
+        let f_max = cfg().max_frequency();
+        let span = dag.hyperperiod_cycles as f64 / f_max;
+        let moderate = FaultIntensity::moderate();
+        let seed = 2006;
+        let huge = OnlineStream::synthesize(
+            &dag,
+            2,
+            usize::MAX,
+            1.0,
+            0.5,
+            0.9,
+            Some(&moderate),
+            f_max,
+            seed,
+        )
+        .frames;
+        assert_eq!(huge.len(), usize::MAX);
+        let mut fr = FrameInput::default();
+        for i in [usize::MAX - 1, usize::MAX / 3 + 1] {
+            huge.read(i, &mut fr);
+            let fseed = frame_seed(seed, i);
+            let plan = FaultPlan::random(&dag.graph, 2, span, &moderate, fseed ^ 0x5EED);
+            assert_eq!(fr.arrival_s, i as f64 * 1.0 * span, "frame {i}");
+            assert_eq!(
+                fr.actual,
+                actual_cycles(&dag.graph, 0.5, 0.9, fseed),
+                "frame {i}"
+            );
+            assert_eq!(fr.faults, plan, "frame {i}");
         }
     }
 
@@ -1385,15 +1470,15 @@ mod tests {
         big.depends(src, job).unwrap();
         let (narrow, wide) = (wide_dag(), big.to_frame_dag());
         let rebuild = |t: &FrameTable, actual: Vec<u64>| {
-            FrameTable::from_parts(t.arrival_s().to_vec(), t.jobs(), actual, vec![]).unwrap()
+            FrameTable::from_parts(t.to_parts().0, t.jobs(), actual, vec![]).unwrap()
         };
         for (dag, above_u32) in [(&narrow, false), (&wide, true)] {
             for built in [
                 OnlineStream::synthesize(dag, 2, 5, 0.8, 0.9, 1.0, None, f_max, 4).frames,
                 OnlineStream::periodic(dag, 5, 0.8, f_max).frames,
             ] {
-                assert!(matches!(built.actual, Column::Derived(_)));
-                let mut actual = built.actual().to_vec();
+                assert!(matches!(built.actual, Column::Derived { .. }));
+                let mut actual = built.to_parts().2;
                 assert_eq!(actual.iter().any(|&a| a > u64::from(u32::MAX)), above_u32);
                 let copy = rebuild(&built, actual.clone());
                 assert!(matches!(copy.actual, Column::Stored(_)));
@@ -1404,7 +1489,9 @@ mod tests {
                 let edited = rebuild(&built, actual);
                 assert_ne!(edited, built);
                 assert_ne!(built, edited);
-                assert_eq!(edited.get(4).unwrap().actual.get(0), 1);
+                let mut fr = FrameInput::default();
+                edited.read(4, &mut fr);
+                assert_eq!(fr.actual[0], 1);
             }
         }
     }
@@ -1422,20 +1509,20 @@ mod tests {
         let built =
             OnlineStream::synthesize(&dag, 3, 9, 0.8, 0.6, 1.0, Some(&severe), f_max, 7).frames;
         assert!(matches!(built.faults, Faults::Derived(_)));
-        let plans: Vec<FaultPlan> = built.iter().map(|fr| fr.faults.to_plan()).collect();
+        let (arrivals, jobs, actual, plans) = built.to_parts();
         let copy_of = |plans: Vec<FaultPlan>| {
-            let (arrivals, actual) = (built.arrival_s().to_vec(), built.actual().to_vec());
-            FrameTable::from_parts(arrivals, built.jobs(), actual, plans).unwrap()
+            FrameTable::from_parts(arrivals.clone(), jobs, actual.clone(), plans).unwrap()
         };
         let copy = copy_of(plans.clone());
         assert!(matches!(copy.faults, Faults::Stored(_)));
         assert_eq!(copy, built);
         assert_eq!(built, copy);
-        for (i, (a, b)) in built.iter().zip(copy.iter()).enumerate() {
+        let (mut a, mut b) = (FrameInput::default(), FrameInput::default());
+        for (i, plan) in plans.iter().enumerate() {
+            built.read(i, &mut a);
+            copy.read(i, &mut b);
             assert_eq!(a.faults, b.faults, "frame {i}");
-            assert_eq!(b.faults, a.faults, "frame {i}");
-            assert_eq!(a.faults.overruns.len(), plans[i].overruns.len());
-            assert_eq!(a.faults.dvs.len(), plans[i].dvs.len());
+            assert_eq!(b.faults, *plan, "frame {i}");
         }
 
         let first = |has: fn(&FaultPlan) -> bool| plans.iter().position(has).unwrap();
@@ -1474,7 +1561,7 @@ mod tests {
             7,
         );
         let stored = OnlineStream {
-            frames: copy_of(wide.frames.iter().map(|fr| fr.faults.to_plan()).collect()),
+            frames: round_trip(&wide.frames),
         };
         assert_eq!(stored, wide);
         let ocfg = OnlineConfig::reclaiming();
@@ -1575,8 +1662,7 @@ mod tests {
         let dag = wide_dag();
         let f_max = cfg().max_frequency();
         let clean = OnlineStream::synthesize(&dag, 2, 5, 0.8, 0.5, 0.9, None, f_max, 4).frames;
-        let arrivals = clean.arrival_s().to_vec();
-        let actual = clean.actual().to_vec();
+        let (arrivals, _, actual, _) = clean.to_parts();
         let parts = |faults| {
             FrameTable::from_parts(arrivals.clone(), clean.jobs(), actual.clone(), faults).unwrap()
         };
@@ -1724,11 +1810,12 @@ mod tests {
                 .collect(),
             ..FaultPlan::none()
         };
+        let (arrivals, jobs, actual, _) = drawn.to_parts();
         let stream = OnlineStream {
             frames: FrameTable::from_parts(
-                drawn.arrival_s().to_vec(),
-                drawn.jobs(),
-                drawn.actual().to_vec(),
+                arrivals,
+                jobs,
+                actual,
                 vec![FaultPlan::none(), faults, FaultPlan::none()],
             )
             .unwrap(),
@@ -1773,12 +1860,13 @@ mod tests {
         assert!(resolves[0].2 <= 1);
         // Ladder: a = rung; b = tasks migrated, failed processor, or
         // boosted task.
+        let mut fr = FrameInput::default();
         let want: Vec<(u64, u64, u64)> = r
             .frames
             .iter()
             .flat_map(|f| {
-                let failed = stream.frames.get(f.frame).unwrap().faults.fail_stop;
-                let failed = failed.map(|fs| fs.proc.0);
+                stream.frames.read(f.frame, &mut fr);
+                let failed = fr.faults.fail_stop.map(|fs| fs.proc.0);
                 f.recoveries.iter().map(move |a| match a {
                     RecoveryAction::Rescheduled { migrated, .. } => {
                         (f.frame as u64, 0, *migrated as u64)

@@ -40,7 +40,7 @@
 
 use crate::error::SimError;
 use crate::exec::{bill_idle, run_frame, Frame, Resolver};
-use crate::faults::{FaultPlan, FaultView, InjectedEvent};
+use crate::faults::{FaultPlan, InjectedEvent};
 use crate::runner::DvsSwitchCost;
 use lamps_core::{SchedulerConfig, Solution, SolveBudget};
 use lamps_energy::EnergyBreakdown;
@@ -220,7 +220,6 @@ pub fn run_with_faults(
             });
         }
     }
-    let faults = faults.view();
     faults.validate(graph, solution.schedule.n_procs())?;
 
     let report = run_plan(
@@ -262,7 +261,7 @@ pub(crate) fn run_plan(
     graph: &TaskGraph,
     solution: &Solution,
     actual: &[u64],
-    faults: FaultView<'_>,
+    faults: &FaultPlan,
     deadline_s: f64,
     policy: RecoveryPolicy,
     reclaim: bool,
@@ -273,7 +272,7 @@ pub(crate) fn run_plan(
     let n_procs = solution.schedule.n_procs();
     let due_s = vec![deadline_s; graph.len()];
     let mut cycles = Vec::with_capacity(graph.len());
-    faults.effective_cycles(graph, actual.into(), &mut cycles);
+    faults.effective_cycles(graph, actual, &mut cycles);
     let mut run = run_frame(
         &Frame {
             graph,

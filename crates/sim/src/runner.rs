@@ -1,6 +1,6 @@
 //! The plain execution simulator: a static plan against sub-WCET actuals.
 
-use crate::faults::FaultView;
+use crate::faults::FaultPlan;
 use crate::recovery::{run_plan, RecoveryPolicy};
 use lamps_core::{SchedulerConfig, Solution, SolveBudget};
 use lamps_energy::EnergyBreakdown;
@@ -156,7 +156,7 @@ pub fn simulate(
         graph,
         solution,
         actual,
-        FaultView::default(),
+        &FaultPlan::none(),
         deadline_s,
         recovery,
         reclaim,

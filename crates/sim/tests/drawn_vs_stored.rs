@@ -46,16 +46,9 @@ fn big() -> PeriodicDag {
 
 /// `stream`'s frames stored value by value.
 fn stored(stream: &OnlineStream) -> OnlineStream {
-    let t = &stream.frames;
-    let plans = t.iter().map(|fr| fr.faults.to_plan()).collect();
+    let (arrivals, jobs, actual, plans) = stream.frames.to_parts();
     OnlineStream {
-        frames: FrameTable::from_parts(
-            t.arrival_s().to_vec(),
-            t.jobs(),
-            t.actual().to_vec(),
-            plans,
-        )
-        .unwrap(),
+        frames: FrameTable::from_parts(arrivals, jobs, actual, plans).unwrap(),
     }
 }
 

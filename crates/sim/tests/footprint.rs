@@ -1,29 +1,35 @@
 //! Proof that an online stream owns its stream-level arrays and nothing
-//! else.
+//! else, and that reading its frames allocates nothing.
 //!
 //! A stream of `F` frames of `N` jobs built by `synthesize` or
 //! `periodic` must hold one copy of the job WCETs on the heap and
 //! nothing else: exactly `8·N` bytes in one allocation, whatever `F` is,
 //! whether or not a WCET fits in `u32`, and with or without faults. Its
-//! actuals and faults are drawn from that copy and an inline recipe on
-//! every read, not stored, and its arrivals are a progression stored
-//! inline, not a per-frame array: no per-frame vectors, no fault arrays,
-//! no capacity slack.
+//! actuals and faults are drawn from that copy and an inline recipe
+//! when a frame is read, not stored, and its arrivals are a progression
+//! stored inline, not a per-frame array: no per-frame vectors, no fault
+//! arrays, no capacity slack.
 //!
 //! A table assembled by `FrameTable::from_parts` stores what it is
-//! given and allocates nothing when its inputs come at exact capacity.
-//! The copy of a faulty stream holds its `8·F` arrivals, its `8·F·N`
-//! actuals and its `F` fault plans, one `FaultPlan` each, with every
-//! plan's own lists: exactly
+//! given and allocates nothing when its inputs come at exact capacity,
+//! as `FrameTable::to_parts` returns them. The copy of a faulty stream
+//! holds its `8·F` arrivals, its `8·F·N` actuals and its `F` fault
+//! plans, one `FaultPlan` each, with every plan's own lists: exactly
 //!
 //! `8·F + 8·F·N + size_of::<FaultPlan>()·F + Σ (16·overruns + 24·dvs)`
 //!
 //! bytes, the sum over the plans' list capacities (16 bytes per
 //! `Overrun`, 24 per `DvsFault`). A byte-counting global allocator
 //! measures the live heap around each build.
+//!
+//! `FrameTable::read` refills a caller's `FrameInput` in place, so
+//! reading every frame of a table, derived or stored, into a buffer
+//! that has read the table once makes no allocation.
 
 use lamps_kpn::{PeriodicDag, PeriodicSet};
-use lamps_sim::{DvsFault, FaultIntensity, FaultPlan, FrameTable, OnlineStream, Overrun};
+use lamps_sim::{
+    DvsFault, FaultIntensity, FaultPlan, FrameInput, FrameTable, OnlineStream, Overrun,
+};
 use lamps_testalloc::{on_this_thread, CountingAlloc};
 use std::mem::size_of;
 
@@ -95,14 +101,24 @@ fn streams_hold_only_their_arrays() {
         let (s, bytes, allocs) = retained(|| {
             OnlineStream::synthesize(&wide, 1, frames, 1.0, 0.9, 1.0, None, f_max, 2006)
         });
-        assert!(s.frames.actual().iter().any(|a| a > u64::from(u32::MAX)));
+        assert!(s
+            .frames
+            .to_parts()
+            .2
+            .iter()
+            .any(|&a| a > u64::from(u32::MAX)));
         assert_eq!(bytes, fault_free_bytes(wn), "wide synthesize");
         assert_eq!(allocs, 1, "wide synthesize, {frames} frames");
 
         let (s, bytes, allocs) = retained(|| {
             OnlineStream::synthesize(&wide, 1, frames, 1.0, 0.5, 0.8, None, f_max, 2006)
         });
-        assert!(s.frames.actual().iter().all(|a| a <= u64::from(u32::MAX)));
+        assert!(s
+            .frames
+            .to_parts()
+            .2
+            .iter()
+            .all(|&a| a <= u64::from(u32::MAX)));
         assert_eq!(bytes, fault_free_bytes(wn), "narrow draws of a wide WCET");
         assert_eq!(allocs, 1, "narrow draws of a wide WCET, {frames} frames");
     }
@@ -126,16 +142,12 @@ fn streams_hold_only_their_arrays() {
         );
         assert_eq!(allocs, 1, "moderate faults, {frames} frames");
 
-        let overruns: usize = s.frames.iter().map(|fr| fr.faults.overruns.len()).sum();
-        let dvs: usize = s.frames.iter().map(|fr| fr.faults.dvs.len()).sum();
-        assert!(s.frames.iter().all(|fr| fr.faults.fail_stop.is_some()));
+        let parts = || s.frames.to_parts();
+        let (_, _, _, plans) = parts();
+        let overruns: usize = plans.iter().map(|p| p.overruns.len()).sum();
+        let dvs: usize = plans.iter().map(|p| p.dvs.len()).sum();
+        assert!(plans.iter().all(|p| p.fail_stop.is_some()));
         assert!(overruns > 0 && dvs > 0, "{frames} frames draw both kinds");
-        let parts = || {
-            let t = &s.frames;
-            let plans: Vec<FaultPlan> = t.iter().map(|fr| fr.faults.to_plan()).collect();
-            (t.arrival_s().to_vec(), t.actual().to_vec(), plans)
-        };
-        let (_, _, plans) = parts();
         assert_eq!(plans.capacity(), frames);
         let list_bytes: usize = plans
             .iter()
@@ -145,8 +157,8 @@ fn streams_hold_only_their_arrays() {
         // Built inside the measurement, the copy keeps its inputs:
         // arrivals, actuals, the plan vector and every plan's lists.
         let (copy, stored) = on_this_thread(|| {
-            let (arrivals, actual, plans) = parts();
-            FrameTable::from_parts(arrivals, n, actual, plans).unwrap()
+            let (arrivals, jobs, actual, plans) = parts();
+            FrameTable::from_parts(arrivals, jobs, actual, plans).unwrap()
         });
         assert_eq!(copy, s.frames, "{frames} frames: the copy reads the same");
         assert_eq!(
@@ -154,55 +166,65 @@ fn streams_hold_only_their_arrays() {
             (8 * frames + 8 * frames * n + fault_bytes) as i64,
             "stored moderate faults, {frames} frames"
         );
-        let (arrivals, actual, plans) = parts();
+        let (arrivals, jobs, actual, plans) = parts();
         let (_, tally) =
-            on_this_thread(|| FrameTable::from_parts(arrivals, n, actual, plans).unwrap());
+            on_this_thread(|| FrameTable::from_parts(arrivals, jobs, actual, plans).unwrap());
         assert_eq!(tally.calls, 0, "stored moderate faults, {frames} frames");
     }
 }
 
-/// Reading a fault stream allocates nothing, drawn or stored: each
-/// frame's view through `get` and `iter`, its fail-stop, and every
-/// overrun and DVS fault it holds, over every frame of a synthesized
-/// stream and of its `from_parts` copy.
+/// Reading frames into a warm `FrameInput` allocates nothing, drawn or
+/// stored: every frame of a synthesized stream with `severe` faults, of
+/// a `periodic` stream and of the synthesized stream's `from_parts`
+/// copy, each read once before the measured pass.
 #[test]
 fn reading_derived_faults_allocates_nothing() {
     let dag = dag();
     let f_max = lamps_core::SchedulerConfig::paper().max_frequency();
     let severe = FaultIntensity::severe();
     let s = OnlineStream::synthesize(&dag, 3, 125, 1.0, 0.6, 1.0, Some(&severe), f_max, 2006);
-    let t = &s.frames;
-    let plans = t.iter().map(|fr| fr.faults.to_plan()).collect();
-    let copy = FrameTable::from_parts(t.arrival_s().to_vec(), t.jobs(), t.actual().to_vec(), plans)
-        .unwrap();
+    let (arrivals, jobs, actual, plans) = s.frames.to_parts();
+    let copy = FrameTable::from_parts(arrivals, jobs, actual, plans).unwrap();
+    let periodic = OnlineStream::periodic(&dag, 125, 1.0, f_max).frames;
+    let mut fr = FrameInput::default();
     let mut reads = Vec::new();
-    for (form, table) in [("derived", t), ("stored", &copy)] {
-        let (read, tally) = on_this_thread(|| {
+    for (form, table) in [
+        ("derived", &s.frames),
+        ("periodic", &periodic),
+        ("stored", &copy),
+    ] {
+        let read_all = |fr: &mut FrameInput| {
             let (mut overruns, mut dvs, mut fail_stops, mut bits) = (0, 0, 0, 0u64);
-            for (i, fr) in table.iter().enumerate() {
-                let again = table.get(i).expect("frame below len").faults;
-                for faults in [fr.faults, again] {
-                    for o in faults.overruns {
-                        overruns += 1;
-                        bits ^= o.factor.to_bits();
-                    }
-                    for d in faults.dvs.iter() {
-                        dvs += 1;
-                        bits ^= u64::from(d.proc.0);
-                    }
-                    if let Some(fs) = faults.fail_stop {
-                        fail_stops += 1;
-                        bits ^= fs.at_s.to_bits();
-                    }
+            for i in 0..table.len() {
+                table.read(i, fr);
+                bits ^= fr.arrival_s.to_bits();
+                for &a in &fr.actual {
+                    bits = bits.rotate_left(7) ^ a;
+                }
+                for o in &fr.faults.overruns {
+                    overruns += 1;
+                    bits ^= o.factor.to_bits();
+                }
+                for d in &fr.faults.dvs {
+                    dvs += 1;
+                    bits ^= u64::from(d.proc.0);
+                }
+                if let Some(fs) = fr.faults.fail_stop {
+                    fail_stops += 1;
+                    bits ^= fs.at_s.to_bits();
                 }
             }
             (overruns, dvs, fail_stops, bits)
-        });
-        let (overruns, dvs, fail_stops, _) = read;
-        assert!(overruns > 0 && dvs > 0, "{form}: the stream has both kinds");
-        assert_eq!(fail_stops, 2 * table.len(), "{form}");
+        };
+        let warm = read_all(&mut fr);
+        let (read, tally) = on_this_thread(|| read_all(&mut fr));
+        assert_eq!(read, warm, "{form}: every pass reads the same");
         assert_eq!(tally.calls, 0, "{form}: {read:?}");
         reads.push(read);
     }
-    assert_eq!(reads[0], reads[1], "both forms read the same faults");
+    let (derived, periodic, stored) = (reads[0], reads[1], reads[2]);
+    assert!(derived.0 > 0 && derived.1 > 0, "the stream has both kinds");
+    assert_eq!(derived.2, 125, "severe faults fail-stop every frame");
+    assert_eq!((periodic.0, periodic.1, periodic.2), (0, 0, 0));
+    assert_eq!(derived, stored, "both forms read the same frames");
 }

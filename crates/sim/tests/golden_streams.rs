@@ -12,7 +12,7 @@
 use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
 use lamps_core::{SchedulerConfig, Strategy};
 use lamps_kpn::{PeriodicDag, PeriodicSet};
-use lamps_sim::{DvsFaultKind, FaultIntensity, OnlineStream};
+use lamps_sim::{DvsFaultKind, FaultIntensity, FrameInput, OnlineStream};
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -33,15 +33,17 @@ impl Fnv {
 fn stream_hash(stream: &OnlineStream) -> u64 {
     let mut h = Fnv::new();
     h.word(stream.frames.len() as u64);
-    for fr in stream.frames.iter() {
+    let mut fr = FrameInput::default();
+    for i in 0..stream.frames.len() {
+        stream.frames.read(i, &mut fr);
         h.word(fr.arrival_s.to_bits());
         h.word(fr.actual.len() as u64);
-        for a in fr.actual.iter() {
+        for &a in &fr.actual {
             h.word(a);
         }
         let plan = &fr.faults;
         h.word(plan.overruns.len() as u64);
-        for o in plan.overruns {
+        for o in &plan.overruns {
             h.word(u64::from(o.task.0));
             h.word(o.factor.to_bits());
         }
@@ -54,7 +56,7 @@ fn stream_hash(stream: &OnlineStream) -> u64 {
             None => h.word(0),
         }
         h.word(plan.dvs.len() as u64);
-        for d in plan.dvs {
+        for d in &plan.dvs {
             h.word(u64::from(d.proc.0));
             match d.kind {
                 DvsFaultKind::StuckAtLevel => h.word(0),
@@ -165,7 +167,12 @@ fn wide_stream_hash() -> u64 {
         cfg.max_frequency(),
         2006,
     );
-    assert!(s.frames.actual().iter().any(|a| a > u64::from(u32::MAX)));
+    assert!(s
+        .frames
+        .to_parts()
+        .2
+        .iter()
+        .any(|&a| a > u64::from(u32::MAX)));
     stream_hash(&s)
 }
 

@@ -427,20 +427,15 @@ fn online_battery(
         case.seed,
     );
     // The same frames with each one's last job dropped.
-    let frames = &stream.frames;
-    let jobs = frames.jobs() - 1;
-    let short = frames
-        .iter()
-        .flat_map(|fr| fr.actual.iter().take(jobs))
+    let (arrivals, jobs, actual, plans) = stream.frames.to_parts();
+    let short = actual
+        .chunks_exact(jobs)
+        .flat_map(|frame| &frame[..jobs - 1])
+        .copied()
         .collect();
     let skewed = OnlineStream {
-        frames: FrameTable::from_parts(
-            frames.arrival_s().to_vec(),
-            jobs,
-            short,
-            frames.iter().map(|fr| fr.faults.to_plan()).collect(),
-        )
-        .expect("one shorter stride per frame"),
+        frames: FrameTable::from_parts(arrivals, jobs - 1, short, plans)
+            .expect("one shorter stride per frame"),
     };
     let configs = [
         OnlineConfig {

@@ -25,7 +25,7 @@ use lamps_kpn::PeriodicDag;
 use lamps_power::OperatingPoint;
 use lamps_sched::ProcId;
 use lamps_sim::{
-    Actuals, AdmissionVerdict, DvsSwitchCost, ExecRecord, FaultPlan, FaultView, FaultyRunReport,
+    AdmissionVerdict, DvsSwitchCost, ExecRecord, FaultPlan, FaultyRunReport, FrameInput,
     OnlineConfig, OnlineReport, OnlineStream, RunOutcome,
 };
 use lamps_taskgraph::{TaskGraph, TaskId};
@@ -262,8 +262,8 @@ struct FrameCheck<'a> {
     makespan_s: f64,
     outcome: Option<&'a RunOutcome>,
     dvs_switches: usize,
-    actual: Actuals<'a>,
-    faults: FaultView<'a>,
+    actual: &'a [u64],
+    faults: &'a FaultPlan,
     /// Due time per task, frame-relative \[s\].
     due_s: Vec<f64>,
     n_procs: usize,
@@ -598,8 +598,8 @@ pub fn check_run(
         makespan_s: report.makespan_s,
         outcome: Some(&report.outcome),
         dvs_switches: report.dvs_switches,
-        actual: actual.into(),
-        faults: faults.view(),
+        actual,
+        faults,
         due_s: vec![deadline_s; graph.len()],
         n_procs: solution.schedule.n_procs(),
         plan_vdd: solution.level.vdd,
@@ -723,7 +723,10 @@ pub fn check_online(
     let mut pending: VecDeque<f64> = VecDeque::new();
     let mut busy_until = 0.0f64;
     let (mut admitted, mut deferred, mut shed) = (0usize, 0usize, 0usize);
-    for (i, (fr, input)) in report.frames.iter().zip(stream.frames.iter()).enumerate() {
+    // The one buffer every pass reads the stream's frames into.
+    let mut input = FrameInput::default();
+    for (i, fr) in report.frames.iter().enumerate() {
+        stream.frames.read(i, &mut input);
         if fr.frame != i {
             v.push(RunViolation::Online {
                 frame: i,
@@ -821,11 +824,13 @@ pub fn check_online(
         .filter(|(_, f)| f.verdict.start_s().is_some())
         .map(|(i, _)| i)
         .collect();
-    let mut windows = Vec::with_capacity(executed.len());
+    // Each window is re-billed as its frame is checked, while the trace
+    // is still sound; the bill is compared only if it stays sound.
+    let mut re = RebilledEnergy::default();
     let mut eff = Vec::with_capacity(n);
     for (k, &fi) in executed.iter().enumerate() {
         let fr = &report.frames[fi];
-        let input = stream.frames.get(fi).expect("lengths checked above");
+        stream.frames.read(fi, &mut input);
         let start = fr.verdict.start_s().expect("executed");
         let expected_end = match executed.get(k + 1) {
             Some(&nx) => report.frames[nx].verdict.start_s().expect("executed"),
@@ -867,14 +872,16 @@ pub fn check_online(
             makespan_s: fr.makespan_s,
             outcome: fr.outcome.as_ref(),
             dvs_switches: fr.dvs_switches,
-            actual: input.actual,
-            faults: input.faults,
+            actual: &input.actual,
+            faults: &input.faults,
             due_s: due_rel.iter().map(|d| offset + d).collect(),
             n_procs: report.n_procs,
             plan_vdd: report.plan_vdd,
         };
         check_trace(graph, &frame, &mut eff, cfg, &mut v);
-        windows.push((frame, start, fr.window_end_s));
+        if v.is_empty() {
+            rebill_window(&frame, start, fr.window_end_s, plan, cfg, &mut re);
+        }
     }
 
     // Shed frames execute nothing and consume nothing.
@@ -965,10 +972,6 @@ pub fn check_online(
 
     // Only re-bill structurally sound traces.
     if v.is_empty() {
-        let mut re = RebilledEnergy::default();
-        for (frame, start, end) in &windows {
-            rebill_window(frame, *start, *end, plan, cfg, &mut re);
-        }
         re.transition_j += report.dvs_switches as f64 * ocfg.switch.energy_j;
         check_bill(&report.energy, &re, &mut v);
         let frame_sum: f64 = report.frames.iter().map(|f| f.energy_j).sum();
@@ -1194,9 +1197,10 @@ mod tests {
             assert!(
                 stream
                     .frames
-                    .actual()
+                    .to_parts()
+                    .2
                     .iter()
-                    .any(|a| a > u64::from(u32::MAX)),
+                    .any(|&a| a > u64::from(u32::MAX)),
                 "the stream must need the wide column"
             );
             for ocfg in [OnlineConfig::reclaiming(), OnlineConfig::static_plan()] {
@@ -1486,11 +1490,12 @@ mod tests {
             fail_stop: Some(frame_fail),
             ..FaultPlan::none()
         };
+        let (arrivals, jobs, drawn_actual, _) = drawn.to_parts();
         let stream = OnlineStream {
             frames: FrameTable::from_parts(
-                drawn.arrival_s().to_vec(),
-                drawn.jobs(),
-                drawn.actual().to_vec(),
+                arrivals,
+                jobs,
+                drawn_actual,
                 vec![FaultPlan::none(), fail_plan, FaultPlan::none()],
             )
             .unwrap(),
