@@ -28,24 +28,34 @@ use lamps_bench::suite::{Granularity, Suite, DEADLINE_FACTORS};
 use lamps_bench::timing::{sample_seconds, MinSeconds};
 use lamps_core::cache::ScheduleCache;
 use lamps_core::{solve_with_cache, SchedulerConfig, Strategy};
-use lamps_energy::evaluate_summary;
+use lamps_energy::LevelSweep;
 use lamps_sched::IdleSummary;
 use lamps_taskgraph::TaskGraph;
 use std::fmt::Write as _;
 
-/// Slowest-to-fastest level sweep over the idle summary, identical in
-/// shape to the solver's internal sweep but with zero obs bookkeeping.
+/// The solver's own discount on its energy floor: the scan stops once
+/// `floor * PRUNE_MARGIN >= incumbent`.
+const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
+
+/// Slowest-to-fastest level sweep over the idle summary, billed through
+/// `sweep` as the solver's sweep is, with zero obs bookkeeping.
 fn baseline_best_level(
     summary: &IdleSummary,
     deadline_s: f64,
     cfg: &SchedulerConfig,
+    sweep: &LevelSweep,
     ps: bool,
 ) -> Option<f64> {
     let required = summary.makespan_cycles() as f64 / deadline_s;
-    let sleep = ps.then_some(&cfg.sleep);
     let mut best: Option<f64> = None;
-    for level in cfg.levels.at_least(required) {
-        let Ok(energy) = evaluate_summary(summary, level, deadline_s, sleep) else {
+    let fitting = cfg
+        .levels
+        .points()
+        .iter()
+        .enumerate()
+        .filter(|(_, level)| level.freq >= required);
+    for (i, _) in fitting {
+        let Ok(energy) = sweep.evaluate(summary, i, deadline_s, ps) else {
             continue;
         };
         let total = energy.total();
@@ -60,10 +70,11 @@ fn baseline_best_level(
 }
 
 /// The optimized search (§4.1–§4.3) on the public cache API, without
-/// the span/counter/stats wrapper of [`solve_with_cache`]. The chosen
-/// schedule is taken as an `Arc` exactly like the real solver does, so
-/// the only difference between the engines is the instrumentation
-/// itself.
+/// the span/counter/stats wrapper of [`solve_with_cache`]: the same
+/// per-solve [`LevelSweep`], the same scan stops (the energy floor and
+/// a makespan at the critical path), and the chosen schedule taken as
+/// an `Arc`, so the only difference between the engines is the
+/// instrumentation itself.
 fn baseline_solve(
     strategy: Strategy,
     graph: &TaskGraph,
@@ -72,15 +83,29 @@ fn baseline_solve(
     cache: &mut ScheduleCache<'_>,
 ) -> Option<f64> {
     let deadline_cycles = cfg.deadline_cycles(deadline_s);
-    if graph.critical_path_cycles() > deadline_cycles {
+    let cpl_cycles = graph.critical_path_cycles();
+    if cpl_cycles > deadline_cycles {
         return None;
     }
+    let sweep = LevelSweep::new(cfg.levels.points(), &cfg.sleep);
     let ps = strategy.uses_ps();
     let (best_n, best_energy) = if strategy.searches_proc_count() {
         let n_min = cache.min_feasible_procs(deadline_cycles)?;
+        // Every candidate bills the whole work at no less than the
+        // cheapest level that fits the critical path.
+        let floor = cfg
+            .levels
+            .at_least(cpl_cycles as f64 / deadline_s)
+            .map(|l| graph.total_work_cycles() as f64 * l.energy_per_cycle)
+            .reduce(f64::min);
         let mut best: Option<(usize, f64)> = None;
         let mut prev_makespan: Option<u64> = None;
         for n in n_min..=graph.len().max(1) {
+            if let (Some((_, b)), Some(floor)) = (best, floor) {
+                if floor * PRUNE_MARGIN >= b {
+                    break;
+                }
+            }
             let makespan = cache.makespan(n);
             if let Some(prev) = prev_makespan {
                 if makespan >= prev {
@@ -88,10 +113,13 @@ fn baseline_solve(
                 }
             }
             prev_makespan = Some(makespan);
-            if let Some(e) = baseline_best_level(cache.summary(n), deadline_s, cfg, ps) {
+            if let Some(e) = baseline_best_level(cache.summary(n), deadline_s, cfg, &sweep, ps) {
                 if best.is_none_or(|(_, b)| e < b) {
                     best = Some((n, e));
                 }
+            }
+            if makespan == cpl_cycles {
+                break;
             }
         }
         best?
@@ -102,7 +130,7 @@ fn baseline_solve(
         }
         (
             n,
-            baseline_best_level(cache.summary(n), deadline_s, cfg, ps)?,
+            baseline_best_level(cache.summary(n), deadline_s, cfg, &sweep, ps)?,
         )
     };
     let _schedule = cache.schedule_arc(best_n);

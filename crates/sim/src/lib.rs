@@ -23,8 +23,6 @@
 //! per-task level, idle gaps at idle power or asleep when the interval
 //! beats the §3.4 break-even, up to the deadline horizon.
 
-mod actuals;
-mod arrivals;
 pub mod error;
 mod exec;
 pub mod faults;

@@ -53,19 +53,18 @@
 //! ordering, window disjointness, precedence, processor exclusivity,
 //! dead-processor silence, arrival-anchored verdicts, energy re-bill).
 
-use crate::actuals::{frame_seed, Column};
-use crate::arrivals::ArrivalColumn;
 use crate::error::SimError;
 use crate::exec::{bill_idle, run_frame, Frame, Resolver};
-use crate::faults::{FaultChecker, FaultIntensity, FaultPlan, FaultSpec, InjectedEvent};
+use crate::faults::{FailStop, FaultChecker, FaultIntensity, FaultPlan, FaultSpec, InjectedEvent};
 use crate::recovery::{ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome};
 use crate::runner::DvsSwitchCost;
-use crate::workload::check_fractions;
+use crate::workload::{check_fractions, draw_job, frame_seed};
 use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
 use lamps_core::{SchedulerConfig, SolveBudget, Strategy};
 use lamps_energy::EnergyBreakdown;
 use lamps_kpn::PeriodicDag;
 use lamps_obs::flight;
+use lamps_taskgraph::rng::Rng;
 use std::collections::VecDeque;
 
 /// How the online runtime behaves.
@@ -131,23 +130,22 @@ pub struct FrameInput {
     pub faults: FaultPlan,
 }
 
-/// The frames of an [`OnlineStream`], stored as stream-level arrays
-/// rather than one heap object per frame, each holding only what cannot
-/// be derived:
+/// The frames of an [`OnlineStream`], held as stream-level arrays
+/// rather than one heap object per frame, in one of two forms:
 ///
-/// * the arrivals — the progression `i · arrival_factor · span` of a
-///   built stream, three numbers for the whole stream, or one explicit
-///   arrival per frame for a table assembled from its arrays;
-/// * the actuals — for a built stream, the recipe they derive from (a
-///   copy of the job WCETs, and the draw's fraction bounds and seed);
-///   for a table assembled from its arrays, every frame's values back
-///   to back in one `u64` column at a stride of [`FrameTable::jobs`];
-/// * the faults — for a stream built by [`OnlineStream::synthesize`]
-///   with an intensity, the recipe they derive from (the intensity, the
-///   processor count, the frame span and the stream seed, drawn over
-///   the actuals' WCET copy); for a table assembled from its arrays,
-///   the [`FaultPlan`]s it was given, one per frame, or none when no
-///   frame has a fault.
+/// * **stored**, for a table assembled by [`FrameTable::from_parts`]:
+///   one explicit arrival per frame, every frame's actuals back to back
+///   in one `u64` column at a stride of [`FrameTable::jobs`], and the
+///   [`FaultPlan`]s it was given, one per frame, or none when no frame
+///   has a fault;
+/// * **derived**, for a stream built by [`OnlineStream::periodic`] or
+///   [`OnlineStream::synthesize`]: the arrival progression
+///   `i · arrival_factor · span` (three numbers for the whole stream),
+///   a copy of the job WCETs, the actuals' draw bounds when they are
+///   drawn, the fault spec when the stream has faults, and one seed.
+///   Frame `i` reads the WCETs or draws its actuals from
+///   `frame_seed(seed, i)`, and draws its faults over the WCETs from
+///   `frame_seed(seed, i) ^ 0x5EED`.
 ///
 /// [`FrameTable::read`] is the one way to read a frame, and the only
 /// code that knows which form a table takes: it copies a stored frame,
@@ -158,12 +156,11 @@ pub struct FrameInput {
 /// edited after, so the checks [`run_online`] makes once per stream (the
 /// stride against the graph, the actuals against the WCETs, the fault
 /// plans against the platform) hold for the table's whole life. A
-/// stream of `N` jobs built by [`OnlineStream::periodic`] or
-/// [`OnlineStream::synthesize`] owns exactly `8·N` heap bytes, its WCET
+/// derived table of `N` jobs owns exactly `8·N` heap bytes, its WCET
 /// copy, however many frames `F` it holds and whether or not it has
-/// faults. A table built by [`FrameTable::from_parts`] owns the vectors
-/// it was given: its actuals in `8·F·N` bytes, its arrivals in `8·F`,
-/// and, when some frame has a fault, the plans as they came.
+/// faults. A stored table owns the vectors it was given: its actuals in
+/// `8·F·N` bytes, its arrivals in `8·F`, and, when some frame has a
+/// fault, the plans as they came.
 ///
 /// The stored layout is canonical: a table assembled from frames that
 /// carry no fault holds no plans. Two tables compare equal exactly when
@@ -171,10 +168,42 @@ pub struct FrameInput {
 /// form each takes.
 #[derive(Debug, Clone, Default)]
 pub struct FrameTable {
-    arrival_s: ArrivalColumn,
-    actual: Column,
     jobs: usize,
-    faults: Faults,
+    frames: Frames,
+}
+
+/// The two forms of a [`FrameTable`].
+#[derive(Debug, Clone)]
+enum Frames {
+    /// What [`FrameTable::from_parts`] was given, kept as it came.
+    Stored {
+        arrival_s: Vec<f64>,
+        actual: Box<[u64]>,
+        /// One plan per frame, or none when no frame has a fault.
+        faults: Box<[FaultPlan]>,
+    },
+    /// Frame `i` of `n` arrives at `i · factor · span` and reads `wcet`,
+    /// or draws its actuals in `[lo, hi] × wcet` with `draw`; with
+    /// `faults` it draws its plan over `wcet` too.
+    Derived {
+        n: usize,
+        factor: f64,
+        span: f64,
+        wcet: Box<[u64]>,
+        draw: Option<(f64, f64)>,
+        faults: Option<FaultSpec>,
+        seed: u64,
+    },
+}
+
+impl Default for Frames {
+    fn default() -> Self {
+        Frames::Stored {
+            arrival_s: Vec::new(),
+            actual: Box::default(),
+            faults: Box::default(),
+        }
+    }
 }
 
 impl PartialEq for FrameTable {
@@ -187,47 +216,6 @@ impl PartialEq for FrameTable {
                 other.read(i, &mut b);
                 a == b
             })
-    }
-}
-
-/// The fault half of a [`FrameTable`]: stored per frame, or derived
-/// from a recipe.
-#[derive(Debug, Clone)]
-enum Faults {
-    /// One plan per frame, or none when no frame has a fault.
-    Stored(Box<[FaultPlan]>),
-    Derived(FaultRecipe),
-}
-
-/// How a synthesized stream's faults read: frame `i` holds the plan
-/// [`FaultPlan::random`] draws under `spec` from
-/// `frame_seed(seed, i) ^ 0x5EED`, over the WCETs its actuals derive
-/// from.
-#[derive(Debug, Clone)]
-struct FaultRecipe {
-    spec: FaultSpec,
-    seed: u64,
-}
-
-impl Default for Faults {
-    fn default() -> Self {
-        Faults::Stored(Box::default())
-    }
-}
-
-impl Faults {
-    /// Replace `out` with frame `i`'s faults, in a table whose actuals
-    /// are `actual`.
-    fn read(&self, i: usize, actual: &Column, out: &mut FaultPlan) {
-        match self {
-            Faults::Stored(plans) => out.copy_from(plans.get(i).unwrap_or(&FaultPlan::none())),
-            Faults::Derived(recipe) => {
-                let wcet = actual
-                    .wcet_bound()
-                    .expect("derived faults draw over derived actuals");
-                out.draw(&recipe.spec, wcet, frame_seed(recipe.seed, i) ^ 0x5EED);
-            }
-        }
     }
 }
 
@@ -261,10 +249,12 @@ impl FrameTable {
             faults.into_boxed_slice()
         };
         Ok(FrameTable {
-            arrival_s: ArrivalColumn::Explicit(arrival_s),
-            actual: Column::from_values(actual),
             jobs,
-            faults: Faults::Stored(faults),
+            frames: Frames::Stored {
+                arrival_s,
+                actual: actual.into_boxed_slice(),
+                faults,
+            },
         })
     }
 
@@ -294,7 +284,10 @@ impl FrameTable {
 
     /// Number of frames.
     pub fn len(&self) -> usize {
-        self.arrival_s.len()
+        match &self.frames {
+            Frames::Stored { arrival_s, .. } => arrival_s.len(),
+            Frames::Derived { n, .. } => *n,
+        }
     }
 
     /// Whether the stream has no frames.
@@ -309,25 +302,70 @@ impl FrameTable {
 
     /// Read frame `i` into `into`, replacing what it held: a stored
     /// frame is copied, a derived one drawn from its seed, each part
-    /// once. The lists of `into` keep their capacity, so reading every
-    /// frame into one warm buffer allocates nothing.
+    /// once. A derived read costs one seeding and one draw per job
+    /// whatever `i` is, and never multiplies `i` by the stride. The
+    /// lists of `into` keep their capacity, so reading every frame into
+    /// one warm buffer allocates nothing.
     ///
     /// # Panics
     ///
     /// If `i` is not below [`FrameTable::len`].
     pub fn read(&self, i: usize, into: &mut FrameInput) {
-        into.arrival_s = self.arrival_s.get(i);
-        self.actual.read(i, self.jobs, &mut into.actual);
-        self.faults.read(i, &self.actual, &mut into.faults);
+        into.actual.clear();
+        match &self.frames {
+            Frames::Stored {
+                arrival_s,
+                actual,
+                faults,
+            } => {
+                into.arrival_s = arrival_s[i];
+                let jobs = self.jobs;
+                into.actual
+                    .extend_from_slice(&actual[i * jobs..(i + 1) * jobs]);
+                into.faults
+                    .copy_from(faults.get(i).unwrap_or(&FaultPlan::none()));
+            }
+            &Frames::Derived {
+                n,
+                factor,
+                span,
+                ref wcet,
+                draw,
+                ref faults,
+                seed,
+            } => {
+                assert!(i < n, "frame {i} out of range for {n} frames");
+                into.arrival_s = i as f64 * factor * span;
+                let fseed = frame_seed(seed, i);
+                match draw {
+                    None => into.actual.extend_from_slice(wcet),
+                    Some((lo, hi)) => {
+                        let mut rng = Rng::seed_from_u64(fseed);
+                        into.actual
+                            .extend(wcet.iter().map(|&w| draw_job(&mut rng, w, lo, hi)));
+                    }
+                }
+                match faults {
+                    Some(spec) => into.faults.draw(spec, wcet, fseed ^ 0x5EED),
+                    None => into.faults.copy_from(&FaultPlan::none()),
+                }
+            }
+        }
+    }
+
+    /// Whether every frame's actuals are at or below `wcet`: true of a
+    /// derived table built over exactly these WCETs.
+    fn bounded_by(&self, wcet: &[u64]) -> bool {
+        matches!(&self.frames, Frames::Derived { wcet: own, .. } if **own == *wcet)
     }
 }
 
-/// A stream of frames for [`run_online`]: arrivals, actual cycles and
-/// faults held as the stream-level arrays of a [`FrameTable`] (the
-/// arrival progression or one arrival per frame, the actuals' recipe or
-/// one flat stride-`jobs` column of them, and the fault recipe or one
-/// plan per frame, none for a fault-free stream), read frame by frame
-/// into a [`FrameInput`] through [`FrameTable::read`].
+/// A stream of frames for [`run_online`], held as a [`FrameTable`]:
+/// stored, one arrival, one stride-`jobs` run of actuals and (for a
+/// faulty stream) one plan per frame, or derived, the arrival
+/// progression, the WCETs and the recipe its actuals and faults draw
+/// from. Either way it is read frame by frame into a [`FrameInput`]
+/// through [`FrameTable::read`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStream {
     /// The frames, in arrival order.
@@ -342,18 +380,19 @@ impl OnlineStream {
     /// not one per frame, and the actuals as one copy of the WCETs, not
     /// one per frame.
     pub fn periodic(dag: &PeriodicDag, n_frames: usize, arrival_factor: f64, f_max: f64) -> Self {
-        let span = dag.hyperperiod_cycles as f64 / f_max;
         let weights = dag.graph.weights();
         OnlineStream {
             frames: FrameTable {
-                arrival_s: ArrivalColumn::Progression {
+                jobs: weights.len(),
+                frames: Frames::Derived {
                     n: n_frames,
                     factor: arrival_factor,
-                    span,
+                    span: dag.hyperperiod_cycles as f64 / f_max,
+                    wcet: weights.into(),
+                    draw: None,
+                    faults: None,
+                    seed: 0,
                 },
-                actual: Column::wcet(weights),
-                jobs: weights.len(),
-                faults: Faults::default(),
             },
         }
     }
@@ -393,26 +432,28 @@ impl OnlineStream {
     ) -> Self {
         check_fractions(lo, hi);
         let span = dag.hyperperiod_cycles as f64 / f_max;
-        let faults = intensity.map_or_else(Faults::default, |fi| {
+        let faults = intensity.map(|fi| {
             let spec = FaultSpec {
                 intensity: *fi,
                 n_procs,
                 deadline_s: span,
             };
             spec.check();
-            Faults::Derived(FaultRecipe { spec, seed })
+            spec
         });
         let weights = dag.graph.weights();
         OnlineStream {
             frames: FrameTable {
-                arrival_s: ArrivalColumn::Progression {
+                jobs: weights.len(),
+                frames: Frames::Derived {
                     n: n_frames,
                     factor: arrival_factor,
                     span,
+                    wcet: weights.into(),
+                    draw: Some((lo, hi)),
+                    faults,
+                    seed,
                 },
-                actual: Column::drawn(weights, lo, hi, seed),
-                jobs: weights.len(),
-                faults,
             },
         }
     }
@@ -566,9 +607,14 @@ impl OnlineReport {
 /// Execute a periodic frame stream online. See the module docs for the
 /// admission, reclamation, degradation, and billing semantics.
 ///
-/// Rejects malformed inputs with a typed [`SimError`]; once the run
-/// starts, no overload/fault/budget combination panics — every frame
-/// comes back with a structured record.
+/// Rejects malformed inputs with a typed [`SimError`]: a stream built
+/// at the wrong stride first, then the first stream error in frame
+/// order (an arrival out of order or not finite, actuals above the
+/// WCETs), else a plan that fails to solve, else the first bad fault
+/// plan. Once the run starts, no overload/fault/budget combination
+/// panics — every frame comes back with a structured record. Each
+/// frame is read twice, into one buffer: once to validate it, once to
+/// execute it.
 pub fn run_online(
     dag: &PeriodicDag,
     stream: &OnlineStream,
@@ -581,8 +627,7 @@ pub fn run_online(
     let f_max = cfg.max_frequency();
     let span_s = dag.hyperperiod_cycles as f64 / f_max;
 
-    // Stream validation: the actuals' stride, arrival order, WCET
-    // ceiling.
+    // The actuals' stride, checked before any frame is read.
     let table = &stream.frames;
     if !table.is_empty() && table.jobs() != n {
         return Err(SimError::WrongActualLength {
@@ -590,10 +635,23 @@ pub fn run_online(
             got: table.jobs(),
         });
     }
-    // Derived actuals never exceed the WCETs they were derived from, so
-    // when those are the graph's, one comparison covers every frame.
-    let wcet_bounded = table.actual.wcet_bound() == Some(graph.weights());
-    // The one buffer every pass reads its frames into.
+
+    // The one-time offline frame plan. Its error is reported after the
+    // stream's own; its processor count bounds the fault plans.
+    let dv = DeadlineVector::from_kpn(dag.deadlines.clone(), dag.hyperperiod_cycles);
+    let plan = solve_with_deadlines(ocfg.strategy, graph, &dv, cfg);
+    let mut checker = plan
+        .as_ref()
+        .ok()
+        .map(|sol| FaultChecker::new(graph, sol.n_procs));
+    let mut bad_faults = None;
+
+    // One validation pass: arrival order, the WCET ceiling and, when the
+    // plan solved, the fault plans up to the first bad one. Derived
+    // actuals never exceed the WCETs they were derived from, so when
+    // those are the graph's no frame's actuals are compared.
+    let bounded = table.bounded_by(graph.weights());
+    // The one buffer both passes read their frames into.
     let mut fr = FrameInput::default();
     let mut prev_arrival = 0.0f64;
     for i in 0..table.len() {
@@ -613,30 +671,26 @@ pub fn run_online(
             )));
         }
         prev_arrival = fr.arrival_s;
-        if wcet_bounded {
-            continue;
-        }
-        for (t, &actual) in graph.tasks().zip(&fr.actual) {
-            if actual > graph.weight(t) {
-                return Err(SimError::ActualExceedsWcet {
-                    task: t,
-                    actual,
-                    wcet: graph.weight(t),
-                });
+        if !bounded {
+            for (t, &actual) in graph.tasks().zip(&fr.actual) {
+                if actual > graph.weight(t) {
+                    return Err(SimError::ActualExceedsWcet {
+                        task: t,
+                        actual,
+                        wcet: graph.weight(t),
+                    });
+                }
             }
         }
+        if let (Some(checker), None) = (&mut checker, &bad_faults) {
+            bad_faults = checker.check(&fr.faults).err();
+        }
     }
-
-    // The one-time offline frame plan.
-    let dv = DeadlineVector::from_kpn(dag.deadlines.clone(), dag.hyperperiod_cycles);
-    let sol = solve_with_deadlines(ocfg.strategy, graph, &dv, cfg)
-        .map_err(|e| SimError::PlanFailed(e.to_string()))?;
+    let sol = plan.map_err(|e| SimError::PlanFailed(e.to_string()))?;
+    if let Some(e) = bad_faults {
+        return Err(e);
+    }
     let n_procs = sol.n_procs;
-    let mut checker = FaultChecker::new(graph, n_procs);
-    for i in 0..table.len() {
-        table.read(i, &mut fr);
-        checker.check(&fr.faults)?;
-    }
 
     // Arrival-relative due time per job [s].
     let due_rel: Vec<f64> = (0..n)
@@ -655,6 +709,10 @@ pub fn run_online(
     // Completion times of in-flight/waiting frames, for the backlog.
     let mut pending_ends: VecDeque<f64> = VecDeque::new();
     let mut busy_until = 0.0f64;
+    // Each executed frame with its fail-stop, and the last one's
+    // arrival: all the bill pass needs of the stream.
+    let mut executed: Vec<(usize, Option<FailStop>)> = Vec::new();
+    let mut last_arrival_s = 0.0f64;
 
     for i in 0..table.len() {
         table.read(i, &mut fr);
@@ -716,6 +774,8 @@ pub fn run_online(
             cfg,
             &mut resolver,
         );
+        executed.push((i, fr.faults.fail_stop));
+        last_arrival_s = fr.arrival_s;
         let trace = run.trace;
         busy_until = start_s + trace.makespan_s.max(0.0);
         pending_ends.push_back(busy_until);
@@ -741,25 +801,20 @@ pub fn run_online(
         energy.add(&trace.energy);
     }
 
-    // Chain the billing windows over executed frames and bill the gaps.
-    let executed: Vec<usize> = frames
-        .iter()
-        .filter(|f| f.verdict.start_s().is_some())
-        .map(|f| f.frame)
-        .collect();
-    for (k, &fi) in executed.iter().enumerate() {
-        table.read(fi, &mut fr);
+    // Chain the billing windows over executed frames and bill the gaps,
+    // after every trace's own energy, in frame order.
+    for (k, &(fi, fail_stop)) in executed.iter().enumerate() {
         let start = frames[fi].verdict.start_s().expect("executed");
         let end = match executed.get(k + 1) {
-            Some(&next) => frames[next].verdict.start_s().expect("executed"),
-            None => (start + frames[fi].makespan_s).max(fr.arrival_s + span_s),
+            Some(&(next, _)) => frames[next].verdict.start_s().expect("executed"),
+            None => (start + frames[fi].makespan_s).max(last_arrival_s + span_s),
         };
         frames[fi].window_end_s = end;
         let mut idle = EnergyBreakdown::default();
         bill_idle(
             &frames[fi].tasks,
             &frames[fi].aborted,
-            fr.faults.fail_stop,
+            fail_stop,
             start,
             end,
             n_procs,
@@ -1146,6 +1201,34 @@ mod tests {
         ));
     }
 
+    /// A stream error is reported before a fault error, whichever frame
+    /// each is in: a fail-stop on a processor the plan lacks in frame 0
+    /// and an arrival that runs backwards in frame 1 give `BadStream`.
+    #[test]
+    fn stream_errors_come_before_fault_errors() {
+        let dag = demo_dag();
+        let cfg = cfg();
+        let (_, n, actual, _) = OnlineStream::periodic(&dag, 2, 1.0, cfg.max_frequency())
+            .frames
+            .to_parts();
+        let fail_99 = FaultPlan {
+            fail_stop: Some(FailStop {
+                proc: ProcId(99),
+                at_s: 0.001,
+            }),
+            ..FaultPlan::none()
+        };
+        let faults = vec![fail_99, FaultPlan::none()];
+        let stream = |arrivals: Vec<f64>| OnlineStream {
+            frames: FrameTable::from_parts(arrivals, n, actual.clone(), faults.clone()).unwrap(),
+        };
+        let ocfg = OnlineConfig::reclaiming();
+        let err = run_online(&dag, &stream(vec![1.0, 0.5]), &ocfg, &cfg).unwrap_err();
+        assert!(matches!(err, SimError::BadStream(_)), "{err:?}");
+        let err = run_online(&dag, &stream(vec![0.5, 1.0]), &ocfg, &cfg).unwrap_err();
+        assert!(matches!(err, SimError::BadFaultPlan(_)), "{err:?}");
+    }
+
     #[test]
     fn frame_tables_hold_one_stride_per_frame() {
         let dag = wide_dag();
@@ -1327,7 +1410,7 @@ mod tests {
             OnlineStream::synthesize(&dag, 2, 7, 0.85, 0.5, 0.9, None, f_max, 4).frames,
             OnlineStream::periodic(&dag, 7, 0.85, f_max).frames,
         ] {
-            assert!(matches!(built.arrival_s, ArrivalColumn::Progression { .. }));
+            assert!(matches!(built.frames, Frames::Derived { .. }));
             let (arrivals, _, actual, _) = built.to_parts();
             let mut fr = FrameInput::default();
             for (i, a) in arrivals.iter().enumerate() {
@@ -1338,7 +1421,7 @@ mod tests {
             }
             let explicit =
                 FrameTable::from_parts(arrivals.clone(), n, actual.clone(), vec![]).unwrap();
-            assert!(matches!(explicit.arrival_s, ArrivalColumn::Explicit(_)));
+            assert!(matches!(explicit.frames, Frames::Stored { .. }));
             assert_eq!(explicit.to_parts().0, arrivals);
             assert_eq!(explicit, built);
             let mut off = arrivals;
@@ -1382,11 +1465,11 @@ mod tests {
         let n = dag.graph.len();
         let f_max = cfg().max_frequency();
         let clean = OnlineStream::synthesize(&dag, 2, 4, 0.8, 0.5, 0.9, None, f_max, 4).frames;
-        assert!(matches!(clean.actual, Column::Derived { .. }));
+        assert!(matches!(clean.frames, Frames::Derived { .. }));
         let (arrivals, _, mut actual, _) = clean.to_parts();
         actual[n + 2] = BIG + 12_345;
         let wide = FrameTable::from_parts(arrivals, n, actual.clone(), vec![]).unwrap();
-        assert!(matches!(wide.actual, Column::Stored(_)));
+        assert!(matches!(wide.frames, Frames::Stored { .. }));
         assert_eq!(wide.to_parts().2, actual);
         let mut fr = FrameInput::default();
         for i in 0..wide.len() {
@@ -1458,6 +1541,144 @@ mod tests {
         }
     }
 
+    /// Jobs of every kind a draw treats apart: zero-weight dummies
+    /// between and at either end, and a WCET that needs `u64`.
+    const WCET: [u64; 6] = [0, 1_000_000, 0, 7, 5 * BIG, 0];
+    const FACTOR: f64 = 0.85;
+    const SPAN: f64 = 0.0123;
+
+    /// The derived table of `n` frames over `wcet`, arriving every
+    /// `FACTOR · SPAN` seconds, whose actuals are the WCETs or, with
+    /// `draw`, drawn from `seed`.
+    fn recipe(wcet: &[u64], n: usize, draw: Option<(f64, f64)>, seed: u64) -> FrameTable {
+        FrameTable {
+            jobs: wcet.len(),
+            frames: Frames::Derived {
+                n,
+                factor: FACTOR,
+                span: SPAN,
+                wcet: wcet.into(),
+                draw,
+                faults: None,
+                seed,
+            },
+        }
+    }
+
+    /// Every frame's actuals, read back to back.
+    fn all(table: &FrameTable) -> Vec<u64> {
+        let mut fr = FrameInput::default();
+        let mut out = Vec::new();
+        for i in 0..table.len() {
+            table.read(i, &mut fr);
+            out.extend_from_slice(&fr.actual);
+        }
+        out
+    }
+
+    #[test]
+    fn progressions_read_the_products_in_order() {
+        let table = recipe(&WCET, 5, None, 0);
+        let want: Vec<f64> = (0..5).map(|i| i as f64 * FACTOR * SPAN).collect();
+        assert_eq!(table.len(), 5);
+        let explicit =
+            FrameTable::from_parts(want.clone(), WCET.len(), WCET.repeat(5), vec![]).unwrap();
+        let (mut a, mut b) = (FrameInput::default(), FrameInput::default());
+        for (i, &w) in want.iter().enumerate() {
+            table.read(i, &mut a);
+            explicit.read(i, &mut b);
+            assert_eq!(a.arrival_s.to_bits(), w.to_bits());
+            assert_eq!(b.arrival_s.to_bits(), w.to_bits());
+        }
+        assert_eq!(recipe(&WCET, 0, None, 0).len(), 0);
+        assert_eq!(FrameTable::default().len(), 0);
+    }
+
+    /// A derived read past the last frame panics, in release too, rather
+    /// than drawing a frame the table does not hold.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn reads_past_the_end_panic() {
+        recipe(&WCET, 2, Some((0.5, 0.9)), 1).read(2, &mut FrameInput::default());
+    }
+
+    /// Frame `i` of a drawn table reads what [`actual_cycles`] draws
+    /// from the frame's seed, in any order; a WCET table reads the
+    /// WCETs.
+    #[test]
+    fn derived_frames_read_their_recipe() {
+        let mut b = lamps_taskgraph::GraphBuilder::new();
+        for w in WCET {
+            b.add_task(w);
+        }
+        let g = b.build().unwrap();
+        let n = WCET.len();
+        let drawn = recipe(&WCET, 4, Some((0.3, 0.9)), 11);
+        let wcet = recipe(&WCET, 4, None, 11);
+        let mut fr = FrameInput {
+            actual: vec![9; 2 * n],
+            ..FrameInput::default()
+        };
+        for i in (0..4).rev() {
+            drawn.read(i, &mut fr);
+            assert_eq!(fr.actual, actual_cycles(&g, 0.3, 0.9, frame_seed(11, i)));
+            wcet.read(i, &mut fr);
+            assert_eq!(fr.actual, WCET);
+        }
+        let values = all(&drawn);
+        drawn.read(1, &mut fr);
+        assert_eq!(values[n..2 * n], fr.actual);
+        assert!(values
+            .iter()
+            .zip(WCET.iter().cycle())
+            .all(|(&a, &w)| a <= w));
+        assert!(values.iter().any(|&a| a > u64::from(u32::MAX)));
+        assert!(wcet.bounded_by(&WCET));
+        let stored = FrameTable::from_parts(vec![0.0; 4], n, values, vec![]).unwrap();
+        assert!(!stored.bounded_by(&WCET));
+    }
+
+    /// A zero-WCET job reads 0 and consumes no draw: dropping every
+    /// dummy from the graph leaves the other jobs' draws unchanged.
+    #[test]
+    fn zero_wcet_jobs_read_zero_and_consume_no_draw() {
+        let real: Vec<u64> = WCET.iter().copied().filter(|&w| w > 0).collect();
+        let values = all(&recipe(&WCET, 5, Some((0.2, 0.8)), 3));
+        for (a, w) in values.iter().zip(WCET.iter().cycle()) {
+            if *w == 0 {
+                assert_eq!(*a, 0);
+            }
+        }
+        let kept: Vec<u64> = values
+            .iter()
+            .zip(WCET.iter().cycle())
+            .filter(|(_, &w)| w > 0)
+            .map(|(&a, _)| a)
+            .collect();
+        assert_eq!(kept, all(&recipe(&real, 5, Some((0.2, 0.8)), 3)));
+    }
+
+    /// A stored table reads back the values a derived one drew, whether
+    /// or not they fit in `u32`, frame by frame.
+    #[test]
+    fn derived_columns_compare_and_store_by_value() {
+        let n = WCET.len();
+        let derived = recipe(&WCET, 3, Some((0.5, 0.9)), 2);
+        let values = all(&derived);
+        let stored =
+            FrameTable::from_parts(derived.to_parts().0, n, values.clone(), vec![]).unwrap();
+        assert!(matches!(stored.frames, Frames::Stored { .. }));
+        assert_eq!(all(&stored), values);
+        assert_ne!(all(&recipe(&WCET, 3, Some((0.5, 0.9)), 3)), values);
+        assert_eq!(all(&recipe(&WCET, 2, None, 2)), WCET.repeat(2));
+        let (mut a, mut b) = (FrameInput::default(), FrameInput::default());
+        for i in 0..3 {
+            derived.read(i, &mut a);
+            stored.read(i, &mut b);
+            assert_eq!(a, b, "frame {i}");
+        }
+    }
+
     /// A derived table equals its own `from_parts` copy, whether or not
     /// its values fit in `u32`, and a copy with one value changed does
     /// not.
@@ -1477,11 +1698,11 @@ mod tests {
                 OnlineStream::synthesize(dag, 2, 5, 0.8, 0.9, 1.0, None, f_max, 4).frames,
                 OnlineStream::periodic(dag, 5, 0.8, f_max).frames,
             ] {
-                assert!(matches!(built.actual, Column::Derived { .. }));
+                assert!(matches!(built.frames, Frames::Derived { .. }));
                 let mut actual = built.to_parts().2;
                 assert_eq!(actual.iter().any(|&a| a > u64::from(u32::MAX)), above_u32);
                 let copy = rebuild(&built, actual.clone());
-                assert!(matches!(copy.actual, Column::Stored(_)));
+                assert!(matches!(copy.frames, Frames::Stored { .. }));
                 assert_eq!(copy, built);
                 assert_eq!(built, copy);
 
@@ -1508,13 +1729,19 @@ mod tests {
         let severe = FaultIntensity::severe();
         let built =
             OnlineStream::synthesize(&dag, 3, 9, 0.8, 0.6, 1.0, Some(&severe), f_max, 7).frames;
-        assert!(matches!(built.faults, Faults::Derived(_)));
+        assert!(matches!(
+            built.frames,
+            Frames::Derived {
+                faults: Some(_),
+                ..
+            }
+        ));
         let (arrivals, jobs, actual, plans) = built.to_parts();
         let copy_of = |plans: Vec<FaultPlan>| {
             FrameTable::from_parts(arrivals.clone(), jobs, actual.clone(), plans).unwrap()
         };
         let copy = copy_of(plans.clone());
-        assert!(matches!(copy.faults, Faults::Stored(_)));
+        assert!(matches!(copy.frames, Frames::Stored { .. }));
         assert_eq!(copy, built);
         assert_eq!(built, copy);
         let (mut a, mut b) = (FrameInput::default(), FrameInput::default());
@@ -1667,7 +1894,7 @@ mod tests {
             FrameTable::from_parts(arrivals.clone(), clean.jobs(), actual.clone(), faults).unwrap()
         };
         let empty_plans = parts(vec![FaultPlan::none(); 5]);
-        assert!(matches!(&empty_plans.faults, Faults::Stored(p) if p.is_empty()));
+        assert!(matches!(&empty_plans.frames, Frames::Stored { faults, .. } if faults.is_empty()));
         assert_eq!(empty_plans, clean);
         assert_eq!(parts(vec![]), clean);
         assert_ne!(parts(mixed_plans()[..5].to_vec()), clean);

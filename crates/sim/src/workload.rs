@@ -37,6 +37,12 @@ pub(crate) fn check_fractions(min_fraction: f64, max_fraction: f64) {
     );
 }
 
+/// Frame `i`'s seed in a stream seeded with `seed`: its actuals draw
+/// from it, and its faults from it `^ 0x5EED`.
+pub(crate) fn frame_seed(seed: u64, i: usize) -> u64 {
+    seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
 /// One job's actual cycles, the next draw of `rng` for WCET `w`: the
 /// per-job step of [`actual_cycles`], and of every read of a stream's
 /// drawn actuals. A zero-weight job reads 0 and consumes no draw.

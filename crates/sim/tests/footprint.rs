@@ -5,16 +5,18 @@
 //! `periodic` must hold one copy of the job WCETs on the heap and
 //! nothing else: exactly `8·N` bytes in one allocation, whatever `F` is,
 //! whether or not a WCET fits in `u32`, and with or without faults. Its
-//! actuals and faults are drawn from that copy and an inline recipe
-//! when a frame is read, not stored, and its arrivals are a progression
-//! stored inline, not a per-frame array: no per-frame vectors, no fault
-//! arrays, no capacity slack.
+//! table is derived as a whole: the actuals and faults are drawn from
+//! that copy and an inline recipe with one seed when a frame is read,
+//! not stored, and the arrivals are a progression stored inline, not a
+//! per-frame array: no per-frame vectors, no fault arrays, no capacity
+//! slack.
 //!
-//! A table assembled by `FrameTable::from_parts` stores what it is
-//! given and allocates nothing when its inputs come at exact capacity,
-//! as `FrameTable::to_parts` returns them. The copy of a faulty stream
-//! holds its `8·F` arrivals, its `8·F·N` actuals and its `F` fault
-//! plans, one `FaultPlan` each, with every plan's own lists: exactly
+//! A table assembled by `FrameTable::from_parts` is stored as a whole:
+//! it keeps what it is given and allocates nothing when its inputs come
+//! at exact capacity, as `FrameTable::to_parts` returns them. The copy
+//! of a faulty stream holds its `8·F` arrivals, its `8·F·N` actuals and
+//! its `F` fault plans, one `FaultPlan` each, with every plan's own
+//! lists: exactly
 //!
 //! `8·F + 8·F·N + size_of::<FaultPlan>()·F + Σ (16·overruns + 24·dvs)`
 //!

@@ -265,7 +265,7 @@ struct FrameCheck<'a> {
     actual: &'a [u64],
     faults: &'a FaultPlan,
     /// Due time per task, frame-relative \[s\].
-    due_s: Vec<f64>,
+    due_s: &'a [f64],
     n_procs: usize,
     /// Every regulator starts the frame at this voltage \[V\].
     plan_vdd: f64,
@@ -600,7 +600,7 @@ pub fn check_run(
         dvs_switches: report.dvs_switches,
         actual,
         faults,
-        due_s: vec![deadline_s; graph.len()],
+        due_s: &vec![deadline_s; graph.len()],
         n_procs: solution.schedule.n_procs(),
         plan_vdd: solution.level.vdd,
     };
@@ -828,6 +828,8 @@ pub fn check_online(
     // is still sound; the bill is compared only if it stays sound.
     let mut re = RebilledEnergy::default();
     let mut eff = Vec::with_capacity(n);
+    // Each executed frame's due times, refilled in place.
+    let mut due_s = vec![0.0f64; n];
     for (k, &fi) in executed.iter().enumerate() {
         let fr = &report.frames[fi];
         stream.frames.read(fi, &mut input);
@@ -865,6 +867,9 @@ pub fn check_online(
             });
         }
         let offset = input.arrival_s - start;
+        for (due, d) in due_s.iter_mut().zip(&due_rel) {
+            *due = offset + d;
+        }
         let frame = FrameCheck {
             frame: fi,
             tasks: &fr.tasks,
@@ -874,7 +879,7 @@ pub fn check_online(
             dvs_switches: fr.dvs_switches,
             actual: &input.actual,
             faults: &input.faults,
-            due_s: due_rel.iter().map(|d| offset + d).collect(),
+            due_s: &due_s,
             n_procs: report.n_procs,
             plan_vdd: report.plan_vdd,
         };
